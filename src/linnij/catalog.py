@@ -5,8 +5,7 @@ coefficients of its characteristic polynomial, the structure relations of
 the multiplication it encodes, and -- when two presentations of the same
 algebra are recorded -- the exact linear change mapping one to the other.
 The catalog ships as a JSON data file under ``data/``; :func:`load_catalog`
-re-parses and re-verifies it rather than trusting it, and
-:func:`build_catalog` reconstructs the same entries from source literals.
+re-parses and re-verifies it rather than trusting it.
 
 Beyond the fixed tables, three constructors extend the indecomposable
 three-variable entries to any dimension: :func:`generalized_L1`,
@@ -33,8 +32,10 @@ from .nijenhuis import (
 from .textio import (
     default_names,
     format_poly,
+    format_scalar,
     format_scalar_matrix,
     parse_poly,
+    parse_scalar,
     parse_scalar_matrix,
 )
 
@@ -108,7 +109,7 @@ class CatalogEntry(object):
             "operator": [[format_poly(entry, names) for entry in row]
                          for row in self.operator.entries],
             "sigmas": [format_poly(s, names) for s in self.sigmas],
-            "relations": [{"i": i, "j": j, "k": k, "coeff": _format_scalar(c)}
+            "relations": [{"i": i, "j": j, "k": k, "coeff": format_scalar(c)}
                           for (i, j, k, c) in self.relations.relations()],
         }
         if self.change is not None:
@@ -126,7 +127,7 @@ class CatalogEntry(object):
                 for row in record["operator"]))
             sigmas = tuple(parse_poly(s, names) for s in record["sigmas"])
             relations = StructureConstants.from_relations(dim, [
-                (r["i"], r["j"], r["k"], _parse_scalar(r["coeff"]))
+                (r["i"], r["j"], r["k"], parse_scalar(r["coeff"]))
                 for r in record["relations"]])
             change = None
             if "change" in record:
@@ -140,16 +141,6 @@ class CatalogEntry(object):
         if entry.radicand != record["radicand"]:
             raise FormatError("entry %r radicand does not match its data" % entry_id)
         return entry
-
-
-def _format_scalar(value):
-    from .textio import format_scalar
-    return format_scalar(value)
-
-
-def _parse_scalar(text):
-    from .textio import parse_scalar
-    return parse_scalar(text)
 
 
 def _data_radicand(operator, sigmas, relations, change):
@@ -193,184 +184,6 @@ _CHANGE_TARGETS = {
 
 #: id -> which branch of a ± pair the entry records.
 _SIGN_VARIANTS = {"L5+": "+", "L5-": "-", "L6+": "+", "L6-": "-"}
-
-# operator, sigmas, relations, change for every fixed entry, as canonical
-# strings over x1..xn.  Relations are (i, j, k, coeff) with e_i * e_j
-# containing coeff * e_k.
-_FIXED = [
-    ("d", 1,
-     [["x1"]],
-     ["-x1"],
-     [(1, 1, 1, "1")],
-     None),
-    ("b4+", 2,
-     [["2*x1", "-x2"], ["x2", "0"]],
-     ["-2*x1", "x2^2"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (2, 2, 1, "-1")],
-     None),
-    ("b4-", 2,
-     [["2*x1", "x2"], ["x2", "0"]],
-     ["-2*x1", "-x2^2"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (2, 2, 1, "1")],
-     None),
-    ("c5+", 2,
-     [["x1", "x2"], ["x2", "x1"]],
-     ["-2*x1", "x1^2-x2^2"],
-     [(1, 1, 1, "1"), (1, 2, 2, "1"), (2, 1, 2, "1"), (2, 2, 1, "1")],
-     None),
-    ("c5-", 2,
-     [["x1", "-x2"], ["x2", "x1"]],
-     ["-2*x1", "x1^2+x2^2"],
-     [(1, 1, 1, "1"), (1, 2, 2, "1"), (2, 1, 2, "1"), (2, 2, 1, "-1")],
-     None),
-    ("b4+⊕d", 3,
-     [["2*x1", "-x2", "0"], ["x2", "0", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "x2^2+2*x1*x3", "-x2^2*x3"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (2, 2, 1, "-1"), (3, 3, 3, "1")],
-     None),
-    ("b4-⊕d", 3,
-     [["2*x1", "x2", "0"], ["x2", "0", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "-x2^2+2*x1*x3", "x2^2*x3"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (2, 2, 1, "1"), (3, 3, 3, "1")],
-     None),
-    ("c5+⊕d", 3,
-     [["x1", "x2", "0"], ["x2", "x1", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "x1^2-x2^2+2*x1*x3", "-x1^2*x3+x2^2*x3"],
-     [(1, 1, 1, "1"), (1, 2, 2, "1"), (2, 1, 2, "1"), (2, 2, 1, "1"),
-      (3, 3, 3, "1")],
-     None),
-    ("c5-⊕d", 3,
-     [["x1", "-x2", "0"], ["x2", "x1", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "x1^2+x2^2+2*x1*x3", "-x1^2*x3-x2^2*x3"],
-     [(1, 1, 1, "1"), (1, 2, 2, "1"), (2, 1, 2, "1"), (2, 2, 1, "-1"),
-      (3, 3, 3, "1")],
-     None),
-    ("ind3.1", 3,
-     [["2*x1-x3", "-x2", "x3-x1"], ["x2", "x3", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "x2^2+4*x1*x3-x3^2", "-x2^2*x3-2*x1*x3^2+x3^3"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (1, 3, 1, "-1"), (2, 2, 1, "-1"),
-      (2, 3, 2, "1"), (3, 1, 1, "-1"), (3, 3, 1, "1"), (3, 3, 3, "1")],
-     None),
-    ("ind3.2", 3,
-     [["2*x1-x3", "x2", "x3-x1"], ["x2", "x3", "0"], ["0", "0", "x3"]],
-     ["-2*x1-x3", "-x2^2+4*x1*x3-x3^2", "x2^2*x3-2*x1*x3^2+x3^3"],
-     [(1, 1, 1, "2"), (1, 2, 2, "1"), (1, 3, 1, "-1"), (2, 2, 1, "1"),
-      (2, 3, 2, "1"), (3, 1, 1, "-1"), (3, 3, 1, "1"), (3, 3, 3, "1")],
-     None),
-    ("ind3.3", 3,
-     [["x1", "-x3", "-x2"], ["x2", "0", "-x2"], ["0", "0", "x3"]],
-     ["-x1-x3", "x1*x3+x2*x3", "-x2*x3^2"],
-     [(1, 1, 1, "1"), (1, 2, 2, "1"), (2, 3, 1, "-1"), (3, 2, 1, "-1"),
-      (3, 2, 2, "-1"), (3, 3, 3, "1")],
-     None),
-    ("ind3.4", 3,
-     [["-x1", "x3", "x2"], ["-2/3*x2", "0", "x3"], ["-1/3*x3", "0", "0"]],
-     ["x1", "x2*x3", "1/3*x3^3"],
-     [(1, 1, 1, "-1"), (1, 2, 2, "-2/3"), (1, 3, 3, "-1/3"), (2, 3, 1, "1"),
-      (3, 2, 1, "1"), (3, 3, 2, "1")],
-     None),
-    ("L1", 3,
-     [["-x1", "x3", "x2"], ["-2/3*x2", "0", "x3"], ["-1/3*x3", "0", "0"]],
-     ["x1", "x2*x3", "1/3*x3^3"],
-     None,
-     None),
-    ("L2", 3,
-     [["-x1", "x3", "x2"], ["0", "x2", "0"],
-      ["-x2-x3", "-2*x1-3*x2-3*x3", "-x2"]],
-     ["x1", "x2*x3", "-x1*x2^2-x2^3-x2^2*x3"],
-     None,
-     [["-1", "0", "-1"], ["0", "0", "1"], ["1", "1", "0"]]),
-    ("L3", 3,
-     [["-1/3*x1", "x3", "x2"],
-      ["-1/3*x2", "-1/3*x1+1/8*x2+3/8*x3", "9/8*x2+3/8*x3"],
-      ["-1/3*x3", "-1/72*x2-3/8*x3", "-1/3*x1-1/8*x2-3/8*x3"]],
-     ["x1", "1/3*x1^2+x2*x3",
-      "1/27*x1^3-1/216*x2^3+1/3*x1*x2*x3-1/8*x2^2*x3+3/8*x2*x3^2+1/8*x3^3"],
-     None,
-     [["-2", "0", "-1"], ["-2", "sqrt(3)", "2"],
-      ["2/3", "1/3*sqrt(3)", "-2/3"]]),
-    ("L4", 3,
-     [["-1/3*x1", "x3", "x2"], ["-1/3*x2", "-1/3*x1", "3*x3"],
-      ["-1/3*x3", "-1/9*x2", "-1/3*x1"]],
-     ["x1", "1/3*x1^2+x2*x3", "1/27*x1^3-1/27*x2^3+x3^3+1/3*x1*x2*x3"],
-     None,
-     [["-2", "0", "-1"], ["-1", "sqrt(3)", "1"],
-      ["1/3", "1/3*sqrt(3)", "-1/3"]]),
-    ("L5+", 3,
-     [["-1/2*x1", "x3", "x2"],
-      ["-3/8*x2+1/32*x3", "-1/4*x1+1/4*x2+1/16*x3", "1/16*x1+3/16*x2+3/64*x3"],
-      ["1/2*x2-3/8*x3", "x1-3*x2-3/4*x3", "-1/4*x1-1/4*x2-1/16*x3"]],
-     ["x1", "1/4*x1^2+x2*x3",
-      "1/2*x1*x2^2-x2^3+1/4*x1*x2*x3-1/4*x2^2*x3+1/32*x1*x3^2"
-      "+1/16*x2*x3^2+1/64*x3^3"],
-     None,
-     [["-2", "0", "-1"], ["-1/2", "1/2", "1/4"], ["2", "2", "-1"]]),
-    ("L5-", 3,
-     [["-1/2*x1", "x3", "x2"],
-      ["-3/8*x2+1/32*x3", "-1/4*x1+1/4*x2+1/16*x3", "1/16*x1+3/16*x2+3/64*x3"],
-      ["1/2*x2-3/8*x3", "x1-3*x2-3/4*x3", "-1/4*x1-1/4*x2-1/16*x3"]],
-     ["x1", "1/4*x1^2+x2*x3",
-      "1/2*x1*x2^2-x2^3+1/4*x1*x2*x3-1/4*x2^2*x3+1/32*x1*x3^2"
-      "+1/16*x2*x3^2+1/64*x3^3"],
-     None,
-     [["-2", "0", "-1"], ["-1/2", "-1/2", "1/4"], ["2", "-2", "-1"]]),
-    ("L6+", 3,
-     [["-1/2*x1", "-2*x2", "-2*x3"], ["-1/4*x2", "0", "-1/2*x2"],
-      ["-1/2*x3", "-x2", "-1/2*x1"]],
-     ["x1", "1/4*x1^2-x2^2-x3^2", "-1/2*x1*x2^2+x2^2*x3"],
-     None,
-     [["-2", "0", "-1"], ["0", "1", "0"], ["-1", "0", "1/2"]]),
-    ("L6-", 3,
-     [["-1/2*x1", "-2*x2", "-2*x3"], ["-1/4*x2", "0", "-1/2*x2"],
-      ["-1/2*x3", "-x2", "-1/2*x1"]],
-     ["x1", "1/4*x1^2-x2^2-x3^2", "-1/2*x1*x2^2+x2^2*x3"],
-     None,
-     [["-2", "0", "-1"], ["0", "-1", "0"], ["-1", "0", "1/2"]]),
-    ("L7", 3,
-     [["-1/3*x1", "-2*x2", "-2*x3"],
-      ["-1/3*x2", "-1/3*x1-1/3*sqrt(3)*x3", "1/6*sqrt(3)*x2"],
-      ["-1/3*x3", "2/3*sqrt(3)*x2", "-1/3*x1+1/3*sqrt(3)*x3"]],
-     ["x1", "1/3*x1^2-x2^2-x3^2",
-      "1/27*x1^3-1/3*x1*x2^2-1/3*x1*x3^2-1/3*sqrt(3)*x2^2*x3"
-      "-2/9*sqrt(3)*x3^3"],
-     None,
-     [["-2", "0", "-1"], ["0", "1", "0"],
-      ["2/3*sqrt(3)", "0", "-2/3*sqrt(3)"]]),
-    ("L8", 3,
-     [["-1/3*x1", "-2*x2", "-2*x3"],
-      ["-1/3*x2", "-1/3*x1-1/3*sqrt(3)*x3", "-1/3*sqrt(3)*x2"],
-      ["-1/3*x3", "-1/3*sqrt(3)*x2", "-1/3*x1+1/3*sqrt(3)*x3"]],
-     ["x1", "1/3*x1^2-x2^2-x3^2",
-      "1/27*x1^3-1/3*x1*x2^2-1/3*x1*x3^2+2/3*sqrt(3)*x2^2*x3"
-      "-2/9*sqrt(3)*x3^3"],
-     None,
-     [["-2", "0", "-1"], ["0", "1", "0"],
-      ["-1/3*sqrt(3)", "0", "1/3*sqrt(3)"]]),
-]
-
-
-def build_catalog():
-    """Construct the full entry list from source literals."""
-    entries = []
-    for (entry_id, dim, op_rows, sigma_rows, relation_rows, change_rows) in _FIXED:
-        names = default_names(dim)
-        operator = PolyMatrix(tuple(
-            tuple(parse_poly(cell, names) for cell in row) for row in op_rows))
-        sigmas = tuple(parse_poly(s, names) for s in sigma_rows)
-        if relation_rows is None:
-            relations = operator_to_lsa(operator)
-        else:
-            relations = StructureConstants.from_relations(dim, [
-                (i, j, k, _parse_scalar(c)) for (i, j, k, c) in relation_rows])
-        change = None
-        if change_rows is not None:
-            change = tuple(tuple(row) for row in parse_scalar_matrix(change_rows))
-        entries.append(CatalogEntry(
-            entry_id, dim, operator, sigmas, relations,
-            change=change,
-            target=_CHANGE_TARGETS.get(entry_id),
-            sign_variant=_SIGN_VARIANTS.get(entry_id)))
-    return entries
 
 
 # -- persistence ---------------------------------------------------------------
@@ -446,22 +259,13 @@ class EntryReport(object):
         }
 
 
-_TARGET_INDEX = None
-
-
-def _default_targets():
-    global _TARGET_INDEX
-    if _TARGET_INDEX is None:
-        _TARGET_INDEX = {entry.id: entry for entry in build_catalog()}
-    return _TARGET_INDEX
-
-
 def verify_entry(entry, targets=None, rng=None):
     """Run every invariant of one entry and report pass/fail per check.
 
     Failures are data (the report), not exceptions.  ``targets`` maps entry
-    ids to entries and is consulted for the change check; ``rng`` adds a
-    seeded point-evaluation spot check on top of the exact identities.
+    ids to entries and is consulted for the change check (default: the
+    packaged catalog); ``rng`` adds a seeded point-evaluation spot check on
+    top of the exact identities.
     """
     checks = []
 
@@ -500,7 +304,7 @@ def verify_entry(entry, targets=None, rng=None):
 
     if entry.change is not None:
         if targets is None:
-            targets = _default_targets()
+            targets = {e.id: e for e in load_catalog()}
         target = targets.get(entry.target)
         if target is None:
             checks.append(("change", False, "missing target entry %r" % entry.target))

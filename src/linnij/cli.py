@@ -5,8 +5,6 @@ successful *diagnosis*, e.g. ``reconstruct`` reporting a non-polynomial
 operator), 1 for a failed check (verification failure, nonzero residuals,
 nonvanishing torsion), 2 for unusable input (unknown names, malformed
 files, out-of-range sizes).
-
-``LINNIJ_WORKERS`` caps the thread pool used by ``verify-tables``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -25,7 +22,7 @@ from .catalog import (
     load_catalog,
     verify_entry,
 )
-from .errors import DependentSigmasError, DimensionMismatchError, FormatError
+from .errors import DependentSigmasError, FormatError, LinnijError
 from .exactfield import ONE
 from .nijenhuis import operator_is_linear, torsion
 from .polymatrix import PolyMatrix
@@ -43,7 +40,20 @@ from .reconstruct import (
 from .textio import default_names, format_poly, format_scalar, parse_poly
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that turns package errors and unreadable or unwritable
+    files into a one-line message and exit 2, for every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (LinnijError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Verified catalog of torsion-free operator fields and the searches
     behind it."""
@@ -97,16 +107,6 @@ def _read_operator_file(path):
     return PolyMatrix(tuple(rows))
 
 
-def _worker_count(n_items):
-    try:
-        workers = int(os.environ.get("LINNIJ_WORKERS", ""))
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        workers = min(8, os.cpu_count() or 1)
-    return max(1, min(workers, n_items))
-
-
 def _fail(message):
     click.echo(message, err=True)
     raise SystemExit(2)
@@ -147,13 +147,9 @@ def verify_tables(entry_id, as_json, seed):
         if not selected:
             _fail("no catalog entry matches %r" % entry_id)
     selected.sort(key=lambda e: e.id)
-
-    def run(entry):
-        rng = random.Random("%d:%s" % (seed, entry.id))
-        return verify_entry(entry, targets=index, rng=rng)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(selected))) as pool:
-        reports = list(pool.map(run, selected))
+    reports = [verify_entry(entry, targets=index,
+                            rng=random.Random("%d:%s" % (seed, entry.id)))
+               for entry in selected]
     nfail = sum(1 for r in reports if not r.ok)
     if as_json:
         click.echo(json.dumps(
@@ -187,10 +183,7 @@ def reconstruct(sigma_file, as_json):
     entry of adj(J)*S*J is not divisible by det(J) the operator is not
     polynomial; that finding is reported entry by entry and still exits 0.
     """
-    try:
-        sigmas = _read_sigma_file(sigma_file)
-    except FormatError as exc:
-        _fail(str(exc))
+    sigmas = _read_sigma_file(sigma_file)
     try:
         result = reconstruct_operator(sigmas)
     except DependentSigmasError as exc:
@@ -241,10 +234,7 @@ def gen_system(case, out):
     2.1).  The listing is self-describing and is accepted back by
     check-solution.
     """
-    try:
-        system = generate_linearity_system(param_sigmas(normalize_case_tag(case)))
-    except (FormatError, DimensionMismatchError) as exc:
-        _fail(str(exc))
+    system = generate_linearity_system(param_sigmas(normalize_case_tag(case)))
     text = system.to_text()
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -279,13 +269,10 @@ def check_solution_command(system_ref, assignment_file):
     ASSIGNMENT_FILE holds "name = value" lines (# comments allowed), one
     for every parameter and alpha unknown the system uses.
     """
-    try:
-        system = _load_system(system_ref)
-        with open(assignment_file, "r", encoding="utf-8") as handle:
-            assignment = parse_assignment(handle.read())
-        result = check_solution(system, assignment)
-    except (FormatError, DimensionMismatchError, OSError) as exc:
-        _fail(str(exc))
+    system = _load_system(system_ref)
+    with open(assignment_file, "r", encoding="utf-8") as handle:
+        assignment = parse_assignment(handle.read())
+    result = check_solution(system, assignment)
     if result.ok:
         click.echo("all %d equations satisfied" % len(system.equations))
         raise SystemExit(0)
@@ -327,15 +314,12 @@ def generalize(family, n, signs, as_json):
                 sign_list.append(-1)
             else:
                 _fail("bad sign %r in --signs (use + and -)" % ch)
-    try:
-        if family == "L1":
-            entry = generalized_L1(n)
-        elif family == "L2":
-            entry = generalized_L2(n)
-        else:
-            entry = generalized_blocks(n, sign_list)
-    except (DimensionMismatchError, FormatError) as exc:
-        _fail(str(exc))
+    if family == "L1":
+        entry = generalized_L1(n)
+    elif family == "L2":
+        entry = generalized_L2(n)
+    else:
+        entry = generalized_blocks(n, sign_list)
     report = verify_entry(entry)
     if as_json:
         click.echo(json.dumps(
@@ -375,10 +359,7 @@ def torsion_command(operator_file):
     (the shape reconstruct prints); variables are x1..xn.  Exits 0 when all
     components vanish, 1 with the first nonzero component otherwise.
     """
-    try:
-        operator = _read_operator_file(operator_file)
-    except FormatError as exc:
-        _fail(str(exc))
+    operator = _read_operator_file(operator_file)
     witness = torsion(operator).first_nonzero()
     if witness is None:
         click.echo("torsion vanishes")

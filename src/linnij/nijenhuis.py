@@ -82,10 +82,6 @@ class StructureConstants:
                         out.append((i + 1, j + 1, k + 1, v))
         return out
 
-    def product(self, i: int, j: int) -> list[Scalar]:
-        """Component vector of eta_i * eta_j (0-based factors)."""
-        return list(self.a[i][j])
-
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
             return NotImplemented

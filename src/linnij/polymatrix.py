@@ -42,14 +42,6 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @staticmethod
-    def identity(n: int, nvars: int) -> "PolyMatrix":
-        one = Poly.constant(nvars, ONE)
-        zero = Poly.zero(nvars)
-        return PolyMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
     def from_scalars(rows: Sequence[Sequence[Scalar]], nvars: int) -> "PolyMatrix":
         return PolyMatrix(
             [[Poly.constant(nvars, v) for v in row] for row in rows]
@@ -275,10 +267,6 @@ def scalar_mat_mul(
         ]
         for i in range(len(a))
     ]
-
-
-def scalar_mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
-    return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a]
 
 
 def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

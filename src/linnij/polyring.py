@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomials over quadratic-field scalars.
 
 A polynomial over ``nvars`` variables is a mapping from exponent tuples to
-nonzero :class:`~linnij.scalars.Scalar` coefficients.  The zero polynomial
+nonzero :class:`~linnij.exactfield.Scalar` coefficients.  The zero polynomial
 is the empty mapping.  All monomial comparisons use one global order,
 graded lexicographic with ``x1 > x2 > ...``: total degree first, ties by
 tuple comparison of the exponent vectors.
@@ -85,13 +85,6 @@ class Poly:
         if not self.terms:
             return MINUS_INFINITY
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, indices: Iterable[int]):
-        """Total degree counting only the given variable positions."""
-        idx = tuple(indices)
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def is_homogeneous(self, k: int) -> bool:
         return all(sum(e) == k for e in self.terms)

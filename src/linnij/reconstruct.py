@@ -723,7 +723,8 @@ def normalize_sigma1(s1: Poly) -> tuple[Poly, list[list[Scalar]]]:
         if i != pivot:
             rows.append([ONE if j == i else ZERO for j in range(n)])
     change = scalar_mat_inverse(rows)
-    assert s1.substitute_linear(change) == Poly.variable(n, 0)
+    if s1.substitute_linear(change) != Poly.variable(n, 0):
+        raise LinnijError("internal: change does not normalize sigma_1")
     return Poly.variable(n, 0), change
 
 
@@ -799,8 +800,10 @@ def _finish(s2: Poly, tag: str, alpha, signs, rows) -> Sigma2NormalForm:
         raise LinnijError("internal: singular reduction rows")
     change = scalar_mat_inverse(rows)
     canonical = _canonical_poly(n, tag, alpha, signs)
-    assert s2.substitute_linear(change) == canonical
-    assert change[0] == [ONE if j == 0 else ZERO for j in range(n)]
+    if s2.substitute_linear(change) != canonical:
+        raise LinnijError("internal: change does not reach the %s normal form" % tag)
+    if change[0] != [ONE if j == 0 else ZERO for j in range(n)]:
+        raise LinnijError("internal: change moves the first coordinate")
     return Sigma2NormalForm(tag, canonical, change, alpha, signs)
 
 
@@ -891,7 +894,8 @@ def normalize_sigma2(s2: Poly) -> Sigma2NormalForm:
         ]
         inner = normalize_sigma2(s2.substitute_linear(split))
         change = scalar_mat_mul(split, inner.change)
-        assert s2.substitute_linear(change) == inner.canonical
+        if s2.substitute_linear(change) != inner.canonical:
+            raise LinnijError("internal: composed change misses the normal form")
         return Sigma2NormalForm(
             inner.tag, inner.canonical, change, inner.alpha, inner.signs
         )

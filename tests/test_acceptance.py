@@ -15,7 +15,6 @@ import pytest
 
 from linnij.catalog import (
     DIAG_PAIRING_CHANGE,
-    build_catalog,
     generalized_L1,
     generalized_L2,
     generalized_blocks,

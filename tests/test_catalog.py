@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,7 +7,6 @@ import pytest
 from linnij.catalog import (
     FORMAT_TAG,
     CatalogEntry,
-    build_catalog,
     catalog_path,
     generalized_L1,
     generalized_L2,
@@ -29,7 +29,7 @@ EXPECTED_IDS = [
 
 
 def test_catalog_contents():
-    entries = build_catalog()
+    entries = load_catalog()
     assert [e.id for e in entries] == EXPECTED_IDS
     by_id = {e.id: e for e in entries}
     assert by_id["d"].dim == 1
@@ -42,13 +42,56 @@ def test_catalog_contents():
         assert e.radicand == expected_rad, e.id
 
 
-def test_packaged_catalog_matches_build():
-    assert load_catalog() == build_catalog()
+#: SHA-256 of each entry's canonical JSON rendering (sorted keys, no
+#: whitespace).  Any edit to the shipped data, or to how an entry is parsed
+#: and rendered back, changes a digest here.
+PINNED_DIGESTS = {
+    "d": "fd6f9a31deaa7c5b85671d82cfbc0b3dc0c7ade921e609e8ce5ca57f92c5f3a8",
+    "b4+": "2ba0f2d43ebf19ce9f2ab4ba96fdee507fabe47a79985441f970030877d39b5f",
+    "b4-": "29e6cadf10551a0a70ae683805e6ec4b8fec9b152e31d8131fa170481336c0c7",
+    "c5+": "117f011b6b70c368dd217d1bbaa5fe084413d72748dfbbdf9c94c19b4689a406",
+    "c5-": "837a15637ccdb4ec0086a774d591143e40ffb08a4cfa9a64095701ce1afcb586",
+    "b4+⊕d": "00cd7186c48cacd57015269832f0de28cf3988ffd287f6e0cd5476b60aa9a196",
+    "b4-⊕d": "6a21092df35e66e4a82f84a295b9d4303dd522f1739f8c3c25f8f3a99d40bcd6",
+    "c5+⊕d": "45e500196be1925f682e9dc5e402893badf28cca0bc5a53ae2d0214a70a11889",
+    "c5-⊕d": "b0830c189c28b09ff8f123e03ec80890eb28d55e3e89b70b5607b200a9aadfcc",
+    "ind3.1": "c592a85ebe35fbb13f1eb739e4a537a535f4d2055c95fcfad99eafb070849959",
+    "ind3.2": "1aff738c973076ddc388f05c470335f851077f198ab73a0f28d735a25fcbc79d",
+    "ind3.3": "d079ce195c6c662cd867a11118bb98c78398aa95b7c416489d5582ab55adefca",
+    "ind3.4": "49b6de07242aab672d443ec86160388c505dfc55ac21b912d11e4ff8fa1666b6",
+    "L1": "a44fe7a47af7b5611d072f73cda96127bf8b0691f7d605795426936b88780330",
+    "L2": "e14e7bab0e499cce1fa32a5de6f5c71065b11c5b1d7262a51e7805fe9ff8f482",
+    "L3": "d36ca86c4cf7c983c541b6aeb3308eb4602e2de68c08ca49953f1df19e84f23b",
+    "L4": "9d0a5294023d9304019c75ab1817232d310f94c8975913c117887cafc1225c8a",
+    "L5+": "1b924a602abe904a8a6dab6d03307f4fadcf8375358fefc595e4df2eb845c061",
+    "L5-": "c3b331bfd8bba970c71959c6d1a92f3acb2224da66ddebb7f08b00493ad9378b",
+    "L6+": "5b04e2afae78a365500b13e55fe05349fb0a97b0438ce39f5a2137f2ab1fc95d",
+    "L6-": "86de3fe32764c7c58fbc4d15601b669df749862ecb9d0d2a5347ea1c582b874d",
+    "L7": "d4a77645ce7b78886b5ce372988bd0a3f703d9dcdb1378f3b5c8f39d40653317",
+    "L8": "b485c890458b4a98cb5368d913719aadb829154a6347dc68567fbb337d32bbfb",
+}
+
+
+def _canonical_digest(entry):
+    text = json.dumps(entry.to_json_dict(), sort_keys=True,
+                      ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_packaged_catalog_is_canonical(tmp_path):
     assert catalog_path().name == "catalog.json"
+    path = tmp_path / "catalog.json"
+    save_catalog(load_catalog(), path)
+    assert path.read_bytes() == catalog_path().read_bytes()
+
+
+def test_packaged_catalog_matches_pinned_digests():
+    digests = {e.id: _canonical_digest(e) for e in load_catalog()}
+    assert digests == PINNED_DIGESTS
 
 
 def test_every_entry_verifies():
-    entries = build_catalog()
+    entries = load_catalog()
     targets = {e.id: e for e in entries}
     rng = random.Random(7)
     for entry in entries:
@@ -60,8 +103,15 @@ def test_every_entry_verifies():
         assert ("change" in names) == (entry.change is not None)
 
 
+def test_change_check_loads_its_own_targets():
+    by_id = {e.id: e for e in load_catalog()}
+    report = verify_entry(by_id["L3"])
+    assert ("change", True, None) in report.checks
+    assert report.ok
+
+
 def test_report_shape():
-    entry = build_catalog()[0]
+    entry = load_catalog()[0]
     report = verify_entry(entry)
     data = report.to_json_dict()
     assert data["id"] == entry.id
@@ -71,7 +121,7 @@ def test_report_shape():
 
 
 def test_json_round_trip(tmp_path):
-    entries = build_catalog()
+    entries = load_catalog()
     path = tmp_path / "catalog.json"
     save_catalog(entries, path)
     raw = json.loads(path.read_text())
@@ -94,7 +144,7 @@ def test_load_rejects_malformed(tmp_path):
 
 
 def test_load_rejects_wrong_radicand(tmp_path):
-    entries = build_catalog()
+    entries = load_catalog()
     path = tmp_path / "catalog.json"
     save_catalog(entries, path)
     raw = json.loads(path.read_text())
@@ -107,13 +157,13 @@ def test_load_rejects_wrong_radicand(tmp_path):
 
 
 def test_entries_are_immutable():
-    entry = build_catalog()[0]
+    entry = load_catalog()[0]
     with pytest.raises(AttributeError):
         entry.id = "other"
 
 
 def test_expansion_targets_are_attached():
-    by_id = {e.id: e for e in build_catalog()}
+    by_id = {e.id: e for e in load_catalog()}
     assert by_id["L2"].target == "ind3.3"
     assert by_id["L5+"].target == "b4+⊕d"
     assert by_id["L5+"].sign_variant == "+"
@@ -134,7 +184,7 @@ def test_generalized_families_verify():
 
 
 def test_generalized_families_match_fixed_tables():
-    by_id = {e.id: e for e in build_catalog()}
+    by_id = {e.id: e for e in load_catalog()}
 
     def same_data(a, b):
         return a.operator == b.operator and a.sigmas == b.sigmas

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from linnij.cli import main
-from linnij.catalog import build_catalog, CatalogEntry
+from linnij.catalog import CatalogEntry, load_catalog
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
 from linnij.textio import format_scalar
@@ -53,6 +53,17 @@ def test_verify_tables_json(runner):
     assert all(c["ok"] for c in document["entries"][0]["checks"])
 
 
+def test_verify_tables_full_run(runner):
+    result = runner.invoke(main, ["verify-tables"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    ids = [line.split()[1] for line in lines[:-1]]
+    assert all(line.startswith("ok   ") for line in lines[:-1])
+    assert ids == sorted(e.id for e in load_catalog())
+    assert len(ids) == 23
+    assert lines[-1] == "23 entries verified, 0 failures"
+
+
 def test_verify_tables_unknown_entry(runner):
     result = runner.invoke(main, ["verify-tables", "--entry", "zzz"])
     assert result.exit_code == 2
@@ -70,7 +81,7 @@ def test_verify_tables_unusable_catalog(runner, monkeypatch):
 
 
 def test_verify_tables_reports_failures(runner, monkeypatch):
-    good = next(e for e in build_catalog() if e.id == "d")
+    good = next(e for e in load_catalog() if e.id == "d")
     tampered_json = good.to_json_dict()
     tampered_json["sigmas"] = ["x1 + 1"]
     tampered = CatalogEntry.from_json_dict(tampered_json)
@@ -143,6 +154,17 @@ def test_reconstruct_bad_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_reconstruct_mixed_radicands(runner, tmp_path):
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text("x1 + sqrt(2)\nx2^2 + sqrt(3)*x1\n")
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.strip().splitlines() == [
+        "cannot mix sqrt(3) with sqrt(2)"]
+
+
 # -- gen-system ------------------------------------------------------------------
 
 
@@ -160,6 +182,14 @@ def test_gen_system_to_file(runner, tmp_path):
     assert "wrote 90 equations to" in result.output
     text = out.read_text()
     assert text.startswith("# linearity system\n# case: 4.1\n")
+
+
+def test_gen_system_unwritable_out(runner, tmp_path):
+    out = tmp_path / "missing-dir" / "system.txt"
+    result = runner.invoke(main, ["gen-system", "1.1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "No such file or directory" in result.output
 
 
 def test_gen_system_unknown_case(runner):
