@@ -18,7 +18,7 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .polymatrix import PolyMatrix, jacobian, scalar_mat_inverse
+from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse
 from .polyring import Poly
 from .exactfield import Scalar, ZERO
 
@@ -307,6 +307,15 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+#: Seed, number and coordinate range of the integer points at which
+#: :func:`is_differentially_nondegenerate` first evaluates the Jacobian.
+#: Only speed depends on them: a zero at every point falls back to the exact
+#: symbolic determinant.
+_CERTIFICATE_SEED = 20240417
+_CERTIFICATE_POINTS = 3
+_CERTIFICATE_RANGE = (-1000, 1000)
+
+
 def is_differentially_nondegenerate(
     sigmas: Sequence[Poly], wrt: Sequence[int] | None = None
 ) -> bool:
@@ -315,8 +324,27 @@ def is_differentially_nondegenerate(
 
     ``wrt`` restricts differentiation to the given variable indices (used
     when the coefficient ring carries extra parameter variables).
+
+    The Jacobian is first evaluated at a few seeded integer points covering
+    every variable; a nonzero exact determinant there proves the symbolic
+    one nonzero (Schwartz, J. ACM 1980).  Only when every point gives zero
+    is the symbolic determinant expanded, so both answers are exact.
     """
-    return not jacobian(sigmas, wrt).determinant().is_zero()
+    jac = jacobian(sigmas, wrt)
+    for point in _certificate_points(jac.nvars):
+        values = [[p.evaluate(point) for p in row] for row in jac.entries]
+        if not scalar_mat_det(values).is_zero():
+            return True
+    return not jac.determinant().is_zero()
+
+
+def _certificate_points(nvars: int) -> list[list[Scalar]]:
+    """The integer points of the nondegeneracy certificate, same every call."""
+    rng = random.Random(_CERTIFICATE_SEED)
+    return [
+        [Scalar(rng.randint(*_CERTIFICATE_RANGE)) for _ in range(nvars)]
+        for _ in range(_CERTIFICATE_POINTS)
+    ]
 
 
 def random_structure_constants(

@@ -1,17 +1,20 @@
 """Matrices of polynomials and exact scalar linear algebra.
 
-Determinants are computed fraction-free (Bareiss): every intermediate entry
-is a minor of the input, and each division step is exact in the polynomial
-ring.  A plain cofactor expansion is kept alongside as an independent
-cross-check route; callers that verify results should compare against it
-rather than trust one path.
+Determinants and adjugates are computed fraction-free (Bareiss): every
+intermediate entry is a minor of the input, and each division step is exact
+in the polynomial ring.  Characteristic coefficients use Berkowitz's
+division-free algorithm instead, in the operator's own ring.  Bareiss stays
+for the determinant because Berkowitz swells more on dense Jacobians such
+as those of the sigmas.  A plain cofactor expansion is kept alongside as an
+independent cross-check route; callers that verify results should compare
+against it rather than trust one path.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import DivisibilityFailure, Poly, exact_divide
 from .exactfield import ONE, ZERO, Scalar
 
@@ -139,7 +142,7 @@ class PolyMatrix:
                     numerator = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                     quotient = exact_divide(numerator, prev)
                     if isinstance(quotient, DivisibilityFailure):
-                        raise ArithmeticError("fraction-free step failed to divide")
+                        raise LinnijError("internal: fraction-free step failed to divide")
                     a[i][j] = quotient
                 a[i][k] = Poly.zero(self.nvars)
             prev = a[k][k]
@@ -218,34 +221,46 @@ def companion_matrix(sigmas: Sequence[Poly]) -> PolyMatrix:
 
 
 def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
-    """Coefficients sigma_1..sigma_n of det(t*Id - L).
+    """Coefficients sigma_1..sigma_n of det(t*Id - L), by Berkowitz.
 
-    Computed in the ring extended by one auxiliary variable t (appended
-    last), then read off by t-degree.  The t^n coefficient is checked to
-    be exactly one.
+    Division-free (S. J. Berkowitz, Inf. Process. Lett. 18, 1984): the
+    coefficient vector of the trailing k x k principal submatrix is grown
+    one row and column at a time by a lower-triangular Toeplitz product
+    whose entries are 1, -a, -R C, -R M C, -R M^2 C, ...  with a, R, C the
+    new diagonal entry, row and column and M the trailing block.  Only ring
+    multiplications happen, in the operator's own ring, O(n^4) of them.
+    The t^n coefficient is checked to be exactly one.
     """
     operator._require_square()
     n = operator.rows
-    nv = operator.nvars
-    t = Poly.variable(nv + 1, nv)
-    lifted = [
-        [
-            (t if i == j else Poly.zero(nv + 1)) - operator.entries[i][j].embed(nv + 1)
-            for j in range(n)
+    a = operator.entries
+    zero = Poly.zero(operator.nvars)
+    one = Poly.constant(operator.nvars, ONE)
+    coeffs = [one, -a[n - 1][n - 1]]
+    for k in range(n - 2, -1, -1):
+        row = a[k][k + 1 :]
+        toeplitz = [one, -a[k][k]]
+        vec = [a[i][k] for i in range(k + 1, n)]
+        for power in range(n - 1 - k):
+            if power:
+                vec = [_dot(a[i][k + 1 :], vec, zero) for i in range(k + 1, n)]
+            toeplitz.append(-_dot(row, vec, zero))
+        coeffs = [
+            _dot(toeplitz[i::-1], coeffs[: i + 1], zero)
+            for i in range(len(coeffs) + 1)
         ]
-        for i in range(n)
-    ]
-    det = PolyMatrix(lifted).determinant()
-    buckets: list[dict] = [dict() for _ in range(n + 1)]
-    for exps, coeff in det.terms.items():
-        tdeg = exps[nv]
-        if tdeg > n:
-            raise ArithmeticError("characteristic polynomial exceeds degree n")
-        buckets[tdeg][exps[:nv]] = coeff
-    top = Poly(nv, buckets[n])
-    if top != Poly.constant(nv, ONE):
-        raise ArithmeticError("characteristic polynomial is not monic")
-    return [Poly(nv, buckets[n - k]) for k in range(1, n + 1)]
+    if coeffs[0] != one:
+        raise LinnijError("internal: characteristic polynomial is not monic")
+    return coeffs[1:]
+
+
+def _dot(left: Sequence[Poly], right: Sequence[Poly], zero: Poly) -> Poly:
+    """Sum of the pairwise products, skipping zero factors."""
+    acc = zero
+    for p, q in zip(left, right):
+        if p.terms and q.terms:
+            acc = acc + p * q
+    return acc
 
 
 # -- exact scalar matrices ----------------------------------------------------

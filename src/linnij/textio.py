@@ -9,6 +9,11 @@ and the catalog emit, they can read back.
 
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
+
+A ``sqrt(d)`` radicand may be at most :data:`MAX_RADICAND`: checking that
+it is square-free takes trial division up to its square root, so a larger
+one is rejected with :class:`~linnij.errors.FormatError` instead of
+stalling the parse.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from fractions import Fraction
 from .errors import FormatError
 from .polyring import Poly
 from .exactfield import ONE, Scalar
+
+MAX_RADICAND = 10**12
 
 
 def default_names(nvars: int) -> list[str]:
@@ -204,7 +211,11 @@ class _Parser:
                     raise FormatError("sqrt() takes an integer radicand")
                 self.expect_op(")")
                 try:
-                    root = Scalar(0, 1, int(inner))
+                    radicand = int(inner)
+                    if radicand > MAX_RADICAND:
+                        raise FormatError("sqrt() radicand %s exceeds the limit %d"
+                                          % (inner, MAX_RADICAND))
+                    root = Scalar(0, 1, radicand)
                 except ValueError as exc:
                     raise FormatError(str(exc))
                 return Poly.constant(self.nvars, root)

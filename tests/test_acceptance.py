@@ -319,7 +319,7 @@ def test_criterion_07_linear_flatness_equivalence():
 
 
 def test_criterion_08_generalized_families():
-    with criterion(8, "families L1/L2/blocks at n = 3..7: flat, stated "
+    with criterion(8, "families L1/L2/blocks at n = 3..9: flat, stated "
                       "sigmas exact, independent, n = 3 equals the tables",
                    budget=120.0):
         catalog = by_id()
@@ -382,7 +382,7 @@ def test_criterion_08_generalized_families():
                 stated = stated + s.embed(nv) * t ** (n - k)
             return chi, stated
 
-        for n in range(3, 8):
+        for n in range(3, 10):
             l1 = generalized_L1(n)
             assert torsion(l1.operator).is_zero(), n
             assert list(l1.sigmas) == sigma_formula_L1(n), n

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,33 @@ def test_reconstruct_bad_file(runner, tmp_path):
     empty.write_text("# nothing\n")
     result = runner.invoke(main, ["reconstruct", str(empty)])
     assert result.exit_code == 2
+
+
+def test_reconstruct_rejects_huge_radicand(runner, tmp_path):
+    # a square-free check by trial division would not finish on this prime
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text("x1\nsqrt(1000000000000000000000000000057)*x2^2\n")
+    start = time.monotonic()
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert time.monotonic() - start < 5
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "exceeds the limit" in result.output
+
+
+def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):
+    # a Bareiss step that fails to divide is a package error, not a crash
+    import linnij.polymatrix
+    from linnij.polyring import DivisibilityFailure
+
+    monkeypatch.setattr(linnij.polymatrix, "exact_divide",
+                        lambda p, q: DivisibilityFailure(p))
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text("x1\n1/4*x1^2 + x2^2\n")
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == [
+        "internal: fraction-free step failed to divide"]
 
 
 def test_reconstruct_mixed_radicands(runner, tmp_path):

@@ -3,12 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from linnij.catalog import (
+    generalized_L1,
+    generalized_L2,
+    generalized_blocks,
+    load_catalog,
+)
 from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar
 from linnij.polyring import Poly
-from linnij.polymatrix import PolyMatrix
+from linnij.polymatrix import PolyMatrix, jacobian
 from linnij.nijenhuis import (
     StructureConstants,
+    _certificate_points,
     change_coordinates,
     direct_sum,
     is_differentially_nondegenerate,
@@ -148,6 +155,64 @@ def test_differential_nondegeneracy():
     assert is_differentially_nondegenerate(good)
     bad = [parse_poly(s, names) for s in ("x1", "x1^2", "x3")]
     assert not is_differentially_nondegenerate(bad)
+
+
+def symbolic_nondegenerate(sigmas):
+    return not jacobian(list(sigmas)).determinant().is_zero()
+
+
+def count_symbolic_dets(monkeypatch):
+    calls = []
+    original = PolyMatrix.determinant
+
+    def counting(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(PolyMatrix, "determinant", counting)
+    return calls
+
+
+def test_nondegeneracy_certificate_agrees_with_symbolic_determinant(monkeypatch):
+    entries = list(load_catalog())
+    for n in range(3, 7):
+        entries += [generalized_L1(n), generalized_L2(n), generalized_blocks(n)]
+    expected = [symbolic_nondegenerate(e.sigmas) for e in entries]
+    calls = count_symbolic_dets(monkeypatch)
+    assert [is_differentially_nondegenerate(e.sigmas) for e in entries] == expected
+    # every entry is nondegenerate, so no answer needed the symbolic route
+    assert all(expected) and calls == []
+
+
+def test_nondegeneracy_certificate_falls_back_exactly(monkeypatch):
+    names = default_names(3)
+    calls = count_symbolic_dets(monkeypatch)
+
+    dependent = [parse_poly(s, names) for s in ("x1+x2", "(x1+x2)^2", "x3")]
+    assert not is_differentially_nondegenerate(dependent)
+    assert calls == [3]
+
+    # det = x2 vanishes on a hyperplane only: the certificate proves it
+    hyperplane = [parse_poly(s, names) for s in ("x1*x2", "x2", "x3")]
+    assert is_differentially_nondegenerate(hyperplane)
+    assert calls == [3]
+
+    # det = prod_k (x1 - c_k) vanishes at every certificate point; the
+    # symbolic determinant still proves it nonzero
+    vanishing = Poly.constant(3, Scalar(1))
+    for point in _certificate_points(3):
+        vanishing = vanishing * (Poly.variable(3, 0) - point[0])
+    antiderivative = Poly(3, {(e[0] + 1,) + e[1:]: c / (e[0] + 1)
+                              for e, c in vanishing.terms.items()})
+    sigmas = [antiderivative, Poly.variable(3, 1), Poly.variable(3, 2)]
+    assert is_differentially_nondegenerate(sigmas)
+    assert calls == [3, 3]
+
+    # wrt: x3 is a parameter; its values are part of every point
+    parametric = [parse_poly(s, names) for s in ("x1*x3", "x2")]
+    assert is_differentially_nondegenerate(parametric, wrt=[0, 1])
+    flat = [parse_poly(s, names) for s in ("x1*x3", "x1^2*x3")]
+    assert not is_differentially_nondegenerate(flat, wrt=[0, 1])
 
 
 def test_random_structure_constants_deterministic():

@@ -107,29 +107,86 @@ def test_charpoly_hand_value():
                                   parse_poly("x2^2", names)]
 
 
+def random_operator(rng, n, kind):
+    """Seeded n x n operator of one entry kind: linear, nonlinear (degree
+    up to 3), sparse (about one entry in four nonzero) or sqrt3 (linear
+    with coefficients in Q(sqrt(3)))."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            q = Poly.zero(n)
+            if kind != "sparse" or rng.random() < 0.25:
+                for _ in range(rng.randint(1, 2)):
+                    exps = [0] * n
+                    degree = rng.randint(0, 3) if kind == "nonlinear" else 1
+                    for _ in range(degree):
+                        exps[rng.randrange(n)] += 1
+                    coeff = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                    if kind == "sqrt3":
+                        coeff = coeff + Scalar(0, rng.randint(-2, 2), 3)
+                    q = q + Poly.monomial(n, tuple(exps), coeff)
+            row.append(q)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+KINDS = ("linear", "nonlinear", "sparse", "sqrt3")
+
+
 def test_charpoly_via_shifted_determinant():
     # det(t*I - L) expanded by cofactors, bucketed by powers of t
     rng = random.Random(77)
-    for _ in range(8):
-        m = random_matrix(rng, 3)
-        n = 3
-        names4 = default_names(4)
-        t = Poly.variable(4, 3)
-        shifted_rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = -m[i, j].embed(4, 0)
-                if i == j:
-                    entry = entry + t
-                row.append(entry)
-            shifted_rows.append(tuple(row))
-        char = PolyMatrix(tuple(shifted_rows)).determinant_cofactor()
-        sigmas = charpoly_sigmas(m)
-        expected = t ** n
-        for k, s in enumerate(sigmas, start=1):
-            expected = expected + s.embed(4, 0) * t ** (n - k)
-        assert char == expected
+    for n in (1, 2, 3, 4, 5):
+        for kind in KINDS:
+            for _ in range(3 if n < 5 else 1):
+                m = random_operator(rng, n, kind)
+                t = Poly.variable(n + 1, n)
+                shifted = PolyMatrix(tuple(
+                    tuple((t if i == j else Poly.zero(n + 1)) - m[i, j].embed(n + 1)
+                          for j in range(n))
+                    for i in range(n)))
+                char = shifted.determinant_cofactor()
+                expected = t ** n
+                for k, s in enumerate(charpoly_sigmas(m), start=1):
+                    expected = expected + s.embed(n + 1) * t ** (n - k)
+                assert char == expected, (n, kind)
+
+
+def to_sympy(p, symbols):
+    import sympy
+
+    total = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        coeff = sympy.Rational(c.rat.numerator, c.rat.denominator)
+        if c.rad:
+            coeff += sympy.Rational(c.irr.numerator, c.irr.denominator) \
+                * sympy.sqrt(c.rad)
+        total += coeff * sympy.Mul(*(x ** e for x, e in zip(symbols, exps)))
+    return total
+
+
+def test_charpoly_det_adjugate_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1984)
+    for n in (1, 2, 3, 4):
+        symbols = sympy.symbols("x1:%d" % (n + 1))
+        t = sympy.Symbol("t")
+        for kind in KINDS:
+            m = random_operator(rng, n, kind)
+            ref = sympy.Matrix(n, n, lambda i, j: to_sympy(m[i, j], symbols))
+
+            def same(ours, theirs):
+                return sympy.expand(to_sympy(ours, symbols) - theirs) == 0
+
+            coeffs = ref.charpoly(t, simplify=sympy.expand).all_coeffs()
+            assert sympy.expand(coeffs[0]) == 1
+            assert all(same(s, c) for s, c in zip(charpoly_sigmas(m), coeffs[1:])), \
+                (n, kind)
+            assert same(m.determinant(), ref.det(method="berkowitz")), (n, kind)
+            adj, ref_adj = m.adjugate(), ref.adjugate(method="berkowitz")
+            assert all(same(adj[i, j], ref_adj[i, j])
+                       for i in range(n) for j in range(n)), (n, kind)
 
 
 def test_substitute_linear_on_matrix():

@@ -95,7 +95,8 @@ def test_parse_division_by_constant():
 def test_parse_errors():
     names = default_names(2)
     bad = ["x3", "x1 +", "x1^", "x1^x2", "(x1", "x1)", "", "1/(0)",
-           "x1**2", "sqrt(12)", "sqrt(x1)", "foo"]
+           "x1**2", "sqrt(12)", "sqrt(x1)", "foo",
+           "sqrt(1000000000000000000000000000057)"]
     for text in bad:
         with pytest.raises(FormatError):
             parse_poly(text, names)
