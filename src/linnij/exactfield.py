@@ -11,6 +11,13 @@ At most one irrational radicand may take part in a computation.  Combining
 values tagged with two different nonzero radicands raises
 :class:`~linnij.errors.RadicandMismatchError`; rationals combine with
 everything.  No floating point is used anywhere.
+
+Validation happens once, in the public constructor ``Scalar(rat, irr, rad)``
+that parsers, the catalog loader and user code go through: it converts the
+parts to ``Fraction`` and checks the radicand.  Arithmetic results are built
+from parts that are already valid, through the private ``Scalar._new``, which
+only restores the canonical form; two rational operands cost one
+``Fraction`` operation.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from fractions import Fraction
 from .errors import NotRepresentableError, RadicandMismatchError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+_FRACTION_ZERO = Fraction(0)
+_new_object = object.__new__
 
 
 def _is_square_free(n: int) -> bool:
@@ -81,6 +91,24 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @staticmethod
+    def _new(rat: Fraction, irr: Fraction, rad: int) -> "Scalar":
+        """Trusted constructor for results of arithmetic on valid scalars.
+
+        ``rat`` and ``irr`` must be ``Fraction`` and ``rad`` 0 or a
+        square-free radicand greater than 1; nothing is converted or checked
+        beyond dropping the radicand of a vanished irrational part.
+        """
+        out = _new_object(Scalar)
+        _set_rat(out, rat)
+        if irr:
+            _set_irr(out, irr)
+            _set_rad(out, rad)
+        else:
+            _set_irr(out, _FRACTION_ZERO)
+            _set_rad(out, 0)
+        return out
+
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
@@ -88,7 +116,8 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+            rat = value if type(value) is Fraction else Fraction(value)
+            return Scalar._new(rat, _FRACTION_ZERO, 0)
         return NotImplemented  # type: ignore[return-value]
 
     def _common_rad(self, other: "Scalar") -> int:
@@ -104,10 +133,10 @@ class Scalar:
 
     @property
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return not self.irr
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
+        return not (self.rat or self.irr)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -115,46 +144,53 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.rad or other.rad):
+            return Scalar._new(self.rat + other.rat, _FRACTION_ZERO, 0)
         rad = self._common_rad(other)
-        return Scalar(self.rat + other.rat, self.irr + other.irr, rad)
+        return Scalar._new(self.rat + other.rat, self.irr + other.irr, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.rat, -self.irr, self.rad)
+        return Scalar._new(-self.rat, -self.irr, self.rad)
 
     def __sub__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not (self.rad or other.rad):
+            return Scalar._new(self.rat - other.rat, _FRACTION_ZERO, 0)
+        rad = self._common_rad(other)
+        return Scalar._new(self.rat - other.rat, self.irr - other.irr, rad)
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.rad or other.rad):
+            return Scalar._new(self.rat * other.rat, _FRACTION_ZERO, 0)
         rad = self._common_rad(other)
         rat = self.rat * other.rat + rad * self.irr * other.irr
         irr = self.rat * other.irr + self.irr * other.rat
-        return Scalar(rat, irr, rad)
+        return Scalar._new(rat, irr, rad)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.irr == 0:
-            return Scalar(1 / self.rat)
+        if not self.irr:
+            return Scalar._new(1 / self.rat, _FRACTION_ZERO, 0)
         # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is nonzero
         # because sqrt(d) is irrational for square-free d > 1.
         norm = self.rat * self.rat - self.rad * self.irr * self.irr
-        return Scalar(self.rat / norm, -self.irr / norm, self.rad)
+        return Scalar._new(self.rat / norm, -self.irr / norm, self.rad)
 
     def __truediv__(self, other):
         other = Scalar._coerce(other)
@@ -241,6 +277,11 @@ class Scalar:
             return "Scalar(%s)" % self.rat
         return "Scalar(%s, %s, rad=%d)" % (self.rat, self.irr, self.rad)
 
+
+# Slot setters that bypass the immutability guard, for ``Scalar._new``.
+_set_rat = Scalar.rat.__set__
+_set_irr = Scalar.irr.__set__
+_set_rad = Scalar.rad.__set__
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

@@ -9,16 +9,25 @@ tuple comparison of the exponent vectors.
 Instances are treated as immutable; every operation returns a new object.
 The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
 which compares below every integer.
+
+Validation happens once, in the public constructor ``Poly(nvars, terms)``:
+every exponent tuple must have ``nvars`` nonnegative entries, and zero
+coefficients are dropped.  Results of ring operations are built from terms
+the ring produced itself, through the private ``Poly._new``, and are not
+checked again.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError
 from .exactfield import ONE, ZERO, Scalar
 
 MINUS_INFINITY = float("-inf")
+
+_new_object = object.__new__
 
 Exponents = tuple[int, ...]
 
@@ -50,6 +59,15 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @staticmethod
+    def _new(nvars: int, terms: dict[Exponents, Scalar]) -> "Poly":
+        """Trusted constructor: ``terms`` is taken as is, and must map
+        ``nvars``-entry tuples of nonnegative ints to nonzero scalars."""
+        out = _new_object(Poly)
+        _set_nvars(out, nvars)
+        _set_terms(out, terms)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -66,7 +84,7 @@ class Poly:
         if not 0 <= index < nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return Poly(nvars, {exps: ONE})
+        return Poly._new(nvars, {exps: ONE})
 
     @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff) -> "Poly":
@@ -137,14 +155,12 @@ class Poly:
                 acc.pop(exps, None)
             else:
                 acc[exps] = total
-        out = Poly(self.nvars)
-        object.__setattr__(out, "terms", acc)
-        return out
+        return Poly._new(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(Scalar(-1))
+        return Poly._new(self.nvars, {e: -v for e, v in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -160,7 +176,8 @@ class Poly:
         c = factor if isinstance(factor, Scalar) else Scalar(factor)
         if c.is_zero():
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        # a field has no zero divisors, so no product vanishes
+        return Poly._new(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -171,7 +188,7 @@ class Poly:
         acc: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(operator.add, e1, e2))
                 prod = c1 * c2
                 cur = acc.get(exps)
                 total = prod if cur is None else cur + prod
@@ -179,9 +196,7 @@ class Poly:
                     acc.pop(exps, None)
                 else:
                     acc[exps] = total
-        out = Poly(self.nvars)
-        object.__setattr__(out, "terms", acc)
-        return out
+        return Poly._new(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -220,9 +235,11 @@ class Poly:
             e = exps[index]
             if e == 0:
                 continue
+            # lowering one exponent maps distinct monomials to distinct ones,
+            # and coeff * e is nonzero for e >= 1
             lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            acc[lowered] = acc.get(lowered, ZERO) + coeff * e
-        return Poly(self.nvars, acc)
+            acc[lowered] = coeff * e
+        return Poly._new(self.nvars, acc)
 
     def substitute_linear(self, matrix: list[list[Scalar]]) -> "Poly":
         """Replace each variable x_i by sum_j matrix[i][j] * y_j.
@@ -280,19 +297,35 @@ class Poly:
                 acc.pop(key, None)
             else:
                 acc[key] = total
-        return Poly(self.nvars, acc)
+        return Poly._new(self.nvars, acc)
 
     def evaluate(self, point: list[Scalar]) -> Scalar:
+        """The value at a point, with each coordinate's powers built once."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        return self.substitute(dict(enumerate(point))).constant_value()
+        if not self.terms:
+            return ZERO
+        top = [max(column) for column in zip(*self.terms)]
+        powers = []
+        for value, k in zip(point, top):
+            row = [ONE]
+            for _ in range(k):
+                row.append(row[-1] * value)
+            powers.append(row)
+        total = ZERO
+        for exps, coeff in self.terms.items():
+            for row, e in zip(powers, exps):
+                if e:
+                    coeff = coeff * row[e]
+            total = total + coeff
+        return total
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """View the polynomial inside a larger ring, variables shifted by offset."""
         if offset < 0 or offset + self.nvars > nvars:
             raise DimensionMismatchError("embedding does not fit")
         tail = nvars - offset - self.nvars
-        return Poly(
+        return Poly._new(
             nvars,
             {
                 (0,) * offset + exps + (0,) * tail: coeff
@@ -315,7 +348,7 @@ class Poly:
             for i in idx:
                 rest[i] = 0
             groups.setdefault(key, {})[tuple(rest)] = coeff
-        return {k: Poly(self.nvars, v) for k, v in groups.items()}
+        return {k: Poly._new(self.nvars, v) for k, v in groups.items()}
 
     def radicand(self) -> int:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
@@ -328,6 +361,11 @@ class Poly:
         from .textio import format_poly
 
         return "Poly(%d, %s)" % (self.nvars, format_poly(self))
+
+
+# Slot setters that bypass the immutability guard, for ``Poly._new``.
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
 
 
 class DivisibilityFailure:

@@ -118,6 +118,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _int_literal(digits: str) -> int:
+    # int() refuses a literal longer than the interpreter's limit for
+    # string conversion (4300 digits by default) with ValueError
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError("integer literal of %d digits is longer than the "
+                          "interpreter converts" % len(digits))
+
+
 class _Parser:
     """Recursive-descent parser over + - * / ^ ( ) int name, producing a Poly."""
 
@@ -190,13 +200,13 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise FormatError("exponent must be an integer")
-            return base ** int(value)
+            return base ** _int_literal(value)
         return base
 
     def atom(self) -> Poly:
         kind, value = self.take()
         if kind == "int":
-            return Poly.constant(self.nvars, Scalar(int(value)))
+            return Poly.constant(self.nvars, Scalar(_int_literal(value)))
         if kind == "op" and value == "(":
             inner = self.sum_expr()
             self.expect_op(")")
@@ -211,7 +221,7 @@ class _Parser:
                     raise FormatError("sqrt() takes an integer radicand")
                 self.expect_op(")")
                 try:
-                    radicand = int(inner)
+                    radicand = _int_literal(inner)
                     if radicand > MAX_RADICAND:
                         raise FormatError("sqrt() radicand %s exceeds the limit %d"
                                           % (inner, MAX_RADICAND))

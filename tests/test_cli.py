@@ -167,6 +167,22 @@ def test_reconstruct_rejects_huge_radicand(runner, tmp_path):
     assert "exceeds the limit" in result.output
 
 
+@pytest.mark.parametrize("sigma_text", [
+    "x1 + %s\nx2\n" % ("1" * 5000),
+    "x1^%s\nx2\n" % ("9" * 5000),
+    "x1 + sqrt(%s)\nx2\n" % ("1" * 5000),
+], ids=["atom", "exponent", "radicand"])
+def test_reconstruct_rejects_oversized_literal(runner, tmp_path, sigma_text):
+    # int() refuses literals past the interpreter's digit limit
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text(sigma_text)
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("%s:1: integer literal of " % sigma_file)
+
+
 def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):
     # a Bareiss step that fails to divide is a package error, not a crash
     import linnij.polymatrix

@@ -34,6 +34,63 @@ def test_field_axioms_seeded():
             assert a * a.inverse() == ONE
 
 
+def _reference(op, a, b=None):
+    """``op`` on plain Fraction parts, built through the public constructor."""
+    ar, ai = Fraction(a.rat), Fraction(a.irr)
+    if op == "neg":
+        return Scalar(-ar, -ai, a.rad)
+    if op == "inverse":
+        norm = ar * ar - a.rad * ai * ai
+        return Scalar(ar / norm, -ai / norm, a.rad)
+    br, bi = Fraction(b.rat), Fraction(b.irr)
+    d = a.rad or b.rad
+    if op == "+":
+        return Scalar(ar + br, ai + bi, d)
+    if op == "-":
+        return Scalar(ar - br, ai - bi, d)
+    if op == "*":
+        return Scalar(ar * br + d * ai * bi, ar * bi + ai * br, d)
+    norm = br * br - d * bi * bi
+    return Scalar((ar * br - d * ai * bi) / norm, (ai * br - ar * bi) / norm, d)
+
+
+def _assert_canonical(value):
+    assert type(value.rat) is Fraction and type(value.irr) is Fraction
+    assert type(value.rad) is int
+    assert (value.irr == 0) == (value.rad == 0)
+
+
+def test_arithmetic_matches_public_constructor_seeded():
+    # results come from the trusted Scalar._new; the reference from Scalar()
+    rng = random.Random(31)
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    for _ in range(1500):
+        rad = rng.choice([0, 2, 3])
+        a = random_scalar(rng, rad if rng.random() < 0.7 else 0)
+        b = random_scalar(rng, rad if rng.random() < 0.7 else 0)
+        if rad and rng.random() < 0.2:
+            b = Scalar(b.rat, -a.irr, rad)  # sums cancel the irrational part
+        for name, fn in ops.items():
+            if name == "/" and b.is_zero():
+                continue
+            got = fn(a, b)
+            want = _reference(name, a, b)
+            _assert_canonical(got)
+            assert (got.rat, got.irr, got.rad) == (want.rat, want.irr, want.rad)
+        # int and Fraction operands on either side
+        k = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        ks = Scalar(k)
+        for got, want in [(a + k, a + ks), (k + a, ks + a), (a - k, a - ks),
+                          (k - a, ks - a), (a * k, a * ks), (k * a, ks * a)]:
+            _assert_canonical(got)
+            assert (got.rat, got.irr, got.rad) == (want.rat, want.irr, want.rad)
+        for name, got in [("neg", -a)] + ([("inverse", a.inverse())] if a else []):
+            want = _reference(name, a)
+            _assert_canonical(got)
+            assert (got.rat, got.irr, got.rad) == (want.rat, want.irr, want.rad)
+
+
 def test_mixed_radicands_add_when_one_side_rational():
     a = Scalar(1, 2, 3)
     b = Scalar(Fraction(1, 2))
@@ -46,6 +103,10 @@ def test_mixed_radicands_reject():
         Scalar(0, 1, 2) + Scalar(0, 1, 3)
     with pytest.raises(RadicandMismatchError):
         Scalar(0, 1, 2) * Scalar(0, 1, 3)
+    with pytest.raises(RadicandMismatchError):
+        Scalar(1, 1, 2) - Scalar(1, 1, 3)
+    with pytest.raises(RadicandMismatchError):
+        Scalar(1, 1, 2) / Scalar(1, 1, 3)
 
 
 def test_radicand_constructor_contract():
@@ -55,6 +116,10 @@ def test_radicand_constructor_contract():
     assert Scalar(1, 0, 7).rad == 0
     with pytest.raises(ValueError):
         Scalar(0, 1, 12)
+    with pytest.raises(ValueError):
+        Scalar(0, 1, 4)
+    with pytest.raises(ValueError):
+        Scalar(0, 1, 0)
     with pytest.raises(ValueError):
         Scalar(0, 1, -3)
 

@@ -81,12 +81,51 @@ def test_substitute_linear_composes():
 
 
 def test_substitute_and_evaluate_agree():
+    # evaluate multiplies cached coordinate powers; substitute takes val**e
     rng = random.Random(3)
-    for _ in range(60):
-        a = random_poly(rng)
-        point = [Scalar(rng.randint(-3, 3)) for _ in range(3)]
-        full = a.substitute({0: point[0], 1: point[1], 2: point[2]})
+    for _ in range(200):
+        a = random_poly(rng, nterms=6, maxdeg=4, rad=rng.choice([0, 3]))
+        point = [Scalar(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]), 3)
+                 for _ in range(3)]
+        full = a.substitute(dict(enumerate(point)))
         assert full.constant_value() == a.evaluate(point)
+
+
+def _assert_well_formed(poly, nvars):
+    assert poly.nvars == nvars
+    for exps, coeff in poly.terms.items():
+        assert type(exps) is tuple and len(exps) == nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert isinstance(coeff, Scalar) and not coeff.is_zero()
+
+
+def test_ring_results_are_well_formed_seeded():
+    # results are built by the trusted constructor, which checks nothing
+    rng = random.Random(29)
+    for _ in range(150):
+        rad = rng.choice([0, 3])
+        a = random_poly(rng, nterms=5, rad=rad)
+        b = random_poly(rng, nterms=5, rad=rad)
+        # c shares monomials with a and b, so some sums cancel to zero
+        c = a - b.scale(Scalar(rng.randint(-1, 1)))
+        factor = Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 3)
+        point = {rng.randrange(3): Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 3)}
+        results = [a + b, a - b, a + c, a - c, a * b, a * c, -a,
+                   a.scale(factor), a * factor, a.substitute(point)]
+        results += [a.partial(i) for i in range(3)]
+        results += list(a.group_by([rng.randrange(3)]).values())
+        for r in results:
+            _assert_well_formed(r, 3)
+        _assert_well_formed(a.embed(5, rng.randint(0, 2)), 5)
+        _assert_well_formed(Poly.variable(3, rng.randrange(3)), 3)
+
+
+def test_public_constructor_validates():
+    with pytest.raises(DimensionMismatchError):
+        Poly(3, {(1, 0): Scalar(1)})
+    with pytest.raises(ValueError):
+        Poly(3, {(1, -1, 0): Scalar(1)})
+    assert Poly(3, {(1, 0, 0): Scalar(0)}).is_zero()
 
 
 def test_homogeneity_and_degree():
