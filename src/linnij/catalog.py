@@ -29,6 +29,7 @@ from .nijenhuis import (
     operator_to_lsa,
     torsion,
 )
+from .record import Record
 from .textio import (
     default_names,
     format_poly,
@@ -51,7 +52,7 @@ DIAG_PAIRING_CHANGE = (
 )
 
 
-class CatalogEntry(object):
+class CatalogEntry(Record):
     """One classified algebra: operator, sigmas, relations, optional change.
 
     ``change``, when present, is the scalar matrix T with
@@ -69,33 +70,9 @@ class CatalogEntry(object):
             raise DimensionMismatchError("operator must be %dx%d" % (dim, dim))
         if len(sigmas) != dim:
             raise DimensionMismatchError("expected %d sigmas" % dim)
-        object.__setattr__(self, "id", entry_id)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "radicand", _data_radicand(operator, sigmas, relations, change))
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "sigmas", tuple(sigmas))
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "change", change)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sign_variant", sign_variant)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CatalogEntry is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CatalogEntry):
-            return NotImplemented
-        return (self.id == other.id and self.dim == other.dim
-                and self.radicand == other.radicand
-                and self.operator == other.operator
-                and self.sigmas == other.sigmas
-                and self.relations == other.relations
-                and self.change == other.change
-                and self.target == other.target
-                and self.sign_variant == other.sign_variant)
-
-    def __hash__(self):
-        return hash((self.id, self.dim, self.operator, self.sigmas))
+        radicand = _data_radicand(operator, sigmas, relations, change)
+        super().__init__(entry_id, dim, radicand, operator, tuple(sigmas),
+                         relations, change, target, sign_variant)
 
     def __repr__(self):
         return "CatalogEntry(%r, dim=%d)" % (self.id, self.dim)
@@ -231,17 +208,10 @@ def load_catalog(path=None):
 # -- verification --------------------------------------------------------------
 
 
-class EntryReport(object):
+class EntryReport(Record):
     """Outcome of verifying one entry: (name, ok, detail) per check."""
 
     __slots__ = ("entry_id", "checks")
-
-    def __init__(self, entry_id, checks):
-        object.__setattr__(self, "entry_id", entry_id)
-        object.__setattr__(self, "checks", tuple(checks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EntryReport is immutable")
 
     @property
     def ok(self):
@@ -328,7 +298,7 @@ def verify_entry(entry, targets=None, rng=None):
                        None if not residue else
                        "pointwise residual at entries %s" % residue))
 
-    return EntryReport(entry.id, checks)
+    return EntryReport(entry.id, tuple(checks))
 
 
 # -- n-dimensional families ----------------------------------------------------

@@ -249,7 +249,7 @@ def gen_system(case, out):
 
 
 def _load_system(reference):
-    if reference == "2" or reference in CASE_TAGS:
+    if reference in CASE_TAGS:
         return generate_linearity_system(param_sigmas(normalize_case_tag(reference)))
     if not os.path.exists(reference):
         raise FormatError(

@@ -131,10 +131,6 @@ class Scalar:
             "cannot mix sqrt(%d) with sqrt(%d)" % (self.rad, other.rad)
         )
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.irr
-
     def is_zero(self) -> bool:
         return not (self.rat or self.irr)
 
@@ -152,6 +148,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.rad:
+            return Scalar._new(-self.rat, _FRACTION_ZERO, 0)
         return Scalar._new(-self.rat, -self.irr, self.rad)
 
     def __sub__(self, other):

@@ -21,6 +21,7 @@ from .errors import DimensionMismatchError
 from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse
 from .polyring import Poly
 from .exactfield import Scalar, ZERO
+from .record import Record
 
 
 class StructureConstants:
@@ -151,7 +152,7 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
     return StructureConstants(a)
 
 
-class TorsionTensor:
+class TorsionTensor(Record):
     """All n^3 torsion components of an operator field, computed verbatim.
 
     Nothing is deduplicated: the j<->k antisymmetry is a property the tests
@@ -159,14 +160,6 @@ class TorsionTensor:
     """
 
     __slots__ = ("n", "nvars", "comp")
-
-    def __init__(self, comp: Sequence[Sequence[Sequence[Poly]]]):
-        object.__setattr__(self, "n", len(comp))
-        object.__setattr__(self, "nvars", comp[0][0][0].nvars)
-        object.__setattr__(self, "comp", [[list(row) for row in plane] for plane in comp])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorsionTensor is immutable")
 
     def component(self, i: int, j: int, k: int) -> Poly:
         """Component with 1-based indices (upper index first)."""
@@ -215,20 +208,13 @@ def torsion(operator: PolyMatrix) -> TorsionTensor:
                 row.append(acc)
             plane.append(row)
         comp.append(plane)
-    return TorsionTensor(comp)
+    return TorsionTensor(n, operator.nvars, comp)
 
 
-class LsaCheck:
+class LsaCheck(Record):
     """Outcome of the associator-symmetry test, with a violating triple."""
 
     __slots__ = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness: tuple[int, int, int] | None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LsaCheck is immutable")
 
     def __bool__(self):
         return self.ok

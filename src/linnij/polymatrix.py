@@ -12,7 +12,7 @@ against it rather than trust one path.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import DivisibilityFailure, Poly, exact_divide
@@ -69,19 +69,6 @@ class PolyMatrix:
     def __hash__(self):
         return hash(tuple(tuple(row) for row in self.entries))
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("shape mismatch in addition")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.map(lambda p: -p)
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in product")
@@ -96,9 +83,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    def map(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
-        return PolyMatrix([[fn(p) for p in row] for row in self.entries])
-
     def scalar_premul(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         """Left-multiply by a scalar matrix."""
         return PolyMatrix.from_scalars(matrix, self.nvars) @ self
@@ -108,10 +92,8 @@ class PolyMatrix:
         return self @ PolyMatrix.from_scalars(matrix, self.nvars)
 
     def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
-        return self.map(lambda p: p.substitute_linear([list(r) for r in matrix]))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        rows = [list(r) for r in matrix]
+        return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
 
     # -- determinants --------------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError
 from .exactfield import ONE, ZERO, Scalar
+from .record import Record
 
 MINUS_INFINITY = float("-inf")
 
@@ -83,7 +84,7 @@ class Poly:
     def variable(nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
+        exps = (0,) * index + (1,) + (0,) * (nvars - index - 1)
         return Poly._new(nvars, {exps: ONE})
 
     @staticmethod
@@ -142,20 +143,7 @@ class Poly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = acc.get(exps)
-            total = coeff if cur is None else cur + coeff
-            if total.is_zero():
-                acc.pop(exps, None)
-            else:
-                acc[exps] = total
-        return Poly._new(self.nvars, acc)
+        return _accumulate(self, other, False)
 
     __radd__ = __add__
 
@@ -163,11 +151,7 @@ class Poly:
         return Poly._new(self.nvars, {e: -v for e, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return _accumulate(self, other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -368,13 +352,32 @@ _set_nvars = Poly.nvars.__set__
 _set_terms = Poly.terms.__set__
 
 
-class DivisibilityFailure:
+def _accumulate(p: Poly, other, subtract: bool):
+    """p + other, or p - other when ``subtract``, in one pass over other."""
+    if isinstance(other, (int, Scalar)):
+        other = Poly.constant(p.nvars, other)
+    if not isinstance(other, Poly):
+        return NotImplemented
+    p._check_compatible(other)
+    acc = dict(p.terms)
+    for exps, coeff in other.terms.items():
+        cur = acc.get(exps)
+        if cur is None:
+            # stored coefficients are nonzero, and so are their negatives
+            acc[exps] = -coeff if subtract else coeff
+            continue
+        total = cur - coeff if subtract else cur + coeff
+        if total.is_zero():
+            del acc[exps]
+        else:
+            acc[exps] = total
+    return Poly._new(p.nvars, acc)
+
+
+class DivisibilityFailure(Record):
     """Marker for a failed exact division, carrying the offending remainder."""
 
     __slots__ = ("remainder",)
-
-    def __init__(self, remainder: Poly):
-        self.remainder = remainder
 
     def __repr__(self):
         return "DivisibilityFailure(%r)" % (self.remainder,)

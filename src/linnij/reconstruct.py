@@ -17,7 +17,7 @@ coefficient extraction over the geometric monomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DependentSigmasError,
@@ -35,21 +35,12 @@ from .polymatrix import (
 )
 from .polyring import DivisibilityFailure, Poly, exact_divide, grlex_key
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
+from .record import Record
 from .textio import format_poly, parse_poly, parse_scalar
 
 
 def _involves(p: Poly, indices: Sequence[int]) -> bool:
     return any(exps[i] for exps in p.terms for i in indices)
-
-
-def _project(p: Poly, nvars: int) -> Poly:
-    """Drop trailing variables that no longer occur."""
-    terms = {}
-    for exps, coeff in p.terms.items():
-        if any(exps[nvars:]):
-            raise DimensionMismatchError("polynomial still uses a dropped variable")
-        terms[exps[:nvars]] = coeff
-    return Poly(nvars, terms)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -80,7 +71,7 @@ def dependent_sigma_indices(sigmas: Sequence[Poly], geo: int) -> list[int]:
     return dependent
 
 
-class ReconstructionResult:
+class ReconstructionResult(Record):
     """Candidate operator as numerators over a shared denominator.
 
     ``linear_part`` is the exact quotient matrix when the denominator divides
@@ -89,15 +80,6 @@ class ReconstructionResult:
     """
 
     __slots__ = ("numerators", "denominator", "linear_part", "failures")
-
-    def __init__(self, numerators, denominator, linear_part, failures):
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "linear_part", linear_part)
-        object.__setattr__(self, "failures", failures)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReconstructionResult is immutable")
 
 
 def reconstruction_pieces(
@@ -179,7 +161,7 @@ _SIGMA2_SHAPES = {
 }
 
 
-class ParamSigmaSet:
+class ParamSigmaSet(Record):
     """Sigmas over a ring of geometric variables followed by parameters.
 
     ``names`` covers every ring variable in index order; the first ``ngeo``
@@ -187,15 +169,6 @@ class ParamSigmaSet:
     """
 
     __slots__ = ("sigmas", "ngeo", "names", "case")
-
-    def __init__(self, sigmas, ngeo, names, case):
-        object.__setattr__(self, "sigmas", list(sigmas))
-        object.__setattr__(self, "ngeo", ngeo)
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "case", case)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamSigmaSet is immutable")
 
     def index_of(self, name: str) -> int:
         try:
@@ -214,12 +187,12 @@ def normalize_case_tag(tag: str) -> str:
     )
 
 
-def _alpha_names(n: int) -> list[str]:
-    return [
+def _alpha_names(n: int) -> tuple[str, ...]:
+    return tuple(
         "alpha%d%d" % (i, j)
         for i in range(1, n * (n - 1) + 1)
         for j in range(1, n + 1)
-    ]
+    )
 
 
 def param_sigmas(case: str) -> ParamSigmaSet:
@@ -229,7 +202,7 @@ def param_sigmas(case: str) -> ParamSigmaSet:
     with coefficients b_ij and c.
     """
     tag = normalize_case_tag(case)
-    names = ["x1", "x2", "x3"] + list(PARAM_NAMES) + _alpha_names(3)
+    names = ("x1", "x2", "x3") + PARAM_NAMES + _alpha_names(3)
     nv = len(names)
     idx = {name: i for i, name in enumerate(names)}
 
@@ -272,7 +245,7 @@ def param_sigmas_2d(sign: int) -> ParamSigmaSet:
     """The two-dimensional family: sigma_1 = x1, sigma_2 = a x1^2 +/- x2^2."""
     if sign not in (1, -1):
         raise FormatError("sign must be +1 or -1")
-    names = ["x1", "x2", "a"] + _alpha_names(2)
+    names = ("x1", "x2", "a") + _alpha_names(2)
     nv = len(names)
     x1 = Poly.variable(nv, 0)
     x2 = Poly.variable(nv, 1)
@@ -284,7 +257,7 @@ def param_sigmas_2d(sign: int) -> ParamSigmaSet:
 # -- the linearity system -----------------------------------------------------
 
 
-class Equation:
+class Equation(Record):
     """One coefficient equation with its provenance.
 
     ``entry`` names the numerator ("P1".."P6"), (row, col) the operator
@@ -295,62 +268,15 @@ class Equation:
 
     __slots__ = ("entry", "row", "col", "monomial", "poly")
 
-    def __init__(self, entry, row, col, monomial, poly):
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "monomial", tuple(monomial))
-        object.__setattr__(self, "poly", poly)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Equation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Equation):
-            return NotImplemented
-        return (
-            self.entry == other.entry
-            and self.row == other.row
-            and self.col == other.col
-            and self.monomial == other.monomial
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.entry, self.row, self.col, self.monomial, self.poly))
-
-
-class LinearitySystem:
+class LinearitySystem(Record):
     """All coefficient equations demanding that the candidate be linear.
 
-    ``numerators``/``denominator``/``sigmas`` are present when the system was
-    generated in-process and None when it was parsed back from a listing.
+    ``sigmas`` is the generating sigma list, or None for a system parsed
+    back from a listing.
     """
 
-    __slots__ = (
-        "case",
-        "names",
-        "ngeo",
-        "equations",
-        "numerators",
-        "denominator",
-        "sigmas",
-    )
-
-    def __init__(
-        self, case, names, ngeo, equations, numerators=None, denominator=None,
-        sigmas=None,
-    ):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "ngeo", ngeo)
-        object.__setattr__(self, "equations", list(equations))
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "sigmas", sigmas)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearitySystem is immutable")
+    __slots__ = ("case", "names", "ngeo", "equations", "sigmas")
 
     def __len__(self):
         return len(self.equations)
@@ -378,7 +304,6 @@ class LinearitySystem:
     def to_text(self) -> str:
         """Deterministic listing, the golden-file and interchange format."""
         geo = self.geo_names()
-        nparams = len(self.names) - self.ngeo
         lines = [
             "# linearity system",
             "# case: %s" % self.case,
@@ -433,9 +358,7 @@ def generate_linearity_system(ps: ParamSigmaSet) -> LinearitySystem:
                 equations.append(
                     Equation(entry, r + 1, c + 1, exps[: ps.ngeo], grouped[exps])
                 )
-    return LinearitySystem(
-        ps.case, ps.names, ps.ngeo, equations, numerators, q, list(ps.sigmas)
-    )
+    return LinearitySystem(ps.case, ps.names, ps.ngeo, equations, ps.sigmas)
 
 
 def _validate_step1_shape(ps: ParamSigmaSet):
@@ -496,37 +419,20 @@ def parse_system(text: str) -> LinearitySystem:
         equations.append(Equation(entry, int(row_s), int(col_s), exps, poly))
     if case is None or not names:
         raise FormatError("system listing is missing its header")
-    return LinearitySystem(case, names, len(geo_names), equations)
+    return LinearitySystem(case, tuple(names), len(geo_names), equations, None)
 
 
 # -- solution checking --------------------------------------------------------
 
 
-class Residual:
+class Residual(Record):
     """A nonzero value left in one equation by a candidate solution."""
 
     __slots__ = ("entry", "row", "col", "monomial", "value")
 
-    def __init__(self, entry, row, col, monomial, value):
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "monomial", tuple(monomial))
-        object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Residual is immutable")
-
-
-class CheckResult:
+class CheckResult(Record):
     __slots__ = ("ok", "residuals")
-
-    def __init__(self, ok, residuals):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "residuals", list(residuals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckResult is immutable")
 
     def __bool__(self):
         return self.ok
@@ -735,7 +641,7 @@ PRODUCT_PLUS = "ProductPlus"
 DEGENERATE = "Degenerate"
 
 
-class Sigma2NormalForm:
+class Sigma2NormalForm(Record):
     """Outcome of the quadratic reduction.
 
     ``tag`` is one of Full, Rank2, Product, ProductPlus, Degenerate;
@@ -746,16 +652,6 @@ class Sigma2NormalForm:
     """
 
     __slots__ = ("tag", "canonical", "change", "alpha", "signs")
-
-    def __init__(self, tag, canonical, change, alpha, signs):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "change", change)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "signs", tuple(signs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sigma2NormalForm is immutable")
 
 
 def _quadratic_matrix(s2: Poly) -> list[list[Scalar]]:

@@ -39,6 +39,7 @@ def test_ring_axioms_seeded():
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a - a == Poly.zero(3)
+        assert a - b == a + (-b)
         assert a * Poly.constant(3, Scalar(1)) == a
 
 

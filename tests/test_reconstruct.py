@@ -224,7 +224,7 @@ def test_system_listing_round_trip():
     assert back.ngeo == system.ngeo
     assert back.equations == system.equations
     # parsed systems do not carry the generation context
-    assert back.numerators is None and back.denominator is None
+    assert back.sigmas is None
 
 
 def test_parse_system_rejects_garbage():
