@@ -212,8 +212,9 @@ class Scalar:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- comparison ------------------------------------------------------

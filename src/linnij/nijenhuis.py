@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
 from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse
-from .polyring import Poly
+from .polyring import Poly, dot
 from .exactfield import Scalar, ZERO
 from .record import Record
 
@@ -106,20 +106,12 @@ def lsa_to_operator(sc: StructureConstants) -> PolyMatrix:
     Entry (k, i) is sum_j a[i][j][k] x_j; every entry is linear homogeneous.
     """
     n = sc.n
-    rows = []
-    for k in range(n):
-        row = []
-        for i in range(n):
-            acc = Poly.zero(n)
-            for j in range(n):
-                coeff = sc.a[i][j][k]
-                if not coeff.is_zero():
-                    acc = acc + Poly.monomial(
-                        n, (1 if m == j else 0 for m in range(n)), coeff
-                    )
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(rows)
+    xs = [Poly.variable(n, j) for j in range(n)]
+    zero = Poly.zero(n)
+    return PolyMatrix([
+        [dot([row[k] for row in sc.a[i]], xs, zero) for i in range(n)]
+        for k in range(n)
+    ])
 
 
 def operator_is_linear(operator: PolyMatrix) -> bool:
@@ -182,32 +174,38 @@ class TorsionTensor(Record):
 
 
 def torsion(operator: PolyMatrix) -> TorsionTensor:
-    """Four-term coordinate torsion of a polynomial operator field.
+    """Coordinate torsion of a polynomial operator field, as three sums.
 
-    Component (i, j, k) is
-    L^s_j dL^i_k/dx^s - L^s_k dL^i_j/dx^s - L^i_s dL^s_k/dx^j
-    + L^i_s dL^s_j/dx^k, summed over s.  Entries need not be linear.
+    Component (i, j, k) is, summed over s,
+
+        L^s_j dL^i_k/dx^s - L^s_k dL^i_j/dx^s
+        - L^i_s (dL^s_k/dx^j - dL^s_j/dx^k)
+
+    where L^i_j is the entry in row i, column j.  The first two sums are
+    the derivatives of L^i_k along column j and of L^i_j along column k;
+    the curl in the third is formed for every ordered pair (j, k).  Each of
+    the n^3 components is computed on its own.  Entries need not be linear.
     """
     if not operator.is_square() or operator.rows != operator.nvars:
         raise DimensionMismatchError("operator must be n x n over n variables")
     n = operator.rows
     L = operator.entries
+    zero = Poly.zero(n)
     grad = [[[L[i][j].partial(s) for s in range(n)] for j in range(n)] for i in range(n)]
-    comp = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = Poly.zero(n)
-                for s in range(n):
-                    acc = acc + L[s][j] * grad[i][k][s]
-                    acc = acc - L[s][k] * grad[i][j][s]
-                    acc = acc - L[i][s] * grad[s][k][j]
-                    acc = acc + L[i][s] * grad[s][j][k]
-                row.append(acc)
-            plane.append(row)
-        comp.append(plane)
+    # along[j][i][k] = sum_s L^s_j dL^i_k/dx^s
+    along = [[[dot(col, grad[i][k], zero) for k in range(n)] for i in range(n)]
+             for col in zip(*L)]
+    # curl[j][k][s] = dL^s_k/dx^j - dL^s_j/dx^k
+    curl = [[[grad[s][k][j] - grad[s][j][k] for s in range(n)] for k in range(n)]
+            for j in range(n)]
+    comp = [
+        [
+            [along[j][i][k] - along[k][i][j] - dot(L[i], curl[j][k], zero)
+             for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
     return TorsionTensor(n, operator.nvars, comp)
 
 
@@ -227,18 +225,12 @@ class LsaCheck(Record):
 
 def _associator(sc: StructureConstants, i: int, j: int, k: int) -> list[Scalar]:
     """(eta_i * eta_j) * eta_k - eta_i * (eta_j * eta_k), as a vector."""
-    n = sc.n
-    out = [ZERO] * n
-    for s in range(n):
-        left = sc.a[i][j][s]
-        if not left.is_zero():
-            for m in range(n):
-                out[m] = out[m] + left * sc.a[s][k][m]
-        right = sc.a[j][k][s]
-        if not right.is_zero():
-            for m in range(n):
-                out[m] = out[m] - right * sc.a[i][s][m]
-    return out
+    a = sc.a
+    return [
+        dot(a[i][j], [plane[k][m] for plane in a], ZERO)
+        - dot(a[j][k], [row[m] for row in a[i]], ZERO)
+        for m in range(sc.n)
+    ]
 
 
 def is_left_symmetric(sc: StructureConstants) -> LsaCheck:
@@ -268,9 +260,11 @@ def change_coordinates(
     t = [
         [v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in change
     ]
-    t_inv = scalar_mat_inverse(t)
     substituted = operator.substitute_linear(t)
-    return substituted.scalar_premul(t_inv).scalar_postmul(t)
+    zero = Poly.zero(substituted.nvars)
+    left = [[dot(row, col, zero) for col in zip(*substituted.entries)]
+            for row in scalar_mat_inverse(t)]
+    return PolyMatrix([[dot(row, col, zero) for col in zip(*t)] for row in left])
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -8,6 +8,9 @@ for the determinant because Berkowitz swells more on dense Jacobians such
 as those of the sigmas.  A plain cofactor expansion is kept alongside as an
 independent cross-check route; callers that verify results should compare
 against it rather than trust one path.
+
+Every other sum of products here, the matrix products included, goes
+through :func:`linnij.polyring.dot`, which skips zero factors.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
-from .polyring import DivisibilityFailure, Poly, exact_divide
+from .polyring import DivisibilityFailure, Poly, dot, exact_divide
 from .exactfield import ONE, ZERO, Scalar
 
 
@@ -44,12 +47,6 @@ class PolyMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
-    @staticmethod
-    def from_scalars(rows: Sequence[Sequence[Scalar]], nvars: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[Poly.constant(nvars, v) for v in row] for row in rows]
-        )
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
@@ -70,26 +67,11 @@ class PolyMatrix:
         return hash(tuple(tuple(row) for row in self.entries))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero(self.nvars)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def scalar_premul(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
-        """Left-multiply by a scalar matrix."""
-        return PolyMatrix.from_scalars(matrix, self.nvars) @ self
-
-    def scalar_postmul(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
-        """Right-multiply by a scalar matrix."""
-        return self @ PolyMatrix.from_scalars(matrix, self.nvars)
+        if self.cols != other.rows or self.nvars != other.nvars:
+            raise DimensionMismatchError("shape or ring mismatch in product")
+        zero = Poly.zero(self.nvars)
+        cols = list(zip(*other.entries))
+        return PolyMatrix([[dot(row, col, zero) for col in cols] for row in self.entries])
 
     def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         rows = [list(r) for r in matrix]
@@ -225,24 +207,15 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
         vec = [a[i][k] for i in range(k + 1, n)]
         for power in range(n - 1 - k):
             if power:
-                vec = [_dot(a[i][k + 1 :], vec, zero) for i in range(k + 1, n)]
-            toeplitz.append(-_dot(row, vec, zero))
+                vec = [dot(a[i][k + 1 :], vec, zero) for i in range(k + 1, n)]
+            toeplitz.append(-dot(row, vec, zero))
         coeffs = [
-            _dot(toeplitz[i::-1], coeffs[: i + 1], zero)
+            dot(toeplitz[i::-1], coeffs[: i + 1], zero)
             for i in range(len(coeffs) + 1)
         ]
     if coeffs[0] != one:
         raise LinnijError("internal: characteristic polynomial is not monic")
     return coeffs[1:]
-
-
-def _dot(left: Sequence[Poly], right: Sequence[Poly], zero: Poly) -> Poly:
-    """Sum of the pairwise products, skipping zero factors."""
-    acc = zero
-    for p, q in zip(left, right):
-        if p.terms and q.terms:
-            acc = acc + p * q
-    return acc
 
 
 # -- exact scalar matrices ----------------------------------------------------
@@ -257,13 +230,8 @@ def scalar_mat_mul(
 ) -> list[list[Scalar]]:
     if len(a[0]) != len(b):
         raise DimensionMismatchError("shape mismatch in scalar product")
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
-    ]
+    cols = list(zip(*b))
+    return [[dot(row, col, ZERO) for col in cols] for row in a]
 
 
 def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

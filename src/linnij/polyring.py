@@ -15,6 +15,11 @@ every exponent tuple must have ``nvars`` nonnegative entries, and zero
 coefficients are dropped.  Results of ring operations are built from terms
 the ring produced itself, through the private ``Poly._new``, and are not
 checked again.
+
+:func:`dot`, the sum of the pairwise products of two rows with zero factors
+skipped, is the one sum-of-products routine of the package: matrix
+products, the characteristic polynomial, the torsion, coordinate changes
+and linear forms are all built on it.
 """
 
 from __future__ import annotations
@@ -236,15 +241,11 @@ class Poly:
                 "substitution matrix needs %d rows" % self.nvars
             )
         ncols = len(matrix[0]) if matrix else 0
-        images = []
-        for row in matrix:
-            if len(row) != ncols:
-                raise DimensionMismatchError("ragged substitution matrix")
-            img = Poly(ncols, {})
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    img = img + Poly.variable(ncols, j).scale(c)
-            images.append(img)
+        if any(len(row) != ncols for row in matrix):
+            raise DimensionMismatchError("ragged substitution matrix")
+        ys = [Poly.variable(ncols, j) for j in range(ncols)]
+        zero = Poly.zero(ncols)
+        images = [dot(row, ys, zero) for row in matrix]
         powers: list[dict[int, Poly]] = [dict() for _ in range(self.nvars)]
         result = Poly.zero(ncols)
         for exps, coeff in self.terms.items():
@@ -260,23 +261,35 @@ class Poly:
         return result
 
     def substitute(self, values: Mapping[int, Scalar]) -> "Poly":
-        """Evaluate some variables at scalar values (others stay symbolic)."""
+        """Evaluate some variables at scalar values (others stay symbolic).
+
+        Each substituted variable's powers are built once, up to the highest
+        exponent it carries.
+        """
         for i in values:
             if not 0 <= i < self.nvars:
                 raise DimensionMismatchError("variable index %d out of range" % i)
+        if not self.terms:
+            return Poly.zero(self.nvars)
+        top = [max(column) for column in zip(*self.terms)]
+        powers = []
+        for i, value in values.items():
+            row = [ONE]
+            for _ in range(top[i]):
+                row.append(row[-1] * value)
+            powers.append((i, row))
         acc: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
-            c = coeff
             new_exps = list(exps)
-            for i, val in values.items():
+            for i, row in powers:
                 e = exps[i]
                 if e:
-                    c = c * (val**e)
+                    coeff = coeff * row[e]
                     new_exps[i] = 0
-            if c.is_zero():
+            if coeff.is_zero():
                 continue
             key = tuple(new_exps)
-            total = acc.get(key, ZERO) + c
+            total = acc.get(key, ZERO) + coeff
             if total.is_zero():
                 acc.pop(key, None)
             else:
@@ -284,25 +297,10 @@ class Poly:
         return Poly._new(self.nvars, acc)
 
     def evaluate(self, point: list[Scalar]) -> Scalar:
-        """The value at a point, with each coordinate's powers built once."""
+        """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        if not self.terms:
-            return ZERO
-        top = [max(column) for column in zip(*self.terms)]
-        powers = []
-        for value, k in zip(point, top):
-            row = [ONE]
-            for _ in range(k):
-                row.append(row[-1] * value)
-            powers.append(row)
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            for row, e in zip(powers, exps):
-                if e:
-                    coeff = coeff * row[e]
-            total = total + coeff
-        return total
+        return self.substitute(dict(enumerate(point))).constant_value()
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """View the polynomial inside a larger ring, variables shifted by offset."""
@@ -372,6 +370,19 @@ def _accumulate(p: Poly, other, subtract: bool):
         else:
             acc[exps] = total
     return Poly._new(p.nvars, acc)
+
+
+def dot(left, right, zero):
+    """Sum of the pairwise products of two rows, skipping falsy factors.
+
+    The rows may hold :class:`Poly` values, :class:`Scalar` values or a mix
+    of both; ``zero`` is the sum when every product is skipped.
+    """
+    acc = zero
+    for p, q in zip(left, right):
+        if p and q:
+            acc = acc + p * q
+    return acc
 
 
 class DivisibilityFailure(Record):

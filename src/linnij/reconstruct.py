@@ -33,7 +33,7 @@ from .polymatrix import (
     scalar_mat_inverse,
     scalar_mat_mul,
 )
-from .polyring import DivisibilityFailure, Poly, exact_divide, grlex_key
+from .polyring import DivisibilityFailure, Poly, dot, exact_divide, grlex_key
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
 from .textio import format_poly, parse_poly, parse_scalar
@@ -94,26 +94,22 @@ def reconstruction_pieces(
     return j.adjugate() @ s @ j, q
 
 
-def reconstruct_operator(
-    sigmas: Sequence[Poly], geo: int | None = None
-) -> ReconstructionResult:
+def reconstruct_operator(sigmas: Sequence[Poly]) -> ReconstructionResult:
     """Recover the operator with the given characteristic coefficients.
 
-    ``geo`` is the count of leading geometric variables (defaults to
-    len(sigmas); pass it explicitly when the ring carries parameters).
+    The sigmas must live in a ring of exactly len(sigmas) variables.
     Raises when the sigmas are functionally dependent, naming the dependent
     entries.
     """
     n = len(sigmas)
     if n == 0:
         raise DimensionMismatchError("empty sigma set")
-    if geo is None:
-        geo = n
-    if geo != n:
+    if n != sigmas[0].nvars:
         raise DimensionMismatchError(
-            "%d sigmas cannot determine an operator on %d variables" % (n, geo)
+            "%d sigmas cannot determine an operator on %d variables"
+            % (n, sigmas[0].nvars)
         )
-    numerators, q = reconstruction_pieces(sigmas, geo)
+    numerators, q = reconstruction_pieces(sigmas, n)
     quotients = []
     failures = []
     for r in range(n):
@@ -341,17 +337,18 @@ def generate_linearity_system(ps: ParamSigmaSet) -> LinearitySystem:
     _validate_step1_shape(ps)
     nv = len(ps.names)
     numerators, q = reconstruction_pieces(ps.sigmas, ps.ngeo)
+    xs = [Poly.variable(nv, j) for j in range(n)]
+    zero = Poly.zero(nv)
     equations = []
     for r in range(1, n):
         for c in range(n):
             p_index = (r - 1) * n + c + 1
             entry = "P%d" % p_index
-            linear_form = Poly.zero(nv)
-            for j in range(n):
-                alpha = Poly.variable(
-                    nv, ps.index_of("alpha%d%d" % (p_index, j + 1))
-                )
-                linear_form = linear_form + alpha * Poly.variable(nv, j)
+            alphas = [
+                Poly.variable(nv, ps.index_of("alpha%d%d" % (p_index, j + 1)))
+                for j in range(n)
+            ]
+            linear_form = dot(alphas, xs, zero)
             residual = numerators.entries[r][c] - q * linear_form
             grouped = residual.group_by(range(ps.ngeo))
             for exps in sorted(grouped, key=grlex_key, reverse=True):

@@ -288,8 +288,7 @@ def test_criterion_06_case_obstructions():
         instance = dict(zeros, b_23=0, a=Fraction(5, 7),
                         b_11=Fraction(65, 147), b_21=Fraction(1, 2),
                         b_22=Fraction(-2, 3))
-        concrete = [s.substitute(values_of(ps2, instance))
-                    for s in ps2.sigmas]
+        concrete = substituted_sigmas(ps2, instance)
         with pytest.raises(DependentSigmasError) as err:
             reconstruct_operator(concrete)
         assert err.value.indices == [3]

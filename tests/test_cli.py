@@ -366,6 +366,15 @@ def test_torsion_nonzero(runner, tmp_path):
     assert "nonzero: component (1,1,2) = x2" in result.output
 
 
+def test_torsion_nonlinear_witness(runner, tmp_path):
+    operator_file = tmp_path / "operator.txt"
+    operator_file.write_text("x1^2; x2; x3*x1\nx2*x3; 2*x1 - 1; 0\n1; x3^2; x1*x2\n")
+    result = runner.invoke(main, ["torsion", str(operator_file)])
+    assert result.exit_code == 1
+    assert result.output == \
+        "nonzero: component (1,1,2) = -2*x1*x2 + 2*x2*x3 - 2*x2\n"
+
+
 def test_torsion_malformed(runner, tmp_path):
     operator_file = tmp_path / "operator.txt"
     operator_file.write_text("x1; x2\nx2\n")

@@ -5,7 +5,8 @@ import pytest
 
 from linnij.errors import SingularMatrixError
 from linnij.exactfield import Scalar
-from linnij.polyring import Poly
+from linnij.nijenhuis import torsion
+from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
     PolyMatrix,
     charpoly_sigmas,
@@ -187,6 +188,73 @@ def test_charpoly_det_adjugate_match_sympy():
             adj, ref_adj = m.adjugate(), ref.adjugate(method="berkowitz")
             assert all(same(adj[i, j], ref_adj[i, j])
                        for i in range(n) for j in range(n)), (n, kind)
+
+
+def test_torsion_matches_sympy():
+    # every component against the four-term formula
+    # L^s_j d_s L^i_k - L^s_k d_s L^i_j - L^i_s d_j L^s_k + L^i_s d_k L^s_j
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6)
+    for n in (1, 2, 3, 4):
+        symbols = sympy.symbols("x1:%d" % (n + 1))
+        for kind in KINDS:
+            m = random_operator(rng, n, kind)
+            ref = [[to_sympy(m[i, j], symbols) for j in range(n)] for i in range(n)]
+
+            def d(expr, s):
+                return sympy.diff(expr, symbols[s])
+
+            tensor = torsion(m)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        expected = sum(
+                            ref[s][j] * d(ref[i][k], s) - ref[s][k] * d(ref[i][j], s)
+                            - ref[i][s] * d(ref[s][k], j) + ref[i][s] * d(ref[s][j], k)
+                            for s in range(n))
+                        ours = to_sympy(tensor.component(i + 1, j + 1, k + 1), symbols)
+                        assert sympy.expand(ours - expected) == 0, (n, kind, i, j, k)
+
+
+def test_exact_divide_matches_sympy():
+    # a divisor that divides gives sympy's quotient; one that does not gives
+    # a remainder r with q | p - r whose leading term q's leading term
+    # cannot reduce
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    outcomes = set()
+    for n in (1, 2, 3, 4):
+        symbols = sympy.symbols("x1:%d" % (n + 1))
+
+        def poly(p):
+            # over Q(sqrt(3)) when a coefficient needs it, so division is exact
+            return sympy.Poly(to_sympy(p, symbols), *symbols, extension=True)
+
+        for kind in KINDS:
+            for _ in range(6):
+                m = random_operator(rng, n, kind)
+                entries = [m[i, j] for i in range(n) for j in range(n)]
+                divisor = rng.choice(entries) + rng.choice(entries)
+                if divisor.is_zero():
+                    continue
+                p = rng.choice(entries) * divisor
+                if rng.random() < 0.5:
+                    p = p + rng.choice(entries)
+                ref_quotient, ref_rem = poly(p).div(poly(divisor))
+                result = exact_divide(p, divisor)
+                if ref_rem.is_zero:
+                    assert not isinstance(result, DivisibilityFailure), (n, kind)
+                    assert (poly(result) - ref_quotient).is_zero, (n, kind)
+                    outcomes.add("divides")
+                    continue
+                assert isinstance(result, DivisibilityFailure), (n, kind)
+                rem = poly(result.remainder)
+                assert (poly(p) - rem).div(poly(divisor))[1].is_zero, (n, kind)
+                lead_rem = rem.monoms(order="grlex")[0]
+                lead_q = poly(divisor).monoms(order="grlex")[0]
+                assert any(a < b for a, b in zip(lead_rem, lead_q)), (n, kind)
+                outcomes.add("fails")
+    assert outcomes == {"divides", "fails"}
 
 
 def test_substitute_linear_on_matrix():

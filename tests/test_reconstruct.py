@@ -107,7 +107,11 @@ def test_dependent_sigmas_raise():
 
 def test_reconstruct_requires_square_data():
     with pytest.raises(DimensionMismatchError):
-        reconstruct_operator(geo_polys(["x1", "x2"], 3), geo=3)
+        reconstruct_operator(geo_polys(["x1", "x2"], 3))
+    # two independent sigmas over three variables: a shape error, not a
+    # dependence
+    with pytest.raises(DimensionMismatchError):
+        reconstruct_operator(geo_polys(["x1", "x3"], 3))
     with pytest.raises(DimensionMismatchError):
         reconstruct_operator([])
 
