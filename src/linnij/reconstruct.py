@@ -8,9 +8,11 @@ the shared denominator Q = det(J), and an operator exists iff Q divides every
 numerator exactly.
 
 For the classification runs the sigmas carry symbolic coefficients.  Those
-parameters (and the linear-form unknowns alpha_ij) are ordinary variables of
-the same sparse-polynomial ring, appended after the geometric ones; asking
-"which choices of coefficients make entry (r, c) linear" then becomes exact
+parameters are ordinary variables of the same sparse-polynomial ring,
+appended after the geometric ones.  The linear-form unknowns alpha_ij are
+appended after the parameters by generate_linearity_system only, so every
+polynomial of a LinearitySystem lives over its ``names``; asking "which
+choices of coefficients make entry (r, c) linear" then becomes exact
 coefficient extraction over the geometric monomials.
 """
 
@@ -36,7 +38,7 @@ from .polymatrix import (
 from .polyring import DivisibilityFailure, Poly, dot, exact_divide, grlex_key
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
-from .textio import format_poly, parse_poly, parse_scalar
+from .textio import _int_literal, format_poly, parse_poly, parse_scalar
 
 
 def _involves(p: Poly, indices: Sequence[int]) -> bool:
@@ -46,12 +48,14 @@ def _involves(p: Poly, indices: Sequence[int]) -> bool:
 # -- sigma -> operator --------------------------------------------------------
 
 
-def dependent_sigma_indices(sigmas: Sequence[Poly], geo: int) -> list[int]:
+def dependent_sigma_indices(sigmas: Sequence[Poly]) -> list[int]:
     """1-based positions whose differentials depend on the previous rows.
 
+    The first len(sigmas) ring variables are the geometric ones.
     Fraction-free row elimination on the Jacobian: a row that reduces to zero
     against the rows above it names a functionally dependent sigma.
     """
+    geo = len(sigmas)
     j = jacobian(sigmas, wrt=range(geo))
     rows = [list(r) for r in j.entries]
     pivots: list[tuple[int, int]] = []  # (row, column)
@@ -82,14 +86,13 @@ class ReconstructionResult(Record):
     __slots__ = ("numerators", "denominator", "linear_part", "failures")
 
 
-def reconstruction_pieces(
-    sigmas: Sequence[Poly], geo: int
-) -> tuple[PolyMatrix, Poly]:
-    """Numerator matrix adj(J) S J and denominator det(J)."""
-    j = jacobian(sigmas, wrt=range(geo))
+def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
+    """Numerator matrix adj(J) S J and denominator det(J), with J taken
+    by the first len(sigmas) ring variables."""
+    j = jacobian(sigmas, wrt=range(len(sigmas)))
     q = j.determinant()
     if q.is_zero():
-        raise DependentSigmasError(dependent_sigma_indices(sigmas, geo))
+        raise DependentSigmasError(dependent_sigma_indices(sigmas))
     s = companion_matrix(list(sigmas))
     return j.adjugate() @ s @ j, q
 
@@ -109,7 +112,7 @@ def reconstruct_operator(sigmas: Sequence[Poly]) -> ReconstructionResult:
             "%d sigmas cannot determine an operator on %d variables"
             % (n, sigmas[0].nvars)
         )
-    numerators, q = reconstruction_pieces(sigmas, n)
+    numerators, q = reconstruction_pieces(sigmas)
     quotients = []
     failures = []
     for r in range(n):
@@ -144,27 +147,35 @@ PARAM_NAMES = (
 
 CASE_TAGS = ("1.1", "1.2", "1.3", "2", "2.1", "2.2", "3", "4.1", "4.2")
 
-_SIGMA2_SHAPES = {
-    # case tag -> ((i, j, coefficient) quadratic terms; "a" marks the parameter)
-    "1.1": (((0, 0), "a"), ((1, 2), 1)),
-    "1.2": (((0, 0), "a"), ((1, 1), -1), ((2, 2), -1)),
-    "1.3": (((0, 0), "a"), ((1, 1), 1), ((2, 2), 1)),
-    "2.1": (((0, 0), "a"), ((1, 1), 1)),
-    "2.2": (((0, 0), "a"), ((1, 1), -1)),
-    "3": (((0, 1), 1),),
-    "4.1": (((0, 1), 1), ((2, 2), 1)),
-    "4.2": (((0, 1), 1), ((2, 2), -1)),
+_SIGMA2 = {
+    # case tag -> the sigma_2 normal form, over x1, x2, x3 and the parameter a
+    "1.1": "a*x1^2 + x2*x3",
+    "1.2": "a*x1^2 - x2^2 - x3^2",
+    "1.3": "a*x1^2 + x2^2 + x3^2",
+    "2.1": "a*x1^2 + x2^2",
+    "2.2": "a*x1^2 - x2^2",
+    "3": "x1*x2",
+    "4.1": "x1*x2 + x3^2",
+    "4.2": "x1*x2 - x3^2",
 }
+
+_SIGMA3 = (
+    "b_11*x1^3 + 3*b_12*x1^2*x2 + 3*b_13*x1^2*x3 + 3*b_21*x1*x2^2"
+    " + b_22*x2^3 + 3*b_23*x2^2*x3 + 3*b_31*x1*x3^2 + 3*b_32*x2*x3^2"
+    " + b_33*x3^3 + 6*c*x1*x2*x3"
+)
 
 
 class ParamSigmaSet(Record):
     """Sigmas over a ring of geometric variables followed by parameters.
 
-    ``names`` covers every ring variable in index order; the first ``ngeo``
-    are geometric, the rest are parameters and alpha unknowns.
+    ``names`` covers every ring variable in index order; the first
+    ``len(sigmas)`` are geometric, the rest are the sigma coefficients.
+    The alpha unknowns of the linearity system are not among them:
+    :func:`generate_linearity_system` appends those.
     """
 
-    __slots__ = ("sigmas", "ngeo", "names", "case")
+    __slots__ = ("sigmas", "names", "case")
 
     def index_of(self, name: str) -> int:
         try:
@@ -176,7 +187,7 @@ class ParamSigmaSet(Record):
 def normalize_case_tag(tag: str) -> str:
     if tag == "2":
         return "2.1"
-    if tag in _SIGMA2_SHAPES:
+    if tag in _SIGMA2:
         return tag
     raise FormatError(
         "unknown case tag %r (expected one of %s)" % (tag, ", ".join(CASE_TAGS))
@@ -198,56 +209,19 @@ def param_sigmas(case: str) -> ParamSigmaSet:
     with coefficients b_ij and c.
     """
     tag = normalize_case_tag(case)
-    names = ("x1", "x2", "x3") + PARAM_NAMES + _alpha_names(3)
-    nv = len(names)
-    idx = {name: i for i, name in enumerate(names)}
-
-    def var(name):
-        return Poly.variable(nv, idx[name])
-
-    def geo_mono(e1, e2, e3, coeff=1):
-        exps = [0] * nv
-        exps[0], exps[1], exps[2] = e1, e2, e3
-        return Poly.monomial(nv, exps, coeff)
-
-    sigma1 = var("x1")
-    sigma2 = Poly.zero(nv)
-    for (i, j), coeff in _SIGMA2_SHAPES[tag]:
-        exps = [0] * nv
-        exps[i] += 1
-        exps[j] += 1
-        term = Poly.monomial(nv, exps, ONE)
-        if coeff == "a":
-            term = term * var("a")
-        else:
-            term = term * coeff
-        sigma2 = sigma2 + term
-    sigma3 = (
-        var("b_11") * geo_mono(3, 0, 0)
-        + var("b_12") * geo_mono(2, 1, 0, 3)
-        + var("b_13") * geo_mono(2, 0, 1, 3)
-        + var("b_21") * geo_mono(1, 2, 0, 3)
-        + var("b_22") * geo_mono(0, 3, 0)
-        + var("b_23") * geo_mono(0, 2, 1, 3)
-        + var("b_31") * geo_mono(1, 0, 2, 3)
-        + var("b_32") * geo_mono(0, 1, 2, 3)
-        + var("b_33") * geo_mono(0, 0, 3)
-        + var("c") * geo_mono(1, 1, 1, 6)
-    )
-    return ParamSigmaSet([sigma1, sigma2, sigma3], 3, names, tag)
+    names = ("x1", "x2", "x3") + PARAM_NAMES
+    sigmas = [parse_poly(text, names) for text in ("x1", _SIGMA2[tag], _SIGMA3)]
+    return ParamSigmaSet(sigmas, names, tag)
 
 
 def param_sigmas_2d(sign: int) -> ParamSigmaSet:
     """The two-dimensional family: sigma_1 = x1, sigma_2 = a x1^2 +/- x2^2."""
     if sign not in (1, -1):
         raise FormatError("sign must be +1 or -1")
-    names = ("x1", "x2", "a") + _alpha_names(2)
-    nv = len(names)
-    x1 = Poly.variable(nv, 0)
-    x2 = Poly.variable(nv, 1)
-    a = Poly.variable(nv, 2)
-    sigma2 = a * x1 * x1 + sign * x2 * x2
-    return ParamSigmaSet([x1, sigma2], 2, names, "2d+" if sign > 0 else "2d-")
+    names = ("x1", "x2", "a")
+    sigma2 = "a*x1^2 %s x2^2" % ("+" if sign > 0 else "-")
+    sigmas = [parse_poly(text, names) for text in ("x1", sigma2)]
+    return ParamSigmaSet(sigmas, names, "2d+" if sign > 0 else "2d-")
 
 
 # -- the linearity system -----------------------------------------------------
@@ -268,6 +242,7 @@ class Equation(Record):
 class LinearitySystem(Record):
     """All coefficient equations demanding that the candidate be linear.
 
+    Every polynomial is over ``names``, the first ``ngeo`` geometric.
     ``sigmas`` is the generating sigma list, or None for a system parsed
     back from a listing.
     """
@@ -330,36 +305,37 @@ class LinearitySystem(Record):
 def generate_linearity_system(ps: ParamSigmaSet) -> LinearitySystem:
     """Coefficient equations of P_i - Q (alpha_i1 x_1 + ... ) over all
     non-first-row entries, ordered by entry then descending monomial.
+
+    The system's ring is ``ps.names`` followed by the alpha unknowns.
     """
     n = len(ps.sigmas)
-    if n != ps.ngeo or n not in (2, 3):
-        raise DimensionMismatchError("expected 2 or 3 sigmas matching ngeo")
+    if n not in (2, 3):
+        raise DimensionMismatchError("expected 2 or 3 sigmas")
     _validate_step1_shape(ps)
-    nv = len(ps.names)
-    numerators, q = reconstruction_pieces(ps.sigmas, ps.ngeo)
+    names = ps.names + _alpha_names(n)
+    nv = len(names)
+    numerators, q = reconstruction_pieces(ps.sigmas)
+    q = q.embed(nv)
     xs = [Poly.variable(nv, j) for j in range(n)]
+    alphas = [Poly.variable(nv, i) for i in range(len(ps.names), nv)]
     zero = Poly.zero(nv)
     equations = []
     for r in range(1, n):
         for c in range(n):
-            p_index = (r - 1) * n + c + 1
-            entry = "P%d" % p_index
-            alphas = [
-                Poly.variable(nv, ps.index_of("alpha%d%d" % (p_index, j + 1)))
-                for j in range(n)
-            ]
-            linear_form = dot(alphas, xs, zero)
-            residual = numerators.entries[r][c] - q * linear_form
-            grouped = residual.group_by(range(ps.ngeo))
+            p = (r - 1) * n + c
+            linear_form = dot(alphas[p * n : (p + 1) * n], xs, zero)
+            residual = numerators.entries[r][c].embed(nv) - q * linear_form
+            grouped = residual.group_by(range(n))
             for exps in sorted(grouped, key=grlex_key, reverse=True):
                 equations.append(
-                    Equation(entry, r + 1, c + 1, exps[: ps.ngeo], grouped[exps])
+                    Equation("P%d" % (p + 1), r + 1, c + 1, exps, grouped[exps])
                 )
-    return LinearitySystem(ps.case, ps.names, ps.ngeo, equations, ps.sigmas)
+    sigmas = [s.embed(nv) for s in ps.sigmas]
+    return LinearitySystem(ps.case, names, n, equations, sigmas)
 
 
 def _validate_step1_shape(ps: ParamSigmaSet):
-    geo = list(range(ps.ngeo))
+    geo = range(len(ps.sigmas))
     x1 = Poly.variable(len(ps.names), 0)
     if ps.sigmas[0] != x1:
         raise DimensionMismatchError("sigma_1 must be x1")
@@ -372,8 +348,13 @@ def _validate_step1_shape(ps: ParamSigmaSet):
 
 
 def parse_system(text: str) -> LinearitySystem:
-    """Parse a listing produced by :meth:`LinearitySystem.to_text`."""
+    """Parse a listing produced by :meth:`LinearitySystem.to_text`.
+
+    The ``# equations:`` header is required and must match the number of
+    equation lines, so a truncated or padded listing is rejected.
+    """
     case = None
+    count = None
     geo_names: list[str] = []
     symbol_names: list[str] = []
     equations = []
@@ -390,6 +371,8 @@ def parse_system(text: str) -> LinearitySystem:
                 geo_names = body[len("geometric:") :].split()
             elif body.startswith("symbols:"):
                 symbol_names = body[len("symbols:") :].split()
+            elif body.startswith("equations:"):
+                count = _listing_int(body[len("equations:") :].strip(), "equation count")
             continue
         if not names:
             if not geo_names or not symbol_names:
@@ -402,21 +385,34 @@ def parse_system(text: str) -> LinearitySystem:
         if len(fields) != 3:
             raise FormatError("malformed equation header %r" % head)
         entry, pos, mono_text = fields
-        if not (pos.startswith("(") and pos.endswith(")")):
+        cells = pos[1:-1].split(",")
+        if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
             raise FormatError("malformed position %r" % pos)
-        row_s, _, col_s = pos[1:-1].partition(",")
-        mono = parse_poly(mono_text, geo_names)
-        ((exps, coeff),) = mono.terms.items()
-        if coeff != ONE:
-            raise FormatError("monomial with a coefficient: %r" % mono_text)
+        row, col = (_listing_int(cell, "position") for cell in cells)
+        terms = list(parse_poly(mono_text, geo_names).terms.items())
+        if len(terms) != 1 or terms[0][1] != ONE:
+            raise FormatError("not a monomial: %r" % mono_text)
         poly_text = rhs.strip()
         if poly_text.endswith("= 0"):
             poly_text = poly_text[: -len("= 0")].strip()
         poly = parse_poly(poly_text, names)
-        equations.append(Equation(entry, int(row_s), int(col_s), exps, poly))
+        equations.append(Equation(entry, row, col, terms[0][0], poly))
     if case is None or not names:
         raise FormatError("system listing is missing its header")
+    if count is None:
+        raise FormatError("system listing is missing its '# equations:' header")
+    if count != len(equations):
+        raise FormatError(
+            "system listing declares %d equations but lists %d"
+            % (count, len(equations))
+        )
     return LinearitySystem(case, tuple(names), len(geo_names), equations, None)
+
+
+def _listing_int(digits: str, field: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError("%s is not a number: %r" % (field, digits))
+    return _int_literal(digits)
 
 
 # -- solution checking --------------------------------------------------------
@@ -498,33 +494,26 @@ def derive_alphas(
 ) -> dict[str, Scalar]:
     """Alpha values forced by a full parameter assignment.
 
-    Substitutes the parameters into the reconstruction numerators, divides
-    each non-first-row entry by the denominator, and reads the alpha_ij off
+    Substitutes the parameters into the sigmas, divides each non-first-row
+    reconstruction numerator by the denominator, and reads the alpha_ij off
     the resulting linear forms.  Raises when some entry fails to divide or
     the quotient is not geometric-linear (the assignment is then not a
     solution of the linearity system at all).
     """
     n = len(ps.sigmas)
-    numerators, q = reconstruction_pieces(ps.sigmas, ps.ngeo)
     values = {}
     for name, value in params.items():
         idx = ps.index_of(name)
-        if idx < ps.ngeo:
+        if idx < n:
             raise FormatError("cannot assign a geometric variable %r" % name)
         values[idx] = _coerce_value(value)
-    q_sub = q.substitute(values)
-    if q_sub.is_zero():
-        raise DependentSigmasError(
-            dependent_sigma_indices(
-                [s.substitute(values) for s in ps.sigmas], ps.ngeo
-            )
-        )
+    sigmas = [s.substitute(values) for s in ps.sigmas]
+    numerators, q = reconstruction_pieces(sigmas)
     out: dict[str, Scalar] = {}
     for r in range(1, n):
         for c in range(n):
             p_index = (r - 1) * n + c + 1
-            entry_sub = numerators.entries[r][c].substitute(values)
-            quo = exact_divide(entry_sub, q_sub)
+            quo = exact_divide(numerators.entries[r][c], q)
             if isinstance(quo, DivisibilityFailure):
                 raise LinnijError(
                     "entry (%d,%d) is not linear under this assignment; "

@@ -94,7 +94,7 @@ def substituted_sigmas(ps, params):
     out = []
     for s in ps.sigmas:
         rendered = format_poly(s.substitute(values), list(ps.names))
-        out.append(parse_poly(rendered, default_names(ps.ngeo)))
+        out.append(parse_poly(rendered, default_names(len(ps.sigmas))))
     return out
 
 
@@ -205,14 +205,14 @@ def test_criterion_06_case_obstructions():
         ps3 = param_sigmas("3")
         names3 = list(ps3.names)
 
-        def values_of(ps, mapping):
-            return {ps.index_of(k): coerce(v) for k, v in mapping.items()}
+        def values_of(names, mapping):
+            return {names.index(k): coerce(v) for k, v in mapping.items()}
 
-        conditions = values_of(ps3, {
+        conditions = values_of(names3, {
             "b_21": Fraction(1, 3), "c": 0, "b_31": 0, "b_22": 0,
             "b_23": 0, "b_32": 0, "b_33": 0,
         })
-        numerators, q = reconstruction_pieces(ps3.sigmas, ps3.ngeo)
+        numerators, q = reconstruction_pieces(ps3.sigmas)
         q_sub = q.substitute(conditions)
         assert q_sub == parse_poly("3*x1^3*b_13", names3)
         n32 = numerators.entries[2][1].substitute(conditions)
@@ -230,9 +230,8 @@ def test_criterion_06_case_obstructions():
         assert surviving == Poly.constant(len(names3), Scalar(-3))
 
         # -- case 4.1: forced vanishing, then a contradiction ----------------
-        ps4 = param_sigmas("4.1")
-        names4 = list(ps4.names)
-        system4 = generate_linearity_system(ps4)
+        system4 = generate_linearity_system(param_sigmas("4.1"))
+        names4 = list(system4.names)
         free = system4.alpha_free_equations()
         raw = {(eq.entry, eq.row, eq.col): format_poly(eq.poly, names4)
                for eq in free}
@@ -248,7 +247,7 @@ def test_criterion_06_case_obstructions():
         alpha_idx = set(system4.alpha_indices())
 
         def alpha_free_residues(assignment):
-            values = values_of(ps4, assignment)
+            values = values_of(names4, assignment)
             out = []
             for eq in system4.equations:
                 residue = eq.poly.substitute(values)
@@ -271,18 +270,18 @@ def test_criterion_06_case_obstructions():
 
         # -- case 2.1: b_23 is forced to vanish, collapsing the sigmas -------
         ps2 = param_sigmas("2.1")
-        names2 = list(ps2.names)
         system2 = generate_linearity_system(ps2)
+        names2 = list(system2.names)
         zeros = {"c": 0, "b_31": 0, "b_12": 0, "b_13": 0, "b_32": 0, "b_33": 0}
         forcing = next(
             eq for eq in system2.equations
             if (eq.entry, eq.row, eq.col, eq.monomial) == ("P5", 3, 2, (0, 2, 2)))
-        forced = forcing.poly.substitute(values_of(ps2, zeros))
+        forced = forcing.poly.substitute(values_of(names2, zeros))
         assert forced == parse_poly("-36*b_23^2", names2)
         # with b_23 = 0 the third sigma loses x3 no matter what remains free
-        collapsed = [s.substitute(values_of(ps2, dict(zeros, b_23=0)))
+        collapsed = [s.substitute(values_of(ps2.names, dict(zeros, b_23=0)))
                      for s in ps2.sigmas]
-        assert dependent_sigma_indices(collapsed, 3) == [3]
+        assert dependent_sigma_indices(collapsed) == [3]
         # and at a concrete point of the surviving branch the reconstruction
         # refuses outright
         instance = dict(zeros, b_23=0, a=Fraction(5, 7),

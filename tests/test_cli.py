@@ -9,6 +9,7 @@ from linnij.cli import main
 from linnij.catalog import CatalogEntry, load_catalog
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
+from linnij.reconstruct import generate_linearity_system, param_sigmas
 from linnij.textio import format_scalar
 
 from known_solutions import CASE11_SOLUTIONS, full_assignment
@@ -292,6 +293,46 @@ def test_check_solution_bad_inputs(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "neither a case tag" in result.output
+
+
+FIRST_EQUATION_EDITS = {
+    "position-letter": ("(2,1)", "(a,1)"),
+    "position-one-number": ("(2,1)", "(21)"),
+    "position-huge": ("(2,1)", "(%s,1)" % ("1" * 5000)),
+    "monomial-sum": (" x1^4 ", " x1+x2 "),
+    "monomial-zero": (" x1^4 ", " 0 "),
+}
+
+
+def broken_listing(kind):
+    text = generate_linearity_system(param_sigmas("1.1")).to_text()
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    if kind == "truncated":
+        return "".join(lines[:20])
+    if kind == "duplicated":
+        return "".join(lines[: first + 1] + lines[first:])
+    if kind == "no-count":
+        return text.replace("# equations: 90\n", "")
+    old, new = FIRST_EQUATION_EDITS[kind]
+    assert old in lines[first]
+    lines[first] = lines[first].replace(old, new, 1)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "kind", list(FIRST_EQUATION_EDITS) + ["truncated", "duplicated", "no-count"])
+def test_check_solution_rejects_malformed_listing(runner, tmp_path, kind):
+    listing = tmp_path / "system.txt"
+    listing.write_text(broken_listing(kind))
+    name, params, alphas, _, _ = CASE11_SOLUTIONS[0]
+    assignment = tmp_path / "solution.txt"
+    write_assignment(assignment, full_assignment(params, alphas))
+    result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
 
 
 # -- generalize ------------------------------------------------------------------

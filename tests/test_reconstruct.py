@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -102,7 +105,7 @@ def test_dependent_sigmas_raise():
     with pytest.raises(DependentSigmasError) as err:
         reconstruct_operator(sigmas)
     assert err.value.indices == [2]
-    assert dependent_sigma_indices(sigmas, 2) == [2]
+    assert dependent_sigma_indices(sigmas) == [2]
 
 
 def test_reconstruct_requires_square_data():
@@ -131,7 +134,7 @@ def test_param_sigmas_shapes():
     for tag in ("1.1", "1.2", "1.3", "2.1", "2.2", "3", "4.1", "4.2"):
         ps = param_sigmas(tag)
         assert ps.case == tag
-        assert ps.names[:3] == ("x1", "x2", "x3")
+        assert ps.names == ("x1", "x2", "x3") + PARAM_NAMES
         assert ps.sigmas[0] == Poly.variable(len(ps.names), 0)
         renders[tag] = format_poly(ps.sigmas[1], list(ps.names))
     assert renders["1.1"] == "x1^2*a + x2*x3"
@@ -164,7 +167,9 @@ def test_param_sigma3_is_the_general_cubic():
 
 def test_linearity_system_sizes():
     for tag in ("1.1", "1.2", "1.3", "2.1", "2.2", "3", "4.1", "4.2"):
-        system = generate_linearity_system(param_sigmas(tag))
+        ps = param_sigmas(tag)
+        system = generate_linearity_system(ps)
+        assert system.names == ps.names + ALPHA_NAMES, tag
         assert len(system) == 90, tag
         free = system.alpha_free_equations()
         expected = 30 if tag in ("2.1", "2.2", "3") else 6
@@ -173,7 +178,11 @@ def test_linearity_system_sizes():
 
 def test_two_dim_system_and_solution():
     for sign in (1, -1):
-        system = generate_linearity_system(param_sigmas_2d(sign))
+        ps = param_sigmas_2d(sign)
+        assert ps.names == ("x1", "x2", "a")
+        system = generate_linearity_system(ps)
+        assert system.names == ps.names + (
+            "alpha11", "alpha12", "alpha21", "alpha22")
         assert len(system) == 5
         lead, roots = solve_two_dim(system)
         assert format_poly(lead, list(system.names)) == "-4*a^2 + a"
@@ -215,6 +224,37 @@ def test_solve_quadratic():
 
 
 # -- listing round trip ---------------------------------------------------------
+
+LISTING_SHA256 = {
+    "1.1": "b878dec436305fa5b61a6e6aed96a8d10f6bf27aecaf75db9c412b66555ed4fb",
+    "1.2": "c034765fca3a197285f7ae6b95d1a7432b1db95b753f5b9e89c547f095e5f08b",
+    "1.3": "69a4ff6397f0694495e73e4a8b3db0b35b6b3bc7d5140c0e33d161f62212e924",
+    "2.1": "3a0c5285eaab76b6ecc60b0b07866b1719ece20762a8d2c243064805ceb64d8d",
+    "2.2": "06c4914b2756bc120a3faef11f1a6473c243eb7575bf3b442e1a8a19edd90f4a",
+    "3": "6ddcefbf02a177e38f4c6c15030b89141f2ea06cb32828b758141e519637feaa",
+    "4.1": "b3d9586461ce2e7950ae460e852cefd387faaa3a6ae90c4771af5e95a985a3ed",
+    "4.2": "15c2a53a8cce7c43f9cb6c5e1473dfb9ae340ae029a3f1e3108c943b24ef7e02",
+    "2d+": "661638d48495aebf050a8971d6b2e01d167c2126e35ca23ffe16459d8caf55b5",
+    "2d-": "0a2953d47b22e417825475febafdcbf149ef255d2d6a3931307c5a37efa6dc74",
+}
+
+
+def test_listings_are_pinned():
+    sets = [param_sigmas(tag) for tag in CASE_TAGS if tag != "2"]
+    sets += [param_sigmas_2d(1), param_sigmas_2d(-1)]
+    digests = {
+        ps.case: hashlib.sha256(
+            generate_linearity_system(ps).to_text().encode("utf-8")).hexdigest()
+        for ps in sets
+    }
+    assert digests == LISTING_SHA256
+    # the benchmark checks gen-system output against the same digests
+    fixture = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                           "fixture.json")
+    with open(fixture, encoding="utf-8") as handle:
+        listings = json.load(handle)["listings"]
+    assert {tag: v["sha256"] for tag, v in listings.items()} == {
+        tag: v for tag, v in LISTING_SHA256.items() if not tag.startswith("2d")}
 
 
 def test_system_listing_round_trip():
@@ -305,6 +345,17 @@ def test_derive_alphas_rejects_nonsolution():
     filled = {p: Fraction(0) for p in PARAM_NAMES}
     filled["b_12"] = Fraction(1)
     with pytest.raises(LinnijError):
+        derive_alphas(ps, filled)
+
+
+def test_derive_alphas_rejects_alpha_names():
+    # a solution's parameters plus one alpha: the alphas are derived, never
+    # assigned
+    ps = param_sigmas("1.1")
+    _, params, _, _, _ = CASE11_SOLUTIONS[3]
+    filled = {p: params.get(p, Fraction(0)) for p in PARAM_NAMES}
+    filled["alpha11"] = Fraction(1)
+    with pytest.raises(FormatError):
         derive_alphas(ps, filled)
 
 
