@@ -62,11 +62,17 @@ def main():
 # -- shared file readers -------------------------------------------------------
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s: not UTF-8 text: %s" % (path, exc))
+
+
 def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
     lines = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))
@@ -255,8 +261,7 @@ def _load_system(reference):
         raise FormatError(
             "%r is neither a case tag (%s) nor a system file"
             % (reference, ", ".join(CASE_TAGS)))
-    with open(reference, "r", encoding="utf-8") as handle:
-        return parse_system(handle.read())
+    return parse_system(_read_text(reference))
 
 
 @main.command("check-solution")
@@ -270,8 +275,7 @@ def check_solution_command(system_ref, assignment_file):
     for every parameter and alpha unknown the system uses.
     """
     system = _load_system(system_ref)
-    with open(assignment_file, "r", encoding="utf-8") as handle:
-        assignment = parse_assignment(handle.read())
+    assignment = parse_assignment(_read_text(assignment_file))
     result = check_solution(system, assignment)
     if result.ok:
         click.echo("all %d equations satisfied" % len(system.equations))

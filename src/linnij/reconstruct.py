@@ -260,14 +260,11 @@ class LinearitySystem(Record):
         alphas = self.alpha_indices()
         return [eq for eq in self.equations if not _involves(eq.poly, alphas)]
 
-    def used_variable_indices(self) -> list[int]:
-        used = set()
-        for eq in self.equations:
-            for exps in eq.poly.terms:
-                for i, e in enumerate(exps):
-                    if e:
-                        used.add(i)
-        return sorted(used)
+    def top_exponents(self) -> list[int]:
+        """The highest exponent of each variable over all equations."""
+        rows = [(0,) * len(self.names)]
+        rows += [exps for eq in self.equations for exps in eq.poly.terms]
+        return [max(column) for column in zip(*rows)]
 
     def geo_names(self) -> list[str]:
         return list(self.names[: self.ngeo])
@@ -396,6 +393,8 @@ def parse_system(text: str) -> LinearitySystem:
         if poly_text.endswith("= 0"):
             poly_text = poly_text[: -len("= 0")].strip()
         poly = parse_poly(poly_text, names)
+        if _involves(poly, range(len(geo_names))):
+            raise FormatError("equation names a geometric variable: %r" % line)
         equations.append(Equation(entry, row, col, terms[0][0], poly))
     if case is None or not names:
         raise FormatError("system listing is missing its header")
@@ -445,7 +444,9 @@ def check_solution(
     """Substitute one candidate solution and report the nonzero residuals.
 
     The assignment must cover every parameter and alpha unknown that occurs
-    in the system; unknown or missing names are errors, not failures.
+    in the system; unknown or missing names are errors, not failures.  The
+    equations must not involve the geometric variables.  Each assigned
+    value's powers are computed once and serve every equation.
     """
     index_of = {name: i for i, name in enumerate(system.names)}
     values = {}
@@ -455,19 +456,43 @@ def check_solution(
         if index_of[name] < system.ngeo:
             raise FormatError("cannot assign a geometric variable %r" % name)
         values[index_of[name]] = _coerce_value(value)
-    used = [i for i in system.used_variable_indices() if i >= system.ngeo]
-    missing = [system.names[i] for i in used if i not in values]
+    top = system.top_exponents()
+    geometric = [name for name, e in zip(system.geo_names(), top) if e]
+    if geometric:
+        raise FormatError(
+            "equations involve the geometric variables: %s" % ", ".join(geometric)
+        )
+    missing = [
+        name for i, name in enumerate(system.names) if top[i] and i not in values
+    ]
     if missing:
         raise FormatError(
             "assignment is missing values for: %s" % ", ".join(missing)
         )
+    # powers[i][e] is value_i ** e up to the highest exponent of variable i;
+    # it is None where value_i is zero, so every term it divides vanishes,
+    # and where variable i occurs in no equation
+    powers: list[list[Scalar] | None] = [None] * len(system.names)
+    for i, value in values.items():
+        if value:
+            row = [ONE]
+            for _ in range(top[i]):
+                row.append(row[-1] * value)
+            powers[i] = row
     residuals = []
     for eq in system.equations:
-        result = eq.poly.substitute(values)
-        value = result.constant_value()
-        if not value.is_zero():
+        total = ZERO
+        for exps, coeff in eq.poly.terms.items():
+            for row, e in zip(powers, exps):
+                if e:
+                    if row is None:
+                        break
+                    coeff = coeff * row[e]
+            else:
+                total = total + coeff
+        if not total.is_zero():
             residuals.append(
-                Residual(eq.entry, eq.row, eq.col, eq.monomial, value)
+                Residual(eq.entry, eq.row, eq.col, eq.monomial, total)
             )
     return CheckResult(not residuals, residuals)
 

@@ -7,6 +7,14 @@ grammar plus ordinary whitespace, parenthesised subexpressions and ``^``
 powers, and is shared by every file format in the package: what the CLI
 and the catalog emit, they can read back.
 
+A term is built where it is read.  A run of integer and variable factors
+(``c*x^e*y^f*...``, the shape of every rendered term with a rational
+coefficient) goes straight into one rational coefficient and one exponent
+list, and each sum adds its terms into one dict that becomes its
+polynomial.  Only a parenthesised, ``sqrt()`` or negated factor is a
+:class:`~linnij.polyring.Poly` of its own, multiplied into its term by
+polynomial arithmetic.
+
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
 
@@ -98,23 +106,16 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+_TOKEN = re.compile(r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()])|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise FormatError("unexpected character %r in %r" % (text[pos], text))
-        pos = m.end()
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
+def _tokenize(text: str) -> list[str]:
+    """Token strings: an int literal, a name or a one-character operator."""
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        # the \S branch matched a character that starts no token
+        bad = next(m for m in _TOKEN.finditer(text) if m.group(1) is None)
+        raise FormatError("unexpected character %r in %r" % (text[bad.start()], text))
     return tokens
 
 
@@ -129,111 +130,140 @@ def _int_literal(digits: str) -> int:
 
 
 class _Parser:
-    """Recursive-descent parser over + - * / ^ ( ) int name, producing a Poly."""
+    """Recursive-descent parser over + - * / ^ ( ) int name, producing a Poly.
+
+    Terms are built as they are read; see the module docstring.
+    """
 
     def __init__(self, tokens, nvars, index_of):
-        self.tokens = tokens
+        # the None sentinel ends the input; every rule that takes it raises
+        self.tokens = tokens + [None]
         self.pos = 0
         self.nvars = nvars
         self.index_of = index_of
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
     def take(self):
-        tok = self.peek()
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect_op(self, op):
-        kind, value = self.take()
-        if kind != "op" or value != op:
+    def expect(self, op):
+        if self.take() != op:
             raise FormatError("expected %r" % op)
 
     def parse(self) -> Poly:
         result = self.sum_expr()
-        if self.pos != len(self.tokens):
+        if self.pos != len(self.tokens) - 1:
             raise FormatError("trailing input after polynomial")
         return result
 
     def sum_expr(self) -> Poly:
-        kind, value = self.peek()
+        acc: dict[tuple[int, ...], Scalar] = {}
         negate = False
-        if kind == "op" and value in "+-":
-            self.take()
-            negate = value == "-"
-        acc = self.product_expr()
-        if negate:
-            acc = -acc
+        if self.tokens[self.pos] in ("+", "-"):
+            negate = self.take() == "-"
         while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.product_expr()
-                acc = acc - rhs if value == "-" else acc + rhs
-            else:
-                return acc
+            self.add_term(acc, negate)
+            if self.tokens[self.pos] not in ("+", "-"):
+                return Poly._new(self.nvars, {e: c for e, c in acc.items() if c})
+            negate = self.take() == "-"
 
-    def product_expr(self) -> Poly:
-        acc = self.power_expr()
+    def add_term(self, acc, negate):
+        """Parse one product and add it, negated if asked, into ``acc``."""
+        coeff, exps, rest = self.product_expr()
+        if negate:
+            coeff = -coeff
+        if rest is None:
+            terms = ((tuple(exps), Scalar._coerce(coeff)),)
+        else:
+            if coeff != 1 or any(exps):
+                rest = rest * Poly.monomial(self.nvars, exps, coeff)
+            terms = rest.terms.items()
+        for key, value in terms:
+            cur = acc.get(key)
+            acc[key] = value if cur is None else cur + value
+
+    def product_expr(self):
+        """One product as (rational coefficient, exponent list, rest): ``rest``
+        is the product of the factors :meth:`atom` gives as a Poly, or None."""
+        coeff = 1
+        exps = [0] * self.nvars
+        rest = None
+        divide = False
         while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.power_expr()
-                if value == "*":
-                    acc = acc * rhs
-                else:
+            base, exponent = self.power_expr()
+            if isinstance(base, Poly):
+                factor = base ** exponent
+                if divide:
                     try:
-                        divisor = rhs.constant_value()
+                        divisor = factor.constant_value()
                     except ValueError:
                         raise FormatError("can only divide by a constant")
-                    acc = acc * Poly.constant(self.nvars, divisor.inverse())
+                    factor = Poly.constant(self.nvars, divisor.inverse())
+                rest = factor if rest is None else rest * factor
+            elif isinstance(base, str):
+                if divide and exponent:
+                    raise FormatError("can only divide by a constant")
+                exps[self.index_of[base]] += exponent
+            elif divide:
+                coeff = Fraction(coeff) / base ** exponent
             else:
-                return acc
+                coeff *= base ** exponent
+            if self.tokens[self.pos] not in ("*", "/"):
+                return coeff, exps, rest
+            divide = self.take() == "/"
 
-    def power_expr(self) -> Poly:
+    def power_expr(self):
+        """One factor as (base, exponent), the base as :meth:`atom` gives it."""
         base = self.atom()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value = self.take()
-            if kind != "int":
-                raise FormatError("exponent must be an integer")
-            return base ** _int_literal(value)
-        return base
+        if self.tokens[self.pos] != "^":
+            return base, 1
+        self.take()
+        token = self.take()
+        if token is None or not token[0].isdigit():
+            raise FormatError("exponent must be an integer")
+        return base, _int_literal(token)
 
-    def atom(self) -> Poly:
-        kind, value = self.take()
-        if kind == "int":
-            return Poly.constant(self.nvars, Scalar(_int_literal(value)))
-        if kind == "op" and value == "(":
+    def as_poly(self, base) -> Poly:
+        if isinstance(base, Poly):
+            return base
+        if isinstance(base, str):
+            return Poly.variable(self.nvars, self.index_of[base])
+        return Poly.constant(self.nvars, Scalar(base))
+
+    def atom(self):
+        """An int for a literal, the name for a variable, else a Poly."""
+        token = self.take()
+        if token is None:
+            raise FormatError("unexpected token None")
+        if token[0].isdigit():
+            return _int_literal(token)
+        if token == "(":
             inner = self.sum_expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
-        if kind == "op" and value == "-":
-            return -self.atom()
-        if kind == "name":
-            if value == "sqrt":
-                self.expect_op("(")
-                kind, inner = self.take()
-                if kind != "int":
-                    raise FormatError("sqrt() takes an integer radicand")
-                self.expect_op(")")
-                try:
-                    radicand = _int_literal(inner)
-                    if radicand > MAX_RADICAND:
-                        raise FormatError("sqrt() radicand %s exceeds the limit %d"
-                                          % (inner, MAX_RADICAND))
-                    root = Scalar(0, 1, radicand)
-                except ValueError as exc:
-                    raise FormatError(str(exc))
-                return Poly.constant(self.nvars, root)
-            index = self.index_of.get(value)
-            if index is None:
-                raise FormatError("unknown variable %r" % value)
-            return Poly.variable(self.nvars, index)
-        raise FormatError("unexpected token %r" % (value,))
+        if token == "-":
+            return -self.as_poly(self.atom())
+        if token == "sqrt":
+            self.expect("(")
+            inner = self.take()
+            if inner is None or not inner[0].isdigit():
+                raise FormatError("sqrt() takes an integer radicand")
+            self.expect(")")
+            try:
+                radicand = _int_literal(inner)
+                if radicand > MAX_RADICAND:
+                    raise FormatError("sqrt() radicand %s exceeds the limit %d"
+                                      % (inner, MAX_RADICAND))
+                root = Scalar(0, 1, radicand)
+            except ValueError as exc:
+                raise FormatError(str(exc))
+            return Poly.constant(self.nvars, root)
+        if token[0] == "_" or token[0].isalpha():
+            if token not in self.index_of:
+                raise FormatError("unknown variable %r" % token)
+            return token
+        raise FormatError("unexpected token %r" % (token,))
 
 
 def parse_poly(text: str, names: list[str]) -> Poly:

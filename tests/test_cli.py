@@ -301,6 +301,7 @@ FIRST_EQUATION_EDITS = {
     "position-huge": ("(2,1)", "(%s,1)" % ("1" * 5000)),
     "monomial-sum": (" x1^4 ", " x1+x2 "),
     "monomial-zero": (" x1^4 ", " 0 "),
+    "geometric-variable": (" = 0", " + x1 = 0"),
 }
 
 
@@ -333,6 +334,29 @@ def test_check_solution_rejects_malformed_listing(runner, tmp_path, kind):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("role", ["sigmas", "listing", "assignment"])
+def test_input_that_is_not_utf8_exits_2(runner, tmp_path, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    listing = tmp_path / "system.txt"
+    assert runner.invoke(
+        main, ["gen-system", "1.1", "--out", str(listing)]
+    ).exit_code == 0
+    name, params, alphas, _, _ = CASE11_SOLUTIONS[0]
+    assignment = tmp_path / "solution.txt"
+    write_assignment(assignment, full_assignment(params, alphas))
+    args = {
+        "sigmas": ["reconstruct", str(bad)],
+        "listing": ["check-solution", str(bad), str(assignment)],
+        "assignment": ["check-solution", str(listing), str(bad)],
+    }[role]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "%s: not UTF-8 text: 'utf-8' codec can't decode " \
+        "byte 0xff in position 0: invalid start byte\n" % bad
 
 
 # -- generalize ------------------------------------------------------------------

@@ -20,6 +20,8 @@ from linnij.polymatrix import charpoly_sigmas
 from linnij.reconstruct import (
     CASE_TAGS,
     PARAM_NAMES,
+    Equation,
+    LinearitySystem,
     check_solution,
     dependent_sigma_indices,
     derive_alphas,
@@ -258,17 +260,21 @@ def test_listings_are_pinned():
 
 
 def test_system_listing_round_trip():
-    system = generate_linearity_system(param_sigmas("4.1"))
-    text = system.to_text()
-    assert text.startswith("# linearity system\n# case: 4.1\n")
-    assert text.endswith("\n")
-    back = parse_system(text)
-    assert back.case == system.case
-    assert back.names == system.names
-    assert back.ngeo == system.ngeo
-    assert back.equations == system.equations
-    # parsed systems do not carry the generation context
-    assert back.sigmas is None
+    # all ten listings: the eight cases and both two-dimensional systems
+    sets = [param_sigmas(tag) for tag in CASE_TAGS if tag != "2"]
+    sets += [param_sigmas_2d(1), param_sigmas_2d(-1)]
+    for ps in sets:
+        system = generate_linearity_system(ps)
+        text = system.to_text()
+        assert text.startswith("# linearity system\n# case: %s\n" % ps.case)
+        assert text.endswith("\n")
+        back = parse_system(text)
+        assert back.case == system.case
+        assert back.names == system.names
+        assert back.ngeo == system.ngeo
+        assert back.equations == system.equations
+        # parsed systems do not carry the generation context
+        assert back.sigmas is None
 
 
 def test_parse_system_rejects_garbage():
@@ -304,6 +310,49 @@ def test_perturbed_solution_fails():
     witness = result.residuals[0]
     assert witness.entry.startswith("P")
     assert not witness.value.is_zero()
+
+
+def test_check_solution_matches_substitution():
+    # the power-table evaluation against Poly.substitute, equation by equation
+    rng = random.Random(47)
+    root3 = Scalar(0, 1, 3)
+    for ps in (param_sigmas("1.1"), param_sigmas("4.2"), param_sigmas_2d(-1)):
+        system = generate_linearity_system(ps)
+        symbols = system.names[system.ngeo:]
+        for _ in range(4):
+            assignment = {
+                name: rng.choice([Scalar(0), Scalar(0), Scalar(rng.randint(-3, 3)),
+                                  Scalar(Fraction(rng.randint(-5, 5), 7)),
+                                  root3 * rng.randint(1, 2)])
+                for name in symbols
+            }
+            values = {system.names.index(k): v for k, v in assignment.items()}
+            expected = []
+            for eq in system.equations:
+                value = eq.poly.substitute(values).constant_value()
+                if not value.is_zero():
+                    expected.append((eq.entry, eq.row, eq.col, eq.monomial, value))
+            result = check_solution(system, assignment)
+            assert [(r.entry, r.row, r.col, r.monomial, r.value)
+                    for r in result.residuals] == expected
+            assert result.ok == (not expected)
+
+
+def test_geometric_variable_in_an_equation_is_rejected():
+    system = generate_linearity_system(param_sigmas_2d(1))
+    text = system.to_text()
+    assert text.count(" = 0\n") == len(system.equations)
+    with pytest.raises(FormatError, match="equation names a geometric variable"):
+        parse_system(text.replace(" = 0\n", " + x2 = 0\n", 1))
+    # a system built by hand reaches check_solution unparsed
+    eq = system.equations[0]
+    bad_eq = Equation(eq.entry, eq.row, eq.col, eq.monomial,
+                      eq.poly + Poly.variable(len(system.names), 0))
+    hand_built = LinearitySystem(system.case, system.names, system.ngeo,
+                                 [bad_eq] + system.equations[1:], None)
+    assignment = {name: 0 for name in system.names[system.ngeo:]}
+    with pytest.raises(FormatError, match="geometric variables: x1$"):
+        check_solution(hand_built, assignment)
 
 
 def test_check_solution_rejects_bad_names():

@@ -92,14 +92,161 @@ def test_parse_division_by_constant():
     assert parse_poly("x1/3", names) == parse_poly("1/3*x1", names)
 
 
+PARSE_ERRORS = [
+    # (input, message), the messages as the parser has always given them
+    ("x3", "unknown variable 'x3'"),
+    ("foo", "unknown variable 'foo'"),
+    ("x1 +", "unexpected token None"),
+    ("", "unexpected token None"),
+    ("x1**2", "unexpected token '*'"),
+    ("x1 + )", "unexpected token ')'"),
+    ("x1^", "exponent must be an integer"),
+    ("x1^x2", "exponent must be an integer"),
+    ("x1^-1", "exponent must be an integer"),
+    ("(x1", "expected ')'"),
+    ("sqrt(3", "expected ')'"),
+    ("sqrt", "expected '('"),
+    ("x1)", "trailing input after polynomial"),
+    ("x1 x2", "trailing input after polynomial"),
+    ("1/(0)", "division by zero in '1/(0)'"),
+    ("3/0", "division by zero in '3/0'"),
+    ("x1/x2", "can only divide by a constant"),
+    ("x1/(x2 + 1)", "can only divide by a constant"),
+    ("sqrt(12)", "radicand 12 is not square-free"),
+    ("sqrt(0)", "irrational part requires a nonzero radicand"),
+    ("sqrt(x1)", "sqrt() takes an integer radicand"),
+    ("sqrt()", "sqrt() takes an integer radicand"),
+    ("sqrt(1000000000000000000000000000057)",
+     "sqrt() radicand 1000000000000000000000000000057 exceeds the limit "
+     "1000000000000"),
+    ("x1 ? 2", "unexpected character ' ' in 'x1 ? 2'"),
+    ("x1?", "unexpected character '?' in 'x1?'"),
+    ("1" * 5000,
+     "integer literal of 5000 digits is longer than the interpreter converts"),
+    ("x1^" + "9" * 5000,
+     "integer literal of 5000 digits is longer than the interpreter converts"),
+]
+
+
 def test_parse_errors():
     names = default_names(2)
-    bad = ["x3", "x1 +", "x1^", "x1^x2", "(x1", "x1)", "", "1/(0)",
-           "x1**2", "sqrt(12)", "sqrt(x1)", "foo",
-           "sqrt(1000000000000000000000000000057)"]
-    for text in bad:
-        with pytest.raises(FormatError):
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(FormatError) as info:
             parse_poly(text, names)
+        assert str(info.value) == message
+
+
+def test_duplicate_names_rejected():
+    with pytest.raises(FormatError) as info:
+        parse_poly("x1", ["x1", "x1"])
+    assert str(info.value) == "duplicate variable names"
+
+
+def test_unary_minus_precedence():
+    names = default_names(2)
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    # a leading sign negates the whole first product ...
+    assert parse_poly("-x1^2", names) == -(x1 ** 2)
+    assert parse_poly("+-x1", names) == -x1
+    # ... while a negated factor is one atom, raised as a whole
+    assert parse_poly("x1*-x2^2", names) == x1 * x2 ** 2
+    assert parse_poly("x1 - -x2^2", names) == x1 - x2 ** 2
+
+
+# -- the parser against an independent oracle -----------------------------------
+#
+# A random expression is built twice: as text, and as its value by Poly
+# arithmetic.  Each text is tagged with the loosest grammar level it parses
+# at as a whole (sum < product < power < atom), and is parenthesised where
+# an operator needs a tighter one.
+
+SUM, PRODUCT, POWER, ATOM = range(4)
+ORACLE_NAMES = ["x", "y_2", "b_11"]
+ROOT3 = Scalar(0, 1, 3)
+
+
+def _at(level, expr, rng):
+    text, value, has = expr
+    if has < level:
+        text = "(" + text + ")" if rng.random() < 0.8 else "( " + text + " )"
+    return text, value
+
+
+def _join(rng, *parts):
+    return "".join(part + rng.choice(["", "", " "]) for part in parts).strip()
+
+
+def _leaf(rng):
+    nvars = len(ORACLE_NAMES)
+    roll = rng.random()
+    if roll < 0.55:
+        i = rng.randrange(nvars)
+        return ORACLE_NAMES[i], Poly.variable(nvars, i), ATOM
+    if roll < 0.9:
+        k = rng.randint(0, 12)
+        return str(k), Poly.constant(nvars, k), ATOM
+    return "sqrt(3)", Poly.constant(nvars, ROOT3), ATOM
+
+
+def _divisor(rng):
+    nvars = len(ORACLE_NAMES)
+    k = rng.randint(1, 9)
+    return rng.choice([
+        (str(k), Poly.constant(nvars, k), ATOM),
+        ("sqrt(3)", Poly.constant(nvars, ROOT3), ATOM),
+        ("%d^2" % k, Poly.constant(nvars, k * k), POWER),
+        ("(%d + sqrt(3))" % k, Poly.constant(nvars, ROOT3 + k), ATOM),
+    ])
+
+
+def random_expression(rng, depth):
+    """(text, value, level) for a random expression of at most ``depth``."""
+    if depth == 0 or rng.random() < 0.2:
+        return _leaf(rng)
+    kind = rng.choice(["sum", "difference", "product", "product", "quotient",
+                       "power", "negation", "sign"])
+    a = random_expression(rng, depth - 1)
+    if kind in ("sum", "difference"):
+        left, lv = _at(SUM, a, rng)
+        right, rv = _at(PRODUCT, random_expression(rng, depth - 1), rng)
+        if kind == "sum":
+            return _join(rng, left, "+", right), lv + rv, SUM
+        return _join(rng, left, "-", right), lv - rv, SUM
+    if kind == "product":
+        left, lv = _at(PRODUCT, a, rng)
+        right, rv = _at(POWER, random_expression(rng, depth - 1), rng)
+        return _join(rng, left, "*", right), lv * rv, PRODUCT
+    if kind == "quotient":
+        left, lv = _at(PRODUCT, a, rng)
+        right, rv = _at(POWER, _divisor(rng), rng)
+        inverse = rv.constant_value().inverse()
+        return _join(rng, left, "/", right), lv * inverse, PRODUCT
+    if kind == "power":
+        # a negated base is bracketed: "-x^2" means -(x^2) at the start of
+        # a sum but (-x)^2 inside a product
+        level = ATOM + 1 if a[0].startswith("-") else ATOM
+        base, bv = _at(level, a, rng)
+        e = rng.randint(0, 3)
+        return _join(rng, base, "^", str(e)), bv ** e, POWER
+    if kind == "negation":
+        inner, iv = _at(ATOM, a, rng)
+        return _join(rng, "-", inner), -iv, ATOM
+    # an explicit leading sign on a whole sum
+    inner, iv = _at(SUM, a, rng)
+    if inner.startswith("+"):
+        return inner, iv, SUM
+    return _join(rng, "+", inner), iv, SUM
+
+
+def test_parse_matches_poly_arithmetic_oracle():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(600):
+        text, value, _ = random_expression(rng, rng.randint(1, 5))
+        kinds.update(ch for ch in text if ch in "()^-/*+")
+        assert parse_poly(text, ORACLE_NAMES) == value, text
+    # the seed reaches every operator of the grammar
+    assert kinds == set("()^-/*+")
 
 
 def test_division_by_polynomial_rejected():
