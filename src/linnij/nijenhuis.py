@@ -24,7 +24,7 @@ from .exactfield import Scalar, ZERO
 from .record import Record
 
 
-class StructureConstants:
+class StructureConstants(Record):
     """Rank-3 array of exact scalars defining a bilinear product.
 
     ``a[i][j][k]`` is the eta_k-component of eta_i * eta_j: first index is
@@ -43,13 +43,9 @@ class StructureConstants:
             for row in plane:
                 if len(row) != n:
                     raise DimensionMismatchError("structure constants must be cubic")
-                rows.append([v if isinstance(v, Scalar) else Scalar(v) for v in row])
-            coerced.append(rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", coerced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureConstants is immutable")
+                rows.append(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in row))
+            coerced.append(tuple(rows))
+        super().__init__(n, tuple(coerced))
 
     @staticmethod
     def zero(n: int) -> "StructureConstants":
@@ -82,16 +78,6 @@ class StructureConstants:
                     if not v.is_zero():
                         out.append((i + 1, j + 1, k + 1, v))
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.n == other.n and self.a == other.a
-
-    def __hash__(self):
-        return hash(
-            tuple(tuple(tuple(row) for row in plane) for plane in self.a)
-        )
 
     def __repr__(self):
         return "StructureConstants(n=%d, %d nonzero)" % (
@@ -296,21 +282,16 @@ _CERTIFICATE_POINTS = 3
 _CERTIFICATE_RANGE = (-1000, 1000)
 
 
-def is_differentially_nondegenerate(
-    sigmas: Sequence[Poly], wrt: Sequence[int] | None = None
-) -> bool:
+def is_differentially_nondegenerate(sigmas: Sequence[Poly]) -> bool:
     """True when the Jacobian determinant of the sigmas is not the zero
     polynomial, i.e. the differentials are independent almost everywhere.
-
-    ``wrt`` restricts differentiation to the given variable indices (used
-    when the coefficient ring carries extra parameter variables).
 
     The Jacobian is first evaluated at a few seeded integer points covering
     every variable; a nonzero exact determinant there proves the symbolic
     one nonzero (Schwartz, J. ACM 1980).  Only when every point gives zero
     is the symbolic determinant expanded, so both answers are exact.
     """
-    jac = jacobian(sigmas, wrt)
+    jac = jacobian(sigmas)
     for point in _certificate_points(jac.nvars):
         values = [[p.evaluate(point) for p in row] for row in jac.entries]
         if not scalar_mat_det(values).is_zero():

@@ -1,13 +1,17 @@
 """Matrices of polynomials and exact scalar linear algebra.
 
-Determinants and adjugates are computed fraction-free (Bareiss): every
-intermediate entry is a minor of the input, and each division step is exact
-in the polynomial ring.  Characteristic coefficients use Berkowitz's
-division-free algorithm instead, in the operator's own ring.  Bareiss stays
-for the determinant because Berkowitz swells more on dense Jacobians such
-as those of the sigmas.  A plain cofactor expansion is kept alongside as an
-independent cross-check route; callers that verify results should compare
-against it rather than trust one path.
+One fraction-free elimination (Bareiss) reduces a matrix one row at a time
+against the pivot rows above it.  Every intermediate entry is a minor of
+the input, so each division step is exact, in the polynomial ring as in
+the scalar field.  It gives the polynomial determinant, each cofactor of
+the adjugate, the scalar determinant and the dependence test
+:meth:`PolyMatrix.dependent_rows`.  Characteristic coefficients use
+Berkowitz's division-free algorithm instead, in the operator's own ring.
+Bareiss stays for the determinant because Berkowitz swells more on dense
+Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
+alongside as an independent cross-check route; callers that verify results
+should compare against it rather than trust one path.  The scalar inverse
+keeps its own Gauss-Jordan elimination, which carries the identity along.
 
 Every other sum of products here, the matrix products included, goes
 through :func:`linnij.polyring.dot`, which skips zero factors.
@@ -15,20 +19,23 @@ through :func:`linnij.polyring.dot`, which skips zero factors.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import DivisibilityFailure, Poly, dot, exact_divide
 from .exactfield import ONE, ZERO, Scalar
+from .record import Record
 
 
-class PolyMatrix:
-    """A rectangular matrix of :class:`Poly` entries over one shared ring."""
+class PolyMatrix(Record):
+    """A rectangular matrix of :class:`Poly` entries over one shared ring,
+    held as a tuple of row tuples."""
 
     __slots__ = ("rows", "cols", "nvars", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
-        entries = [list(row) for row in entries]
+        entries = tuple(tuple(row) for row in entries)
         if not entries or not entries[0]:
             raise DimensionMismatchError("empty matrix")
         cols = len(entries[0])
@@ -39,13 +46,7 @@ class PolyMatrix:
             for entry in row:
                 if entry.nvars != nvars:
                     raise DimensionMismatchError("mixed variable counts")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
+        super().__init__(len(entries), cols, nvars, entries)
 
     def __getitem__(self, key):
         i, j = key
@@ -53,18 +54,6 @@ class PolyMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.entries))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows or self.nvars != other.nvars:
@@ -84,47 +73,19 @@ class PolyMatrix:
             raise DimensionMismatchError("square matrix required")
 
     def determinant(self) -> Poly:
-        """Fraction-free (Bareiss) determinant; divisions are exact minors."""
+        """Fraction-free determinant; every division is an exact minor."""
         self._require_square()
-        n = self.rows
-        a = [row[:] for row in self.entries]
-        sign = 1
-        prev = Poly.constant(self.nvars, ONE)
-        for k in range(n - 1):
-            pivot_row = None
-            for r in range(k, n):
-                if not a[r][k].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return Poly.zero(self.nvars)
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    numerator = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    quotient = exact_divide(numerator, prev)
-                    if isinstance(quotient, DivisibilityFailure):
-                        raise LinnijError("internal: fraction-free step failed to divide")
-                    a[i][j] = quotient
-                a[i][k] = Poly.zero(self.nvars)
-            prev = a[k][k]
-        result = a[n - 1][n - 1]
-        return result if sign > 0 else -result
+        return _det(self.entries, Poly.zero(self.nvars), _divide_step)
 
     def determinant_cofactor(self) -> Poly:
         """Cofactor-expansion determinant, the independent slow route."""
         self._require_square()
         return _cofactor_det(self.entries)
 
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        rows = [
-            [p for j, p in enumerate(row) if j != drop_col]
-            for i, row in enumerate(self.entries)
-            if i != drop_row
-        ]
-        return PolyMatrix(rows)
+    def dependent_rows(self) -> list[int]:
+        """0-based indices of the rows that depend on the rows above them."""
+        pivots = _bareiss(self.entries, Poly.zero(self.nvars), _divide_step)
+        return [i for i, pivot in enumerate(pivots) if pivot is None]
 
     def adjugate(self) -> "PolyMatrix":
         """Transposed cofactor matrix, satisfying M @ adj(M) == det(M) * I."""
@@ -132,14 +93,78 @@ class PolyMatrix:
         n = self.rows
         if n == 1:
             return PolyMatrix([[Poly.constant(self.nvars, ONE)]])
+        zero = Poly.zero(self.nvars)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
+            rest = self.entries[:i] + self.entries[i + 1 :]
             for j in range(n):
-                cof = self.minor(i, j).determinant()
-                if (i + j) % 2:
-                    cof = -cof
-                out[j][i] = cof  # transposed position
+                cof = _det([row[:j] + row[j + 1 :] for row in rest], zero, _divide_step)
+                out[j][i] = -cof if (i + j) % 2 else cof  # transposed position
         return PolyMatrix(out)  # type: ignore[arg-type]
+
+
+def _divide_step(p: Poly, q: Poly) -> Poly:
+    quotient = exact_divide(p, q)
+    if isinstance(quotient, DivisibilityFailure):
+        raise LinnijError("internal: fraction-free step failed to divide")
+    return quotient
+
+
+def _bareiss(rows, zero, divide):
+    """Fraction-free elimination, one row at a time (Bareiss, Math. Comp. 22,
+    1968); yields each row's pivot as (column, value), or None for a row
+    that depends on the rows above it.
+
+    Each row is reduced against the pivot rows above it, in order: the step
+    against a pivot row with pivot p in column c replaces every entry v by
+    (p*v - row[c]*w) / p', with w the pivot row's entry in v's column and
+    p' the pivot of the step before; the first step divides by nothing.
+    Every reduced entry is a minor of the input, so ``divide`` (exact
+    division in the entries' ring) never leaves a remainder.  A row's pivot
+    is its first nonzero entry once reduced; a row that reduces to zero is
+    not a pivot row.  The pivot column, and every entry whose two operands
+    are zero, becomes zero without arithmetic.
+    """
+    pivots = []
+    for row in rows:
+        previous = None
+        for pivot_row, c, p in pivots:
+            f = row[c]
+            reduced = []
+            for j, (v, w) in enumerate(zip(row, pivot_row)):
+                if j == c:
+                    v = zero
+                elif f and w:
+                    v = p * v - f * w if v else -(f * w)
+                elif v:
+                    v = p * v
+                if v and previous is not None:
+                    v = divide(v, previous)
+                reduced.append(v)
+            row = reduced
+            previous = p
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is None:
+            yield None
+        else:
+            pivots.append((row, c, row[c]))
+            yield c, row[c]
+
+
+def _det(rows, zero, divide):
+    """Determinant of a square matrix by :func:`_bareiss`: zero when a row
+    depends on the ones above, else the last pivot times the sign of the
+    pivot-column permutation."""
+    columns = []
+    sign = 1
+    for pivot in _bareiss(rows, zero, divide):
+        if pivot is None:
+            return zero
+        c, last = pivot
+        if sum(d > c for d in columns) % 2:
+            sign = -sign
+        columns.append(c)
+    return last if sign > 0 else -last
 
 
 def _cofactor_det(entries: list[list[Poly]]) -> Poly:
@@ -264,25 +289,5 @@ def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]
 
 
 def scalar_mat_det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        scale = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * scale
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return det
+    """Determinant over the exact scalar field, by the shared elimination."""
+    return _det(matrix, ZERO, operator.truediv)

@@ -31,7 +31,6 @@ from .polymatrix import (
     PolyMatrix,
     companion_matrix,
     jacobian,
-    scalar_mat_det,
     scalar_mat_inverse,
     scalar_mat_mul,
 )
@@ -51,28 +50,14 @@ def _involves(p: Poly, indices: Sequence[int]) -> bool:
 def dependent_sigma_indices(sigmas: Sequence[Poly]) -> list[int]:
     """1-based positions whose differentials depend on the previous rows.
 
-    The first len(sigmas) ring variables are the geometric ones.
-    Fraction-free row elimination on the Jacobian: a row that reduces to zero
-    against the rows above it names a functionally dependent sigma.
+    The first len(sigmas) ring variables are the geometric ones.  The rows
+    of the Jacobian are eliminated fraction-free, in order
+    (:meth:`~linnij.polymatrix.PolyMatrix.dependent_rows`): a row that
+    reduces to zero against the rows above it names a functionally
+    dependent sigma.
     """
-    geo = len(sigmas)
-    j = jacobian(sigmas, wrt=range(geo))
-    rows = [list(r) for r in j.entries]
-    pivots: list[tuple[int, int]] = []  # (row, column)
-    dependent = []
-    for i, row in enumerate(rows):
-        for p, c in pivots:
-            if not row[c].is_zero():
-                factor = row[c]
-                lead = rows[p][c]
-                row = [lead * row[m] - factor * rows[p][m] for m in range(geo)]
-        if all(v.is_zero() for v in row):
-            dependent.append(i + 1)
-        else:
-            rows[i] = row
-            col = next(m for m in range(geo) if not row[m].is_zero())
-            pivots.append((i, col))
-    return dependent
+    j = jacobian(sigmas, wrt=range(len(sigmas)))
+    return [i + 1 for i in j.dependent_rows()]
 
 
 class ReconstructionResult(Record):
@@ -703,8 +688,6 @@ def _canonical_poly(n: int, tag: str, alpha, signs) -> Poly:
 
 def _finish(s2: Poly, tag: str, alpha, signs, rows) -> Sigma2NormalForm:
     n = s2.nvars
-    if scalar_mat_det(rows).is_zero():
-        raise LinnijError("internal: singular reduction rows")
     change = scalar_mat_inverse(rows)
     canonical = _canonical_poly(n, tag, alpha, signs)
     if s2.substitute_linear(change) != canonical:

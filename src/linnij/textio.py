@@ -11,9 +11,11 @@ A term is built where it is read.  A run of integer and variable factors
 (``c*x^e*y^f*...``, the shape of every rendered term with a rational
 coefficient) goes straight into one rational coefficient and one exponent
 list, and each sum adds its terms into one dict that becomes its
-polynomial.  Only a parenthesised, ``sqrt()`` or negated factor is a
+polynomial.  Only a parenthesised or ``sqrt()`` factor is a
 :class:`~linnij.polyring.Poly` of its own, multiplied into its term by
-polynomial arithmetic.
+polynomial arithmetic.  A unary minus, at the start of a sum or before any
+factor of a product, flips the sign of its term, so ``^`` binds tighter
+than it everywhere: ``x1*-x2^2`` is ``-(x1*x2^2)``.
 
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
@@ -115,7 +117,7 @@ def _tokenize(text: str) -> list[str]:
     if "" in tokens:
         # the \S branch matched a character that starts no token
         bad = next(m for m in _TOKEN.finditer(text) if m.group(1) is None)
-        raise FormatError("unexpected character %r in %r" % (text[bad.start()], text))
+        raise FormatError("unexpected character %r in %r" % (text[bad.end() - 1], text))
     return tokens
 
 
@@ -191,6 +193,9 @@ class _Parser:
         rest = None
         divide = False
         while True:
+            while self.tokens[self.pos] == "-":
+                self.take()
+                coeff = -coeff
             base, exponent = self.power_expr()
             if isinstance(base, Poly):
                 factor = base ** exponent
@@ -224,13 +229,6 @@ class _Parser:
             raise FormatError("exponent must be an integer")
         return base, _int_literal(token)
 
-    def as_poly(self, base) -> Poly:
-        if isinstance(base, Poly):
-            return base
-        if isinstance(base, str):
-            return Poly.variable(self.nvars, self.index_of[base])
-        return Poly.constant(self.nvars, Scalar(base))
-
     def atom(self):
         """An int for a literal, the name for a variable, else a Poly."""
         token = self.take()
@@ -242,8 +240,6 @@ class _Parser:
             inner = self.sum_expr()
             self.expect(")")
             return inner
-        if token == "-":
-            return -self.as_poly(self.atom())
         if token == "sqrt":
             self.expect("(")
             inner = self.take()

@@ -1,0 +1,58 @@
+"""Every module of the package uses each name it imports.
+
+A name counts as used when the module reads it anywhere (attribute bases
+included) or lists it in ``__all__``, which is how the package root
+re-exports.  ``from __future__`` imports are directives, not names.
+"""
+
+import ast
+import pathlib
+
+import linnij
+
+PACKAGE = pathlib.Path(linnij.__file__).parent
+
+
+def imported_names(tree):
+    """(name, line) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source, filename):
+    tree = ast.parse(source, filename)
+    used = used_names(tree)
+    return ["%s:%d: %s" % (filename, line, name)
+            for name, line in imported_names(tree) if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 10
+    unused = []
+    for path in paths:
+        unused += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert unused == []
+
+
+def test_unused_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from typing import Sequence, Mapping as M\n"
+              "__all__ = ['Sequence']\n"
+              "x = os.sep\n")
+    assert unused_imports(source, "m.py") == ["m.py:3: M"]

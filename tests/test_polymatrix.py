@@ -16,6 +16,7 @@ from linnij.polymatrix import (
     scalar_mat_inverse,
     scalar_mat_mul,
 )
+from linnij.reconstruct import dependent_sigma_indices
 from linnij.textio import default_names, parse_poly
 
 
@@ -290,3 +291,131 @@ def test_scalar_matrix_inverse_seeded():
                     for i in range(n)]
         assert scalar_mat_mul(a, scalar_mat_inverse(a)) == identity
         done += 1
+
+
+# -- the shared elimination against the eliminations it replaced ----------------
+
+
+def reference_dependent_sigma_indices(sigmas):
+    """Division-free elimination of the Jacobian rows, as the package did
+    it before every elimination shared one routine."""
+    geo = len(sigmas)
+    j = jacobian(sigmas, wrt=range(geo))
+    rows = [list(r) for r in j.entries]
+    pivots = []  # (row, column)
+    dependent = []
+    for i, row in enumerate(rows):
+        for p, c in pivots:
+            if not row[c].is_zero():
+                factor = row[c]
+                lead = rows[p][c]
+                row = [lead * row[m] - factor * rows[p][m] for m in range(geo)]
+        if all(v.is_zero() for v in row):
+            dependent.append(i + 1)
+        else:
+            rows[i] = row
+            col = next(m for m in range(geo) if not row[m].is_zero())
+            pivots.append((i, col))
+    return dependent
+
+
+def reference_scalar_mat_det(matrix):
+    """Gauss elimination with row swaps, as the package did it before."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    det = Scalar(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if not a[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            return Scalar(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col]
+        scale = a[col][col].inverse()
+        for r in range(col + 1, n):
+            if a[r][col].is_zero():
+                continue
+            factor = a[r][col] * scale
+            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def planted_positions(rng, n):
+    """Positions 1..n-1 chosen to depend on the rows above them."""
+    return {k for k in range(1, n) if rng.random() < 0.3}
+
+
+def random_sparse_poly(rng, n):
+    q = Poly.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.randrange(n)] += 1
+        q = q + Poly.monomial(n, tuple(exps), Scalar(rng.randint(-3, 3)))
+    return q
+
+
+def test_dependent_sigmas_match_division_free_reference():
+    rng = random.Random(57)
+    planted = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            depends = planted_positions(rng, n)
+            order = rng.sample(range(n), n)
+            sigmas = []
+            for k in range(n):
+                if k in depends:
+                    # a polynomial in the sigmas above is functionally dependent
+                    a, b = rng.randrange(k), rng.randrange(k)
+                    sigmas.append(sigmas[a] * sigmas[b] + sigmas[b] * rng.randint(-2, 2))
+                else:
+                    # a shuffled variable keeps the unplanted rows independent
+                    # mostly, and moves the pivots off the diagonal
+                    sigmas.append(random_sparse_poly(rng, n)
+                                  + Poly.variable(n, order[k]))
+            expected = reference_dependent_sigma_indices(sigmas)
+            assert dependent_sigma_indices(sigmas) == expected, (n, sigmas)
+            assert {k + 1 for k in depends} <= set(expected)
+            planted += len(depends)
+            singular = jacobian(sigmas).determinant().is_zero()
+            assert singular == bool(expected)
+    assert planted >= 10
+
+
+def test_scalar_determinant_matches_gauss_reference():
+    rng = random.Random(58)
+    root3 = Scalar(0, 1, 3)
+    singular = 0
+    for n in range(2, 7):
+        for trial in range(20):
+            rows = []
+            depends = planted_positions(rng, n)
+            for k in range(n):
+                if k in depends:
+                    weights = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                               for _ in range(k)]
+                    rows.append([sum((w * row[j] for w, row in zip(weights, rows)),
+                                     Scalar(0)) for j in range(n)])
+                    continue
+                row = []
+                for _ in range(n):
+                    # zeros force pivots off the diagonal
+                    roll = rng.random()
+                    if roll < 0.35:
+                        row.append(Scalar(0))
+                    elif roll < 0.9 or trial % 2:
+                        row.append(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+                    else:
+                        row.append(root3 * rng.randint(-3, 3) + rng.randint(-3, 3))
+                rows.append(row)
+            expected = reference_scalar_mat_det(rows)
+            assert scalar_mat_det(rows) == expected, rows
+            if depends:
+                assert expected.is_zero()
+            singular += expected.is_zero()
+    assert 20 <= singular <= 80

@@ -93,7 +93,7 @@ def test_parse_division_by_constant():
 
 
 PARSE_ERRORS = [
-    # (input, message), the messages as the parser has always given them
+    # (input, message)
     ("x3", "unknown variable 'x3'"),
     ("foo", "unknown variable 'foo'"),
     ("x1 +", "unexpected token None"),
@@ -119,7 +119,7 @@ PARSE_ERRORS = [
     ("sqrt(1000000000000000000000000000057)",
      "sqrt() radicand 1000000000000000000000000000057 exceeds the limit "
      "1000000000000"),
-    ("x1 ? 2", "unexpected character ' ' in 'x1 ? 2'"),
+    ("x1 ? 2", "unexpected character '?' in 'x1 ? 2'"),
     ("x1?", "unexpected character '?' in 'x1?'"),
     ("1" * 5000,
      "integer literal of 5000 digits is longer than the interpreter converts"),
@@ -145,12 +145,12 @@ def test_duplicate_names_rejected():
 def test_unary_minus_precedence():
     names = default_names(2)
     x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    # a leading sign negates the whole first product ...
+    # ^ binds tighter than a unary minus, wherever the minus stands
     assert parse_poly("-x1^2", names) == -(x1 ** 2)
     assert parse_poly("+-x1", names) == -x1
-    # ... while a negated factor is one atom, raised as a whole
-    assert parse_poly("x1*-x2^2", names) == x1 * x2 ** 2
-    assert parse_poly("x1 - -x2^2", names) == x1 - x2 ** 2
+    assert parse_poly("x1*-x2^2", names) == -(x1 * x2 ** 2)
+    assert parse_poly("x1 - -x2^2", names) == x1 + x2 ** 2
+    assert parse_poly("x1/-2*x2", names) == x1 * x2 * Scalar(Fraction(-1, 2))
 
 
 # -- the parser against an independent oracle -----------------------------------
@@ -222,15 +222,13 @@ def random_expression(rng, depth):
         inverse = rv.constant_value().inverse()
         return _join(rng, left, "/", right), lv * inverse, PRODUCT
     if kind == "power":
-        # a negated base is bracketed: "-x^2" means -(x^2) at the start of
-        # a sum but (-x)^2 inside a product
-        level = ATOM + 1 if a[0].startswith("-") else ATOM
-        base, bv = _at(level, a, rng)
+        base, bv = _at(ATOM, a, rng)
         e = rng.randint(0, 3)
         return _join(rng, base, "^", str(e)), bv ** e, POWER
     if kind == "negation":
-        inner, iv = _at(ATOM, a, rng)
-        return _join(rng, "-", inner), -iv, ATOM
+        # a unary minus applies to the power after it: "-x^2" is -(x^2)
+        inner, iv = _at(POWER, a, rng)
+        return _join(rng, "-", inner), -iv, POWER
     # an explicit leading sign on a whole sum
     inner, iv = _at(SUM, a, rng)
     if inner.startswith("+"):
