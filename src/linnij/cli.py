@@ -219,8 +219,8 @@ def reconstruct(sigma_file, as_json):
             click.echo("  entry (%d,%d): remainder %s"
                        % (r, c, format_poly(rem, names)))
         raise SystemExit(0)
-    for row in result.linear_part.entries:
-        click.echo("; ".join(format_poly(p, names) for p in row))
+    click.echo("\n".join("; ".join(format_poly(p, names) for p in row)
+                         for row in result.linear_part.entries))
     click.echo("linear: %s"
                % ("yes" if operator_is_linear(result.linear_part) else "no"))
     raise SystemExit(0)
@@ -280,16 +280,17 @@ def check_solution_command(system_ref, assignment_file):
     if result.ok:
         click.echo("all %d equations satisfied" % len(system.equations))
         raise SystemExit(0)
-    click.echo("%d of %d equations violated"
-               % (len(result.residuals), len(system.equations)))
     geo = system.geo_names()
-    for res in result.residuals[:10]:
-        click.echo("  %s (%d,%d) %s :: %s"
-                   % (res.entry, res.row, res.col,
-                      _monomial_text(res.monomial, geo),
-                      format_scalar(res.value)))
+    # formatted in full first: a value too long to print leaves no partial report
+    lines = ["%d of %d equations violated"
+             % (len(result.residuals), len(system.equations))]
+    lines += ["  %s (%d,%d) %s :: %s"
+              % (res.entry, res.row, res.col, _monomial_text(res.monomial, geo),
+                 format_scalar(res.value))
+              for res in result.residuals[:10]]
     if len(result.residuals) > 10:
-        click.echo("  ... and %d more" % (len(result.residuals) - 10))
+        lines.append("  ... and %d more" % (len(result.residuals) - 10))
+    click.echo("\n".join(lines))
     raise SystemExit(1)
 
 

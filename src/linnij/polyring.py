@@ -16,10 +16,13 @@ coefficients are dropped.  Results of ring operations are built from terms
 the ring produced itself, through the private ``Poly._new``, and are not
 checked again.
 
-:func:`dot`, the sum of the pairwise products of two rows with zero factors
-skipped, is the one sum-of-products routine of the package: matrix
-products, the characteristic polynomial, the torsion, coordinate changes
-and linear forms are all built on it.
+Two private kernels add terms into a coefficient dict, dropping every sum that
+cancels: ``_add_terms`` (``+``, ``-``, :meth:`Poly.substitute`, the parser's
+sums) and ``_add_products`` (``*``, :func:`dot`, :func:`exact_divide`, the
+parser's bracketed terms).  :func:`dot`, the sum of the pairwise products of
+two rows with zero factors skipped, is the one sum-of-products routine: matrix
+products, the characteristic polynomial, the torsion, coordinate changes,
+linear forms and :meth:`Poly.substitute_linear` are built on it.
 """
 
 from __future__ import annotations
@@ -174,18 +177,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        acc: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(operator.add, e1, e2))
-                prod = c1 * c2
-                cur = acc.get(exps)
-                total = prod if cur is None else cur + prod
-                if total.is_zero():
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = total
-        return Poly._new(self.nvars, acc)
+        return Poly._new(self.nvars, _add_products({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -246,19 +238,17 @@ class Poly:
         ys = [Poly.variable(ncols, j) for j in range(ncols)]
         zero = Poly.zero(ncols)
         images = [dot(row, ys, zero) for row in matrix]
-        powers: list[dict[int, Poly]] = [dict() for _ in range(self.nvars)]
-        result = Poly.zero(ncols)
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(ncols, coeff)
+        powers: dict[tuple[int, int], Poly] = {}
+        monomials = []
+        for exps in self.terms:
+            monomial = Poly.constant(ncols, ONE)
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    monomial = monomial * powers[i, e]
+            monomials.append(monomial)
+        return dot(self.terms.values(), monomials, zero)
 
     def substitute(self, values: Mapping[int, Scalar]) -> "Poly":
         """Evaluate some variables at scalar values (others stay symbolic).
@@ -272,29 +262,20 @@ class Poly:
         if not self.terms:
             return Poly.zero(self.nvars)
         top = [max(column) for column in zip(*self.terms)]
-        powers = []
-        for i, value in values.items():
-            row = [ONE]
-            for _ in range(top[i]):
-                row.append(row[-1] * value)
-            powers.append((i, row))
-        acc: dict[Exponents, Scalar] = {}
+        powers = [(i, powers_of(value, top[i])) for i, value in values.items()]
+        images = []
         for exps, coeff in self.terms.items():
             new_exps = list(exps)
             for i, row in powers:
                 e = exps[i]
                 if e:
+                    if row is None:
+                        break
                     coeff = coeff * row[e]
                     new_exps[i] = 0
-            if coeff.is_zero():
-                continue
-            key = tuple(new_exps)
-            total = acc.get(key, ZERO) + coeff
-            if total.is_zero():
-                acc.pop(key, None)
             else:
-                acc[key] = total
-        return Poly._new(self.nvars, acc)
+                images.append((tuple(new_exps), coeff))
+        return Poly._new(self.nvars, _add_terms({}, images))
 
     def evaluate(self, point: list[Scalar]) -> Scalar:
         """The value at a point: every variable substituted."""
@@ -357,19 +338,48 @@ def _accumulate(p: Poly, other, subtract: bool):
     if not isinstance(other, Poly):
         return NotImplemented
     p._check_compatible(other)
-    acc = dict(p.terms)
-    for exps, coeff in other.terms.items():
+    return Poly._new(p.nvars, _add_terms(dict(p.terms), other.terms.items(), subtract))
+
+
+def _add_terms(acc: dict, terms, subtract: bool = False) -> dict:
+    """Add (exponents, nonzero coefficient) pairs into the term dict ``acc``,
+    or subtract them when ``subtract``, and return it; a sum that cancels is
+    dropped."""
+    for exps, coeff in terms:
         cur = acc.get(exps)
         if cur is None:
-            # stored coefficients are nonzero, and so are their negatives
             acc[exps] = -coeff if subtract else coeff
-            continue
-        total = cur - coeff if subtract else cur + coeff
-        if total.is_zero():
+        elif (total := cur - coeff if subtract else cur + coeff).is_zero():
             del acc[exps]
         else:
             acc[exps] = total
-    return Poly._new(p.nvars, acc)
+    return acc
+
+
+def _add_products(acc: dict, left: dict, right: dict) -> dict:
+    """Add every product of a term of ``left`` and a term of ``right`` (term
+    dicts with nonzero coefficients, so no product vanishes in a field) into
+    the term dict ``acc``, and return it; a sum that cancels is dropped."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(operator.add, e1, e2))
+            prod = c1 * c2
+            cur = acc.get(exps)
+            if cur is None:
+                acc[exps] = prod
+            elif (total := cur + prod).is_zero():
+                del acc[exps]
+            else:
+                acc[exps] = total
+    return acc
+
+
+def powers_of(value: Scalar, top: int) -> list[Scalar] | None:
+    """``[1, value, ..., value**top]``, or None when ``value`` is zero."""
+    row = [ONE]
+    for _ in range(top):
+        row.append(row[-1] * value)
+    return row if value else None
 
 
 def dot(left, right, zero):
@@ -378,11 +388,21 @@ def dot(left, right, zero):
     The rows may hold :class:`Poly` values, :class:`Scalar` values or a mix
     of both; ``zero`` is the sum when every product is skipped.
     """
-    acc = zero
+    if not isinstance(zero, Poly):
+        return sum((p * q for p, q in zip(left, right) if p and q), zero)
+    terms: dict[Exponents, Scalar] = {}
     for p, q in zip(left, right):
         if p and q:
-            acc = acc + p * q
-    return acc
+            _add_products(terms, _terms_in(p, zero), _terms_in(q, zero))
+    return Poly._new(zero.nvars, terms)
+
+
+def _terms_in(factor, zero: Poly) -> dict:
+    """The term dict of a :func:`dot` factor; a scalar is a constant term."""
+    if isinstance(factor, Poly):
+        zero._check_compatible(factor)
+        return factor.terms
+    return {(0,) * zero.nvars: factor}
 
 
 class DivisibilityFailure(Record):
@@ -406,14 +426,15 @@ def exact_divide(p: Poly, q: Poly) -> Poly | DivisibilityFailure:
         raise ZeroDivisionError("polynomial division by zero")
     p._check_compatible(q)
     lead_exps, lead_coeff = q.leading()
-    quotient = Poly.zero(p.nvars)
-    remainder = p
-    while not remainder.is_zero():
-        exps, coeff = remainder.leading()
+    # leading terms fall strictly, so no quotient term repeats
+    quotient: dict[Exponents, Scalar] = {}
+    remainder = dict(p.terms)
+    while remainder:
+        exps = max(remainder, key=grlex_key)
         diff = tuple(a - b for a, b in zip(exps, lead_exps))
         if any(d < 0 for d in diff):
-            return DivisibilityFailure(remainder)
-        t = Poly.monomial(p.nvars, diff, coeff / lead_coeff)
-        quotient = quotient + t
-        remainder = remainder - t * q
-    return quotient
+            return DivisibilityFailure(Poly._new(p.nvars, remainder))
+        coeff = remainder[exps] / lead_coeff
+        quotient[diff] = coeff
+        _add_products(remainder, {diff: -coeff}, q.terms)
+    return Poly._new(p.nvars, quotient)

@@ -34,7 +34,8 @@ from .polymatrix import (
     scalar_mat_inverse,
     scalar_mat_mul,
 )
-from .polyring import DivisibilityFailure, Poly, dot, exact_divide, grlex_key
+from .polyring import (
+    DivisibilityFailure, Poly, dot, exact_divide, grlex_key, powers_of)
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
 from .textio import _int_literal, format_poly, parse_poly, parse_scalar
@@ -459,11 +460,7 @@ def check_solution(
     # and where variable i occurs in no equation
     powers: list[list[Scalar] | None] = [None] * len(system.names)
     for i, value in values.items():
-        if value:
-            row = [ONE]
-            for _ in range(top[i]):
-                row.append(row[-1] * value)
-            powers[i] = row
+        powers[i] = powers_of(value, top[i])
     residuals = []
     for eq in system.equations:
         total = ZERO
@@ -495,7 +492,10 @@ def parse_assignment(text: str) -> dict[str, Scalar]:
         name = name.strip()
         if not name or name in out:
             raise FormatError("line %d: bad or repeated name %r" % (lineno, name))
-        out[name] = parse_scalar(value.strip())
+        try:
+            out[name] = parse_scalar(value.strip())
+        except FormatError as exc:
+            raise FormatError("line %d: %s" % (lineno, exc))
     return out
 
 

@@ -10,12 +10,13 @@ and the catalog emit, they can read back.
 A term is built where it is read.  A run of integer and variable factors
 (``c*x^e*y^f*...``, the shape of every rendered term with a rational
 coefficient) goes straight into one rational coefficient and one exponent
-list, and each sum adds its terms into one dict that becomes its
-polynomial.  Only a parenthesised or ``sqrt()`` factor is a
-:class:`~linnij.polyring.Poly` of its own, multiplied into its term by
-polynomial arithmetic.  A unary minus, at the start of a sum or before any
-factor of a product, flips the sign of its term, so ``^`` binds tighter
-than it everywhere: ``x1*-x2^2`` is ``-(x1*x2^2)``.
+list, and each sum adds its terms into one dict, through the ring's term
+kernel, that becomes its polynomial.  Only a parenthesised or ``sqrt()``
+factor is a :class:`~linnij.polyring.Poly` of its own; the ring's product
+kernel adds its product with the term's coefficient and monomial straight
+into the sum.  A unary minus, at the start of a sum or before any factor
+of a product, flips the sign of its term, so ``^`` binds tighter than it
+everywhere: ``x1*-x2^2`` is ``-(x1*x2^2)``.
 
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
@@ -32,7 +33,7 @@ import re
 from fractions import Fraction
 
 from .errors import FormatError
-from .polyring import Poly
+from .polyring import Poly, _add_products, _add_terms
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
@@ -46,9 +47,19 @@ def default_names(nvars: int) -> list[str]:
 
 
 def format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return "%d/%d" % (value.numerator, value.denominator)
+    except ValueError:
+        # str() refuses an int past the interpreter's limit (4300 digits by
+        # default); count its digits from below, as 0.30102999566 < log10(2)
+        big = max(abs(value.numerator), value.denominator)
+        digits = (big.bit_length() - 1) * 30102999566 // 10**11 + 1
+        while big >= 10 ** digits:
+            digits += 1
+        raise FormatError("integer of %d digits is longer than the interpreter "
+                          "converts" % digits)
 
 
 def format_scalar(value: Scalar) -> str:
@@ -167,23 +178,19 @@ class _Parser:
         while True:
             self.add_term(acc, negate)
             if self.tokens[self.pos] not in ("+", "-"):
-                return Poly._new(self.nvars, {e: c for e, c in acc.items() if c})
+                return Poly._new(self.nvars, acc)
             negate = self.take() == "-"
 
     def add_term(self, acc, negate):
         """Parse one product and add it, negated if asked, into ``acc``."""
         coeff, exps, rest = self.product_expr()
-        if negate:
-            coeff = -coeff
+        if not coeff:
+            return
+        key, value = tuple(exps), Scalar._coerce(-coeff if negate else coeff)
         if rest is None:
-            terms = ((tuple(exps), Scalar._coerce(coeff)),)
+            _add_terms(acc, ((key, value),))
         else:
-            if coeff != 1 or any(exps):
-                rest = rest * Poly.monomial(self.nvars, exps, coeff)
-            terms = rest.terms.items()
-        for key, value in terms:
-            cur = acc.get(key)
-            acc[key] = value if cur is None else cur + value
+            _add_products(acc, {key: value}, rest.terms)
 
     def product_expr(self):
         """One product as (rational coefficient, exponent list, rest): ``rest``
@@ -233,7 +240,7 @@ class _Parser:
         """An int for a literal, the name for a variable, else a Poly."""
         token = self.take()
         if token is None:
-            raise FormatError("unexpected token None")
+            raise FormatError("unexpected end of input")
         if token[0].isdigit():
             return _int_literal(token)
         if token == "(":

@@ -185,6 +185,34 @@ def test_reconstruct_rejects_oversized_literal(runner, tmp_path, sigma_text):
     assert lines[0].startswith("%s:1: integer literal of " % sigma_file)
 
 
+UNPRINTABLE_INPUTS = {
+    # each command prints 3^10000 (4772 digits), past the interpreter's
+    # 4300-digit limit for converting an int to a string
+    "reconstruct": {"sigmas.txt": "9^5000*x1\n"},
+    "torsion": {"operator.txt": "x1 ; x2\n9^5000*x1 ; x1\n"},
+    "check-solution": {
+        "listing.txt": "# linearity system\n# case: 3\n# geometric: x1 x2 x3\n"
+                       "# symbols: a\n# equations: 1\n"
+                       "P1 (2,1) x1 :: a^10000 - 1 = 0\n",
+        "assignment.txt": "a = 3\n",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(UNPRINTABLE_INPUTS))
+def test_unprintable_number_exits_2(runner, tmp_path, command):
+    paths = []
+    for name, text in UNPRINTABLE_INPUTS[command].items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    result = runner.invoke(main, [command] + paths)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.strip().splitlines() == [
+        "integer of 4772 digits is longer than the interpreter converts"]
+
+
 def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):
     # a Bareiss step that fails to divide is a package error, not a crash;
     # three sigmas, since the first step of an elimination divides by nothing
@@ -295,6 +323,12 @@ def test_check_solution_bad_inputs(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "neither a case tag" in result.output
+
+    # a value error carries the line number, as the assignment's other errors do
+    assignment.write_text("# first\na =\n")
+    result = runner.invoke(main, ["check-solution", "1.1", str(assignment)])
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == ["line 2: unexpected end of input"]
 
 
 FIRST_EQUATION_EDITS = {

@@ -5,8 +5,8 @@ import pytest
 
 from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar
-from linnij.polyring import DivisibilityFailure, Poly, exact_divide
-from linnij.textio import parse_poly
+from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
+from linnij.textio import format_poly, parse_poly
 
 
 NAMES3 = ["x1", "x2", "x3"]
@@ -100,6 +100,23 @@ def _assert_well_formed(poly, nvars):
         assert isinstance(coeff, Scalar) and not coeff.is_zero()
 
 
+def random_scalar(rng, rad):
+    return Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if rad else 0, 3)
+
+
+def dot_rows(rng, a, b, c, rad):
+    """(left, right, zero) triples for dot over polynomial, scalar and mixed
+    rows; the last product of each row cancels the first."""
+    s, t = random_scalar(rng, rad), random_scalar(rng, rad)
+    zero = Poly.zero(3)
+    return [
+        ([a, b, c, -a], [b, c, a, b], zero),
+        ([s, t, -s], [t, s, t], Scalar(0)),
+        ([s, a, b, -s], [a, s, c, a], zero),
+        ([a, s, t], [b, Scalar(0), t], zero),
+    ]
+
+
 def test_ring_results_are_well_formed_seeded():
     # results are built by the trusted constructor, which checks nothing
     rng = random.Random(29)
@@ -109,16 +126,82 @@ def test_ring_results_are_well_formed_seeded():
         b = random_poly(rng, nterms=5, rad=rad)
         # c shares monomials with a and b, so some sums cancel to zero
         c = a - b.scale(Scalar(rng.randint(-1, 1)))
-        factor = Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 3)
+        operands = [a, b, c]
+        before = [dict(x.terms) for x in operands]
+        factor = random_scalar(rng, 3)
         point = {rng.randrange(3): Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 3)}
         results = [a + b, a - b, a + c, a - c, a * b, a * c, -a,
                    a.scale(factor), a * factor, a.substitute(point)]
         results += [a.partial(i) for i in range(3)]
         results += list(a.group_by([rng.randrange(3)]).values())
+        results += [dot(*rows) for rows in dot_rows(rng, a, b, c, rad)]
+        if b:
+            results += [exact_divide(a * b, b), exact_divide(c, b)]
+            results = [r.remainder if isinstance(r, DivisibilityFailure) else r
+                       for r in results]
+        change = [[random_scalar(rng, rad) for _ in range(3)] for _ in range(3)]
+        results.append(a.substitute_linear(change))
+        text = format_poly(a)
+        results += [parse_poly(text, NAMES3),
+                    parse_poly("%s - (%s)*x1 + 0*(x2) + x1*(%s)" % (text, text, text),
+                               NAMES3)]
         for r in results:
-            _assert_well_formed(r, 3)
+            if isinstance(r, Poly):
+                _assert_well_formed(r, 3)
+            else:
+                assert isinstance(r, Scalar)
+        _assert_well_formed(a.substitute_linear([row[:2] for row in change]), 2)
         _assert_well_formed(a.embed(5, rng.randint(0, 2)), 5)
         _assert_well_formed(Poly.variable(3, rng.randrange(3)), 3)
+        # no operation accumulates into the term dict of an operand
+        assert [x.terms for x in operands] == before
+
+
+# -- the shared term kernels against the sums they replaced ------------------
+
+
+def reference_dot(left, right, zero):
+    """One addition per product, as the package summed before every sum of
+    products shared one term dict."""
+    acc = zero
+    for p, q in zip(left, right):
+        if p and q:
+            acc = acc + p * q
+    return acc
+
+
+def reference_exact_divide(p, q):
+    """Leading-term reduction through Poly arithmetic, as the package
+    divided before the remainder became one term dict."""
+    lead_exps, lead_coeff = q.leading()
+    quotient = Poly.zero(p.nvars)
+    remainder = p
+    while not remainder.is_zero():
+        exps, coeff = remainder.leading()
+        diff = tuple(a - b for a, b in zip(exps, lead_exps))
+        if any(d < 0 for d in diff):
+            return DivisibilityFailure(remainder)
+        t = Poly.monomial(p.nvars, diff, coeff / lead_coeff)
+        quotient = quotient + t
+        remainder = remainder - t * q
+    return quotient
+
+
+def test_dot_and_exact_divide_match_references_seeded():
+    rng = random.Random(37)
+    failures = 0
+    for _ in range(150):
+        rad = rng.choice([0, 3])
+        a, b, c = (random_poly(rng, nterms=5, maxdeg=3, rad=rad) for _ in range(3))
+        for rows in dot_rows(rng, a, b, c, rad):
+            assert dot(*rows) == reference_dot(*rows)
+        if not b:
+            continue
+        for dividend in (a * b, a * b + c, c):
+            expected = reference_exact_divide(dividend, b)
+            assert exact_divide(dividend, b) == expected
+            failures += isinstance(expected, DivisibilityFailure)
+    assert 50 <= failures <= 250
 
 
 def test_public_constructor_validates():

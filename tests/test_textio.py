@@ -96,8 +96,8 @@ PARSE_ERRORS = [
     # (input, message)
     ("x3", "unknown variable 'x3'"),
     ("foo", "unknown variable 'foo'"),
-    ("x1 +", "unexpected token None"),
-    ("", "unexpected token None"),
+    ("x1 +", "unexpected end of input"),
+    ("", "unexpected end of input"),
     ("x1**2", "unexpected token '*'"),
     ("x1 + )", "unexpected token ')'"),
     ("x1^", "exponent must be an integer"),
