@@ -27,40 +27,39 @@ from fractions import Fraction
 
 from .errors import NotRepresentableError, RadicandMismatchError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
 _FRACTION_ZERO = Fraction(0)
 _new_object = object.__new__
 
 
-def _is_square_free(n: int) -> bool:
-    if n < 2:
-        return n == 1
-    for p in _SMALL_PRIMES:
-        if n % (p * p) == 0:
-            return False
-    f = 17
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
-
-
 def square_free_split(n: int) -> tuple[int, int]:
-    """Write a positive integer as f**2 * m with m square-free; return (f, m)."""
+    """Write a positive integer as f**2 * m with m square-free; return (f, m).
+    Trial division by 2, then by odd d only."""
     if n <= 0:
         raise ValueError("positive integer required")
     f, m, d = 1, 1, 2
     while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            f *= d
-        if n % d == 0:
+        if n % d:
+            d += 2 - (d == 2)
+        elif n % (d * d):
             n //= d
             m *= d
-        d += 1
+        else:
+            n //= d * d
+            f *= d
     return f, m * n
+
+
+def power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply, starting from ``one``,
+    for a nonnegative int exponent."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class Scalar:
@@ -82,7 +81,7 @@ class Scalar:
             rad = 0
         elif rad == 0:
             raise ValueError("irrational part requires a nonzero radicand")
-        elif not _is_square_free(rad):
+        elif square_free_split(rad)[0] != 1:
             raise ValueError("radicand %d is not square-free" % rad)
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "irr", irr)
@@ -206,16 +205,8 @@ class Scalar:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+            return power(self.inverse(), -exponent, ONE)
+        return power(self, exponent, ONE)
 
     # -- comparison ------------------------------------------------------
 

@@ -18,7 +18,7 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse
+from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_solve
 from .polyring import Poly, dot
 from .exactfield import Scalar, ZERO
 from .record import Record
@@ -248,8 +248,7 @@ def change_coordinates(
     ]
     substituted = operator.substitute_linear(t)
     zero = Poly.zero(substituted.nvars)
-    left = [[dot(row, col, zero) for col in zip(*substituted.entries)]
-            for row in scalar_mat_inverse(t)]
+    left = scalar_solve(t, substituted.entries)
     return PolyMatrix([[dot(row, col, zero) for col in zip(*t)] for row in left])
 
 

@@ -1,17 +1,17 @@
 """Matrices of polynomials and exact scalar linear algebra.
 
-One fraction-free elimination (Bareiss) reduces a matrix one row at a time
-against the pivot rows above it.  Every intermediate entry is a minor of
-the input, so each division step is exact, in the polynomial ring as in
-the scalar field.  It gives the polynomial determinant, each cofactor of
-the adjugate, the scalar determinant and the dependence test
-:meth:`PolyMatrix.dependent_rows`.  Characteristic coefficients use
-Berkowitz's division-free algorithm instead, in the operator's own ring.
+One elimination per coefficient domain.  Over polynomials, a fraction-free
+elimination (Bareiss) reduces a matrix one row at a time against the pivot
+rows above it; every intermediate entry is a minor of the input, so each
+division step is exact.  It gives the polynomial determinant, each cofactor
+of the adjugate and the dependence test :meth:`PolyMatrix.dependent_rows`.
+Over the scalar field, one Gauss-Jordan elimination gives the determinant,
+the inverse and :func:`scalar_solve`.  Characteristic coefficients use
+Berkowitz's division-free algorithm instead, in the operator's own ring;
 Bareiss stays for the determinant because Berkowitz swells more on dense
 Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
 alongside as an independent cross-check route; callers that verify results
-should compare against it rather than trust one path.  The scalar inverse
-keeps its own Gauss-Jordan elimination, which carries the identity along.
+should compare against it rather than trust one path.
 
 Every other sum of products here, the matrix products included, goes
 through :func:`linnij.polyring.dot`, which skips zero factors.
@@ -19,7 +19,6 @@ through :func:`linnij.polyring.dot`, which skips zero factors.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
@@ -75,7 +74,7 @@ class PolyMatrix(Record):
     def determinant(self) -> Poly:
         """Fraction-free determinant; every division is an exact minor."""
         self._require_square()
-        return _det(self.entries, Poly.zero(self.nvars), _divide_step)
+        return _det(self.entries, Poly.zero(self.nvars))
 
     def determinant_cofactor(self) -> Poly:
         """Cofactor-expansion determinant, the independent slow route."""
@@ -84,7 +83,7 @@ class PolyMatrix(Record):
 
     def dependent_rows(self) -> list[int]:
         """0-based indices of the rows that depend on the rows above them."""
-        pivots = _bareiss(self.entries, Poly.zero(self.nvars), _divide_step)
+        pivots = _bareiss(self.entries, Poly.zero(self.nvars))
         return [i for i, pivot in enumerate(pivots) if pivot is None]
 
     def adjugate(self) -> "PolyMatrix":
@@ -98,19 +97,12 @@ class PolyMatrix(Record):
         for i in range(n):
             rest = self.entries[:i] + self.entries[i + 1 :]
             for j in range(n):
-                cof = _det([row[:j] + row[j + 1 :] for row in rest], zero, _divide_step)
+                cof = _det([row[:j] + row[j + 1 :] for row in rest], zero)
                 out[j][i] = -cof if (i + j) % 2 else cof  # transposed position
         return PolyMatrix(out)  # type: ignore[arg-type]
 
 
-def _divide_step(p: Poly, q: Poly) -> Poly:
-    quotient = exact_divide(p, q)
-    if isinstance(quotient, DivisibilityFailure):
-        raise LinnijError("internal: fraction-free step failed to divide")
-    return quotient
-
-
-def _bareiss(rows, zero, divide):
+def _bareiss(rows, zero):
     """Fraction-free elimination, one row at a time (Bareiss, Math. Comp. 22,
     1968); yields each row's pivot as (column, value), or None for a row
     that depends on the rows above it.
@@ -119,10 +111,10 @@ def _bareiss(rows, zero, divide):
     against a pivot row with pivot p in column c replaces every entry v by
     (p*v - row[c]*w) / p', with w the pivot row's entry in v's column and
     p' the pivot of the step before; the first step divides by nothing.
-    Every reduced entry is a minor of the input, so ``divide`` (exact
-    division in the entries' ring) never leaves a remainder.  A row's pivot
-    is its first nonzero entry once reduced; a row that reduces to zero is
-    not a pivot row.  The pivot column, and every entry whose two operands
+    Every reduced entry is a minor of the input, so :func:`exact_divide`
+    never leaves a remainder; one that does is an internal error.  A row's
+    pivot is its first nonzero entry once reduced; a row that reduces to
+    zero is not a pivot row.  The pivot column, and every entry whose two operands
     are zero, becomes zero without arithmetic.
     """
     pivots = []
@@ -139,7 +131,9 @@ def _bareiss(rows, zero, divide):
                 elif v:
                     v = p * v
                 if v and previous is not None:
-                    v = divide(v, previous)
+                    v = exact_divide(v, previous)
+                    if isinstance(v, DivisibilityFailure):
+                        raise LinnijError("internal: fraction-free step failed to divide")
                 reduced.append(v)
             row = reduced
             previous = p
@@ -151,13 +145,13 @@ def _bareiss(rows, zero, divide):
             yield c, row[c]
 
 
-def _det(rows, zero, divide):
+def _det(rows, zero):
     """Determinant of a square matrix by :func:`_bareiss`: zero when a row
     depends on the ones above, else the last pivot times the sign of the
     pivot-column permutation."""
     columns = []
     sign = 1
-    for pivot in _bareiss(rows, zero, divide):
+    for pivot in _bareiss(rows, zero):
         if pivot is None:
             return zero
         c, last = pivot
@@ -246,10 +240,6 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
 # -- exact scalar matrices ----------------------------------------------------
 
 
-def scalar_identity(n: int) -> list[list[Scalar]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def scalar_mat_mul(
     a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]
 ) -> list[list[Scalar]]:
@@ -259,35 +249,55 @@ def scalar_mat_mul(
     return [[dot(row, col, ZERO) for col in cols] for row in a]
 
 
-def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Gauss-Jordan inverse over the exact scalar field."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+def _gauss_jordan(a, b):
+    """Eliminate ``[a | b]`` over the scalar field; return (det a, a^-1 b),
+    the solution None when det a is 0.  Each pivot row is scaled by one
+    inverse of its pivot and cleared from every other row, or only from the
+    rows below when ``b`` has no columns, as the determinant needs no more.
+    Zero entries are skipped; only columns right of the pivot are updated."""
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatchError("square matrix required")
-    a = [list(row) for row in matrix]
-    inv = scalar_identity(n)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col].inverse()
-        a[col] = [v * scale for v in a[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
+    rows = [list(left) + list(right) for left, right in zip(a, b)]
+    full = any(b)  # b has columns
+    det = ONE
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return ZERO, None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det = det * pivot
+        scale = pivot.inverse()
+        tail = [v * scale if v else v for v in rows[c][c + 1 :]]
+        rows[c][c + 1 :] = tail
+        for r in range(0 if full else c + 1, n):
+            f = rows[r][c]
+            if r == c or not f:
                 continue
-            factor = a[r][col]
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
+            rows[r][c + 1 :] = [v - f * w if w else v
+                                for v, w in zip(rows[r][c + 1 :], tail)]
+    return det, [row[n:] for row in rows]
+
+
+def scalar_solve(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence]) -> list[list]:
+    """a^-1 b for a square scalar ``a``; the entries of ``b`` may be scalars
+    or polynomials.  Raises :class:`SingularMatrixError` when det a is 0."""
+    solution = _gauss_jordan(a, b)[1]
+    if solution is None:
+        raise SingularMatrixError("matrix is singular")
+    return solution
+
+
+def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """The inverse, as the solution against the identity."""
+    n = len(matrix)
+    return scalar_solve(matrix, [[ONE if i == j else ZERO for j in range(n)]
+                                 for i in range(n)])
 
 
 def scalar_mat_det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant over the exact scalar field, by the shared elimination."""
-    return _det(matrix, ZERO, operator.truediv)
+    """Determinant over the exact scalar field, by :func:`_gauss_jordan`."""
+    return _gauss_jordan(matrix, [()] * len(matrix))[0]

@@ -31,7 +31,7 @@ import operator
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError
-from .exactfield import ONE, ZERO, Scalar
+from .exactfield import ONE, ZERO, Scalar, power
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -184,16 +184,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.constant(self.nvars, ONE)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base_needed = exponent >> 1
-            if base_needed:
-                base = base * base
-            exponent = base_needed
-        return result
+        return power(self, exponent, Poly.constant(self.nvars, ONE))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -24,7 +24,10 @@ for variable ``i`` (0-based) is ``x{i+1}``.
 A ``sqrt(d)`` radicand may be at most :data:`MAX_RADICAND`: checking that
 it is square-free takes trial division up to its square root, so a larger
 one is rejected with :class:`~linnij.errors.FormatError` instead of
-stalling the parse.
+stalling the parse.  Likewise an integer power ``c^k`` may have at most
+:data:`MAX_POWER_DIGITS` digits, the longest integer literal the
+interpreter converts; a larger one is rejected from the bit length of
+``c`` before the power is built.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .polyring import Poly, _add_products, _add_terms
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
+MAX_POWER_DIGITS = 4300
+_POWER_LIMIT = 10**MAX_POWER_DIGITS
 
 
 def default_names(nvars: int) -> list[str]:
@@ -46,6 +51,12 @@ def default_names(nvars: int) -> list[str]:
 # -- formatting --------------------------------------------------------------
 
 
+def _digits_below(bits: int) -> int:
+    """A lower bound on the decimal digits of an integer of at least
+    ``bits`` bits, without floats: 0.30102999566 < log10(2)."""
+    return (bits - 1) * 30102999566 // 10**11 + 1
+
+
 def format_fraction(value: Fraction) -> str:
     try:
         if value.denominator == 1:
@@ -53,9 +64,9 @@ def format_fraction(value: Fraction) -> str:
         return "%d/%d" % (value.numerator, value.denominator)
     except ValueError:
         # str() refuses an int past the interpreter's limit (4300 digits by
-        # default); count its digits from below, as 0.30102999566 < log10(2)
+        # default); count its digits from below
         big = max(abs(value.numerator), value.denominator)
-        digits = (big.bit_length() - 1) * 30102999566 // 10**11 + 1
+        digits = _digits_below(big.bit_length())
         while big >= 10 ** digits:
             digits += 1
         raise FormatError("integer of %d digits is longer than the interpreter "
@@ -142,6 +153,21 @@ def _int_literal(digits: str) -> int:
                           "interpreter converts" % len(digits))
 
 
+def _int_power(base: int, exponent: int) -> int:
+    """``base ** exponent``, or FormatError past :data:`MAX_POWER_DIGITS`
+    digits."""
+    # base ** exponent has at least (bit_length - 1) * exponent + 1 bits, and
+    # for base >= 2 at most twice that: a power that passes the bound on its
+    # bits is small enough to build and compare
+    if base < 2 or (_digits_below((base.bit_length() - 1) * exponent + 1)
+                    <= MAX_POWER_DIGITS):
+        value = base ** exponent
+        if value < _POWER_LIMIT:
+            return value
+    raise FormatError("integer power %d^%d has more than %d digits"
+                      % (base, exponent, MAX_POWER_DIGITS))
+
+
 class _Parser:
     """Recursive-descent parser over + - * / ^ ( ) int name, producing a Poly.
 
@@ -218,15 +244,16 @@ class _Parser:
                     raise FormatError("can only divide by a constant")
                 exps[self.index_of[base]] += exponent
             elif divide:
-                coeff = Fraction(coeff) / base ** exponent
+                coeff = Fraction(coeff) / base
             else:
-                coeff *= base ** exponent
+                coeff *= base
             if self.tokens[self.pos] not in ("*", "/"):
                 return coeff, exps, rest
             divide = self.take() == "/"
 
     def power_expr(self):
-        """One factor as (base, exponent), the base as :meth:`atom` gives it."""
+        """One factor as (base, exponent), the base as :meth:`atom` gives it;
+        an int base comes with the power taken and exponent 1."""
         base = self.atom()
         if self.tokens[self.pos] != "^":
             return base, 1
@@ -234,6 +261,8 @@ class _Parser:
         token = self.take()
         if token is None or not token[0].isdigit():
             raise FormatError("exponent must be an integer")
+        if isinstance(base, int):
+            return _int_power(base, _int_literal(token)), 1
         return base, _int_literal(token)
 
     def atom(self):

@@ -187,9 +187,10 @@ def test_reconstruct_rejects_oversized_literal(runner, tmp_path, sigma_text):
 
 UNPRINTABLE_INPUTS = {
     # each command prints 3^10000 (4772 digits), past the interpreter's
-    # 4300-digit limit for converting an int to a string
-    "reconstruct": {"sigmas.txt": "9^5000*x1\n"},
-    "torsion": {"operator.txt": "x1 ; x2\n9^5000*x1 ; x1\n"},
+    # 4300-digit limit for converting an int to a string; the parser takes
+    # it as two powers, since one power that long is refused
+    "reconstruct": {"sigmas.txt": "9^2500*9^2500*x1\n"},
+    "torsion": {"operator.txt": "x1 ; x2\n9^2500*9^2500*x1 ; x1\n"},
     "check-solution": {
         "listing.txt": "# linearity system\n# case: 3\n# geometric: x1 x2 x3\n"
                        "# symbols: a\n# equations: 1\n"
@@ -211,6 +212,24 @@ def test_unprintable_number_exits_2(runner, tmp_path, command):
     assert "Traceback" not in result.output
     assert result.output.strip().splitlines() == [
         "integer of 4772 digits is longer than the interpreter converts"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "torsion"])
+@pytest.mark.parametrize("power", ["3^1000000", "3^10000000", "3^1000000000000"])
+def test_huge_integer_power_exits_2(runner, tmp_path, command, power):
+    # the power is refused from its base's bit length, before it is built
+    path = tmp_path / "input.txt"
+    path.write_text("%s*x1\n" % power if command == "reconstruct"
+                    else "x1 ; x2\n%s*x1 ; x1\n" % power)
+    start = time.monotonic()
+    result = runner.invoke(main, [command, str(path)])
+    assert time.monotonic() - start < 5
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith("integer power %s has more than 4300 digits" % power)
 
 
 def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):

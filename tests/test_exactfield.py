@@ -129,6 +129,17 @@ def test_square_free_split():
     assert square_free_split(49) == (7, 1)
     assert square_free_split(1) == (1, 1)
     assert square_free_split(360) == (6, 10)
+    rng = random.Random(12)
+    for n in rng.sample(range(1, 2000), 300) + [1024, 1331, 1849, 1999]:
+        # brute force: the largest f with f^2 dividing n
+        f = max(d for d in range(1, n + 1) if n % (d * d) == 0)
+        assert square_free_split(n) == (f, n // (f * f)), n
+        if n > 1:
+            if f == 1:
+                assert Scalar(0, 1, n).rad == n
+            else:
+                with pytest.raises(ValueError, match="not square-free"):
+                    Scalar(0, 1, n)
 
 
 def test_scalar_sqrt_round_trip_seeded():

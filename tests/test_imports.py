@@ -1,8 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and states no
+invariant with ``assert``.
 
 A name counts as used when the module reads it anywhere (attribute bases
 included) or lists it in ``__all__``, which is how the package root
 re-exports.  ``from __future__`` imports are directives, not names.
+
+An ``assert`` vanishes under ``python -O``, so the package enforces its
+invariants with raised errors instead.
 """
 
 import ast
@@ -56,3 +60,24 @@ def test_unused_import_is_reported():
               "__all__ = ['Sequence']\n"
               "x = os.sep\n")
     assert unused_imports(source, "m.py") == ["m.py:3: M"]
+
+
+def assert_statements(source, filename):
+    tree = ast.parse(source, filename)
+    return ["%s:%d" % (filename, node.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_uses_assert():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += assert_statements(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_assert_statement_is_reported():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        assert x > 0, 'positive'\n"
+              "    return 'assert x'\n")
+    assert assert_statements(source, "m.py") == ["m.py:3"]

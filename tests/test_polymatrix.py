@@ -6,7 +6,7 @@ import pytest
 from linnij.errors import SingularMatrixError
 from linnij.exactfield import Scalar
 from linnij.nijenhuis import torsion
-from linnij.polyring import DivisibilityFailure, Poly, exact_divide
+from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
 from linnij.polymatrix import (
     PolyMatrix,
     charpoly_sigmas,
@@ -15,6 +15,7 @@ from linnij.polymatrix import (
     scalar_mat_det,
     scalar_mat_inverse,
     scalar_mat_mul,
+    scalar_solve,
 )
 from linnij.reconstruct import dependent_sigma_indices
 from linnij.textio import default_names, parse_poly
@@ -278,21 +279,6 @@ def test_scalar_matrix_helpers():
         scalar_mat_inverse([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]])
 
 
-def test_scalar_matrix_inverse_seeded():
-    rng = random.Random(100)
-    done = 0
-    while done < 25:
-        n = rng.choice([2, 3])
-        a = [[Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-              for _ in range(n)] for _ in range(n)]
-        if scalar_mat_det(a).is_zero():
-            continue
-        identity = [[Scalar(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)]
-        assert scalar_mat_mul(a, scalar_mat_inverse(a)) == identity
-        done += 1
-
-
 # -- the shared elimination against the eliminations it replaced ----------------
 
 
@@ -345,9 +331,66 @@ def reference_scalar_mat_det(matrix):
     return det
 
 
+def reference_scalar_mat_inverse(matrix):
+    """Gauss-Jordan carrying the identity along, as the package did it
+    before one elimination gave the scalar determinant, inverse and
+    solve; None for a singular matrix."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    inv = [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if not a[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col].inverse()
+        a[col] = [v * scale for v in a[col]]
+        inv[col] = [v * scale for v in inv[col]]
+        for r in range(n):
+            if r == col or a[r][col].is_zero():
+                continue
+            factor = a[r][col]
+            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
 def planted_positions(rng, n):
     """Positions 1..n-1 chosen to depend on the rows above them."""
     return {k for k in range(1, n) if rng.random() < 0.3}
+
+
+def random_scalar_rows(rng, n, irrational):
+    """An n x n scalar matrix, about a third of its entries zero, with some
+    rows planted as combinations of the rows above; returns the rows and
+    the planted positions.  Some entries carry sqrt(3) if ``irrational``."""
+    root3 = Scalar(0, 1, 3)
+    rows = []
+    depends = planted_positions(rng, n)
+    for k in range(n):
+        if k in depends:
+            weights = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                       for _ in range(k)]
+            rows.append([sum((w * row[j] for w, row in zip(weights, rows)),
+                             Scalar(0)) for j in range(n)])
+            continue
+        row = []
+        for _ in range(n):
+            # zeros force pivots off the diagonal
+            roll = rng.random()
+            if roll < 0.35:
+                row.append(Scalar(0))
+            elif roll < 0.9 or not irrational:
+                row.append(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+            else:
+                row.append(root3 * rng.randint(-3, 3) + rng.randint(-3, 3))
+        rows.append(row)
+    return rows, depends
 
 
 def random_sparse_poly(rng, n):
@@ -389,33 +432,67 @@ def test_dependent_sigmas_match_division_free_reference():
 
 def test_scalar_determinant_matches_gauss_reference():
     rng = random.Random(58)
-    root3 = Scalar(0, 1, 3)
     singular = 0
-    for n in range(2, 7):
+    for n in range(1, 7):
         for trial in range(20):
-            rows = []
-            depends = planted_positions(rng, n)
-            for k in range(n):
-                if k in depends:
-                    weights = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                               for _ in range(k)]
-                    rows.append([sum((w * row[j] for w, row in zip(weights, rows)),
-                                     Scalar(0)) for j in range(n)])
-                    continue
-                row = []
-                for _ in range(n):
-                    # zeros force pivots off the diagonal
-                    roll = rng.random()
-                    if roll < 0.35:
-                        row.append(Scalar(0))
-                    elif roll < 0.9 or trial % 2:
-                        row.append(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
-                    else:
-                        row.append(root3 * rng.randint(-3, 3) + rng.randint(-3, 3))
-                rows.append(row)
+            rows, depends = random_scalar_rows(rng, n, trial % 2 == 0)
             expected = reference_scalar_mat_det(rows)
             assert scalar_mat_det(rows) == expected, rows
             if depends:
                 assert expected.is_zero()
             singular += expected.is_zero()
     assert 20 <= singular <= 80
+    # integer matrices the size of the certificate's Jacobians, mostly sparse
+    for n in range(7, 10):
+        for trial in range(6):
+            rows = [[rng.randint(-1000, 1000) if rng.random() < 0.4 else 0
+                     for _ in range(n)] for _ in range(n)]
+            planted = trial % 3 == 0
+            if planted:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+            rows = [[Scalar(v) for v in row] for row in rows]
+            expected = reference_scalar_mat_det(rows)
+            assert scalar_mat_det(rows) == expected, rows
+            assert expected.is_zero() or not planted
+
+
+def test_scalar_matrix_inverse_seeded():
+    rng = random.Random(100)
+    singular = 0
+    for n in range(1, 7):
+        for trial in range(12):
+            rows, depends = random_scalar_rows(rng, n, trial % 2 == 0)
+            expected = reference_scalar_mat_inverse(rows)
+            if expected is None:
+                with pytest.raises(SingularMatrixError):
+                    scalar_mat_inverse(rows)
+                singular += 1
+                continue
+            assert not depends
+            inverse = scalar_mat_inverse(rows)
+            assert inverse == expected, rows
+            identity = [[Scalar(1 if i == j else 0) for j in range(n)]
+                        for i in range(n)]
+            assert scalar_mat_mul(rows, inverse) == identity
+    assert 10 <= singular <= 50
+
+
+def test_scalar_solve_polynomial_right_hand_side():
+    # t times the solution, by dot, gives back b
+    rng = random.Random(101)
+    solved = singular = 0
+    for n in range(1, 6):
+        for trial in range(10):
+            t, _ = random_scalar_rows(rng, n, trial % 2 == 0)
+            b = [[random_sparse_poly(rng, n) for _ in range(rng.randint(1, 3))]]
+            b += [[random_sparse_poly(rng, n) for _ in b[0]] for _ in range(n - 1)]
+            if reference_scalar_mat_det(t).is_zero():
+                with pytest.raises(SingularMatrixError):
+                    scalar_solve(t, b)
+                singular += 1
+                continue
+            x = scalar_solve(t, b)
+            zero = Poly.zero(n)
+            assert [[dot(row, col, zero) for col in zip(*x)] for row in t] == b
+            solved += 1
+    assert solved >= 15 and singular >= 10

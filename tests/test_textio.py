@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +126,8 @@ PARSE_ERRORS = [
      "integer literal of 5000 digits is longer than the interpreter converts"),
     ("x1^" + "9" * 5000,
      "integer literal of 5000 digits is longer than the interpreter converts"),
+    ("3^1000000", "integer power 3^1000000 has more than 4300 digits"),
+    ("x1/10^4300", "integer power 10^4300 has more than 4300 digits"),
 ]
 
 
@@ -134,6 +137,25 @@ def test_parse_errors():
         with pytest.raises(FormatError) as info:
             parse_poly(text, names)
         assert str(info.value) == message
+
+
+def test_integer_power_limit_is_exact():
+    # the largest power with 4300 digits parses, the next one is refused,
+    # for bases whose bit-length bound is tight or loose
+    for base in (2, 3, 7, 10, 1023, 1024, 99991):
+        k = int(4300 / math.log10(base))
+        while base ** k >= 10**4300:
+            k -= 1
+        while base ** (k + 1) < 10**4300:
+            k += 1
+        value = parse_poly("%d^%d" % (base, k), []).constant_value()
+        assert value == Scalar(base ** k)
+        with pytest.raises(FormatError) as info:
+            parse_poly("%d^%d" % (base, k + 1), [])
+        assert str(info.value) == ("integer power %d^%d has more than 4300 digits"
+                                   % (base, k + 1))
+    for base in (0, 1):
+        assert parse_poly("%d^%d" % (base, 10**12), []) == parse_poly(str(base), [])
 
 
 def test_duplicate_names_rejected():
