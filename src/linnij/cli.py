@@ -185,9 +185,14 @@ def reconstruct(sigma_file, as_json):
     """Recover the operator with the given characteristic coefficients.
 
     SIGMA_FILE holds one polynomial per line (variables x1..xn with n the
-    number of lines; blank lines and # comments are skipped).  When some
-    entry of adj(J)*S*J is not divisible by det(J) the operator is not
-    polynomial; that finding is reported entry by entry and still exits 0.
+    number of lines; blank lines and # comments are skipped).  The operator
+    L solves J*L = S*J.  For n >= 4 it is first sought from exact values at
+    seeded integer points and kept only when J*L = S*J holds as a
+    polynomial identity; otherwise, and for n < 4, it is adj(J)*S*J/det(J).
+    When some entry of adj(J)*S*J is not divisible by det(J) the operator is
+    not polynomial; that finding is reported entry by entry and still exits
+    0.  --json adds det(J) and adj(J)*S*J, which cost the symbolic
+    determinant.
     """
     sigmas = _read_sigma_file(sigma_file)
     try:
@@ -197,10 +202,11 @@ def reconstruct(sigma_file, as_json):
               "positions: %s" % ", ".join(str(i) for i in exc.indices))
     names = default_names(len(sigmas))
     if as_json:
+        numerators, denominator = result.fraction()
         document = {
-            "denominator": format_poly(result.denominator, names),
+            "denominator": format_poly(denominator, names),
             "numerators": [[format_poly(p, names) for p in row]
-                           for row in result.numerators.entries],
+                           for row in numerators.entries],
             "failures": [{"row": r, "col": c,
                           "remainder": format_poly(rem, names)}
                          for (r, c, rem) in result.failures],
@@ -214,7 +220,7 @@ def reconstruct(sigma_file, as_json):
     if result.failures:
         click.echo("operator is not polynomial: %d entries fail to divide "
                    "by det J = %s" % (len(result.failures),
-                                      format_poly(result.denominator, names)))
+                                      format_poly(result.fraction()[1], names)))
         for (r, c, rem) in result.failures:
             click.echo("  entry (%d,%d): remainder %s"
                        % (r, c, format_poly(rem, names)))

@@ -23,6 +23,10 @@ parser's bracketed terms).  :func:`dot`, the sum of the pairwise products of
 two rows with zero factors skipped, is the one sum-of-products routine: matrix
 products, the characteristic polynomial, the torsion, coordinate changes,
 linear forms and :meth:`Poly.substitute_linear` are built on it.
+
+:func:`powers_of` is the one power table of a value, and :func:`value_at`
+the one evaluation against such tables: :meth:`Poly.evaluate`, the
+solution check and the point path of the reconstruction call it.
 """
 
 from __future__ import annotations
@@ -272,7 +276,10 @@ class Poly:
         """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        return self.substitute(dict(enumerate(point))).constant_value()
+        if not self.terms:
+            return ZERO
+        top = [max(column) for column in zip(*self.terms)]
+        return value_at(self, [powers_of(v, e) for v, e in zip(point, top)])
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """View the polynomial inside a larger ring, variables shifted by offset."""
@@ -371,6 +378,26 @@ def powers_of(value: Scalar, top: int) -> list[Scalar] | None:
     for _ in range(top):
         row.append(row[-1] * value)
     return row if value else None
+
+
+def value_at(p: Poly, powers) -> Scalar:
+    """The value of ``p`` at the point whose power table is ``powers``.
+
+    ``powers[i]`` is :func:`powers_of` of the value of variable i, up to at
+    least the highest exponent of that variable in ``p``: None when the
+    value is zero, so every term it divides vanishes.  One table serves
+    every polynomial evaluated at the same point.
+    """
+    total = ZERO
+    for exps, coeff in p.terms.items():
+        for row, e in zip(powers, exps):
+            if e:
+                if row is None:
+                    break
+                coeff = coeff * row[e]
+        else:
+            total = total + coeff
+    return total
 
 
 def dot(left, right, zero):

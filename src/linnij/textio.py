@@ -27,11 +27,14 @@ one is rejected with :class:`~linnij.errors.FormatError` instead of
 stalling the parse.  Likewise an integer power ``c^k`` may have at most
 :data:`MAX_POWER_DIGITS` digits, the longest integer literal the
 interpreter converts; a larger one is rejected from the bit length of
-``c`` before the power is built.
+``c`` before the power is built.  The same limit bounds the power of a
+parenthesised or ``sqrt()`` constant, such as ``(1/2)^k`` or
+``sqrt(3)^k``; see :func:`_check_constant_power`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -153,9 +156,9 @@ def _int_literal(digits: str) -> int:
                           "interpreter converts" % len(digits))
 
 
-def _int_power(base: int, exponent: int) -> int:
-    """``base ** exponent``, or FormatError past :data:`MAX_POWER_DIGITS`
-    digits."""
+def _bounded_power(base: int, exponent: int) -> int | None:
+    """``base ** exponent`` for ``base >= 0``, or None past
+    :data:`MAX_POWER_DIGITS` digits."""
     # base ** exponent has at least (bit_length - 1) * exponent + 1 bits, and
     # for base >= 2 at most twice that: a power that passes the bound on its
     # bits is small enough to build and compare
@@ -164,8 +167,37 @@ def _int_power(base: int, exponent: int) -> int:
         value = base ** exponent
         if value < _POWER_LIMIT:
             return value
-    raise FormatError("integer power %d^%d has more than %d digits"
-                      % (base, exponent, MAX_POWER_DIGITS))
+    return None
+
+
+def _int_power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for ``base >= 0``, or FormatError past
+    :data:`MAX_POWER_DIGITS` digits."""
+    value = _bounded_power(base, exponent)
+    if value is None:
+        raise FormatError("integer power %d^%d has more than %d digits"
+                          % (base, exponent, MAX_POWER_DIGITS))
+    return value
+
+
+def _check_constant_power(base: Poly, exponent: int):
+    """FormatError unless a constant ``base`` to ``exponent`` keeps within
+    :data:`MAX_POWER_DIGITS` digits, decided before the power is built.
+
+    Write the constant as (a + b*sqrt(d))/m with integers a, b and m > 0.
+    Every integer of its power is at most M**exponent, M = max(|a| + |b|*d, m),
+    and M**exponent must fit.  For a rational base, a/m in lowest terms, that
+    is exact: the power is a**exponent / m**exponent.  With an irrational
+    part it is a bound, and the message says so.
+    """
+    c = base.constant_value()
+    m = math.lcm(c.rat.denominator, c.irr.denominator)
+    a = c.rat.numerator * (m // c.rat.denominator)
+    b = c.irr.numerator * (m // c.irr.denominator)
+    if _bounded_power(max(abs(a) + abs(b) * c.rad, m), exponent) is None:
+        raise FormatError("power (%s)^%d %s more than %d digits"
+                          % (format_scalar(c), exponent,
+                             "may have" if b else "has", MAX_POWER_DIGITS))
 
 
 class _Parser:
@@ -231,6 +263,8 @@ class _Parser:
                 coeff = -coeff
             base, exponent = self.power_expr()
             if isinstance(base, Poly):
+                if exponent > 1 and base.degree() <= 0:
+                    _check_constant_power(base, exponent)
                 factor = base ** exponent
                 if divide:
                     try:

@@ -214,8 +214,20 @@ def test_unprintable_number_exits_2(runner, tmp_path, command):
         "integer of 4772 digits is longer than the interpreter converts"]
 
 
+HUGE_POWERS = {
+    # power -> the end of its one-line refusal
+    "3^1000000": "integer power 3^1000000 has more than 4300 digits",
+    "3^10000000": "integer power 3^10000000 has more than 4300 digits",
+    "3^1000000000000": "integer power 3^1000000000000 has more than 4300 digits",
+    "(3)^300000": "power (3)^300000 has more than 4300 digits",
+    "(3)^3000000": "power (3)^3000000 has more than 4300 digits",
+    "(1/2)^3000000": "power (1/2)^3000000 has more than 4300 digits",
+    "sqrt(3)^3000000": "power (1*sqrt(3))^3000000 may have more than 4300 digits",
+}
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "torsion"])
-@pytest.mark.parametrize("power", ["3^1000000", "3^10000000", "3^1000000000000"])
+@pytest.mark.parametrize("power", list(HUGE_POWERS))
 def test_huge_integer_power_exits_2(runner, tmp_path, command, power):
     # the power is refused from its base's bit length, before it is built
     path = tmp_path / "input.txt"
@@ -223,13 +235,13 @@ def test_huge_integer_power_exits_2(runner, tmp_path, command, power):
                     else "x1 ; x2\n%s*x1 ; x1\n" % power)
     start = time.monotonic()
     result = runner.invoke(main, [command, str(path)])
-    assert time.monotonic() - start < 5
+    assert time.monotonic() - start < 1
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].endswith("integer power %s has more than 4300 digits" % power)
+    assert lines[0].endswith(HUGE_POWERS[power])
 
 
 def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar
-from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
+from linnij.polyring import (
+    DivisibilityFailure, Poly, dot, exact_divide, powers_of, value_at)
 from linnij.textio import format_poly, parse_poly
 
 
@@ -82,14 +83,21 @@ def test_substitute_linear_composes():
 
 
 def test_substitute_and_evaluate_agree():
-    # evaluate multiplies cached coordinate powers; substitute takes val**e
+    # evaluate and value_at multiply entries of a power table, one table
+    # shared by every polynomial at the point; substitute builds a Poly
     rng = random.Random(3)
     for _ in range(200):
-        a = random_poly(rng, nterms=6, maxdeg=4, rad=rng.choice([0, 3]))
+        rad = rng.choice([0, 3])
+        polys = [random_poly(rng, nterms=6, maxdeg=4, rad=rad) for _ in range(3)]
         point = [Scalar(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]), 3)
                  for _ in range(3)]
-        full = a.substitute(dict(enumerate(point)))
-        assert full.constant_value() == a.evaluate(point)
+        if rng.random() < 0.3:
+            point[rng.randrange(3)] = Scalar(0)
+        powers = [powers_of(v, 4) for v in point]
+        for a in polys:
+            full = a.substitute(dict(enumerate(point))).constant_value()
+            assert full == a.evaluate(point) == value_at(a, powers)
+    assert value_at(Poly.zero(3), [None] * 3) == Scalar(0)
 
 
 def _assert_well_formed(poly, nvars):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,16 @@ from linnij.errors import (
     NotRepresentableError,
     RadicandMismatchError,
 )
+from linnij.catalog import generalized_L1, generalized_L2, generalized_blocks
 from linnij.exactfield import Scalar
-from linnij.polyring import Poly
-from linnij.polymatrix import charpoly_sigmas
+from linnij.nijenhuis import operator_is_linear
+from linnij.polyring import DivisibilityFailure, Poly, exact_divide
+from linnij.polymatrix import (
+    PolyMatrix, charpoly_sigmas, companion_matrix, jacobian)
 from linnij.reconstruct import (
     CASE_TAGS,
     PARAM_NAMES,
+    POINT_PATH_MIN_SIGMAS,
     Equation,
     LinearitySystem,
     check_solution,
@@ -34,6 +39,7 @@ from linnij.reconstruct import (
     parse_assignment,
     parse_system,
     reconstruct_operator,
+    reconstruction_pieces,
     solve_quadratic,
     solve_two_dim,
     two_dim_operator,
@@ -59,10 +65,9 @@ def geo_polys(texts, n):
 def test_product_sigma_reconstruction_pieces():
     names = default_names(2)
     result = reconstruct_operator(geo_polys(["x1", "x1*x2"], 2))
-    assert format_poly(result.denominator, names) == "x1"
-    rendered = [
-        [format_poly(p, names) for p in row] for row in result.numerators.entries
-    ]
+    numerators, denominator = result.fraction()
+    assert format_poly(denominator, names) == "x1"
+    rendered = [[format_poly(p, names) for p in row] for row in numerators.entries]
     assert rendered == [["-x1^2 + x1*x2", "x1^2"], ["-x2^2", "-x1*x2"]]
     assert result.linear_part is None
     assert len(result.failures) == 1
@@ -119,6 +124,133 @@ def test_reconstruct_requires_square_data():
         reconstruct_operator(geo_polys(["x1", "x3"], 3))
     with pytest.raises(DimensionMismatchError):
         reconstruct_operator([])
+
+
+# -- the point path and its fallback --------------------------------------------
+
+
+def family_members():
+    """Every L1 and L2 member for n = 4..9, blocks with every sign pattern
+    for n = 4..7 and with one pattern for n = 8, 9."""
+    members = [build(n) for n in range(4, 10)
+               for build in (generalized_L1, generalized_L2)]
+    for n in range(4, 10):
+        count = (n - 1) // 2
+        for pattern in range(2 ** count if n <= 7 else 1):
+            members.append(generalized_blocks(
+                n, [-1 if pattern >> j & 1 else 1 for j in range(count)]))
+    return members
+
+
+def test_point_path_round_trips_the_families():
+    # 32 members in about 2 s on a 2-CPU machine, with a 20 s budget; the
+    # symbolic path alone takes about 11 s for blocks(6)
+    start = time.monotonic()
+    for entry in family_members():
+        result = reconstruct_operator(entry.sigmas)
+        assert result.pieces is None, entry.id  # the point path found it
+        assert result.failures == [], entry.id
+        assert result.linear_part == entry.operator, entry.id
+    assert time.monotonic() - start < 20
+
+
+def test_point_path_waits_for_four_sigmas():
+    assert POINT_PATH_MIN_SIGMAS == 4
+    for build in (generalized_L1, generalized_L2, generalized_blocks):
+        entry = build(3)
+        result = reconstruct_operator(entry.sigmas)
+        assert result.pieces is not None, entry.id
+        assert result.linear_part == entry.operator, entry.id
+
+
+def diagonal_sigmas():
+    """The sigmas of diag(x1^2, x2, x3, x4): polynomial, not linear."""
+    x = [Poly.variable(4, i) for i in range(4)]
+    zero = Poly.zero(4)
+    diagonal = [x[0] * x[0]] + x[1:]
+    return charpoly_sigmas(PolyMatrix(
+        [[diagonal[r] if r == c else zero for c in range(4)] for r in range(4)]))
+
+
+def reference_result(sigmas):
+    """reconstruct_operator as the symbolic path alone computes it."""
+    numerators, q = reconstruction_pieces(sigmas)
+    quotients = [[exact_divide(p, q) for p in row] for row in numerators.entries]
+    failures = [(r + 1, c + 1, quo.remainder)
+                for r, row in enumerate(quotients)
+                for c, quo in enumerate(row)
+                if isinstance(quo, DivisibilityFailure)]
+    linear_part = None if failures else PolyMatrix(quotients)
+    return numerators, q, linear_part, failures
+
+
+@pytest.mark.parametrize("sigmas, linear", [
+    # sigma_3 = x3 is not homogeneous of degree 3: no linear operator
+    (geo_polys(["x1", "x1*x2", "x3", "x4"], 4), None),
+    (diagonal_sigmas(), False),
+    # homogeneous: the points give a candidate, and the identity fails
+    (geo_polys(["x1", "x1*x2", "x3^3", "x4^4"], 4), None),
+], ids=["not-polynomial", "not-linear", "identity-fails"])
+def test_point_path_falls_back_to_the_symbolic_path(sigmas, linear):
+    result = reconstruct_operator(sigmas)
+    numerators, q, linear_part, failures = reference_result(sigmas)
+    assert result.pieces == (numerators, q)
+    assert result.fraction() == (numerators, q)
+    assert result.failures == failures
+    assert result.linear_part == linear_part
+    if linear is None:
+        assert failures
+    else:
+        assert operator_is_linear(linear_part) is linear
+
+
+@pytest.mark.parametrize("texts", [
+    ["x1", "x2", "x1 + x2", "x4"],
+    ["x1", "x1^2 + x2^2", "x3^3 + x1*x2*x3", "x1^4"],
+], ids=["linear", "homogeneous"])
+def test_point_path_keeps_the_dependence_diagnosis(texts):
+    sigmas = geo_polys(texts, 4)
+    with pytest.raises(DependentSigmasError) as expected:
+        reconstruction_pieces(sigmas)
+    with pytest.raises(DependentSigmasError) as err:
+        reconstruct_operator(sigmas)
+    assert err.value.indices == expected.value.indices
+    assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("texts", [
+    # homogeneous, so the point path runs and fails on the radicands first
+    ["sqrt(2)*x1", "sqrt(3)*x1*x2", "x3^3", "x4^4"],
+    ["x1 + sqrt(2)", "x2^2 + sqrt(3)*x1", "x3", "x4"],
+], ids=["homogeneous", "inhomogeneous"])
+def test_point_path_keeps_the_radicand_message(texts):
+    sigmas = geo_polys(texts, 4)
+    with pytest.raises(RadicandMismatchError) as expected:
+        reconstruction_pieces(sigmas)
+    with pytest.raises(RadicandMismatchError) as err:
+        reconstruct_operator(sigmas)
+    assert str(err.value) == str(expected.value)
+
+
+def test_fraction_after_the_point_path_matches_the_pieces():
+    # the numerators and denominator that reconstruct --json prints, formed
+    # as det J * L and det J, against adj(J) S J and det J
+    members = [build(n) for n in range(4, 7)
+               for build in (generalized_L1, generalized_L2)]
+    members += [generalized_blocks(4, [sign]) for sign in (1, -1)]
+    members += [generalized_blocks(5, [s, t]) for s in (1, -1) for t in (1, -1)]
+    for entry in members:
+        result = reconstruct_operator(entry.sigmas)
+        assert result.pieces is None, entry.id
+        assert result.fraction() == reconstruction_pieces(entry.sigmas), entry.id
+    # the adjugate of blocks(6) alone takes about 9 s; there the numerators
+    # N are checked by J N == det J * S J, which fixes N once det J != 0
+    entry = generalized_blocks(6, [-1, 1])
+    numerators, q = reconstruct_operator(entry.sigmas).fraction()
+    j = jacobian(entry.sigmas)
+    assert q == j.determinant() and not q.is_zero()
+    assert j @ numerators == PolyMatrix(
+        [[q * p for p in row] for row in (companion_matrix(entry.sigmas) @ j).entries])
 
 
 # -- parametric systems --------------------------------------------------------

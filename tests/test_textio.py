@@ -128,6 +128,12 @@ PARSE_ERRORS = [
      "integer literal of 5000 digits is longer than the interpreter converts"),
     ("3^1000000", "integer power 3^1000000 has more than 4300 digits"),
     ("x1/10^4300", "integer power 10^4300 has more than 4300 digits"),
+    ("(3)^300000*x1", "power (3)^300000 has more than 4300 digits"),
+    ("x1*(-3)^3000000", "power (-3)^3000000 has more than 4300 digits"),
+    ("(1/2)^20000", "power (1/2)^20000 has more than 4300 digits"),
+    ("sqrt(3)^100000*x1", "power (1*sqrt(3))^100000 may have more than 4300 digits"),
+    ("(1 + sqrt(3))^100000",
+     "power (1+1*sqrt(3))^100000 may have more than 4300 digits"),
 ]
 
 
@@ -156,6 +162,32 @@ def test_integer_power_limit_is_exact():
                                    % (base, k + 1))
     for base in (0, 1):
         assert parse_poly("%d^%d" % (base, 10**12), []) == parse_poly(str(base), [])
+
+
+def test_constant_power_limit():
+    # a rational constant's power is p^k/q^k, held to the integer limit
+    # exactly; a base with an irrational part is held to a bound
+    for base, text in ((3, "(3)"), (3, "(-3)"), (7, "(7/2)"), (7, "(2/7)")):
+        k = int(4300 / math.log10(base))
+        while base ** k >= 10**4300:
+            k -= 1
+        while base ** (k + 1) < 10**4300:
+            k += 1
+        value = parse_poly("%s^%d" % (text, k), []).constant_value()
+        assert value == parse_scalar(text) ** k
+        with pytest.raises(FormatError) as info:
+            parse_poly("%s^%d" % (text, k + 1), [])
+        assert str(info.value) == ("power %s^%d has more than 4300 digits"
+                                   % (text, k + 1))
+    # sqrt(3)^k and (1 + sqrt(3))^k are held to 3^k and 4^k
+    assert parse_poly("sqrt(3)^9000", []) == parse_poly("3^4500", [])
+    with pytest.raises(FormatError):
+        parse_poly("sqrt(3)^9020", [])
+    assert parse_poly("(1 + sqrt(3))^7000", []).constant_value().rat > 0
+    with pytest.raises(FormatError):
+        parse_poly("(1 + sqrt(3))^7200", [])
+    for text, value in (("(0)", 0), ("(1)", 1), ("(-1)", 1)):
+        assert parse_poly("%s^%d" % (text, 10**12), []) == Poly.constant(0, value)
 
 
 def test_duplicate_names_rejected():
