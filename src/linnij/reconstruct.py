@@ -21,10 +21,9 @@ identity.  The identity is the proof: an invertible J(p) shows that det J
 is not zero (Schwartz, J. ACM 1980), so the candidate is the unique
 solution; the random points only decide how fast it is found.  Every other
 outcome (sigmas that no linear operator has, too few points with J(p)
-invertible, the identity failing, an error in the scalar arithmetic such as
-mixed radicands) runs the symbolic path, which gives the same answer or
-diagnosis as it does alone.  The point path never forms det J;
-:meth:`ReconstructionResult.fraction` does, when asked.
+invertible, the identity failing, mixed radicands) runs the symbolic path,
+which gives the same answer or diagnosis as it does alone.  The point path
+never forms det J; :meth:`ReconstructionResult.fraction` does, when asked.
 
 For the classification runs the sigmas carry symbolic coefficients.  Those
 parameters are ordinary variables of the same sparse-polynomial ring,
@@ -46,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     LinnijError,
+    RadicandMismatchError,
     SingularMatrixError,
 )
 from .polymatrix import (
@@ -221,7 +221,7 @@ def reconstruct_operator(sigmas: Sequence[Poly]) -> ReconstructionResult:
     if n >= POINT_PATH_MIN_SIGMAS:
         try:
             operator = _operator_by_points(sigmas)
-        except LinnijError:  # the symbolic path gives the diagnosis
+        except RadicandMismatchError:  # the symbolic path gives the diagnosis
             operator = None
         if operator is not None:
             return ReconstructionResult(sigmas, operator, [], None)
@@ -787,27 +787,26 @@ def _quadratic_matrix(s2: Poly) -> list[list[Scalar]]:
 
 
 def _canonical_poly(n: int, tag: str, alpha, signs) -> Poly:
+    """The head y1*y2 (Product, ProductPlus) or alpha*y1^2, plus the signed
+    squares of the coordinates that follow it."""
     y = [Poly.variable(n, i) for i in range(n)]
-    if tag == DEGENERATE:
-        return y[0] * y[0] * alpha
-    if tag == RANK2:
-        return y[0] * y[0] * alpha + signs[0] * y[1] * y[1]
-    if tag == FULL:
-        return (
-            y[0] * y[0] * alpha
-            + signs[0] * y[1] * y[1]
-            + signs[1] * y[2] * y[2]
-        )
-    if tag == PRODUCT:
-        return y[0] * y[1]
-    if tag == PRODUCT_PLUS:
-        return y[0] * y[1] + signs[0] * y[2] * y[2]
-    raise LinnijError("unknown tag %r" % tag)
+    if tag in (PRODUCT, PRODUCT_PLUS):
+        canonical, first = y[0] * y[1], 2
+    else:
+        canonical, first = y[0] * y[0] * alpha, 1
+    for k, sign in enumerate(signs):
+        canonical = canonical + sign * y[first + k] * y[first + k]
+    return canonical
 
 
-def _finish(s2: Poly, tag: str, alpha, signs, rows) -> Sigma2NormalForm:
+def _finish(s2: Poly, tag: str, alpha, signs, rows, split) -> Sigma2NormalForm:
+    """The normal form reached by the change split * rows^-1, where ``rows``
+    are the new coordinates in those of the substitution ``split`` (None
+    when there was none)."""
     n = s2.nvars
     change = scalar_mat_inverse(rows)
+    if split is not None:
+        change = scalar_mat_mul(split, change)
     canonical = _canonical_poly(n, tag, alpha, signs)
     if s2.substitute_linear(change) != canonical:
         raise LinnijError("internal: change does not reach the %s normal form" % tag)
@@ -845,11 +844,17 @@ def normalize_sigma2(s2: Poly) -> Sigma2NormalForm:
     """Reduce a homogeneous quadratic to its normal form by a change that
     fixes the first coordinate.
 
-    Follows the constructive elimination order: last diagonal entry first,
-    then the middle one, then the cross-term split x2 = u + v, x3 = u - v,
-    then the pure-product and degenerate leftovers.  The square roots this
-    introduces must be representable in a single quadratic extension;
-    otherwise NotRepresentableError (or a radicand mix error) propagates.
+    When x2 and x3 carry a cross term but no square, the substitution
+    x2 = u + v, x3 = u - v first turns that term into a difference of
+    squares.  One loop then splits off squares, the last free diagonal entry
+    first, until no free variable has a square left.  What is left of x1
+    decides the tag: a cross term with a free variable gives Product, or
+    ProductPlus when squares were split off; otherwise the number of squares
+    gives Degenerate, Rank2 or Full, with alpha the remaining x1^2
+    coefficient and the squares ordered by descending sign.  The square
+    roots this introduces must be representable in a single quadratic
+    extension; otherwise NotRepresentableError (or a radicand mix error)
+    propagates.
     """
     n = s2.nvars
     if n not in (2, 3):
@@ -857,60 +862,31 @@ def normalize_sigma2(s2: Poly) -> Sigma2NormalForm:
     if not (s2.is_zero() or s2.is_homogeneous(2)):
         raise DimensionMismatchError("expected a homogeneous quadratic")
     a = _quadratic_matrix(s2)
-    e1 = [ONE if j == 0 else ZERO for j in range(n)]
+    split = None
+    if any(a[1][2:]) and not (a[1][1] or a[2][2]):  # x2*x3 but no square
+        split = [[ONE, ZERO, ZERO], [ZERO, ONE, ONE], [ZERO, ONE, Scalar(-1)]]
+        a = _quadratic_matrix(s2.substitute_linear(split))
+    free = list(range(1, n))
+    squares = []  # (row, sign) in the order split off
+    while any(a[j][j] for j in free):
+        pivot = next(j for j in reversed(free) if a[j][j])
+        squares.append(_sqrt_row(a, pivot, n))
+        a = _eliminate(a, pivot, n)
+        free.remove(pivot)
 
     def unit(j):
         return [ONE if m == j else ZERO for m in range(n)]
 
-    if n == 2:
-        if not a[1][1].is_zero():
-            row, sign = _sqrt_row(a, 1, n)
-            rem = _eliminate(a, 1, n)
-            return _finish(s2, RANK2, rem[0][0], (sign,), [e1, row])
-        if not a[0][1].is_zero():
-            row = [a[0][0], 2 * a[0][1]]
-            return _finish(s2, PRODUCT, None, (), [e1, row])
-        return _finish(s2, DEGENERATE, a[0][0], (), [e1, unit(1)])
-
-    # n == 3
-    for pivot, other in ((2, 1), (1, 2)):
-        if a[pivot][pivot].is_zero():
-            continue
-        row_p, sign_p = _sqrt_row(a, pivot, n)
-        rem = _eliminate(a, pivot, n)
-        if not rem[other][other].is_zero():
-            row_o, sign_o = _sqrt_row(rem, other, n)
-            rem2 = _eliminate(rem, other, n)
-            alpha = rem2[0][0]
-            if sign_o >= sign_p:
-                return _finish(s2, FULL, alpha, (sign_o, sign_p), [e1, row_o, row_p])
-            return _finish(s2, FULL, alpha, (sign_p, sign_o), [e1, row_p, row_o])
-        if not rem[0][other].is_zero():
-            linear = [ZERO] * n
-            linear[0] = rem[0][0]
-            linear[other] = 2 * rem[0][other]
-            return _finish(s2, PRODUCT_PLUS, None, (sign_p,), [e1, linear, row_p])
-        complement = unit(1 if pivot == 2 else 2)
-        return _finish(s2, RANK2, rem[0][0], (sign_p,), [e1, row_p, complement])
-
-    if not a[1][2].is_zero():
-        # x2 = u + v, x3 = u - v turns the cross term into a difference of
-        # squares; recurse and compose the changes.
-        split = [
-            [ONE, ZERO, ZERO],
-            [ZERO, ONE, ONE],
-            [ZERO, ONE, Scalar(-1)],
-        ]
-        inner = normalize_sigma2(s2.substitute_linear(split))
-        change = scalar_mat_mul(split, inner.change)
-        if s2.substitute_linear(change) != inner.canonical:
-            raise LinnijError("internal: composed change misses the normal form")
-        return Sigma2NormalForm(
-            inner.tag, inner.canonical, change, inner.alpha, inner.signs
-        )
-
-    if a[0][1].is_zero() and a[0][2].is_zero():
-        return _finish(s2, DEGENERATE, a[0][0], (), [e1, unit(1), unit(2)])
-    linear = [a[0][0], 2 * a[0][1], 2 * a[0][2]]
-    complement = unit(2) if not a[0][1].is_zero() else unit(1)
-    return _finish(s2, PRODUCT, None, (), [e1, linear, complement])
+    linked = next((j for j in free if a[0][j]), None)
+    if linked is None:
+        # descending sign, the later square first on ties
+        squares = sorted(reversed(squares), key=lambda square: -square[1])
+        tag, alpha = (DEGENERATE, RANK2, FULL)[len(squares)], a[0][0]
+        rows = [unit(0)] + [row for row, _ in squares] + [unit(j) for j in free]
+    else:
+        tag, alpha = (PRODUCT_PLUS if squares else PRODUCT), None
+        linear = [a[0][0]] + [2 * v for v in a[0][1:]]
+        rows = [unit(0), linear] + [unit(j) for j in free if j != linked]
+        rows += [row for row, _ in squares]
+    signs = tuple(sign for _, sign in squares)
+    return _finish(s2, tag, alpha, signs, rows, split)

@@ -7,10 +7,16 @@ re-exports.  ``from __future__`` imports are directives, not names.
 
 An ``assert`` vanishes under ``python -O``, so the package enforces its
 invariants with raised errors instead.
+
+``click`` serves the command line only; importing the library does not
+load it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import linnij
 
@@ -81,3 +87,14 @@ def test_assert_statement_is_reported():
               "        assert x > 0, 'positive'\n"
               "    return 'assert x'\n")
     assert assert_statements(source, "m.py") == ["m.py:3"]
+
+
+def test_library_import_leaves_click_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, linnij; print('click' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

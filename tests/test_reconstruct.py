@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import linnij.reconstruct
+
 from linnij.errors import (
     DependentSigmasError,
     DimensionMismatchError,
@@ -16,17 +18,25 @@ from linnij.errors import (
     RadicandMismatchError,
 )
 from linnij.catalog import generalized_L1, generalized_L2, generalized_blocks
-from linnij.exactfield import Scalar
+from linnij.exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from linnij.nijenhuis import operator_is_linear
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
-    PolyMatrix, charpoly_sigmas, companion_matrix, jacobian)
+    PolyMatrix, charpoly_sigmas, companion_matrix, jacobian, scalar_mat_inverse,
+    scalar_mat_mul)
 from linnij.reconstruct import (
     CASE_TAGS,
+    DEGENERATE,
+    FULL,
     PARAM_NAMES,
     POINT_PATH_MIN_SIGMAS,
+    PRODUCT,
+    PRODUCT_PLUS,
+    RANK2,
     Equation,
     LinearitySystem,
+    Sigma2NormalForm,
+    _SIGMA2,
     check_solution,
     dependent_sigma_indices,
     derive_alphas,
@@ -230,6 +240,17 @@ def test_point_path_keeps_the_radicand_message(texts):
     with pytest.raises(RadicandMismatchError) as err:
         reconstruct_operator(sigmas)
     assert str(err.value) == str(expected.value)
+
+
+def test_point_path_lets_other_errors_through(monkeypatch):
+    # only mixed radicands send the point path to the symbolic one; any
+    # other error is a fault and must surface
+    def planted(a, b):
+        raise LinnijError("internal: planted")
+
+    monkeypatch.setattr(linnij.reconstruct, "scalar_solve", planted)
+    with pytest.raises(LinnijError, match="internal: planted"):
+        reconstruct_operator(generalized_blocks(5, [1, 1]).sigmas)
 
 
 def test_fraction_after_the_point_path_matches_the_pieces():
@@ -606,6 +627,33 @@ def test_normalize_sigma2_examples():
     assert -1 in cross_only.signs
 
 
+@pytest.mark.parametrize("a", ["2", "-1/3", "0"])
+def test_case_tags_are_sigma2_normal_forms(a):
+    # the search's sigma_2 cases are the outputs of normalize_sigma2, with
+    # alpha = a where the form has a square head
+    expected = {
+        "1.1": (FULL, (1, -1)),
+        "1.2": (FULL, (-1, -1)),
+        "1.3": (FULL, (1, 1)),
+        "2.1": (RANK2, (1,)),
+        "2.2": (RANK2, (-1,)),
+        "3": (PRODUCT, ()),
+        "4.1": (PRODUCT_PLUS, (1,)),
+        "4.2": (PRODUCT_PLUS, (-1,)),
+    }
+    assert expected.keys() == _SIGMA2.keys()
+    for tag, text in _SIGMA2.items():
+        s2 = hand_quadratic(text.replace("a*", "(%s)*" % a), 3)
+        nf = normalize_sigma2(s2)
+        assert (nf.tag, nf.signs) == expected[tag], tag
+        if nf.tag in (FULL, RANK2):
+            assert nf.alpha == Scalar(Fraction(a)), tag
+        else:
+            assert nf.alpha is None, tag
+        if tag != "1.1":  # x2*x3 is split into a difference of squares
+            assert nf.canonical == s2, tag
+
+
 def test_normalize_sigma2_change_contract():
     rng = random.Random(91)
     count = 0
@@ -641,3 +689,195 @@ def test_normalize_sigma2_radical_failures():
         normalize_sigma2(hand_quadratic("x1^3", 2))
     with pytest.raises(DimensionMismatchError):
         normalize_sigma2(Poly.variable(4, 0) * Poly.variable(4, 1))
+
+
+# -- the elimination order normalize_sigma2 replaced, kept as its reference ----
+
+
+def reference_quadratic_matrix(s2):
+    n = s2.nvars
+    a = [[ZERO] * n for _ in range(n)]
+    half = Scalar(Fraction(1, 2))
+    for exps, coeff in s2.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if sum(exps) != 2:
+            raise DimensionMismatchError("expected a homogeneous quadratic")
+        if len(support) == 1:
+            i = support[0]
+            a[i][i] = coeff
+        else:
+            i, j = support
+            a[i][j] = a[j][i] = coeff * half
+    return a
+
+
+def reference_canonical_poly(n, tag, alpha, signs):
+    y = [Poly.variable(n, i) for i in range(n)]
+    if tag == DEGENERATE:
+        return y[0] * y[0] * alpha
+    if tag == RANK2:
+        return y[0] * y[0] * alpha + signs[0] * y[1] * y[1]
+    if tag == FULL:
+        return (
+            y[0] * y[0] * alpha
+            + signs[0] * y[1] * y[1]
+            + signs[1] * y[2] * y[2]
+        )
+    if tag == PRODUCT:
+        return y[0] * y[1]
+    if tag == PRODUCT_PLUS:
+        return y[0] * y[1] + signs[0] * y[2] * y[2]
+    raise LinnijError("unknown tag %r" % tag)
+
+
+def reference_finish(s2, tag, alpha, signs, rows):
+    n = s2.nvars
+    change = scalar_mat_inverse(rows)
+    canonical = reference_canonical_poly(n, tag, alpha, signs)
+    if s2.substitute_linear(change) != canonical:
+        raise LinnijError("internal: change does not reach the %s normal form" % tag)
+    if change[0] != [ONE if j == 0 else ZERO for j in range(n)]:
+        raise LinnijError("internal: change moves the first coordinate")
+    return Sigma2NormalForm(tag, canonical, change, alpha, signs)
+
+
+def reference_sqrt_row(a, pivot, n):
+    app = a[pivot][pivot]
+    scale = scalar_sqrt(abs(app))
+    row = []
+    for m in range(n):
+        if m == pivot:
+            row.append(scale)
+        else:
+            row.append(scale * a[pivot][m] / app)
+    return row, app.sign()
+
+
+def reference_eliminate(a, pivot, n):
+    app = a[pivot][pivot]
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == pivot or j == pivot:
+                continue
+            out[i][j] = a[i][j] - a[i][pivot] * a[pivot][j] / app
+    return out
+
+
+def reference_normalize_sigma2(s2):
+    """Per-dimension case analysis: last diagonal entry first, then the
+    middle one, then the cross-term split by recursion, then the
+    pure-product and degenerate leftovers."""
+    n = s2.nvars
+    if n not in (2, 3):
+        raise DimensionMismatchError("normal forms implemented for 2 or 3 variables")
+    if not (s2.is_zero() or s2.is_homogeneous(2)):
+        raise DimensionMismatchError("expected a homogeneous quadratic")
+    a = reference_quadratic_matrix(s2)
+    e1 = [ONE if j == 0 else ZERO for j in range(n)]
+
+    def unit(j):
+        return [ONE if m == j else ZERO for m in range(n)]
+
+    if n == 2:
+        if not a[1][1].is_zero():
+            row, sign = reference_sqrt_row(a, 1, n)
+            rem = reference_eliminate(a, 1, n)
+            return reference_finish(s2, RANK2, rem[0][0], (sign,), [e1, row])
+        if not a[0][1].is_zero():
+            row = [a[0][0], 2 * a[0][1]]
+            return reference_finish(s2, PRODUCT, None, (), [e1, row])
+        return reference_finish(s2, DEGENERATE, a[0][0], (), [e1, unit(1)])
+
+    for pivot, other in ((2, 1), (1, 2)):
+        if a[pivot][pivot].is_zero():
+            continue
+        row_p, sign_p = reference_sqrt_row(a, pivot, n)
+        rem = reference_eliminate(a, pivot, n)
+        if not rem[other][other].is_zero():
+            row_o, sign_o = reference_sqrt_row(rem, other, n)
+            rem2 = reference_eliminate(rem, other, n)
+            alpha = rem2[0][0]
+            if sign_o >= sign_p:
+                return reference_finish(
+                    s2, FULL, alpha, (sign_o, sign_p), [e1, row_o, row_p])
+            return reference_finish(
+                s2, FULL, alpha, (sign_p, sign_o), [e1, row_p, row_o])
+        if not rem[0][other].is_zero():
+            linear = [ZERO] * n
+            linear[0] = rem[0][0]
+            linear[other] = 2 * rem[0][other]
+            return reference_finish(
+                s2, PRODUCT_PLUS, None, (sign_p,), [e1, linear, row_p])
+        complement = unit(1 if pivot == 2 else 2)
+        return reference_finish(
+            s2, RANK2, rem[0][0], (sign_p,), [e1, row_p, complement])
+
+    if not a[1][2].is_zero():
+        split = [
+            [ONE, ZERO, ZERO],
+            [ZERO, ONE, ONE],
+            [ZERO, ONE, Scalar(-1)],
+        ]
+        inner = reference_normalize_sigma2(s2.substitute_linear(split))
+        change = scalar_mat_mul(split, inner.change)
+        if s2.substitute_linear(change) != inner.canonical:
+            raise LinnijError("internal: composed change misses the normal form")
+        return Sigma2NormalForm(
+            inner.tag, inner.canonical, change, inner.alpha, inner.signs
+        )
+
+    if a[0][1].is_zero() and a[0][2].is_zero():
+        return reference_finish(s2, DEGENERATE, a[0][0], (), [e1, unit(1), unit(2)])
+    linear = [a[0][0], 2 * a[0][1], 2 * a[0][2]]
+    complement = unit(2) if not a[0][1].is_zero() else unit(1)
+    return reference_finish(s2, PRODUCT, None, (), [e1, linear, complement])
+
+
+def seeded_quadratic(rng, n):
+    """A quadratic over n variables whose coefficients are each zero about
+    half the time, else a small integer or, one time in four, a + b sqrt(3)."""
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.45:
+                continue
+            exps = [0] * n
+            exps[i] += 1
+            exps[j] += 1
+            if rng.random() < 0.25:
+                coeff = Scalar(rng.randint(-2, 2), rng.choice([-1, 1]), 3)
+            else:
+                coeff = Scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+            terms[tuple(exps)] = coeff
+    return Poly(n, terms)
+
+
+def normal_form_outcome(normalize, s2):
+    try:
+        nf = normalize(s2)
+    except (NotRepresentableError, RadicandMismatchError) as err:
+        return type(err).__name__, str(err)
+    return nf.tag, nf.canonical, nf.change, nf.alpha, nf.signs
+
+
+def test_normalize_sigma2_matches_the_reference_seeded():
+    rng = random.Random(2024)
+    seen = {2: set(), 3: set()}
+    irrational = split = 0
+    for count in range(2400):
+        n = 2 + count % 2
+        s2 = seeded_quadratic(rng, n)
+        irrational += any(v.irr for v in s2.terms.values())
+        # x2 and x3 with a cross term but no square: the split x2 = u + v,
+        # x3 = u - v comes first
+        split += s2.terms.keys() & {(0, 2, 0), (0, 1, 1), (0, 0, 2)} == {(0, 1, 1)}
+        outcome = normal_form_outcome(normalize_sigma2, s2)
+        assert outcome == normal_form_outcome(reference_normalize_sigma2, s2), (
+            format_poly(s2, default_names(n)))
+        seen[n].add(outcome[0])
+    errors = {"NotRepresentableError", "RadicandMismatchError"}
+    assert seen[2] == {RANK2, PRODUCT, DEGENERATE} | errors
+    assert seen[3] == {FULL, RANK2, PRODUCT, PRODUCT_PLUS, DEGENERATE} | errors
+    assert irrational > 500
+    assert split > 100
