@@ -18,7 +18,8 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .polymatrix import PolyMatrix, jacobian, scalar_mat_det, scalar_solve
+from .polymatrix import (
+    PolyMatrix, jacobian, scalar_mat_det, scalar_solve, seeded_points)
 from .polyring import Poly, dot
 from .exactfield import Scalar, ZERO
 from .record import Record
@@ -272,39 +273,19 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-#: Seed, number and coordinate range of the integer points at which
-#: :func:`is_differentially_nondegenerate` first evaluates the Jacobian.
-#: Only speed depends on them: a zero at every point falls back to the exact
-#: symbolic determinant.
-_CERTIFICATE_SEED = 20240417
-_CERTIFICATE_POINTS = 3
-_CERTIFICATE_RANGE = (-1000, 1000)
-
-
 def is_differentially_nondegenerate(sigmas: Sequence[Poly]) -> bool:
     """True when the Jacobian determinant of the sigmas is not the zero
     polynomial, i.e. the differentials are independent almost everywhere.
 
-    The Jacobian is first evaluated at a few seeded integer points covering
-    every variable; a nonzero exact determinant there proves the symbolic
-    one nonzero (Schwartz, J. ACM 1980).  Only when every point gives zero
-    is the symbolic determinant expanded, so both answers are exact.
+    The Jacobian is first evaluated (:meth:`PolyMatrix.at`) at the
+    :func:`~linnij.polymatrix.seeded_points`; a nonzero exact determinant at
+    one of them proves the symbolic one nonzero (Schwartz, J. ACM 1980).
+    Only when every point gives zero is the symbolic determinant expanded,
+    so both answers are exact.
     """
     jac = jacobian(sigmas)
-    for point in _certificate_points(jac.nvars):
-        values = [[p.evaluate(point) for p in row] for row in jac.entries]
-        if not scalar_mat_det(values).is_zero():
-            return True
-    return not jac.determinant().is_zero()
-
-
-def _certificate_points(nvars: int) -> list[list[Scalar]]:
-    """The integer points of the nondegeneracy certificate, same every call."""
-    rng = random.Random(_CERTIFICATE_SEED)
-    return [
-        [Scalar(rng.randint(*_CERTIFICATE_RANGE)) for _ in range(nvars)]
-        for _ in range(_CERTIFICATE_POINTS)
-    ]
+    return (any(scalar_mat_det(jac.at(p)) for p in seeded_points(jac.nvars))
+            or not jac.determinant().is_zero())
 
 
 def random_structure_constants(

@@ -15,14 +15,19 @@ should compare against it rather than trust one path.
 
 Every other sum of products here, the matrix products included, goes
 through :func:`linnij.polyring.dot`, which skips zero factors.
+
+Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
+a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
+J. ACM 1980); a zero value proves nothing.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import random
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
-from .polyring import DivisibilityFailure, Poly, dot, exact_divide
+from .polyring import DivisibilityFailure, Poly, dot, exact_divide, powers_of, value_at
 from .exactfield import ONE, ZERO, Scalar
 from .record import Record
 
@@ -64,6 +69,16 @@ class PolyMatrix(Record):
     def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         rows = [list(r) for r in matrix]
         return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
+
+    def at(self, point: Sequence[Scalar]) -> list[list[Scalar]]:
+        """The value of every entry at ``point``, row by row, against one
+        power table up to the matrix's highest exponent of each variable."""
+        if len(point) != self.nvars:
+            raise DimensionMismatchError("point has wrong length")
+        exps = [e for row in self.entries for p in row for e in p.terms]
+        top = [max(column) for column in zip((0,) * self.nvars, *exps)]
+        powers = [powers_of(v, e) for v, e in zip(point, top)]
+        return [[value_at(p, powers) for p in row] for row in self.entries]
 
     # -- determinants --------------------------------------------------------
 
@@ -183,6 +198,19 @@ def jacobian(polys: Sequence[Poly], wrt: Sequence[int] | None = None) -> PolyMat
     nvars = polys[0].nvars
     indices = list(range(nvars)) if wrt is None else list(wrt)
     return PolyMatrix([[p.partial(j) for j in indices] for p in polys])
+
+
+_COORDINATES = tuple(Scalar(v) for v in range(-50, 51))  # made once, drawn often
+
+
+def seeded_points(nvars: int) -> Iterator[list[Scalar]]:
+    """The integer points a certificate in ``nvars`` variables may try, the
+    same on every call: 2 * nvars + 4 of them, coordinates in -50..50.
+    Only speed depends on them, as every certificate falls back to exact
+    symbolic work."""
+    rng = random.Random(20240417)
+    for _ in range(2 * nvars + 4):
+        yield [rng.choice(_COORDINATES) for _ in range(nvars)]
 
 
 def companion_matrix(sigmas: Sequence[Poly]) -> PolyMatrix:

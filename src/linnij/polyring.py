@@ -26,7 +26,7 @@ linear forms and :meth:`Poly.substitute_linear` are built on it.
 
 :func:`powers_of` is the one power table of a value, and :func:`value_at`
 the one evaluation against such tables: :meth:`Poly.evaluate`, the
-solution check and the point path of the reconstruction call it.
+solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
 """
 
 from __future__ import annotations

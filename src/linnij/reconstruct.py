@@ -19,7 +19,8 @@ L = sum_k x_k A_k off a base point and n points shifted along the axes,
 and keeps that candidate only when J L == S J holds as a polynomial
 identity.  The identity is the proof: an invertible J(p) shows that det J
 is not zero (Schwartz, J. ACM 1980), so the candidate is the unique
-solution; the random points only decide how fast it is found.  Every other
+solution; the points, :func:`~linnij.polymatrix.seeded_points` as for the
+nondegeneracy certificate, only decide how fast it is found.  Every other
 outcome (sigmas that no linear operator has, too few points with J(p)
 invertible, the identity failing, mixed radicands) runs the symbolic path,
 which gives the same answer or diagnosis as it does alone.  The point path
@@ -36,7 +37,6 @@ coefficient extraction over the geometric monomials.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -55,6 +55,7 @@ from .polymatrix import (
     scalar_mat_inverse,
     scalar_mat_mul,
     scalar_solve,
+    seeded_points,
 )
 from .polyring import (
     DivisibilityFailure, Poly, dot, exact_divide, grlex_key, powers_of, value_at)
@@ -68,19 +69,6 @@ def _involves(p: Poly, indices: Sequence[int]) -> bool:
 
 
 # -- sigma -> operator --------------------------------------------------------
-
-
-def dependent_sigma_indices(sigmas: Sequence[Poly]) -> list[int]:
-    """1-based positions whose differentials depend on the previous rows.
-
-    The first len(sigmas) ring variables are the geometric ones.  The rows
-    of the Jacobian are eliminated fraction-free, in order
-    (:meth:`~linnij.polymatrix.PolyMatrix.dependent_rows`): a row that
-    reduces to zero against the rows above it names a functionally
-    dependent sigma.
-    """
-    j = jacobian(sigmas, wrt=range(len(sigmas)))
-    return [i + 1 for i in j.dependent_rows()]
 
 
 class ReconstructionResult(Record):
@@ -103,18 +91,19 @@ class ReconstructionResult(Record):
         """
         if self.pieces is not None:
             return self.pieces
-        q = jacobian(self.sigmas, wrt=range(len(self.sigmas))).determinant()
+        q = jacobian(self.sigmas).determinant()
         return PolyMatrix([[q * p for p in row]
                            for row in self.linear_part.entries]), q
 
 
 def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
     """Numerator matrix adj(J) S J and denominator det(J), with J taken
-    by the first len(sigmas) ring variables."""
+    by the first len(sigmas) ring variables.  A zero det(J) raises
+    :class:`DependentSigmasError` naming J's dependent rows, 1-based."""
     j = jacobian(sigmas, wrt=range(len(sigmas)))
     q = j.determinant()
     if q.is_zero():
-        raise DependentSigmasError(dependent_sigma_indices(sigmas))
+        raise DependentSigmasError([i + 1 for i in j.dependent_rows()])
     s = companion_matrix(list(sigmas))
     return j.adjugate() @ s @ j, q
 
@@ -127,11 +116,6 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 #: n <= 3, 48 -> 53.  Below four sigmas the scalar arithmetic at the points
 #: costs more than the adjugate it avoids.
 POINT_PATH_MIN_SIGMAS = 4
-#: Seed and coordinate range of the point path's base point; its shifts are
-#: drawn from 1 to the top of the range, and at most 2n + 4 points are
-#: solved for n sigmas.  Only speed depends on them.
-_POINT_SEED = 20240417
-_POINT_RANGE = (-50, 50)
 
 
 def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
@@ -139,27 +123,28 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     values at seeded integer points and kept when the identity holds; None
     when no candidate turns up or the identity fails.
 
-    L(p) solves J(p) L(p) = S(p) J(p).  After a base point p with J(p)
-    invertible, each A_k is (L(p + c e_k) - L(p)) / c for a random shift
-    c > 0 with J(p + c e_k) invertible; at most 2n + 4 points are solved.
-    A linear L has sigma_i homogeneous of degree i, so other sigmas return
-    None at once.
+    L(p) solves J(p) L(p) = S(p) J(p).  The base point p is the first
+    seeded point with J(p) invertible; each A_k is (L(p + c e_k) - L(p)) / c,
+    c the k-th coordinate of the next seeded point for which c is nonzero
+    and J(p + c e_k) invertible.  A linear L has sigma_i homogeneous of
+    degree i, so other sigmas return None at once.
     """
     n = len(sigmas)
     if not all(s.is_homogeneous(i) for i, s in enumerate(sigmas, start=1)):
         return None
     j = jacobian(sigmas)
-    top = [max(column) for column in zip(*(e for s in sigmas for e in s.terms))]
+    # row i: sigma_i, then its gradient; one evaluation gives S(p) and J(p)
+    sigmas_and_j = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
     zeros = [ZERO] * n
 
     def solved(point):
         """The entries of L(point), row by row, or None if J(point) is
         singular."""
-        powers = [powers_of(v, e) for v, e in zip(point, top)]
-        jp = [[value_at(p, powers) for p in row] for row in j.entries]
+        values = sigmas_and_j.at(point)
+        sp = [row[0] for row in values]
+        jp = [row[1:] for row in values]
         # S(p) J(p) by the companion structure: row i is
         # J_{i+1}(p) - sigma_i(p) J_0(p), with J_n = 0
-        sp = [value_at(s, powers) for s in sigmas]
         sjp = [[below - s * v if v else below for v, below in zip(jp[0], next_row)]
                for s, next_row in zip(sp, jp[1:] + [zeros])]
         try:
@@ -167,11 +152,8 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
         except SingularMatrixError:
             return None
 
-    rng = random.Random(_POINT_SEED)
-    low, high = _POINT_RANGE
-    attempts = iter(range(2 * n + 4))  # shared by the base and the shifts
-    for _ in attempts:
-        base = [Scalar(rng.randint(low, high)) for _ in range(n)]
+    points = seeded_points(n)  # shared by the base and the shifts
+    for base in points:
         at_base = solved(base)
         if at_base is not None:
             break
@@ -179,13 +161,15 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
         return None
     slopes = []  # slopes[k]: the entries of A_k, row by row
     for k in range(n):
-        for _ in attempts:
-            shift = rng.randint(1, high)
+        for shifts in points:
+            shift = shifts[k]
+            if not shift:
+                continue
             point = list(base)
             point[k] = point[k] + shift
             at_point = solved(point)
             if at_point is not None:
-                scale = Scalar(Fraction(1, shift))
+                scale = shift.inverse()
                 slopes.append([(v - w) * scale if v or w else v
                                for v, w in zip(at_point, at_base)])
                 break
@@ -461,7 +445,8 @@ def parse_system(text: str) -> LinearitySystem:
     """Parse a listing produced by :meth:`LinearitySystem.to_text`.
 
     The ``# equations:`` header is required and must match the number of
-    equation lines, so a truncated or padded listing is rejected.
+    equation lines, so a truncated or padded listing is rejected.  Each
+    equation line names entry (row, col) of rows 2..n as P((row - 2) * n + col).
     """
     case = None
     count = None
@@ -499,6 +484,11 @@ def parse_system(text: str) -> LinearitySystem:
         if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
             raise FormatError("malformed position %r" % pos)
         row, col = (_listing_int(cell, "position") for cell in cells)
+        n = len(geo_names)
+        if not (2 <= row <= n and 1 <= col <= n
+                and entry == "P%d" % ((row - 2) * n + col)):
+            raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
+                              "2 <= row <= n, 1 <= col <= n, n = %d" % (entry, pos, n))
         terms = list(parse_poly(mono_text, geo_names).terms.items())
         if len(terms) != 1 or terms[0][1] != ONE:
             raise FormatError("not a monomial: %r" % mono_text)

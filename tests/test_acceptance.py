@@ -41,7 +41,6 @@ from linnij.polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jac
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.reconstruct import (
     check_solution,
-    dependent_sigma_indices,
     derive_alphas,
     generate_linearity_system,
     param_sigmas,
@@ -282,7 +281,9 @@ def test_criterion_06_case_obstructions():
         # with b_23 = 0 the third sigma loses x3 no matter what remains free
         collapsed = [s.substitute(values_of(ps2.names, dict(zeros, b_23=0)))
                      for s in ps2.sigmas]
-        assert dependent_sigma_indices(collapsed) == [3]
+        with pytest.raises(DependentSigmasError) as err:
+            reconstruction_pieces(collapsed)
+        assert err.value.indices == [3]
         # and at a concrete point of the surviving branch the reconstruction
         # refuses outright
         instance = dict(zeros, b_23=0, a=Fraction(5, 7),

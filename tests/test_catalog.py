@@ -110,6 +110,23 @@ def test_change_check_loads_its_own_targets():
     assert report.ok
 
 
+def test_change_check_reports_its_failures():
+    by_id = {e.id: e for e in load_catalog()}
+    entry = by_id["L2"]
+    report = verify_entry(entry, targets={})
+    assert report.failures() == [("change", "missing target entry 'ind3.3'")]
+
+    change = [list(row) for row in entry.change]
+    change[1] = [-v for v in change[1]]
+    tampered = CatalogEntry(entry.id, entry.dim, entry.operator, entry.sigmas,
+                            entry.relations, tuple(map(tuple, change)),
+                            entry.target, entry.sign_variant)
+    report = verify_entry(tampered, targets=by_id)
+    assert report.failures() == [
+        ("change", "mapped operator differs from 'ind3.3' at "
+                   "[(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 3)]")]
+
+
 def test_report_shape():
     entry = load_catalog()[0]
     report = verify_entry(entry)

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from linnij.cli import main
-from linnij.catalog import CatalogEntry, load_catalog
+from linnij.catalog import CatalogEntry, EntryReport, load_catalog
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
 from linnij.reconstruct import generate_linearity_system, param_sigmas
@@ -343,6 +343,22 @@ def test_check_solution_reports_residuals(runner, tmp_path):
     assert " :: " in result.output
 
 
+def test_check_solution_truncates_long_reports(runner, tmp_path):
+    name, params, alphas, perturb, _ = CASE11_SOLUTIONS[7]
+    assert name == "s8"
+    bad = dict(params)
+    bad[perturb] = bad[perturb] + 1
+    assignment = tmp_path / "solution.txt"
+    write_assignment(assignment, full_assignment(bad, alphas))
+    result = runner.invoke(main, ["check-solution", "1.1", str(assignment)])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0] == "26 of 90 equations violated"
+    assert len(lines) == 12
+    assert all(line.startswith("  P") and " :: " in line for line in lines[1:11])
+    assert lines[11] == "  ... and 16 more"
+
+
 def test_check_solution_bad_inputs(runner, tmp_path):
     assignment = tmp_path / "solution.txt"
     assignment.write_text("mystery = 1\n")
@@ -369,6 +385,12 @@ FIRST_EQUATION_EDITS = {
     "monomial-sum": (" x1^4 ", " x1+x2 "),
     "monomial-zero": (" x1^4 ", " 0 "),
     "geometric-variable": (" = 0", " + x1 = 0"),
+    "label-and-position": ("P1 (2,1)", "P9 (7,0)"),
+    "label-of-another-entry": ("P1 ", "P2 "),
+    "label-missing-number": ("P1 ", "P "),
+    "position-first-row": ("(2,1)", "(1,1)"),
+    "position-column-zero": ("(2,1)", "(2,0)"),
+    "position-past-n": ("(2,1)", "(2,4)"),
 }
 
 
@@ -445,6 +467,21 @@ def test_generalize_blocks_with_signs(runner):
     assert result.exit_code == 0
     assert "blocks(n=5" in result.output
     assert "verification: ok" in result.output
+
+
+def test_generalize_reports_failed_checks(runner, monkeypatch):
+    planted = EntryReport("L1(n=4)", (
+        ("torsion", True, None),
+        ("charpoly", False, "sigma mismatch at [2]"),
+        ("covariance", False, None),
+    ))
+    monkeypatch.setattr("linnij.cli.verify_entry", lambda entry: planted)
+    result = runner.invoke(main, ["generalize", "L1", "4"])
+    assert result.exit_code == 1
+    assert result.output.endswith(
+        "\nverification: FAILED\n"
+        "  charpoly: sigma mismatch at [2]\n"
+        "  covariance: failed\n")
 
 
 def test_generalize_json(runner):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from linnij.errors import SingularMatrixError
+from linnij.errors import (
+    DependentSigmasError, DimensionMismatchError, SingularMatrixError)
 from linnij.exactfield import Scalar
 from linnij.nijenhuis import torsion
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
@@ -16,8 +17,9 @@ from linnij.polymatrix import (
     scalar_mat_inverse,
     scalar_mat_mul,
     scalar_solve,
+    seeded_points,
 )
-from linnij.reconstruct import dependent_sigma_indices
+from linnij.reconstruct import reconstruction_pieces
 from linnij.textio import default_names, parse_poly
 
 
@@ -259,6 +261,30 @@ def test_exact_divide_matches_sympy():
     assert outcomes == {"divides", "fails"}
 
 
+def test_at_matches_evaluate_entrywise():
+    # one power table serves entries of different degrees, a zero entry
+    # and zero coordinates
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            m = PolyMatrix([row + (Poly.zero(n),)
+                            for row in random_matrix(rng, n, maxdeg=3).entries])
+            point = [Scalar(rng.randint(-2, 2)) for _ in range(n)]
+            assert m.at(point) == [[p.evaluate(point) for p in row]
+                                   for row in m.entries]
+    with pytest.raises(DimensionMismatchError):
+        PolyMatrix([[p3("x1")]]).at([Scalar(1)])
+
+
+def test_seeded_points_are_a_fixed_budget():
+    for n in (1, 3, 9):
+        points = list(seeded_points(n))
+        assert points == list(seeded_points(n))
+        assert len(points) == 2 * n + 4
+        assert all(len(p) == n and all(-50 <= v.rat <= 50 and v.rat.denominator == 1
+                                       and not v.irr for v in p) for p in points)
+
+
 def test_substitute_linear_on_matrix():
     m = PolyMatrix(((p3("x1"), p3("x2")), (p3("x3"), p3("0"))))
     t = [[Scalar(0), Scalar(1), Scalar(0)],
@@ -422,11 +448,16 @@ def test_dependent_sigmas_match_division_free_reference():
                     sigmas.append(random_sparse_poly(rng, n)
                                   + Poly.variable(n, order[k]))
             expected = reference_dependent_sigma_indices(sigmas)
-            assert dependent_sigma_indices(sigmas) == expected, (n, sigmas)
+            j = jacobian(sigmas)
+            assert [i + 1 for i in j.dependent_rows()] == expected, (n, sigmas)
             assert {k + 1 for k in depends} <= set(expected)
             planted += len(depends)
-            singular = jacobian(sigmas).determinant().is_zero()
+            singular = j.determinant().is_zero()
             assert singular == bool(expected)
+            if singular:
+                with pytest.raises(DependentSigmasError) as err:
+                    reconstruction_pieces(sigmas)
+                assert err.value.indices == expected
     assert planted >= 10
 
 

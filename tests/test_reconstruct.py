@@ -38,7 +38,6 @@ from linnij.reconstruct import (
     Sigma2NormalForm,
     _SIGMA2,
     check_solution,
-    dependent_sigma_indices,
     derive_alphas,
     generate_linearity_system,
     normalize_case_tag,
@@ -122,7 +121,6 @@ def test_dependent_sigmas_raise():
     with pytest.raises(DependentSigmasError) as err:
         reconstruct_operator(sigmas)
     assert err.value.indices == [2]
-    assert dependent_sigma_indices(sigmas) == [2]
 
 
 def test_reconstruct_requires_square_data():
