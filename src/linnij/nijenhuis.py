@@ -124,9 +124,7 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
     a = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for i in range(n):
-            entry = operator.entries[k][i]
-            for exps, coeff in entry.terms.items():
-                j = exps.index(1)
+            for j, coeff in enumerate(operator.entries[k][i].linear_coefficients()):
                 a[i][j][k] = coeff
     return StructureConstants(a)
 
@@ -278,13 +276,14 @@ def is_differentially_nondegenerate(sigmas: Sequence[Poly]) -> bool:
     polynomial, i.e. the differentials are independent almost everywhere.
 
     The Jacobian is first evaluated (:meth:`PolyMatrix.at`) at the
-    :func:`~linnij.polymatrix.seeded_points`; a nonzero exact determinant at
-    one of them proves the symbolic one nonzero (Schwartz, J. ACM 1980).
-    Only when every point gives zero is the symbolic determinant expanded,
-    so both answers are exact.
+    :func:`~linnij.polymatrix.seeded_points` one point at a time; a nonzero
+    exact determinant at one of them proves the symbolic one nonzero
+    (Schwartz, J. ACM 1980) and ends the search.  Only when every point
+    gives zero is the symbolic determinant expanded, so both answers are
+    exact.
     """
     jac = jacobian(sigmas)
-    return (any(scalar_mat_det(jac.at(p)) for p in seeded_points(jac.nvars))
+    return (any(map(scalar_mat_det, jac.at(seeded_points(jac.nvars))))
             or not jac.determinant().is_zero())
 
 

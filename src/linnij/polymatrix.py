@@ -24,10 +24,11 @@ J. ACM 1980); a zero value proves nothing.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
-from .polyring import DivisibilityFailure, Poly, dot, exact_divide, powers_of, value_at
+from .polyring import (
+    DivisibilityFailure, Poly, dot, exact_divide, powers_of, top_exponents, value_at)
 from .exactfield import ONE, ZERO, Scalar
 from .record import Record
 
@@ -70,15 +71,16 @@ class PolyMatrix(Record):
         rows = [list(r) for r in matrix]
         return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
 
-    def at(self, point: Sequence[Scalar]) -> list[list[Scalar]]:
-        """The value of every entry at ``point``, row by row, against one
-        power table up to the matrix's highest exponent of each variable."""
-        if len(point) != self.nvars:
-            raise DimensionMismatchError("point has wrong length")
-        exps = [e for row in self.entries for p in row for e in p.terms]
-        top = [max(column) for column in zip((0,) * self.nvars, *exps)]
-        powers = [powers_of(v, e) for v, e in zip(point, top)]
-        return [[value_at(p, powers) for p in row] for row in self.entries]
+    def at(self, points: Iterable[Sequence[Scalar]]) -> Iterator[list[list[Scalar]]]:
+        """The value of every entry, row by row, at each of ``points`` in
+        turn, computed as it is asked for.  Each point's power table reaches
+        the matrix's highest exponent of each variable, found once."""
+        top = top_exponents(self.nvars, (p for row in self.entries for p in row))
+        for point in points:
+            if len(point) != self.nvars:
+                raise DimensionMismatchError("point has wrong length")
+            powers = [powers_of(v, e) for v, e in zip(point, top)]
+            yield [[value_at(p, powers) for p in row] for row in self.entries]
 
     # -- determinants --------------------------------------------------------
 

@@ -27,12 +27,17 @@ linear forms and :meth:`Poly.substitute_linear` are built on it.
 :func:`powers_of` is the one power table of a value, and :func:`value_at`
 the one evaluation against such tables: :meth:`Poly.evaluate`, the
 solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
+:func:`top_exponents` is the one scan for how far such tables must reach.
+
+The term dict ``Poly.terms`` is read here and by the parser in
+:mod:`linnij.textio` only; other modules use :func:`top_exponents`,
+:meth:`Poly.linear_coefficients` and :meth:`Poly.involves`.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
 from .exactfield import ONE, ZERO, Scalar, power
@@ -133,6 +138,21 @@ class Poly:
 
     def coefficient(self, exponents: Iterable[int]) -> Scalar:
         return self.terms.get(tuple(exponents), ZERO)
+
+    def linear_coefficients(self) -> list[Scalar] | None:
+        """The coefficient of each variable, when the polynomial is
+        homogeneous of degree one (or zero); else None."""
+        coeffs = [ZERO] * self.nvars
+        for exps, coeff in self.terms.items():
+            if sum(exps) != 1:
+                return None
+            coeffs[exps.index(1)] = coeff
+        return coeffs
+
+    def involves(self, indices: Sequence[int]) -> bool:
+        """True when some term has a positive exponent at one of
+        ``indices``, which is iterated once per term."""
+        return any(exps[i] for exps in self.terms for i in indices)
 
     def constant_value(self) -> Scalar:
         """The value of a degree-<=0 polynomial as a scalar."""
@@ -254,9 +274,7 @@ class Poly:
         for i in values:
             if not 0 <= i < self.nvars:
                 raise DimensionMismatchError("variable index %d out of range" % i)
-        if not self.terms:
-            return Poly.zero(self.nvars)
-        top = [max(column) for column in zip(*self.terms)]
+        top = top_exponents(self.nvars, (self,))
         powers = [(i, powers_of(value, top[i])) for i, value in values.items()]
         images = []
         for exps, coeff in self.terms.items():
@@ -276,9 +294,7 @@ class Poly:
         """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        if not self.terms:
-            return ZERO
-        top = [max(column) for column in zip(*self.terms)]
+        top = top_exponents(self.nvars, (self,))
         return value_at(self, [powers_of(v, e) for v, e in zip(point, top)])
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
@@ -370,6 +386,13 @@ def _add_products(acc: dict, left: dict, right: dict) -> dict:
             else:
                 acc[exps] = total
     return acc
+
+
+def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
+    """The highest exponent of each of ``nvars`` variables over ``polys``:
+    how far a :func:`powers_of` table must reach for :func:`value_at`."""
+    exps = [e for p in polys for e in p.terms]
+    return [max(column) for column in zip((0,) * nvars, *exps)]
 
 
 def powers_of(value: Scalar, top: int) -> list[Scalar] | None:

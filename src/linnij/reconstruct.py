@@ -13,18 +13,20 @@ systems below.
 
 The point path serves sets of at least four sigmas, where the adjugate of
 n^2 cofactor determinants makes the symbolic path slow.  It evaluates,
-solves and certifies: at seeded integer points p it solves
+solves and certifies: at integer points p it solves
 J(p) L(p) = S(p) J(p) exactly, reads the linear operator
-L = sum_k x_k A_k off a base point and n points shifted along the axes,
-and keeps that candidate only when J L == S J holds as a polynomial
-identity.  The identity is the proof: an invertible J(p) shows that det J
-is not zero (Schwartz, J. ACM 1980), so the candidate is the unique
-solution; the points, :func:`~linnij.polymatrix.seeded_points` as for the
-nondegeneracy certificate, only decide how fast it is found.  Every other
-outcome (sigmas that no linear operator has, too few points with J(p)
-invertible, the identity failing, mixed radicands) runs the symbolic path,
-which gives the same answer or diagnosis as it does alone.  The point path
-never forms det J; :meth:`ReconstructionResult.fraction` does, when asked.
+L = sum_k x_k A_k off a base point p and the n points p + e_k, each one
+higher in one coordinate, and keeps that candidate only when J L == S J
+holds as a polynomial identity.  The identity is the proof: an invertible
+J(p) shows that det J is not zero (Schwartz, J. ACM 1980), so the
+candidate is the unique solution; the base points, drawn from
+:func:`~linnij.polymatrix.seeded_points` as for the nondegeneracy
+certificate, only decide how fast it is found.  Every other outcome
+(sigmas that no linear operator has, no base point at which all n + 1
+points give an invertible J(p), the identity failing, mixed radicands) runs
+the symbolic path, which gives the same answer or diagnosis as it does
+alone.  The point path never forms det J;
+:meth:`ReconstructionResult.fraction` does, when asked.
 
 For the classification runs the sigmas carry symbolic coefficients.  Those
 parameters are ordinary variables of the same sparse-polynomial ring,
@@ -38,6 +40,7 @@ coefficient extraction over the geometric monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -58,14 +61,12 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    DivisibilityFailure, Poly, dot, exact_divide, grlex_key, powers_of, value_at)
+    DivisibilityFailure, Poly, dot, exact_divide, grlex_key, powers_of,
+    top_exponents, value_at)
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
-from .textio import _int_literal, format_poly, parse_poly, parse_scalar
-
-
-def _involves(p: Poly, indices: Sequence[int]) -> bool:
-    return any(exps[i] for exps in p.terms for i in indices)
+from .textio import (
+    _int_literal, format_poly, parse_monomial, parse_poly, parse_scalar)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -120,14 +121,16 @@ POINT_PATH_MIN_SIGMAS = 4
 
 def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     """The linear operator L = sum_k x_k A_k with J L = S J, read off its
-    values at seeded integer points and kept when the identity holds; None
-    when no candidate turns up or the identity fails.
+    values at integer points and kept when the identity holds; None when no
+    candidate turns up or the identity fails.
 
     L(p) solves J(p) L(p) = S(p) J(p).  The base point p is the first
-    seeded point with J(p) invertible; each A_k is (L(p + c e_k) - L(p)) / c,
-    c the k-th coordinate of the next seeded point for which c is nonzero
-    and J(p + c e_k) invertible.  A linear L has sigma_i homogeneous of
-    degree i, so other sigmas return None at once.
+    :func:`~linnij.polymatrix.seeded_points` point at which J is invertible
+    at p and at every p + e_k, the point one higher in coordinate k; then
+    A_k = L(p + e_k) - L(p).  The n + 1 points are evaluated by one
+    :meth:`~linnij.polymatrix.PolyMatrix.at` call, which stops at the first
+    singular J.  A linear L has sigma_i homogeneous of degree i, so other
+    sigmas return None at once.
     """
     n = len(sigmas)
     if not all(s.is_homogeneous(i) for i, s in enumerate(sigmas, start=1)):
@@ -137,10 +140,9 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     sigmas_and_j = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
     zeros = [ZERO] * n
 
-    def solved(point):
-        """The entries of L(point), row by row, or None if J(point) is
-        singular."""
-        values = sigmas_and_j.at(point)
+    def solved(values):
+        """The entries of L(p), row by row, from the values of
+        ``sigmas_and_j`` at p, or None if J(p) is singular."""
         sp = [row[0] for row in values]
         jp = [row[1:] for row in values]
         # S(p) J(p) by the companion structure: row i is
@@ -152,29 +154,19 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
         except SingularMatrixError:
             return None
 
-    points = seeded_points(n)  # shared by the base and the shifts
-    for base in points:
-        at_base = solved(base)
-        if at_base is not None:
+    for base in seeded_points(n):
+        points = [base] + [base[:k] + [base[k] + ONE] + base[k + 1 :]
+                           for k in range(n)]
+        found = list(takewhile(lambda v: v is not None,
+                               map(solved, sigmas_and_j.at(points))))
+        if len(found) == n + 1:
             break
     else:
         return None
-    slopes = []  # slopes[k]: the entries of A_k, row by row
-    for k in range(n):
-        for shifts in points:
-            shift = shifts[k]
-            if not shift:
-                continue
-            point = list(base)
-            point[k] = point[k] + shift
-            at_point = solved(point)
-            if at_point is not None:
-                scale = shift.inverse()
-                slopes.append([(v - w) * scale if v or w else v
-                               for v, w in zip(at_point, at_base)])
-                break
-        else:
-            return None
+    at_base = found[0]
+    # slopes[k]: the entries of A_k, row by row
+    slopes = [[v - w if v or w else v for v, w in zip(at_point, at_base)]
+              for at_point in found[1:]]
     units = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
     candidate = PolyMatrix([
         [Poly(n, {u: slope[r * n + c] for u, slope in zip(units, slopes)})
@@ -355,13 +347,7 @@ class LinearitySystem(Record):
     def alpha_free_equations(self) -> list[Equation]:
         """Equations not involving any alpha unknown."""
         alphas = self.alpha_indices()
-        return [eq for eq in self.equations if not _involves(eq.poly, alphas)]
-
-    def top_exponents(self) -> list[int]:
-        """The highest exponent of each variable over all equations."""
-        rows = [(0,) * len(self.names)]
-        rows += [exps for eq in self.equations for exps in eq.poly.terms]
-        return [max(column) for column in zip(*rows)]
+        return [eq for eq in self.equations if not eq.poly.involves(alphas)]
 
     def geo_names(self) -> list[str]:
         return list(self.names[: self.ngeo])
@@ -489,16 +475,14 @@ def parse_system(text: str) -> LinearitySystem:
                 and entry == "P%d" % ((row - 2) * n + col)):
             raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
                               "2 <= row <= n, 1 <= col <= n, n = %d" % (entry, pos, n))
-        terms = list(parse_poly(mono_text, geo_names).terms.items())
-        if len(terms) != 1 or terms[0][1] != ONE:
-            raise FormatError("not a monomial: %r" % mono_text)
+        monomial = parse_monomial(mono_text, geo_names)
         poly_text = rhs.strip()
         if poly_text.endswith("= 0"):
             poly_text = poly_text[: -len("= 0")].strip()
         poly = parse_poly(poly_text, names)
-        if _involves(poly, range(len(geo_names))):
+        if poly.involves(range(len(geo_names))):
             raise FormatError("equation names a geometric variable: %r" % line)
-        equations.append(Equation(entry, row, col, terms[0][0], poly))
+        equations.append(Equation(entry, row, col, monomial, poly))
     if case is None or not names:
         raise FormatError("system listing is missing its header")
     if count is None:
@@ -541,37 +525,46 @@ def _coerce_value(value) -> Scalar:
     raise FormatError("assignment values must be exact scalars, got %r" % (value,))
 
 
+def _assigned_values(names: Sequence[str], ngeo: int, top: Sequence[int],
+                     assignment: Mapping[str, object]) -> dict[int, Scalar]:
+    """The assigned values by variable index.  Every name must be one of
+    ``names`` but not among the first ``ngeo``, the geometric ones, and
+    every other variable that occurs (``top``, from :func:`top_exponents`)
+    must have a value; otherwise :class:`FormatError`."""
+    index_of = {name: i for i, name in enumerate(names)}
+    values = {}
+    for name, value in assignment.items():
+        if name not in index_of:
+            raise FormatError("assignment for unknown variable %r" % name)
+        if index_of[name] < ngeo:
+            raise FormatError("cannot assign a geometric variable %r" % name)
+        values[index_of[name]] = _coerce_value(value)
+    missing = [names[i] for i in range(ngeo, len(names))
+               if top[i] and i not in values]
+    if missing:
+        raise FormatError(
+            "assignment is missing values for: %s" % ", ".join(missing)
+        )
+    return values
+
+
 def check_solution(
     system: LinearitySystem, assignment: Mapping[str, object]
 ) -> CheckResult:
     """Substitute one candidate solution and report the nonzero residuals.
 
-    The assignment must cover every parameter and alpha unknown that occurs
-    in the system; unknown or missing names are errors, not failures.  The
-    equations must not involve the geometric variables.  Each assigned
-    value's powers are computed once and serve every equation.
+    The equations must not involve the geometric variables.  The
+    assignment must cover every parameter and alpha unknown that occurs in
+    the system; unknown or missing names are errors, not failures.  Each
+    assigned value's powers are computed once and serve every equation.
     """
-    index_of = {name: i for i, name in enumerate(system.names)}
-    values = {}
-    for name, value in assignment.items():
-        if name not in index_of:
-            raise FormatError("assignment for unknown variable %r" % name)
-        if index_of[name] < system.ngeo:
-            raise FormatError("cannot assign a geometric variable %r" % name)
-        values[index_of[name]] = _coerce_value(value)
-    top = system.top_exponents()
+    top = top_exponents(len(system.names), (eq.poly for eq in system.equations))
     geometric = [name for name, e in zip(system.geo_names(), top) if e]
     if geometric:
         raise FormatError(
             "equations involve the geometric variables: %s" % ", ".join(geometric)
         )
-    missing = [
-        name for i, name in enumerate(system.names) if top[i] and i not in values
-    ]
-    if missing:
-        raise FormatError(
-            "assignment is missing values for: %s" % ", ".join(missing)
-        )
+    values = _assigned_values(system.names, system.ngeo, top, assignment)
     # powers[i][e] is value_i ** e up to the highest exponent of variable i;
     # it is None where value_i is zero, so every term it divides vanishes,
     # and where variable i occurs in no equation
@@ -613,19 +606,17 @@ def derive_alphas(
 ) -> dict[str, Scalar]:
     """Alpha values forced by a full parameter assignment.
 
-    Substitutes the parameters into the sigmas, divides each non-first-row
-    reconstruction numerator by the denominator, and reads the alpha_ij off
-    the resulting linear forms.  Raises when some entry fails to divide or
-    the quotient is not geometric-linear (the assignment is then not a
-    solution of the linearity system at all).
+    The assignment must cover every parameter that occurs in the sigmas,
+    under the name checks of :func:`check_solution`.  Substitutes the
+    parameters into the sigmas, divides each non-first-row reconstruction
+    numerator by the denominator, and reads the alpha_ij off the resulting
+    linear forms.  Raises when some entry fails to divide or the quotient
+    is not geometric-linear (the assignment is then not a solution of the
+    linearity system at all).
     """
     n = len(ps.sigmas)
-    values = {}
-    for name, value in params.items():
-        idx = ps.index_of(name)
-        if idx < n:
-            raise FormatError("cannot assign a geometric variable %r" % name)
-        values[idx] = _coerce_value(value)
+    top = top_exponents(len(ps.names), ps.sigmas)
+    values = _assigned_values(ps.names, n, top, params)
     sigmas = [s.substitute(values) for s in ps.sigmas]
     numerators, q = reconstruction_pieces(sigmas)
     out: dict[str, Scalar] = {}
@@ -639,17 +630,14 @@ def derive_alphas(
                     "remainder %s"
                     % (r + 1, c + 1, format_poly(quo.remainder, list(ps.names)))
                 )
-            for j in range(n):
-                exps = [0] * len(ps.names)
-                exps[j] = 1
-                coeff = quo.coefficient(exps)
-                out["alpha%d%d" % (p_index, j + 1)] = coeff
-                quo = quo - Poly.monomial(len(ps.names), exps, coeff)
-            if not quo.is_zero():
+            coeffs = quo.linear_coefficients()
+            if coeffs is None or any(coeffs[n:]):
                 raise LinnijError(
                     "entry (%d,%d) divides but is not geometric-linear"
                     % (r + 1, c + 1)
                 )
+            for j in range(n):
+                out["alpha%d%d" % (p_index, j + 1)] = coeffs[j]
     return out
 
 
@@ -721,13 +709,9 @@ def normalize_sigma1(s1: Poly) -> tuple[Poly, list[list[Scalar]]]:
     Returns (y1, T) with substitute_linear(s1, T) = y1.
     """
     n = s1.nvars
-    if s1.is_zero() or not s1.is_homogeneous(1):
+    coeffs = s1.linear_coefficients()
+    if s1.is_zero() or coeffs is None:
         raise DimensionMismatchError("expected a nonzero homogeneous linear form")
-    coeffs = []
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = 1
-        coeffs.append(s1.coefficient(exps))
     pivot = next(i for i, v in enumerate(coeffs) if not v.is_zero())
     rows = [coeffs]
     for i in range(n):
@@ -763,16 +747,13 @@ def _quadratic_matrix(s2: Poly) -> list[list[Scalar]]:
     n = s2.nvars
     a = [[ZERO] * n for _ in range(n)]
     half = Scalar(Fraction(1, 2))
-    for exps, coeff in s2.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if sum(exps) != 2:
-            raise DimensionMismatchError("expected a homogeneous quadratic")
-        if len(support) == 1:
-            i = support[0]
-            a[i][i] = coeff
-        else:
-            i, j = support
-            a[i][j] = a[j][i] = coeff * half
+    for i in range(n):
+        for j in range(i, n):
+            exps = [0] * n
+            exps[i] += 1
+            exps[j] += 1
+            coeff = s2.coefficient(exps)
+            a[i][j] = a[j][i] = coeff if i == j else coeff * half
     return a
 
 

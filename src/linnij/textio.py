@@ -344,6 +344,15 @@ def parse_poly(text: str, names: list[str]) -> Poly:
         raise FormatError("division by zero in %r" % text)
 
 
+def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:
+    """The exponent tuple of a monomial with coefficient one, such as
+    ``x1^2*x3``; anything else raises :class:`FormatError`."""
+    terms = list(parse_poly(text, names).terms.items())
+    if len(terms) != 1 or terms[0][1] != ONE:
+        raise FormatError("not a monomial: %r" % text)
+    return terms[0][0]
+
+
 def parse_scalar(text: str) -> Scalar:
     value = parse_poly(text, [])
     return value.constant_value()

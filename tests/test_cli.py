@@ -516,6 +516,21 @@ def test_generalize_bad_arguments(runner):
     assert runner.invoke(main, ["generalize", "L9", "3"]).exit_code == 2
 
 
+def test_generalize_bounds_n(runner):
+    # past the bound the command exits 2 before building anything
+    for family, n in (("blocks", "13"), ("L1", "1000")):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["generalize", family, n])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "Invalid value for 'N': %s is not in the range x<=12." % n \
+            in result.output
+    result = runner.invoke(main, ["generalize", "blocks", "12"])
+    assert result.exit_code == 0
+    assert result.output.startswith("blocks(n=12")
+    assert result.output.endswith("verification: ok (5 checks)\n")
+
+
 # -- torsion ---------------------------------------------------------------------
 
 

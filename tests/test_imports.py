@@ -10,6 +10,10 @@ invariants with raised errors instead.
 
 ``click`` serves the command line only; importing the library does not
 load it.
+
+The term dict ``Poly.terms`` is the ring's representation: only
+``polyring`` and the parser in ``textio`` read it, and every other module
+goes through the ring's accessors.
 """
 
 import ast
@@ -87,6 +91,30 @@ def test_assert_statement_is_reported():
               "        assert x > 0, 'positive'\n"
               "    return 'assert x'\n")
     assert assert_statements(source, "m.py") == ["m.py:3"]
+
+
+TERM_DICT_READERS = ("polyring.py", "textio.py")
+
+
+def term_dict_reads(source, filename):
+    tree = ast.parse(source, filename)
+    return ["%s:%d" % (filename, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+
+
+def test_only_the_ring_and_its_parser_read_term_dicts():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in TERM_DICT_READERS:
+            found += term_dict_reads(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_term_dict_read_is_reported():
+    source = ("def f(p, q):\n"
+              "    n = len(p.terms)\n"
+              "    return q.sorted_terms(), 'p.terms', getattr(p, 'nvars')\n")
+    assert term_dict_reads(source, "m.py") == ["m.py:2"]
 
 
 def test_library_import_leaves_click_out():

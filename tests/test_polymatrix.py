@@ -262,18 +262,32 @@ def test_exact_divide_matches_sympy():
 
 
 def test_at_matches_evaluate_entrywise():
-    # one power table serves entries of different degrees, a zero entry
-    # and zero coordinates
+    # one exponent bound serves entries of different degrees, a zero entry
+    # and zero coordinates, at every point of one call
     rng = random.Random(23)
     for n in (1, 2, 3):
         for _ in range(20):
             m = PolyMatrix([row + (Poly.zero(n),)
                             for row in random_matrix(rng, n, maxdeg=3).entries])
-            point = [Scalar(rng.randint(-2, 2)) for _ in range(n)]
-            assert m.at(point) == [[p.evaluate(point) for p in row]
-                                   for row in m.entries]
+            points = [[Scalar(rng.randint(-2, 2)) for _ in range(n)]
+                      for _ in range(3)]
+            assert list(m.at(points)) == [
+                [[p.evaluate(point) for p in row] for row in m.entries]
+                for point in points]
+    assert list(PolyMatrix([[p3("x1")]]).at([])) == []
     with pytest.raises(DimensionMismatchError):
-        PolyMatrix([[p3("x1")]]).at([Scalar(1)])
+        next(PolyMatrix([[p3("x1")]]).at([[Scalar(1)]]))
+
+
+def test_at_yields_one_point_at_a_time():
+    # a consumer that stops early leaves the later points unread
+    m = PolyMatrix([[p3("x1*x2 + x3^2")]])
+
+    def points():
+        yield [Scalar(1), Scalar(2), Scalar(3)]
+        raise AssertionError("read past the first point")
+
+    assert next(m.at(points())) == [[Scalar(11)]]
 
 
 def test_seeded_points_are_a_fixed_budget():

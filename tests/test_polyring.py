@@ -6,7 +6,7 @@ import pytest
 from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar
 from linnij.polyring import (
-    DivisibilityFailure, Poly, dot, exact_divide, powers_of, value_at)
+    DivisibilityFailure, Poly, dot, exact_divide, powers_of, top_exponents, value_at)
 from linnij.textio import format_poly, parse_poly
 
 
@@ -98,6 +98,20 @@ def test_substitute_and_evaluate_agree():
             full = a.substitute(dict(enumerate(point))).constant_value()
             assert full == a.evaluate(point) == value_at(a, powers)
     assert value_at(Poly.zero(3), [None] * 3) == Scalar(0)
+
+
+def test_ring_accessors():
+    assert top_exponents(3, [p("x1^2*x3 - x1"), p("x1*x3^4"), p("0")]) == [2, 0, 4]
+    assert top_exponents(3, []) == [0, 0, 0]
+    assert p("2*x1 - 1/3*x3").linear_coefficients() == [
+        Scalar(2), Scalar(0), Scalar(Fraction(-1, 3))]
+    assert p("0").linear_coefficients() == [Scalar(0)] * 3
+    for text in ("x1 + 1", "x1*x2", "x2^2", "7"):
+        assert p(text).linear_coefficients() is None, text
+    assert p("x1*x3 + x2").involves(range(2))
+    assert p("x1*x3 + x2").involves([0])
+    assert not p("x3^2 + 5").involves(range(2))
+    assert not p("0").involves(range(3))
 
 
 def _assert_well_formed(poly, nvars):

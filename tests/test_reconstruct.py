@@ -342,6 +342,31 @@ def test_two_dim_system_and_solution():
         assert roots == [Scalar(0), Scalar(Fraction(1, 4))]
 
 
+def test_solve_two_dim_needs_proportional_alpha_free_equations():
+    system = generate_linearity_system(param_sigmas_2d(1))
+    free = system.alpha_free_equations()
+    assert len(free) == 1
+    lead = free[0]
+    with_alphas = [eq for eq in system.equations if eq is not lead]
+    a = Poly.variable(len(system.names), system.names.index("a"))
+
+    def variant(*polys):
+        extra = [Equation(lead.entry, lead.row, lead.col, lead.monomial, p)
+                 for p in polys]
+        return LinearitySystem(system.case, system.names, system.ngeo,
+                               with_alphas + extra, None)
+
+    with pytest.raises(LinnijError, match="system has no alpha-free equation"):
+        solve_two_dim(variant())
+    with pytest.raises(LinnijError, match="system has no alpha-free equation"):
+        solve_two_dim(variant(Poly.zero(len(system.names))))
+    first, roots = solve_two_dim(variant(lead.poly, lead.poly.scale(Scalar(-3))))
+    assert first == lead.poly
+    assert roots == [Scalar(0), Scalar(Fraction(1, 4))]
+    with pytest.raises(LinnijError, match="not proportional"):
+        solve_two_dim(variant(lead.poly, lead.poly + a))
+
+
 def test_two_dim_operator_matches_its_sigmas():
     for sign in (1, -1):
         for a in (Scalar(0), Scalar(Fraction(1, 4))):
@@ -556,6 +581,30 @@ def test_derive_alphas_rejects_alpha_names():
     filled = {p: params.get(p, Fraction(0)) for p in PARAM_NAMES}
     filled["alpha11"] = Fraction(1)
     with pytest.raises(FormatError):
+        derive_alphas(ps, filled)
+
+
+def test_derive_alphas_rejects_a_partial_assignment():
+    # b_22 is the free parameter of s1 and b_11 one of its zero parameters;
+    # leaving either out is a missing value, not a failed solution
+    ps = param_sigmas("1.1")
+    _, params, _, _, _ = CASE11_SOLUTIONS[0]
+    for left_out in ("b_22", "b_11"):
+        filled = {p: params.get(p, Fraction(0)) for p in PARAM_NAMES
+                  if p != left_out}
+        with pytest.raises(FormatError) as err:
+            derive_alphas(ps, filled)
+        assert str(err.value) == "assignment is missing values for: " + left_out
+
+
+def test_derive_alphas_needs_only_the_parameters_that_occur():
+    # case 3 has sigma_2 = x1*x2, so the parameter a occurs in no sigma and
+    # the assignment without it reaches the division
+    ps = param_sigmas("3")
+    filled = {p: Fraction(0) for p in PARAM_NAMES if p != "a"}
+    filled["b_33"] = Fraction(1)
+    filled["c"] = Fraction(1)
+    with pytest.raises(LinnijError, match="is not linear under this assignment"):
         derive_alphas(ps, filled)
 
 

@@ -12,6 +12,7 @@ from linnij.textio import (
     format_poly,
     format_scalar,
     format_scalar_matrix,
+    parse_monomial,
     parse_poly,
     parse_scalar,
     parse_scalar_matrix,
@@ -336,3 +337,13 @@ def test_format_poly_rejects_wrong_name_count():
     p = Poly.variable(2, 0)
     with pytest.raises(FormatError):
         format_poly(p, ["x1"])
+
+
+def test_parse_monomial():
+    names = ["x1", "x2", "x3"]
+    assert parse_monomial("x1^2*x3", names) == (2, 0, 1)
+    assert parse_monomial("1", names) == (0, 0, 0)
+    for text in ("2*x1", "x1 + x2", "0", "-x2"):
+        with pytest.raises(FormatError) as err:
+            parse_monomial(text, names)
+        assert str(err.value) == "not a monomial: %r" % text
