@@ -41,8 +41,10 @@ from .textio import default_names, format_poly, format_scalar, parse_poly
 
 
 class _Main(click.Group):
-    """Command group that turns package errors and unreadable or unwritable
-    files into a one-line message and exit 2, for every subcommand."""
+    """Command group that turns package errors, unreadable or unwritable
+    files and click's usage errors (an unknown subcommand or option, a
+    missing or out-of-range argument) into a one-line message and exit 2,
+    for every subcommand."""
 
     def invoke(self, ctx):
         try:
@@ -51,6 +53,17 @@ class _Main(click.Group):
             raise
         except (LinnijError, OSError) as exc:
             _fail(str(exc))
+        except click.UsageError as exc:
+            _usage_fail(exc)
+
+    def parse_args(self, ctx, args):
+        bare = not args  # the parser consumes ``args``
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            if bare:  # a bare ``linnij`` prints the help
+                raise
+            _usage_fail(exc)
 
 
 @click.group(cls=_Main)
@@ -116,6 +129,11 @@ def _read_operator_file(path):
 def _fail(message):
     click.echo(message, err=True)
     raise SystemExit(2)
+
+
+def _usage_fail(exc):
+    """Exit 2 with click's usage message joined onto one line."""
+    _fail(" ".join(line.strip() for line in exc.format_message().splitlines()))
 
 
 def _monomial_text(exponents, names):
@@ -305,8 +323,8 @@ def check_solution_command(system_ref, assignment_file):
 
 @main.command("generalize")
 @click.argument("family", type=click.Choice(["L1", "L2", "blocks"]))
-# the work grows about fourfold per two steps of n (blocks: 0.85 s at
-# n = 12, 3.2 s at n = 14 on a 2-CPU Xeon); a larger n exits 2 at once
+# the work grows about threefold per two steps of n (blocks: 0.5 s at
+# n = 12, 1.3-1.7 s at n = 14 on a 2-CPU Xeon); a larger n exits 2 at once
 @click.argument("n", type=click.IntRange(max=12))
 @click.option("--signs", default=None, metavar="SIGNS",
               help="Block signs for the blocks family, e.g. '+,-' or '+-'.")

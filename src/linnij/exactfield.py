@@ -18,6 +18,11 @@ parts to ``Fraction`` and checks the radicand.  Arithmetic results are built
 from parts that are already valid, through the private ``Scalar._new``, which
 only restores the canonical form; two rational operands cost one
 ``Fraction`` operation.
+
+A rational scalar equals the ``int`` or ``Fraction`` of the same value and
+hashes as it does.  Polynomial coefficients (:mod:`linnij.polyring`) are
+held as ``int`` or ``Fraction`` whenever they are rational, so a ``Scalar``
+inside a polynomial always has a nonzero irrational part.
 """
 
 from __future__ import annotations
@@ -221,6 +226,9 @@ class Scalar:
         )
 
     def __hash__(self):
+        # a rational scalar hashes as the int or Fraction it equals
+        if not self.irr:
+            return hash(self.rat)
         return hash((self.rat, self.irr, self.rad))
 
     def __bool__(self):

@@ -1,30 +1,46 @@
 """Exact sparse multivariate polynomials over quadratic-field scalars.
 
 A polynomial over ``nvars`` variables is a mapping from exponent tuples to
-nonzero :class:`~linnij.exactfield.Scalar` coefficients.  The zero polynomial
-is the empty mapping.  All monomial comparisons use one global order,
-graded lexicographic with ``x1 > x2 > ...``: total degree first, ties by
-tuple comparison of the exponent vectors.
+nonzero coefficients.  The zero polynomial is the empty mapping.  All
+monomial comparisons use one global order, graded lexicographic with
+``x1 > x2 > ...``: total degree first, ties by tuple comparison of the
+exponent vectors.
+
+Each coefficient is held in its narrowest exact type: an ``int`` when it is
+integral, a :class:`~fractions.Fraction` when it is rational, and a
+:class:`~linnij.exactfield.Scalar` only when its irrational part is nonzero,
+so rational arithmetic, nearly all of it, runs on Python's own numbers.  The
+readers (:meth:`Poly.coefficient`, :meth:`Poly.leading`,
+:meth:`Poly.sorted_terms`, :meth:`Poly.constant_value`,
+:meth:`Poly.linear_coefficients`, :meth:`Poly.evaluate`, :func:`value_at`)
+return ``Scalar``.
 
 Instances are treated as immutable; every operation returns a new object.
 The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
 which compares below every integer.
 
 Validation happens once, in the public constructor ``Poly(nvars, terms)``:
-every exponent tuple must have ``nvars`` nonnegative entries, and zero
-coefficients are dropped.  Results of ring operations are built from terms
-the ring produced itself, through the private ``Poly._new``, and are not
-checked again.
+every exponent tuple must have ``nvars`` nonnegative entries, every
+coefficient must be an ``int``, a ``Fraction`` or a ``Scalar`` (anything
+else, a float included, is a ``TypeError``) and is narrowed, and zero
+coefficients are dropped.  The same holds for ``Poly.constant``,
+``Poly.monomial`` and ``Poly.scale``.  Results of ring operations are built
+from terms the ring produced itself, through the private ``Poly._new``, and
+are not checked again.
 
-Two private kernels add terms into a coefficient dict, dropping every sum that
-cancels: ``_add_terms`` (``+``, ``-``, :meth:`Poly.substitute`, the parser's
-sums) and ``_add_products`` (``*``, :func:`dot`, :func:`exact_divide`, the
-parser's bracketed terms).  :func:`dot`, the sum of the pairwise products of
-two rows with zero factors skipped, is the one sum-of-products routine: matrix
-products, the characteristic polynomial, the torsion, coordinate changes,
-linear forms and :meth:`Poly.substitute_linear` are built on it.
+Two private kernels add terms into a coefficient dict, narrowing every
+result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
+:meth:`Poly.substitute`, the parser's sums) and ``_add_products`` (``*``,
+:func:`dot`, :func:`exact_divide`, the parser's bracketed terms).
+:func:`exact_divide` divides through an exact inverse, a ``Fraction`` or a
+``Scalar``, never ``int / int``.  :func:`dot`, the sum of the pairwise
+products of two rows with zero factors skipped, is the one sum-of-products
+routine: matrix products, the characteristic polynomial, the torsion,
+coordinate changes, linear forms and :meth:`Poly.substitute_linear` are
+built on it.
 
-:func:`powers_of` is the one power table of a value, and :func:`value_at`
+:func:`powers_of` is the one power table of a value, in the narrow
+coefficient types, and :func:`value_at`
 the one evaluation against such tables: :meth:`Poly.evaluate`, the
 solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
 :func:`top_exponents` is the one scan for how far such tables must reach.
@@ -37,10 +53,11 @@ The term dict ``Poly.terms`` is read here and by the parser in
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .exactfield import ONE, ZERO, Scalar, power
+from .exactfield import ZERO, Scalar, power
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -48,6 +65,8 @@ MINUS_INFINITY = float("-inf")
 _new_object = object.__new__
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction | Scalar
+_EXACT = (int, Fraction, Scalar)
 
 
 def grlex_key(exponents: Exponents) -> tuple:
@@ -59,8 +78,8 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
-        cleaned: dict[Exponents, Scalar] = {}
+    def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
+        cleaned: dict[Exponents, Coefficient] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
@@ -69,7 +88,8 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in %r" % (exps,))
-                if not coeff.is_zero():
+                coeff = _exact(coeff)
+                if coeff:
                     cleaned[tuple(exps)] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", cleaned)
@@ -78,9 +98,10 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def _new(nvars: int, terms: dict[Exponents, Scalar]) -> "Poly":
+    def _new(nvars: int, terms: dict[Exponents, Coefficient]) -> "Poly":
         """Trusted constructor: ``terms`` is taken as is, and must map
-        ``nvars``-entry tuples of nonnegative ints to nonzero scalars."""
+        ``nvars``-entry tuples of nonnegative ints to nonzero coefficients
+        in their narrowest type."""
         out = _new_object(Poly)
         _set_nvars(out, nvars)
         _set_terms(out, terms)
@@ -94,20 +115,18 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, value) -> "Poly":
-        c = value if isinstance(value, Scalar) else Scalar(value)
-        return Poly(nvars, {(0,) * nvars: c})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
         exps = (0,) * index + (1,) + (0,) * (nvars - index - 1)
-        return Poly._new(nvars, {exps: ONE})
+        return Poly._new(nvars, {exps: 1})
 
     @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff) -> "Poly":
-        c = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-        return Poly(nvars, {tuple(exponents): c})
+        return Poly(nvars, {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -134,10 +153,10 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        return exps, Scalar._coerce(self.terms[exps])
 
     def coefficient(self, exponents: Iterable[int]) -> Scalar:
-        return self.terms.get(tuple(exponents), ZERO)
+        return Scalar._coerce(self.terms.get(tuple(exponents), 0))
 
     def linear_coefficients(self) -> list[Scalar] | None:
         """The coefficient of each variable, when the polynomial is
@@ -146,7 +165,7 @@ class Poly:
         for exps, coeff in self.terms.items():
             if sum(exps) != 1:
                 return None
-            coeffs[exps.index(1)] = coeff
+            coeffs[exps.index(1)] = Scalar._coerce(coeff)
         return coeffs
 
     def involves(self, indices: Sequence[int]) -> bool:
@@ -160,11 +179,12 @@ class Poly:
             return ZERO
         if self.degree() > 0:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Scalar._coerce(next(iter(self.terms.values())))
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded lex order (leading first)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        return [(exps, Scalar._coerce(self.terms[exps]))
+                for exps in sorted(self.terms, key=grlex_key, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -189,14 +209,14 @@ class Poly:
         return (-self) + other
 
     def scale(self, factor) -> "Poly":
-        c = factor if isinstance(factor, Scalar) else Scalar(factor)
-        if c.is_zero():
+        c = _exact(factor)
+        if not c:
             return Poly.zero(self.nvars)
         # a field has no zero divisors, so no product vanishes
-        return Poly._new(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return Poly._new(self.nvars, {e: _narrow(v * c) for e, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _EXACT):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -208,7 +228,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return power(self, exponent, Poly.constant(self.nvars, ONE))
+        return power(self, exponent, Poly.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -226,7 +246,7 @@ class Poly:
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
-        acc: dict[Exponents, Scalar] = {}
+        acc: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
             if e == 0:
@@ -234,7 +254,7 @@ class Poly:
             # lowering one exponent maps distinct monomials to distinct ones,
             # and coeff * e is nonzero for e >= 1
             lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            acc[lowered] = coeff * e
+            acc[lowered] = _narrow(coeff * e)
         return Poly._new(self.nvars, acc)
 
     def substitute_linear(self, matrix: list[list[Scalar]]) -> "Poly":
@@ -256,7 +276,7 @@ class Poly:
         powers: dict[tuple[int, int], Poly] = {}
         monomials = []
         for exps in self.terms:
-            monomial = Poly.constant(ncols, ONE)
+            monomial = Poly.constant(ncols, 1)
             for i, e in enumerate(exps):
                 if e:
                     if (i, e) not in powers:
@@ -269,7 +289,7 @@ class Poly:
         """Evaluate some variables at scalar values (others stay symbolic).
 
         Each substituted variable's powers are built once, up to the highest
-        exponent it carries.
+        exponent it carries, and every image coefficient is narrowed.
         """
         for i in values:
             if not 0 <= i < self.nvars:
@@ -287,7 +307,7 @@ class Poly:
                     coeff = coeff * row[e]
                     new_exps[i] = 0
             else:
-                images.append((tuple(new_exps), coeff))
+                images.append((tuple(new_exps), _narrow(coeff)))
         return Poly._new(self.nvars, _add_terms({}, images))
 
     def evaluate(self, point: list[Scalar]) -> Scalar:
@@ -318,7 +338,7 @@ class Poly:
         in the full ring with zeroed exponents at the grouped positions.
         """
         idx = tuple(indices)
-        groups: dict[Exponents, dict[Exponents, Scalar]] = {}
+        groups: dict[Exponents, dict[Exponents, Coefficient]] = {}
         for exps, coeff in self.terms.items():
             key = tuple(exps[i] for i in idx)
             rest = list(exps)
@@ -330,7 +350,7 @@ class Poly:
     def radicand(self) -> int:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
         for coeff in self.terms.values():
-            if coeff.rad:
+            if type(coeff) is Scalar:
                 return coeff.rad
         return 0
 
@@ -347,7 +367,7 @@ _set_terms = Poly.terms.__set__
 
 def _accumulate(p: Poly, other, subtract: bool):
     """p + other, or p - other when ``subtract``, in one pass over other."""
-    if isinstance(other, (int, Scalar)):
+    if isinstance(other, _EXACT):
         other = Poly.constant(p.nvars, other)
     if not isinstance(other, Poly):
         return NotImplemented
@@ -355,36 +375,68 @@ def _accumulate(p: Poly, other, subtract: bool):
     return Poly._new(p.nvars, _add_terms(dict(p.terms), other.terms.items(), subtract))
 
 
+def _narrow(value):
+    """A coefficient in its narrowest exact type: the ``int`` or ``Fraction``
+    of a rational value (an ``int`` is its own numerator over 1), or the
+    ``Scalar`` itself when its irrational part is nonzero."""
+    if type(value) is Scalar:
+        if value.irr:
+            return value
+        value = value.rat
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact(value):
+    """The narrowest form of a coefficient handed to a public entry point;
+    TypeError unless it is an int, a Fraction or a Scalar."""
+    if not isinstance(value, _EXACT):
+        raise TypeError("coefficient %r is not an int, a Fraction or a Scalar"
+                        % (value,))
+    return _narrow(value)
+
+
 def _add_terms(acc: dict, terms, subtract: bool = False) -> dict:
-    """Add (exponents, nonzero coefficient) pairs into the term dict ``acc``,
-    or subtract them when ``subtract``, and return it; a sum that cancels is
-    dropped."""
+    """Add (exponents, nonzero narrow coefficient) pairs into the term dict
+    ``acc``, or subtract them when ``subtract``, and return it; a sum that
+    cancels is dropped, and every other sum is narrowed."""
     for exps, coeff in terms:
         cur = acc.get(exps)
         if cur is None:
             acc[exps] = -coeff if subtract else coeff
-        elif (total := cur - coeff if subtract else cur + coeff).is_zero():
-            del acc[exps]
-        else:
+            continue
+        total = cur - coeff if subtract else cur + coeff
+        if type(total) is not int:
+            total = _narrow(total)
+        if total:
             acc[exps] = total
+        else:
+            del acc[exps]
     return acc
 
 
 def _add_products(acc: dict, left: dict, right: dict) -> dict:
     """Add every product of a term of ``left`` and a term of ``right`` (term
-    dicts with nonzero coefficients, so no product vanishes in a field) into
-    the term dict ``acc``, and return it; a sum that cancels is dropped."""
+    dicts with nonzero narrow coefficients, so no product vanishes in a
+    field) into the term dict ``acc``, and return it; a sum that cancels is
+    dropped.  Products and sums are narrowed: two fractions can multiply or
+    add to an integer, and two irrational scalars to a rational."""
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             exps = tuple(map(operator.add, e1, e2))
             prod = c1 * c2
+            if type(prod) is not int:
+                prod = _narrow(prod)
             cur = acc.get(exps)
             if cur is None:
                 acc[exps] = prod
-            elif (total := cur + prod).is_zero():
-                del acc[exps]
-            else:
+                continue
+            total = cur + prod
+            if type(total) is not int:
+                total = _narrow(total)
+            if total:
                 acc[exps] = total
+            else:
+                del acc[exps]
     return acc
 
 
@@ -395,11 +447,13 @@ def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
     return [max(column) for column in zip((0,) * nvars, *exps)]
 
 
-def powers_of(value: Scalar, top: int) -> list[Scalar] | None:
-    """``[1, value, ..., value**top]``, or None when ``value`` is zero."""
-    row = [ONE]
+def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
+    """``[1, value, ..., value**top]`` in the ring's narrow coefficient
+    types, or None when ``value`` is zero."""
+    value = _exact(value)
+    row = [1]
     for _ in range(top):
-        row.append(row[-1] * value)
+        row.append(_narrow(row[-1] * value))
     return row if value else None
 
 
@@ -409,9 +463,10 @@ def value_at(p: Poly, powers) -> Scalar:
     ``powers[i]`` is :func:`powers_of` of the value of variable i, up to at
     least the highest exponent of that variable in ``p``: None when the
     value is zero, so every term it divides vanishes.  One table serves
-    every polynomial evaluated at the same point.
+    every polynomial evaluated at the same point.  The sum runs in the
+    narrow coefficient types and becomes a ``Scalar`` at the end.
     """
-    total = ZERO
+    total = 0
     for exps, coeff in p.terms.items():
         for row, e in zip(powers, exps):
             if e:
@@ -420,7 +475,7 @@ def value_at(p: Poly, powers) -> Scalar:
                 coeff = coeff * row[e]
         else:
             total = total + coeff
-    return total
+    return Scalar._coerce(total)
 
 
 def dot(left, right, zero):
@@ -431,7 +486,7 @@ def dot(left, right, zero):
     """
     if not isinstance(zero, Poly):
         return sum((p * q for p, q in zip(left, right) if p and q), zero)
-    terms: dict[Exponents, Scalar] = {}
+    terms: dict[Exponents, Coefficient] = {}
     for p, q in zip(left, right):
         if p and q:
             _add_products(terms, _terms_in(p, zero), _terms_in(q, zero))
@@ -439,11 +494,12 @@ def dot(left, right, zero):
 
 
 def _terms_in(factor, zero: Poly) -> dict:
-    """The term dict of a :func:`dot` factor; a scalar is a constant term."""
+    """The term dict of a :func:`dot` factor; a nonzero scalar is a constant
+    term."""
     if isinstance(factor, Poly):
         zero._check_compatible(factor)
         return factor.terms
-    return {(0,) * zero.nvars: factor}
+    return {(0,) * zero.nvars: _exact(factor)}
 
 
 class DivisibilityFailure(Record):
@@ -466,16 +522,19 @@ def exact_divide(p: Poly, q: Poly) -> Poly | DivisibilityFailure:
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     p._check_compatible(q)
-    lead_exps, lead_coeff = q.leading()
+    lead_exps = max(q.terms, key=grlex_key)
+    lead = q.terms[lead_exps]
+    # an exact inverse: ``int / int`` would be a float
+    inverse = _narrow(lead.inverse() if type(lead) is Scalar else Fraction(1, lead))
     # leading terms fall strictly, so no quotient term repeats
-    quotient: dict[Exponents, Scalar] = {}
+    quotient: dict[Exponents, Coefficient] = {}
     remainder = dict(p.terms)
     while remainder:
         exps = max(remainder, key=grlex_key)
         diff = tuple(a - b for a, b in zip(exps, lead_exps))
         if any(d < 0 for d in diff):
             return DivisibilityFailure(Poly._new(p.nvars, remainder))
-        coeff = remainder[exps] / lead_coeff
+        coeff = _narrow(remainder[exps] * inverse)
         quotient[diff] = coeff
         _add_products(remainder, {diff: -coeff}, q.terms)
     return Poly._new(p.nvars, quotient)

@@ -568,7 +568,7 @@ def check_solution(
     # powers[i][e] is value_i ** e up to the highest exponent of variable i;
     # it is None where value_i is zero, so every term it divides vanishes,
     # and where variable i occurs in no equation
-    powers: list[list[Scalar] | None] = [None] * len(system.names)
+    powers: list[list | None] = [None] * len(system.names)
     for i, value in values.items():
         powers[i] = powers_of(value, top[i])
     residuals = []

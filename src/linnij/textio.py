@@ -39,7 +39,7 @@ import re
 from fractions import Fraction
 
 from .errors import FormatError
-from .polyring import Poly, _add_products, _add_terms
+from .polyring import Poly, _add_products, _add_terms, _narrow
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
@@ -229,7 +229,7 @@ class _Parser:
         return result
 
     def sum_expr(self) -> Poly:
-        acc: dict[tuple[int, ...], Scalar] = {}
+        acc: dict = {}
         negate = False
         if self.tokens[self.pos] in ("+", "-"):
             negate = self.take() == "-"
@@ -244,7 +244,7 @@ class _Parser:
         coeff, exps, rest = self.product_expr()
         if not coeff:
             return
-        key, value = tuple(exps), Scalar._coerce(-coeff if negate else coeff)
+        key, value = tuple(exps), _narrow(-coeff if negate else coeff)
         if rest is None:
             _add_terms(acc, ((key, value),))
         else:

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import linnij
 from linnij.cli import main
 from linnij.catalog import CatalogEntry, EntryReport, load_catalog
 from linnij.errors import FormatError
@@ -529,6 +534,36 @@ def test_generalize_bounds_n(runner):
     assert result.exit_code == 0
     assert result.output.startswith("blocks(n=12")
     assert result.output.endswith("verification: ok (5 checks)\n")
+
+
+def run_cli(args):
+    """The command line in a fresh interpreter, stdout and stderr apart."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(linnij.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "linnij.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_usage_errors_print_one_line():
+    for args, message in (
+        (["generalize", "blocks", "13"],
+         "Invalid value for 'N': 13 is not in the range x<=12."),
+        (["torsion"], "Missing argument 'OPERATOR_FILE'."),
+        (["nosuch"], "No such command 'nosuch'."),
+        (["--bogus"], "No such option '--bogus'."),
+        (["generalize"],
+         "Missing argument '{L1|L2|blocks}'. Choose from: L1, L2, blocks"),
+    ):
+        result = run_cli(args)
+        assert (result.returncode, result.stdout) == (2, ""), args
+        assert result.stderr == message + "\n", args
+    # help is not an error
+    result = run_cli(["--help"])
+    assert result.returncode == 0 and "Commands:" in result.stdout
+    result = run_cli([])
+    assert "Commands:" in result.stdout + result.stderr
 
 
 # -- torsion ---------------------------------------------------------------------

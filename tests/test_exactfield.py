@@ -180,3 +180,11 @@ def test_hash_consistency():
     assert hash(Scalar(Fraction(4, 2))) == hash(Scalar(2))
     d = {Scalar(2, 1, 3): "x"}
     assert d[Scalar(2, 1, 3)] == "x"
+
+
+def test_rational_scalars_hash_as_the_rationals_they_equal():
+    for value in (0, 2, -7, 10**30, Fraction(1, 2), Fraction(-22, 7)):
+        assert Scalar(value) == value
+        assert hash(Scalar(value)) == hash(value)
+    assert {Scalar(2): "two"}[2] == "two"
+    assert {Fraction(1, 2): "half"}[Scalar(Fraction(1, 2))] == "half"

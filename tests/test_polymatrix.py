@@ -162,7 +162,7 @@ def to_sympy(p, symbols):
     import sympy
 
     total = sympy.Integer(0)
-    for exps, c in p.terms.items():
+    for exps, c in p.sorted_terms():
         coeff = sympy.Rational(c.rat.numerator, c.rat.denominator)
         if c.rad:
             coeff += sympy.Rational(c.irr.numerator, c.irr.denominator) \

@@ -114,12 +114,24 @@ def test_ring_accessors():
     assert not p("0").involves(range(3))
 
 
+def _assert_narrow(coeff):
+    """A nonzero coefficient in its narrowest exact type: an int, a Fraction
+    that is not an integer, or a Scalar with an irrational part; never a
+    float and never a rational Scalar."""
+    if type(coeff) is int:
+        assert coeff != 0
+    elif type(coeff) is Fraction:
+        assert coeff.denominator != 1
+    else:
+        assert type(coeff) is Scalar and coeff.irr != 0, repr(coeff)
+
+
 def _assert_well_formed(poly, nvars):
     assert poly.nvars == nvars
     for exps, coeff in poly.terms.items():
         assert type(exps) is tuple and len(exps) == nvars
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert isinstance(coeff, Scalar) and not coeff.is_zero()
+        _assert_narrow(coeff)
 
 
 def random_scalar(rng, rad):
@@ -232,6 +244,54 @@ def test_public_constructor_validates():
     with pytest.raises(ValueError):
         Poly(3, {(1, -1, 0): Scalar(1)})
     assert Poly(3, {(1, 0, 0): Scalar(0)}).is_zero()
+    assert Poly(3, {(1, 0, 0): Fraction(0)}).is_zero()
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, "1/2", None])
+def test_entry_points_take_exact_coefficients_only(value):
+    x1 = Poly.variable(3, 0)
+    with pytest.raises(TypeError):
+        Poly(3, {(1, 0, 0): value})
+    with pytest.raises(TypeError):
+        Poly.constant(3, value)
+    with pytest.raises(TypeError):
+        Poly.monomial(3, (1, 0, 0), value)
+    with pytest.raises(TypeError):
+        x1.scale(value)
+
+
+def test_entry_points_narrow_their_coefficients():
+    x1 = Poly.variable(3, 0)
+    for value, narrow in ((Scalar(2), 2), (Fraction(4, 2), 2), (True, 1),
+                          (Scalar(Fraction(1, 2)), Fraction(1, 2)),
+                          (Scalar(1, 1, 3), Scalar(1, 1, 3))):
+        for poly in (Poly(3, {(0, 0, 0): value}), Poly.constant(3, value),
+                     Poly.monomial(3, (0, 0, 0), value),
+                     Poly.constant(3, 1).scale(value), Poly.constant(3, 1) * value):
+            assert poly.terms == {(0, 0, 0): narrow}
+            assert type(poly.terms[0, 0, 0]) is type(narrow)
+        assert (x1 * value).coefficient((1, 0, 0)) == Scalar._coerce(value)
+    # the same polynomial, however its coefficients were given
+    assert Poly.constant(3, Scalar(2)) == Poly.constant(3, 2)
+    assert hash(Poly.constant(3, Scalar(2))) == hash(Poly.constant(3, 2))
+    half = Poly.monomial(3, (0, 1, 0), Scalar(Fraction(1, 2)))
+    assert half == Poly.monomial(3, (0, 1, 0), Fraction(1, 2))
+    assert hash(half) == hash(Poly.monomial(3, (0, 1, 0), Fraction(1, 2)))
+
+
+def test_readers_return_scalars():
+    q = p("x1^2 + 1/2*x2 - 3") + Poly.monomial(3, (0, 0, 1), Scalar(0, 2, 3))
+    assert {type(c) for c in q.terms.values()} == {int, Fraction, Scalar}
+    assert all(type(c) is Scalar for _, c in q.sorted_terms())
+    assert q.leading() == ((2, 0, 0), Scalar(1)) and type(q.leading()[1]) is Scalar
+    for exps in ((2, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, 1)):
+        assert type(q.coefficient(exps)) is Scalar
+    assert q.coefficient((0, 1, 0)) == Scalar(Fraction(1, 2))
+    assert all(type(c) is Scalar for c in p("2*x1 - 1/3*x3").linear_coefficients())
+    assert type(p("7").constant_value()) is Scalar
+    point = [Scalar(1), Scalar(2), Scalar(0)]
+    assert q.evaluate(point) == Scalar(-1) and type(q.evaluate(point)) is Scalar
+    assert type(value_at(p("0"), [None] * 3)) is Scalar
 
 
 def test_homogeneity_and_degree():
@@ -292,3 +352,131 @@ def test_dimension_mismatch_rejected():
 def test_radicand_of_poly():
     assert p("x1 + x2").radicand() == 0
     assert parse_poly("sqrt(3)*x1 + x2", NAMES3).radicand() == 3
+
+
+# -- the ring against its old representation ---------------------------------
+#
+# Before coefficients were narrowed, a term dict held a Scalar for every
+# coefficient.  These references compute on such {exponents: Scalar} dicts
+# with Scalar arithmetic only, and the ring's results, read through
+# sorted_terms(), must equal them.
+
+
+def old_form(poly):
+    return dict(poly.sorted_terms())
+
+
+def old_clean(acc):
+    return {e: c for e, c in acc.items() if c}
+
+
+def old_add(a, b, sign=1):
+    acc = dict(a)
+    for e, c in b.items():
+        acc[e] = acc.get(e, Scalar(0)) + c * sign
+    return old_clean(acc)
+
+
+def old_mul(a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, Scalar(0)) + c1 * c2
+    return old_clean(acc)
+
+
+def old_dot(left, right):
+    acc = {}
+    for a, b in zip(left, right):
+        acc = old_add(acc, old_mul(a, b))
+    return acc
+
+
+def old_divide(a, b):
+    """The quotient, or the remainder as a failure, by leading terms."""
+    key = lambda e: (sum(e), e)
+    lead = max(b, key=key)
+    quotient, remainder = {}, dict(a)
+    while remainder:
+        e = max(remainder, key=key)
+        diff = tuple(x - y for x, y in zip(e, lead))
+        if min(diff) < 0:
+            return "fail", remainder
+        c = remainder[e] / b[lead]
+        quotient[diff] = c
+        remainder = old_add(remainder, old_mul({diff: c}, b), -1)
+    return "ok", quotient
+
+
+def old_substitute(a, values):
+    acc = {}
+    for e, c in a.items():
+        rest = list(e)
+        for i, v in values.items():
+            c = c * v ** e[i]
+            rest[i] = 0
+        acc[tuple(rest)] = acc.get(tuple(rest), Scalar(0)) + c
+    return old_clean(acc)
+
+
+def old_partial(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def hand_operands():
+    """sqrt(3)*sqrt(3) = 3, an irrational part that cancels in a sum, and
+    fractions whose products and sums are integers."""
+    r3 = Scalar(0, 1, 3)
+    x1, x2 = Poly.variable(3, 0), Poly.variable(3, 1)
+    a = x1.scale(r3) + x2.scale(Scalar(1, 1, 3))       # sqrt3*x1 + (1+sqrt3)*x2
+    b = x1.scale(r3) + x2.scale(Scalar(1, -1, 3)) + 1  # sqrt3*x1 + (1-sqrt3)*x2 + 1
+    c = x1.scale(Fraction(1, 2)) + x2.scale(Fraction(3, 2))
+    return a, b, c
+
+
+def test_ring_matches_the_scalar_term_dicts_seeded():
+    rng = random.Random(53)
+    a, b, c = hand_operands()
+    assert (a + b).terms == {(1, 0, 0): Scalar(0, 2, 3), (0, 1, 0): 2, (0, 0, 0): 1}
+    assert (a * b).terms[2, 0, 0] == 3 and (a * b).terms[0, 2, 0] == -2
+    assert (c + c).terms == {(1, 0, 0): 1, (0, 1, 0): 3}
+    assert exact_divide(a * b, a) == b
+    cases = [(a, b, c, 3)]
+    for _ in range(120):
+        rad = rng.choice([0, 3])
+        cases.append(tuple(random_poly(rng, nterms=5, maxdeg=3, rad=rad)
+                           for _ in range(3)) + (rad,))
+    failures = 0
+    for a, b, c, rad in cases:
+        x, y, z = old_form(a), old_form(b), old_form(c)
+        s, t = random_scalar(rng, rad), random_scalar(rng, rad)
+        results = [
+            (a + b, old_add(x, y)),
+            (a - c, old_add(x, z, -1)),
+            (a * b, old_mul(x, y)),
+            (a * b - a * c, old_add(old_mul(x, y), old_mul(x, z), -1)),
+            (a.scale(s), old_mul(x, {(0, 0, 0): s} if s else {})),
+            (dot([a, b, c], [c, a, b], Poly.zero(3)),
+             old_dot([x, y, z], [z, x, y])),
+            (dot([a, s, b], [t, c, a], Poly.zero(3)),
+             old_dot([x, {(0, 0, 0): s} if s else {}, y],
+                     [{(0, 0, 0): t} if t else {}, z, x])),
+        ]
+        i = rng.randrange(3)
+        results.append((a.partial(i), old_partial(x, i)))
+        values = {i: Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if rad else 0, 3)}
+        results.append((a.substitute(values), old_substitute(x, values)))
+        if b:
+            for dividend in (a * b, a * b + c):
+                got = exact_divide(dividend, b)
+                kind, expected = old_divide(old_form(dividend), y)
+                failures += kind == "fail"
+                if kind == "fail":
+                    assert isinstance(got, DivisibilityFailure)
+                    got = got.remainder
+                results.append((got, expected))
+        for got, expected in results:
+            _assert_well_formed(got, 3)
+            assert old_form(got) == expected
+    assert 20 <= failures <= 200

@@ -745,7 +745,7 @@ def reference_quadratic_matrix(s2):
     n = s2.nvars
     a = [[ZERO] * n for _ in range(n)]
     half = Scalar(Fraction(1, 2))
-    for exps, coeff in s2.terms.items():
+    for exps, coeff in s2.sorted_terms():
         support = [i for i, e in enumerate(exps) if e]
         if sum(exps) != 2:
             raise DimensionMismatchError("expected a homogeneous quadratic")
@@ -915,7 +915,7 @@ def test_normalize_sigma2_matches_the_reference_seeded():
     for count in range(2400):
         n = 2 + count % 2
         s2 = seeded_quadratic(rng, n)
-        irrational += any(v.irr for v in s2.terms.values())
+        irrational += any(v.irr for _, v in s2.sorted_terms())
         # x2 and x3 with a cross term but no square: the split x2 = u + v,
         # x3 = u - v comes first
         split += s2.terms.keys() & {(0, 2, 0), (0, 1, 1), (0, 0, 2)} == {(0, 1, 1)}
