@@ -57,22 +57,21 @@ class CatalogEntry(Record):
 
     ``change``, when present, is the scalar matrix T with
     change_coordinates(operator, T) == operator of the entry named
-    ``target``.  ``sign_variant`` tags entries that exist in a ± pair
-    sharing the same operator.
+    ``target``.
     """
 
     __slots__ = ("id", "dim", "radicand", "operator", "sigmas", "relations",
-                 "change", "target", "sign_variant")
+                 "change", "target")
 
     def __init__(self, entry_id, dim, operator, sigmas, relations,
-                 change=None, target=None, sign_variant=None):
+                 change=None, target=None):
         if operator.rows != dim or operator.cols != dim:
             raise DimensionMismatchError("operator must be %dx%d" % (dim, dim))
         if len(sigmas) != dim:
             raise DimensionMismatchError("expected %d sigmas" % dim)
         radicand = _data_radicand(operator, sigmas, relations, change)
         super().__init__(entry_id, dim, radicand, operator, tuple(sigmas),
-                         relations, change, target, sign_variant)
+                         relations, change, target)
 
     def __repr__(self):
         return "CatalogEntry(%r, dim=%d)" % (self.id, self.dim)
@@ -113,8 +112,7 @@ class CatalogEntry(Record):
             raise FormatError("malformed catalog entry: %s" % exc)
         entry = CatalogEntry(entry_id, dim, operator, sigmas, relations,
                              change=change,
-                             target=_CHANGE_TARGETS.get(entry_id),
-                             sign_variant=_SIGN_VARIANTS.get(entry_id))
+                             target=_CHANGE_TARGETS.get(entry_id))
         if entry.radicand != record["radicand"]:
             raise FormatError("entry %r radicand does not match its data" % entry_id)
         return entry
@@ -158,9 +156,6 @@ _CHANGE_TARGETS = {
     "L7": "ind3.2",
     "L8": "c5+⊕d",
 }
-
-#: id -> which branch of a ± pair the entry records.
-_SIGN_VARIANTS = {"L5+": "+", "L5-": "-", "L6+": "+", "L6-": "-"}
 
 
 # -- persistence ---------------------------------------------------------------
@@ -402,7 +397,7 @@ def generalized_blocks(n, signs=None):
     sigmas = tuple(charpoly_sigmas(operator))
     tag = "".join("+" if s > 0 else "-" for s in signs)
     return CatalogEntry("blocks(n=%d,%s)" % (n, tag), n, operator, sigmas,
-                        operator_to_lsa(operator), sign_variant=tag)
+                        operator_to_lsa(operator))
 
 
 def _unit(n, index):

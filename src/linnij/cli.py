@@ -209,8 +209,9 @@ def reconstruct(sigma_file, as_json):
     polynomial identity; otherwise, and for n < 4, it is adj(J)*S*J/det(J).
     When some entry of adj(J)*S*J is not divisible by det(J) the operator is
     not polynomial; that finding is reported entry by entry and still exits
-    0.  --json adds det(J) and adj(J)*S*J, which cost the symbolic
-    determinant.
+    0.  --json prints the failures, the operator rows and whether the
+    operator is linear; for an operator that is not polynomial it prints
+    det(J), adj(J)*S*J and the failures instead.
     """
     sigmas = _read_sigma_file(sigma_file)
     try:
@@ -219,34 +220,35 @@ def reconstruct(sigma_file, as_json):
         _fail("sigmas are functionally dependent (det J == 0); dependent "
               "positions: %s" % ", ".join(str(i) for i in exc.indices))
     names = default_names(len(sigmas))
+    if result.linear_part is not None:
+        rows = [[format_poly(p, names) for p in row]
+                for row in result.linear_part.entries]
+        linear = operator_is_linear(result.linear_part)
+        if as_json:
+            click.echo(json.dumps({"failures": [], "operator": rows,
+                                   "linear": linear},
+                                  indent=2, ensure_ascii=False))
+        else:
+            click.echo("\n".join("; ".join(row) for row in rows))
+            click.echo("linear: %s" % ("yes" if linear else "no"))
+        raise SystemExit(0)
+    numerators, denominator = result.pieces
     if as_json:
-        numerators, denominator = result.fraction()
-        document = {
+        click.echo(json.dumps({
             "denominator": format_poly(denominator, names),
             "numerators": [[format_poly(p, names) for p in row]
                            for row in numerators.entries],
             "failures": [{"row": r, "col": c,
                           "remainder": format_poly(rem, names)}
                          for (r, c, rem) in result.failures],
-        }
-        if result.linear_part is not None:
-            document["operator"] = [[format_poly(p, names) for p in row]
-                                    for row in result.linear_part.entries]
-            document["linear"] = operator_is_linear(result.linear_part)
-        click.echo(json.dumps(document, indent=2, ensure_ascii=False))
+        }, indent=2, ensure_ascii=False))
         raise SystemExit(0)
-    if result.failures:
-        click.echo("operator is not polynomial: %d entries fail to divide "
-                   "by det J = %s" % (len(result.failures),
-                                      format_poly(result.fraction()[1], names)))
-        for (r, c, rem) in result.failures:
-            click.echo("  entry (%d,%d): remainder %s"
-                       % (r, c, format_poly(rem, names)))
-        raise SystemExit(0)
-    click.echo("\n".join("; ".join(format_poly(p, names) for p in row)
-                         for row in result.linear_part.entries))
-    click.echo("linear: %s"
-               % ("yes" if operator_is_linear(result.linear_part) else "no"))
+    click.echo("operator is not polynomial: %d entries fail to divide "
+               "by det J = %s" % (len(result.failures),
+                                  format_poly(denominator, names)))
+    for (r, c, rem) in result.failures:
+        click.echo("  entry (%d,%d): remainder %s"
+                   % (r, c, format_poly(rem, names)))
     raise SystemExit(0)
 
 

@@ -13,8 +13,10 @@ values tagged with two different nonzero radicands raises
 everything.  No floating point is used anywhere.
 
 Validation happens once, in the public constructor ``Scalar(rat, irr, rad)``
-that parsers, the catalog loader and user code go through: it converts the
-parts to ``Fraction`` and checks the radicand.  Arithmetic results are built
+that parsers, the catalog loader and user code go through: it takes ``int``
+or ``Fraction`` parts and an ``int`` radicand (anything else, a float or a
+string included, is a ``TypeError``), converts the parts to ``Fraction``
+and checks the radicand.  Arithmetic results are built
 from parts that are already valid, through the private ``Scalar._new``, which
 only restores the canonical form; two rational operands cost one
 ``Fraction`` operation.
@@ -33,6 +35,7 @@ from fractions import Fraction
 from .errors import NotRepresentableError, RadicandMismatchError
 
 _FRACTION_ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 _new_object = object.__new__
 
 
@@ -73,9 +76,12 @@ class Scalar:
     __slots__ = ("rat", "irr", "rad")
 
     def __init__(self, rat=0, irr=0, rad=0):
+        if not (isinstance(rat, _RATIONAL) and isinstance(irr, _RATIONAL)
+                and isinstance(rad, int)):
+            raise TypeError("Scalar(%r, %r, %r): parts must be int or Fraction "
+                            "and the radicand an int" % (rat, irr, rad))
         rat = Fraction(rat)
         irr = Fraction(irr)
-        rad = int(rad)
         if rad < 0:
             raise ValueError("radicand must be nonnegative")
         if rad == 1:
@@ -119,7 +125,7 @@ class Scalar:
     def _coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _RATIONAL):
             rat = value if type(value) is Fraction else Fraction(value)
             return Scalar._new(rat, _FRACTION_ZERO, 0)
         return NotImplemented  # type: ignore[return-value]

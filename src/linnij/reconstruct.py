@@ -25,8 +25,7 @@ certificate, only decide how fast it is found.  Every other outcome
 (sigmas that no linear operator has, no base point at which all n + 1
 points give an invertible J(p), the identity failing, mixed radicands) runs
 the symbolic path, which gives the same answer or diagnosis as it does
-alone.  The point path never forms det J;
-:meth:`ReconstructionResult.fraction` does, when asked.
+alone.  The point path never forms det J.
 
 For the classification runs the sigmas carry symbolic coefficients.  Those
 parameters are ordinary variables of the same sparse-polynomial ring,
@@ -78,23 +77,11 @@ class ReconstructionResult(Record):
     ``linear_part`` is the operator L with J L = S J when it is polynomial;
     otherwise it is None and ``failures`` lists the 1-based positions
     (row, col, remainder) where division leaves a remainder.  ``pieces``
-    holds the symbolic path's (numerators, denominator), or None when the
-    point path found L; :meth:`fraction` gives them in either case.
+    holds the symbolic path's (numerators, denominator), adj(J) S J and
+    det(J), or None when the point path found L.
     """
 
-    __slots__ = ("sigmas", "linear_part", "failures", "pieces")
-
-    def fraction(self) -> tuple[PolyMatrix, Poly]:
-        """Numerator matrix adj(J) S J and denominator det(J).
-
-        After the point path they are formed here, as det(J) * L and
-        det(J), which costs the symbolic determinant.
-        """
-        if self.pieces is not None:
-            return self.pieces
-        q = jacobian(self.sigmas).determinant()
-        return PolyMatrix([[q * p for p in row]
-                           for row in self.linear_part.entries]), q
+    __slots__ = ("linear_part", "failures", "pieces")
 
 
 def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
@@ -111,11 +98,13 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 
 #: The point path runs for sets of at least this many sigmas, a property of
 #: the input alone.  In-process best times, symbolic -> point path, in ms
-#: (2-CPU Xeon, Python 3.11): blocks 2.0 -> 3.0 at n = 3, 18.5 -> 5.7 at
-#: n = 4 and 170 -> 21 at n = 5; L2 1.5 -> 2.2, 5.4 -> 4.8, 16.7 -> 8.1;
-#: L1 0.7 -> 1.7, 1.6 -> 1.8, 3.1 -> 3.0; the 23 catalog sets, all with
-#: n <= 3, 48 -> 53.  Below four sigmas the scalar arithmetic at the points
-#: costs more than the adjugate it avoids.
+#: (2-CPU Xeon, Python 3.11, narrow coefficients): blocks 0.5 -> 1.4 at
+#: n = 3, 6.7 -> 2.7 at n = 4 and 35 -> 7.7 at n = 5; L2 0.5 -> 1.0,
+#: 1.2 -> 2.6, 5.5 -> 2.9; L1 0.3 -> 0.8, 0.6 -> 1.3, 2.5 -> 3.5; the 23
+#: catalog sets, all with n <= 3, 21.5 -> 28.7.  Below four sigmas the
+#: scalar arithmetic at the points costs more than the adjugate it avoids.
+#: From four on the sparse L1 and L2 sets lose about a millisecond, while
+#: the dense blocks sets gain more and more: 2700 -> 23 at n = 6.
 POINT_PATH_MIN_SIGMAS = 4
 
 
@@ -193,14 +182,13 @@ def reconstruct_operator(sigmas: Sequence[Poly]) -> ReconstructionResult:
             "%d sigmas cannot determine an operator on %d variables"
             % (n, sigmas[0].nvars)
         )
-    sigmas = tuple(sigmas)
     if n >= POINT_PATH_MIN_SIGMAS:
         try:
             operator = _operator_by_points(sigmas)
         except RadicandMismatchError:  # the symbolic path gives the diagnosis
             operator = None
         if operator is not None:
-            return ReconstructionResult(sigmas, operator, [], None)
+            return ReconstructionResult(operator, [], None)
     numerators, q = reconstruction_pieces(sigmas)
     quotients = []
     failures = []
@@ -215,7 +203,7 @@ def reconstruct_operator(sigmas: Sequence[Poly]) -> ReconstructionResult:
                 row.append(quo)
         quotients.append(row)
     linear_part = None if failures else PolyMatrix(quotients)
-    return ReconstructionResult(sigmas, linear_part, failures, (numerators, q))
+    return ReconstructionResult(linear_part, failures, (numerators, q))
 
 
 # -- parametric sigma sets ----------------------------------------------------

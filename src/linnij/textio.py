@@ -39,7 +39,7 @@ import re
 from fractions import Fraction
 
 from .errors import FormatError
-from .polyring import Poly, _add_products, _add_terms, _narrow
+from .polyring import Poly, _add_products, _add_terms, _narrow, grlex_key
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
@@ -76,7 +76,9 @@ def format_fraction(value: Fraction) -> str:
                           "converts" % digits)
 
 
-def format_scalar(value: Scalar) -> str:
+def format_scalar(value: int | Fraction | Scalar) -> str:
+    if type(value) is not Scalar:
+        return format_fraction(value)
     if value.irr == 0:
         return format_fraction(value.rat)
     irr_part = "%s*sqrt(%d)" % (format_fraction(abs(value.irr)), value.rad)
@@ -89,10 +91,6 @@ def format_scalar(value: Scalar) -> str:
     return format_fraction(value.rat) + "+" + irr_part
 
 
-def _is_pure(value: Scalar) -> bool:
-    return value.rat == 0 or value.irr == 0
-
-
 def format_poly(p: Poly, names: list[str] | None = None) -> str:
     if names is None:
         names = default_names(p.nvars)
@@ -101,7 +99,9 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for exps, coeff in p.sorted_terms():
+    terms = p.terms
+    for exps in sorted(terms, key=grlex_key, reverse=True):
+        coeff = terms[exps]
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
@@ -109,25 +109,26 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
             elif e > 1:
                 factors.append("%s^%d" % (names[i], e))
         mono = "*".join(factors)
-        if _is_pure(coeff):
-            negative = coeff.sign() < 0
-            mag = -coeff if negative else coeff
-            if not mono:
-                atom = format_scalar(mag)
-            elif mag == ONE:
-                atom = mono
-            else:
-                atom = "%s*%s" % (format_scalar(mag), mono)
-            sign = "-" if negative else "+"
-        else:
+        # each coefficient as the ring holds it: an int, a Fraction, or a
+        # Scalar with an irrational part, bracketed when it has both parts
+        if type(coeff) is Scalar and coeff.rat:
             atom = "(%s)" % format_scalar(coeff)
             if mono:
                 atom += "*" + mono
-            sign = "+"
-        if not pieces:
-            pieces.append(atom if sign == "+" else "-" + atom)
+            negative = False
         else:
-            pieces.append((" + " if sign == "+" else " - ") + atom)
+            negative = (coeff.irr if type(coeff) is Scalar else coeff) < 0
+            mag = -coeff if negative else coeff
+            if not mono:
+                atom = format_scalar(mag)
+            elif mag == 1:
+                atom = mono
+            else:
+                atom = "%s*%s" % (format_scalar(mag), mono)
+        if not pieces:
+            pieces.append("-" + atom if negative else atom)
+        else:
+            pieces.append((" - " if negative else " + ") + atom)
     return "".join(pieces)
 
 

@@ -127,7 +127,7 @@ def test_criterion_03_reconstruction_round_trip():
         names = default_names(2)
         product = reconstruct_operator(
             [parse_poly("x1", names), parse_poly("x1*x2", names)])
-        numerators, denominator = product.fraction()
+        numerators, denominator = product.pieces
         assert format_poly(denominator, names) == "x1"
         rendered = [[format_poly(p, names) for p in row]
                     for row in numerators.entries]

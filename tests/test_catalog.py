@@ -120,7 +120,7 @@ def test_change_check_reports_its_failures():
     change[1] = [-v for v in change[1]]
     tampered = CatalogEntry(entry.id, entry.dim, entry.operator, entry.sigmas,
                             entry.relations, tuple(map(tuple, change)),
-                            entry.target, entry.sign_variant)
+                            entry.target)
     report = verify_entry(tampered, targets=by_id)
     assert report.failures() == [
         ("change", "mapped operator differs from 'ind3.3' at "
@@ -183,8 +183,6 @@ def test_expansion_targets_are_attached():
     by_id = {e.id: e for e in load_catalog()}
     assert by_id["L2"].target == "ind3.3"
     assert by_id["L5+"].target == "b4+⊕d"
-    assert by_id["L5+"].sign_variant == "+"
-    assert by_id["L5-"].sign_variant == "-"
     assert by_id["d"].target is None and by_id["d"].change is None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from linnij.errors import NotRepresentableError, RadicandMismatchError
 from linnij.exactfield import ONE, ZERO, Scalar, scalar_sqrt, square_free_split
+from linnij.nijenhuis import StructureConstants
 
 
 def random_scalar(rng, rad=0):
@@ -122,6 +123,23 @@ def test_radicand_constructor_contract():
         Scalar(0, 1, 0)
     with pytest.raises(ValueError):
         Scalar(0, 1, -3)
+
+
+@pytest.mark.parametrize("parts", [
+    (0.1,), ("1/3",), (1, 0.5, 2), (1, 1, 2.0), (1, 1, Fraction(2)),
+], ids=["float", "string", "float-irr", "float-rad", "fraction-rad"])
+def test_constructor_rejects_inexact_parts(parts):
+    # a float would become its binary expansion, 0.1 the ratio
+    # 3602879701896397/36028797018963968; a string is not a number
+    with pytest.raises(TypeError):
+        Scalar(*parts)
+
+
+def test_callers_pass_inexact_parts_on_as_errors():
+    with pytest.raises(TypeError):
+        StructureConstants.from_relations(2, [(1, 1, 1, 0.5)])
+    with pytest.raises(TypeError):
+        StructureConstants([[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]])
 
 
 def test_square_free_split():

@@ -22,8 +22,7 @@ from linnij.exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from linnij.nijenhuis import operator_is_linear
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
-    PolyMatrix, charpoly_sigmas, companion_matrix, jacobian, scalar_mat_inverse,
-    scalar_mat_mul)
+    PolyMatrix, charpoly_sigmas, scalar_mat_inverse, scalar_mat_mul)
 from linnij.reconstruct import (
     CASE_TAGS,
     DEGENERATE,
@@ -74,7 +73,7 @@ def geo_polys(texts, n):
 def test_product_sigma_reconstruction_pieces():
     names = default_names(2)
     result = reconstruct_operator(geo_polys(["x1", "x1*x2"], 2))
-    numerators, denominator = result.fraction()
+    numerators, denominator = result.pieces
     assert format_poly(denominator, names) == "x1"
     rendered = [[format_poly(p, names) for p in row] for row in numerators.entries]
     assert rendered == [["-x1^2 + x1*x2", "x1^2"], ["-x2^2", "-x1*x2"]]
@@ -203,7 +202,6 @@ def test_point_path_falls_back_to_the_symbolic_path(sigmas, linear):
     result = reconstruct_operator(sigmas)
     numerators, q, linear_part, failures = reference_result(sigmas)
     assert result.pieces == (numerators, q)
-    assert result.fraction() == (numerators, q)
     assert result.failures == failures
     assert result.linear_part == linear_part
     if linear is None:
@@ -249,27 +247,6 @@ def test_point_path_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(linnij.reconstruct, "scalar_solve", planted)
     with pytest.raises(LinnijError, match="internal: planted"):
         reconstruct_operator(generalized_blocks(5, [1, 1]).sigmas)
-
-
-def test_fraction_after_the_point_path_matches_the_pieces():
-    # the numerators and denominator that reconstruct --json prints, formed
-    # as det J * L and det J, against adj(J) S J and det J
-    members = [build(n) for n in range(4, 7)
-               for build in (generalized_L1, generalized_L2)]
-    members += [generalized_blocks(4, [sign]) for sign in (1, -1)]
-    members += [generalized_blocks(5, [s, t]) for s in (1, -1) for t in (1, -1)]
-    for entry in members:
-        result = reconstruct_operator(entry.sigmas)
-        assert result.pieces is None, entry.id
-        assert result.fraction() == reconstruction_pieces(entry.sigmas), entry.id
-    # the adjugate of blocks(6) alone takes about 9 s; there the numerators
-    # N are checked by J N == det J * S J, which fixes N once det J != 0
-    entry = generalized_blocks(6, [-1, 1])
-    numerators, q = reconstruct_operator(entry.sigmas).fraction()
-    j = jacobian(entry.sigmas)
-    assert q == j.determinant() and not q.is_zero()
-    assert j @ numerators == PolyMatrix(
-        [[q * p for p in row] for row in (companion_matrix(entry.sigmas) @ j).entries])
 
 
 # -- parametric systems --------------------------------------------------------
