@@ -27,7 +27,7 @@ from .nijenhuis import (
     change_coordinates,
     is_differentially_nondegenerate,
     operator_to_lsa,
-    torsion,
+    torsion_witness,
 )
 from .record import Record
 from .textio import (
@@ -234,8 +234,7 @@ def verify_entry(entry, targets=None, rng=None):
     """
     checks = []
 
-    tensor = torsion(entry.operator)
-    witness = tensor.first_nonzero()
+    witness = torsion_witness(entry.operator)
     checks.append(("torsion", witness is None,
                    None if witness is None else
                    "nonzero component (%d,%d,%d): %s"

@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .errors import DependentSigmasError, FormatError, LinnijError
 from .exactfield import ONE
-from .nijenhuis import operator_is_linear, torsion
+from .nijenhuis import operator_is_linear, torsion_witness
 from .polymatrix import PolyMatrix
 from .polyring import Poly
 from .reconstruct import (
@@ -393,7 +393,7 @@ def torsion_command(operator_file):
     components vanish, 1 with the first nonzero component otherwise.
     """
     operator = _read_operator_file(operator_file)
-    witness = torsion(operator).first_nonzero()
+    witness = torsion_witness(operator)
     if witness is None:
         click.echo("torsion vanishes")
         raise SystemExit(0)

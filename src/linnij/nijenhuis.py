@@ -110,14 +110,18 @@ def operator_is_linear(operator: PolyMatrix) -> bool:
     )
 
 
+def _check_square(operator: PolyMatrix):
+    if not operator.is_square() or operator.rows != operator.nvars:
+        raise DimensionMismatchError("operator must be n x n over n variables")
+
+
 def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
     """Recover structure constants a[i][j][k] = d(entry (k,i))/dx_j.
 
     Exact inverse of :func:`lsa_to_operator`; rejects operators with a
     nonlinear or affine entry.
     """
-    if not operator.is_square() or operator.rows != operator.nvars:
-        raise DimensionMismatchError("operator must be n x n over n variables")
+    _check_square(operator)
     if not operator_is_linear(operator):
         raise DimensionMismatchError("operator entries must be linear homogeneous")
     n = operator.rows
@@ -132,8 +136,10 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
 class TorsionTensor(Record):
     """All n^3 torsion components of an operator field, computed verbatim.
 
-    Nothing is deduplicated: the j<->k antisymmetry is a property the tests
-    check, not one the storage assumes.
+    Built by :func:`torsion` from the same component kernel that
+    :func:`torsion_witness` stops early.  Nothing is deduplicated: the
+    j<->k antisymmetry is a property the tests check, not one the storage
+    assumes.
     """
 
     __slots__ = ("n", "nvars", "comp")
@@ -147,15 +153,45 @@ class TorsionTensor(Record):
             p.is_zero() for plane in self.comp for row in plane for p in row
         )
 
-    def first_nonzero(self) -> tuple[int, int, int, Poly] | None:
-        """First nonvanishing component as 1-based (i, j, k, polynomial)."""
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    p = self.comp[i][j][k]
-                    if not p.is_zero():
-                        return (i + 1, j + 1, k + 1, p)
-        return None
+
+def _components(operator: PolyMatrix):
+    """Yield the torsion components ``(i, j, k, Poly)`` of :func:`torsion`,
+    0-based, in lexicographic (i, j, k) order.
+
+    Each component is computed on its own from the three sums, without the
+    j<->k antisymmetry.  The gradients of a column's entries, each
+    derivative along a column and each curl are formed once, when a
+    component first reads them, so a caller that stops early pays only for
+    the components before it.
+    """
+    n = operator.rows
+    L = operator.entries
+    cols = list(zip(*L))
+    zero = Poly.zero(n)
+    # grad[k][s][v] = dL^s_k/dx^v, one column k at a time: component
+    # (0, 0, k) is the first to read column k
+    grad = []
+    # curl[j][k][s] = dL^s_k/dx^j - dL^s_j/dx^k
+    curl = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = L[i]
+        # along[j][k] = sum_s L^s_j dL^i_k/dx^s
+        along = [[None] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(n):
+                if k == len(grad):
+                    grad.append([[e.partial(v) for v in range(n)] for e in cols[k]])
+                a = along[j][k]
+                if a is None:
+                    a = along[j][k] = dot(cols[j], grad[k][i], zero)
+                b = along[k][j]
+                if b is None:
+                    b = along[k][j] = dot(cols[k], grad[j][i], zero)
+                c = curl[j][k]
+                if c is None:
+                    gj, gk = grad[j], grad[k]
+                    c = curl[j][k] = [gk[s][j] - gj[s][k] for s in range(n)]
+                yield i, j, k, a - b - dot(row, c, zero)
 
 
 def torsion(operator: PolyMatrix) -> TorsionTensor:
@@ -168,30 +204,29 @@ def torsion(operator: PolyMatrix) -> TorsionTensor:
 
     where L^i_j is the entry in row i, column j.  The first two sums are
     the derivatives of L^i_k along column j and of L^i_j along column k;
-    the curl in the third is formed for every ordered pair (j, k).  Each of
-    the n^3 components is computed on its own.  Entries need not be linear.
+    the curl in the third is formed for every ordered pair (j, k).  All n^3
+    components are computed; :func:`torsion_witness` stops at the first
+    nonzero one.  Entries need not be linear.
     """
-    if not operator.is_square() or operator.rows != operator.nvars:
-        raise DimensionMismatchError("operator must be n x n over n variables")
+    _check_square(operator)
     n = operator.rows
-    L = operator.entries
-    zero = Poly.zero(n)
-    grad = [[[L[i][j].partial(s) for s in range(n)] for j in range(n)] for i in range(n)]
-    # along[j][i][k] = sum_s L^s_j dL^i_k/dx^s
-    along = [[[dot(col, grad[i][k], zero) for k in range(n)] for i in range(n)]
-             for col in zip(*L)]
-    # curl[j][k][s] = dL^s_k/dx^j - dL^s_j/dx^k
-    curl = [[[grad[s][k][j] - grad[s][j][k] for s in range(n)] for k in range(n)]
-            for j in range(n)]
-    comp = [
-        [
-            [along[j][i][k] - along[k][i][j] - dot(L[i], curl[j][k], zero)
-             for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    comp = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, p in _components(operator):
+        comp[i][j][k] = p
     return TorsionTensor(n, operator.nvars, comp)
+
+
+def torsion_witness(operator: PolyMatrix) -> tuple[int, int, int, Poly] | None:
+    """The first nonzero torsion component in lexicographic order, as
+    1-based ``(i, j, k, polynomial)``, or None when the torsion vanishes.
+
+    Nothing past the witness is computed.
+    """
+    _check_square(operator)
+    for i, j, k, p in _components(operator):
+        if not p.is_zero():
+            return (i + 1, j + 1, k + 1, p)
+    return None
 
 
 class LsaCheck(Record):

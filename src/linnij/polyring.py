@@ -367,10 +367,10 @@ _set_terms = Poly.terms.__set__
 
 def _accumulate(p: Poly, other, subtract: bool):
     """p + other, or p - other when ``subtract``, in one pass over other."""
-    if isinstance(other, _EXACT):
-        other = Poly.constant(p.nvars, other)
     if not isinstance(other, Poly):
-        return NotImplemented
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        other = Poly.constant(p.nvars, other)
     p._check_compatible(other)
     return Poly._new(p.nvars, _add_terms(dict(p.terms), other.terms.items(), subtract))
 
@@ -479,27 +479,36 @@ def value_at(p: Poly, powers) -> Scalar:
 
 
 def dot(left, right, zero):
-    """Sum of the pairwise products of two rows, skipping falsy factors.
+    """Sum of the pairwise products of two rows, skipping zero factors.
 
     The rows may hold :class:`Poly` values, :class:`Scalar` values or a mix
-    of both; ``zero`` is the sum when every product is skipped.
+    of both; ``zero`` is the sum when every product is skipped.  When
+    ``zero`` is a :class:`Poly`, every factor is read as a term dict, so a
+    zero factor is an empty dict and a float factor, zero or not, raises
+    ``TypeError``.
     """
     if not isinstance(zero, Poly):
         return sum((p * q for p, q in zip(left, right) if p and q), zero)
+    nvars = zero.nvars
     terms: dict[Exponents, Coefficient] = {}
     for p, q in zip(left, right):
+        # the usual factor, a Poly of the ring, is read without a call;
+        # _terms_in checks and converts any other
+        p = p.terms if type(p) is Poly and p.nvars == nvars else _terms_in(p, zero)
+        q = q.terms if type(q) is Poly and q.nvars == nvars else _terms_in(q, zero)
         if p and q:
-            _add_products(terms, _terms_in(p, zero), _terms_in(q, zero))
-    return Poly._new(zero.nvars, terms)
+            _add_products(terms, p, q)
+    return Poly._new(nvars, terms)
 
 
 def _terms_in(factor, zero: Poly) -> dict:
-    """The term dict of a :func:`dot` factor; a nonzero scalar is a constant
-    term."""
+    """The term dict of a :func:`dot` factor: a scalar is a constant term,
+    and a zero scalar the empty dict."""
     if isinstance(factor, Poly):
         zero._check_compatible(factor)
         return factor.terms
-    return {(0,) * zero.nvars: _exact(factor)}
+    factor = _exact(factor)
+    return {(0,) * zero.nvars: factor} if factor else {}
 
 
 class DivisibilityFailure(Record):

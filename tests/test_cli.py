@@ -613,6 +613,22 @@ def test_torsion_nonlinear_witness(runner, tmp_path):
         "nonzero: component (1,1,2) = -2*x1*x2 + 2*x2*x3 - 2*x2\n"
 
 
+def test_torsion_stops_at_the_first_nonzero_component(runner, tmp_path):
+    # the 60 x 60 circulant with entry (i, j) = x((i+j) mod 60 + 1) has
+    # 216,000 components; its witness is the second
+    n = 60
+    operator_file = tmp_path / "operator.txt"
+    operator_file.write_text("".join(
+        "; ".join("x%d" % ((i + j) % n + 1) for j in range(n)) + "\n"
+        for i in range(n)))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["torsion", str(operator_file)])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 1
+    assert result.output == "nonzero: component (1,1,2) = x2 - x60\n"
+    assert elapsed < 5.0
+
+
 def test_torsion_malformed(runner, tmp_path):
     operator_file = tmp_path / "operator.txt"
     operator_file.write_text("x1; x2\nx2\n")

@@ -24,7 +24,9 @@ from linnij.nijenhuis import (
     operator_to_lsa,
     random_structure_constants,
     torsion,
+    torsion_witness,
 )
+from linnij.polyring import dot
 from linnij.textio import default_names, parse_poly
 
 
@@ -41,11 +43,98 @@ def test_torsion_vanishes_on_known_operator():
 
 def test_torsion_nonzero_with_witness():
     m = op([["x1", "x2"], ["x2", "x2"]], 2)
-    witness = torsion(m).first_nonzero()
+    witness = torsion_witness(m)
     assert witness is not None
     i, j, k, poly = witness
     assert (i, j, k) == (1, 1, 2)
     assert poly == parse_poly("x2", default_names(2))
+
+
+def reference_torsion(operator):
+    """The n^3 components as three sums over whole tables, as the package
+    computed them before the component kernel became lazy."""
+    n = operator.rows
+    L = operator.entries
+    zero = Poly.zero(n)
+    grad = [[[L[i][j].partial(s) for s in range(n)] for j in range(n)] for i in range(n)]
+    # along[j][i][k] = sum_s L^s_j dL^i_k/dx^s
+    along = [[[dot(col, grad[i][k], zero) for k in range(n)] for i in range(n)]
+             for col in zip(*L)]
+    # curl[j][k][s] = dL^s_k/dx^j - dL^s_j/dx^k
+    curl = [[[grad[s][k][j] - grad[s][j][k] for s in range(n)] for k in range(n)]
+            for j in range(n)]
+    return [
+        [
+            [along[j][i][k] - along[k][i][j] - dot(L[i], curl[j][k], zero)
+             for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def random_coefficient(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-2, 2)
+    if kind == 1:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Scalar(rng.randint(-1, 1), rng.randint(-1, 1), 3)
+
+
+def random_operator(rng, n, linear, density):
+    """An n x n operator over n variables: linear homogeneous entries, or
+    entries of degree at most 2 with a constant term possible."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = {}
+            if rng.random() < density:
+                for _ in range(rng.randint(1, 2)):
+                    if linear:
+                        v = rng.randrange(n)
+                        exps = tuple(int(u == v) for u in range(n))
+                    else:
+                        exps = tuple(rng.randint(0, 2) if rng.random() < 0.4 else 0
+                                     for _ in range(n))
+                    terms[exps] = random_coefficient(rng)
+            row.append(Poly(n, terms))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def test_torsion_and_witness_match_the_three_sums_seeded():
+    rng = random.Random(18)
+    flat = 0
+    witnesses = set()
+    for count in range(2000):
+        n = count % 4 + 1
+        if count % 5 == 0:
+            # sparse structure constants are often left-symmetric
+            sc = random_structure_constants(rng, n, density=0.15)
+            operator = lsa_to_operator(sc)
+        else:
+            operator = random_operator(rng, n, linear=count % 5 < 3,
+                                       density=rng.choice([1.0, 0.5, 0.2]))
+        expected = reference_torsion(operator)
+        assert torsion(operator).comp == expected
+        first = next(((i + 1, j + 1, k + 1, expected[i][j][k])
+                      for i in range(n) for j in range(n) for k in range(n)
+                      if not expected[i][j][k].is_zero()), None)
+        assert torsion_witness(operator) == first
+        flat += first is None
+        if first is not None:
+            witnesses.add(first[:3])
+    assert 100 <= flat <= 1500
+    assert len(witnesses) >= 20
+
+
+def test_torsion_witness_rejects_a_non_square_operator():
+    with pytest.raises(DimensionMismatchError):
+        torsion_witness(op([["x1", "x2"]], 2))
+    with pytest.raises(DimensionMismatchError):
+        torsion(op([["x1"]], 2))
 
 
 def test_torsion_antisymmetry():

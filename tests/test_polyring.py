@@ -247,7 +247,7 @@ def test_public_constructor_validates():
     assert Poly(3, {(1, 0, 0): Fraction(0)}).is_zero()
 
 
-@pytest.mark.parametrize("value", [0.1, 2.0, "1/2", None])
+@pytest.mark.parametrize("value", [0.1, 2.0, 0.0, "1/2", None])
 def test_entry_points_take_exact_coefficients_only(value):
     x1 = Poly.variable(3, 0)
     with pytest.raises(TypeError):
@@ -258,6 +258,13 @@ def test_entry_points_take_exact_coefficients_only(value):
         Poly.monomial(3, (1, 0, 0), value)
     with pytest.raises(TypeError):
         x1.scale(value)
+    # a dot factor is read whatever its partner, so even a zero float fails
+    zero = Poly.zero(3)
+    for factor in (x1, zero, Scalar(2), Scalar(0)):
+        with pytest.raises(TypeError):
+            dot([factor], [value], zero)
+        with pytest.raises(TypeError):
+            dot([value], [factor], zero)
 
 
 def test_entry_points_narrow_their_coefficients():
