@@ -134,12 +134,13 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
 
 
 class TorsionTensor(Record):
-    """All n^3 torsion components of an operator field, computed verbatim.
+    """All n^3 torsion components of an operator field.
 
-    Built by :func:`torsion` from the same component kernel that
-    :func:`torsion_witness` stops early.  Nothing is deduplicated: the
-    j<->k antisymmetry is a property the tests check, not one the storage
-    assumes.
+    Built by :func:`torsion` from the component kernel that
+    :func:`torsion_witness` stops early.  The kernel forms only the
+    components with j < k; the others are stored as their exact j<->k
+    images, component (i, k, j) as the negation of (i, j, k) and (i, j, j)
+    as zero.
     """
 
     __slots__ = ("n", "nvars", "comp")
@@ -155,43 +156,85 @@ class TorsionTensor(Record):
 
 
 def _components(operator: PolyMatrix):
-    """Yield the torsion components ``(i, j, k, Poly)`` of :func:`torsion`,
-    0-based, in lexicographic (i, j, k) order.
+    """Yield the torsion components ``(i, j, k, Poly)`` of :func:`torsion`
+    with j < k, 0-based, in lexicographic (i, j, k) order.
 
-    Each component is computed on its own from the three sums, without the
-    j<->k antisymmetry.  The gradients of a column's entries, each
-    derivative along a column and each curl are formed once, when a
-    component first reads them, so a caller that stops early pays only for
-    the components before it.
+    The three sums are written as one :func:`~linnij.polyring.dot` over the
+    products that can be nonzero: ``L^v_j dL^i_k/dx^v`` over the nonzero
+    derivatives of entry (i, k), ``-L^v_k dL^i_j/dx^v`` over those of entry
+    (i, j), and ``L^i_s (dL^s_j/dx^k - dL^s_k/dx^j)`` over the s where both
+    factors are nonzero.  The derivatives of a column's entries and each
+    curl are formed once, when a component first reads them, so a caller
+    that stops early pays only for the components before it.
     """
     n = operator.rows
-    L = operator.entries
-    cols = list(zip(*L))
     zero = Poly.zero(n)
-    # grad[k][s][v] = dL^s_k/dx^v, one column k at a time: component
-    # (0, 0, k) is the first to read column k
-    grad = []
-    # curl[j][k][s] = dL^s_k/dx^j - dL^s_j/dx^k
+    # the entries with None for zero, by row and by column
+    rows = [[e or None for e in row] for row in operator.entries]
+    cols = list(zip(*rows))
+    # grad[i][k]: the nonzero (v, dL^i_k/dx^v); colgrad[k][v] =
+    # {s: dL^s_k/dx^v}; both filled one column at a time, when a component
+    # first reads it
+    grad = [[None] * n for _ in range(n)]
+    colgrad = []
+    # curl[j][k] = {s: dL^s_j/dx^k - dL^s_k/dx^j}, nonzero values only
     curl = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = L[i]
-        # along[j][k] = sum_s L^s_j dL^i_k/dx^s
-        along = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                if k == len(grad):
-                    grad.append([[e.partial(v) for v in range(n)] for e in cols[k]])
-                a = along[j][k]
-                if a is None:
-                    a = along[j][k] = dot(cols[j], grad[k][i], zero)
-                b = along[k][j]
-                if b is None:
-                    b = along[k][j] = dot(cols[k], grad[j][i], zero)
+        row = rows[i]
+        for j in range(n - 1):
+            # the pairs (v, -dL^i_j/dx^v), formed once column j is filled
+            minus = None
+            for k in range(j + 1, n):
+                while len(colgrad) <= k:
+                    m = len(colgrad)
+                    colgrad.append(_column_gradients(cols[m], m, grad))
+                if minus is None:
+                    minus = [(v, -d) for v, d in grad[i][j]]
                 c = curl[j][k]
                 if c is None:
-                    gj, gk = grad[j], grad[k]
-                    c = curl[j][k] = [gk[s][j] - gj[s][k] for s in range(n)]
-                yield i, j, k, a - b - dot(row, c, zero)
+                    c = curl[j][k] = _curl(colgrad[j].get(k, {}),
+                                           colgrad[k].get(j, {}), zero)
+                left, right = [], []
+                col = cols[j]
+                for v, d in grad[i][k]:
+                    e = col[v]
+                    if e is not None:
+                        left.append(e)
+                        right.append(d)
+                col = cols[k]
+                for v, d in minus:
+                    e = col[v]
+                    if e is not None:
+                        left.append(e)
+                        right.append(d)
+                for s, d in c.items():
+                    e = row[s]
+                    if e is not None:
+                        left.append(e)
+                        right.append(d)
+                yield i, j, k, dot(left, right, zero) if left else zero
+
+
+def _column_gradients(col, k, grad) -> dict:
+    """Fill the derivatives of the entries of column ``k`` into ``grad`` of
+    :func:`_components`, and return them as ``{v: {s: dL^s_k/dx^v}}``."""
+    by_variable = {}
+    for s, e in enumerate(col):
+        pairs = list(e.gradient().items()) if e is not None else []
+        grad[s][k] = pairs
+        for v, d in pairs:
+            by_variable.setdefault(v, {})[s] = d
+    return by_variable
+
+
+def _curl(first: dict, second: dict, zero: Poly) -> dict:
+    """``first - second`` for two sparse ``{s: Poly}`` maps, zeros dropped."""
+    out = {}
+    for s in first.keys() | second.keys():
+        d = first.get(s, zero) - second.get(s, zero)
+        if d:
+            out[s] = d
+    return out
 
 
 def torsion(operator: PolyMatrix) -> TorsionTensor:
@@ -202,17 +245,20 @@ def torsion(operator: PolyMatrix) -> TorsionTensor:
         L^s_j dL^i_k/dx^s - L^s_k dL^i_j/dx^s
         - L^i_s (dL^s_k/dx^j - dL^s_j/dx^k)
 
-    where L^i_j is the entry in row i, column j.  The first two sums are
-    the derivatives of L^i_k along column j and of L^i_j along column k;
-    the curl in the third is formed for every ordered pair (j, k).  All n^3
-    components are computed; :func:`torsion_witness` stops at the first
-    nonzero one.  Entries need not be linear.
+    where L^i_j is the entry in row i, column j.  The formula is exactly
+    antisymmetric in j and k, so only the components with j < k are
+    computed, each from the products that can be nonzero; (i, k, j) is
+    stored as the negation of (i, j, k) and (i, j, j) as zero.
+    :func:`torsion_witness` stops at the first nonzero component.  Entries
+    need not be linear.
     """
     _check_square(operator)
     n = operator.rows
-    comp = [[[None] * n for _ in range(n)] for _ in range(n)]
+    zero = Poly.zero(n)
+    comp = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, p in _components(operator):
         comp[i][j][k] = p
+        comp[i][k][j] = -p
     return TorsionTensor(n, operator.nvars, comp)
 
 
@@ -220,7 +266,8 @@ def torsion_witness(operator: PolyMatrix) -> tuple[int, int, int, Poly] | None:
     """The first nonzero torsion component in lexicographic order, as
     1-based ``(i, j, k, polynomial)``, or None when the torsion vanishes.
 
-    Nothing past the witness is computed.
+    By antisymmetry the first nonzero component has j < k, so only those
+    are formed, and nothing past the witness is computed.
     """
     _check_square(operator)
     for i, j, k, p in _components(operator):

@@ -199,7 +199,14 @@ def jacobian(polys: Sequence[Poly], wrt: Sequence[int] | None = None) -> PolyMat
         raise DimensionMismatchError("empty polynomial list")
     nvars = polys[0].nvars
     indices = list(range(nvars)) if wrt is None else list(wrt)
-    return PolyMatrix([[p.partial(j) for j in indices] for p in polys])
+    for j in indices:
+        if not 0 <= j < nvars:
+            raise DimensionMismatchError("variable index %d out of range" % j)
+    rows = []
+    for p in polys:
+        gradient, zero = p.gradient(), Poly.zero(p.nvars)
+        rows.append([gradient.get(j, zero) for j in indices])
+    return PolyMatrix(rows)
 
 
 _COORDINATES = tuple(Scalar(v) for v in range(-50, 51))  # made once, drawn often

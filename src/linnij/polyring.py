@@ -39,6 +39,9 @@ routine: matrix products, the characteristic polynomial, the torsion,
 coordinate changes, linear forms and :meth:`Poly.substitute_linear` are
 built on it.
 
+:meth:`Poly.gradient` is the one derivative kernel: :meth:`Poly.partial`,
+:func:`~linnij.polymatrix.jacobian` and the torsion read it.
+
 :func:`powers_of` is the one power table of a value, in the narrow
 coefficient types, and :func:`value_at`
 the one evaluation against such tables: :meth:`Poly.evaluate`, the
@@ -47,13 +50,15 @@ solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
 
 The term dict ``Poly.terms`` is read here and by the parser in
 :mod:`linnij.textio` only; other modules use :func:`top_exponents`,
-:meth:`Poly.linear_coefficients` and :meth:`Poly.involves`.
+:meth:`Poly.gradient`, :meth:`Poly.linear_coefficients` and
+:meth:`Poly.involves`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -242,20 +247,27 @@ class Poly:
 
     # -- calculus and substitution -----------------------------------------
 
+    def gradient(self) -> dict[int, "Poly"]:
+        """The nonzero partial derivatives as ``{index: partial}``, in
+        ascending index order, from one pass over the terms."""
+        nvars = self.nvars
+        indices = range(nvars)
+        acc: dict[int, dict[Exponents, Coefficient]] = {}
+        for exps, coeff in self.terms.items():
+            for i in compress(indices, exps):
+                e = exps[i]
+                # lowering one exponent maps distinct monomials to distinct
+                # ones, and coeff * e is nonzero for e >= 1
+                lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                c = coeff if e == 1 else _narrow(coeff * e)
+                acc.setdefault(i, {})[lowered] = c
+        return {i: Poly._new(nvars, acc[i]) for i in sorted(acc)}
+
     def partial(self, index: int) -> "Poly":
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
-        acc: dict[Exponents, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            # lowering one exponent maps distinct monomials to distinct ones,
-            # and coeff * e is nonzero for e >= 1
-            lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            acc[lowered] = _narrow(coeff * e)
-        return Poly._new(self.nvars, acc)
+        return self.gradient().get(index) or Poly.zero(self.nvars)
 
     def substitute_linear(self, matrix: list[list[Scalar]]) -> "Poly":
         """Replace each variable x_i by sum_j matrix[i][j] * y_j.
@@ -478,17 +490,29 @@ def value_at(p: Poly, powers) -> Scalar:
     return Scalar._coerce(total)
 
 
+# what a dot over scalar rows multiplies; Fraction, an ABC, is checked last
+_FACTOR = (Scalar, int, Poly, Fraction)
+
+
 def dot(left, right, zero):
     """Sum of the pairwise products of two rows, skipping zero factors.
 
     The rows may hold :class:`Poly` values, :class:`Scalar` values or a mix
-    of both; ``zero`` is the sum when every product is skipped.  When
-    ``zero`` is a :class:`Poly`, every factor is read as a term dict, so a
-    zero factor is an empty dict and a float factor, zero or not, raises
-    ``TypeError``.
+    of both; ``zero`` is the sum when every product is skipped.  Every
+    factor's type is checked before a zero one is skipped, so a float
+    factor, zero or not, raises ``TypeError``.  When ``zero`` is a
+    :class:`Poly`, every factor is read as a term dict, so a zero factor is
+    an empty dict.
     """
     if not isinstance(zero, Poly):
-        return sum((p * q for p, q in zip(left, right) if p and q), zero)
+        total = zero
+        for p, q in zip(left, right):
+            if not (isinstance(p, _FACTOR) and isinstance(q, _FACTOR)):
+                raise TypeError("dot factors %r, %r are not each a Poly, an int, "
+                                "a Fraction or a Scalar" % (p, q))
+            if p and q:
+                total = total + p * q
+        return total
     nvars = zero.nvars
     terms: dict[Exponents, Coefficient] = {}
     for p, q in zip(left, right):

@@ -629,6 +629,22 @@ def test_torsion_stops_at_the_first_nonzero_component(runner, tmp_path):
     assert elapsed < 5.0
 
 
+def test_torsion_free_sparse_operator_costs_its_nonzero_products(runner, tmp_path):
+    # diag(x1..x80) is torsion-free, so every one of its components is
+    # checked; nearly all of them have no nonzero product to form
+    n = 80
+    operator_file = tmp_path / "operator.txt"
+    operator_file.write_text("".join(
+        "; ".join("x%d" % (i + 1) if i == j else "0" for j in range(n)) + "\n"
+        for i in range(n)))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["torsion", str(operator_file)])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    assert result.output == "torsion vanishes\n"
+    assert elapsed < 5.0
+
+
 def test_torsion_malformed(runner, tmp_path):
     operator_file = tmp_path / "operator.txt"
     operator_file.write_text("x1; x2\nx2\n")

@@ -104,19 +104,56 @@ def random_operator(rng, n, linear, density):
     return PolyMatrix(rows)
 
 
-def test_torsion_and_witness_match_the_three_sums_seeded():
-    rng = random.Random(18)
-    flat = 0
-    witnesses = set()
+def sparse_operator(rng, n, linear):
+    """An n x n operator over n variables with about 3n nonzero entries,
+    each involving one or two variables."""
+    rows = [[Poly.zero(n)] * n for _ in range(n)]
+    for place in rng.sample(range(n * n), 3 * n):
+        terms = {}
+        variables = rng.sample(range(n), rng.randint(1, 2))
+        for _ in range(rng.randint(1, 2)):
+            if linear:
+                v = rng.choice(variables)
+                exps = tuple(int(u == v) for u in range(n))
+            else:
+                exps = tuple(rng.randint(0, 2) if u in variables else 0
+                             for u in range(n))
+            terms[exps] = random_coefficient(rng)
+        rows[place // n][place % n] = Poly(n, terms)
+    return PolyMatrix(rows)
+
+
+def seeded_torsion_inputs(rng):
+    """Dense and sparse small operators, then at n = 5..9 sparse ones, the
+    diagonal diag(x1..xn) and the torsion-free L1 and L2 members."""
     for count in range(2000):
         n = count % 4 + 1
         if count % 5 == 0:
             # sparse structure constants are often left-symmetric
             sc = random_structure_constants(rng, n, density=0.15)
-            operator = lsa_to_operator(sc)
+            yield lsa_to_operator(sc)
         else:
-            operator = random_operator(rng, n, linear=count % 5 < 3,
-                                       density=rng.choice([1.0, 0.5, 0.2]))
+            yield random_operator(rng, n, linear=count % 5 < 3,
+                                  density=rng.choice([1.0, 0.5, 0.2]))
+    for n in range(5, 10):
+        for count in range(8):
+            yield sparse_operator(rng, n, linear=count % 2 == 0)
+            # about 3n structure constants, left-symmetric now and then
+            yield lsa_to_operator(
+                random_structure_constants(rng, n, density=3 / n ** 2))
+        yield PolyMatrix([[Poly.variable(n, i) if i == j else Poly.zero(n)
+                           for j in range(n)] for i in range(n)])
+        yield generalized_L1(n).operator
+        yield generalized_L2(n).operator
+
+
+def test_torsion_and_witness_match_the_three_sums_seeded():
+    rng = random.Random(18)
+    flat = 0
+    witnesses = set()
+    sparse_witnesses = set()
+    for operator in seeded_torsion_inputs(rng):
+        n = operator.rows
         expected = reference_torsion(operator)
         assert torsion(operator).comp == expected
         first = next(((i + 1, j + 1, k + 1, expected[i][j][k])
@@ -126,8 +163,11 @@ def test_torsion_and_witness_match_the_three_sums_seeded():
         flat += first is None
         if first is not None:
             witnesses.add(first[:3])
+            if n >= 5:
+                sparse_witnesses.add(first[:3])
     assert 100 <= flat <= 1500
     assert len(witnesses) >= 20
+    assert len(sparse_witnesses) >= 10
 
 
 def test_torsion_witness_rejects_a_non_square_operator():
@@ -138,16 +178,19 @@ def test_torsion_witness_rejects_a_non_square_operator():
 
 
 def test_torsion_antisymmetry():
-    # N(j,k) = -N(k,j) componentwise
+    # N(j,k) = -N(k,j) componentwise in the three sums as written: the
+    # identity that lets torsion() form only the components with j < k
     rng = random.Random(4)
-    for _ in range(20):
-        sc = random_structure_constants(rng, 3)
-        tensor = torsion(lsa_to_operator(sc))
+    operators = [lsa_to_operator(random_structure_constants(rng, 3))
+                 for _ in range(20)]
+    operators += [random_operator(rng, 3, linear=False, density=0.7)
+                  for _ in range(20)]
+    for operator in operators:
+        comp = reference_torsion(operator)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert tensor.component(i + 1, j + 1, k + 1) \
-                        == -tensor.component(i + 1, k + 1, j + 1)
+                    assert comp[i][j][k] == -comp[i][k][j]
 
 
 def test_lsa_operator_round_trip():

@@ -258,13 +258,14 @@ def test_entry_points_take_exact_coefficients_only(value):
         Poly.monomial(3, (1, 0, 0), value)
     with pytest.raises(TypeError):
         x1.scale(value)
-    # a dot factor is read whatever its partner, so even a zero float fails
-    zero = Poly.zero(3)
-    for factor in (x1, zero, Scalar(2), Scalar(0)):
-        with pytest.raises(TypeError):
-            dot([factor], [value], zero)
-        with pytest.raises(TypeError):
-            dot([value], [factor], zero)
+    # a dot factor is checked whatever its partner, so even a zero float
+    # fails, over polynomial and over scalar rows
+    for zero in (Poly.zero(3), Scalar(0)):
+        for factor in (x1, Poly.zero(3), Scalar(2), Scalar(0)):
+            with pytest.raises(TypeError):
+                dot([factor], [value], zero)
+            with pytest.raises(TypeError):
+                dot([value], [factor], zero)
 
 
 def test_entry_points_narrow_their_coefficients():
@@ -472,6 +473,9 @@ def test_ring_matches_the_scalar_term_dicts_seeded():
         ]
         i = rng.randrange(3)
         results.append((a.partial(i), old_partial(x, i)))
+        gradient = a.gradient()
+        assert list(gradient) == [v for v in range(3) if old_partial(x, v)]
+        results += [(d, old_partial(x, v)) for v, d in gradient.items()]
         values = {i: Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if rad else 0, 3)}
         results.append((a.substitute(values), old_substitute(x, values)))
         if b:
@@ -487,3 +491,4 @@ def test_ring_matches_the_scalar_term_dicts_seeded():
             _assert_well_formed(got, 3)
             assert old_form(got) == expected
     assert 20 <= failures <= 200
+
