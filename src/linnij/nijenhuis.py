@@ -15,6 +15,7 @@ arrays are 0-based.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -26,77 +27,99 @@ from .record import Record
 
 
 class StructureConstants(Record):
-    """Rank-3 array of exact scalars defining a bilinear product.
+    """The structure constants of a bilinear product, as its nonzero entries.
 
     ``a[i][j][k]`` is the eta_k-component of eta_i * eta_j: first index is
     the left factor, second the right factor, third the output component.
+    The record holds ``n`` and ``entries``, the nonzero ``a[i][j][k]`` as
+    1-based ``(i, j, k, Scalar)`` tuples sorted by ``(i, j, k)``; equality,
+    hashing and :meth:`relations` read that tuple, and the dense cube
+    :attr:`a` is built from it when asked for.
     """
 
-    __slots__ = ("n", "a")
+    __slots__ = ("n", "entries")
 
     def __init__(self, a: Sequence[Sequence[Sequence[Scalar]]]):
+        """From the dense cube ``a``; every entry is an exact scalar."""
         n = len(a)
-        coerced = []
-        for plane in a:
+        entries = []
+        for i, plane in enumerate(a, 1):
             if len(plane) != n:
                 raise DimensionMismatchError("structure constants must be cubic")
-            rows = []
-            for row in plane:
+            for j, row in enumerate(plane, 1):
                 if len(row) != n:
                     raise DimensionMismatchError("structure constants must be cubic")
-                rows.append(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in row))
-            coerced.append(tuple(rows))
-        super().__init__(n, tuple(coerced))
+                for k, v in enumerate(row, 1):
+                    v = v if isinstance(v, Scalar) else Scalar(v)
+                    if v:
+                        entries.append((i, j, k, v))
+        super().__init__(n, tuple(entries))
+
+    @staticmethod
+    def _sparse(n: int, entries) -> "StructureConstants":
+        """From nonzero 1-based ``(i, j, k, Scalar)`` entries, already
+        checked, with no index triple repeated."""
+        out = object.__new__(StructureConstants)
+        Record.__init__(out, n, tuple(sorted(entries, key=itemgetter(0, 1, 2))))
+        return out
 
     @staticmethod
     def zero(n: int) -> "StructureConstants":
-        return StructureConstants(
-            [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        )
+        return StructureConstants._sparse(n, ())
 
     @staticmethod
     def from_relations(
         n: int, relations: Iterable[tuple[int, int, int, object]]
     ) -> "StructureConstants":
-        """Build from sparse 1-based relations (i, j, k, coefficient)."""
-        a = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        """Build from sparse 1-based relations (i, j, k, coefficient); the
+        coefficients of a repeated (i, j, k) are summed.  Each index must be
+        an ``int`` in 1..n."""
+        sums = {}
         for i, j, k, coeff in relations:
-            if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
+            if not all(type(x) is int and 1 <= x <= n for x in (i, j, k)):
                 raise DimensionMismatchError(
-                    "relation index out of range: (%d, %d, %d)" % (i, j, k)
-                )
+                    "relation index (%r, %r, %r) is not an int in 1..%d"
+                    % (i, j, k, n))
             value = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-            a[i - 1][j - 1][k - 1] = a[i - 1][j - 1][k - 1] + value
-        return StructureConstants(a)
+            key = (i, j, k)
+            sums[key] = sums[key] + value if key in sums else value
+        return StructureConstants._sparse(
+            n, [key + (v,) for key, v in sums.items() if v])
+
+    @property
+    def a(self) -> tuple:
+        """The dense cube, ``a[i][j][k]`` 0-based, zeros included."""
+        n = self.n
+        a = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, v in self.entries:
+            a[i - 1][j - 1][k - 1] = v
+        return tuple(tuple(tuple(row) for row in plane) for plane in a)
 
     def relations(self) -> list[tuple[int, int, int, Scalar]]:
         """Nonzero entries as sorted 1-based (i, j, k, coefficient) tuples."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    v = self.a[i][j][k]
-                    if not v.is_zero():
-                        out.append((i + 1, j + 1, k + 1, v))
-        return out
+        return list(self.entries)
 
     def __repr__(self):
-        return "StructureConstants(n=%d, %d nonzero)" % (
-            self.n,
-            len(self.relations()),
-        )
+        return "StructureConstants(n=%d, %d nonzero)" % (self.n, len(self.entries))
 
 
 def lsa_to_operator(sc: StructureConstants) -> PolyMatrix:
     """Right-multiplication operator field of an algebra.
 
     Entry (k, i) is sum_j a[i][j][k] x_j; every entry is linear homogeneous.
+    Each entry is one :func:`~linnij.polyring.dot` over the nonzero
+    a[i][j][k]; an entry without any is zero.
     """
     n = sc.n
     xs = [Poly.variable(n, j) for j in range(n)]
     zero = Poly.zero(n)
+    cells = {}  # (k, i) -> ([a[i][j][k]], [x_j]), 0-based
+    for i, j, k, v in sc.entries:
+        coeffs, variables = cells.setdefault((k - 1, i - 1), ([], []))
+        coeffs.append(v)
+        variables.append(xs[j - 1])
     return PolyMatrix([
-        [dot([row[k] for row in sc.a[i]], xs, zero) for i in range(n)]
+        [dot(*cells[k, i], zero) if (k, i) in cells else zero for i in range(n)]
         for k in range(n)
     ])
 
@@ -119,18 +142,21 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
     """Recover structure constants a[i][j][k] = d(entry (k,i))/dx_j.
 
     Exact inverse of :func:`lsa_to_operator`; rejects operators with a
-    nonlinear or affine entry.
+    nonlinear or affine entry.  Only the nonzero coefficients of the nonzero
+    entries are read.
     """
     _check_square(operator)
-    if not operator_is_linear(operator):
-        raise DimensionMismatchError("operator entries must be linear homogeneous")
-    n = operator.rows
-    a = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j, coeff in enumerate(operator.entries[k][i].linear_coefficients()):
-                a[i][j][k] = coeff
-    return StructureConstants(a)
+    entries = []
+    for k, row in enumerate(operator.entries, 1):
+        for i, p in enumerate(row, 1):
+            if not p:
+                continue
+            coeffs = p.linear_terms()
+            if coeffs is None:
+                raise DimensionMismatchError(
+                    "operator entries must be linear homogeneous")
+            entries.extend((i, j + 1, k, c) for j, c in coeffs.items())
+    return StructureConstants._sparse(operator.rows, entries)
 
 
 class TorsionTensor(Record):
@@ -290,13 +316,13 @@ class LsaCheck(Record):
         return "LsaCheck(violated at %r)" % (self.witness,)
 
 
-def _associator(sc: StructureConstants, i: int, j: int, k: int) -> list[Scalar]:
-    """(eta_i * eta_j) * eta_k - eta_i * (eta_j * eta_k), as a vector."""
-    a = sc.a
+def _associator(a, i: int, j: int, k: int) -> list[Scalar]:
+    """(eta_i * eta_j) * eta_k - eta_i * (eta_j * eta_k), as a vector, from
+    the dense cube ``a``."""
     return [
         dot(a[i][j], [plane[k][m] for plane in a], ZERO)
         - dot(a[j][k], [row[m] for row in a[i]], ZERO)
-        for m in range(sc.n)
+        for m in range(len(a))
     ]
 
 
@@ -308,10 +334,11 @@ def is_left_symmetric(sc: StructureConstants) -> LsaCheck:
     reported 1-based.
     """
     n = sc.n
+    a = sc.a
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                if _associator(sc, i, j, k) != _associator(sc, j, i, k):
+                if _associator(a, i, j, k) != _associator(a, j, i, k):
                     return LsaCheck(False, (i + 1, j + 1, k + 1))
     return LsaCheck(True, None)
 

@@ -14,7 +14,11 @@ alongside as an independent cross-check route; callers that verify results
 should compare against it rather than trust one path.
 
 Every other sum of products here, the matrix products included, goes
-through :func:`linnij.polyring.dot`, which skips zero factors.
+through :func:`linnij.polyring.dot`, which skips zero factors.  The matrix
+products and the products of the Berkowitz loop first gather out the zero
+pairs: each vector's nonzero ``(index, entry)`` pairs are listed once, and
+only the pairs whose two factors are both nonzero reach ``dot``, so a
+sparse matrix pays for its nonzero entries only.
 
 Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
 a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
@@ -64,8 +68,10 @@ class PolyMatrix(Record):
         if self.cols != other.rows or self.nvars != other.nvars:
             raise DimensionMismatchError("shape or ring mismatch in product")
         zero = Poly.zero(self.nvars)
-        cols = list(zip(*other.entries))
-        return PolyMatrix([[dot(row, col, zero) for col in cols] for row in self.entries])
+        cols = [_nonzero(col) for col in zip(*other.entries)]
+        rows = [[e or None for e in row] for row in self.entries]
+        return PolyMatrix([[_gathered_dot(row, col, zero) for col in cols]
+                           for row in rows])
 
     def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         rows = [list(r) for r in matrix]
@@ -117,6 +123,26 @@ class PolyMatrix(Record):
                 cof = _det([row[:j] + row[j + 1 :] for row in rest], zero)
                 out[j][i] = -cof if (i + j) % 2 else cof  # transposed position
         return PolyMatrix(out)  # type: ignore[arg-type]
+
+
+def _nonzero(vector) -> list[tuple[int, Poly]]:
+    """The ``(index, entry)`` pairs of the nonzero entries of ``vector``."""
+    return [(i, e) for i, e in enumerate(vector) if e]
+
+
+def _gathered_dot(vector, pairs, zero) -> Poly:
+    """The dot product of ``vector``, which holds None for its zero entries,
+    with the vector whose nonzero entries are ``pairs`` (from
+    :func:`_nonzero`).  Only the pairs whose entry of ``vector`` is nonzero
+    reach :func:`~linnij.polyring.dot`, and when none does the product is
+    ``zero`` without a call."""
+    left, right = [], []
+    for i, e in pairs:
+        v = vector[i]
+        if v is not None:
+            left.append(v)
+            right.append(e)
+    return dot(left, right, zero) if left else zero
 
 
 def _bareiss(rows, zero):
@@ -248,23 +274,28 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
     one row and column at a time by a lower-triangular Toeplitz product
     whose entries are 1, -a, -R C, -R M C, -R M^2 C, ...  with a, R, C the
     new diagonal entry, row and column and M the trailing block.  Only ring
-    multiplications happen, in the operator's own ring, O(n^4) of them.
-    The t^n coefficient is checked to be exactly one.
+    multiplications happen, in the operator's own ring, O(n^4) of them at
+    most: each row's nonzero entries are listed once, and each product
+    R M^p C forms only the products of two nonzero factors.  The t^n
+    coefficient is checked to be exactly one.
     """
     operator._require_square()
     n = operator.rows
     a = operator.entries
     zero = Poly.zero(operator.nvars)
     one = Poly.constant(operator.nvars, ONE)
+    rows = [_nonzero(row) for row in a]
     coeffs = [one, -a[n - 1][n - 1]]
     for k in range(n - 2, -1, -1):
-        row = a[k][k + 1 :]
         toeplitz = [one, -a[k][k]]
-        vec = [a[i][k] for i in range(k + 1, n)]
+        # M^p C at its own indices, None for zero; the None at indices up
+        # to k makes a whole row's pairs read as those of R or of a row of M
+        vec = [None] * (k + 1) + [a[i][k] or None for i in range(k + 1, n)]
         for power in range(n - 1 - k):
             if power:
-                vec = [dot(a[i][k + 1 :], vec, zero) for i in range(k + 1, n)]
-            toeplitz.append(-dot(row, vec, zero))
+                vec[k + 1 :] = [_gathered_dot(vec, rows[i], zero) or None
+                                for i in range(k + 1, n)]
+            toeplitz.append(-_gathered_dot(vec, rows[k], zero))
         coeffs = [
             dot(toeplitz[i::-1], coeffs[: i + 1], zero)
             for i in range(len(coeffs) + 1)

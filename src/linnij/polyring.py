@@ -12,8 +12,8 @@ integral, a :class:`~fractions.Fraction` when it is rational, and a
 so rational arithmetic, nearly all of it, runs on Python's own numbers.  The
 readers (:meth:`Poly.coefficient`, :meth:`Poly.leading`,
 :meth:`Poly.sorted_terms`, :meth:`Poly.constant_value`,
-:meth:`Poly.linear_coefficients`, :meth:`Poly.evaluate`, :func:`value_at`)
-return ``Scalar``.
+:meth:`Poly.linear_terms`, :meth:`Poly.linear_coefficients`,
+:meth:`Poly.evaluate`, :func:`value_at`) return ``Scalar``.
 
 Instances are treated as immutable; every operation returns a new object.
 The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
@@ -50,8 +50,8 @@ solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
 
 The term dict ``Poly.terms`` is read here and by the parser in
 :mod:`linnij.textio` only; other modules use :func:`top_exponents`,
-:meth:`Poly.gradient`, :meth:`Poly.linear_coefficients` and
-:meth:`Poly.involves`.
+:meth:`Poly.gradient`, :meth:`Poly.linear_terms` (and its dense form
+:meth:`Poly.linear_coefficients`) and :meth:`Poly.involves`.
 """
 
 from __future__ import annotations
@@ -163,14 +163,26 @@ class Poly:
     def coefficient(self, exponents: Iterable[int]) -> Scalar:
         return Scalar._coerce(self.terms.get(tuple(exponents), 0))
 
-    def linear_coefficients(self) -> list[Scalar] | None:
-        """The coefficient of each variable, when the polynomial is
-        homogeneous of degree one (or zero); else None."""
-        coeffs = [ZERO] * self.nvars
+    def linear_terms(self) -> dict[int, Scalar] | None:
+        """The nonzero coefficient of each variable as ``{index: Scalar}``,
+        when the polynomial is homogeneous of degree one (or zero); else
+        None."""
+        coeffs = {}
         for exps, coeff in self.terms.items():
             if sum(exps) != 1:
                 return None
             coeffs[exps.index(1)] = Scalar._coerce(coeff)
+        return coeffs
+
+    def linear_coefficients(self) -> list[Scalar] | None:
+        """The coefficient of each variable, zeros included, when the
+        polynomial is homogeneous of degree one (or zero); else None."""
+        terms = self.linear_terms()
+        if terms is None:
+            return None
+        coeffs = [ZERO] * self.nvars
+        for i, coeff in terms.items():
+            coeffs[i] = coeff
         return coeffs
 
     def involves(self, indices: Sequence[int]) -> bool:

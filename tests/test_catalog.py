@@ -173,6 +173,18 @@ def test_load_rejects_wrong_radicand(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
+def test_load_rejects_relation_indices_that_are_not_ints(tmp_path, bad):
+    path = tmp_path / "catalog.json"
+    save_catalog(load_catalog(), path)
+    raw = json.loads(path.read_text())
+    assert raw["entries"][0]["relations"][0]["i"] == 1
+    raw["entries"][0]["relations"][0]["i"] = bad
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DimensionMismatchError):
+        load_catalog(path)
+
+
 def test_entries_are_immutable():
     entry = load_catalog()[0]
     with pytest.raises(AttributeError):

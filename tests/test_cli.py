@@ -670,6 +670,10 @@ def pinned_commands(tmp_path):
             commands.append(("blocks %d %s" % (n, signs),
                              ["generalize", "blocks", str(n), "--signs", signs,
                               "--json"]))
+    for family in ("L1", "L2", "blocks"):
+        for n in range(10, 13):
+            commands.append(("%s %d text" % (family, n),
+                             ["generalize", family, str(n)]))
     sigma_sets = [(entry.id, [format_poly(s) for s in entry.sigmas])
                   for entry in load_catalog()]
     sigma_sets += [("product", ["x1", "x1*x2"]),
@@ -691,7 +695,9 @@ def output_digest(result):
 #: determinants, cofactors and dependence tests shared one elimination.  The
 #: ``reconstruct`` pins of polynomial operators were recorded again when
 #: --json stopped printing det J and adj(J) S J for them; each new document
-#: is the old one without those two keys.
+#: is the old one without those two keys.  The text-mode ``generalize`` pins
+#: at n = 10..12 were recorded before structure constants and matrix products
+#: went sparse.
 PINNED_DIGESTS = {
     "verify-tables": "3b03412f0a99d97b573cb49df32faba8d12866fc8eefe6c55c9d13b0824ee210",
     "L1 3": "8f7b5b5f93ec18a6f319b16fae04377d918394855119fe6db545696d0582e872",
@@ -720,6 +726,15 @@ PINNED_DIGESTS = {
     "blocks 6 -+": "ee9afc37047a78fd78eb73baaf4be7071947f835432144ede8f3c8c83c21e54d",
     "blocks 6 +-": "7c13d3ad886594b4895f237d09bd7d968a7c58906f1306f49aa1714faef460a0",
     "blocks 6 --": "c614c7b3958ba5f85bedbff45ef0541be4273a81edf284d4fa5284083b7d71bb",
+    "L1 10 text": "3a8707aeb65595552d2c3019c72c8f1135469578d1ac1c63766f133bf0b1271c",
+    "L1 11 text": "8eba41b016b6ae33434a1ad2785ac6772b3954c02f3ce799ebc22735c78531e9",
+    "L1 12 text": "4bb32f3d2c5108d0ebca22659cca085c63235585c99611a015d56d20767c525f",
+    "L2 10 text": "f7bfff221eb0f2407dd6463f89b6f3733d292cd7e4e8bb3c62e34ce412e9c04d",
+    "L2 11 text": "08aedc0480ea306ecc76aa419263577c9b29d88a10aceceef731658b2ab813ee",
+    "L2 12 text": "efeaa9d91a2cbd66f5fb406a9470bc43f2b584072f2b7cf60640ef717fcf04c9",
+    "blocks 10 text": "d889beaef0b1c7e2d02881bbfb42c7ad10287e76a23f9280d9d665668c6ad633",
+    "blocks 11 text": "bff4d873bda1420c486b5fc38e1f06b898e147584dd58a62fb069865569c6a19",
+    "blocks 12 text": "b505d5a0cfaced56832fcf2a939c53f1b775964d38450fe3d33f6d31a79d7260",
     "reconstruct d": "b4f6786a7d65d5f4c5aaba9df4eabd970ba4a2047ea40ceef01105ef2a748145",
     "reconstruct b4+": "ceb78fde698fdcbd99a34ddb711c00e69952b692a66afab5222089566869ef30",
     "reconstruct b4-": "ebebb1dd372b97b3487ddc95fd9b47467f20f5ed21c7fce5fa7b2153b8d2b537",

@@ -239,6 +239,134 @@ def test_from_relations_accumulates():
     assert sc.relations() == [(1, 1, 1, Scalar(3))]
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, 1.5, "1", None],
+                         ids=["true", "false", "1.0", "2.0", "1.5", "str", "none"])
+def test_from_relations_takes_int_indices_only(bad):
+    # True and 1.0 compare and hash like 1, but are not indices
+    for position in range(3):
+        relation = [1, 1, 1, 1]
+        relation[position] = bad
+        with pytest.raises(DimensionMismatchError):
+            StructureConstants.from_relations(2, [tuple(relation)])
+
+
+# -- the dense structure constants, as the package held them before ---------
+
+
+def dense_cube(a):
+    """The constructor: every entry of the cube coerced to a Scalar."""
+    return tuple(tuple(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in row)
+                       for row in plane) for plane in a)
+
+
+def dense_from_relations(n, relations):
+    a = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, coeff in relations:
+        value = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
+        a[i - 1][j - 1][k - 1] = a[i - 1][j - 1][k - 1] + value
+    return dense_cube(a)
+
+
+def dense_relations(a):
+    n = len(a)
+    return [(i + 1, j + 1, k + 1, a[i][j][k])
+            for i in range(n) for j in range(n) for k in range(n)
+            if not a[i][j][k].is_zero()]
+
+
+def dense_lsa_to_operator(a):
+    n = len(a)
+    xs = [Poly.variable(n, j) for j in range(n)]
+    zero = Poly.zero(n)
+    return PolyMatrix([[dot([row[k] for row in a[i]], xs, zero) for i in range(n)]
+                       for k in range(n)])
+
+
+def dense_operator_to_lsa(operator):
+    n = operator.rows
+    a = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j, coeff in enumerate(operator.entries[k][i].linear_coefficients()):
+                a[i][j][k] = coeff
+    return dense_cube(a)
+
+
+def coefficient_of_kind(rng, kind):
+    value = 0
+    while not value:
+        if kind == "int":
+            value = rng.randint(-3, 3)
+        elif kind == "fraction":
+            value = Fraction(rng.randint(-3, 3), rng.randint(2, 4))
+        else:
+            value = Scalar(rng.randint(-1, 1), rng.choice([-1, 1]), 3)
+    return value
+
+
+def seeded_cubes(rng):
+    """Dense cubes of raw and Scalar entries, n = 1..9, three densities and
+    three coefficient kinds (int, Fraction, sqrt(3))."""
+    for n in range(1, 10):
+        for density in (1.0, 0.3, 0.15):
+            for kind in ("int", "fraction", "sqrt3"):
+                cube = [[[coefficient_of_kind(rng, kind) if rng.random() < density else 0
+                          for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                for plane in cube:
+                    for row in plane:
+                        for k, v in enumerate(row):
+                            if rng.random() < 0.5 and not isinstance(v, Scalar):
+                                row[k] = Scalar(v)
+                yield cube
+
+
+def test_structure_constants_match_the_dense_code_seeded():
+    rng = random.Random(2020)
+    seen = []
+    for cube in seeded_cubes(rng):
+        n = len(cube)
+        dense = dense_cube(cube)
+        sc = StructureConstants(cube)
+        assert sc.n == n and sc.a == dense
+        assert sc.relations() == dense_relations(dense)
+        # the same algebra from relations: coefficients split in two,
+        # and cancelling pairs where the cube is zero
+        relations = []
+        for i, j, k, c in sc.relations():
+            relations += [(i, j, k, c - 1), (i, j, k, 1)]
+        for _ in range(3):
+            i, j, k = (rng.randint(1, n) for _ in range(3))
+            if dense[i - 1][j - 1][k - 1].is_zero():
+                relations += [(i, j, k, 2), (i, j, k, Scalar(-2))]
+        rng.shuffle(relations)
+        built = StructureConstants.from_relations(n, relations)
+        assert built.a == dense_from_relations(n, relations) == dense
+        assert built == sc and hash(built) == hash(sc)
+        operator = lsa_to_operator(sc)
+        assert operator == dense_lsa_to_operator(dense)
+        back = operator_to_lsa(operator)
+        assert back.a == dense_operator_to_lsa(operator) == dense
+        assert back == sc and hash(back) == hash(sc)
+        seen.append((sc, dense))
+    # equality and hashing agree with the dense cubes on every pair
+    for first, first_dense in seen[::3]:
+        for second, second_dense in seen[::3]:
+            assert (first == second) == (first_dense == second_dense)
+    assert StructureConstants.zero(4).a == dense_cube([[[0] * 4] * 4] * 4)
+
+
+def test_operator_to_lsa_matches_the_dense_code_on_the_families():
+    operators = [entry.operator for entry in load_catalog()]
+    for n in range(3, 13):
+        operators += [generalized_L1(n).operator, generalized_L2(n).operator,
+                      generalized_blocks(n).operator]
+    for operator in operators:
+        sc = operator_to_lsa(operator)
+        dense = dense_operator_to_lsa(operator)
+        assert sc.a == dense and sc.relations() == dense_relations(dense)
+        assert lsa_to_operator(sc) == dense_lsa_to_operator(dense) == operator
+
+
 def test_change_coordinates_identity_and_composition():
     rng = random.Random(6)
     m = op([["2*x1", "-x2"], ["x2", "0"]], 2)

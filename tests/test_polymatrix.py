@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from linnij.catalog import (
+    generalized_L1, generalized_L2, generalized_blocks, load_catalog)
 from linnij.errors import (
     DependentSigmasError, DimensionMismatchError, SingularMatrixError)
 from linnij.exactfield import Scalar
@@ -156,6 +158,98 @@ def test_charpoly_via_shifted_determinant():
                 for k, s in enumerate(charpoly_sigmas(m), start=1):
                     expected = expected + s.embed(n + 1) * t ** (n - k)
                 assert char == expected, (n, kind)
+
+
+# -- the dense products, as the package formed them before ----------------
+
+
+def dense_matmul(a, b):
+    zero = Poly.zero(a.nvars)
+    cols = list(zip(*b.entries))
+    return PolyMatrix([[dot(row, col, zero) for col in cols] for row in a.entries])
+
+
+def dense_charpoly(operator):
+    """Berkowitz over whole rows and columns."""
+    n = operator.rows
+    a = operator.entries
+    zero = Poly.zero(operator.nvars)
+    one = Poly.constant(operator.nvars, Scalar(1))
+    coeffs = [one, -a[n - 1][n - 1]]
+    for k in range(n - 2, -1, -1):
+        row = a[k][k + 1:]
+        toeplitz = [one, -a[k][k]]
+        vec = [a[i][k] for i in range(k + 1, n)]
+        for power in range(n - 1 - k):
+            if power:
+                vec = [dot(a[i][k + 1:], vec, zero) for i in range(k + 1, n)]
+            toeplitz.append(-dot(row, vec, zero))
+        coeffs = [dot(toeplitz[i::-1], coeffs[:i + 1], zero)
+                  for i in range(len(coeffs) + 1)]
+    assert coeffs[0] == one
+    return coeffs[1:]
+
+
+def sparse_matrix(rng, rows, cols, nvars, density, linear=False):
+    """About ``density`` of the entries nonzero, of degree at most 2 or
+    linear, some with sqrt(3) coefficients."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            q = Poly.zero(nvars)
+            if rng.random() < density:
+                if linear:
+                    q = sum((Poly.variable(nvars, v).scale(Scalar(rng.randint(1, 3)))
+                             for v in rng.sample(range(nvars), rng.randint(1, 2))), q)
+                else:
+                    q = random_sparse_poly(rng, nvars)
+                if rng.random() < 0.2:
+                    q = q.scale(Scalar(1, 1, 3))
+            row.append(q)
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def product_and_charpoly_inputs(rng):
+    """(operator, sigmas) of the catalog entries and of the L1, L2 and
+    blocks members at n = 3..12; then seeded sparse operators, n = 1..9,
+    with None for sigmas: from n = 6 on, about 2n and n nonzero linear
+    entries, as in the families, since denser or quadratic ones swell past
+    test time."""
+    entries = list(load_catalog())
+    for n in range(3, 13):
+        entries += [generalized_L1(n), generalized_L2(n), generalized_blocks(n)]
+    for entry in entries:
+        yield entry.operator, entry.sigmas
+    for n in range(1, 10):
+        for density in ((0.5, 0.25, 0.1) if n <= 5 else (2 / n, 1 / n)):
+            yield sparse_matrix(rng, n, n, n, density, linear=n > 5), None
+
+
+def test_products_and_charpoly_match_the_dense_code():
+    rng = random.Random(4242)
+    for operator, sigmas in product_and_charpoly_inputs(rng):
+        computed = charpoly_sigmas(operator)
+        assert computed == dense_charpoly(operator)
+        if sigmas is not None:
+            assert computed == list(sigmas)
+        else:
+            sigmas = computed
+        assert operator @ operator == dense_matmul(operator, operator)
+        # the two products of the covariance check
+        jac = jacobian(list(sigmas))
+        companion = companion_matrix(list(sigmas))
+        assert jac @ operator == dense_matmul(jac, operator)
+        assert companion @ jac == dense_matmul(companion, jac)
+    # rectangular products, with whole zero rows and columns now and then
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        nvars = rng.randint(1, 4)
+        density = rng.choice([0.6, 0.3, 0.1])
+        a = sparse_matrix(rng, rows, inner, nvars, density)
+        b = sparse_matrix(rng, inner, cols, nvars, density)
+        assert a @ b == dense_matmul(a, b)
 
 
 def to_sympy(p, symbols):
