@@ -223,14 +223,11 @@ def jacobian(polys: Sequence[Poly], wrt: Sequence[int] | None = None) -> PolyMat
     """Matrix of partials: row i is the gradient of polys[i]."""
     if not polys:
         raise DimensionMismatchError("empty polynomial list")
-    nvars = polys[0].nvars
-    indices = list(range(nvars)) if wrt is None else list(wrt)
-    for j in indices:
-        if not 0 <= j < nvars:
-            raise DimensionMismatchError("variable index %d out of range" % j)
+    wanted = None if wrt is None else list(wrt)
+    indices = range(polys[0].nvars) if wanted is None else wanted
     rows = []
     for p in polys:
-        gradient, zero = p.gradient(), Poly.zero(p.nvars)
+        gradient, zero = p.gradient(wanted), Poly.zero(p.nvars)
         rows.append([gradient.get(j, zero) for j in indices])
     return PolyMatrix(rows)
 

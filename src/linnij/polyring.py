@@ -259,14 +259,23 @@ class Poly:
 
     # -- calculus and substitution -----------------------------------------
 
-    def gradient(self) -> dict[int, "Poly"]:
+    def gradient(self, indices: Iterable[int] | None = None) -> dict[int, "Poly"]:
         """The nonzero partial derivatives as ``{index: partial}``, in
-        ascending index order, from one pass over the terms."""
+        ascending index order, from one pass over the terms: by every
+        variable, or only by those in ``indices``."""
         nvars = self.nvars
-        indices = range(nvars)
+        wanted = None
+        if indices is not None:
+            wanted = frozenset(indices)
+            for i in wanted:
+                if not 0 <= i < nvars:
+                    raise DimensionMismatchError("variable index %d out of range" % i)
+        every = range(nvars)
         acc: dict[int, dict[Exponents, Coefficient]] = {}
         for exps, coeff in self.terms.items():
-            for i in compress(indices, exps):
+            for i in compress(every, exps):
+                if wanted is not None and i not in wanted:
+                    continue
                 e = exps[i]
                 # lowering one exponent maps distinct monomials to distinct
                 # ones, and coeff * e is nonzero for e >= 1
@@ -277,9 +286,7 @@ class Poly:
 
     def partial(self, index: int) -> "Poly":
         """Partial derivative with respect to variable ``index``."""
-        if not 0 <= index < self.nvars:
-            raise DimensionMismatchError("variable index %d out of range" % index)
-        return self.gradient().get(index) or Poly.zero(self.nvars)
+        return self.gradient((index,)).get(index) or Poly.zero(self.nvars)
 
     def substitute_linear(self, matrix: list[list[Scalar]]) -> "Poly":
         """Replace each variable x_i by sum_j matrix[i][j] * y_j.

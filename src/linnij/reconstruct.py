@@ -65,7 +65,8 @@ from .polyring import (
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
 from .textio import (
-    _int_literal, format_poly, parse_monomial, parse_poly, parse_scalar)
+    _int_literal, _name_table, _parse_poly, format_poly, parse_monomial, parse_poly,
+    parse_scalar)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -420,7 +421,8 @@ def parse_system(text: str) -> LinearitySystem:
 
     The ``# equations:`` header is required and must match the number of
     equation lines, so a truncated or padded listing is rejected.  Each
-    equation line names entry (row, col) of rows 2..n as P((row - 2) * n + col).
+    equation line names entry (row, col) of rows 2..n as P((row - 2) * n + col)
+    and ends in ``= 0``.  An error in a line names its 1-based number.
     """
     case = None
     count = None
@@ -428,49 +430,58 @@ def parse_system(text: str) -> LinearitySystem:
     symbol_names: list[str] = []
     equations = []
     names: list[str] = []
-    for line in text.splitlines():
+    monomials: dict[str, tuple[int, ...]] = {}  # header monomial -> exponents
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("case:"):
-                case = body[len("case:") :].strip()
-            elif body.startswith("geometric:"):
-                geo_names = body[len("geometric:") :].split()
-            elif body.startswith("symbols:"):
-                symbol_names = body[len("symbols:") :].split()
-            elif body.startswith("equations:"):
-                count = _listing_int(body[len("equations:") :].strip(), "equation count")
-            continue
-        if not names:
-            if not geo_names or not symbol_names:
-                raise FormatError("equation listed before its variable header")
-            names = geo_names + symbol_names
-        head, _, rhs = line.partition("::")
-        if not rhs:
-            raise FormatError("missing '::' in equation line %r" % line)
-        fields = head.split()
-        if len(fields) != 3:
-            raise FormatError("malformed equation header %r" % head)
-        entry, pos, mono_text = fields
-        cells = pos[1:-1].split(",")
-        if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
-            raise FormatError("malformed position %r" % pos)
-        row, col = (_listing_int(cell, "position") for cell in cells)
-        n = len(geo_names)
-        if not (2 <= row <= n and 1 <= col <= n
-                and entry == "P%d" % ((row - 2) * n + col)):
-            raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
-                              "2 <= row <= n, 1 <= col <= n, n = %d" % (entry, pos, n))
-        monomial = parse_monomial(mono_text, geo_names)
-        poly_text = rhs.strip()
-        if poly_text.endswith("= 0"):
-            poly_text = poly_text[: -len("= 0")].strip()
-        poly = parse_poly(poly_text, names)
-        if poly.involves(range(len(geo_names))):
-            raise FormatError("equation names a geometric variable: %r" % line)
-        equations.append(Equation(entry, row, col, monomial, poly))
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("case:"):
+                    case = body[len("case:") :].strip()
+                elif body.startswith("geometric:"):
+                    geo_names = body[len("geometric:") :].split()
+                elif body.startswith("symbols:"):
+                    symbol_names = body[len("symbols:") :].split()
+                elif body.startswith("equations:"):
+                    count = _listing_int(body[len("equations:") :].strip(),
+                                         "equation count")
+                continue
+            if not names:
+                if not geo_names or not symbol_names:
+                    raise FormatError("equation listed before its variable header")
+                names = geo_names + symbol_names
+                index_of = _name_table(names)
+                n = len(geo_names)
+            head, _, rhs = line.partition("::")
+            if not rhs:
+                raise FormatError("missing '::' in equation line %r" % line)
+            fields = head.split()
+            if len(fields) != 3:
+                raise FormatError("malformed equation header %r" % head)
+            entry, pos, mono_text = fields
+            cells = pos[1:-1].split(",")
+            if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
+                raise FormatError("malformed position %r" % pos)
+            row, col = (_listing_int(cell, "position") for cell in cells)
+            if not (2 <= row <= n and 1 <= col <= n
+                    and entry == "P%d" % ((row - 2) * n + col)):
+                raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
+                                  "2 <= row <= n, 1 <= col <= n, n = %d"
+                                  % (entry, pos, n))
+            monomial = monomials.get(mono_text)
+            if monomial is None:
+                monomial = monomials[mono_text] = parse_monomial(mono_text, geo_names)
+            poly_text, equals, zero = rhs.rpartition("=")
+            if not equals or zero.strip() != "0":
+                raise FormatError("equation does not end in '= 0'")
+            poly = _parse_poly(poly_text.strip(), len(names), index_of)
+            if poly.involves(range(n)):
+                raise FormatError("equation names a geometric variable: %r" % line)
+            equations.append(Equation(entry, row, col, monomial, poly))
+        except FormatError as exc:
+            raise FormatError("line %d: %s" % (lineno, exc))
     if case is None or not names:
         raise FormatError("system listing is missing its header")
     if count is None:

@@ -11,11 +11,16 @@ A term is built where it is read.  A run of integer and variable factors
 (``c*x^e*y^f*...``, the shape of every rendered term with a rational
 coefficient) goes straight into one rational coefficient and one exponent
 list, and each sum adds its terms into one dict, through the ring's term
-kernel, that becomes its polynomial.  Only a parenthesised or ``sqrt()``
-factor is a :class:`~linnij.polyring.Poly` of its own; the ring's product
-kernel adds its product with the term's coefficient and monomial straight
-into the sum.  A unary minus, at the start of a sum or before any factor
-of a product, flips the sign of its term, so ``^`` binds tighter than it
+kernel, that becomes its polynomial.  The product rule reads the factors
+of such a run, a variable with or without ``^int`` and an integer literal
+without ``^``, in one flat loop over the tokens, with no call per factor;
+every other factor, and any factor after ``/``, goes through the general
+factor rules, so the limits and error messages below hold alike for both.
+Only a parenthesised or ``sqrt()`` factor is a
+:class:`~linnij.polyring.Poly` of its own; the ring's product kernel adds
+its product with the term's coefficient and monomial straight into the
+sum.  A unary minus, at the start of a sum or before any factor of a
+product, flips the sign of its term, so ``^`` binds tighter than it
 everywhere: ``x1*-x2^2`` is ``-(x1*x2^2)``.
 
 Variables are positional; display names live only here.  The default name
@@ -29,7 +34,10 @@ stalling the parse.  Likewise an integer power ``c^k`` may have at most
 interpreter converts; a larger one is rejected from the bit length of
 ``c`` before the power is built.  The same limit bounds the power of a
 parenthesised or ``sqrt()`` constant, such as ``(1/2)^k`` or
-``sqrt(3)^k``; see :func:`_check_constant_power`.
+``sqrt(3)^k``; see :func:`_check_constant_power`.  Parentheses may nest at
+most :data:`MAX_NESTING` deep: the parser recurses once per open
+parenthesis, so deeper input is refused with a ``FormatError`` before it
+can exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
 MAX_POWER_DIGITS = 4300
+MAX_NESTING = 100
 _POWER_LIMIT = 10**MAX_POWER_DIGITS
 
 
@@ -213,6 +222,7 @@ class _Parser:
         self.pos = 0
         self.nvars = nvars
         self.index_of = index_of
+        self.depth = 0  # open parentheses
 
     def take(self):
         token = self.tokens[self.pos]
@@ -230,61 +240,90 @@ class _Parser:
         return result
 
     def sum_expr(self) -> Poly:
+        tokens = self.tokens
         acc: dict = {}
         negate = False
-        if self.tokens[self.pos] in ("+", "-"):
+        if tokens[self.pos] in ("+", "-"):
             negate = self.take() == "-"
         while True:
-            self.add_term(acc, negate)
-            if self.tokens[self.pos] not in ("+", "-"):
+            # each product goes into ``acc``, negated if its sign says so
+            coeff, exps, rest = self.product_expr()
+            if coeff:
+                key, value = tuple(exps), _narrow(-coeff if negate else coeff)
+                if rest is None:
+                    _add_terms(acc, ((key, value),))
+                else:
+                    _add_products(acc, {key: value}, rest.terms)
+            if tokens[self.pos] not in ("+", "-"):
                 return Poly._new(self.nvars, acc)
             negate = self.take() == "-"
 
-    def add_term(self, acc, negate):
-        """Parse one product and add it, negated if asked, into ``acc``."""
-        coeff, exps, rest = self.product_expr()
-        if not coeff:
-            return
-        key, value = tuple(exps), _narrow(-coeff if negate else coeff)
-        if rest is None:
-            _add_terms(acc, ((key, value),))
-        else:
-            _add_products(acc, {key: value}, rest.terms)
-
     def product_expr(self):
         """One product as (rational coefficient, exponent list, rest): ``rest``
-        is the product of the factors :meth:`atom` gives as a Poly, or None."""
+        is the product of the factors :meth:`atom` gives as a Poly, or None.
+
+        A variable, with or without ``^int``, and an integer literal without
+        ``^`` are read in the loop itself; every other factor, and every
+        factor after ``/``, goes through :meth:`power_expr`."""
+        tokens, index_of = self.tokens, self.index_of
         coeff = 1
         exps = [0] * self.nvars
         rest = None
         divide = False
+        pos = self.pos
         while True:
-            while self.tokens[self.pos] == "-":
-                self.take()
-                coeff = -coeff
-            base, exponent = self.power_expr()
-            if isinstance(base, Poly):
-                if exponent > 1 and base.degree() <= 0:
-                    _check_constant_power(base, exponent)
-                factor = base ** exponent
-                if divide:
-                    try:
-                        divisor = factor.constant_value()
-                    except ValueError:
-                        raise FormatError("can only divide by a constant")
-                    factor = Poly.constant(self.nvars, divisor.inverse())
-                rest = factor if rest is None else rest * factor
-            elif isinstance(base, str):
-                if divide and exponent:
-                    raise FormatError("can only divide by a constant")
-                exps[self.index_of[base]] += exponent
-            elif divide:
-                coeff = Fraction(coeff) / base
+            token = tokens[pos]
+            i = None if divide else index_of.get(token)
+            if i is not None and tokens[pos + 1] != "^":
+                exps[i] += 1
+                pos += 1
+            elif (i is not None and tokens[pos + 2] is not None
+                  and tokens[pos + 2][0].isdigit()):
+                exps[i] += _int_literal(tokens[pos + 2])
+                pos += 3
+            elif (not divide and token is not None and token[0].isdigit()
+                  and tokens[pos + 1] != "^"):
+                coeff *= _int_literal(token)
+                pos += 1
             else:
-                coeff *= base
-            if self.tokens[self.pos] not in ("*", "/"):
+                self.pos = pos
+                coeff, rest = self.general_factor(coeff, exps, rest, divide)
+                pos = self.pos
+            op = tokens[pos]
+            if op != "*" and op != "/":
+                self.pos = pos
                 return coeff, exps, rest
-            divide = self.take() == "/"
+            divide = op == "/"
+            pos += 1
+
+    def general_factor(self, coeff, exps, rest, divide):
+        """Read one factor, after any unary minus, through
+        :meth:`power_expr` into the product so far; ``divide`` when it
+        follows ``/``.  Returns the new coefficient and rest."""
+        while self.tokens[self.pos] == "-":
+            self.take()
+            coeff = -coeff
+        base, exponent = self.power_expr()
+        if isinstance(base, Poly):
+            if exponent > 1 and base.degree() <= 0:
+                _check_constant_power(base, exponent)
+            factor = base ** exponent
+            if divide:
+                try:
+                    divisor = factor.constant_value()
+                except ValueError:
+                    raise FormatError("can only divide by a constant")
+                factor = Poly.constant(self.nvars, divisor.inverse())
+            rest = factor if rest is None else rest * factor
+        elif isinstance(base, str):
+            if divide and exponent:
+                raise FormatError("can only divide by a constant")
+            exps[self.index_of[base]] += exponent
+        elif divide:
+            coeff = Fraction(coeff) / base
+        else:
+            coeff *= base
+        return coeff, rest
 
     def power_expr(self):
         """One factor as (base, exponent), the base as :meth:`atom` gives it;
@@ -308,8 +347,12 @@ class _Parser:
         if token[0].isdigit():
             return _int_literal(token)
         if token == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormatError("parentheses nested deeper than %d" % MAX_NESTING)
             inner = self.sum_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if token == "sqrt":
             self.expect("(")
@@ -333,16 +376,28 @@ class _Parser:
         raise FormatError("unexpected token %r" % (token,))
 
 
-def parse_poly(text: str, names: list[str]) -> Poly:
-    """Parse the canonical polynomial grammar over the given variable names."""
+def _name_table(names) -> dict[str, int]:
+    """Each variable name's index; FormatError if a name repeats.  The
+    token ``sqrt`` always reads as the function, so it is left out."""
     index_of = {name: i for i, name in enumerate(names)}
     if len(index_of) != len(names):
         raise FormatError("duplicate variable names")
-    parser = _Parser(_tokenize(text), len(names), index_of)
+    index_of.pop("sqrt", None)
+    return index_of
+
+
+def _parse_poly(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
+    """:func:`parse_poly` over a name table from :func:`_name_table`, which
+    a caller parsing many polynomials over one ring builds once."""
     try:
-        return parser.parse()
+        return _Parser(_tokenize(text), nvars, index_of).parse()
     except ZeroDivisionError:
         raise FormatError("division by zero in %r" % text)
+
+
+def parse_poly(text: str, names: list[str]) -> Poly:
+    """Parse the canonical polynomial grammar over the given variable names."""
+    return _parse_poly(text, len(names), _name_table(names))
 
 
 def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:

@@ -268,6 +268,28 @@ def test_huge_integer_power_exits_2(runner, tmp_path, command, power):
     assert lines[0].endswith(HUGE_POWERS[power])
 
 
+DEEP_NESTING = {
+    # command -> input files; each nests a value 5000 parentheses deep
+    "reconstruct": {"sigmas.txt": "x1\n%sx2%s\n" % ("(" * 5000, ")" * 5000)},
+    "check-solution": {"assignment.txt": "a = %s1%s\n" % ("(" * 5000, ")" * 5000)},
+}
+
+
+@pytest.mark.parametrize("command", list(DEEP_NESTING))
+def test_deep_nesting_exits_2(runner, tmp_path, command):
+    paths = [] if command == "reconstruct" else ["3"]
+    for name, text in DEEP_NESTING[command].items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    result = runner.invoke(main, [command] + paths)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    line = "%s: parentheses nested deeper than 100" % (
+        "%s:2" % paths[0] if command == "reconstruct" else "line 1")
+    assert result.output.strip().splitlines() == [line]
+
+
 def test_reconstruct_internal_error_exits_2(runner, tmp_path, monkeypatch):
     # a Bareiss step that fails to divide is a package error, not a crash;
     # three sigmas, since the first step of an elimination divides by nothing
@@ -415,6 +437,7 @@ FIRST_EQUATION_EDITS = {
     "position-first-row": ("(2,1)", "(1,1)"),
     "position-column-zero": ("(2,1)", "(2,0)"),
     "position-past-n": ("(2,1)", "(2,4)"),
+    "missing-equals-zero": (" = 0", ""),
 }
 
 

@@ -69,6 +69,26 @@ def test_partial_hand_values():
     assert p("5").partial(1).is_zero()
 
 
+def test_gradient_by_an_index_set_matches_the_full_gradient_seeded():
+    rng = random.Random(61)
+    for _ in range(120):
+        nvars = rng.randint(1, 6)
+        a = random_poly(rng, nvars=nvars, nterms=6, maxdeg=3, rad=rng.choice([0, 3]))
+        full = a.gradient()
+        indices = rng.sample(range(nvars), rng.randint(0, nvars))
+        part = a.gradient(indices)
+        assert part == {i: d for i, d in full.items() if i in indices}
+        assert list(part) == sorted(part)
+        for i in range(nvars):
+            assert a.partial(i) == full.get(i, Poly.zero(nvars))
+    for bad in (-1, 3):
+        with pytest.raises(DimensionMismatchError,
+                           match="variable index %d out of range" % bad):
+            p("x1").gradient([0, bad])
+        with pytest.raises(DimensionMismatchError):
+            p("x1").partial(bad)
+
+
 def test_substitute_linear_composes():
     rng = random.Random(42)
     t1 = [[Scalar(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]

@@ -440,6 +440,41 @@ def test_parse_system_rejects_garbage():
         parse_system(good.replace("::", "||"))
 
 
+def test_parse_system_errors_name_their_line():
+    text = generate_linearity_system(param_sigmas("1.1")).to_text()
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert lines[first].startswith("P1 (2,1) x1^4 :: ")
+
+    def error(old, new, at=first):
+        edited = lines[:at] + [lines[at].replace(old, new, 1)] + lines[at + 1:]
+        with pytest.raises(FormatError) as info:
+            parse_system("".join(edited))
+        return str(info.value)
+
+    lineno = first + 1
+    # an equation must end in "= 0"
+    assert error(" = 0", "") == "line %d: equation does not end in '= 0'" % lineno
+    assert error(" = 0", " = 5") == "line %d: equation does not end in '= 0'" % lineno
+    # the message after the prefix is unchanged
+    assert error("x1^4", "2*x1") == "line %d: not a monomial: '2*x1'" % lineno
+    assert error(" = 0", " + x2 = 0").startswith(
+        "line %d: equation names a geometric variable: " % lineno)
+    assert error("(2,1)", "(a,1)") == "line %d: position is not a number: 'a'" % lineno
+    assert error(":: ", ":: ? ").startswith(
+        "line %d: unexpected character '?' in '? -12*a^2" % lineno)
+    # header lines and the last equation carry their numbers too
+    count_line = lines.index("# equations: 90\n")
+    assert error("90", "ninety", at=count_line) == (
+        "line %d: equation count is not a number: 'ninety'" % (count_line + 1))
+    geometric = lines.index("# geometric: x1 x2 x3\n")
+    assert error("x3", "x2", at=geometric) == (
+        "line %d: duplicate variable names" % (first + 1))
+    assert error(" = 0", " = 0 = 0", at=len(lines) - 1) == (
+        "line %d: unexpected character '=' in %r"
+        % (len(lines), lines[-1].partition(":: ")[2].strip()))
+
+
 # -- solution checking -----------------------------------------------------------
 
 

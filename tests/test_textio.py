@@ -7,7 +7,13 @@ import pytest
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
 from linnij.polyring import Poly
+from linnij.reconstruct import CASE_TAGS, generate_linearity_system, param_sigmas
 from linnij.textio import (
+    MAX_NESTING,
+    _check_constant_power,
+    _name_table,
+    _Parser,
+    _tokenize,
     default_names,
     format_poly,
     format_scalar,
@@ -135,6 +141,9 @@ PARSE_ERRORS = [
     ("sqrt(3)^100000*x1", "power (1*sqrt(3))^100000 may have more than 4300 digits"),
     ("(1 + sqrt(3))^100000",
      "power (1+1*sqrt(3))^100000 may have more than 4300 digits"),
+    ("(" * 101 + "x1" + ")" * 101, "parentheses nested deeper than 100"),
+    ("x1*" + "(" * 5000 + "x2" + ")" * 5000, "parentheses nested deeper than 100"),
+    ("(" * 5000, "parentheses nested deeper than 100"),
 ]
 
 
@@ -144,6 +153,17 @@ def test_parse_errors():
         with pytest.raises(FormatError) as info:
             parse_poly(text, names)
         assert str(info.value) == message
+
+
+def test_nesting_limit_is_exact():
+    assert MAX_NESTING == 100
+    names = default_names(2)
+    x1 = Poly.variable(2, 0)
+    deepest = "(" * 100 + "x1" + ")" * 100
+    assert parse_poly(deepest, names) == x1
+    # the depth counts open parentheses, not parentheses read
+    assert parse_poly(" + ".join([deepest] * 3), names) == x1 * 3
+    assert parse_poly("(" * 99 + "x2*(x1)" + ")" * 99, names) == x1 * Poly.variable(2, 1)
 
 
 def test_integer_power_limit_is_exact():
@@ -300,6 +320,112 @@ def test_parse_matches_poly_arithmetic_oracle():
         assert parse_poly(text, ORACLE_NAMES) == value, text
     # the seed reaches every operator of the grammar
     assert kinds == set("()^-/*+")
+
+
+# -- the flat factor loop against the parser it replaced ------------------------
+
+
+class ReferenceParser(_Parser):
+    """The parser as it was before the flat factor loop of
+    :meth:`_Parser.product_expr`: every factor of a product goes through
+    :meth:`power_expr` and :meth:`atom`."""
+
+    def product_expr(self):
+        coeff = 1
+        exps = [0] * self.nvars
+        rest = None
+        divide = False
+        while True:
+            while self.tokens[self.pos] == "-":
+                self.take()
+                coeff = -coeff
+            base, exponent = self.power_expr()
+            if isinstance(base, Poly):
+                if exponent > 1 and base.degree() <= 0:
+                    _check_constant_power(base, exponent)
+                factor = base ** exponent
+                if divide:
+                    try:
+                        divisor = factor.constant_value()
+                    except ValueError:
+                        raise FormatError("can only divide by a constant")
+                    factor = Poly.constant(self.nvars, divisor.inverse())
+                rest = factor if rest is None else rest * factor
+            elif isinstance(base, str):
+                if divide and exponent:
+                    raise FormatError("can only divide by a constant")
+                exps[self.index_of[base]] += exponent
+            elif divide:
+                coeff = Fraction(coeff) / base
+            else:
+                coeff *= base
+            if self.tokens[self.pos] not in ("*", "/"):
+                return coeff, exps, rest
+            divide = self.take() == "/"
+
+
+def reference_parse(text, names):
+    try:
+        parser = ReferenceParser(_tokenize(text), len(names), _name_table(names))
+        return parser.parse()
+    except ZeroDivisionError:
+        raise FormatError("division by zero in %r" % text)
+
+
+def outcome(parse, text, names):
+    """The polynomial, or the type and message of the error raised."""
+    try:
+        return parse(text, names)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_flat_factor_loop_matches_the_reference_on_the_listings():
+    count = 0
+    for tag in CASE_TAGS:
+        system = generate_linearity_system(param_sigmas(tag))
+        names = list(system.names)
+        for line in system.to_text().splitlines():
+            if line.startswith("#"):
+                continue
+            text = line.partition(" :: ")[2].rpartition(" = 0")[0]
+            assert parse_poly(text, names) == reference_parse(text, names), line
+            count += 1
+    assert count == 9 * 90
+
+
+FACTOR_EDGES = [
+    # inputs where the flat loop hands a factor on, or stops, mid-product
+    "x1^0*x2", "0*x1 + x2", "2^3*x1^2", "x1*2^2", "x1/2*x2", "x1*x2/3",
+    "-2*x1*-x2", "x1^2^2", "2 3", "x1 ^ 2*x2", "x1*", "2*", "x1*/2",
+    "x1^sqrt(2)", "x1^(2)", "x1*(x2)^2*3", "3*sqrt(3)*x1^2", "x1/0",
+    "x1^00*007*x2^01", "x1*x2*x1*x2^3", "1/2/3*x1", "x1*-(x2 + 1)",
+]
+
+
+def test_flat_factor_loop_matches_the_reference_on_expressions_and_errors():
+    rng = random.Random(41)
+    for _ in range(600):
+        text, _, _ = random_expression(rng, rng.randint(1, 5))
+        assert parse_poly(text, ORACLE_NAMES) == reference_parse(text, ORACLE_NAMES), text
+    names = default_names(2)
+    for text in [text for text, _ in PARSE_ERRORS] + FACTOR_EDGES:
+        assert outcome(parse_poly, text, names) == outcome(reference_parse, text, names)
+    # a variable named sqrt never reads as one
+    for text in ("sqrt", "sqrt*x1", "x1*sqrt", "sqrt(2)*x1", "x1*sqrt(2)^2"):
+        expected = outcome(reference_parse, text, ["sqrt", "x1"])
+        assert outcome(parse_poly, text, ["sqrt", "x1"]) == expected
+
+
+LISTING_NAMES = ["x1", "a", "b_11", "b_32", "c", "alpha63"]
+
+
+def test_poly_round_trip_with_listing_names_seeded():
+    rng = random.Random(34)
+    for rad in (0, 2, 3, 7):
+        for _ in range(60):
+            p = random_poly(rng, 6, rad)
+            assert parse_poly(format_poly(p, LISTING_NAMES), LISTING_NAMES) == p
 
 
 def test_division_by_polynomial_rejected():
