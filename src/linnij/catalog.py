@@ -24,8 +24,8 @@ from .polyring import Poly
 from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
 from .nijenhuis import (
     StructureConstants,
+    _nondegenerate_jacobian,
     change_coordinates,
-    is_differentially_nondegenerate,
     operator_to_lsa,
     torsion_witness,
 )
@@ -251,11 +251,12 @@ def verify_entry(entry, targets=None, rng=None):
                    None if derived == entry.relations else
                    "structure constants differ"))
 
-    nondeg = is_differentially_nondegenerate(entry.sigmas)
+    # one Jacobian serves the nondegeneracy certificate and the covariance
+    jac = jacobian(list(entry.sigmas))
+    nondeg = _nondegenerate_jacobian(jac)
     checks.append(("nondegenerate", nondeg,
                    None if nondeg else "sigma Jacobian determinant vanishes"))
 
-    jac = jacobian(list(entry.sigmas))
     lhs = jac @ entry.operator
     rhs = companion_matrix(list(entry.sigmas)) @ jac
     cov_ok = lhs == rhs

@@ -391,7 +391,12 @@ def is_differentially_nondegenerate(sigmas: Sequence[Poly]) -> bool:
     gives zero is the symbolic determinant expanded, so both answers are
     exact.
     """
-    jac = jacobian(sigmas)
+    return _nondegenerate_jacobian(jacobian(sigmas))
+
+
+def _nondegenerate_jacobian(jac: PolyMatrix) -> bool:
+    """The certificate of :func:`is_differentially_nondegenerate`, on a
+    Jacobian already built."""
     return (any(map(scalar_mat_det, jac.at(seeded_points(jac.nvars))))
             or not jac.determinant().is_zero())
 

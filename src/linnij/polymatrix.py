@@ -6,23 +6,30 @@ rows above it; every intermediate entry is a minor of the input, so each
 division step is exact.  It gives the polynomial determinant, each cofactor
 of the adjugate and the dependence test :meth:`PolyMatrix.dependent_rows`.
 Over the scalar field, one Gauss-Jordan elimination gives the determinant,
-the inverse and :func:`scalar_solve`.  Characteristic coefficients use
+the inverse and :func:`scalar_solve`.  It runs in the ring's narrow
+coefficient types, as :class:`Poly` does: ``int`` and ``Fraction``, and a
+``Scalar`` only for a value with a nonzero irrational part.
+:func:`scalar_mat_det` and :func:`scalar_mat_inverse` return ``Scalar``;
+:func:`scalar_solve` returns the narrow values.  Characteristic coefficients use
 Berkowitz's division-free algorithm instead, in the operator's own ring;
 Bareiss stays for the determinant because Berkowitz swells more on dense
 Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
 alongside as an independent cross-check route; callers that verify results
 should compare against it rather than trust one path.
 
-Every other sum of products here, the matrix products included, goes
-through :func:`linnij.polyring.dot`, which skips zero factors.  The matrix
-products and the products of the Berkowitz loop first gather out the zero
-pairs: each vector's nonzero ``(index, entry)`` pairs are listed once, and
-only the pairs whose two factors are both nonzero reach ``dot``, so a
-sparse matrix pays for its nonzero entries only.
+Every other sum of products here goes through :func:`linnij.polyring.dot`,
+which skips zero factors, or, for the matrix products and the products of
+the Berkowitz loop, through its positional form
+:func:`linnij.polyring._dot_at`, which runs over the nonzero positions of
+one vector only: a column of the right factor in a product, a row of the
+operator in the Berkowitz loop.  Those positions are listed once per
+vector (``_support``), so a sparse matrix pays for its nonzero entries,
+and no pair of factors is copied into a list first.
 
 Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
 a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
-J. ACM 1980); a zero value proves nothing.
+J. ACM 1980); a zero value proves nothing.  ``at`` yields the narrow values
+the elimination reads.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
-    DivisibilityFailure, Poly, dot, exact_divide, powers_of, top_exponents, value_at)
+    Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _narrow, _reciprocal,
+    _support, _value_at, dot, exact_divide, powers_of, top_exponents)
 from .exactfield import ONE, ZERO, Scalar
 from .record import Record
 
@@ -67,26 +75,30 @@ class PolyMatrix(Record):
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows or self.nvars != other.nvars:
             raise DimensionMismatchError("shape or ring mismatch in product")
-        zero = Poly.zero(self.nvars)
-        cols = [_nonzero(col) for col in zip(*other.entries)]
-        rows = [[e or None for e in row] for row in self.entries]
-        return PolyMatrix([[_gathered_dot(row, col, zero) for col in cols]
-                           for row in rows])
+        nvars = self.nvars
+        # each entry runs over the nonzero positions of its column, listed
+        # once per column
+        cols = [(col, _support(col)) for col in zip(*other.entries)]
+        return PolyMatrix([[_dot_at(row, col, support, nvars) for col, support in cols]
+                           for row in self.entries])
 
     def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         rows = [list(r) for r in matrix]
         return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
 
-    def at(self, points: Iterable[Sequence[Scalar]]) -> Iterator[list[list[Scalar]]]:
+    def at(self, points: Iterable[Sequence[Scalar]]
+           ) -> Iterator[list[list[Coefficient]]]:
         """The value of every entry, row by row, at each of ``points`` in
         turn, computed as it is asked for.  Each point's power table reaches
-        the matrix's highest exponent of each variable, found once."""
+        the matrix's highest exponent of each variable, found once.  The
+        values are in the ring's narrow types: ``int``, ``Fraction``, and a
+        ``Scalar`` only for a nonzero irrational part."""
         top = top_exponents(self.nvars, (p for row in self.entries for p in row))
         for point in points:
             if len(point) != self.nvars:
                 raise DimensionMismatchError("point has wrong length")
             powers = [powers_of(v, e) for v, e in zip(point, top)]
-            yield [[value_at(p, powers) for p in row] for row in self.entries]
+            yield [[_value_at(p, powers) for p in row] for row in self.entries]
 
     # -- determinants --------------------------------------------------------
 
@@ -123,26 +135,6 @@ class PolyMatrix(Record):
                 cof = _det([row[:j] + row[j + 1 :] for row in rest], zero)
                 out[j][i] = -cof if (i + j) % 2 else cof  # transposed position
         return PolyMatrix(out)  # type: ignore[arg-type]
-
-
-def _nonzero(vector) -> list[tuple[int, Poly]]:
-    """The ``(index, entry)`` pairs of the nonzero entries of ``vector``."""
-    return [(i, e) for i, e in enumerate(vector) if e]
-
-
-def _gathered_dot(vector, pairs, zero) -> Poly:
-    """The dot product of ``vector``, which holds None for its zero entries,
-    with the vector whose nonzero entries are ``pairs`` (from
-    :func:`_nonzero`).  Only the pairs whose entry of ``vector`` is nonzero
-    reach :func:`~linnij.polyring.dot`, and when none does the product is
-    ``zero`` without a call."""
-    left, right = [], []
-    for i, e in pairs:
-        v = vector[i]
-        if v is not None:
-            left.append(v)
-            right.append(e)
-    return dot(left, right, zero) if left else zero
 
 
 def _bareiss(rows, zero):
@@ -279,20 +271,20 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
     operator._require_square()
     n = operator.rows
     a = operator.entries
-    zero = Poly.zero(operator.nvars)
-    one = Poly.constant(operator.nvars, ONE)
-    rows = [_nonzero(row) for row in a]
+    nvars = operator.nvars
+    zero = Poly.zero(nvars)
+    one = Poly.constant(nvars, ONE)
+    rows = [(row, _support(row)) for row in a]
     coeffs = [one, -a[n - 1][n - 1]]
     for k in range(n - 2, -1, -1):
         toeplitz = [one, -a[k][k]]
-        # M^p C at its own indices, None for zero; the None at indices up
-        # to k makes a whole row's pairs read as those of R or of a row of M
-        vec = [None] * (k + 1) + [a[i][k] or None for i in range(k + 1, n)]
+        # M^p C at its own indices; the zeros at indices up to k make a
+        # whole row's nonzero positions read as those of R or of a row of M
+        vec = [zero] * (k + 1) + [a[i][k] for i in range(k + 1, n)]
         for power in range(n - 1 - k):
             if power:
-                vec[k + 1 :] = [_gathered_dot(vec, rows[i], zero) or None
-                                for i in range(k + 1, n)]
-            toeplitz.append(-_gathered_dot(vec, rows[k], zero))
+                vec[k + 1 :] = [_dot_at(vec, *rows[i], nvars) for i in range(k + 1, n)]
+            toeplitz.append(-_dot_at(vec, *rows[k], nvars))
         coeffs = [
             dot(toeplitz[i::-1], coeffs[: i + 1], zero)
             for i in range(len(coeffs) + 1)
@@ -319,37 +311,53 @@ def _gauss_jordan(a, b):
     the solution None when det a is 0.  Each pivot row is scaled by one
     inverse of its pivot and cleared from every other row, or only from the
     rows below when ``b`` has no columns, as the determinant needs no more.
-    Zero entries are skipped; only columns right of the pivot are updated."""
+    Zero entries are skipped; only columns right of the pivot are updated.
+
+    The work runs in the ring's narrow types: every scalar entry is narrowed
+    on entry and every result after each step, so rational values stay
+    ``int`` or ``Fraction`` and a ``Scalar`` is met only where a value has a
+    nonzero irrational part.  The entries of ``b`` may be polynomials."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatchError("square matrix required")
-    rows = [list(left) + list(right) for left, right in zip(a, b)]
+    rows = [[_exact(v) for v in left]
+            + [v if type(v) is Poly else _exact(v) for v in right]
+            for left, right in zip(a, b)]
     full = any(b)  # b has columns
-    det = ONE
+    det = 1
     for c in range(n):
         p = next((r for r in range(c, n) if rows[r][c]), None)
         if p is None:
-            return ZERO, None
+            return 0, None
         if p != c:
             rows[c], rows[p] = rows[p], rows[c]
             det = -det
         pivot = rows[c][c]
-        det = det * pivot
-        scale = pivot.inverse()
-        tail = [v * scale if v else v for v in rows[c][c + 1 :]]
+        det = _narrowed(det * pivot)
+        scale = _reciprocal(pivot)
+        tail = [_narrowed(v * scale) if v else v for v in rows[c][c + 1 :]]
         rows[c][c + 1 :] = tail
         for r in range(0 if full else c + 1, n):
             f = rows[r][c]
             if r == c or not f:
                 continue
-            rows[r][c + 1 :] = [v - f * w if w else v
+            rows[r][c + 1 :] = [_narrowed(v - f * w) if w else v
                                 for v, w in zip(rows[r][c + 1 :], tail)]
     return det, [row[n:] for row in rows]
 
 
+def _narrowed(value):
+    """A result of :func:`_gauss_jordan` in its narrow type; an ``int`` or
+    a polynomial is returned as it is."""
+    kind = type(value)
+    return value if kind is int or kind is Poly else _narrow(value)
+
+
 def scalar_solve(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence]) -> list[list]:
     """a^-1 b for a square scalar ``a``; the entries of ``b`` may be scalars
-    or polynomials.  Raises :class:`SingularMatrixError` when det a is 0."""
+    or polynomials.  The solution's scalar entries are in the ring's narrow
+    types (``int``, ``Fraction``, ``Scalar`` with a nonzero irrational
+    part).  Raises :class:`SingularMatrixError` when det a is 0."""
     solution = _gauss_jordan(a, b)[1]
     if solution is None:
         raise SingularMatrixError("matrix is singular")
@@ -357,12 +365,13 @@ def scalar_solve(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence]) -> list[l
 
 
 def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """The inverse, as the solution against the identity."""
+    """The inverse, as the solution against the identity, in ``Scalar``s."""
     n = len(matrix)
-    return scalar_solve(matrix, [[ONE if i == j else ZERO for j in range(n)]
-                                 for i in range(n)])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[Scalar._coerce(v) for v in row] for row in scalar_solve(matrix, identity)]
 
 
 def scalar_mat_det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant over the exact scalar field, by :func:`_gauss_jordan`."""
-    return _gauss_jordan(matrix, [()] * len(matrix))[0]
+    """Determinant over the exact scalar field, by :func:`_gauss_jordan`,
+    as a ``Scalar``."""
+    return Scalar._coerce(_gauss_jordan(matrix, [()] * len(matrix))[0])

@@ -13,7 +13,9 @@ so rational arithmetic, nearly all of it, runs on Python's own numbers.  The
 readers (:meth:`Poly.coefficient`, :meth:`Poly.leading`,
 :meth:`Poly.sorted_terms`, :meth:`Poly.constant_value`,
 :meth:`Poly.linear_terms`, :meth:`Poly.linear_coefficients`,
-:meth:`Poly.evaluate`, :func:`value_at`) return ``Scalar``.
+:meth:`Poly.evaluate`, :func:`value_at`) return ``Scalar``.  The evaluation
+itself, ``_value_at``, returns the narrow value, which
+:meth:`~linnij.polymatrix.PolyMatrix.at` yields.
 
 Instances are treated as immutable; every operation returns a new object.
 The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
@@ -32,20 +34,23 @@ Two private kernels add terms into a coefficient dict, narrowing every
 result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
 :meth:`Poly.substitute`, the parser's sums) and ``_add_products`` (``*``,
 :func:`dot`, :func:`exact_divide`, the parser's bracketed terms).
-:func:`exact_divide` divides through an exact inverse, a ``Fraction`` or a
-``Scalar``, never ``int / int``.  :func:`dot`, the sum of the pairwise
-products of two rows with zero factors skipped, is the one sum-of-products
-routine: matrix products, the characteristic polynomial, the torsion,
-coordinate changes, linear forms and :meth:`Poly.substitute_linear` are
-built on it.
+``_reciprocal`` is the one exact inverse of a coefficient, never
+``int / int``: :func:`exact_divide` and the scalar elimination of
+:mod:`linnij.polymatrix` divide through it.  :func:`dot`, the sum of the
+pairwise products of two rows with zero factors skipped, is the one
+sum-of-products routine, with ``_dot_at`` its form for two rows of one
+ring summed over given positions only: matrix products, the
+characteristic polynomial, the torsion, coordinate changes, linear forms
+and :meth:`Poly.substitute_linear` are built on them.
 
 :meth:`Poly.gradient` is the one derivative kernel: :meth:`Poly.partial`,
 :func:`~linnij.polymatrix.jacobian` and the torsion read it.
 
 :func:`powers_of` is the one power table of a value, in the narrow
-coefficient types, and :func:`value_at`
-the one evaluation against such tables: :meth:`Poly.evaluate`, the
-solution check and :meth:`~linnij.polymatrix.PolyMatrix.at` call it.
+coefficient types, and ``_value_at`` the one evaluation against such
+tables: :meth:`~linnij.polymatrix.PolyMatrix.at` calls it, and
+:func:`value_at` (behind :meth:`Poly.evaluate` and the solution check)
+wraps its value in a ``Scalar``.
 :func:`top_exponents` is the one scan for how far such tables must reach.
 
 The term dict ``Poly.terms`` is read here and by the parser in
@@ -417,6 +422,21 @@ def _narrow(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _reciprocal(value):
+    """The exact inverse of a nonzero narrow coefficient, narrowed: an
+    ``int`` through ``Fraction(1, value)``, as ``int / int`` would be a
+    float, a ``Fraction`` through ``1 / value``, and a ``Scalar`` through
+    :meth:`~linnij.exactfield.Scalar.inverse`."""
+    kind = type(value)
+    if kind is int:
+        inverse = Fraction(1, value)
+    elif kind is Fraction:
+        inverse = 1 / value
+    else:
+        inverse = value.inverse()
+    return _narrow(inverse)
+
+
 def _exact(value):
     """The narrowest form of a coefficient handed to a public entry point;
     TypeError unless it is an int, a Fraction or a Scalar."""
@@ -489,14 +509,21 @@ def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
 
 
 def value_at(p: Poly, powers) -> Scalar:
-    """The value of ``p`` at the point whose power table is ``powers``.
+    """The value of ``p`` at the point whose power table is ``powers``, as
+    a ``Scalar``.
 
     ``powers[i]`` is :func:`powers_of` of the value of variable i, up to at
     least the highest exponent of that variable in ``p``: None when the
     value is zero, so every term it divides vanishes.  One table serves
-    every polynomial evaluated at the same point.  The sum runs in the
-    narrow coefficient types and becomes a ``Scalar`` at the end.
+    every polynomial evaluated at the same point.
     """
+    return Scalar._coerce(_value_at(p, powers))
+
+
+def _value_at(p: Poly, powers) -> Coefficient:
+    """:func:`value_at` in the narrow coefficient types: the sum runs on
+    them, and the value is an ``int``, a ``Fraction``, or a ``Scalar`` with
+    a nonzero irrational part."""
     total = 0
     for exps, coeff in p.terms.items():
         for row, e in zip(powers, exps):
@@ -506,7 +533,7 @@ def value_at(p: Poly, powers) -> Scalar:
                 coeff = coeff * row[e]
         else:
             total = total + coeff
-    return Scalar._coerce(total)
+    return total if type(total) is int else _narrow(total)
 
 
 # what a dot over scalar rows multiplies; Fraction, an ABC, is checked last
@@ -544,6 +571,25 @@ def dot(left, right, zero):
     return Poly._new(nvars, terms)
 
 
+def _support(row: Sequence[Poly]) -> list[int]:
+    """The positions of the nonzero polynomials in ``row``."""
+    return [i for i, p in enumerate(row) if p.terms]
+
+
+def _dot_at(left: Sequence[Poly], right: Sequence[Poly], indices: Iterable[int],
+            nvars: int) -> Poly:
+    """:func:`dot` of two rows of polynomials over the same ``nvars``
+    variables, summed over the positions in ``indices`` only: a caller
+    that knows where one row is zero passes its :func:`_support` and pays
+    for its nonzero entries alone."""
+    terms: dict[Exponents, Coefficient] = {}
+    for i in indices:
+        p, q = left[i].terms, right[i].terms
+        if p and q:
+            _add_products(terms, p, q)
+    return Poly._new(nvars, terms)
+
+
 def _terms_in(factor, zero: Poly) -> dict:
     """The term dict of a :func:`dot` factor: a scalar is a constant term,
     and a zero scalar the empty dict."""
@@ -575,9 +621,7 @@ def exact_divide(p: Poly, q: Poly) -> Poly | DivisibilityFailure:
         raise ZeroDivisionError("polynomial division by zero")
     p._check_compatible(q)
     lead_exps = max(q.terms, key=grlex_key)
-    lead = q.terms[lead_exps]
-    # an exact inverse: ``int / int`` would be a float
-    inverse = _narrow(lead.inverse() if type(lead) is Scalar else Fraction(1, lead))
+    inverse = _reciprocal(q.terms[lead_exps])
     # leading terms fall strictly, so no quotient term repeats
     quotient: dict[Exponents, Coefficient] = {}
     remainder = dict(p.terms)

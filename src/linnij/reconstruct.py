@@ -99,13 +99,14 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 
 #: The point path runs for sets of at least this many sigmas, a property of
 #: the input alone.  In-process best times, symbolic -> point path, in ms
-#: (2-CPU Xeon, Python 3.11, narrow coefficients): blocks 0.5 -> 1.4 at
-#: n = 3, 6.7 -> 2.7 at n = 4 and 35 -> 7.7 at n = 5; L2 0.5 -> 1.0,
-#: 1.2 -> 2.6, 5.5 -> 2.9; L1 0.3 -> 0.8, 0.6 -> 1.3, 2.5 -> 3.5; the 23
-#: catalog sets, all with n <= 3, 21.5 -> 28.7.  Below four sigmas the
-#: scalar arithmetic at the points costs more than the adjugate it avoids.
-#: From four on the sparse L1 and L2 sets lose about a millisecond, while
-#: the dense blocks sets gain more and more: 2700 -> 23 at n = 6.
+#: (2-CPU Xeon, Python 3.11, point values and elimination in int and
+#: Fraction), at n = 3, 4, 5 and 6: blocks 0.45 -> 0.60, 4.2 -> 1.4,
+#: 34 -> 3.3 and 3400 -> 11; L2 0.54 -> 0.69, 1.6 -> 1.2, 5.2 -> 1.9 and
+#: 14 -> 2.9; L1 0.44 -> 0.70, 0.84 -> 1.0, 2.3 -> 1.7 and 6.0 -> 2.5; the
+#: 23 catalog sets, all with n <= 3, 18.4 -> 21 to 28 over two runs.
+#: Below four sigmas the arithmetic at the points costs more than the
+#: adjugate it avoids.  At four the sparse L1 set still loses about
+#: 0.2 ms; every other set from four on gains.
 POINT_PATH_MIN_SIGMAS = 4
 
 
@@ -120,7 +121,8 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     A_k = L(p + e_k) - L(p).  The n + 1 points are evaluated by one
     :meth:`~linnij.polymatrix.PolyMatrix.at` call, which stops at the first
     singular J.  A linear L has sigma_i homogeneous of degree i, so other
-    sigmas return None at once.
+    sigmas return None at once.  The values at the points, and with them
+    S(p) J(p), L(p) and the slopes, are in the ring's narrow types.
     """
     n = len(sigmas)
     if not all(s.is_homogeneous(i) for i, s in enumerate(sigmas, start=1)):
@@ -128,7 +130,7 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     j = jacobian(sigmas)
     # row i: sigma_i, then its gradient; one evaluation gives S(p) and J(p)
     sigmas_and_j = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
-    zeros = [ZERO] * n
+    zeros = [0] * n
 
     def solved(values):
         """The entries of L(p), row by row, from the values of

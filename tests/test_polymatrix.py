@@ -12,6 +12,7 @@ from linnij.nijenhuis import torsion
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
 from linnij.polymatrix import (
     PolyMatrix,
+    _gauss_jordan,
     charpoly_sigmas,
     companion_matrix,
     jacobian,
@@ -635,3 +636,119 @@ def test_scalar_solve_polynomial_right_hand_side():
             assert [[dot(row, col, zero) for col in zip(*x)] for row in t] == b
             solved += 1
     assert solved >= 15 and singular >= 10
+
+
+# -- the narrow elimination against the Scalar one it replaced -----------------
+
+
+def reference_gauss_jordan(a, b):
+    """The shared elimination as it ran on Scalar values only, every step
+    through Scalar arithmetic: (det a, a^-1 b), the solution None when
+    det a is 0."""
+    n = len(a)
+    rows = [list(left) + list(right) for left, right in zip(a, b)]
+    full = any(b)
+    det = Scalar(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return Scalar(0), None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det = det * pivot
+        scale = pivot.inverse()
+        tail = [v * scale if v else v for v in rows[c][c + 1 :]]
+        rows[c][c + 1 :] = tail
+        for r in range(0 if full else c + 1, n):
+            f = rows[r][c]
+            if r == c or not f:
+                continue
+            rows[r][c + 1 :] = [v - f * w if w else v
+                                for v, w in zip(rows[r][c + 1 :], tail)]
+    return det, [row[n:] for row in rows]
+
+
+def is_narrow(value):
+    """An int, a Fraction that is not integral, or a Scalar with a nonzero
+    irrational part: the ring's narrow coefficient types."""
+    if type(value) is Fraction:
+        return value.denominator != 1
+    if type(value) is Scalar:
+        return bool(value.irr)
+    return type(value) is int
+
+
+def elimination_inputs(rng):
+    """(a, b) pairs: rational and sqrt(3) matrices with planted dependent
+    rows, integer matrices of certificate size, and polynomial right-hand
+    sides; every b comes with its determinant-only form ()."""
+    cases = []
+    for n in range(1, 7):
+        for trial in range(12):
+            rows, _ = random_scalar_rows(rng, n, trial % 2 == 0)
+            cases.append(rows)
+    for n in range(7, 10):
+        for trial in range(6):
+            rows = [[rng.randint(-1000, 1000) if rng.random() < 0.4 else 0
+                     for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+            cases.append([[Scalar(v) for v in row] for row in rows])
+    for a in cases:
+        n = len(a)
+        yield a, [()] * n
+        yield a, [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                   for _ in range(2)] for _ in range(n)]
+        if n <= 5:
+            yield a, [[random_sparse_poly(rng, n) for _ in range(2)] for _ in range(n)]
+
+
+def test_narrow_elimination_matches_the_scalar_one_seeded():
+    rng = random.Random(2201)
+    singular = irrational = polynomial = 0
+    for a, b in elimination_inputs(rng):
+        det, solution = _gauss_jordan(a, b)
+        expected_det, expected = reference_gauss_jordan(a, b)
+        assert det == expected_det and is_narrow(det), (a, b)
+        assert solution == expected, (a, b)
+        irrational += any(v.irr for row in a for v in row)
+        if solution is None:
+            singular += 1
+            continue
+        for row in solution:
+            for v in row:
+                assert type(v) is Poly or is_narrow(v), v
+                polynomial += type(v) is Poly
+    assert singular >= 40 and irrational >= 40 and polynomial >= 100, (
+        singular, irrational, polynomial)
+
+
+def test_scalar_readers_keep_their_types():
+    # the public wrappers of the elimination and of evaluation return
+    # Scalar; PolyMatrix.at yields the narrow values
+    root3 = Scalar(0, 1, 3)
+    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
+    assert type(scalar_mat_det(a)) is Scalar and scalar_mat_det(a) == Scalar(5)
+    singular = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]
+    assert type(scalar_mat_det(singular)) is Scalar
+    inverse = scalar_mat_inverse(a)
+    assert all(type(v) is Scalar for row in inverse for v in row)
+    assert inverse == [[Scalar(Fraction(3, 5)), Scalar(Fraction(-1, 5))],
+                       [Scalar(Fraction(-1, 5)), Scalar(Fraction(2, 5))]]
+    assert type(scalar_mat_det([[root3]])) is Scalar
+    assert all(type(v) is Scalar for row in scalar_mat_inverse([[root3, Scalar(1)],
+                                                                 [Scalar(0), Scalar(2)]])
+               for v in row)
+    m = PolyMatrix([[p3("x1 + x2"), p3("1/2*x1")],
+                    [Poly.monomial(3, (0, 0, 1), root3), p3("0")]])
+    point = [Scalar(1), Scalar(3), Scalar(2)]
+    values = next(m.at([point]))
+    assert [[type(v) for v in row] for row in values] == [[int, Fraction], [Scalar, int]]
+    assert values == [[4, Fraction(1, 2)], [2 * root3, 0]]
+    assert all(type(q.evaluate(point)) is Scalar for row in m.entries for q in row)
+    # a sqrt(3) value whose irrational part cancels is rational, so narrow
+    cancels = Poly.monomial(3, (1, 0, 0), root3) + Poly.monomial(3, (0, 1, 0), -root3)
+    [[value]] = next(PolyMatrix([[cancels]]).at([[Scalar(2), Scalar(2), Scalar(0)]]))
+    assert value == 0 and type(value) is int

@@ -17,9 +17,10 @@ from linnij.errors import (
     NotRepresentableError,
     RadicandMismatchError,
 )
-from linnij.catalog import generalized_L1, generalized_L2, generalized_blocks
+from linnij.catalog import (
+    generalized_L1, generalized_L2, generalized_blocks, load_catalog)
 from linnij.exactfield import ONE, ZERO, Scalar, scalar_sqrt
-from linnij.nijenhuis import operator_is_linear
+from linnij.nijenhuis import direct_sum, operator_is_linear
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
     PolyMatrix, charpoly_sigmas, scalar_mat_inverse, scalar_mat_mul)
@@ -168,6 +169,21 @@ def test_point_path_waits_for_four_sigmas():
         result = reconstruct_operator(entry.sigmas)
         assert result.pieces is not None, entry.id
         assert result.linear_part == entry.operator, entry.id
+
+
+def test_point_path_reconstructs_a_sqrt3_direct_sum():
+    # L7 carries sqrt(3): its values at the points are Scalars with an
+    # irrational part among int and Fraction ones, and the elimination
+    # meets both kinds
+    catalog = {e.id: e for e in load_catalog()}
+    operator = direct_sum(catalog["L7"].operator, catalog["b4+"].operator)
+    sigmas = charpoly_sigmas(operator)
+    assert len(sigmas) == 5
+    assert any(s.radicand() == 3 for s in sigmas)
+    result = reconstruct_operator(sigmas)
+    assert result.pieces is None  # the point path found it
+    assert result.failures == []
+    assert result.linear_part == operator
 
 
 def diagonal_sigmas():
