@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from .errors import DimensionMismatchError, FormatError
+from .errors import DimensionMismatchError, FormatError, SingularMatrixError
 from .exactfield import Scalar
 from .polyring import Poly
 from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
@@ -99,7 +99,12 @@ class CatalogEntry(Record):
     def from_json_dict(record):
         try:
             entry_id = record["id"]
+            if not isinstance(entry_id, str):
+                raise FormatError("entry id %r is not a string" % (entry_id,))
             dim = record["dim"]
+            if type(dim) is not int or dim < 1:
+                raise FormatError("entry %r dim %r is not a positive int"
+                                  % (entry_id, dim))
             names = default_names(dim)
             operator = PolyMatrix(tuple(
                 tuple(parse_poly(cell, names) for cell in row)
@@ -112,6 +117,9 @@ class CatalogEntry(Record):
             change = target = None
             if "change" in record:
                 change = tuple(tuple(row) for row in parse_scalar_matrix(record["change"]))
+                if len(change) != dim or any(len(row) != dim for row in change):
+                    raise FormatError("entry %r change is not %dx%d"
+                                      % (entry_id, dim, dim))
                 target = record["target"]
                 if not isinstance(target, str):
                     raise FormatError("entry %r change target is not a string" % entry_id)
@@ -265,12 +273,17 @@ def verify_entry(entry, targets=None):
             checks.append(("change", False, "target entry %r has dimension %d"
                            % (entry.target, target.dim)))
         else:
-            mapped = change_coordinates(entry.operator, [list(row) for row in entry.change])
-            spots = _differing_positions(mapped, target.operator)
-            checks.append(("change", not spots,
-                           None if not spots else
-                           "mapped operator differs from %r at %s"
-                           % (entry.target, spots)))
+            try:
+                mapped = change_coordinates(entry.operator,
+                                            [list(row) for row in entry.change])
+            except SingularMatrixError:
+                checks.append(("change", False, "change matrix is singular"))
+            else:
+                spots = _differing_positions(mapped, target.operator)
+                checks.append(("change", not spots,
+                               None if not spots else
+                               "mapped operator differs from %r at %s"
+                               % (entry.target, spots)))
 
     return EntryReport(entry.id, tuple(checks))
 

@@ -22,10 +22,8 @@ from .catalog import (
     verify_entry,
 )
 from .errors import DependentSigmasError, FormatError, LinnijError
-from .exactfield import ONE
 from .nijenhuis import operator_is_linear, torsion_witness
 from .polymatrix import PolyMatrix
-from .polyring import Poly
 from .reconstruct import (
     CASE_TAGS,
     check_solution,
@@ -36,7 +34,13 @@ from .reconstruct import (
     parse_system,
     reconstruct_operator,
 )
-from .textio import default_names, format_poly, format_scalar, parse_poly
+from .textio import (
+    default_names,
+    format_monomial,
+    format_poly,
+    format_scalar,
+    parse_poly,
+)
 
 
 class _Main(click.Group):
@@ -133,10 +137,6 @@ def _fail(message):
 def _usage_fail(exc):
     """Exit 2 with click's usage message joined onto one line."""
     _fail(" ".join(line.strip() for line in exc.format_message().splitlines()))
-
-
-def _monomial_text(exponents, names):
-    return format_poly(Poly.monomial(len(names), exponents, ONE), list(names))
 
 
 # -- verify-tables -------------------------------------------------------------
@@ -309,7 +309,7 @@ def check_solution_command(system_ref, assignment_file):
     lines = ["%d of %d equations violated"
              % (len(result.residuals), len(system.equations))]
     lines += ["  %s (%d,%d) %s :: %s"
-              % (res.entry, res.row, res.col, _monomial_text(res.monomial, geo),
+              % (res.entry, res.row, res.col, format_monomial(res.monomial, geo),
                  format_scalar(res.value))
               for res in result.residuals[:10]]
     if len(result.residuals) > 10:

@@ -65,8 +65,8 @@ from .polyring import (
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
 from .textio import (
-    _int_literal, _name_table, _parse_poly, format_poly, parse_monomial, parse_poly,
-    parse_scalar)
+    _int_literal, _name_table, _parse_poly, format_monomial, format_poly,
+    parse_monomial, parse_poly, parse_scalar)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -359,14 +359,13 @@ class LinearitySystem(Record):
                     "# sigma_%d = %s" % (k, format_poly(s, list(self.names)))
                 )
         for eq in self.equations:
-            mono = Poly.monomial(self.ngeo, eq.monomial, ONE)
             lines.append(
                 "%s (%d,%d) %s :: %s = 0"
                 % (
                     eq.entry,
                     eq.row,
                     eq.col,
-                    format_poly(mono, geo),
+                    format_monomial(eq.monomial, geo),
                     format_poly(eq.poly, list(self.names)),
                 )
             )

@@ -7,21 +7,18 @@ grammar plus ordinary whitespace, parenthesised subexpressions and ``^``
 powers, and is shared by every file format in the package: what the CLI
 and the catalog emit, they can read back.
 
-A term is built where it is read.  A run of integer and variable factors
-(``c*x^e*y^f*...``, the shape of every rendered term with a rational
-coefficient) goes straight into one rational coefficient and one exponent
-list, and each sum adds its terms into one dict, through the ring's term
-kernel, that becomes its polynomial.  The product rule reads the factors
-of such a run, a variable with or without ``^int`` and an integer literal
-without ``^``, in one flat loop over the tokens, with no call per factor;
-every other factor, and any factor after ``/``, goes through the general
-factor rules, so the limits and error messages below hold alike for both.
-Only a parenthesised or ``sqrt()`` factor is a
+A term is built where it is read.  The product rule reads every factor in
+one loop over the tokens: any run of unary ``-``, a base (a variable, an
+integer literal, or a parenthesised sum or ``sqrt(int)`` group) and an
+optional ``^int``.  A variable goes into the term's exponent list and an
+integer into its rational coefficient, with no call per factor; after
+``/`` a factor must be constant.  Only a group is a
 :class:`~linnij.polyring.Poly` of its own; the ring's product kernel adds
 its product with the term's coefficient and monomial straight into the
-sum.  A unary minus, at the start of a sum or before any factor of a
-product, flips the sign of its term, so ``^`` binds tighter than it
-everywhere: ``x1*-x2^2`` is ``-(x1*x2^2)``.
+sum, which gathers its terms in one dict through the ring's term kernel.
+A sum leaves each ``-`` to the product after it, so a minus flips the sign
+of its term wherever it stands and ``^`` binds tighter than it everywhere:
+``x1*-x2^2`` is ``-(x1*x2^2)``.
 
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
@@ -141,6 +138,12 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
     return "".join(pieces)
 
 
+def format_monomial(exps, names: list[str]) -> str:
+    """The monomial with exponents ``exps`` and coefficient one, such as
+    ``x1^2*x3``; the inverse of :func:`parse_monomial`."""
+    return format_poly(Poly.monomial(len(names), exps, ONE), list(names))
+
+
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()])|\S)")
@@ -240,31 +243,34 @@ class _Parser:
         return result
 
     def sum_expr(self) -> Poly:
+        """Products joined by ``+`` and ``-``; a ``-`` is left to
+        :meth:`product_expr`, which reads it as a unary minus."""
         tokens = self.tokens
         acc: dict = {}
-        negate = False
-        if tokens[self.pos] in ("+", "-"):
-            negate = self.take() == "-"
+        if tokens[self.pos] == "+":
+            self.pos += 1
         while True:
-            # each product goes into ``acc``, negated if its sign says so
             coeff, exps, rest = self.product_expr()
             if coeff:
-                key, value = tuple(exps), _narrow(-coeff if negate else coeff)
+                key, value = tuple(exps), _narrow(coeff)
                 if rest is None:
                     _add_terms(acc, ((key, value),))
                 else:
                     _add_products(acc, {key: value}, rest.terms)
-            if tokens[self.pos] not in ("+", "-"):
+            op = tokens[self.pos]
+            if op == "+":
+                self.pos += 1
+            elif op != "-":
                 return Poly._new(self.nvars, acc)
-            negate = self.take() == "-"
 
     def product_expr(self):
         """One product as (rational coefficient, exponent list, rest): ``rest``
-        is the product of the factors :meth:`atom` gives as a Poly, or None.
+        is the product of the factors :meth:`group` gives, or None.
 
-        A variable, with or without ``^int``, and an integer literal without
-        ``^`` are read in the loop itself; every other factor, and every
-        factor after ``/``, goes through :meth:`power_expr`."""
+        Each factor is any run of unary ``-``, a base (a variable, an
+        integer literal or a group), an optional ``^int``, and is folded in
+        as it is read: errors of the base come before those of its exponent,
+        and both before those of folding it in."""
         tokens, index_of = self.tokens, self.index_of
         coeff = 1
         exps = [0] * self.nvars
@@ -273,22 +279,47 @@ class _Parser:
         pos = self.pos
         while True:
             token = tokens[pos]
-            i = None if divide else index_of.get(token)
-            if i is not None and tokens[pos + 1] != "^":
-                exps[i] += 1
+            while token == "-":
+                coeff = -coeff
                 pos += 1
-            elif (i is not None and tokens[pos + 2] is not None
-                  and tokens[pos + 2][0].isdigit()):
-                exps[i] += _int_literal(tokens[pos + 2])
-                pos += 3
-            elif (not divide and token is not None and token[0].isdigit()
-                  and tokens[pos + 1] != "^"):
-                coeff *= _int_literal(token)
+                token = tokens[pos]
+            i = index_of.get(token)
+            if i is not None:
+                pos += 1
+            elif token is not None and token[0].isdigit():
+                base = _int_literal(token)
                 pos += 1
             else:
                 self.pos = pos
-                coeff, rest = self.general_factor(coeff, exps, rest, divide)
+                base = self.group()
                 pos = self.pos
+            if tokens[pos] == "^":
+                token = tokens[pos + 1]
+                if token is None or not token[0].isdigit():
+                    raise FormatError("exponent must be an integer")
+                exponent = _int_literal(token)
+                pos += 2
+                if i is None and type(base) is int:
+                    base = _int_power(base, exponent)
+            else:
+                exponent = 1
+            if i is not None:
+                if divide and exponent:
+                    raise FormatError("can only divide by a constant")
+                exps[i] += exponent
+            elif type(base) is int:
+                coeff = Fraction(coeff) / base if divide else coeff * base
+            else:
+                if exponent > 1 and base.degree() <= 0:
+                    _check_constant_power(base, exponent)
+                factor = base ** exponent
+                if divide:
+                    try:
+                        divisor = factor.constant_value()
+                    except ValueError:
+                        raise FormatError("can only divide by a constant")
+                    factor = Poly.constant(self.nvars, divisor.inverse())
+                rest = factor if rest is None else rest * factor
             op = tokens[pos]
             if op != "*" and op != "/":
                 self.pos = pos
@@ -296,56 +327,10 @@ class _Parser:
             divide = op == "/"
             pos += 1
 
-    def general_factor(self, coeff, exps, rest, divide):
-        """Read one factor, after any unary minus, through
-        :meth:`power_expr` into the product so far; ``divide`` when it
-        follows ``/``.  Returns the new coefficient and rest."""
-        while self.tokens[self.pos] == "-":
-            self.take()
-            coeff = -coeff
-        base, exponent = self.power_expr()
-        if isinstance(base, Poly):
-            if exponent > 1 and base.degree() <= 0:
-                _check_constant_power(base, exponent)
-            factor = base ** exponent
-            if divide:
-                try:
-                    divisor = factor.constant_value()
-                except ValueError:
-                    raise FormatError("can only divide by a constant")
-                factor = Poly.constant(self.nvars, divisor.inverse())
-            rest = factor if rest is None else rest * factor
-        elif isinstance(base, str):
-            if divide and exponent:
-                raise FormatError("can only divide by a constant")
-            exps[self.index_of[base]] += exponent
-        elif divide:
-            coeff = Fraction(coeff) / base
-        else:
-            coeff *= base
-        return coeff, rest
-
-    def power_expr(self):
-        """One factor as (base, exponent), the base as :meth:`atom` gives it;
-        an int base comes with the power taken and exponent 1."""
-        base = self.atom()
-        if self.tokens[self.pos] != "^":
-            return base, 1
-        self.take()
+    def group(self) -> Poly:
+        """A parenthesised sum or ``sqrt(int)``; any other token that
+        :meth:`product_expr` cannot read as a base is an error here."""
         token = self.take()
-        if token is None or not token[0].isdigit():
-            raise FormatError("exponent must be an integer")
-        if isinstance(base, int):
-            return _int_power(base, _int_literal(token)), 1
-        return base, _int_literal(token)
-
-    def atom(self):
-        """An int for a literal, the name for a variable, else a Poly."""
-        token = self.take()
-        if token is None:
-            raise FormatError("unexpected end of input")
-        if token[0].isdigit():
-            return _int_literal(token)
         if token == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -369,10 +354,10 @@ class _Parser:
             except ValueError as exc:
                 raise FormatError(str(exc))
             return Poly.constant(self.nvars, root)
+        if token is None:
+            raise FormatError("unexpected end of input")
         if token[0] == "_" or token[0].isalpha():
-            if token not in self.index_of:
-                raise FormatError("unknown variable %r" % token)
-            return token
+            raise FormatError("unknown variable %r" % token)
         raise FormatError("unexpected token %r" % (token,))
 
 

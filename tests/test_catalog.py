@@ -201,6 +201,41 @@ def test_load_rejects_malformed_target_and_radicand(tmp_path, entry_id, edit,
         load_catalog(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda item: item.update(id=5), "entry id 5 is not a string"),
+    (lambda item: item.update(id=None), "entry id None is not a string"),
+    (lambda item: item.update(dim=True), "entry 'L2' dim True is not a positive int"),
+    (lambda item: item.update(dim=3.0), "entry 'L2' dim 3.0 is not a positive int"),
+    (lambda item: item.update(dim="3"), "entry 'L2' dim '3' is not a positive int"),
+    (lambda item: item.update(dim=0), "entry 'L2' dim 0 is not a positive int"),
+    (lambda item: item["change"].pop(), r"entry 'L2' change is not 3x3"),
+    (lambda item: item["change"][1].append("0"), r"entry 'L2' change is not 3x3"),
+    (lambda item: item["change"].append(["0", "0", "1"]), r"entry 'L2' change is not 3x3"),
+], ids=["id-int", "id-null", "dim-true", "dim-float", "dim-str", "dim-0",
+        "change-2-rows", "change-ragged", "change-4-rows"])
+def test_load_rejects_malformed_id_dim_and_change(tmp_path, edit, message):
+    path = tmp_path / "catalog.json"
+    save_catalog(load_catalog(), path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    edit(next(item for item in raw["entries"] if item["id"] == "L2"))
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
+        load_catalog(path)
+
+
+def test_singular_change_is_a_failed_check(tmp_path):
+    path = tmp_path / "catalog.json"
+    save_catalog(load_catalog(), path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    item = next(item for item in raw["entries"] if item["id"] == "L2")
+    item["change"][2] = item["change"][0]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    by_id = {e.id: e for e in load_catalog(path)}
+    report = verify_entry(by_id["L2"], targets=by_id)
+    assert [name for (name, _, _) in report.checks][-1] == "change"
+    assert report.failures() == [("change", "change matrix is singular")]
+
+
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
 def test_load_rejects_relation_indices_that_are_not_ints(tmp_path, bad):
     path = tmp_path / "catalog.json"

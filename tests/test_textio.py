@@ -6,11 +6,14 @@ import pytest
 
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
-from linnij.polyring import Poly
+from linnij.polyring import Poly, _add_products, _add_terms, _narrow
 from linnij.reconstruct import CASE_TAGS, generate_linearity_system, param_sigmas
 from linnij.textio import (
     MAX_NESTING,
+    MAX_RADICAND,
     _check_constant_power,
+    _int_literal,
+    _int_power,
     _name_table,
     _Parser,
     _tokenize,
@@ -322,13 +325,33 @@ def test_parse_matches_poly_arithmetic_oracle():
     assert kinds == set("()^-/*+")
 
 
-# -- the flat factor loop against the parser it replaced ------------------------
+# -- the factor loop against the parser it replaced -----------------------------
 
 
 class ReferenceParser(_Parser):
-    """The parser as it was before the flat factor loop of
-    :meth:`_Parser.product_expr`: every factor of a product goes through
-    :meth:`power_expr` and :meth:`atom`."""
+    """The parser as it was before :meth:`_Parser.product_expr` read factors
+    in a loop of its own: a sum takes its own signs, and every factor of a
+    product goes through :meth:`general_factor`, :meth:`power_expr` and
+    :meth:`atom`."""
+
+    def sum_expr(self) -> Poly:
+        tokens = self.tokens
+        acc: dict = {}
+        negate = False
+        if tokens[self.pos] in ("+", "-"):
+            negate = self.take() == "-"
+        while True:
+            # each product goes into ``acc``, negated if its sign says so
+            coeff, exps, rest = self.product_expr()
+            if coeff:
+                key, value = tuple(exps), _narrow(-coeff if negate else coeff)
+                if rest is None:
+                    _add_terms(acc, ((key, value),))
+                else:
+                    _add_products(acc, {key: value}, rest.terms)
+            if tokens[self.pos] not in ("+", "-"):
+                return Poly._new(self.nvars, acc)
+            negate = self.take() == "-"
 
     def product_expr(self):
         coeff = 1
@@ -336,32 +359,89 @@ class ReferenceParser(_Parser):
         rest = None
         divide = False
         while True:
-            while self.tokens[self.pos] == "-":
-                self.take()
-                coeff = -coeff
-            base, exponent = self.power_expr()
-            if isinstance(base, Poly):
-                if exponent > 1 and base.degree() <= 0:
-                    _check_constant_power(base, exponent)
-                factor = base ** exponent
-                if divide:
-                    try:
-                        divisor = factor.constant_value()
-                    except ValueError:
-                        raise FormatError("can only divide by a constant")
-                    factor = Poly.constant(self.nvars, divisor.inverse())
-                rest = factor if rest is None else rest * factor
-            elif isinstance(base, str):
-                if divide and exponent:
-                    raise FormatError("can only divide by a constant")
-                exps[self.index_of[base]] += exponent
-            elif divide:
-                coeff = Fraction(coeff) / base
-            else:
-                coeff *= base
+            coeff, rest = self.general_factor(coeff, exps, rest, divide)
             if self.tokens[self.pos] not in ("*", "/"):
                 return coeff, exps, rest
             divide = self.take() == "/"
+
+    def general_factor(self, coeff, exps, rest, divide):
+        """Read one factor, after any unary minus, through
+        :meth:`power_expr` into the product so far; ``divide`` when it
+        follows ``/``.  Returns the new coefficient and rest."""
+        while self.tokens[self.pos] == "-":
+            self.take()
+            coeff = -coeff
+        base, exponent = self.power_expr()
+        if isinstance(base, Poly):
+            if exponent > 1 and base.degree() <= 0:
+                _check_constant_power(base, exponent)
+            factor = base ** exponent
+            if divide:
+                try:
+                    divisor = factor.constant_value()
+                except ValueError:
+                    raise FormatError("can only divide by a constant")
+                factor = Poly.constant(self.nvars, divisor.inverse())
+            rest = factor if rest is None else rest * factor
+        elif isinstance(base, str):
+            if divide and exponent:
+                raise FormatError("can only divide by a constant")
+            exps[self.index_of[base]] += exponent
+        elif divide:
+            coeff = Fraction(coeff) / base
+        else:
+            coeff *= base
+        return coeff, rest
+
+    def power_expr(self):
+        """One factor as (base, exponent), the base as :meth:`atom` gives it;
+        an int base comes with the power taken and exponent 1."""
+        base = self.atom()
+        if self.tokens[self.pos] != "^":
+            return base, 1
+        self.take()
+        token = self.take()
+        if token is None or not token[0].isdigit():
+            raise FormatError("exponent must be an integer")
+        if isinstance(base, int):
+            return _int_power(base, _int_literal(token)), 1
+        return base, _int_literal(token)
+
+    def atom(self):
+        """An int for a literal, the name for a variable, else a Poly."""
+        token = self.take()
+        if token is None:
+            raise FormatError("unexpected end of input")
+        if token[0].isdigit():
+            return _int_literal(token)
+        if token == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormatError("parentheses nested deeper than %d" % MAX_NESTING)
+            inner = self.sum_expr()
+            self.expect(")")
+            self.depth -= 1
+            return inner
+        if token == "sqrt":
+            self.expect("(")
+            inner = self.take()
+            if inner is None or not inner[0].isdigit():
+                raise FormatError("sqrt() takes an integer radicand")
+            self.expect(")")
+            try:
+                radicand = _int_literal(inner)
+                if radicand > MAX_RADICAND:
+                    raise FormatError("sqrt() radicand %s exceeds the limit %d"
+                                      % (inner, MAX_RADICAND))
+                root = Scalar(0, 1, radicand)
+            except ValueError as exc:
+                raise FormatError(str(exc))
+            return Poly.constant(self.nvars, root)
+        if token[0] == "_" or token[0].isalpha():
+            if token not in self.index_of:
+                raise FormatError("unknown variable %r" % token)
+            return token
+        raise FormatError("unexpected token %r" % (token,))
 
 
 def reference_parse(text, names):
@@ -400,6 +480,12 @@ FACTOR_EDGES = [
     "-2*x1*-x2", "x1^2^2", "2 3", "x1 ^ 2*x2", "x1*", "2*", "x1*/2",
     "x1^sqrt(2)", "x1^(2)", "x1*(x2)^2*3", "3*sqrt(3)*x1^2", "x1/0",
     "x1^00*007*x2^01", "x1*x2*x1*x2^3", "1/2/3*x1", "x1*-(x2 + 1)",
+    # inputs whose checks one factor loop makes in a new order: base, then
+    # exponent, then dividing or folding it in
+    "x1/x2^0", "x1/-2", "-x1/2^2", "x1/ -x2", "x1/y^2", "x1/(x2)^0", "--x1",
+    "-+x1", "x1*2^-1", "2/0", "1" * 5000 + "^x",
+    # signs a sum leaves to the product's unary minus
+    "-", "x1 -", "x1 - -x2", "x1 - +x2", "+ -x1", "-(x1 - x2)^2",
 ]
 
 
