@@ -71,6 +71,9 @@ class CatalogEntry(Record):
             raise DimensionMismatchError("operator must be %dx%d" % (dim, dim))
         if len(sigmas) != dim:
             raise DimensionMismatchError("expected %d sigmas" % dim)
+        if change is not None and (len(change) != dim
+                                   or any(len(row) != dim for row in change)):
+            raise DimensionMismatchError("change must be %dx%d" % (dim, dim))
         radicand = _data_radicand(operator, sigmas, relations, change)
         super().__init__(entry_id, dim, radicand, operator, tuple(sigmas),
                          relations, change, target)

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
     Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _narrow, _reciprocal,
-    _support, _value_at, dot, exact_divide, powers_of, top_exponents)
+    _power_table, _support, _value_at, dot, exact_divide, top_exponents)
 from .exactfield import ONE, ZERO, Scalar
 from .record import Record
 
@@ -89,16 +89,18 @@ class PolyMatrix(Record):
     def at(self, points: Iterable[Sequence[Scalar]]
            ) -> Iterator[list[list[Coefficient]]]:
         """The value of every entry, row by row, at each of ``points`` in
-        turn, computed as it is asked for.  Each point's power table reaches
-        the matrix's highest exponent of each variable, found once.  The
+        turn, computed as it is asked for.  Each point gets one integer
+        power table (``polyring._power_table``), reaching the matrix's
+        highest exponent of each variable, found once, and every entry is
+        summed against it by the one kernel ``polyring._value_at``.  The
         values are in the ring's narrow types: ``int``, ``Fraction``, and a
         ``Scalar`` only for a nonzero irrational part."""
         top = top_exponents(self.nvars, (p for row in self.entries for p in row))
         for point in points:
             if len(point) != self.nvars:
                 raise DimensionMismatchError("point has wrong length")
-            powers = [powers_of(v, e) for v, e in zip(point, top)]
-            yield [[_value_at(p, powers) for p in row] for row in self.entries]
+            table = _power_table(point, top)
+            yield [[_value_at(p, table) for p in row] for row in self.entries]
 
     # -- determinants --------------------------------------------------------
 

@@ -13,8 +13,8 @@ so rational arithmetic, nearly all of it, runs on Python's own numbers.  The
 readers (:meth:`Poly.coefficient`, :meth:`Poly.leading`,
 :meth:`Poly.sorted_terms`, :meth:`Poly.constant_value`,
 :meth:`Poly.linear_terms`, :meth:`Poly.linear_coefficients`,
-:meth:`Poly.evaluate`, :func:`value_at`) return ``Scalar``.  The evaluation
-itself, ``_value_at``, returns the narrow value, which
+:meth:`Poly.evaluate`) return ``Scalar``.  The evaluation itself,
+``_value_at``, returns the narrow value, which
 :meth:`~linnij.polymatrix.PolyMatrix.at` yields.
 
 Instances are treated as immutable; every operation returns a new object.
@@ -46,12 +46,21 @@ and :meth:`Poly.substitute_linear` are built on them.
 :meth:`Poly.gradient` is the one derivative kernel: :meth:`Poly.partial`,
 :func:`~linnij.polymatrix.jacobian` and the torsion read it.
 
-:func:`powers_of` is the one power table of a value, in the narrow
-coefficient types, and ``_value_at`` the one evaluation against such
-tables: :meth:`~linnij.polymatrix.PolyMatrix.at` calls it, and
-:func:`value_at` (behind :meth:`Poly.evaluate` and the solution check)
-wraps its value in a ``Scalar``.
-:func:`top_exponents` is the one scan for how far such tables must reach.
+``_value_at`` is the one evaluation kernel, behind :meth:`Poly.evaluate`,
+:meth:`~linnij.polymatrix.PolyMatrix.at` and the solution check.  It runs
+in integers: ``_power_table`` puts the values of a point over one common
+denominator L and holds the powers of each ``L*v`` as ``int``, or, for an
+irrational v, as a pair of ``int`` for ``a + b*sqrt(d)``.  The kernel
+walks only each term's nonzero exponents, sums the rational and the
+``sqrt(d)`` parts as two ints scaled to the polynomial's own degree, and
+divides once.  A point and a polynomial that carry two radicands between
+them are evaluated in ``Scalar`` arithmetic instead, each term from its
+coefficient through its variables in index order, so
+:class:`~linnij.errors.RadicandMismatchError` is raised exactly when an
+irrational partial product or sum meets an irrational factor or term of
+another radicand.
+:func:`top_exponents` is the one scan for how far such tables must reach,
+and :func:`powers_of` the narrow power rows of :meth:`Poly.substitute`.
 
 The term dict ``Poly.terms`` is read here and by the parser in
 :mod:`linnij.textio` only; other modules use :func:`top_exponents`,
@@ -64,6 +73,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -350,8 +360,8 @@ class Poly:
         """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        top = top_exponents(self.nvars, (self,))
-        return value_at(self, [powers_of(v, e) for v, e in zip(point, top)])
+        table = _power_table(point, top_exponents(self.nvars, (self,)))
+        return Scalar._coerce(_value_at(self, table))
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """View the polynomial inside a larger ring, variables shifted by offset."""
@@ -493,14 +503,18 @@ def _add_products(acc: dict, left: dict, right: dict) -> dict:
 
 def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
     """The highest exponent of each of ``nvars`` variables over ``polys``:
-    how far a :func:`powers_of` table must reach for :func:`value_at`."""
-    exps = [e for p in polys for e in p.terms]
+    how far a :func:`_power_table` must reach for :func:`_value_at`."""
+    exps = set()
+    for p in polys:
+        # a term dict hands its keys' hashes over, so repeats cost little
+        exps.update(p.terms)
     return [max(column) for column in zip((0,) * nvars, *exps)]
 
 
 def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     """``[1, value, ..., value**top]`` in the ring's narrow coefficient
-    types, or None when ``value`` is zero."""
+    types, or None when ``value`` is zero: the power rows of
+    :meth:`Poly.substitute`, whose images keep those types."""
     value = _exact(value)
     row = [1]
     for _ in range(top):
@@ -508,32 +522,160 @@ def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     return row if value else None
 
 
-def value_at(p: Poly, powers) -> Scalar:
-    """The value of ``p`` at the point whose power table is ``powers``, as
-    a ``Scalar``.
+class _PowerTable(Record):
+    """The powers of the values of one point in integers, for
+    :func:`_value_at`.
 
-    ``powers[i]`` is :func:`powers_of` of the value of variable i, up to at
-    least the highest exponent of that variable in ``p``: None when the
-    value is zero, so every term it divides vanishes.  One table serves
-    every polynomial evaluated at the same point.
+    ``scale`` is a common denominator L of the rational and irrational
+    parts of the values the table reaches.  ``rows[i]`` is None when value
+    i is zero or its variable's top exponent is 0; otherwise it lists
+    ``(L*v)**e`` for e = 0..top: an ``int`` when v is rational, an
+    ``(a, b)`` pair of ints for ``a + b*sqrt(d)`` when v is irrational,
+    with d its radicand, ``radicands[i]``.  ``rad`` is the one radicand of
+    the irrational values, 0 when there is none, and None when they carry
+    two or more.
     """
-    return Scalar._coerce(_value_at(p, powers))
+
+    __slots__ = ("rows", "scale", "rad", "radicands")
 
 
-def _value_at(p: Poly, powers) -> Coefficient:
-    """:func:`value_at` in the narrow coefficient types: the sum runs on
-    them, and the value is an ``int``, a ``Fraction``, or a ``Scalar`` with
-    a nonzero irrational part."""
-    total = 0
-    for exps, coeff in p.terms.items():
-        for row, e in zip(powers, exps):
-            if e:
-                if row is None:
-                    break
-                coeff = coeff * row[e]
+def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
+    """The power table of ``point`` up to ``top[i]`` for variable i.  Every
+    value must be an ``int``, a ``Fraction`` or a ``Scalar``
+    (``TypeError`` otherwise); only those with ``top[i] > 0`` set the
+    common denominator and the radicands."""
+    values = [_exact(v) for v in point]
+    radicands = [v.rad if type(v) is Scalar else 0 for v in values]
+    denominators = []
+    rads = set()
+    for v, e, d in zip(values, top, radicands):
+        if e and d:
+            denominators += (v.rat.denominator, v.irr.denominator)
+            rads.add(d)
+        elif e:
+            denominators.append(v.denominator)
+    scale = lcm(*denominators)
+    rows: list[list | None] = []
+    for v, e, d in zip(values, top, radicands):
+        if not (v and e):
+            # a zero value makes every term it divides vanish, and no term
+            # reads the row of a variable of exponent 0
+            rows.append(None)
+        elif d:
+            a = v.rat.numerator * (scale // v.rat.denominator)
+            b = v.irr.numerator * (scale // v.irr.denominator)
+            x, y = 1, 0
+            row = [(1, 0)]
+            for _ in range(e):
+                x, y = x * a + d * y * b, x * b + y * a
+                row.append((x, y))
+            rows.append(row)
         else:
-            total = total + coeff
-    return total if type(total) is int else _narrow(total)
+            a = v.numerator * (scale // v.denominator)
+            x = 1
+            row = [1]
+            for _ in range(e):
+                x *= a
+                row.append(x)
+            rows.append(row)
+    rad = None if len(rads) > 1 else max(rads, default=0)
+    return _PowerTable(rows, scale, rad, radicands)
+
+
+def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
+    """The value of ``p`` at the point of ``table``, whose rows reach at
+    least the highest exponent of each variable in ``p``: an ``int``, a
+    ``Fraction``, or a ``Scalar`` with a nonzero irrational part.
+
+    Each term walks only its nonzero exponents, and its product of table
+    entries is ``L**k`` times its value, for L the table's scale and k the
+    term's degree.  The sum is kept as ``L**deg`` times the sum so far, for
+    deg the highest degree of a term so far: a term of lower degree is
+    scaled up by ``L**(deg - k)``, and one of higher degree scales the sum
+    up instead.  The terms sum as two ints, the rational and the
+    ``sqrt(d)`` part, and one division by ``L**deg`` ends the sum.  A
+    coefficient multiplies its term's product last, so a ``Fraction`` costs
+    one rational product per term.  When the values and the coefficients
+    carry two radicands, :func:`_value_in_order` evaluates instead, as that
+    can raise :class:`~linnij.errors.RadicandMismatchError`.
+    """
+    rows, scale, rad = table.rows, table.scale, table.rad
+    if rad is None:
+        return _value_in_order(p, table)
+    total_a = total_b = deg = 0
+    for exps, coeff in p.terms.items():
+        kind = type(coeff)
+        if kind is Scalar and coeff.rad != rad:
+            if rad:
+                return _value_in_order(p, table)
+            # no value is irrational: this radicand is the only one so far
+            rad = coeff.rad
+        a, b, k = 1, 0, 0
+        for row, e in compress(zip(rows, exps), exps):
+            if row is None:
+                break
+            x = row[e]
+            k += e
+            if type(x) is int:
+                a *= x
+                b *= x
+            else:
+                x0, x1 = x
+                a, b = a * x0 + rad * b * x1, a * x1 + b * x0
+        else:
+            if k < deg:
+                m = scale ** (deg - k)
+                a *= m
+                b *= m
+            elif k > deg:
+                m = scale ** (k - deg)
+                total_a *= m
+                total_b *= m
+                deg = k
+            if kind is Scalar:
+                r, i = coeff.rat, coeff.irr
+                a, b = r * a + rad * i * b, r * b + i * a
+            else:
+                a *= coeff
+                b *= coeff
+            total_a += a
+            total_b += b
+    if not (total_a or total_b):
+        return 0
+    denominator = scale ** deg
+    if total_b:
+        return Scalar._new(Fraction(total_a, denominator),
+                           Fraction(total_b, denominator), rad)
+    if denominator == 1 and type(total_a) is int:
+        return total_a
+    return _narrow(Fraction(total_a, denominator))
+
+
+def _value_in_order(p: Poly, table: _PowerTable) -> Coefficient:
+    """:func:`_value_at` when two radicands take part, in ``Scalar``
+    arithmetic: each term is its coefficient times its variables' entries
+    in index order, and the terms are summed in turn.
+    :class:`~linnij.errors.RadicandMismatchError` is raised when an
+    irrational partial product or sum meets an irrational factor or term of
+    another radicand; the table's scaling by powers of L, a nonzero
+    rational, makes no partial result rational or irrational."""
+    rows, scale, radicands = table.rows, table.scale, table.radicands
+    terms = p.terms
+    deg = max(map(sum, terms), default=0)
+    total = ZERO
+    for exps, coeff in terms.items():
+        term = Scalar._coerce(coeff)
+        for i in compress(range(p.nvars), exps):
+            row = rows[i]
+            if row is None:
+                break
+            x = row[exps[i]]
+            if type(x) is tuple:
+                x = Scalar._new(Fraction(x[0]), Fraction(x[1]), radicands[i])
+            term = term * x
+        else:
+            total = total + term * scale ** (deg - sum(exps))
+    return _narrow(total * Fraction(1, scale ** deg))
 
 
 # what a dot over scalar rows multiplies; Fraction, an ABC, is checked last

@@ -60,8 +60,8 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    DivisibilityFailure, Poly, dot, exact_divide, grlex_key, powers_of,
-    top_exponents, value_at)
+    DivisibilityFailure, Poly, _power_table, _value_at, dot, exact_divide,
+    grlex_key, top_exponents)
 from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
 from .record import Record
 from .textio import (
@@ -555,8 +555,12 @@ def check_solution(
 
     The equations must not involve the geometric variables.  The
     assignment must cover every parameter and alpha unknown that occurs in
-    the system; unknown or missing names are errors, not failures.  Each
-    assigned value's powers are computed once and serve every equation.
+    the system; unknown or missing names are errors, not failures.  The
+    assignment becomes one integer power table (``polyring._power_table``:
+    the values over one common denominator, a ``sqrt(d)`` value as a pair
+    of ints), built once, and every equation is summed against it by the
+    one evaluation kernel ``polyring._value_at``.  A residual is a
+    ``Scalar``.
     """
     top = top_exponents(len(system.names), (eq.poly for eq in system.equations))
     geometric = [name for name, e in zip(system.geo_names(), top) if e]
@@ -565,19 +569,14 @@ def check_solution(
             "equations involve the geometric variables: %s" % ", ".join(geometric)
         )
     values = _assigned_values(system.names, system.ngeo, top, assignment)
-    # powers[i][e] is value_i ** e up to the highest exponent of variable i;
-    # it is None where value_i is zero, so every term it divides vanishes,
-    # and where variable i occurs in no equation
-    powers: list[list | None] = [None] * len(system.names)
-    for i, value in values.items():
-        powers[i] = powers_of(value, top[i])
+    # a variable without a value occurs in no equation
+    table = _power_table([values.get(i, 0) for i in range(len(top))], top)
     residuals = []
     for eq in system.equations:
-        total = value_at(eq.poly, powers)
-        if not total.is_zero():
-            residuals.append(
-                Residual(eq.entry, eq.row, eq.col, eq.monomial, total)
-            )
+        total = _value_at(eq.poly, table)
+        if total:
+            residuals.append(Residual(eq.entry, eq.row, eq.col, eq.monomial,
+                                      Scalar._coerce(total)))
     return CheckResult(not residuals, residuals)
 
 

@@ -248,6 +248,20 @@ def test_load_rejects_relation_indices_that_are_not_ints(tmp_path, bad):
         load_catalog(path)
 
 
+def test_entry_change_must_be_dim_by_dim():
+    # checked when the entry is built, as the operator's shape is, so that
+    # verify_entry never meets a change it cannot substitute
+    e = next(e for e in load_catalog() if e.id == "L2")
+    for change in (e.change[:2], e.change + e.change[:1],
+                   tuple(row[:2] for row in e.change)):
+        with pytest.raises(DimensionMismatchError, match="change must be 3x3"):
+            CatalogEntry(e.id, e.dim, e.operator, e.sigmas, e.relations,
+                         change=change, target=e.target)
+    rebuilt = CatalogEntry(e.id, e.dim, e.operator, e.sigmas, e.relations,
+                           change=e.change, target=e.target)
+    assert verify_entry(rebuilt).ok
+
+
 def test_entries_are_immutable():
     entry = load_catalog()[0]
     with pytest.raises(AttributeError):

@@ -255,6 +255,23 @@ def test_unprintable_number_exits_2(runner, tmp_path, command):
         "integer of 4772 digits is longer than the interpreter converts"]
 
 
+@pytest.mark.parametrize("value", ["3", "1/3"])
+def test_check_solution_of_a_huge_power_exits_2(runner, tmp_path, value):
+    # a^10000 - 1 is 3^10000 - 1 at a = 3 and (1 - 3^10000)/3^10000 at
+    # a = 1/3, both too long to print; the power table reaches a^10000
+    listing = tmp_path / "listing.txt"
+    listing.write_text(UNPRINTABLE_INPUTS["check-solution"]["listing.txt"])
+    assignment = tmp_path / "assignment.txt"
+    assignment.write_text("a = %s\n" % value)
+    start = time.monotonic()
+    result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
+    assert time.monotonic() - start < 1
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip().splitlines() == [
+        "integer of 4772 digits is longer than the interpreter converts"]
+
+
 HUGE_POWERS = {
     # power -> the end of its one-line refusal
     "3^1000000": "integer power 3^1000000 has more than 4300 digits",

@@ -5,8 +5,7 @@ import pytest
 
 from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar
-from linnij.polyring import (
-    DivisibilityFailure, Poly, dot, exact_divide, powers_of, top_exponents, value_at)
+from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, top_exponents
 from linnij.textio import format_poly, parse_poly
 
 
@@ -103,8 +102,7 @@ def test_substitute_linear_composes():
 
 
 def test_substitute_and_evaluate_agree():
-    # evaluate and value_at multiply entries of a power table, one table
-    # shared by every polynomial at the point; substitute builds a Poly
+    # evaluate sums over a table of integer powers; substitute builds a Poly
     rng = random.Random(3)
     for _ in range(200):
         rad = rng.choice([0, 3])
@@ -113,11 +111,10 @@ def test_substitute_and_evaluate_agree():
                  for _ in range(3)]
         if rng.random() < 0.3:
             point[rng.randrange(3)] = Scalar(0)
-        powers = [powers_of(v, 4) for v in point]
         for a in polys:
             full = a.substitute(dict(enumerate(point))).constant_value()
-            assert full == a.evaluate(point) == value_at(a, powers)
-    assert value_at(Poly.zero(3), [None] * 3) == Scalar(0)
+            assert full == a.evaluate(point)
+    assert Poly.zero(3).evaluate([Scalar(0)] * 3) == Scalar(0)
 
 
 def test_ring_accessors():
@@ -319,7 +316,7 @@ def test_readers_return_scalars():
     assert type(p("7").constant_value()) is Scalar
     point = [Scalar(1), Scalar(2), Scalar(0)]
     assert q.evaluate(point) == Scalar(-1) and type(q.evaluate(point)) is Scalar
-    assert type(value_at(p("0"), [None] * 3)) is Scalar
+    assert type(p("0").evaluate(point)) is Scalar
 
 
 def test_homogeneity_and_degree():
