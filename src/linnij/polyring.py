@@ -53,12 +53,13 @@ denominator L and holds the powers of each ``L*v`` as ``int``, or, for an
 irrational v, as a pair of ``int`` for ``a + b*sqrt(d)``.  The kernel
 walks only each term's nonzero exponents, sums the rational and the
 ``sqrt(d)`` parts as two ints scaled to the polynomial's own degree, and
-divides once.  A point and a polynomial that carry two radicands between
-them are evaluated in ``Scalar`` arithmetic instead, each term from its
-coefficient through its variables in index order, so
-:class:`~linnij.errors.RadicandMismatchError` is raised exactly when an
-irrational partial product or sum meets an irrational factor or term of
-another radicand.
+divides once; at an integer point it needs no scaling and no pairs, and
+multiplies each coefficient by its term's entries.  A point and a
+polynomial that carry two radicands between them are evaluated in
+``Scalar`` arithmetic instead, each term from its coefficient through its
+variables in index order, so :class:`~linnij.errors.RadicandMismatchError`
+is raised exactly when an irrational partial product or sum meets an
+irrational factor or term of another radicand.
 :func:`top_exponents` is the one scan for how far such tables must reach,
 and :func:`powers_of` the narrow power rows of :meth:`Poly.substitute`.
 
@@ -74,7 +75,7 @@ import operator
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .exactfield import ZERO, Scalar, power
@@ -522,9 +523,10 @@ def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     return row if value else None
 
 
-class _PowerTable(Record):
+class _PowerTable(NamedTuple):
     """The powers of the values of one point in integers, for
-    :func:`_value_at`.
+    :func:`_value_at`.  A tuple, as one is built per point and unpacked per
+    evaluation.
 
     ``scale`` is a common denominator L of the rational and irrational
     parts of the values the table reaches.  ``rows[i]`` is None when value
@@ -536,7 +538,10 @@ class _PowerTable(Record):
     two or more.
     """
 
-    __slots__ = ("rows", "scale", "rad", "radicands")
+    rows: list[list | None]
+    scale: int
+    rad: int | None
+    radicands: list[int]
 
 
 def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
@@ -545,23 +550,23 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
     (``TypeError`` otherwise); only those with ``top[i] > 0`` set the
     common denominator and the radicands."""
     values = [_exact(v) for v in point]
-    radicands = [v.rad if type(v) is Scalar else 0 for v in values]
-    denominators = []
+    scale = 1
     rads = set()
-    for v, e, d in zip(values, top, radicands):
-        if e and d:
-            denominators += (v.rat.denominator, v.irr.denominator)
-            rads.add(d)
-        elif e:
-            denominators.append(v.denominator)
-    scale = lcm(*denominators)
+    for v, e in zip(values, top):
+        if e and type(v) is not int:
+            if type(v) is Scalar:
+                scale = lcm(scale, v.rat.denominator, v.irr.denominator)
+                rads.add(v.rad)
+            else:
+                scale = lcm(scale, v.denominator)
     rows: list[list | None] = []
-    for v, e, d in zip(values, top, radicands):
+    for v, e in zip(values, top):
         if not (v and e):
             # a zero value makes every term it divides vanish, and no term
             # reads the row of a variable of exponent 0
             rows.append(None)
-        elif d:
+        elif type(v) is Scalar:
+            d = v.rad
             a = v.rat.numerator * (scale // v.rat.denominator)
             b = v.irr.numerator * (scale // v.irr.denominator)
             x, y = 1, 0
@@ -571,7 +576,7 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
                 row.append((x, y))
             rows.append(row)
         else:
-            a = v.numerator * (scale // v.denominator)
+            a = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
             x = 1
             row = [1]
             for _ in range(e):
@@ -579,6 +584,7 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
                 row.append(x)
             rows.append(row)
     rad = None if len(rads) > 1 else max(rads, default=0)
+    radicands = [v.rad if type(v) is Scalar else 0 for v in values]
     return _PowerTable(rows, scale, rad, radicands)
 
 
@@ -587,8 +593,12 @@ def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
     least the highest exponent of each variable in ``p``: an ``int``, a
     ``Fraction``, or a ``Scalar`` with a nonzero irrational part.
 
-    Each term walks only its nonzero exponents, and its product of table
-    entries is ``L**k`` times its value, for L the table's scale and k the
+    At an integer point (L, the table's scale, is 1 and no value is
+    irrational) each term is its coefficient times int entries, in the
+    coefficient's own type; those points come with narrow rings, the
+    Jacobians of sigma sets, where a test per exponent costs less than
+    ``compress``.  Otherwise each term walks only its nonzero exponents,
+    and its product of table entries is ``L**k`` times its value, for k the
     term's degree.  The sum is kept as ``L**deg`` times the sum so far, for
     deg the highest degree of a term so far: a term of lower degree is
     scaled up by ``L**(deg - k)``, and one of higher degree scales the sum
@@ -599,7 +609,18 @@ def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
     carry two radicands, :func:`_value_in_order` evaluates instead, as that
     can raise :class:`~linnij.errors.RadicandMismatchError`.
     """
-    rows, scale, rad = table.rows, table.scale, table.rad
+    rows, scale, rad, _ = table
+    if scale == 1 and rad == 0:
+        total = 0
+        for exps, coeff in p.terms.items():
+            for row, e in zip(rows, exps):
+                if e:
+                    if row is None:
+                        break
+                    coeff *= row[e]
+            else:
+                total += coeff
+        return total if type(total) is int else _narrow(total)
     if rad is None:
         return _value_in_order(p, table)
     total_a = total_b = deg = 0
@@ -659,7 +680,7 @@ def _value_in_order(p: Poly, table: _PowerTable) -> Coefficient:
     irrational partial product or sum meets an irrational factor or term of
     another radicand; the table's scaling by powers of L, a nonzero
     rational, makes no partial result rational or irrational."""
-    rows, scale, radicands = table.rows, table.scale, table.radicands
+    rows, scale, _, radicands = table
     terms = p.terms
     deg = max(map(sum, terms), default=0)
     total = ZERO
