@@ -75,7 +75,7 @@ import operator
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
 from .exactfield import ZERO, Scalar, power
@@ -523,25 +523,17 @@ def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     return row if value else None
 
 
-class _PowerTable(NamedTuple):
-    """The powers of the values of one point in integers, for
-    :func:`_value_at`.  A tuple, as one is built per point and unpacked per
-    evaluation.
-
-    ``scale`` is a common denominator L of the rational and irrational
-    parts of the values the table reaches.  ``rows[i]`` is None when value
-    i is zero or its variable's top exponent is 0; otherwise it lists
-    ``(L*v)**e`` for e = 0..top: an ``int`` when v is rational, an
-    ``(a, b)`` pair of ints for ``a + b*sqrt(d)`` when v is irrational,
-    with d its radicand, ``radicands[i]``.  ``rad`` is the one radicand of
-    the irrational values, 0 when there is none, and None when they carry
-    two or more.
-    """
-
-    rows: list[list | None]
-    scale: int
-    rad: int | None
-    radicands: list[int]
+# The integer power table of one point, for _value_at: the plain tuple
+# (rows, scale, rad, radicands), as one is built per point and unpacked per
+# evaluation.  scale is a common denominator L of the rational and
+# irrational parts of the values the table reaches.  rows[i] is None when
+# value i is zero or its variable's top exponent is 0; otherwise it lists
+# (L*v)**e for e = 0..top: an int when v is rational, an (a, b) pair of
+# ints for a + b*sqrt(d) when v is irrational, with d its radicand,
+# radicands[i].  rad is the one radicand of the irrational values, 0 when
+# there is none (and radicands is None), and None when they carry two or
+# more.
+_PowerTable = tuple
 
 
 def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
@@ -583,9 +575,10 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
                 x *= a
                 row.append(x)
             rows.append(row)
-    rad = None if len(rads) > 1 else max(rads, default=0)
+    if not rads:
+        return rows, scale, 0, None
     radicands = [v.rad if type(v) is Scalar else 0 for v in values]
-    return _PowerTable(rows, scale, rad, radicands)
+    return rows, scale, rads.pop() if len(rads) == 1 else None, radicands
 
 
 def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
