@@ -660,8 +660,6 @@ def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
     if total_b:
         return Scalar._new(Fraction(total_a, denominator),
                            Fraction(total_b, denominator), rad)
-    if denominator == 1 and type(total_a) is int:
-        return total_a
     return _narrow(Fraction(total_a, denominator))
 
 
