@@ -89,8 +89,8 @@ class PolyMatrix(Record):
     def at(self, points: Iterable[Sequence[Scalar]]
            ) -> Iterator[list[list[Coefficient]]]:
         """The value of every entry, row by row, at each of ``points`` in
-        turn, computed as it is asked for.  Each point gets one integer
-        power table (``polyring._power_table``), reaching the matrix's
+        turn, computed as it is asked for.  Each point gets one power
+        table (``polyring._power_table``), reaching the matrix's
         highest exponent of each variable, found once, and every entry is
         summed against it by the one kernel ``polyring._value_at``.  The
         values are in the ring's narrow types: ``int``, ``Fraction``, and a

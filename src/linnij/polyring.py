@@ -53,15 +53,17 @@ denominator L and holds the powers of each ``L*v`` as ``int``, or, for an
 irrational v, as a pair of ``int`` for ``a + b*sqrt(d)``.  The kernel
 walks only each term's nonzero exponents, sums the rational and the
 ``sqrt(d)`` parts as two ints scaled to the polynomial's own degree, and
-divides once; at an integer point it needs no scaling and no pairs, and
-multiplies each coefficient by its term's entries.  A point and a
-polynomial that carry two radicands between them are evaluated in
-``Scalar`` arithmetic instead, each term from its coefficient through its
-variables in index order, so :class:`~linnij.errors.RadicandMismatchError`
-is raised exactly when an irrational partial product or sum meets an
-irrational factor or term of another radicand.
+divides once.  At an integer point, at a point with two radicands, and at
+a point where L would inflate the powers of some value far past their own
+size, the table holds the narrow powers :func:`powers_of` builds instead,
+and the kernel multiplies each coefficient by its term's entries in index
+order and sums the terms in turn, in the narrow types; a coefficient of
+another radicand than the point's sends the sum there too.  So
+:class:`~linnij.errors.RadicandMismatchError` is raised exactly where a
+narrow product or sum meets two radicands.
 :func:`top_exponents` is the one scan for how far such tables must reach,
-and :func:`powers_of` the narrow power rows of :meth:`Poly.substitute`.
+and :func:`powers_of` the narrow power rows of such tables and of
+:meth:`Poly.substitute`.
 
 The term dict ``Poly.terms`` is read here and by the parser in
 :mod:`linnij.textio` only; other modules use :func:`top_exponents`,
@@ -514,8 +516,9 @@ def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
 
 def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     """``[1, value, ..., value**top]`` in the ring's narrow coefficient
-    types, or None when ``value`` is zero: the power rows of
-    :meth:`Poly.substitute`, whose images keep those types."""
+    types, or None when ``value`` is zero: the narrow rows of a
+    :func:`_power_table`, and the power rows of :meth:`Poly.substitute`,
+    whose images keep those types."""
     value = _exact(value)
     row = [1]
     for _ in range(top):
@@ -523,24 +526,30 @@ def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
     return row if value else None
 
 
-# The integer power table of one point, for _value_at: the plain tuple
-# (rows, scale, rad, radicands), as one is built per point and unpacked per
-# evaluation.  scale is a common denominator L of the rational and
-# irrational parts of the values the table reaches.  rows[i] is None when
-# value i is zero or its variable's top exponent is 0; otherwise it lists
-# (L*v)**e for e = 0..top: an int when v is rational, an (a, b) pair of
-# ints for a + b*sqrt(d) when v is irrational, with d its radicand,
-# radicands[i].  rad is the one radicand of the irrational values, 0 when
-# there is none (and radicands is None), and None when they carry two or
-# more.
-_PowerTable = tuple
+def _power_table(point: Sequence, top: Sequence[int]) -> tuple:
+    """The power table of ``point`` for :func:`_value_at`, reaching
+    ``top[i]`` for variable i: the plain tuple ``(rows, scale, rad,
+    values)``, as one is built per point and unpacked per evaluation.
+    Every value must be an ``int``, a ``Fraction`` or a ``Scalar``
+    (``TypeError`` otherwise); ``values`` holds them narrowed.  ``rows[i]``
+    is None when value i is zero or ``top[i]`` is 0: a zero value makes
+    every term it divides vanish, and no term reads the row of a variable
+    of exponent 0.
 
+    scale is a common denominator L of the rational and irrational parts
+    of the values with ``top[i] > 0``, and rad the one radicand d of the
+    irrational ones among them, 0 when there is none.  rows[i] lists
+    ``(L*v)**e`` for e = 0..top[i]: an int when v is rational, an ``(a,
+    b)`` pair of ints for ``a + b*sqrt(d)`` when v is irrational.
 
-def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
-    """The power table of ``point`` up to ``top[i]`` for variable i.  Every
-    value must be an ``int``, a ``Fraction`` or a ``Scalar``
-    (``TypeError`` otherwise); only those with ``top[i] > 0`` set the
-    common denominator and the radicands."""
+    rad is None when the rows are narrow instead: ``v**e`` in the ring's
+    narrow coefficient types, as :func:`powers_of` builds them.  They are
+    narrow at an integer point (L = 1, no irrational value), where both
+    kinds of row are the same ints; at a point with two radicands; and at a
+    point where L is far longer than some value with ``top[i] > 0``
+    (:func:`_scaling_inflates`), as one value with a long denominator would
+    inflate every other value's scaled row.
+    """
     values = [_exact(v) for v in point]
     scale = 1
     rads = set()
@@ -551,11 +560,11 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
                 rads.add(v.rad)
             else:
                 scale = lcm(scale, v.denominator)
+    if len(rads) > 1 or scale > 1 and _scaling_inflates(values, top, scale):
+        return _narrow_rows(values, top), 1, None, values
     rows: list[list | None] = []
     for v, e in zip(values, top):
         if not (v and e):
-            # a zero value makes every term it divides vanish, and no term
-            # reads the row of a variable of exponent 0
             rows.append(None)
         elif type(v) is Scalar:
             d = v.rad
@@ -575,35 +584,74 @@ def _power_table(point: Sequence, top: Sequence[int]) -> _PowerTable:
                 x *= a
                 row.append(x)
             rows.append(row)
-    if not rads:
-        return rows, scale, 0, None
-    radicands = [v.rad if type(v) is Scalar else 0 for v in values]
-    return rows, scale, rads.pop() if len(rads) == 1 else None, radicands
+    if rads:
+        rad = rads.pop()
+    else:
+        # at an integer point the scaled rows are the narrow ones
+        rad = None if scale == 1 else 0
+    return rows, scale, rad, values
 
 
-def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
-    """The value of ``p`` at the point of ``table``, whose rows reach at
-    least the highest exponent of each variable in ``p``: an ``int``, a
-    ``Fraction``, or a ``Scalar`` with a nonzero irrational part.
+# the bits of L that _scaling_inflates forgives: an int of a machine word
+# or two costs about as much as a one-digit one
+_SCALE_SLACK = 64
 
-    At an integer point (L, the table's scale, is 1 and no value is
-    irrational) each term is its coefficient times int entries, in the
-    coefficient's own type; those points come with narrow rings, the
-    Jacobians of sigma sets, where a test per exponent costs less than
-    ``compress``.  Otherwise each term walks only its nonzero exponents,
-    and its product of table entries is ``L**k`` times its value, for k the
-    term's degree.  The sum is kept as ``L**deg`` times the sum so far, for
-    deg the highest degree of a term so far: a term of lower degree is
-    scaled up by ``L**(deg - k)``, and one of higher degree scales the sum
-    up instead.  The terms sum as two ints, the rational and the
-    ``sqrt(d)`` part, and one division by ``L**deg`` ends the sum.  A
-    coefficient multiplies its term's product last, so a ``Fraction`` costs
-    one rational product per term.  When the values and the coefficients
-    carry two radicands, :func:`_value_in_order` evaluates instead, as that
-    can raise :class:`~linnij.errors.RadicandMismatchError`.
+
+def _scaling_inflates(values: Sequence, top: Sequence[int], scale: int) -> bool:
+    """True when the common denominator ``scale`` has more bits than twice
+    those of the numerators and denominators of some nonzero value with a
+    positive top exponent, plus :data:`_SCALE_SLACK`.  Each power of such a
+    value would grow by the bits of ``scale`` in a scaled row but by its own
+    in a narrow one; below the bound a scaled row, and the powers of
+    ``scale`` that bring a polynomial's terms to one degree, stay within a
+    constant factor of the narrow rows' size."""
+    limit = scale.bit_length() - _SCALE_SLACK
+    for v, e in zip(values, top):
+        if e and v:
+            kind = type(v)
+            if kind is int:
+                bits = v.bit_length()
+            elif kind is Fraction:
+                bits = v.numerator.bit_length() + v.denominator.bit_length()
+            else:
+                bits = (v.rat.numerator.bit_length() + v.rat.denominator.bit_length()
+                        + v.irr.numerator.bit_length() + v.irr.denominator.bit_length())
+            if 2 * bits < limit:
+                return True
+    return False
+
+
+def _narrow_rows(values: Sequence, top: Sequence[int]) -> list:
+    """The narrow rows of a power table: :func:`powers_of` each value up to
+    its top exponent, None when that is 0."""
+    return [powers_of(v, e) if e else None for v, e in zip(values, top)]
+
+
+def _value_at(p: Poly, table: tuple) -> Coefficient:
+    """The value of ``p`` at the point of ``table`` (:func:`_power_table`),
+    whose rows reach at least the highest exponent of each variable in
+    ``p``: an ``int``, a ``Fraction``, or a ``Scalar`` with a nonzero
+    irrational part.
+
+    Over narrow rows each term is its coefficient times its variables'
+    entries in index order, in the narrow types, and the terms are summed
+    in turn; at an integer point, which comes with the narrow rings of
+    sigma Jacobians, a test per exponent there costs less than ``compress``.
+    Over scaled rows each term walks only its nonzero exponents, and its
+    product of table entries is ``L**k`` times its value, for k the term's
+    degree.  The sum is kept as ``L**deg`` times the sum so far, for deg
+    the highest degree of a term so far: a term of lower degree is scaled
+    up by ``L**(deg - k)``, and one of higher degree scales the sum up
+    instead.  The terms sum as two ints, the rational and the ``sqrt(d)``
+    part, and one division by ``L**deg`` ends the sum.  A coefficient
+    multiplies its term's product last, so a ``Fraction`` costs one
+    rational product per term.  A coefficient whose radicand is not the
+    point's sends the whole sum to the narrow rows, where
+    :class:`~linnij.errors.RadicandMismatchError` is raised, or not, as
+    the narrow products and sums decide.
     """
-    rows, scale, rad, _ = table
-    if scale == 1 and rad == 0:
+    rows, scale, rad, values = table
+    if rad is None:
         total = 0
         for exps, coeff in p.terms.items():
             for row, e in zip(rows, exps):
@@ -614,14 +662,13 @@ def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
             else:
                 total += coeff
         return total if type(total) is int else _narrow(total)
-    if rad is None:
-        return _value_in_order(p, table)
     total_a = total_b = deg = 0
     for exps, coeff in p.terms.items():
         kind = type(coeff)
         if kind is Scalar and coeff.rad != rad:
             if rad:
-                return _value_in_order(p, table)
+                top = [len(row) - 1 if row else 0 for row in rows]
+                return _value_at(p, (_narrow_rows(values, top), 1, None, values))
             # no value is irrational: this radicand is the only one so far
             rad = coeff.rad
         a, b, k = 1, 0, 0
@@ -661,33 +708,6 @@ def _value_at(p: Poly, table: _PowerTable) -> Coefficient:
         return Scalar._new(Fraction(total_a, denominator),
                            Fraction(total_b, denominator), rad)
     return _narrow(Fraction(total_a, denominator))
-
-
-def _value_in_order(p: Poly, table: _PowerTable) -> Coefficient:
-    """:func:`_value_at` when two radicands take part, in ``Scalar``
-    arithmetic: each term is its coefficient times its variables' entries
-    in index order, and the terms are summed in turn.
-    :class:`~linnij.errors.RadicandMismatchError` is raised when an
-    irrational partial product or sum meets an irrational factor or term of
-    another radicand; the table's scaling by powers of L, a nonzero
-    rational, makes no partial result rational or irrational."""
-    rows, scale, _, radicands = table
-    terms = p.terms
-    deg = max(map(sum, terms), default=0)
-    total = ZERO
-    for exps, coeff in terms.items():
-        term = Scalar._coerce(coeff)
-        for i in compress(range(p.nvars), exps):
-            row = rows[i]
-            if row is None:
-                break
-            x = row[exps[i]]
-            if type(x) is tuple:
-                x = Scalar._new(Fraction(x[0]), Fraction(x[1]), radicands[i])
-            term = term * x
-        else:
-            total = total + term * scale ** (deg - sum(exps))
-    return _narrow(total * Fraction(1, scale ** deg))
 
 
 # what a dot over scalar rows multiplies; Fraction, an ABC, is checked last

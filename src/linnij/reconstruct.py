@@ -556,11 +556,11 @@ def check_solution(
     The equations must not involve the geometric variables.  The
     assignment must cover every parameter and alpha unknown that occurs in
     the system; unknown or missing names are errors, not failures.  The
-    assignment becomes one integer power table (``polyring._power_table``:
-    the values over one common denominator, a ``sqrt(d)`` value as a pair
-    of ints), built once, and every equation is summed against it by the
-    one evaluation kernel ``polyring._value_at``.  A residual is a
-    ``Scalar``.
+    assignment becomes one power table (``polyring._power_table``: the
+    values over one common denominator, a ``sqrt(d)`` value as a pair of
+    ints, unless that would inflate it), built once, and every equation is
+    summed against it by the one evaluation kernel
+    ``polyring._value_at``.  A residual is a ``Scalar``.
     """
     top = top_exponents(len(system.names), (eq.poly for eq in system.equations))
     geometric = [name for name, e in zip(system.geo_names(), top) if e]

@@ -255,14 +255,26 @@ def test_unprintable_number_exits_2(runner, tmp_path, command):
         "integer of 4772 digits is longer than the interpreter converts"]
 
 
-@pytest.mark.parametrize("value", ["3", "1/3"])
-def test_check_solution_of_a_huge_power_exits_2(runner, tmp_path, value):
+HUGE_POWER_LISTINGS = {
     # a^10000 - 1 is 3^10000 - 1 at a = 3 and (1 - 3^10000)/3^10000 at
     # a = 1/3, both too long to print; the power table reaches a^10000
+    "a = 3": UNPRINTABLE_INPUTS["check-solution"]["listing.txt"],
+    "a = 1/3": UNPRINTABLE_INPUTS["check-solution"]["listing.txt"],
+    # b's 2808-bit denominator must not enter the powers of a: over one
+    # common denominator they would reach (3*7^1000)^10000
+    "a = 3\nb = 1/7^1000": "# linearity system\n# case: 3\n# geometric: x1 x2 x3\n"
+                            "# symbols: a b\n# equations: 2\n"
+                            "P1 (2,1) x1 :: a^10000 - 1 = 0\n"
+                            "P1 (2,1) x2 :: b - 1 = 0\n",
+}
+
+
+@pytest.mark.parametrize("values", list(HUGE_POWER_LISTINGS))
+def test_check_solution_of_a_huge_power_exits_2(runner, tmp_path, values):
     listing = tmp_path / "listing.txt"
-    listing.write_text(UNPRINTABLE_INPUTS["check-solution"]["listing.txt"])
+    listing.write_text(HUGE_POWER_LISTINGS[values])
     assignment = tmp_path / "assignment.txt"
-    assignment.write_text("a = %s\n" % value)
+    assignment.write_text(values + "\n")
     start = time.monotonic()
     result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
     assert time.monotonic() - start < 1

@@ -131,6 +131,18 @@ def test_two_radicands_evaluate_as_the_narrow_evaluation_did_seeded():
     assert seen == {"value", "RadicandMismatchError"}
 
 
+def test_a_long_denominator_keeps_the_narrow_rows_seeded():
+    # 7^40 has 113 bits, far more than 3 has: over one common denominator
+    # the powers of 3 would carry 7^40 each, so the table keeps the narrow
+    # rows (its radicand slot is None), and the values stay the same
+    rng = random.Random(40)
+    for _ in range(100):
+        polys = [random_poly(rng, 3) for _ in range(4)]
+        point = [3, Fraction(1, 7**40), random_value(rng)]
+        assert _power_table(point, [4, 4, 4])[2] is None
+        assert_kernel_matches_reference(polys, point)
+
+
 def test_two_radicands_at_one_point():
     names = ["x1", "x2", "x3"]
     point = [Scalar(0, 1, 2), Scalar(Fraction(1, 2), Fraction(1, 3), 3), Fraction(1, 2)]
