@@ -1,10 +1,37 @@
 """Exact sparse multivariate polynomials over quadratic-field scalars.
 
-A polynomial over ``nvars`` variables is a mapping from exponent tuples to
+A polynomial over ``nvars`` variables is a mapping from monomials to
 nonzero coefficients.  The zero polynomial is the empty mapping.  All
 monomial comparisons use one global order, graded lexicographic with
 ``x1 > x2 > ...``: total degree first, ties by tuple comparison of the
 exponent vectors.
+
+A monomial is stored as one packed int, its key.  For a field width W and
+exponents ``e0 .. e(n-1)`` of total degree ``deg`` the key is::
+
+    deg << W*n | e0 << W*(n-1) | ... | e(n-1)
+
+with variable 0 the most significant field below the degree.  Plain int
+order of keys is then the graded lex order, a monomial product is one
+int addition, and :func:`exact_divide` takes its leading term with a plain
+``max``.  No field ever holds more than the degree, so the keys of a
+polynomial whose degree is below ``2**W`` never carry from one field into
+the next.  Each polynomial carries its own W, the narrowest of the ladder
+8, 16, 32, 64, ... that holds its degree when it is built from exponent
+tuples, and at least that of its operands when a ring operation builds it.
+The overflow rule: before a product is formed, its degree, the sum of its
+factors' degrees, is checked against ``2**W``, and the one repacking helper
+``_repack`` moves an operand, or a partial sum, to a wider W first
+(``_product_width``).  A sum, a derivative, a substitution and a quotient
+never raise the degree, so they only bring their operands to the wider of
+their widths.  Exponents are Python ints, so any degree has a width.
+
+``Poly.packed`` is the one stored term dict, from key to coefficient, and
+``Poly.width`` its W.  :attr:`Poly.terms` is a read-only view of it keyed
+by exponent tuples, built on demand for callers and tests that read
+tuples.  ``_fields`` lists the nonzero exponents of a key by shift and
+mask, in ascending index order, so the kernels that read exponents
+(evaluation, derivatives, substitution, printing) walk only those.
 
 Each coefficient is held in its narrowest exact type: an ``int`` when it is
 integral, a :class:`~fractions.Fraction` when it is rational, and a
@@ -22,13 +49,14 @@ The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
 which compares below every integer.
 
 Validation happens once, in the public constructor ``Poly(nvars, terms)``:
-every exponent tuple must have ``nvars`` nonnegative entries, every
-coefficient must be an ``int``, a ``Fraction`` or a ``Scalar`` (anything
-else, a float included, is a ``TypeError``) and is narrowed, and zero
-coefficients are dropped.  The same holds for ``Poly.constant``,
-``Poly.monomial`` and ``Poly.scale``.  Results of ring operations are built
-from terms the ring produced itself, through the private ``Poly._new``, and
-are not checked again.
+every exponent tuple must have ``nvars`` entries, each a nonnegative
+``int`` (``TypeError`` for any other type, ``bool`` and ``float``
+included), every coefficient must be an ``int``, a ``Fraction`` or a
+``Scalar`` (anything else, a float included, is a ``TypeError``) and is
+narrowed, and zero coefficients are dropped.  The same holds for
+``Poly.constant``, ``Poly.monomial`` and ``Poly.scale``.  Results of ring
+operations are built from terms the ring produced itself, through the
+private ``Poly._new``, and are not checked again.
 
 Two private kernels add terms into a coefficient dict, narrowing every
 result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
@@ -65,7 +93,7 @@ narrow product or sum meets two radicands.
 and :func:`powers_of` the narrow power rows of such tables and of
 :meth:`Poly.substitute`.
 
-The term dict ``Poly.terms`` is read here and by the parser in
+The packed dict is read here and by the parser and printer in
 :mod:`linnij.textio` only; other modules use :func:`top_exponents`,
 :meth:`Poly.gradient`, :meth:`Poly.linear_terms` (and its dense form
 :meth:`Poly.linear_coefficients`) and :meth:`Poly.involves`.
@@ -73,10 +101,10 @@ The term dict ``Poly.terms`` is read here and by the parser in
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from itertools import compress
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -91,61 +119,119 @@ Exponents = tuple[int, ...]
 Coefficient = int | Fraction | Scalar
 _EXACT = (int, Fraction, Scalar)
 
+# the narrowest field width; every wider one doubles it
+_MIN_WIDTH = 8
+
 
 def grlex_key(exponents: Exponents) -> tuple:
     return (sum(exponents), exponents)
 
 
+def _width_for(degree: int) -> int:
+    """The narrowest width of the ladder 8, 16, 32, ... whose fields hold
+    ``degree``."""
+    width = _MIN_WIDTH
+    while degree >> width:
+        width *= 2
+    return width
+
+
+def _pack(exps: Exponents, width: int) -> int:
+    """The key of an exponent tuple at ``width``, whose fields must hold
+    its degree."""
+    key = sum(exps)
+    for e in exps:
+        key = key << width | e
+    return key
+
+
+def _unpack(key: int, nvars: int, width: int) -> Exponents:
+    """The exponent tuple of a key."""
+    mask = (1 << width) - 1
+    return tuple(key >> shift & mask for shift in range(width * (nvars - 1), -1, -width))
+
+
+@lru_cache(maxsize=1 << 12)
+def _fields(key: int, nvars: int, width: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero exponents of a key as ``(index, exponent)`` pairs, in
+    ascending index order, found from the top bit down.  The same keys
+    recur across the polynomials of a ring, so the answers are kept."""
+    low = key & ((1 << width * nvars) - 1)
+    out = []
+    while low:
+        field = (low.bit_length() - 1) // width
+        shift = field * width
+        out.append((nvars - 1 - field, low >> shift))
+        low &= (1 << shift) - 1
+    return tuple(out)
+
+
 class Poly:
     """A sparse polynomial with exact coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "width", "packed")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
-        cleaned: dict[Exponents, Coefficient] = {}
+        cleaned = []
+        degree = 0
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise DimensionMismatchError(
                         "exponent tuple %r does not have %d entries" % (exps, nvars)
                     )
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent in %r" % (exps,))
+                for e in exps:
+                    if type(e) is not int:
+                        raise TypeError("exponent %r in %r is not an int" % (e, exps))
+                    if e < 0:
+                        raise ValueError("negative exponent in %r" % (exps,))
                 coeff = _exact(coeff)
                 if coeff:
-                    cleaned[tuple(exps)] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
+                    cleaned.append((exps, coeff))
+                    degree = max(degree, sum(exps))
+        width = _width_for(degree)
+        _set_nvars(self, nvars)
+        _set_width(self, width)
+        _set_packed(self, {_pack(exps, width): coeff for exps, coeff in cleaned})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def _new(nvars: int, terms: dict[Exponents, Coefficient]) -> "Poly":
-        """Trusted constructor: ``terms`` is taken as is, and must map
-        ``nvars``-entry tuples of nonnegative ints to nonzero coefficients
-        in their narrowest type."""
+    def _new(nvars: int, width: int, packed: dict[int, Coefficient]) -> "Poly":
+        """Trusted constructor: ``packed`` is taken as is, and must map keys
+        of ``nvars`` fields of ``width`` bits, degree below ``2**width``, to
+        nonzero coefficients in their narrowest type."""
         out = _new_object(Poly)
         _set_nvars(out, nvars)
-        _set_terms(out, terms)
+        _set_width(out, width)
+        _set_packed(out, packed)
         return out
+
+    @property
+    def terms(self) -> Mapping[Exponents, Coefficient]:
+        """A read-only view of the terms keyed by exponent tuples, built on
+        each access from the packed dict."""
+        nvars, width = self.nvars, self.width
+        return MappingProxyType({_unpack(key, nvars, width): coeff
+                                 for key, coeff in self.packed.items()})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return Poly._new(nvars, _MIN_WIDTH, {})
 
     @staticmethod
     def constant(nvars: int, value) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: value})
+        value = _exact(value)
+        return Poly._new(nvars, _MIN_WIDTH, {0: value} if value else {})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
-        exps = (0,) * index + (1,) + (0,) * (nvars - index - 1)
-        return Poly._new(nvars, {exps: 1})
+        return Poly._new(nvars, _MIN_WIDTH, {_unit(nvars, _MIN_WIDTH, index): 1})
 
     @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff) -> "Poly":
@@ -154,42 +240,52 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def degree(self):
-        if not self.terms:
+        if not self.packed:
             return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
+        return max(self.packed) >> self.width * self.nvars
 
     def is_homogeneous(self, k: int) -> bool:
-        return all(sum(e) == k for e in self.terms)
+        shift = self.width * self.nvars
+        return all(key >> shift == k for key in self.packed)
 
     def is_homogeneous_in(self, k: int, indices: Iterable[int]) -> bool:
-        idx = tuple(indices)
-        return all(sum(e[i] for i in idx) == k for e in self.terms)
+        width, nvars = self.width, self.nvars
+        mask = (1 << width) - 1
+        shifts = [width * (nvars - 1 - i) for i in indices]
+        return all(sum(key >> s & mask for s in shifts) == k for key in self.packed)
 
     def leading(self) -> tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) in graded lex order."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, Scalar._coerce(self.terms[exps])
+        key = max(self.packed)
+        return _unpack(key, self.nvars, self.width), Scalar._coerce(self.packed[key])
 
     def coefficient(self, exponents: Iterable[int]) -> Scalar:
-        return Scalar._coerce(self.terms.get(tuple(exponents), 0))
+        exps = tuple(exponents)
+        # a tuple no term can have is not packed: its fields could carry
+        if len(exps) != self.nvars or min(exps, default=0) < 0 or sum(exps) >> self.width:
+            return ZERO
+        return Scalar._coerce(self.packed.get(_pack(exps, self.width), 0))
 
     def linear_terms(self) -> dict[int, Scalar] | None:
         """The nonzero coefficient of each variable as ``{index: Scalar}``,
         when the polynomial is homogeneous of degree one (or zero); else
         None."""
+        width, nvars = self.width, self.nvars
+        one = 1 << width * nvars
         coeffs = {}
-        for exps, coeff in self.terms.items():
-            if sum(exps) != 1:
+        for key, coeff in self.packed.items():
+            if key >> width * nvars != 1:
                 return None
-            coeffs[exps.index(1)] = Scalar._coerce(coeff)
+            # the one exponent is the one set bit below the degree
+            coeffs[nvars - 1 - (key - one).bit_length() // width] = Scalar._coerce(coeff)
         return coeffs
 
     def linear_coefficients(self) -> list[Scalar] | None:
@@ -203,23 +299,25 @@ class Poly:
             coeffs[i] = coeff
         return coeffs
 
-    def involves(self, indices: Sequence[int]) -> bool:
+    def involves(self, indices: Iterable[int]) -> bool:
         """True when some term has a positive exponent at one of
-        ``indices``, which is iterated once per term."""
-        return any(exps[i] for exps in self.terms for i in indices)
+        ``indices``."""
+        mask = _field_mask(self.nvars, self.width, indices)
+        return any(key & mask for key in self.packed)
 
     def constant_value(self) -> Scalar:
         """The value of a degree-<=0 polynomial as a scalar."""
-        if not self.terms:
+        if not self.packed:
             return ZERO
         if self.degree() > 0:
             raise ValueError("polynomial is not constant")
-        return Scalar._coerce(next(iter(self.terms.values())))
+        return Scalar._coerce(self.packed[0])
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded lex order (leading first)."""
-        return [(exps, Scalar._coerce(self.terms[exps]))
-                for exps in sorted(self.terms, key=grlex_key, reverse=True)]
+        nvars, width, packed = self.nvars, self.width, self.packed
+        return [(_unpack(key, nvars, width), Scalar._coerce(packed[key]))
+                for key in sorted(packed, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -235,7 +333,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._new(self.nvars, {e: -v for e, v in self.terms.items()})
+        return Poly._new(self.nvars, self.width, {k: -v for k, v in self.packed.items()})
 
     def __sub__(self, other):
         return _accumulate(self, other, True)
@@ -248,7 +346,8 @@ class Poly:
         if not c:
             return Poly.zero(self.nvars)
         # a field has no zero divisors, so no product vanishes
-        return Poly._new(self.nvars, {e: _narrow(v * c) for e, v in self.terms.items()})
+        return Poly._new(self.nvars, self.width,
+                         {k: _narrow(v * c) for k, v in self.packed.items()})
 
     def __mul__(self, other):
         if isinstance(other, _EXACT):
@@ -256,7 +355,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        return Poly._new(self.nvars, _add_products({}, self.terms, other.terms))
+        return _dot_at((self,), (other,), (0,), self.nvars)
 
     __rmul__ = __mul__
 
@@ -270,9 +369,16 @@ class Poly:
             other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        if self.width == other.width:
+            return self.packed == other.packed
+        width = max(self.width, other.width)
+        return (_repack(self.packed, self.nvars, self.width, width)
+                == _repack(other.packed, other.nvars, other.width, width))
 
     def __hash__(self):
+        # by exponent tuples, as equal polynomials may differ in width
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus and substitution -----------------------------------------
@@ -281,26 +387,24 @@ class Poly:
         """The nonzero partial derivatives as ``{index: partial}``, in
         ascending index order, from one pass over the terms: by every
         variable, or only by those in ``indices``."""
-        nvars = self.nvars
+        nvars, width = self.nvars, self.width
         wanted = None
         if indices is not None:
             wanted = frozenset(indices)
             for i in wanted:
                 if not 0 <= i < nvars:
                     raise DimensionMismatchError("variable index %d out of range" % i)
-        every = range(nvars)
-        acc: dict[int, dict[Exponents, Coefficient]] = {}
-        for exps, coeff in self.terms.items():
-            for i in compress(every, exps):
+        units = [_unit(nvars, width, i) for i in range(nvars)]
+        acc: dict[int, dict[int, Coefficient]] = {}
+        for key, coeff in self.packed.items():
+            for i, e in _fields(key, nvars, width):
                 if wanted is not None and i not in wanted:
                     continue
-                e = exps[i]
                 # lowering one exponent maps distinct monomials to distinct
                 # ones, and coeff * e is nonzero for e >= 1
-                lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
                 c = coeff if e == 1 else _narrow(coeff * e)
-                acc.setdefault(i, {})[lowered] = c
-        return {i: Poly._new(nvars, acc[i]) for i in sorted(acc)}
+                acc.setdefault(i, {})[key - units[i]] = c
+        return {i: Poly._new(nvars, width, acc[i]) for i in sorted(acc)}
 
     def partial(self, index: int) -> "Poly":
         """Partial derivative with respect to variable ``index``."""
@@ -324,40 +428,48 @@ class Poly:
         images = [dot(row, ys, zero) for row in matrix]
         powers: dict[tuple[int, int], Poly] = {}
         monomials = []
-        for exps in self.terms:
+        for key in self.packed:
             monomial = Poly.constant(ncols, 1)
-            for i, e in enumerate(exps):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = images[i] ** e
-                    monomial = monomial * powers[i, e]
+            for i, e in _fields(key, self.nvars, self.width):
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                monomial = monomial * powers[i, e]
             monomials.append(monomial)
-        return dot(self.terms.values(), monomials, zero)
+        return dot(self.packed.values(), monomials, zero)
 
     def substitute(self, values: Mapping[int, Scalar]) -> "Poly":
         """Evaluate some variables at scalar values (others stay symbolic).
 
         Each substituted variable's powers are built once, up to the highest
-        exponent it carries, and every image coefficient is narrowed.
+        exponent it carries, and every image coefficient is narrowed.  A
+        term's coefficient is multiplied by its powers in the order of
+        ``values``.
         """
+        nvars, width = self.nvars, self.width
         for i in values:
-            if not 0 <= i < self.nvars:
+            if not 0 <= i < nvars:
                 raise DimensionMismatchError("variable index %d out of range" % i)
-        top = top_exponents(self.nvars, (self,))
-        powers = [(i, powers_of(value, top[i])) for i, value in values.items()]
+        top = top_exponents(nvars, (self,))
+        mask = (1 << width) - 1
+        rows = [(width * (nvars - 1 - i), powers_of(value, top[i]))
+                for i, value in values.items()]
+        hit = _field_mask(nvars, width, values)
         images = []
-        for exps, coeff in self.terms.items():
-            new_exps = list(exps)
-            for i, row in powers:
-                e = exps[i]
-                if e:
-                    if row is None:
-                        break
-                    coeff = coeff * row[e]
-                    new_exps[i] = 0
+        for key, coeff in self.packed.items():
+            if key & hit:
+                for shift, row in rows:
+                    e = key >> shift & mask
+                    if e:
+                        if row is None:
+                            break
+                        coeff = coeff * row[e]
+                        # the exponent leaves its field and the degree
+                        key -= (e << width * nvars) + (e << shift)
+                else:
+                    images.append((key, _narrow(coeff)))
             else:
-                images.append((tuple(new_exps), _narrow(coeff)))
-        return Poly._new(self.nvars, _add_terms({}, images))
+                images.append((key, coeff))
+        return Poly._new(nvars, width, _add_terms({}, images))
 
     def evaluate(self, point: list[Scalar]) -> Scalar:
         """The value at a point: every variable substituted."""
@@ -370,14 +482,13 @@ class Poly:
         """View the polynomial inside a larger ring, variables shifted by offset."""
         if offset < 0 or offset + self.nvars > nvars:
             raise DimensionMismatchError("embedding does not fit")
-        tail = nvars - offset - self.nvars
-        return Poly._new(
-            nvars,
-            {
-                (0,) * offset + exps + (0,) * tail: coeff
-                for exps, coeff in self.terms.items()
-            },
-        )
+        width, n = self.width, self.nvars
+        tail = width * (nvars - offset - n)
+        low = (1 << width * n) - 1
+        top = width * nvars
+        return Poly._new(nvars, width, {
+            (key >> width * n) << top | (key & low) << tail: coeff
+            for key, coeff in self.packed.items()})
 
     def group_by(self, indices: Iterable[int]) -> dict[Exponents, "Poly"]:
         """Split into coefficient polynomials of the monomials in ``indices``.
@@ -387,18 +498,27 @@ class Poly:
         in the full ring with zeroed exponents at the grouped positions.
         """
         idx = tuple(indices)
-        groups: dict[Exponents, dict[Exponents, Coefficient]] = {}
-        for exps, coeff in self.terms.items():
-            key = tuple(exps[i] for i in idx)
-            rest = list(exps)
-            for i in idx:
-                rest[i] = 0
-            groups.setdefault(key, {})[tuple(rest)] = coeff
-        return {k: Poly._new(self.nvars, v) for k, v in groups.items()}
+        nvars, width = self.nvars, self.width
+        mask = (1 << width) - 1
+        shifts = [width * (nvars - 1 - i) for i in idx]
+        grouped = _field_mask(nvars, width, idx)
+        # each distinct restriction: its tuple and what leaves the key
+        restrictions: dict[int, tuple[Exponents, int]] = {}
+        groups: dict[Exponents, dict[int, Coefficient]] = {}
+        for key, coeff in self.packed.items():
+            part = key & grouped
+            seen = restrictions.get(part)
+            if seen is None:
+                degree = sum(e for _, e in _fields(part, nvars, width))
+                seen = restrictions[part] = (
+                    tuple(part >> s & mask for s in shifts),
+                    part + (degree << width * nvars))
+            groups.setdefault(seen[0], {})[key - seen[1]] = coeff
+        return {k: Poly._new(nvars, width, v) for k, v in groups.items()}
 
     def radicand(self) -> int:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
-        for coeff in self.terms.values():
+        for coeff in self.packed.values():
             if type(coeff) is Scalar:
                 return coeff.rad
         return 0
@@ -411,7 +531,42 @@ class Poly:
 
 # Slot setters that bypass the immutability guard, for ``Poly._new``.
 _set_nvars = Poly.nvars.__set__
-_set_terms = Poly.terms.__set__
+_set_width = Poly.width.__set__
+_set_packed = Poly.packed.__set__
+
+
+def _unit(nvars: int, width: int, index: int) -> int:
+    """The key of the variable ``index``."""
+    return 1 << width * nvars | 1 << width * (nvars - 1 - index)
+
+
+def _field_mask(nvars: int, width: int, indices: Iterable[int]) -> int:
+    """The bits of the fields of ``indices`` in a key."""
+    field = (1 << width) - 1
+    mask = 0
+    for i in indices:
+        mask |= field << width * (nvars - 1 - i)
+    return mask
+
+
+def _repack(packed: dict[int, Coefficient], nvars: int, width: int,
+            new_width: int) -> dict[int, Coefficient]:
+    """A packed dict of ``nvars`` fields of ``width`` bits at a width no
+    narrower, the dict itself when the widths agree: the one repacking
+    helper."""
+    if width == new_width:
+        return packed
+    return {_pack(_unpack(key, nvars, width), new_width): coeff
+            for key, coeff in packed.items()}
+
+
+def _product_width(p: Poly, q: Poly) -> int:
+    """The width at which the product of the nonzero ``p`` and ``q`` is
+    formed: the wider of theirs, widened until it holds the sum of their
+    degrees."""
+    width = p.width if p.width >= q.width else q.width
+    degree = (max(p.packed) >> p.width * p.nvars) + (max(q.packed) >> q.width * q.nvars)
+    return width if degree >> width == 0 else _width_for(degree)
 
 
 def _accumulate(p: Poly, other, subtract: bool):
@@ -421,7 +576,11 @@ def _accumulate(p: Poly, other, subtract: bool):
             return NotImplemented
         other = Poly.constant(p.nvars, other)
     p._check_compatible(other)
-    return Poly._new(p.nvars, _add_terms(dict(p.terms), other.terms.items(), subtract))
+    nvars = p.nvars
+    width = p.width if p.width >= other.width else other.width
+    terms = dict(_repack(p.packed, nvars, p.width, width))
+    return Poly._new(nvars, width, _add_terms(
+        terms, _repack(other.packed, nvars, other.width, width).items(), subtract))
 
 
 def _narrow(value):
@@ -482,36 +641,43 @@ def _add_products(acc: dict, left: dict, right: dict) -> dict:
     """Add every product of a term of ``left`` and a term of ``right`` (term
     dicts with nonzero narrow coefficients, so no product vanishes in a
     field) into the term dict ``acc``, and return it; a sum that cancels is
-    dropped.  Products and sums are narrowed: two fractions can multiply or
+    dropped.  All three dicts are packed at one width that holds the
+    products' degrees, so a monomial product is the sum of two keys.  Products and sums are narrowed: two fractions can multiply or
     add to an integer, and two irrational scalars to a rational."""
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            exps = tuple(map(operator.add, e1, e2))
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            key = k1 + k2
             prod = c1 * c2
             if type(prod) is not int:
                 prod = _narrow(prod)
-            cur = acc.get(exps)
+            cur = acc.get(key)
             if cur is None:
-                acc[exps] = prod
+                acc[key] = prod
                 continue
             total = cur + prod
             if type(total) is not int:
                 total = _narrow(total)
             if total:
-                acc[exps] = total
+                acc[key] = total
             else:
-                del acc[exps]
+                del acc[key]
     return acc
 
 
 def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
     """The highest exponent of each of ``nvars`` variables over ``polys``:
     how far a :func:`_power_table` must reach for :func:`_value_at`."""
-    exps = set()
+    keys: dict[int, set[int]] = {}
     for p in polys:
         # a term dict hands its keys' hashes over, so repeats cost little
-        exps.update(p.terms)
-    return [max(column) for column in zip((0,) * nvars, *exps)]
+        keys.setdefault(p.width, set()).update(p.packed)
+    top = [0] * nvars
+    for width, group in keys.items():
+        for key in group:
+            for i, e in _fields(key, nvars, width):
+                if e > top[i]:
+                    top[i] = e
+    return top
 
 
 def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
@@ -633,37 +799,37 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
     ``p``: an ``int``, a ``Fraction``, or a ``Scalar`` with a nonzero
     irrational part.
 
-    Over narrow rows each term is its coefficient times its variables'
-    entries in index order, in the narrow types, and the terms are summed
-    in turn; at an integer point, which comes with the narrow rings of
-    sigma Jacobians, a test per exponent there costs less than ``compress``.
-    Over scaled rows each term walks only its nonzero exponents, and its
-    product of table entries is ``L**k`` times its value, for k the term's
-    degree.  The sum is kept as ``L**deg`` times the sum so far, for deg
-    the highest degree of a term so far: a term of lower degree is scaled
-    up by ``L**(deg - k)``, and one of higher degree scales the sum up
-    instead.  The terms sum as two ints, the rational and the ``sqrt(d)``
-    part, and one division by ``L**deg`` ends the sum.  A coefficient
-    multiplies its term's product last, so a ``Fraction`` costs one
-    rational product per term.  A coefficient whose radicand is not the
-    point's sends the whole sum to the narrow rows, where
-    :class:`~linnij.errors.RadicandMismatchError` is raised, or not, as
-    the narrow products and sums decide.
+    Each term walks only its nonzero exponents (``_fields``).  Over narrow
+    rows each term is its coefficient times its variables' entries in
+    index order, in the narrow types, and the terms are summed in turn.
+    Over scaled rows a term's product of table entries is ``L**k`` times
+    its value, for k the term's degree, read off its key.  The sum is kept
+    as ``L**deg`` times the sum so far, for deg the highest degree of a
+    term so far: a term of lower degree is scaled up by ``L**(deg - k)``,
+    and one of higher degree scales the sum up instead.  The terms sum as
+    two ints, the rational and the ``sqrt(d)`` part, and one division by
+    ``L**deg`` ends the sum.  A coefficient multiplies its term's product
+    last, so a ``Fraction`` costs one rational product per term.  A
+    coefficient whose radicand is not the point's sends the whole sum to
+    the narrow rows, where :class:`~linnij.errors.RadicandMismatchError`
+    is raised, or not, as the narrow products and sums decide.
     """
     rows, scale, rad, values = table
+    nvars, width = p.nvars, p.width
     if rad is None:
         total = 0
-        for exps, coeff in p.terms.items():
-            for row, e in zip(rows, exps):
-                if e:
-                    if row is None:
-                        break
-                    coeff *= row[e]
+        for key, coeff in p.packed.items():
+            for i, e in _fields(key, nvars, width):
+                row = rows[i]
+                if row is None:
+                    break
+                coeff *= row[e]
             else:
                 total += coeff
         return total if type(total) is int else _narrow(total)
+    shift = width * nvars
     total_a = total_b = deg = 0
-    for exps, coeff in p.terms.items():
+    for key, coeff in p.packed.items():
         kind = type(coeff)
         if kind is Scalar and coeff.rad != rad:
             if rad:
@@ -671,12 +837,12 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
                 return _value_at(p, (_narrow_rows(values, top), 1, None, values))
             # no value is irrational: this radicand is the only one so far
             rad = coeff.rad
-        a, b, k = 1, 0, 0
-        for row, e in compress(zip(rows, exps), exps):
+        a, b = 1, 0
+        for i, e in _fields(key, nvars, width):
+            row = rows[i]
             if row is None:
                 break
             x = row[e]
-            k += e
             if type(x) is int:
                 a *= x
                 b *= x
@@ -684,6 +850,7 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
                 x0, x1 = x
                 a, b = a * x0 + rad * b * x1, a * x1 + b * x0
         else:
+            k = key >> shift
             if k < deg:
                 m = scale ** (deg - k)
                 a *= m
@@ -721,8 +888,8 @@ def dot(left, right, zero):
     of both; ``zero`` is the sum when every product is skipped.  Every
     factor's type is checked before a zero one is skipped, so a float
     factor, zero or not, raises ``TypeError``.  When ``zero`` is a
-    :class:`Poly`, every factor is read as a term dict, so a zero factor is
-    an empty dict.
+    :class:`Poly`, every factor is read as a polynomial of its ring, so a
+    zero factor is the zero polynomial.
     """
     if not isinstance(zero, Poly):
         total = zero
@@ -734,44 +901,57 @@ def dot(left, right, zero):
                 total = total + p * q
         return total
     nvars = zero.nvars
-    terms: dict[Exponents, Coefficient] = {}
+    lefts, rights = [], []
     for p, q in zip(left, right):
-        # the usual factor, a Poly of the ring, is read without a call;
-        # _terms_in checks and converts any other
-        p = p.terms if type(p) is Poly and p.nvars == nvars else _terms_in(p, zero)
-        q = q.terms if type(q) is Poly and q.nvars == nvars else _terms_in(q, zero)
-        if p and q:
-            _add_products(terms, p, q)
-    return Poly._new(nvars, terms)
+        # the usual factor, a Poly of the ring, is taken without a call;
+        # _poly_in checks and converts any other
+        lefts.append(p if type(p) is Poly and p.nvars == nvars else _poly_in(p, zero))
+        rights.append(q if type(q) is Poly and q.nvars == nvars else _poly_in(q, zero))
+    return _dot_at(lefts, rights, range(len(lefts)), nvars)
 
 
 def _support(row: Sequence[Poly]) -> list[int]:
     """The positions of the nonzero polynomials in ``row``."""
-    return [i for i, p in enumerate(row) if p.terms]
+    return [i for i, p in enumerate(row) if p.packed]
 
 
 def _dot_at(left: Sequence[Poly], right: Sequence[Poly], indices: Iterable[int],
             nvars: int) -> Poly:
     """:func:`dot` of two rows of polynomials over the same ``nvars``
-    variables, summed over the positions in ``indices`` only: a caller
-    that knows where one row is zero passes its :func:`_support` and pays
-    for its nonzero entries alone."""
-    terms: dict[Exponents, Coefficient] = {}
+    variables, summed over the positions in ``indices`` only, in one term
+    dict: a caller that knows where one row is zero passes its
+    :func:`_support` and pays for its nonzero entries alone.  It is the
+    ring's one sum of products; ``*`` is its one-position case.
+
+    Two factors of the dict's width whose leading keys sum below the
+    degree field's top bit are multiplied as they are: the sum's degree
+    field is then the product's degree, and it fits.  Any other pair goes
+    through :func:`_product_width`, and the dict and the factors are
+    repacked to its width."""
+    terms: dict[int, Coefficient] = {}
+    width = _MIN_WIDTH
     for i in indices:
-        p, q = left[i].terms, right[i].terms
-        if p and q:
-            _add_products(terms, p, q)
-    return Poly._new(nvars, terms)
+        p, q = left[i], right[i]
+        a, b = p.packed, q.packed
+        if a and b:
+            if p.width != width or q.width != width or (max(a) + max(b)) >> width * (nvars + 1):
+                needed = _product_width(p, q)
+                if needed > width:
+                    terms = _repack(terms, nvars, width, needed)
+                    width = needed
+                a = _repack(a, nvars, p.width, width)
+                b = _repack(b, nvars, q.width, width)
+            _add_products(terms, a, b)
+    return Poly._new(nvars, width, terms)
 
 
-def _terms_in(factor, zero: Poly) -> dict:
-    """The term dict of a :func:`dot` factor: a scalar is a constant term,
-    and a zero scalar the empty dict."""
+def _poly_in(factor, zero: Poly) -> Poly:
+    """A :func:`dot` factor as a polynomial of the ring of ``zero``: a
+    scalar is a constant."""
     if isinstance(factor, Poly):
         zero._check_compatible(factor)
-        return factor.terms
-    factor = _exact(factor)
-    return {(0,) * zero.nvars: factor} if factor else {}
+        return factor
+    return Poly.constant(zero.nvars, factor)
 
 
 class DivisibilityFailure(Record):
@@ -794,17 +974,22 @@ def exact_divide(p: Poly, q: Poly) -> Poly | DivisibilityFailure:
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     p._check_compatible(q)
-    lead_exps = max(q.terms, key=grlex_key)
-    inverse = _reciprocal(q.terms[lead_exps])
+    nvars = p.nvars
+    # no term of the remainder or the quotient outgrows the degree of p
+    width = p.width if p.width >= q.width else q.width
+    divisor = _repack(q.packed, nvars, q.width, width)
+    lead = max(divisor)
+    inverse = _reciprocal(divisor[lead])
+    mask = (1 << width) - 1
+    lead_fields = [(width * (nvars - 1 - i), e) for i, e in _fields(lead, nvars, width)]
     # leading terms fall strictly, so no quotient term repeats
-    quotient: dict[Exponents, Coefficient] = {}
-    remainder = dict(p.terms)
+    quotient: dict[int, Coefficient] = {}
+    remainder = dict(_repack(p.packed, nvars, p.width, width))
     while remainder:
-        exps = max(remainder, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(exps, lead_exps))
-        if any(d < 0 for d in diff):
-            return DivisibilityFailure(Poly._new(p.nvars, remainder))
-        coeff = _narrow(remainder[exps] * inverse)
-        quotient[diff] = coeff
-        _add_products(remainder, {diff: -coeff}, q.terms)
-    return Poly._new(p.nvars, quotient)
+        key = max(remainder)
+        if any(key >> shift & mask < e for shift, e in lead_fields):
+            return DivisibilityFailure(Poly._new(nvars, width, remainder))
+        coeff = _narrow(remainder[key] * inverse)
+        quotient[key - lead] = coeff
+        _add_products(remainder, {key - lead: -coeff}, divisor)
+    return Poly._new(nvars, width, quotient)

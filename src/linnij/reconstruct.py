@@ -99,14 +99,14 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 
 #: The point path runs for sets of at least this many sigmas, a property of
 #: the input alone.  In-process best times, symbolic -> point path, in ms
-#: (2-CPU Xeon, Python 3.11, point values and elimination in int and
-#: Fraction), at n = 3, 4, 5 and 6: blocks 0.45 -> 0.60, 4.2 -> 1.4,
-#: 34 -> 3.3 and 3400 -> 11; L2 0.54 -> 0.69, 1.6 -> 1.2, 5.2 -> 1.9 and
-#: 14 -> 2.9; L1 0.44 -> 0.70, 0.84 -> 1.0, 2.3 -> 1.7 and 6.0 -> 2.5; the
-#: 23 catalog sets, all with n <= 3, 18.4 -> 21 to 28 over two runs.
-#: Below four sigmas the arithmetic at the points costs more than the
-#: adjugate it avoids.  At four the sparse L1 set still loses about
-#: 0.2 ms; every other set from four on gains.
+#: (2-CPU Xeon, Python 3.11, packed exponent keys, point values and
+#: elimination in int and Fraction), at n = 3, 4, 5 and 6: blocks 0.39 ->
+#: 0.81, 2.6 -> 1.3, 23 -> 4.8 and 600 -> 5.7; L2 0.33 -> 0.46, 0.97 ->
+#: 0.76, 2.8 -> 1.2 and 6.8 -> 1.7; L1 0.29 -> 0.48, 0.62 -> 0.74, 1.6 ->
+#: 1.2 and 3.6 -> 1.6; the 23 catalog sets, all with n <= 3, 17.2 -> 18.2
+#: to 19.5 over two runs.  Below four sigmas the arithmetic at the points
+#: costs more than the adjugate it avoids.  At four the sparse L1 set still
+#: loses about 0.1 ms; every other set from four on gains.
 POINT_PATH_MIN_SIGMAS = 4
 
 

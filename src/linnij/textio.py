@@ -10,9 +10,12 @@ and the catalog emit, they can read back.
 A term is built where it is read.  The product rule reads every factor in
 one loop over the tokens: any run of unary ``-``, a base (a variable, an
 integer literal, or a parenthesised sum or ``sqrt(int)`` group) and an
-optional ``^int``.  A variable goes into the term's exponent list and an
-integer into its rational coefficient, with no call per factor; after
-``/`` a factor must be constant.  Only a group is a
+optional ``^int``.  A variable adds its packed key (see
+:mod:`linnij.polyring`), times its exponent, to the term's key, and an
+integer goes into its rational coefficient, with no call per factor; after
+``/`` a factor must be constant.  A term whose degree does not fit the
+parse's field width starts the parse again at the next width of the
+ladder.  Only a group is a
 :class:`~linnij.polyring.Poly` of its own; the ring's product kernel adds
 its product with the term's coefficient and monomial straight into the
 sum, which gathers its terms in one dict through the ring's term kernel.
@@ -39,12 +42,14 @@ can exhaust the interpreter's stack.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 
 from .errors import FormatError
-from .polyring import Poly, _add_products, _add_terms, _narrow, grlex_key
+from .polyring import (
+    _MIN_WIDTH, Poly, _add_products, _add_terms, _fields, _narrow, _repack, _unit)
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
@@ -97,6 +102,12 @@ def format_scalar(value: int | Fraction | Scalar) -> str:
     return format_fraction(value.rat) + "+" + irr_part
 
 
+def _monomial_text(fields, names: list[str]) -> str:
+    """The factors of a monomial from its nonzero ``(index, exponent)``
+    pairs, such as ``x1^2*x3``; empty for the monomial 1."""
+    return "*".join(names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in fields)
+
+
 def format_poly(p: Poly, names: list[str] | None = None) -> str:
     if names is None:
         names = default_names(p.nvars)
@@ -105,16 +116,10 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    terms = p.terms
-    for exps in sorted(terms, key=grlex_key, reverse=True):
-        coeff = terms[exps]
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append("%s^%d" % (names[i], e))
-        mono = "*".join(factors)
+    nvars, width, terms = p.nvars, p.width, p.packed
+    for key in sorted(terms, reverse=True):
+        coeff = terms[key]
+        mono = _monomial_text(_fields(key, nvars, width), names)
         # each coefficient as the ring holds it: an int, a Fraction, or a
         # Scalar with an irrational part, bracketed when it has both parts
         if type(coeff) is Scalar and coeff.rat:
@@ -141,7 +146,7 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
 def format_monomial(exps, names: list[str]) -> str:
     """The monomial with exponents ``exps`` and coefficient one, such as
     ``x1^2*x3``; the inverse of :func:`parse_monomial`."""
-    return format_poly(Poly.monomial(len(names), exps, ONE), list(names))
+    return _monomial_text(((i, e) for i, e in enumerate(exps) if e), names) or "1"
 
 
 # -- parsing -----------------------------------------------------------------
@@ -219,13 +224,16 @@ class _Parser:
     Terms are built as they are read; see the module docstring.
     """
 
-    def __init__(self, tokens, nvars, index_of):
+    def __init__(self, tokens, nvars, index_of, width=_MIN_WIDTH):
         # the None sentinel ends the input; every rule that takes it raises
         self.tokens = tokens + [None]
         self.pos = 0
         self.nvars = nvars
         self.index_of = index_of
         self.depth = 0  # open parentheses
+        # every term is packed at this width; a degree past it is _Wider
+        self.width = width
+        self.units = _units(nvars, width)
 
     def take(self):
         token = self.tokens[self.pos]
@@ -249,31 +257,37 @@ class _Parser:
         acc: dict = {}
         if tokens[self.pos] == "+":
             self.pos += 1
+        nvars, width = self.nvars, self.width
         while True:
-            coeff, exps, rest = self.product_expr()
+            coeff, key, rest = self.product_expr()
             if coeff:
-                key, value = tuple(exps), _narrow(coeff)
+                value = _narrow(coeff)
                 if rest is None:
                     _add_terms(acc, ((key, value),))
-                else:
-                    _add_products(acc, {key: value}, rest.terms)
+                elif rest.packed:
+                    if (rest.width > width
+                            or (key >> width * nvars) + rest.degree() >> width):
+                        raise _Wider
+                    _add_products(acc, {key: value},
+                                  _repack(rest.packed, nvars, rest.width, width))
             op = tokens[self.pos]
             if op == "+":
                 self.pos += 1
             elif op != "-":
-                return Poly._new(self.nvars, acc)
+                return Poly._new(nvars, width, acc)
 
     def product_expr(self):
-        """One product as (rational coefficient, exponent list, rest): ``rest``
-        is the product of the factors :meth:`group` gives, or None.
+        """One product as (rational coefficient, key, rest): the key packs
+        the variable factors at the parser's width, and ``rest`` is the
+        product of the factors :meth:`group` gives, or None.
 
         Each factor is any run of unary ``-``, a base (a variable, an
         integer literal or a group), an optional ``^int``, and is folded in
         as it is read: errors of the base come before those of its exponent,
         and both before those of folding it in."""
-        tokens, index_of = self.tokens, self.index_of
+        tokens, index_of, units = self.tokens, self.index_of, self.units
         coeff = 1
-        exps = [0] * self.nvars
+        key = 0
         rest = None
         divide = False
         pos = self.pos
@@ -306,7 +320,7 @@ class _Parser:
             if i is not None:
                 if divide and exponent:
                     raise FormatError("can only divide by a constant")
-                exps[i] += exponent
+                key += exponent * units[i]
             elif type(base) is int:
                 coeff = Fraction(coeff) / base if divide else coeff * base
             else:
@@ -322,8 +336,11 @@ class _Parser:
                 rest = factor if rest is None else rest * factor
             op = tokens[pos]
             if op != "*" and op != "/":
+                # a degree field past the width has carried: see _units
+                if key >> self.width * (self.nvars + 1):
+                    raise _Wider
                 self.pos = pos
-                return coeff, exps, rest
+                return coeff, key, rest
             divide = op == "/"
             pos += 1
 
@@ -361,6 +378,19 @@ class _Parser:
         raise FormatError("unexpected token %r" % (token,))
 
 
+class _Wider(Exception):
+    """A term's degree does not fit the parser's width."""
+
+
+@functools.lru_cache(maxsize=64)
+def _units(nvars: int, width: int) -> tuple[int, ...]:
+    """The key of each variable at ``width``: its field and the degree field
+    both one.  A term's key is the sum of its variables' keys, each times
+    its exponent; while the degree fits the width no field carries, and
+    once it does not the degree field reaches ``2**width``."""
+    return tuple(_unit(nvars, width, i) for i in range(nvars))
+
+
 def _name_table(names) -> dict[str, int]:
     """Each variable name's index; FormatError if a name repeats.  The
     token ``sqrt`` always reads as the function, so it is left out."""
@@ -374,8 +404,15 @@ def _name_table(names) -> dict[str, int]:
 def _parse_poly(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
     """:func:`parse_poly` over a name table from :func:`_name_table`, which
     a caller parsing many polynomials over one ring builds once."""
+    tokens = _tokenize(text)
+    width = _MIN_WIDTH
     try:
-        return _Parser(_tokenize(text), nvars, index_of).parse()
+        while True:
+            try:
+                return _Parser(tokens, nvars, index_of, width).parse()
+            except _Wider:
+                # the same tokens again, every term at the next width
+                width *= 2
     except ZeroDivisionError:
         raise FormatError("division by zero in %r" % text)
 
@@ -388,7 +425,7 @@ def parse_poly(text: str, names: list[str]) -> Poly:
 def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:
     """The exponent tuple of a monomial with coefficient one, such as
     ``x1^2*x3``; anything else raises :class:`FormatError`."""
-    terms = list(parse_poly(text, names).terms.items())
+    terms = parse_poly(text, names).sorted_terms()
     if len(terms) != 1 or terms[0][1] != ONE:
         raise FormatError("not a monomial: %r" % text)
     return terms[0][0]

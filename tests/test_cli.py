@@ -284,6 +284,27 @@ def test_check_solution_of_a_huge_power_exits_2(runner, tmp_path, values):
         "integer of 4772 digits is longer than the interpreter converts"]
 
 
+HUGE_EXPONENT_SIGMAS = {
+    # sigma file -> the stdout recorded before exponents were packed into
+    # one int per monomial; each exponent is past 2**16 and the last past
+    # 2**64, so every product and print crosses a packed field width
+    "x1^100000\n": "-x1^100000\nlinear: no\n",
+    "x1\nx2^70000\n": "-x1; 70000*x2^69999\n-1/70000*x2; 0\nlinear: no\n",
+    "x1\nx2^99999999999999999999\n":
+        "-x1; 99999999999999999999*x2^99999999999999999998\n"
+        "-1/99999999999999999999*x2; 0\nlinear: no\n",
+}
+
+
+@pytest.mark.parametrize("sigmas", list(HUGE_EXPONENT_SIGMAS))
+def test_reconstruct_of_a_huge_exponent_is_pinned(runner, tmp_path, sigmas):
+    path = tmp_path / "sigmas.txt"
+    path.write_text(sigmas)
+    result = runner.invoke(main, ["reconstruct", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout == HUGE_EXPONENT_SIGMAS[sigmas]
+
+
 HUGE_POWERS = {
     # power -> the end of its one-line refusal
     "3^1000000": "integer power 3^1000000 has more than 4300 digits",

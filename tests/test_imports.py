@@ -11,9 +11,10 @@ invariants with raised errors instead.
 ``click`` serves the command line only; importing the library does not
 load it.
 
-The term dict ``Poly.terms`` is the ring's representation: only
-``polyring`` and the parser in ``textio`` read it, and every other module
-goes through the ring's accessors.
+The packed term dict ``Poly.packed`` is the ring's representation, and
+``Poly.terms`` its tuple-keyed view: only ``polyring`` and the parser and
+printer in ``textio`` read either, and every other module goes through the
+ring's accessors.
 """
 
 import ast
@@ -99,7 +100,7 @@ TERM_DICT_READERS = ("polyring.py", "textio.py")
 def term_dict_reads(source, filename):
     tree = ast.parse(source, filename)
     return ["%s:%d" % (filename, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+            if isinstance(node, ast.Attribute) and node.attr in ("terms", "packed")]
 
 
 def test_only_the_ring_and_its_parser_read_term_dicts():
@@ -113,8 +114,9 @@ def test_only_the_ring_and_its_parser_read_term_dicts():
 def test_term_dict_read_is_reported():
     source = ("def f(p, q):\n"
               "    n = len(p.terms)\n"
+              "    k = max(q.packed)\n"
               "    return q.sorted_terms(), 'p.terms', getattr(p, 'nvars')\n")
-    assert term_dict_reads(source, "m.py") == ["m.py:2"]
+    assert term_dict_reads(source, "m.py") == ["m.py:2", "m.py:3"]
 
 
 def test_library_import_leaves_click_out():

@@ -264,6 +264,15 @@ def test_public_constructor_validates():
     assert Poly(3, {(1, 0, 0): Fraction(0)}).is_zero()
 
 
+@pytest.mark.parametrize("exponent", [1.5, 1.0, True])
+def test_exponents_must_be_ints(exponent):
+    # 1.5 would print as x1^1, and 1.0 and True were stored as given
+    with pytest.raises(TypeError, match="is not an int"):
+        Poly(2, {(exponent, 0): 3})
+    with pytest.raises(TypeError, match="is not an int"):
+        Poly.monomial(2, (0, exponent), 3)
+
+
 @pytest.mark.parametrize("value", [0.1, 2.0, 0.0, "1/2", None])
 def test_entry_points_take_exact_coefficients_only(value):
     x1 = Poly.variable(3, 0)

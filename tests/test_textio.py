@@ -6,8 +6,9 @@ import pytest
 
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
-from linnij.polyring import Poly, _add_products, _add_terms, _narrow
+from linnij.polyring import Poly, _narrow
 from linnij.reconstruct import CASE_TAGS, generate_linearity_system, param_sigmas
+from tuple_kernel import add_products, add_terms
 from linnij.textio import (
     MAX_NESTING,
     MAX_RADICAND,
@@ -346,11 +347,11 @@ class ReferenceParser(_Parser):
             if coeff:
                 key, value = tuple(exps), _narrow(-coeff if negate else coeff)
                 if rest is None:
-                    _add_terms(acc, ((key, value),))
+                    add_terms(acc, ((key, value),))
                 else:
-                    _add_products(acc, {key: value}, rest.terms)
+                    add_products(acc, {key: value}, rest.terms)
             if tokens[self.pos] not in ("+", "-"):
-                return Poly._new(self.nvars, acc)
+                return Poly(self.nvars, acc)
             negate = self.take() == "-"
 
     def product_expr(self):
