@@ -21,8 +21,8 @@ the next.  Each polynomial carries its own W, the narrowest of the ladder
 tuples, and at least that of its operands when a ring operation builds it.
 The overflow rule: before a product is formed, its degree, the sum of its
 factors' degrees, is checked against ``2**W``, and the one repacking helper
-``_repack`` moves an operand, or a partial sum, to a wider W first
-(``_product_width``).  A sum, a derivative, a substitution and a quotient
+``_repack`` moves the factors, and the sum the product goes into, to a wider
+W first (``_widened``).  A sum, a derivative, a substitution and a quotient
 never raise the degree, so they only bring their operands to the wider of
 their widths.  Exponents are Python ints, so any degree has a width.
 
@@ -394,7 +394,7 @@ class Poly:
             for i in wanted:
                 if not 0 <= i < nvars:
                     raise DimensionMismatchError("variable index %d out of range" % i)
-        units = [_unit(nvars, width, i) for i in range(nvars)]
+        units = _units(nvars, width)
         acc: dict[int, dict[int, Coefficient]] = {}
         for key, coeff in self.packed.items():
             for i, e in _fields(key, nvars, width):
@@ -540,6 +540,14 @@ def _unit(nvars: int, width: int, index: int) -> int:
     return 1 << width * nvars | 1 << width * (nvars - 1 - index)
 
 
+@lru_cache(maxsize=64)
+def _units(nvars: int, width: int) -> tuple[int, ...]:
+    """The key of each variable: its field and the degree field both one.
+    A monomial's key is the sum of its variables' keys, each times its
+    exponent."""
+    return tuple(_unit(nvars, width, i) for i in range(nvars))
+
+
 def _field_mask(nvars: int, width: int, indices: Iterable[int]) -> int:
     """The bits of the fields of ``indices`` in a key."""
     field = (1 << width) - 1
@@ -560,15 +568,6 @@ def _repack(packed: dict[int, Coefficient], nvars: int, width: int,
             for key, coeff in packed.items()}
 
 
-def _product_width(p: Poly, q: Poly) -> int:
-    """The width at which the product of the nonzero ``p`` and ``q`` is
-    formed: the wider of theirs, widened until it holds the sum of their
-    degrees."""
-    width = p.width if p.width >= q.width else q.width
-    degree = (max(p.packed) >> p.width * p.nvars) + (max(q.packed) >> q.width * q.nvars)
-    return width if degree >> width == 0 else _width_for(degree)
-
-
 def _accumulate(p: Poly, other, subtract: bool):
     """p + other, or p - other when ``subtract``, in one pass over other."""
     if not isinstance(other, Poly):
@@ -576,11 +575,13 @@ def _accumulate(p: Poly, other, subtract: bool):
             return NotImplemented
         other = Poly.constant(p.nvars, other)
     p._check_compatible(other)
-    nvars = p.nvars
-    width = p.width if p.width >= other.width else other.width
-    terms = dict(_repack(p.packed, nvars, p.width, width))
-    return Poly._new(nvars, width, _add_terms(
-        terms, _repack(other.packed, nvars, other.width, width).items(), subtract))
+    nvars, width = p.nvars, p.width
+    terms, added = p.packed, other.packed
+    if other.width != width:
+        width = max(width, other.width)
+        terms = _repack(terms, nvars, p.width, width)
+        added = _repack(added, nvars, other.width, width)
+    return Poly._new(nvars, width, _add_terms(dict(terms), added.items(), subtract))
 
 
 def _narrow(value):
@@ -901,13 +902,21 @@ def dot(left, right, zero):
                 total = total + p * q
         return total
     nvars = zero.nvars
-    lefts, rights = [], []
+    terms: dict[int, Coefficient] = {}
+    width, top = _MIN_WIDTH, 1 << _MIN_WIDTH * (nvars + 1)
     for p, q in zip(left, right):
         # the usual factor, a Poly of the ring, is taken without a call;
         # _poly_in checks and converts any other
-        lefts.append(p if type(p) is Poly and p.nvars == nvars else _poly_in(p, zero))
-        rights.append(q if type(q) is Poly and q.nvars == nvars else _poly_in(q, zero))
-    return _dot_at(lefts, rights, range(len(lefts)), nvars)
+        if type(p) is not Poly or p.nvars != nvars:
+            p = _poly_in(p, zero)
+        if type(q) is not Poly or q.nvars != nvars:
+            q = _poly_in(q, zero)
+        a, b = p.packed, q.packed
+        if a and b:
+            if p.width != width or q.width != width or max(a) + max(b) >= top:
+                terms, width, top, a, b = _widened(terms, width, p, q)
+            _add_products(terms, a, b)
+    return Poly._new(nvars, width, terms)
 
 
 def _support(row: Sequence[Poly]) -> list[int]:
@@ -918,31 +927,38 @@ def _support(row: Sequence[Poly]) -> list[int]:
 def _dot_at(left: Sequence[Poly], right: Sequence[Poly], indices: Iterable[int],
             nvars: int) -> Poly:
     """:func:`dot` of two rows of polynomials over the same ``nvars``
-    variables, summed over the positions in ``indices`` only, in one term
-    dict: a caller that knows where one row is zero passes its
-    :func:`_support` and pays for its nonzero entries alone.  It is the
-    ring's one sum of products; ``*`` is its one-position case.
+    variables, summed over the positions in ``indices`` only: a caller
+    that knows where one row is zero passes its :func:`_support` and pays
+    for its nonzero entries alone.
 
-    Two factors of the dict's width whose leading keys sum below the
-    degree field's top bit are multiplied as they are: the sum's degree
-    field is then the product's degree, and it fits.  Any other pair goes
-    through :func:`_product_width`, and the dict and the factors are
-    repacked to its width."""
+    Like :func:`dot` it sums in one term dict of one width, starting from
+    the narrowest; two factors of that width whose leading keys sum below
+    ``top``, ``2**width`` in the degree field, are multiplied as they are,
+    as the sum's degree field is then the product's degree and it fits.
+    Any other pair goes through :func:`_widened`."""
     terms: dict[int, Coefficient] = {}
-    width = _MIN_WIDTH
+    width, top = _MIN_WIDTH, 1 << _MIN_WIDTH * (nvars + 1)
     for i in indices:
         p, q = left[i], right[i]
         a, b = p.packed, q.packed
         if a and b:
-            if p.width != width or q.width != width or (max(a) + max(b)) >> width * (nvars + 1):
-                needed = _product_width(p, q)
-                if needed > width:
-                    terms = _repack(terms, nvars, width, needed)
-                    width = needed
-                a = _repack(a, nvars, p.width, width)
-                b = _repack(b, nvars, q.width, width)
+            if p.width != width or q.width != width or max(a) + max(b) >= top:
+                terms, width, top, a, b = _widened(terms, width, p, q)
             _add_products(terms, a, b)
     return Poly._new(nvars, width, terms)
+
+
+def _widened(terms: dict[int, Coefficient], width: int, p: Poly, q: Poly) -> tuple:
+    """A sum of products of :func:`dot` and :func:`_dot_at`, whose dict has
+    ``width``, brought to the width the product of the nonzero ``p`` and
+    ``q`` needs as well: the widest of the three widths, widened until it
+    holds the sum of their degrees.  Returns ``(terms, width, top, packed
+    of p, packed of q)``, all at that width."""
+    nvars = p.nvars
+    degree = (max(p.packed) >> p.width * nvars) + (max(q.packed) >> q.width * nvars)
+    needed = max(width, p.width, q.width, _width_for(degree))
+    return (_repack(terms, nvars, width, needed), needed, 1 << needed * (nvars + 1),
+            _repack(p.packed, nvars, p.width, needed), _repack(q.packed, nvars, q.width, needed))
 
 
 def _poly_in(factor, zero: Poly) -> Poly:

@@ -42,14 +42,13 @@ can exhaust the interpreter's stack.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
 
 from .errors import FormatError
 from .polyring import (
-    _MIN_WIDTH, Poly, _add_products, _add_terms, _fields, _narrow, _repack, _unit)
+    _MIN_WIDTH, Poly, _add_products, _add_terms, _fields, _narrow, _repack, _units)
 from .exactfield import ONE, Scalar
 
 MAX_RADICAND = 10**12
@@ -336,7 +335,8 @@ class _Parser:
                 rest = factor if rest is None else rest * factor
             op = tokens[pos]
             if op != "*" and op != "/":
-                # a degree field past the width has carried: see _units
+                # the degree field reaches 2**width exactly when the degree
+                # does not fit, and only then can a field have carried
                 if key >> self.width * (self.nvars + 1):
                     raise _Wider
                 self.pos = pos
@@ -380,15 +380,6 @@ class _Parser:
 
 class _Wider(Exception):
     """A term's degree does not fit the parser's width."""
-
-
-@functools.lru_cache(maxsize=64)
-def _units(nvars: int, width: int) -> tuple[int, ...]:
-    """The key of each variable at ``width``: its field and the degree field
-    both one.  A term's key is the sum of its variables' keys, each times
-    its exponent; while the degree fits the width no field carries, and
-    once it does not the degree field reaches ``2**width``."""
-    return tuple(_unit(nvars, width, i) for i in range(nvars))
 
 
 def _name_table(names) -> dict[str, int]:
