@@ -284,7 +284,7 @@ class Poly:
         for key, coeff in self.packed.items():
             if key >> width * nvars != 1:
                 return None
-            # the one exponent is the one set bit below the degree
+            # below the degree field, the one exponent is the one set bit
             coeffs[nvars - 1 - (key - one).bit_length() // width] = Scalar._coerce(coeff)
         return coeffs
 
