@@ -16,9 +16,10 @@ order of keys is then the graded lex order, a monomial product is one
 int addition, and :func:`exact_divide` takes its leading term with a plain
 ``max``.  No field ever holds more than the degree, so the keys of a
 polynomial whose degree is below ``2**W`` never carry from one field into
-the next.  Each polynomial carries its own W, the narrowest of the ladder
-8, 16, 32, 64, ... that holds its degree when it is built from exponent
-tuples, and at least that of its operands when a ring operation builds it.
+the next.  Each polynomial carries its own W from the ladder 8, 16, 32,
+64, ...: the narrowest that holds its degree when it is built from
+exponent tuples, and otherwise the width it was formed at, which a ring
+operation takes from its operands and the parser from its terms.
 The overflow rule: before a product is formed, its degree, the sum of its
 factors' degrees, is checked against ``2**W``, and the one repacking helper
 ``_repack`` moves the factors, and the sum the product goes into, to a wider
@@ -620,21 +621,21 @@ def _exact(value):
 
 
 def _add_terms(acc: dict, terms, subtract: bool = False) -> dict:
-    """Add (exponents, nonzero narrow coefficient) pairs into the term dict
+    """Add (key, nonzero narrow coefficient) pairs into the term dict
     ``acc``, or subtract them when ``subtract``, and return it; a sum that
     cancels is dropped, and every other sum is narrowed."""
-    for exps, coeff in terms:
-        cur = acc.get(exps)
+    for key, coeff in terms:
+        cur = acc.get(key)
         if cur is None:
-            acc[exps] = -coeff if subtract else coeff
+            acc[key] = -coeff if subtract else coeff
             continue
         total = cur - coeff if subtract else cur + coeff
         if type(total) is not int:
             total = _narrow(total)
         if total:
-            acc[exps] = total
+            acc[key] = total
         else:
-            del acc[exps]
+            del acc[key]
     return acc
 
 
