@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
-from .exactfield import Scalar
+from .exactfield import parts
 from .polyring import Poly
 from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
 from .nijenhuis import (
@@ -44,14 +44,10 @@ from .textio import (
 
 FORMAT_TAG = "nijenhuis-catalog/1"
 
-#: Scalar change that turns the fully diagonal operator diag(x1,x2,x3) into
+#: The change that turns the fully diagonal operator diag(x1,x2,x3) into
 #: the paired form [[x,y,0],[y,x,0],[0,0,z]] (catalog id "c5+⊕d"): the first
 #: two coordinates are replaced by their sum and difference.
-DIAG_PAIRING_CHANGE = (
-    (Scalar(1), Scalar(1), Scalar(0)),
-    (Scalar(1), Scalar(-1), Scalar(0)),
-    (Scalar(0), Scalar(0), Scalar(1)),
-)
+DIAG_PAIRING_CHANGE = ((1, 1, 0), (1, -1, 0), (0, 0, 1))
 
 
 class CatalogEntry(Record):
@@ -145,11 +141,11 @@ def _data_radicand(operator, sigmas, relations, change):
     for s in sigmas:
         rad = _merge_rad(rad, s.radicand())
     for (_, _, _, coeff) in relations.relations():
-        rad = _merge_rad(rad, coeff.rad)
+        rad = _merge_rad(rad, parts(coeff)[2])
     if change is not None:
         for row in change:
             for value in row:
-                rad = _merge_rad(rad, value.rad)
+                rad = _merge_rad(rad, parts(value)[2])
     return rad
 
 

@@ -22,9 +22,11 @@ only restores the canonical form; two rational operands cost one
 ``Fraction`` operation.
 
 A rational scalar equals the ``int`` or ``Fraction`` of the same value and
-hashes as it does.  Polynomial coefficients (:mod:`linnij.polyring`) are
-held as ``int`` or ``Fraction`` whenever they are rational, so a ``Scalar``
-inside a polynomial always has a nonzero irrational part.
+hashes as it does.  Outside this module every exact value is narrow: an
+``int`` when it is integral, a ``Fraction`` when it is rational, and a
+``Scalar`` only when its irrational part is nonzero.  :func:`_narrow` puts a
+value in that form, and :func:`parts` reads the ``(rat, irr, rad)`` of any
+exact value, so no caller needs a ``Scalar`` to read them.
 """
 
 from __future__ import annotations
@@ -269,10 +271,16 @@ class Scalar:
         return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return Scalar._coerce(other) < self
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return Scalar._coerce(other) <= self
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self - other).sign() >= 0
 
     # -- misc --------------------------------------------------------------
 
@@ -304,41 +312,62 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def scalar_sqrt(value: Scalar) -> Scalar:
-    """Exact nonnegative square root of a nonnegative scalar.
+def _narrow(value):
+    """An exact value in its narrowest type: the ``int`` or ``Fraction`` of a
+    rational value (an ``int`` is its own numerator over 1), or the
+    ``Scalar`` itself when its irrational part is nonzero."""
+    if type(value) is Scalar:
+        if value.irr:
+            return value
+        value = value.rat
+    return value.numerator if value.denominator == 1 else value
+
+
+def parts(value) -> tuple:
+    """``(rat, irr, rad)`` of an exact value: a ``Scalar``'s own parts, and
+    ``(value, 0, 0)`` for an ``int`` or a ``Fraction``.  TypeError for
+    anything else."""
+    if type(value) is Scalar:
+        return value.rat, value.irr, value.rad
+    if isinstance(value, _RATIONAL):
+        return value, 0, 0
+    raise TypeError("%r is not an int, a Fraction or a Scalar" % (value,))
+
+
+def scalar_sqrt(value):
+    """Exact nonnegative square root of a nonnegative exact value, narrow.
 
     Raises :class:`NotRepresentableError` if no square root exists within
     a single quadratic extension (use of a second radicand is never
     attempted when the input already carries one).
     """
-    if value.sign() < 0:
+    rat, irr, rad = parts(value)
+    if value < 0:
         raise NotRepresentableError("square root of a negative value")
-    if value.is_zero():
-        return ZERO
-    if value.irr == 0:
-        r = rational_sqrt(value.rat)
+    if not irr:
+        r = rational_sqrt(Fraction(rat))
         if r is not None:
-            return Scalar(r)
+            return _narrow(r)
         # sqrt(num/den) = sqrt(num*den)/den = (f/den)*sqrt(m)
-        f, m = square_free_split(value.rat.numerator * value.rat.denominator)
-        return Scalar(0, Fraction(f, value.rat.denominator), m)
+        f, m = square_free_split(rat.numerator * rat.denominator)
+        return Scalar(0, Fraction(f, rat.denominator), m)
     # (u + v*sqrt(d))^2 = value requires u^2 = (rat +- r)/2 with
     # r = sqrt(rat^2 - d*irr^2) rational.
-    norm = value.rat * value.rat - value.rad * value.irr * value.irr
+    norm = rat * rat - rad * irr * irr
     if norm >= 0:
         r = rational_sqrt(norm)
         if r is not None:
             for branch in (r, -r):
-                usq = (value.rat + branch) / 2
+                usq = (rat + branch) / 2
                 if usq <= 0:
                     continue
                 u = rational_sqrt(usq)
                 if u is None or u == 0:
                     continue
-                v = value.irr / (2 * u)
-                cand = Scalar(u, v, value.rad)
+                v = irr / (2 * u)
+                cand = Scalar(u, v, rad)
                 if cand * cand == value:
                     return cand if cand.sign() > 0 else -cand
     raise NotRepresentableError(
-        "no exact square root in Q(sqrt(%d))" % value.rad
+        "no exact square root in Q(sqrt(%d))" % rad
     )

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 from .polymatrix import (
     PolyMatrix, jacobian, scalar_mat_det, scalar_solve, seeded_points)
-from .polyring import Poly, dot
-from .exactfield import Scalar, ZERO
+from .exactfield import _narrow
+from .polyring import Coefficient, Poly, _exact, dot
 from .record import Record
 
 
@@ -32,15 +32,17 @@ class StructureConstants(Record):
     ``a[i][j][k]`` is the eta_k-component of eta_i * eta_j: first index is
     the left factor, second the right factor, third the output component.
     The record holds ``n`` and ``entries``, the nonzero ``a[i][j][k]`` as
-    1-based ``(i, j, k, Scalar)`` tuples sorted by ``(i, j, k)``; equality,
+    1-based ``(i, j, k, coefficient)`` tuples sorted by ``(i, j, k)``, each
+    coefficient in its narrowest exact type; equality,
     hashing and :meth:`relations` read that tuple, and the dense cube
     :attr:`a` is built from it when asked for.
     """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, a: Sequence[Sequence[Sequence[Scalar]]]):
-        """From the dense cube ``a``; every entry is an exact scalar."""
+    def __init__(self, a: Sequence[Sequence[Sequence[Coefficient]]]):
+        """From the dense cube ``a``; every entry is an ``int``, a
+        ``Fraction`` or a ``Scalar``."""
         n = len(a)
         entries = []
         for i, plane in enumerate(a, 1):
@@ -50,15 +52,15 @@ class StructureConstants(Record):
                 if len(row) != n:
                     raise DimensionMismatchError("structure constants must be cubic")
                 for k, v in enumerate(row, 1):
-                    v = v if isinstance(v, Scalar) else Scalar(v)
+                    v = _exact(v)
                     if v:
                         entries.append((i, j, k, v))
         super().__init__(n, tuple(entries))
 
     @staticmethod
     def _sparse(n: int, entries) -> "StructureConstants":
-        """From nonzero 1-based ``(i, j, k, Scalar)`` entries, already
-        checked, with no index triple repeated."""
+        """From nonzero 1-based ``(i, j, k, coefficient)`` entries, already
+        checked and narrow, with no index triple repeated."""
         out = object.__new__(StructureConstants)
         Record.__init__(out, n, tuple(sorted(entries, key=itemgetter(0, 1, 2))))
         return out
@@ -80,9 +82,9 @@ class StructureConstants(Record):
                 raise DimensionMismatchError(
                     "relation index (%r, %r, %r) is not an int in 1..%d"
                     % (i, j, k, n))
-            value = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
+            value = _exact(coeff)
             key = (i, j, k)
-            sums[key] = sums[key] + value if key in sums else value
+            sums[key] = _narrow(sums[key] + value) if key in sums else value
         return StructureConstants._sparse(
             n, [key + (v,) for key, v in sums.items() if v])
 
@@ -90,12 +92,12 @@ class StructureConstants(Record):
     def a(self) -> tuple:
         """The dense cube, ``a[i][j][k]`` 0-based, zeros included."""
         n = self.n
-        a = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        a = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, v in self.entries:
             a[i - 1][j - 1][k - 1] = v
         return tuple(tuple(tuple(row) for row in plane) for plane in a)
 
-    def relations(self) -> list[tuple[int, int, int, Scalar]]:
+    def relations(self) -> list[tuple[int, int, int, Coefficient]]:
         """Nonzero entries as sorted 1-based (i, j, k, coefficient) tuples."""
         return list(self.entries)
 
@@ -316,12 +318,12 @@ class LsaCheck(Record):
         return "LsaCheck(violated at %r)" % (self.witness,)
 
 
-def _associator(a, i: int, j: int, k: int) -> list[Scalar]:
+def _associator(a, i: int, j: int, k: int) -> list[Coefficient]:
     """(eta_i * eta_j) * eta_k - eta_i * (eta_j * eta_k), as a vector, from
     the dense cube ``a``."""
     return [
-        dot(a[i][j], [plane[k][m] for plane in a], ZERO)
-        - dot(a[j][k], [row[m] for row in a[i]], ZERO)
+        dot(a[i][j], [plane[k][m] for plane in a], 0)
+        - dot(a[j][k], [row[m] for row in a[i]], 0)
         for m in range(len(a))
     ]
 
@@ -344,16 +346,14 @@ def is_left_symmetric(sc: StructureConstants) -> LsaCheck:
 
 
 def change_coordinates(
-    operator: PolyMatrix, change: Sequence[Sequence[Scalar]]
+    operator: PolyMatrix, change: Sequence[Sequence[Coefficient]]
 ) -> PolyMatrix:
     """Conjugate an operator field by the linear change x = T y.
 
     Returns T^{-1} L(T y) T; raises on singular T.  For a linear operator
     this is simultaneously the basis change of the underlying algebra.
     """
-    t = [
-        [v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in change
-    ]
+    t = [[_exact(v) for v in row] for row in change]
     substituted = operator.substitute_linear(t)
     zero = Poly.zero(substituted.nvars)
     left = scalar_solve(t, substituted.entries)
@@ -417,9 +417,9 @@ def random_structure_constants(
             row = []
             for k in range(n):
                 if density < 1.0 and rng.random() > density:
-                    row.append(ZERO)
+                    row.append(0)
                 else:
-                    row.append(Scalar(rng.randint(low, high)))
+                    row.append(rng.randint(low, high))
             plane.append(row)
         a.append(plane)
     return StructureConstants(a)

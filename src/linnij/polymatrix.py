@@ -6,11 +6,8 @@ rows above it; every intermediate entry is a minor of the input, so each
 division step is exact.  It gives the polynomial determinant, each cofactor
 of the adjugate and the dependence test :meth:`PolyMatrix.dependent_rows`.
 Over the scalar field, one Gauss-Jordan elimination gives the determinant,
-the inverse and :func:`scalar_solve`.  It runs in the ring's narrow
-coefficient types, as :class:`Poly` does: ``int`` and ``Fraction``, and a
-``Scalar`` only for a value with a nonzero irrational part.
-:func:`scalar_mat_det` and :func:`scalar_mat_inverse` return ``Scalar``;
-:func:`scalar_solve` returns the narrow values.  Characteristic coefficients use
+the inverse and :func:`scalar_solve`, in the ring's narrow coefficient types,
+as :class:`Poly` holds them.  Characteristic coefficients use
 Berkowitz's division-free algorithm instead, in the operator's own ring;
 Bareiss stays for the determinant because Berkowitz swells more on dense
 Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
@@ -28,8 +25,7 @@ and no pair of factors is copied into a list first.
 
 Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
 a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
-J. ACM 1980); a zero value proves nothing.  ``at`` yields the narrow values
-the elimination reads.
+J. ACM 1980); a zero value proves nothing.
 """
 
 from __future__ import annotations
@@ -39,9 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
-    Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _narrow, _reciprocal,
+    Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _reciprocal,
     _power_table, _support, _value_at, dot, exact_divide, top_exponents)
-from .exactfield import ONE, ZERO, Scalar
+from .exactfield import _narrow
 from .record import Record
 
 
@@ -82,19 +78,17 @@ class PolyMatrix(Record):
         return PolyMatrix([[_dot_at(row, col, support, nvars) for col, support in cols]
                            for row in self.entries])
 
-    def substitute_linear(self, matrix: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
+    def substitute_linear(self, matrix: Sequence[Sequence[Coefficient]]) -> "PolyMatrix":
         rows = [list(r) for r in matrix]
         return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
 
-    def at(self, points: Iterable[Sequence[Scalar]]
+    def at(self, points: Iterable[Sequence[Coefficient]]
            ) -> Iterator[list[list[Coefficient]]]:
         """The value of every entry, row by row, at each of ``points`` in
         turn, computed as it is asked for.  Each point gets one power
         table (``polyring._power_table``), reaching the matrix's
         highest exponent of each variable, found once, and every entry is
-        summed against it by the one kernel ``polyring._value_at``.  The
-        values are in the ring's narrow types: ``int``, ``Fraction``, and a
-        ``Scalar`` only for a nonzero irrational part."""
+        summed against it by the one kernel ``polyring._value_at``."""
         top = top_exponents(self.nvars, (p for row in self.entries for p in row))
         for point in points:
             if len(point) != self.nvars:
@@ -128,7 +122,7 @@ class PolyMatrix(Record):
         self._require_square()
         n = self.rows
         if n == 1:
-            return PolyMatrix([[Poly.constant(self.nvars, ONE)]])
+            return PolyMatrix([[Poly.constant(self.nvars, 1)]])
         zero = Poly.zero(self.nvars)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -226,10 +220,10 @@ def jacobian(polys: Sequence[Poly], wrt: Sequence[int] | None = None) -> PolyMat
     return PolyMatrix(rows)
 
 
-_COORDINATES = tuple(Scalar(v) for v in range(-50, 51))  # made once, drawn often
+_COORDINATES = range(-50, 51)
 
 
-def seeded_points(nvars: int) -> Iterator[list[Scalar]]:
+def seeded_points(nvars: int) -> Iterator[list[int]]:
     """The integer points a certificate in ``nvars`` variables may try, the
     same on every call: 2 * nvars + 4 of them, coordinates in -50..50.
     Only speed depends on them, as every certificate falls back to exact
@@ -246,7 +240,7 @@ def companion_matrix(sigmas: Sequence[Poly]) -> PolyMatrix:
         raise DimensionMismatchError("empty sigma list")
     nvars = sigmas[0].nvars
     zero = Poly.zero(nvars)
-    one = Poly.constant(nvars, ONE)
+    one = Poly.constant(nvars, 1)
     rows = []
     for i in range(n):
         row = [zero] * n
@@ -275,7 +269,7 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
     a = operator.entries
     nvars = operator.nvars
     zero = Poly.zero(nvars)
-    one = Poly.constant(nvars, ONE)
+    one = Poly.constant(nvars, 1)
     rows = [(row, _support(row)) for row in a]
     coeffs = [one, -a[n - 1][n - 1]]
     for k in range(n - 2, -1, -1):
@@ -300,12 +294,12 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
 
 
 def scalar_mat_mul(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]
-) -> list[list[Scalar]]:
+    a: Sequence[Sequence[Coefficient]], b: Sequence[Sequence[Coefficient]]
+) -> list[list[Coefficient]]:
     if len(a[0]) != len(b):
         raise DimensionMismatchError("shape mismatch in scalar product")
     cols = list(zip(*b))
-    return [[dot(row, col, ZERO) for col in cols] for row in a]
+    return [[_narrowed(dot(row, col, 0)) for col in cols] for row in a]
 
 
 def _gauss_jordan(a, b):
@@ -315,10 +309,8 @@ def _gauss_jordan(a, b):
     rows below when ``b`` has no columns, as the determinant needs no more.
     Zero entries are skipped; only columns right of the pivot are updated.
 
-    The work runs in the ring's narrow types: every scalar entry is narrowed
-    on entry and every result after each step, so rational values stay
-    ``int`` or ``Fraction`` and a ``Scalar`` is met only where a value has a
-    nonzero irrational part.  The entries of ``b`` may be polynomials."""
+    Every scalar entry is narrowed on entry and every result after each
+    step.  The entries of ``b`` may be polynomials."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatchError("square matrix required")
@@ -355,25 +347,22 @@ def _narrowed(value):
     return value if kind is int or kind is Poly else _narrow(value)
 
 
-def scalar_solve(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence]) -> list[list]:
+def scalar_solve(a: Sequence[Sequence[Coefficient]], b: Sequence[Sequence]) -> list[list]:
     """a^-1 b for a square scalar ``a``; the entries of ``b`` may be scalars
-    or polynomials.  The solution's scalar entries are in the ring's narrow
-    types (``int``, ``Fraction``, ``Scalar`` with a nonzero irrational
-    part).  Raises :class:`SingularMatrixError` when det a is 0."""
+    or polynomials.  Raises :class:`SingularMatrixError` when det a is 0."""
     solution = _gauss_jordan(a, b)[1]
     if solution is None:
         raise SingularMatrixError("matrix is singular")
     return solution
 
 
-def scalar_mat_inverse(matrix: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """The inverse, as the solution against the identity, in ``Scalar``s."""
+def scalar_mat_inverse(matrix: Sequence[Sequence[Coefficient]]) -> list[list[Coefficient]]:
+    """The inverse, as the solution against the identity."""
     n = len(matrix)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return [[Scalar._coerce(v) for v in row] for row in scalar_solve(matrix, identity)]
+    return scalar_solve(matrix, identity)
 
 
-def scalar_mat_det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant over the exact scalar field, by :func:`_gauss_jordan`,
-    as a ``Scalar``."""
-    return Scalar._coerce(_gauss_jordan(matrix, [()] * len(matrix))[0])
+def scalar_mat_det(matrix: Sequence[Sequence[Coefficient]]) -> Coefficient:
+    """Determinant over the exact scalar field, by :func:`_gauss_jordan`."""
+    return _gauss_jordan(matrix, [()] * len(matrix))[0]

@@ -34,16 +34,10 @@ tuples.  ``_fields`` lists the nonzero exponents of a key by shift and
 mask, in ascending index order, so the kernels that read exponents
 (evaluation, derivatives, substitution, printing) walk only those.
 
-Each coefficient is held in its narrowest exact type: an ``int`` when it is
-integral, a :class:`~fractions.Fraction` when it is rational, and a
-:class:`~linnij.exactfield.Scalar` only when its irrational part is nonzero,
-so rational arithmetic, nearly all of it, runs on Python's own numbers.  The
-readers (:meth:`Poly.coefficient`, :meth:`Poly.leading`,
-:meth:`Poly.sorted_terms`, :meth:`Poly.constant_value`,
-:meth:`Poly.linear_terms`, :meth:`Poly.linear_coefficients`,
-:meth:`Poly.evaluate`) return ``Scalar``.  The evaluation itself,
-``_value_at``, returns the narrow value, which
-:meth:`~linnij.polymatrix.PolyMatrix.at` yields.
+Each coefficient is held in its narrowest exact type (see
+:mod:`linnij.exactfield`), so rational arithmetic, nearly all of it, runs on
+Python's own numbers, and every reader returns coefficients and values in
+that type.
 
 Instances are treated as immutable; every operation returns a new object.
 The degree of the zero polynomial is the marker :data:`MINUS_INFINITY`,
@@ -64,8 +58,9 @@ result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
 :meth:`Poly.substitute`, the parser's sums) and ``_add_products`` (``*``,
 :func:`dot`, :func:`exact_divide`, the parser's bracketed terms).
 ``_reciprocal`` is the one exact inverse of a coefficient, never
-``int / int``: :func:`exact_divide` and the scalar elimination of
-:mod:`linnij.polymatrix` divide through it.  :func:`dot`, the sum of the
+``int / int``: :func:`exact_divide`, the parser, the scalar elimination of
+:mod:`linnij.polymatrix` and the normal forms of :mod:`linnij.reconstruct`
+divide through it.  :func:`dot`, the sum of the
 pairwise products of two rows with zero factors skipped, is the one
 sum-of-products routine, with ``_dot_at`` its form for two rows of one
 ring summed over given positions only: matrix products, the
@@ -109,7 +104,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .exactfield import ZERO, Scalar, power
+from .exactfield import Scalar, _narrow, power
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -261,22 +256,22 @@ class Poly:
         shifts = [width * (nvars - 1 - i) for i in indices]
         return all(sum(key >> s & mask for s in shifts) == k for key in self.packed)
 
-    def leading(self) -> tuple[Exponents, Scalar]:
+    def leading(self) -> tuple[Exponents, Coefficient]:
         """Leading (exponents, coefficient) in graded lex order."""
         if not self.packed:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.packed)
-        return _unpack(key, self.nvars, self.width), Scalar._coerce(self.packed[key])
+        return _unpack(key, self.nvars, self.width), self.packed[key]
 
-    def coefficient(self, exponents: Iterable[int]) -> Scalar:
+    def coefficient(self, exponents: Iterable[int]) -> Coefficient:
         exps = tuple(exponents)
         # a tuple no term can have is not packed: its fields could carry
         if len(exps) != self.nvars or min(exps, default=0) < 0 or sum(exps) >> self.width:
-            return ZERO
-        return Scalar._coerce(self.packed.get(_pack(exps, self.width), 0))
+            return 0
+        return self.packed.get(_pack(exps, self.width), 0)
 
-    def linear_terms(self) -> dict[int, Scalar] | None:
-        """The nonzero coefficient of each variable as ``{index: Scalar}``,
+    def linear_terms(self) -> dict[int, Coefficient] | None:
+        """The nonzero coefficient of each variable as ``{index: coefficient}``,
         when the polynomial is homogeneous of degree one (or zero); else
         None."""
         width, nvars = self.width, self.nvars
@@ -286,19 +281,16 @@ class Poly:
             if key >> width * nvars != 1:
                 return None
             # below the degree field, the one exponent is the one set bit
-            coeffs[nvars - 1 - (key - one).bit_length() // width] = Scalar._coerce(coeff)
+            coeffs[nvars - 1 - (key - one).bit_length() // width] = coeff
         return coeffs
 
-    def linear_coefficients(self) -> list[Scalar] | None:
+    def linear_coefficients(self) -> list[Coefficient] | None:
         """The coefficient of each variable, zeros included, when the
         polynomial is homogeneous of degree one (or zero); else None."""
         terms = self.linear_terms()
         if terms is None:
             return None
-        coeffs = [ZERO] * self.nvars
-        for i, coeff in terms.items():
-            coeffs[i] = coeff
-        return coeffs
+        return [terms.get(i, 0) for i in range(self.nvars)]
 
     def involves(self, indices: Iterable[int]) -> bool:
         """True when some term has a positive exponent at one of
@@ -306,18 +298,18 @@ class Poly:
         mask = _field_mask(self.nvars, self.width, indices)
         return any(key & mask for key in self.packed)
 
-    def constant_value(self) -> Scalar:
-        """The value of a degree-<=0 polynomial as a scalar."""
+    def constant_value(self) -> Coefficient:
+        """The value of a degree-<=0 polynomial."""
         if not self.packed:
-            return ZERO
+            return 0
         if self.degree() > 0:
             raise ValueError("polynomial is not constant")
-        return Scalar._coerce(self.packed[0])
+        return self.packed[0]
 
-    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms in descending graded lex order (leading first)."""
         nvars, width, packed = self.nvars, self.width, self.packed
-        return [(_unpack(key, nvars, width), Scalar._coerce(packed[key]))
+        return [(_unpack(key, nvars, width), packed[key])
                 for key in sorted(packed, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
@@ -411,7 +403,7 @@ class Poly:
         """Partial derivative with respect to variable ``index``."""
         return self.gradient((index,)).get(index) or Poly.zero(self.nvars)
 
-    def substitute_linear(self, matrix: list[list[Scalar]]) -> "Poly":
+    def substitute_linear(self, matrix: Sequence[Sequence[Coefficient]]) -> "Poly":
         """Replace each variable x_i by sum_j matrix[i][j] * y_j.
 
         ``matrix`` must have ``nvars`` rows; the number of columns sets the
@@ -438,7 +430,7 @@ class Poly:
             monomials.append(monomial)
         return dot(self.packed.values(), monomials, zero)
 
-    def substitute(self, values: Mapping[int, Scalar]) -> "Poly":
+    def substitute(self, values: Mapping[int, Coefficient]) -> "Poly":
         """Evaluate some variables at scalar values (others stay symbolic).
 
         Each substituted variable's powers are built once, up to the highest
@@ -472,12 +464,12 @@ class Poly:
                 images.append((key, coeff))
         return Poly._new(nvars, width, _add_terms({}, images))
 
-    def evaluate(self, point: list[Scalar]) -> Scalar:
+    def evaluate(self, point: Sequence[Coefficient]) -> Coefficient:
         """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
         table = _power_table(point, top_exponents(self.nvars, (self,)))
-        return Scalar._coerce(_value_at(self, table))
+        return _value_at(self, table)
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """View the polynomial inside a larger ring, variables shifted by offset."""
@@ -585,17 +577,6 @@ def _accumulate(p: Poly, other, subtract: bool):
     return Poly._new(nvars, width, _add_terms(dict(terms), added.items(), subtract))
 
 
-def _narrow(value):
-    """A coefficient in its narrowest exact type: the ``int`` or ``Fraction``
-    of a rational value (an ``int`` is its own numerator over 1), or the
-    ``Scalar`` itself when its irrational part is nonzero."""
-    if type(value) is Scalar:
-        if value.irr:
-            return value
-        value = value.rat
-    return value.numerator if value.denominator == 1 else value
-
-
 def _reciprocal(value):
     """The exact inverse of a nonzero narrow coefficient, narrowed: an
     ``int`` through ``Fraction(1, value)``, as ``int / int`` would be a
@@ -682,7 +663,7 @@ def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
     return top
 
 
-def powers_of(value: Scalar, top: int) -> list[Coefficient] | None:
+def powers_of(value: Coefficient, top: int) -> list[Coefficient] | None:
     """``[1, value, ..., value**top]`` in the ring's narrow coefficient
     types, or None when ``value`` is zero: the narrow rows of a
     :func:`_power_table`, and the power rows of :meth:`Poly.substitute`,
@@ -798,8 +779,7 @@ def _narrow_rows(values: Sequence, top: Sequence[int]) -> list:
 def _value_at(p: Poly, table: tuple) -> Coefficient:
     """The value of ``p`` at the point of ``table`` (:func:`_power_table`),
     whose rows reach at least the highest exponent of each variable in
-    ``p``: an ``int``, a ``Fraction``, or a ``Scalar`` with a nonzero
-    irrational part.
+    ``p``, in its narrow type.
 
     Each term walks only its nonzero exponents (``_fields``).  Over narrow
     rows each term is its coefficient times its variables' entries in
@@ -886,8 +866,8 @@ _FACTOR = (Scalar, int, Poly, Fraction)
 def dot(left, right, zero):
     """Sum of the pairwise products of two rows, skipping zero factors.
 
-    The rows may hold :class:`Poly` values, :class:`Scalar` values or a mix
-    of both; ``zero`` is the sum when every product is skipped.  Every
+    The rows may hold :class:`Poly` values, exact scalars or a mix of
+    both; ``zero`` is the sum when every product is skipped.  Every
     factor's type is checked before a zero one is skipped, so a float
     factor, zero or not, raises ``TypeError``.  When ``zero`` is a
     :class:`Poly`, every factor is read as a polynomial of its ring, so a

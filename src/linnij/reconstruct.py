@@ -60,9 +60,9 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    DivisibilityFailure, Poly, _power_table, _value_at, dot, exact_divide,
-    grlex_key, top_exponents)
-from .exactfield import ONE, ZERO, Scalar, scalar_sqrt
+    Coefficient, DivisibilityFailure, Poly, _exact, _power_table, _reciprocal,
+    _value_at, dot, exact_divide, grlex_key, top_exponents)
+from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
     _int_literal, _name_table, _parse_poly, format_monomial, format_poly,
@@ -147,7 +147,7 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
             return None
 
     for base in seeded_points(n):
-        points = [base] + [base[:k] + [base[k] + ONE] + base[k + 1 :]
+        points = [base] + [base[:k] + [base[k] + 1] + base[k + 1 :]
                            for k in range(n)]
         found = list(takewhile(lambda v: v is not None,
                                map(solved, sigmas_and_j.at(points))))
@@ -517,16 +517,17 @@ class CheckResult(Record):
         return self.ok
 
 
-def _coerce_value(value) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
-    raise FormatError("assignment values must be exact scalars, got %r" % (value,))
+def _exact_value(value) -> Coefficient:
+    """An assigned value, narrowed; FormatError unless it is exact."""
+    try:
+        return _exact(value)
+    except TypeError:
+        raise FormatError("assignment values must be exact scalars, got %r"
+                          % (value,)) from None
 
 
 def _assigned_values(names: Sequence[str], ngeo: int, top: Sequence[int],
-                     assignment: Mapping[str, object]) -> dict[int, Scalar]:
+                     assignment: Mapping[str, object]) -> dict[int, Coefficient]:
     """The assigned values by variable index.  Every name must be one of
     ``names`` but not among the first ``ngeo``, the geometric ones, and
     every other variable that occurs (``top``, from :func:`top_exponents`)
@@ -538,7 +539,7 @@ def _assigned_values(names: Sequence[str], ngeo: int, top: Sequence[int],
             raise FormatError("assignment for unknown variable %r" % name)
         if index_of[name] < ngeo:
             raise FormatError("cannot assign a geometric variable %r" % name)
-        values[index_of[name]] = _coerce_value(value)
+        values[index_of[name]] = _exact_value(value)
     missing = [names[i] for i in range(ngeo, len(names))
                if top[i] and i not in values]
     if missing:
@@ -560,7 +561,7 @@ def check_solution(
     values over one common denominator, a ``sqrt(d)`` value as a pair of
     ints, unless that would inflate it), built once, and every equation is
     summed against it by the one evaluation kernel
-    ``polyring._value_at``.  A residual is a ``Scalar``.
+    ``polyring._value_at``.
     """
     top = top_exponents(len(system.names), (eq.poly for eq in system.equations))
     geometric = [name for name, e in zip(system.geo_names(), top) if e]
@@ -575,14 +576,13 @@ def check_solution(
     for eq in system.equations:
         total = _value_at(eq.poly, table)
         if total:
-            residuals.append(Residual(eq.entry, eq.row, eq.col, eq.monomial,
-                                      Scalar._coerce(total)))
+            residuals.append(Residual(eq.entry, eq.row, eq.col, eq.monomial, total))
     return CheckResult(not residuals, residuals)
 
 
-def parse_assignment(text: str) -> dict[str, Scalar]:
+def parse_assignment(text: str) -> dict[str, Coefficient]:
     """Parse "name = value" lines; blank lines and # comments are skipped."""
-    out: dict[str, Scalar] = {}
+    out: dict[str, Coefficient] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -602,7 +602,7 @@ def parse_assignment(text: str) -> dict[str, Scalar]:
 
 def derive_alphas(
     ps: ParamSigmaSet, params: Mapping[str, object]
-) -> dict[str, Scalar]:
+) -> dict[str, Coefficient]:
     """Alpha values forced by a full parameter assignment.
 
     The assignment must cover every parameter that occurs in the sigmas,
@@ -618,7 +618,7 @@ def derive_alphas(
     values = _assigned_values(ps.names, n, top, params)
     sigmas = [s.substitute(values) for s in ps.sigmas]
     numerators, q = reconstruction_pieces(sigmas)
-    out: dict[str, Scalar] = {}
+    out: dict[str, Coefficient] = {}
     for r in range(1, n):
         for c in range(n):
             p_index = (r - 1) * n + c + 1
@@ -643,22 +643,24 @@ def derive_alphas(
 # -- the two-dimensional derivation -------------------------------------------
 
 
-def solve_quadratic(c2: Scalar, c1: Scalar, c0: Scalar) -> list[Scalar]:
+def solve_quadratic(c2: Coefficient, c1: Coefficient, c0: Coefficient
+                    ) -> list[Coefficient]:
     """Exact roots of c2 t^2 + c1 t + c0, ascending; linear when c2 = 0."""
-    if c2.is_zero():
-        if c1.is_zero():
+    c2, c1, c0 = _exact(c2), _exact(c1), _exact(c0)
+    if not c2:
+        if not c1:
             raise LinnijError("degenerate equation has no finite root set")
-        return [-c0 / c1]
-    disc = c1 * c1 - 4 * c2 * c0
-    root = scalar_sqrt(disc)
-    lo = (-c1 - root) / (2 * c2)
-    hi = (-c1 + root) / (2 * c2)
+        return [_narrow(-c0 * _reciprocal(c1))]
+    root = scalar_sqrt(c1 * c1 - 4 * c2 * c0)
+    half = _reciprocal(2 * c2)
+    lo = _narrow((-c1 - root) * half)
+    hi = _narrow((-c1 + root) * half)
     if lo == hi:
         return [lo]
     return sorted((lo, hi))
 
 
-def solve_two_dim(system: LinearitySystem) -> tuple[Poly, list[Scalar]]:
+def solve_two_dim(system: LinearitySystem) -> tuple[Poly, list[Coefficient]]:
     """Solve the 2D system: returns its alpha-free equation and the exact
     root set for the parameter a.
 
@@ -686,7 +688,7 @@ def two_dim_operator(a_value, sign: int) -> PolyMatrix:
     """The reconstructed linear operator for sigma = (x1, a x1^2 +/- x2^2)."""
     if sign not in (1, -1):
         raise FormatError("sign must be +1 or -1")
-    a = _coerce_value(a_value)
+    a = _exact_value(a_value)
     x1 = Poly.variable(2, 0)
     x2 = Poly.variable(2, 1)
     sigmas = [x1, a * x1 * x1 + sign * x2 * x2]
@@ -702,7 +704,7 @@ def two_dim_operator(a_value, sign: int) -> PolyMatrix:
 # -- normal forms for sigma_1 and sigma_2 -------------------------------------
 
 
-def normalize_sigma1(s1: Poly) -> tuple[Poly, list[list[Scalar]]]:
+def normalize_sigma1(s1: Poly) -> tuple[Poly, list[list[Coefficient]]]:
     """Linear change turning a nonzero linear form into the first coordinate.
 
     Returns (y1, T) with substitute_linear(s1, T) = y1.
@@ -711,11 +713,8 @@ def normalize_sigma1(s1: Poly) -> tuple[Poly, list[list[Scalar]]]:
     coeffs = s1.linear_coefficients()
     if s1.is_zero() or coeffs is None:
         raise DimensionMismatchError("expected a nonzero homogeneous linear form")
-    pivot = next(i for i, v in enumerate(coeffs) if not v.is_zero())
-    rows = [coeffs]
-    for i in range(n):
-        if i != pivot:
-            rows.append([ONE if j == i else ZERO for j in range(n)])
+    pivot = next(i for i, v in enumerate(coeffs) if v)
+    rows = [coeffs] + [_unit_row(n, i) for i in range(n) if i != pivot]
     change = scalar_mat_inverse(rows)
     if s1.substitute_linear(change) != Poly.variable(n, 0):
         raise LinnijError("internal: change does not normalize sigma_1")
@@ -742,17 +741,22 @@ class Sigma2NormalForm(Record):
     __slots__ = ("tag", "canonical", "change", "alpha", "signs")
 
 
-def _quadratic_matrix(s2: Poly) -> list[list[Scalar]]:
+def _unit_row(n: int, j: int) -> list[int]:
+    """Row j of the n x n identity."""
+    return [int(m == j) for m in range(n)]
+
+
+def _quadratic_matrix(s2: Poly) -> list[list[Coefficient]]:
     n = s2.nvars
-    a = [[ZERO] * n for _ in range(n)]
-    half = Scalar(Fraction(1, 2))
+    a = [[0] * n for _ in range(n)]
+    half = Fraction(1, 2)
     for i in range(n):
         for j in range(i, n):
             exps = [0] * n
             exps[i] += 1
             exps[j] += 1
             coeff = s2.coefficient(exps)
-            a[i][j] = a[j][i] = coeff if i == j else coeff * half
+            a[i][j] = a[j][i] = coeff if i == j else _narrow(coeff * half)
     return a
 
 
@@ -780,33 +784,34 @@ def _finish(s2: Poly, tag: str, alpha, signs, rows, split) -> Sigma2NormalForm:
     canonical = _canonical_poly(n, tag, alpha, signs)
     if s2.substitute_linear(change) != canonical:
         raise LinnijError("internal: change does not reach the %s normal form" % tag)
-    if change[0] != [ONE if j == 0 else ZERO for j in range(n)]:
+    if change[0] != _unit_row(n, 0):
         raise LinnijError("internal: change moves the first coordinate")
     return Sigma2NormalForm(tag, canonical, change, alpha, signs)
 
 
-def _sqrt_row(a, pivot: int, n: int) -> tuple[list[Scalar], int]:
+def _sqrt_row(a, pivot: int, n: int) -> tuple[list[Coefficient], int]:
     """Elimination row sqrt(|a_pp|) (x_p + sum_{m != p} a_pm x_m / a_pp)."""
     app = a[pivot][pivot]
     scale = scalar_sqrt(abs(app))
+    inverse = _reciprocal(app)
     row = []
     for m in range(n):
         if m == pivot:
             row.append(scale)
         else:
-            row.append(scale * a[pivot][m] / app)
-    return row, app.sign()
+            row.append(_narrow(scale * a[pivot][m] * inverse))
+    return row, 1 if app > 0 else -1
 
 
-def _eliminate(a, pivot: int, n: int) -> list[list[Scalar]]:
+def _eliminate(a, pivot: int, n: int) -> list[list[Coefficient]]:
     """Symmetric remainder after splitting off the pivot square."""
-    app = a[pivot][pivot]
-    out = [[ZERO] * n for _ in range(n)]
+    inverse = _reciprocal(a[pivot][pivot])
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == pivot or j == pivot:
                 continue
-            out[i][j] = a[i][j] - a[i][pivot] * a[pivot][j] / app
+            out[i][j] = _narrow(a[i][j] - a[i][pivot] * a[pivot][j] * inverse)
     return out
 
 
@@ -834,7 +839,7 @@ def normalize_sigma2(s2: Poly) -> Sigma2NormalForm:
     a = _quadratic_matrix(s2)
     split = None
     if any(a[1][2:]) and not (a[1][1] or a[2][2]):  # x2*x3 but no square
-        split = [[ONE, ZERO, ZERO], [ZERO, ONE, ONE], [ZERO, ONE, Scalar(-1)]]
+        split = [[1, 0, 0], [0, 1, 1], [0, 1, -1]]
         a = _quadratic_matrix(s2.substitute_linear(split))
     free = list(range(1, n))
     squares = []  # (row, sign) in the order split off
@@ -844,19 +849,17 @@ def normalize_sigma2(s2: Poly) -> Sigma2NormalForm:
         a = _eliminate(a, pivot, n)
         free.remove(pivot)
 
-    def unit(j):
-        return [ONE if m == j else ZERO for m in range(n)]
-
     linked = next((j for j in free if a[0][j]), None)
     if linked is None:
         # descending sign, the later square first on ties
         squares = sorted(reversed(squares), key=lambda square: -square[1])
         tag, alpha = (DEGENERATE, RANK2, FULL)[len(squares)], a[0][0]
-        rows = [unit(0)] + [row for row, _ in squares] + [unit(j) for j in free]
+        rows = ([_unit_row(n, 0)] + [row for row, _ in squares]
+                + [_unit_row(n, j) for j in free])
     else:
         tag, alpha = (PRODUCT_PLUS if squares else PRODUCT), None
         linear = [a[0][0]] + [2 * v for v in a[0][1:]]
-        rows = [unit(0), linear] + [unit(j) for j in free if j != linked]
+        rows = [_unit_row(n, 0), linear] + [_unit_row(n, j) for j in free if j != linked]
         rows += [row for row, _ in squares]
     signs = tuple(sign for _, sign in squares)
     return _finish(s2, tag, alpha, signs, rows, split)

@@ -48,8 +48,9 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .polyring import (
-    _MIN_WIDTH, Poly, _add_products, _add_terms, _fields, _narrow, _repack, _units)
-from .exactfield import ONE, Scalar
+    _MIN_WIDTH, Coefficient, Poly, _add_products, _add_terms, _fields, _reciprocal,
+    _repack, _units)
+from .exactfield import Scalar, _narrow, parts
 
 MAX_RADICAND = 10**12
 MAX_POWER_DIGITS = 4300
@@ -70,7 +71,7 @@ def _digits_below(bits: int) -> int:
     return (bits - 1) * 30102999566 // 10**11 + 1
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: int | Fraction) -> str:
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -86,19 +87,18 @@ def format_fraction(value: Fraction) -> str:
                           "converts" % digits)
 
 
-def format_scalar(value: int | Fraction | Scalar) -> str:
-    if type(value) is not Scalar:
-        return format_fraction(value)
-    if value.irr == 0:
-        return format_fraction(value.rat)
-    irr_part = "%s*sqrt(%d)" % (format_fraction(abs(value.irr)), value.rad)
-    if value.irr < 0:
+def format_scalar(value: Coefficient) -> str:
+    rat, irr, rad = parts(value)
+    if not irr:
+        return format_fraction(rat)
+    irr_part = "%s*sqrt(%d)" % (format_fraction(abs(irr)), rad)
+    if irr < 0:
         irr_part = "-" + irr_part
-    if value.rat == 0:
+    if rat == 0:
         return irr_part
-    if value.irr < 0:
-        return format_fraction(value.rat) + irr_part
-    return format_fraction(value.rat) + "+" + irr_part
+    if irr < 0:
+        return format_fraction(rat) + irr_part
+    return format_fraction(rat) + "+" + irr_part
 
 
 def _monomial_text(fields, names: list[str]) -> str:
@@ -208,10 +208,11 @@ def _check_constant_power(base: Poly, exponent: int):
     part it is a bound, and the message says so.
     """
     c = base.constant_value()
-    m = math.lcm(c.rat.denominator, c.irr.denominator)
-    a = c.rat.numerator * (m // c.rat.denominator)
-    b = c.irr.numerator * (m // c.irr.denominator)
-    if _bounded_power(max(abs(a) + abs(b) * c.rad, m), exponent) is None:
+    rat, irr, rad = parts(c)
+    m = math.lcm(rat.denominator, irr.denominator)
+    a = rat.numerator * (m // rat.denominator)
+    b = irr.numerator * (m // irr.denominator)
+    if _bounded_power(max(abs(a) + abs(b) * rad, m), exponent) is None:
         raise FormatError("power (%s)^%d %s more than %d digits"
                           % (format_scalar(c), exponent,
                              "may have" if b else "has", MAX_POWER_DIGITS))
@@ -331,7 +332,7 @@ class _Parser:
                         divisor = factor.constant_value()
                     except ValueError:
                         raise FormatError("can only divide by a constant")
-                    factor = Poly.constant(self.nvars, divisor.inverse())
+                    factor = Poly.constant(self.nvars, _reciprocal(divisor))
                 rest = factor if rest is None else rest * factor
             op = tokens[pos]
             if op != "*" and op != "/":
@@ -417,19 +418,19 @@ def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:
     """The exponent tuple of a monomial with coefficient one, such as
     ``x1^2*x3``; anything else raises :class:`FormatError`."""
     terms = parse_poly(text, names).sorted_terms()
-    if len(terms) != 1 or terms[0][1] != ONE:
+    if len(terms) != 1 or terms[0][1] != 1:
         raise FormatError("not a monomial: %r" % text)
     return terms[0][0]
 
 
-def parse_scalar(text: str) -> Scalar:
+def parse_scalar(text: str) -> Coefficient:
     value = parse_poly(text, [])
     return value.constant_value()
 
 
-def format_scalar_matrix(rows: list[list[Scalar]]) -> list[list[str]]:
+def format_scalar_matrix(rows: list[list[Coefficient]]) -> list[list[str]]:
     return [[format_scalar(v) for v in row] for row in rows]
 
 
-def parse_scalar_matrix(rows: list[list[str]]) -> list[list[Scalar]]:
+def parse_scalar_matrix(rows: list[list[str]]) -> list[list[Coefficient]]:
     return [[parse_scalar(cell) for cell in row] for row in rows]

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -169,7 +170,7 @@ def test_scalar_sqrt_round_trip_seeded():
         root = scalar_sqrt(square)
         # sqrt returns the nonnegative root
         assert root * root == square
-        assert root.sign() >= 0
+        assert root >= 0
 
 
 def test_scalar_sqrt_not_representable():
@@ -185,6 +186,21 @@ def test_sign_and_compare():
     assert Scalar(7, -4, 3).sign() > 0          # 7 - 4*sqrt(3) > 0 (49 > 48)
     assert Scalar(2) > Scalar(0, 1, 3)          # 2 > sqrt(3)
     assert Scalar(0).sign() == 0
+
+
+@pytest.mark.parametrize("other", [0.5, "a"], ids=["float", "str"])
+def test_ordering_against_an_inexact_value_is_a_type_error(other):
+    # each order operator declines a value that is not exact, and so does
+    # its reflection, so Python raises TypeError on either side
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(Scalar(1), other)
+        with pytest.raises(TypeError):
+            compare(other, Scalar(1))
+    # an int or a Fraction on either side is compared by value
+    root3 = Scalar(0, 1, 3)
+    assert Scalar(1) > Fraction(1, 2) and 2 > root3 and Fraction(7, 4) >= root3
+    assert not 1 >= root3 and Scalar(2) >= 2 and 2 <= Scalar(2)
 
 
 def test_power_and_negation():

@@ -15,6 +15,12 @@ The packed term dict ``Poly.packed`` is the ring's representation, and
 ``Poly.terms`` its tuple-keyed view: only ``polyring`` and the parser and
 printer in ``textio`` read either, and every other module goes through the
 ring's accessors.
+
+Every exact value outside ``exactfield`` is narrow, an ``int``, a
+``Fraction`` or a ``Scalar`` with a nonzero irrational part, and its parts
+are read through ``exactfield.parts``: only ``exactfield``, the evaluation
+kernel in ``polyring`` and the printer in ``textio`` read ``.rat``,
+``.irr`` or ``.rad``.
 """
 
 import ast
@@ -117,6 +123,31 @@ def test_term_dict_read_is_reported():
               "    k = max(q.packed)\n"
               "    return q.sorted_terms(), 'p.terms', getattr(p, 'nvars')\n")
     assert term_dict_reads(source, "m.py") == ["m.py:2", "m.py:3"]
+
+
+PART_READERS = ("exactfield.py", "polyring.py", "textio.py")
+
+
+def part_reads(source, filename):
+    tree = ast.parse(source, filename)
+    return ["%s:%d" % (filename, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("rat", "irr", "rad")]
+
+
+def test_only_the_field_the_evaluation_kernel_and_the_printer_read_scalar_parts():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in PART_READERS:
+            found += part_reads(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_scalar_part_read_is_reported():
+    source = ("def f(v, w):\n"
+              "    if v.irr:\n"
+              "        return v.rat, w.rad\n"
+              "    return parts(v), 'v.rat', getattr(v, 'irr')\n")
+    assert part_reads(source, "m.py") == ["m.py:2", "m.py:3", "m.py:3"]
 
 
 def test_library_import_leaves_click_out():

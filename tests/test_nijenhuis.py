@@ -467,7 +467,7 @@ def test_nondegeneracy_certificate_falls_back_exactly(monkeypatch):
     vanishing = Poly.constant(3, Scalar(1))
     for point in seeded_points(3):
         vanishing = vanishing * (Poly.variable(3, 0) - point[0])
-    antiderivative = Poly(3, {(e[0] + 1,) + e[1:]: c / (e[0] + 1)
+    antiderivative = Poly(3, {(e[0] + 1,) + e[1:]: Fraction(c, e[0] + 1)
                               for e, c in vanishing.sorted_terms()})
     sigmas = [antiderivative, Poly.variable(3, 1), Poly.variable(3, 2)]
     assert is_differentially_nondegenerate(sigmas)

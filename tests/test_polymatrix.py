@@ -7,7 +7,7 @@ from linnij.catalog import (
     generalized_L1, generalized_L2, generalized_blocks, load_catalog)
 from linnij.errors import (
     DependentSigmasError, DimensionMismatchError, SingularMatrixError)
-from linnij.exactfield import Scalar
+from linnij.exactfield import Scalar, parts
 from linnij.nijenhuis import torsion
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
 from linnij.polymatrix import (
@@ -258,10 +258,11 @@ def to_sympy(p, symbols):
 
     total = sympy.Integer(0)
     for exps, c in p.sorted_terms():
-        coeff = sympy.Rational(c.rat.numerator, c.rat.denominator)
-        if c.rad:
-            coeff += sympy.Rational(c.irr.numerator, c.irr.denominator) \
-                * sympy.sqrt(c.rad)
+        rat, irr, rad = parts(c)
+        coeff = sympy.Rational(rat.numerator, rat.denominator)
+        if rad:
+            coeff += sympy.Rational(irr.numerator, irr.denominator) \
+                * sympy.sqrt(rad)
         total += coeff * sympy.Mul(*(x ** e for x, e in zip(symbols, exps)))
     return total
 
@@ -390,8 +391,8 @@ def test_seeded_points_are_a_fixed_budget():
         points = list(seeded_points(n))
         assert points == list(seeded_points(n))
         assert len(points) == 2 * n + 4
-        assert all(len(p) == n and all(-50 <= v.rat <= 50 and v.rat.denominator == 1
-                                       and not v.irr for v in p) for p in points)
+        assert all(len(p) == n and all(type(v) is int and -50 <= v <= 50 for v in p)
+                   for p in points)
 
 
 def test_substitute_linear_on_matrix():
@@ -723,32 +724,3 @@ def test_narrow_elimination_matches_the_scalar_one_seeded():
                 polynomial += type(v) is Poly
     assert singular >= 40 and irrational >= 40 and polynomial >= 100, (
         singular, irrational, polynomial)
-
-
-def test_scalar_readers_keep_their_types():
-    # the public wrappers of the elimination and of evaluation return
-    # Scalar; PolyMatrix.at yields the narrow values
-    root3 = Scalar(0, 1, 3)
-    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
-    assert type(scalar_mat_det(a)) is Scalar and scalar_mat_det(a) == Scalar(5)
-    singular = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]
-    assert type(scalar_mat_det(singular)) is Scalar
-    inverse = scalar_mat_inverse(a)
-    assert all(type(v) is Scalar for row in inverse for v in row)
-    assert inverse == [[Scalar(Fraction(3, 5)), Scalar(Fraction(-1, 5))],
-                       [Scalar(Fraction(-1, 5)), Scalar(Fraction(2, 5))]]
-    assert type(scalar_mat_det([[root3]])) is Scalar
-    assert all(type(v) is Scalar for row in scalar_mat_inverse([[root3, Scalar(1)],
-                                                                 [Scalar(0), Scalar(2)]])
-               for v in row)
-    m = PolyMatrix([[p3("x1 + x2"), p3("1/2*x1")],
-                    [Poly.monomial(3, (0, 0, 1), root3), p3("0")]])
-    point = [Scalar(1), Scalar(3), Scalar(2)]
-    values = next(m.at([point]))
-    assert [[type(v) for v in row] for row in values] == [[int, Fraction], [Scalar, int]]
-    assert values == [[4, Fraction(1, 2)], [2 * root3, 0]]
-    assert all(type(q.evaluate(point)) is Scalar for row in m.entries for q in row)
-    # a sqrt(3) value whose irrational part cancels is rational, so narrow
-    cancels = Poly.monomial(3, (1, 0, 0), root3) + Poly.monomial(3, (0, 1, 0), -root3)
-    [[value]] = next(PolyMatrix([[cancels]]).at([[Scalar(2), Scalar(2), Scalar(0)]]))
-    assert value == 0 and type(value) is int

@@ -3,10 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from known_solutions import CASE12_SOLUTIONS, PARAM_NAMES, full_assignment
+from linnij.catalog import DIAG_PAIRING_CHANGE, load_catalog
 from linnij.errors import DimensionMismatchError
-from linnij.exactfield import Scalar
+from linnij.exactfield import Scalar, scalar_sqrt
+from linnij.nijenhuis import (
+    StructureConstants, change_coordinates, lsa_to_operator, random_structure_constants)
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, top_exponents
-from linnij.textio import format_poly, parse_poly
+from linnij.polymatrix import (
+    PolyMatrix, scalar_mat_det, scalar_mat_inverse, scalar_mat_mul, seeded_points)
+from linnij.reconstruct import (
+    check_solution, derive_alphas, generate_linearity_system, normalize_sigma1,
+    normalize_sigma2, param_sigmas, param_sigmas_2d, parse_assignment, solve_quadratic,
+    solve_two_dim)
+from linnij.textio import format_poly, parse_poly, parse_scalar, parse_scalar_matrix
 
 
 NAMES3 = ["x1", "x2", "x3"]
@@ -232,7 +242,7 @@ def reference_exact_divide(p, q):
         diff = tuple(a - b for a, b in zip(exps, lead_exps))
         if any(d < 0 for d in diff):
             return DivisibilityFailure(remainder)
-        t = Poly.monomial(p.nvars, diff, coeff / lead_coeff)
+        t = Poly.monomial(p.nvars, diff, Scalar._coerce(coeff) / lead_coeff)
         quotient = quotient + t
         remainder = remainder - t * q
     return quotient
@@ -313,19 +323,122 @@ def test_entry_points_narrow_their_coefficients():
     assert hash(half) == hash(Poly.monomial(3, (0, 1, 0), Fraction(1, 2)))
 
 
-def test_readers_return_scalars():
+def narrow_type(value):
+    """The one type the value convention allows for ``value``, judged by its
+    value alone: Scalar for a nonzero irrational part, else int when the
+    value is integral and Fraction otherwise."""
+    if type(value) is Scalar:
+        if value.irr:
+            return Scalar
+        value = value.rat
+    return int if Fraction(value).denominator == 1 else Fraction
+
+
+def types(values):
+    return [type(v) for v in values]
+
+
+def test_readers_return_narrow_values():
+    # every public reader returns an int for an integral value, a Fraction
+    # for another rational one, and a Scalar exactly when the irrational
+    # part is nonzero; inputs may be Scalars, rational ones included
+    root3 = Scalar(0, 1, 3)
     q = p("x1^2 + 1/2*x2 - 3") + Poly.monomial(3, (0, 0, 1), Scalar(0, 2, 3))
-    assert {type(c) for c in q.terms.values()} == {int, Fraction, Scalar}
-    assert all(type(c) is Scalar for _, c in q.sorted_terms())
-    assert q.leading() == ((2, 0, 0), Scalar(1)) and type(q.leading()[1]) is Scalar
-    for exps in ((2, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, 1)):
-        assert type(q.coefficient(exps)) is Scalar
-    assert q.coefficient((0, 1, 0)) == Scalar(Fraction(1, 2))
-    assert all(type(c) is Scalar for c in p("2*x1 - 1/3*x3").linear_coefficients())
-    assert type(p("7").constant_value()) is Scalar
-    point = [Scalar(1), Scalar(2), Scalar(0)]
-    assert q.evaluate(point) == Scalar(-1) and type(q.evaluate(point)) is Scalar
-    assert type(p("0").evaluate(point)) is Scalar
+    assert types(c for _, c in q.sorted_terms()) == [int, Fraction, Scalar, int]
+    assert q.leading() == ((2, 0, 0), 1) and type(q.leading()[1]) is int
+    assert types(q.coefficient(e) for e in ((2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
+                                            (1, 1, 1), (0, 0, 300))) == [
+        int, Fraction, Scalar, int, int, int]
+    linear = p("2*x1 - 1/3*x3") + Poly.monomial(3, (0, 1, 0), root3)
+    assert types(linear.linear_coefficients()) == [int, Scalar, Fraction]
+    assert types(p("x2").linear_coefficients()) == [int, int, int]
+    assert {i: type(c) for i, c in linear.linear_terms().items()} == {
+        0: int, 1: Scalar, 2: Fraction}
+    assert types(p(t).constant_value() for t in ("7", "1/7", "0", "sqrt(3)^2")) == [
+        int, Fraction, int, int]
+    assert type(Poly.constant(3, root3).constant_value()) is Scalar
+    points = ([Scalar(1), Scalar(2), Scalar(0)], [1, 1, 0], [0, 0, 1], [root3, 0, 0])
+    assert [q.evaluate(point) for point in points] == [
+        -1, Fraction(-3, 2), Scalar(-3, 2, 3), 0]
+    assert types(q.evaluate(point) for point in points) == [int, Fraction, Scalar, int]
+    assert type(p("0").evaluate([1, 2, 3])) is int
+
+    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
+    assert scalar_mat_det(a) == 5 and type(scalar_mat_det(a)) is int
+    assert types([scalar_mat_det([[Scalar(1), 2], [2, 4]]),
+                  scalar_mat_det([[Fraction(1, 2)]]), scalar_mat_det([[root3]])]) == [
+        int, Fraction, Scalar]
+    inverse = scalar_mat_inverse(a)
+    assert inverse == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+    assert [types(row) for row in inverse] == [[Fraction, Fraction]] * 2
+    assert [types(row) for row in scalar_mat_inverse([[root3, 1], [0, 2]])] == [
+        [Scalar, Scalar], [int, Fraction]]
+    assert [types(row) for row in scalar_mat_mul(a, inverse)] == [[int, int]] * 2
+    m = PolyMatrix([[p("x1 + x2"), p("1/2*x1")],
+                    [Poly.monomial(3, (0, 0, 1), root3), p("0")]])
+    values = next(m.at([[Scalar(1), 3, Fraction(2)]]))
+    assert values == [[4, Fraction(1, 2)], [2 * root3, 0]]
+    assert [types(row) for row in values] == [[int, Fraction], [Scalar, int]]
+    # a sqrt(3) value whose irrational part cancels is rational, so narrow
+    cancels = Poly.monomial(3, (1, 0, 0), root3) + Poly.monomial(3, (0, 1, 0), -root3)
+    [[value]] = next(PolyMatrix([[cancels]]).at([[Scalar(2), Scalar(2), Scalar(0)]]))
+    assert value == 0 and type(value) is int
+    assert {type(v) for point in seeded_points(4) for v in point} == {int}
+    assert types(scalar_sqrt(v) for v in (4, Fraction(1, 4), Scalar(4), 3, Scalar(7, 4, 3),
+                                          0)) == [int, Fraction, int, Scalar, Scalar, int]
+
+    assert types(parse_scalar(t) for t in ("4/2", "1/2", "sqrt(3)", "sqrt(3)*sqrt(3)")) == [
+        int, Fraction, Scalar, int]
+    assert [types(row) for row in parse_scalar_matrix([["1", "-1/2"], ["2*sqrt(3)", "0"]])] == [
+        [int, Fraction], [Scalar, int]]
+    assignment = parse_assignment("a = 1/3\nb = 6/3\nc = 1 + sqrt(3)\n")
+    assert types(assignment.values()) == [Fraction, int, Scalar]
+
+    # check_solution, derive_alphas and the normal forms, on every value
+    name, params, _, perturb, _ = CASE12_SOLUTIONS[1]
+    values = full_assignment(params, {})
+    alphas = derive_alphas(param_sigmas("1.2"), {k: values[k] for k in PARAM_NAMES})
+    assert set(types(alphas.values())) == {int, Fraction, Scalar}
+    values.update(alphas)
+    values[perturb] = values[perturb] + 1
+    residuals = [r.value for r in
+                 check_solution(generate_linearity_system(param_sigmas("1.2")), values).residuals]
+    assert set(types(residuals)) == {int, Scalar}
+    roots = (solve_quadratic(4, 0, -1) + solve_quadratic(Scalar(1), -3, 2)
+             + solve_quadratic(2, 0, -1) + solve_two_dim(
+                 generate_linearity_system(param_sigmas_2d(1)))[1])
+    assert types(roots) == [Fraction, Fraction, int, int, Scalar, Scalar, int, Fraction]
+    sigma1_change = normalize_sigma1(p("2*x1 - 1/3*x3"))[1]
+    forms = [normalize_sigma2(p(t)) for t in ("1/2*x1^2 + 3*x2^2 - 12*x3^2",
+                                               "x1*x2 + 4*x3^2", "x2*x3")]
+    assert [nf.alpha for nf in forms] == [Fraction(1, 2), None, 0]
+    found = (alphas.values(), residuals, roots, [v for row in sigma1_change for v in row],
+             [forms[0].alpha, forms[2].alpha],
+             [v for nf in forms for row in nf.change for v in row],
+             [c for nf in forms for _, c in nf.canonical.sorted_terms()])
+    for group in found:
+        assert all(type(v) is narrow_type(v) for v in group), group
+    assert {type(v) for row in forms[0].change for v in row} == {int, Scalar}
+
+    sc = StructureConstants([[[Scalar(2), Fraction(1, 2)], [root3, Scalar(0)]],
+                             [[0, Fraction(4, 2)], [Scalar(Fraction(1, 3)), 1]]])
+    assert types(v for *_, v in sc.relations()) == [int, Fraction, Scalar, int, Fraction, int]
+    assert {type(v) for plane in sc.a for row in plane for v in row} == {int, Fraction, Scalar}
+    summed = StructureConstants.from_relations(
+        2, [(1, 1, 1, Fraction(1, 2)), (1, 1, 1, Scalar(Fraction(1, 2))), (2, 1, 1, Scalar(3))])
+    assert summed.relations() == [(1, 1, 1, 1), (2, 1, 1, 3)]
+    assert types(v for *_, v in summed.relations()) == [int, int]
+    drawn = random_structure_constants(random.Random(3), 3)
+    assert {type(v) for *_, v in drawn.relations()} == {int}
+    assert {type(v) for row in DIAG_PAIRING_CHANGE for v in row} == {int}
+    moved = change_coordinates(lsa_to_operator(sc), [[Scalar(1), 1], [0, Scalar(2)]])
+    assert all(type(c) is narrow_type(c) for row in moved.entries for q in row
+               for _, c in q.sorted_terms())
+    catalog_values = [v for entry in load_catalog()
+                      for v in [c for *_, c in entry.relations.relations()]
+                      + [v for row in entry.change or () for v in row]]
+    assert all(type(v) is narrow_type(v) for v in catalog_values)
+    assert {type(v) for v in catalog_values} == {int, Fraction, Scalar}
 
 
 def test_homogeneity_and_degree():
@@ -397,7 +510,7 @@ def test_radicand_of_poly():
 
 
 def old_form(poly):
-    return dict(poly.sorted_terms())
+    return {e: Scalar._coerce(c) for e, c in poly.sorted_terms()}
 
 
 def old_clean(acc):

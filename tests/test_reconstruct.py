@@ -377,6 +377,10 @@ def test_two_dim_operator_rejects_nonsolution():
         two_dim_operator(Fraction(1, 3), 1)
 
 
+#: what an exact value may be; a float never is
+EXACT_TYPES = (int, Fraction, Scalar)
+
+
 def test_solve_quadratic():
     assert solve_quadratic(Scalar(1), Scalar(-3), Scalar(2)) == [
         Scalar(1),
@@ -392,6 +396,14 @@ def test_solve_quadratic():
     ]
     with pytest.raises(LinnijError):
         solve_quadratic(Scalar(0), Scalar(0), Scalar(1))
+    # plain int coefficients give the same roots, each exact: an int / int
+    # anywhere on the way would leave a float
+    for c2, c1, c0 in ((1, -3, 2), (0, 2, -1), (1, -2, 1), (1, 0, -3), (2, 3, 1),
+                       (4, 0, -1), (3, 1, 0), (0, 3, 1), (2, 0, -1)):
+        roots = solve_quadratic(c2, c1, c0)
+        assert roots == solve_quadratic(Scalar(c2), Scalar(c1), Scalar(c0))
+        assert all(type(t) in EXACT_TYPES for t in roots), (c2, c1, c0, roots)
+        assert all(c2 * t * t + c1 * t + c0 == 0 for t in roots)
 
 
 # -- listing round trip ---------------------------------------------------------
@@ -513,7 +525,7 @@ def test_perturbed_solution_fails():
     assert result.residuals
     witness = result.residuals[0]
     assert witness.entry.startswith("P")
-    assert not witness.value.is_zero()
+    assert witness.value != 0
 
 
 def test_check_solution_matches_substitution():
@@ -534,7 +546,7 @@ def test_check_solution_matches_substitution():
             expected = []
             for eq in system.equations:
                 value = eq.poly.substitute(values).constant_value()
-                if not value.is_zero():
+                if value != 0:
                     expected.append((eq.entry, eq.row, eq.col, eq.monomial, value))
             result = check_solution(system, assignment)
             assert [(r.entry, r.row, r.col, r.monomial, r.value)
@@ -748,7 +760,7 @@ def test_normalize_sigma2_change_contract():
             continue
         count += 1
         assert nf.change[0][0] == Scalar(1)
-        assert all(v.is_zero() for v in nf.change[0][1:])
+        assert all(v == 0 for v in nf.change[0][1:])
         assert p.substitute_linear(nf.change) == nf.canonical
     assert count >= 40
 
@@ -774,6 +786,7 @@ def reference_quadratic_matrix(s2):
     a = [[ZERO] * n for _ in range(n)]
     half = Scalar(Fraction(1, 2))
     for exps, coeff in s2.sorted_terms():
+        coeff = Scalar._coerce(coeff)  # the reference computes on Scalars
         support = [i for i, e in enumerate(exps) if e]
         if sum(exps) != 2:
             raise DimensionMismatchError("expected a homogeneous quadratic")
@@ -923,7 +936,7 @@ def seeded_quadratic(rng, n):
             if rng.random() < 0.25:
                 coeff = Scalar(rng.randint(-2, 2), rng.choice([-1, 1]), 3)
             else:
-                coeff = Scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+                coeff = rng.choice([-3, -2, -1, 1, 2, 3])
             terms[tuple(exps)] = coeff
     return Poly(n, terms)
 
@@ -938,12 +951,13 @@ def normal_form_outcome(normalize, s2):
 
 def test_normalize_sigma2_matches_the_reference_seeded():
     rng = random.Random(2024)
+    linear_rng = random.Random(2025)
     seen = {2: set(), 3: set()}
     irrational = split = 0
     for count in range(2400):
         n = 2 + count % 2
         s2 = seeded_quadratic(rng, n)
-        irrational += any(v.irr for _, v in s2.sorted_terms())
+        irrational += any(type(v) is Scalar for _, v in s2.sorted_terms())
         # x2 and x3 with a cross term but no square: the split x2 = u + v,
         # x3 = u - v comes first
         split += s2.terms.keys() & {(0, 2, 0), (0, 1, 1), (0, 0, 2)} == {(0, 1, 1)}
@@ -951,6 +965,20 @@ def test_normalize_sigma2_matches_the_reference_seeded():
         assert outcome == normal_form_outcome(reference_normalize_sigma2, s2), (
             format_poly(s2, default_names(n)))
         seen[n].add(outcome[0])
+        # the readers hand the normal forms ints, which must never meet in
+        # an int / int: every value stays exact, never a float
+        values = []
+        if len(outcome) == 5:
+            _, canonical, change, alpha, _ = outcome
+            values += [v for row in change for v in row]
+            values += [c for _, c in canonical.sorted_terms()]
+            values += [] if alpha is None else [alpha]
+        s1 = Poly(n, {tuple(int(i == j) for j in range(n)): linear_rng.randint(-3, 3)
+                      for i in range(n)})
+        if s1:
+            values += [v for row in normalize_sigma1(s1)[1] for v in row]
+        assert all(type(v) in EXACT_TYPES for v in values), (
+            format_poly(s2, default_names(n)), format_poly(s1, default_names(n)), values)
     errors = {"NotRepresentableError", "RadicandMismatchError"}
     assert seen[2] == {RANK2, PRODUCT, DEGENERATE} | errors
     assert seen[3] == {FULL, RANK2, PRODUCT, PRODUCT_PLUS, DEGENERATE} | errors

@@ -298,7 +298,7 @@ def random_expression(rng, depth):
     if kind == "quotient":
         left, lv = _at(PRODUCT, a, rng)
         right, rv = _at(POWER, _divisor(rng), rng)
-        inverse = rv.constant_value().inverse()
+        inverse = Scalar._coerce(rv.constant_value()).inverse()
         return _join(rng, left, "/", right), lv * inverse, PRODUCT
     if kind == "power":
         base, bv = _at(ATOM, a, rng)
@@ -382,7 +382,7 @@ class ReferenceParser(_Parser):
                     divisor = factor.constant_value()
                 except ValueError:
                     raise FormatError("can only divide by a constant")
-                factor = Poly.constant(self.nvars, divisor.inverse())
+                factor = Poly.constant(self.nvars, Scalar._coerce(divisor).inverse())
             rest = factor if rest is None else rest * factor
         elif isinstance(base, str):
             if divide and exponent:
