@@ -724,3 +724,33 @@ def test_narrow_elimination_matches_the_scalar_one_seeded():
                 polynomial += type(v) is Poly
     assert singular >= 40 and irrational >= 40 and polynomial >= 100, (
         singular, irrational, polynomial)
+
+
+def test_scalar_readers_keep_their_types():
+    # the scalar matrix helpers and PolyMatrix.at return an int for an
+    # integral value, a Fraction for another rational one, and a Scalar
+    # exactly when the irrational part is nonzero
+    def types(values):
+        return [type(v) for v in values]
+
+    root3 = Scalar(0, 1, 3)
+    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
+    assert scalar_mat_det(a) == 5 and type(scalar_mat_det(a)) is int
+    assert types([scalar_mat_det([[Scalar(1), 2], [2, 4]]),
+                  scalar_mat_det([[Fraction(1, 2)]]), scalar_mat_det([[root3]])]) == [
+        int, Fraction, Scalar]
+    inverse = scalar_mat_inverse(a)
+    assert inverse == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+    assert [types(row) for row in inverse] == [[Fraction, Fraction]] * 2
+    assert [types(row) for row in scalar_mat_inverse([[root3, 1], [0, 2]])] == [
+        [Scalar, Scalar], [int, Fraction]]
+    assert [types(row) for row in scalar_mat_mul(a, inverse)] == [[int, int]] * 2
+    m = PolyMatrix([[p3("x1 + x2"), p3("1/2*x1")],
+                    [Poly.monomial(3, (0, 0, 1), root3), p3("0")]])
+    values = next(m.at([[Scalar(1), 3, Fraction(2)]]))
+    assert values == [[4, Fraction(1, 2)], [2 * root3, 0]]
+    assert [types(row) for row in values] == [[int, Fraction], [Scalar, int]]
+    # a sqrt(3) value whose irrational part cancels is rational, so narrow
+    cancels = Poly.monomial(3, (1, 0, 0), root3) + Poly.monomial(3, (0, 1, 0), -root3)
+    [[value]] = next(PolyMatrix([[cancels]]).at([[Scalar(2), Scalar(2), Scalar(0)]]))
+    assert value == 0 and type(value) is int

@@ -10,8 +10,7 @@ from linnij.exactfield import Scalar, scalar_sqrt
 from linnij.nijenhuis import (
     StructureConstants, change_coordinates, lsa_to_operator, random_structure_constants)
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, top_exponents
-from linnij.polymatrix import (
-    PolyMatrix, scalar_mat_det, scalar_mat_inverse, scalar_mat_mul, seeded_points)
+from linnij.polymatrix import seeded_points
 from linnij.reconstruct import (
     check_solution, derive_alphas, generate_linearity_system, normalize_sigma1,
     normalize_sigma2, param_sigmas, param_sigmas_2d, parse_assignment, solve_quadratic,
@@ -338,8 +337,8 @@ def types(values):
     return [type(v) for v in values]
 
 
-def test_readers_return_narrow_values():
-    # every public reader returns an int for an integral value, a Fraction
+def test_readers_return_scalars():
+    # every Poly reader returns an int for an integral value, a Fraction
     # for another rational one, and a Scalar exactly when the irrational
     # part is nonzero; inputs may be Scalars, rational ones included
     root3 = Scalar(0, 1, 3)
@@ -363,26 +362,12 @@ def test_readers_return_narrow_values():
     assert types(q.evaluate(point) for point in points) == [int, Fraction, Scalar, int]
     assert type(p("0").evaluate([1, 2, 3])) is int
 
-    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
-    assert scalar_mat_det(a) == 5 and type(scalar_mat_det(a)) is int
-    assert types([scalar_mat_det([[Scalar(1), 2], [2, 4]]),
-                  scalar_mat_det([[Fraction(1, 2)]]), scalar_mat_det([[root3]])]) == [
-        int, Fraction, Scalar]
-    inverse = scalar_mat_inverse(a)
-    assert inverse == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
-    assert [types(row) for row in inverse] == [[Fraction, Fraction]] * 2
-    assert [types(row) for row in scalar_mat_inverse([[root3, 1], [0, 2]])] == [
-        [Scalar, Scalar], [int, Fraction]]
-    assert [types(row) for row in scalar_mat_mul(a, inverse)] == [[int, int]] * 2
-    m = PolyMatrix([[p("x1 + x2"), p("1/2*x1")],
-                    [Poly.monomial(3, (0, 0, 1), root3), p("0")]])
-    values = next(m.at([[Scalar(1), 3, Fraction(2)]]))
-    assert values == [[4, Fraction(1, 2)], [2 * root3, 0]]
-    assert [types(row) for row in values] == [[int, Fraction], [Scalar, int]]
-    # a sqrt(3) value whose irrational part cancels is rational, so narrow
-    cancels = Poly.monomial(3, (1, 0, 0), root3) + Poly.monomial(3, (0, 1, 0), -root3)
-    [[value]] = next(PolyMatrix([[cancels]]).at([[Scalar(2), Scalar(2), Scalar(0)]]))
-    assert value == 0 and type(value) is int
+
+def test_readers_return_narrow_values():
+    # the other public readers keep the same convention as the Poly readers
+    # (test_readers_return_scalars) and the scalar matrix helpers
+    # (test_polymatrix.py::test_scalar_readers_keep_their_types)
+    root3 = Scalar(0, 1, 3)
     assert {type(v) for point in seeded_points(4) for v in point} == {int}
     assert types(scalar_sqrt(v) for v in (4, Fraction(1, 4), Scalar(4), 3, Scalar(7, 4, 3),
                                           0)) == [int, Fraction, int, Scalar, Scalar, int]
