@@ -295,7 +295,6 @@ _set_rat = Scalar.rat.__set__
 _set_irr = Scalar.irr.__set__
 _set_rad = Scalar.rad.__set__
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
     Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _reciprocal,
-    _power_table, _support, _value_at, dot, exact_divide, top_exponents)
+    _power_table, _support, _value_at, dot, exact_divide, exponent_sets)
 from .exactfield import _narrow
 from .record import Record
 
@@ -86,14 +86,14 @@ class PolyMatrix(Record):
            ) -> Iterator[list[list[Coefficient]]]:
         """The value of every entry, row by row, at each of ``points`` in
         turn, computed as it is asked for.  Each point gets one power
-        table (``polyring._power_table``), reaching the matrix's
-        highest exponent of each variable, found once, and every entry is
+        table (``polyring._power_table``), with entries at the exponents
+        each variable takes in the matrix, found once, and every entry is
         summed against it by the one kernel ``polyring._value_at``."""
-        top = top_exponents(self.nvars, (p for row in self.entries for p in row))
+        exps = exponent_sets(self.nvars, (p for row in self.entries for p in row))
         for point in points:
             if len(point) != self.nvars:
                 raise DimensionMismatchError("point has wrong length")
-            table = _power_table(point, top)
+            table = _power_table(point, exps)
             yield [[_value_at(p, table) for p in row] for row in self.entries]
 
     # -- determinants --------------------------------------------------------

@@ -77,20 +77,25 @@ denominator L and holds the powers of each ``L*v`` as ``int``, or, for an
 irrational v, as a pair of ``int`` for ``a + b*sqrt(d)``.  The kernel
 walks only each term's nonzero exponents, sums the rational and the
 ``sqrt(d)`` parts as two ints scaled to the polynomial's own degree, and
-divides once.  At an integer point, at a point with two radicands, and at
-a point where L would inflate the powers of some value far past their own
-size, the table holds the narrow powers :func:`powers_of` builds instead,
+divides once.  At an integer point, at a point with two radicands, at a
+point where L would inflate the powers of some value far past their own
+size, and at one where a power of L could pass :data:`MAX_POWER_BITS`,
+the table holds the narrow powers :func:`powers_of` builds instead,
 and the kernel multiplies each coefficient by its term's entries in index
 order and sums the terms in turn, in the narrow types; a coefficient of
 another radicand than the point's sends the sum there too.  So
 :class:`~linnij.errors.RadicandMismatchError` is raised exactly where a
 narrow product or sum meets two radicands.
-:func:`top_exponents` is the one scan for how far such tables must reach,
-and :func:`powers_of` the narrow power rows of such tables and of
-:meth:`Poly.substitute`.
+:func:`exponent_sets` is the one scan for the exponents each variable
+takes, and a table holds entries at those exponents only, so its work
+follows the exponents that occur and not the highest of them;
+:func:`powers_of` builds the narrow power rows of such tables and of
+:meth:`Poly.substitute`.  Every power of a value either builds passes
+:func:`_check_power` first: one that could reach :data:`MAX_POWER_BITS`
+bits is a :class:`~linnij.errors.FormatError`, never a hang.
 
 The packed dict is read here and by the parser and printer in
-:mod:`linnij.textio` only; other modules use :func:`top_exponents`,
+:mod:`linnij.textio` only; other modules use :func:`exponent_sets`,
 :meth:`Poly.gradient`, :meth:`Poly.linear_terms` (and its dense form
 :meth:`Poly.linear_coefficients`) and :meth:`Poly.involves`.
 """
@@ -103,7 +108,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, FormatError
 from .exactfield import Scalar, _narrow, power
 from .record import Record
 
@@ -295,7 +300,7 @@ class Poly:
     def involves(self, indices: Iterable[int]) -> bool:
         """True when some term has a positive exponent at one of
         ``indices``."""
-        mask = _field_mask(self.nvars, self.width, indices)
+        mask = _field_mask(self.nvars, self.width, tuple(indices))
         return any(key & mask for key in self.packed)
 
     def constant_value(self) -> Coefficient:
@@ -433,8 +438,8 @@ class Poly:
     def substitute(self, values: Mapping[int, Coefficient]) -> "Poly":
         """Evaluate some variables at scalar values (others stay symbolic).
 
-        Each substituted variable's powers are built once, up to the highest
-        exponent it carries, and every image coefficient is narrowed.  A
+        Each substituted variable's powers are built once, at the exponents
+        it carries, and every image coefficient is narrowed.  A
         term's coefficient is multiplied by its powers in the order of
         ``values``.
         """
@@ -442,11 +447,11 @@ class Poly:
         for i in values:
             if not 0 <= i < nvars:
                 raise DimensionMismatchError("variable index %d out of range" % i)
-        top = top_exponents(nvars, (self,))
+        exps = exponent_sets(nvars, (self,))
         mask = (1 << width) - 1
-        rows = [(width * (nvars - 1 - i), powers_of(value, top[i]))
+        rows = [(width * (nvars - 1 - i), powers_of(value, exps[i]))
                 for i, value in values.items()]
-        hit = _field_mask(nvars, width, values)
+        hit = _field_mask(nvars, width, tuple(values))
         images = []
         for key, coeff in self.packed.items():
             if key & hit:
@@ -468,7 +473,7 @@ class Poly:
         """The value at a point: every variable substituted."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point has wrong length")
-        table = _power_table(point, top_exponents(self.nvars, (self,)))
+        table = _power_table(point, exponent_sets(self.nvars, (self,)))
         return _value_at(self, table)
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
@@ -541,8 +546,11 @@ def _units(nvars: int, width: int) -> tuple[int, ...]:
     return tuple(_unit(nvars, width, i) for i in range(nvars))
 
 
-def _field_mask(nvars: int, width: int, indices: Iterable[int]) -> int:
-    """The bits of the fields of ``indices`` in a key."""
+@lru_cache(maxsize=256)
+def _field_mask(nvars: int, width: int, indices: tuple[int, ...]) -> int:
+    """The bits of the fields of ``indices`` in a key.  A caller testing
+    many polynomials against one set of indices, such as a listing's
+    geometric variables, gets the mask back from the cache."""
     field = (1 << width) - 1
     mask = 0
     for i in indices:
@@ -647,92 +655,165 @@ def _add_products(acc: dict, left: dict, right: dict) -> dict:
     return acc
 
 
-def top_exponents(nvars: int, polys: Iterable[Poly]) -> list[int]:
-    """The highest exponent of each of ``nvars`` variables over ``polys``:
-    how far a :func:`_power_table` must reach for :func:`_value_at`."""
+def exponent_sets(nvars: int, polys: Iterable[Poly]) -> list[set[int]]:
+    """The nonzero exponents each of ``nvars`` variables takes over
+    ``polys``, one set per variable, empty for a variable that does not
+    occur: where a :func:`_power_table` needs entries for
+    :func:`_value_at`."""
     keys: dict[int, set[int]] = {}
     for p in polys:
         # a term dict hands its keys' hashes over, so repeats cost little
         keys.setdefault(p.width, set()).update(p.packed)
-    top = [0] * nvars
+    exps: list[set[int]] = [set() for _ in range(nvars)]
     for width, group in keys.items():
         for key in group:
             for i, e in _fields(key, nvars, width):
-                if e > top[i]:
-                    top[i] = e
-    return top
+                exps[i].add(e)
+    return exps
 
 
-def powers_of(value: Coefficient, top: int) -> list[Coefficient] | None:
-    """``[1, value, ..., value**top]`` in the ring's narrow coefficient
-    types, or None when ``value`` is zero: the narrow rows of a
+#: The most bits a power that evaluation or substitution forms may reach:
+#: 2**17, about 39,000 decimal digits, nine times the longest integer the
+#: interpreter prints.  :func:`_check_power` refuses a longer one before it
+#: is built.
+MAX_POWER_BITS = 1 << 17
+
+
+def _check_power(size: int, exponent: int):
+    """FormatError once ``(bits(size) - 1) * exponent`` reaches
+    :data:`MAX_POWER_BITS`, where ``size ** exponent``, the bound
+    :func:`_size` gives for a power, has more bits than that; a power that
+    passes has fewer than twice as many."""
+    if (size.bit_length() - 1) * exponent >= MAX_POWER_BITS:
+        raise FormatError("a power to the exponent %d of a value of %d bits may "
+                          "have more than %d bits"
+                          % (exponent, size.bit_length(), MAX_POWER_BITS))
+
+
+def _size(value: Coefficient) -> int:
+    """An int M such that no integer part of ``value**k`` is larger than
+    ``M**k``: |v| for an int, the larger of numerator and denominator for
+    a Fraction, and for ``(a + b*sqrt(d))/m`` over the least common
+    denominator m the larger of ``|a| + |b|*d`` and ``m``."""
+    kind = type(value)
+    if kind is int:
+        return abs(value)
+    if kind is Fraction:
+        return max(abs(value.numerator), value.denominator)
+    rat, irr = value.rat, value.irr
+    m = lcm(rat.denominator, irr.denominator)
+    return max(abs(rat.numerator) * (m // rat.denominator)
+               + abs(irr.numerator) * (m // irr.denominator) * value.rad, m)
+
+
+def powers_of(value: Coefficient, exponents: Iterable[int]) -> dict[int, Coefficient] | None:
+    """``{e: value**e}`` for each e of ``exponents`` in the ring's narrow
+    coefficient types, or None when ``value`` is zero: the narrow rows of a
     :func:`_power_table`, and the power rows of :meth:`Poly.substitute`,
-    whose images keep those types."""
+    whose images keep those types.  Each power is built from the one
+    below it, after :func:`_check_power` has passed the highest."""
     value = _exact(value)
-    row = [1]
-    for _ in range(top):
-        row.append(_narrow(row[-1] * value))
-    return row if value else None
+    if not value:
+        return None
+    exponents = sorted(exponents)
+    if exponents:
+        _check_power(_size(value), exponents[-1])
+    row = {}
+    x, at = 1, 0
+    for e in exponents:
+        x = _narrow(x * value ** (e - at))
+        row[e] = x
+        at = e
+    return row
 
 
-def _power_table(point: Sequence, top: Sequence[int]) -> tuple:
-    """The power table of ``point`` for :func:`_value_at`, reaching
-    ``top[i]`` for variable i: the plain tuple ``(rows, scale, rad,
+def _pair_power(a: int, b: int, d: int, k: int) -> tuple[int, int]:
+    """``(a + b*sqrt(d))**k`` as the pair of its int parts."""
+    x, y = 1, 0
+    while k:
+        if k & 1:
+            x, y = x * a + d * y * b, x * b + y * a
+        k >>= 1
+        if k:
+            a, b = a * a + d * b * b, 2 * a * b
+    return x, y
+
+
+def _power_table(point: Sequence, exponents: Sequence) -> tuple:
+    """The power table of ``point`` for :func:`_value_at`, with an entry
+    for each exponent in ``exponents[i]`` of variable i (as
+    :func:`exponent_sets` finds them): the plain tuple ``(rows, scale, rad,
     values)``, as one is built per point and unpacked per evaluation.
     Every value must be an ``int``, a ``Fraction`` or a ``Scalar``
     (``TypeError`` otherwise); ``values`` holds them narrowed.  ``rows[i]``
-    is None when value i is zero or ``top[i]`` is 0: a zero value makes
-    every term it divides vanish, and no term reads the row of a variable
-    of exponent 0.
+    is None when value i is zero or ``exponents[i]`` is empty: a zero value
+    makes every term it divides vanish, and no term reads the row of a
+    variable it does not hold.  Every other row is a dict from exponent to
+    entry, and no entry of another exponent is built, so the work follows
+    the exponents that occur, not the highest of them.
 
     scale is a common denominator L of the rational and irrational parts
-    of the values with ``top[i] > 0``, and rad the one radicand d of the
-    irrational ones among them, 0 when there is none.  rows[i] lists
-    ``(L*v)**e`` for e = 0..top[i]: an int when v is rational, an ``(a,
-    b)`` pair of ints for ``a + b*sqrt(d)`` when v is irrational.
+    of the values with exponents, and rad the one radicand d of the
+    irrational ones among them, 0 when there is none.  rows[i] maps e to
+    ``(L*v)**e``: an int when v is rational, an ``(a, b)`` pair of ints for
+    ``a + b*sqrt(d)`` when v is irrational.
 
     rad is None when the rows are narrow instead: ``v**e`` in the ring's
     narrow coefficient types, as :func:`powers_of` builds them.  They are
     narrow at an integer point (L = 1, no irrational value), where both
-    kinds of row are the same ints; at a point with two radicands; and at a
-    point where L is far longer than some value with ``top[i] > 0``
+    kinds of row are the same ints; at a point with two radicands; at a
+    point where L is far longer than some value with exponents
     (:func:`_scaling_inflates`), as one value with a long denominator would
-    inflate every other value's scaled row.
+    inflate every other value's scaled row; and at a point where L to the
+    sum of the highest exponents, the most that :func:`_value_at` can
+    scale a sum by, could pass :data:`MAX_POWER_BITS`.  Every entry passes
+    :func:`_check_power` before it is built.
     """
     values = [_exact(v) for v in point]
     scale = 1
     rads = set()
-    for v, e in zip(values, top):
-        if e and type(v) is not int:
+    reach = 0
+    for v, exps in zip(values, exponents):
+        if exps and type(v) is not int:
             if type(v) is Scalar:
                 scale = lcm(scale, v.rat.denominator, v.irr.denominator)
                 rads.add(v.rad)
             else:
                 scale = lcm(scale, v.denominator)
-    if len(rads) > 1 or scale > 1 and _scaling_inflates(values, top, scale):
-        return _narrow_rows(values, top), 1, None, values
-    rows: list[list | None] = []
-    for v, e in zip(values, top):
-        if not (v and e):
+        if exps and v:
+            reach += max(exps)
+    if len(rads) > 1 or scale > 1 and (
+            (scale.bit_length() - 1) * reach >= MAX_POWER_BITS
+            or _scaling_inflates(values, exponents, scale)):
+        return _narrow_rows(values, exponents), 1, None, values
+    rows: list[dict | None] = []
+    for v, exps in zip(values, exponents):
+        if not (v and exps):
             rows.append(None)
-        elif type(v) is Scalar:
+            continue
+        exps = sorted(exps)
+        row = {}
+        at = 0
+        if type(v) is Scalar:
             d = v.rad
             a = v.rat.numerator * (scale // v.rat.denominator)
             b = v.irr.numerator * (scale // v.irr.denominator)
+            _check_power(abs(a) + abs(b) * d, exps[-1])
             x, y = 1, 0
-            row = [(1, 0)]
-            for _ in range(e):
-                x, y = x * a + d * y * b, x * b + y * a
-                row.append((x, y))
-            rows.append(row)
+            for e in exps:
+                p, q = _pair_power(a, b, d, e - at)
+                x, y = x * p + d * y * q, x * q + y * p
+                row[e] = (x, y)
+                at = e
         else:
             a = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+            _check_power(abs(a), exps[-1])
             x = 1
-            row = [1]
-            for _ in range(e):
-                x *= a
-                row.append(x)
-            rows.append(row)
+            for e in exps:
+                x *= a ** (e - at)
+                row[e] = x
+                at = e
+        rows.append(row)
     if rads:
         rad = rads.pop()
     else:
@@ -746,17 +827,17 @@ def _power_table(point: Sequence, top: Sequence[int]) -> tuple:
 _SCALE_SLACK = 64
 
 
-def _scaling_inflates(values: Sequence, top: Sequence[int], scale: int) -> bool:
+def _scaling_inflates(values: Sequence, exponents: Sequence, scale: int) -> bool:
     """True when the common denominator ``scale`` has more bits than twice
-    those of the numerators and denominators of some nonzero value with a
-    positive top exponent, plus :data:`_SCALE_SLACK`.  Each power of such a
+    those of the numerators and denominators of some nonzero value with
+    exponents, plus :data:`_SCALE_SLACK`.  Each power of such a
     value would grow by the bits of ``scale`` in a scaled row but by its own
     in a narrow one; below the bound a scaled row, and the powers of
     ``scale`` that bring a polynomial's terms to one degree, stay within a
     constant factor of the narrow rows' size."""
     limit = scale.bit_length() - _SCALE_SLACK
-    for v, e in zip(values, top):
-        if e and v:
+    for v, exps in zip(values, exponents):
+        if exps and v:
             kind = type(v)
             if kind is int:
                 bits = v.bit_length()
@@ -770,10 +851,10 @@ def _scaling_inflates(values: Sequence, top: Sequence[int], scale: int) -> bool:
     return False
 
 
-def _narrow_rows(values: Sequence, top: Sequence[int]) -> list:
-    """The narrow rows of a power table: :func:`powers_of` each value up to
-    its top exponent, None when that is 0."""
-    return [powers_of(v, e) if e else None for v, e in zip(values, top)]
+def _narrow_rows(values: Sequence, exponents: Sequence) -> list:
+    """The narrow rows of a power table: :func:`powers_of` each value at
+    its exponents, None when there are none."""
+    return [powers_of(v, exps) if exps else None for v, exps in zip(values, exponents)]
 
 
 def _value_at(p: Poly, table: tuple) -> Coefficient:
@@ -815,8 +896,8 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
         kind = type(coeff)
         if kind is Scalar and coeff.rad != rad:
             if rad:
-                top = [len(row) - 1 if row else 0 for row in rows]
-                return _value_at(p, (_narrow_rows(values, top), 1, None, values))
+                exponents = [row or () for row in rows]
+                return _value_at(p, (_narrow_rows(values, exponents), 1, None, values))
             # no value is irrational: this radicand is the only one so far
             rad = coeff.rad
         a, b = 1, 0

@@ -61,11 +61,11 @@ from .polymatrix import (
 )
 from .polyring import (
     Coefficient, DivisibilityFailure, Poly, _exact, _power_table, _reciprocal,
-    _value_at, dot, exact_divide, grlex_key, top_exponents)
+    _value_at, dot, exact_divide, exponent_sets, grlex_key)
 from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
-    _int_literal, _name_table, _parse_poly, format_monomial, format_poly,
+    _format_terms, _int_literal, _name_table, _parse_poly, format_monomial, format_poly,
     parse_monomial, parse_poly, parse_scalar)
 
 
@@ -346,6 +346,7 @@ class LinearitySystem(Record):
     def to_text(self) -> str:
         """Deterministic listing, the golden-file and interchange format."""
         geo = self.geo_names()
+        names = list(self.names)
         lines = [
             "# linearity system",
             "# case: %s" % self.case,
@@ -353,22 +354,18 @@ class LinearitySystem(Record):
             "# symbols: %s" % " ".join(self.names[self.ngeo :]),
             "# equations: %d" % len(self.equations),
         ]
+        # the text of each monomial, printed once for the whole listing
+        texts: dict = {}
+        heads: dict[tuple[int, ...], str] = {}
         if self.sigmas is not None:
             for k, s in enumerate(self.sigmas, start=1):
-                lines.append(
-                    "# sigma_%d = %s" % (k, format_poly(s, list(self.names)))
-                )
+                lines.append("# sigma_%d = %s" % (k, _format_terms(s, names, texts)))
         for eq in self.equations:
-            lines.append(
-                "%s (%d,%d) %s :: %s = 0"
-                % (
-                    eq.entry,
-                    eq.row,
-                    eq.col,
-                    format_monomial(eq.monomial, geo),
-                    format_poly(eq.poly, list(self.names)),
-                )
-            )
+            head = heads.get(eq.monomial)
+            if head is None:
+                head = heads[eq.monomial] = format_monomial(eq.monomial, geo)
+            lines.append("%s (%d,%d) %s :: %s = 0" % (
+                eq.entry, eq.row, eq.col, head, _format_terms(eq.poly, names, texts)))
         return "\n".join(lines) + "\n"
 
 
@@ -454,7 +451,9 @@ def parse_system(text: str) -> LinearitySystem:
                     raise FormatError("equation listed before its variable header")
                 names = geo_names + symbol_names
                 index_of = _name_table(names)
+                keys: dict[str, int] = {}
                 n = len(geo_names)
+                geo = tuple(range(n))
             head, _, rhs = line.partition("::")
             if not rhs:
                 raise FormatError("missing '::' in equation line %r" % line)
@@ -477,8 +476,8 @@ def parse_system(text: str) -> LinearitySystem:
             poly_text, equals, zero = rhs.rpartition("=")
             if not equals or zero.strip() != "0":
                 raise FormatError("equation does not end in '= 0'")
-            poly = _parse_poly(poly_text.strip(), len(names), index_of)
-            if poly.involves(range(n)):
+            poly = _parse_poly(poly_text.strip(), len(names), index_of, keys)
+            if poly.involves(geo):
                 raise FormatError("equation names a geometric variable: %r" % line)
             equations.append(Equation(entry, row, col, monomial, poly))
         except FormatError as exc:
@@ -526,12 +525,13 @@ def _exact_value(value) -> Coefficient:
                           % (value,)) from None
 
 
-def _assigned_values(names: Sequence[str], ngeo: int, top: Sequence[int],
+def _assigned_values(names: Sequence[str], ngeo: int, exps: Sequence[set[int]],
                      assignment: Mapping[str, object]) -> dict[int, Coefficient]:
     """The assigned values by variable index.  Every name must be one of
     ``names`` but not among the first ``ngeo``, the geometric ones, and
-    every other variable that occurs (``top``, from :func:`top_exponents`)
-    must have a value; otherwise :class:`FormatError`."""
+    every other variable that occurs (``exps``, from
+    :func:`~linnij.polyring.exponent_sets`) must have a value; otherwise
+    :class:`FormatError`."""
     index_of = {name: i for i, name in enumerate(names)}
     values = {}
     for name, value in assignment.items():
@@ -541,7 +541,7 @@ def _assigned_values(names: Sequence[str], ngeo: int, top: Sequence[int],
             raise FormatError("cannot assign a geometric variable %r" % name)
         values[index_of[name]] = _exact_value(value)
     missing = [names[i] for i in range(ngeo, len(names))
-               if top[i] and i not in values]
+               if exps[i] and i not in values]
     if missing:
         raise FormatError(
             "assignment is missing values for: %s" % ", ".join(missing)
@@ -559,19 +559,20 @@ def check_solution(
     the system; unknown or missing names are errors, not failures.  The
     assignment becomes one power table (``polyring._power_table``: the
     values over one common denominator, a ``sqrt(d)`` value as a pair of
-    ints, unless that would inflate it), built once, and every equation is
-    summed against it by the one evaluation kernel
-    ``polyring._value_at``.
+    ints, unless that would inflate it), built once at the exponents that
+    occur, and every equation is summed against it by the one evaluation
+    kernel ``polyring._value_at``.  A power the table would build past
+    ``polyring.MAX_POWER_BITS`` is a :class:`FormatError`.
     """
-    top = top_exponents(len(system.names), (eq.poly for eq in system.equations))
-    geometric = [name for name, e in zip(system.geo_names(), top) if e]
+    exps = exponent_sets(len(system.names), (eq.poly for eq in system.equations))
+    geometric = [name for name, e in zip(system.geo_names(), exps) if e]
     if geometric:
         raise FormatError(
             "equations involve the geometric variables: %s" % ", ".join(geometric)
         )
-    values = _assigned_values(system.names, system.ngeo, top, assignment)
+    values = _assigned_values(system.names, system.ngeo, exps, assignment)
     # a variable without a value occurs in no equation
-    table = _power_table([values.get(i, 0) for i in range(len(top))], top)
+    table = _power_table([values.get(i, 0) for i in range(len(exps))], exps)
     residuals = []
     for eq in system.equations:
         total = _value_at(eq.poly, table)
@@ -614,8 +615,8 @@ def derive_alphas(
     linearity system at all).
     """
     n = len(ps.sigmas)
-    top = top_exponents(len(ps.names), ps.sigmas)
-    values = _assigned_values(ps.names, n, top, params)
+    exps = exponent_sets(len(ps.names), ps.sigmas)
+    values = _assigned_values(ps.names, n, exps, params)
     sigmas = [s.substitute(values) for s in ps.sigmas]
     numerators, q = reconstruction_pieces(sigmas)
     out: dict[str, Coefficient] = {}

@@ -23,6 +23,22 @@ A sum leaves each ``-`` to the product after it, so a minus flips the sign
 of its term wherever it stands and ``^`` binds tighter than it everywhere:
 ``x1*-x2^2`` is ``-(x1*x2^2)``.
 
+Most text the package reads back is a flat canonical sum, as
+:func:`format_poly` writes it for ``int`` coefficients: an optional ``-``,
+then terms ``int``, ``int*monomial`` or ``monomial`` joined by `` + `` and
+`` - ``, with no ``/``, bracket or ``sqrt``.  The flat reader takes such a
+text with one full match of that grammar and one ``findall`` of its terms,
+and reads each distinct monomial text to its key once, through a dict
+that belongs to the name table: :func:`~linnij.reconstruct.parse_system`
+keeps one per listing, where a few hundred monomial texts recur across
+90 equations.  It builds the very polynomial the parser would, at the
+narrowest width.  Any other text, and any term it cannot read the
+parser's way (a name not in the table, a degree past the narrowest width,
+a literal longer than ``int()`` reads), goes to the parser, which is the
+only source of :class:`~linnij.errors.FormatError`.  The text alone
+decides which path reads it.  The printer likewise takes a dict of
+monomial texts by key, which a listing shares across its equations.
+
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
 
@@ -112,29 +128,45 @@ def format_poly(p: Poly, names: list[str] | None = None) -> str:
         names = default_names(p.nvars)
     elif len(names) != p.nvars:
         raise FormatError("expected %d variable names" % p.nvars)
+    return _format_terms(p, names, {})
+
+
+def _format_terms(p: Poly, names: list[str], texts: dict) -> str:
+    """:func:`format_poly` over names already checked, taking each
+    monomial's text from ``texts``, a dict from width to ``{key: text}``
+    that a caller printing many polynomials over one list of names
+    shares."""
     if p.is_zero():
         return "0"
     pieces: list[str] = []
     nvars, width, terms = p.nvars, p.width, p.packed
+    memo = texts.get(width)
+    if memo is None:
+        memo = texts[width] = {}
     for key in sorted(terms, reverse=True):
         coeff = terms[key]
-        mono = _monomial_text(_fields(key, nvars, width), names)
+        mono = memo.get(key)
+        if mono is None:
+            mono = memo[key] = _monomial_text(_fields(key, nvars, width), names)
         # each coefficient as the ring holds it: an int, a Fraction, or a
         # Scalar with an irrational part, bracketed when it has both parts
-        if type(coeff) is Scalar and coeff.rat:
+        kind = type(coeff)
+        if kind is Scalar and coeff.rat:
             atom = "(%s)" % format_scalar(coeff)
             if mono:
                 atom += "*" + mono
             negative = False
         else:
-            negative = (coeff.irr if type(coeff) is Scalar else coeff) < 0
+            negative = (coeff.irr if kind is Scalar else coeff) < 0
             mag = -coeff if negative else coeff
+            # a rational magnitude prints as format_scalar would print it
+            show = format_scalar if kind is Scalar else format_fraction
             if not mono:
-                atom = format_scalar(mag)
+                atom = show(mag)
             elif mag == 1:
                 atom = mono
             else:
-                atom = "%s*%s" % (format_scalar(mag), mono)
+                atom = show(mag) + "*" + mono
         if not pieces:
             pieces.append("-" + atom if negative else atom)
         else:
@@ -393,9 +425,109 @@ def _name_table(names) -> dict[str, int]:
     return index_of
 
 
-def _parse_poly(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
+# the flat canonical sum that format_poly writes for int coefficients: an
+# optional "-", then terms "int", "int*monomial" or "monomial" joined by
+# " + " and " - "; a monomial is names, each with an optional "^int",
+# joined by "*"
+_MONOMIAL = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?(?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?)*"
+_FLAT_TERM = r"(?:[0-9]+(?:\*%s)?|%s)" % (_MONOMIAL, _MONOMIAL)
+_FLAT_SUM = re.compile(r"-?%s(?: [-+] %s)*" % (_FLAT_TERM, _FLAT_TERM))
+# one term of a text that _FLAT_SUM matched, as (leading "-", separator's
+# sign, digits, monomial): a monomial runs to the next space
+_FLAT_TERMS = re.compile(r"(?:^(-?)| ([-+]) )([0-9]*)\*?([^ ]*)")
+
+
+def _monomial_key(text: str, nvars: int, index_of: dict[str, int],
+                  keys: dict[str, int]) -> int | None:
+    """The key at :data:`_MIN_WIDTH` of a flat monomial's text, kept in
+    ``keys``, or None when a name is not in the table, an exponent is
+    longer than ``int()`` reads or the degree does not fit the width.  A
+    factor is a monomial of its own, so each factor's key is kept there
+    too, and a monomial of known factors costs a sum."""
+    top = _MIN_WIDTH * (nvars + 1)
+    key = 0
+    for factor in text.split("*"):
+        part = keys.get(factor)
+        if part is None:
+            name, _, digits = factor.partition("^")
+            i = index_of.get(name)
+            if i is None:
+                return None
+            try:
+                part = (int(digits) if digits else 1) * _units(nvars, _MIN_WIDTH)[i]
+            except ValueError:
+                return None
+            if part >> top:
+                return None
+            keys[factor] = part
+        key += part
+    if key >> top:
+        return None
+    keys[text] = key
+    return key
+
+
+def _read_flat(text: str, nvars: int, index_of: dict[str, int],
+               keys: dict[str, int]) -> Poly | None:
+    """The polynomial of a flat canonical sum (:data:`_FLAT_SUM`), as the
+    parser would build it, or None when the text is not one or a term is
+    one the parser would read otherwise: a name it does not know, a degree
+    past :data:`_MIN_WIDTH`, a literal longer than ``int()`` reads.
+
+    ``keys`` maps each monomial text read so far to its key; it belongs to
+    the name table, and a caller reading many sums over one table passes
+    the same dict each time."""
+    if _FLAT_SUM.fullmatch(text) is None:
+        return None
+    acc: dict[int, int] = {}
+    for lead, sign, digits, mono in _FLAT_TERMS.findall(text):
+        if mono:
+            key = keys.get(mono)
+            if key is None:
+                key = _monomial_key(mono, nvars, index_of, keys)
+                if key is None:
+                    return None
+        else:
+            key = 0
+        if digits:
+            try:
+                coeff = int(digits)
+            except ValueError:
+                return None
+            if not coeff:
+                continue
+        else:
+            coeff = 1
+        if lead or sign == "-":
+            coeff = -coeff
+        # the parser's sum: a repeated monomial adds, and a sum that
+        # cancels is dropped
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = coeff
+        elif cur + coeff:
+            acc[key] = cur + coeff
+        else:
+            del acc[key]
+    return Poly._new(nvars, _MIN_WIDTH, acc)
+
+
+def _parse_poly(text: str, nvars: int, index_of: dict[str, int],
+                keys: dict[str, int] | None = None) -> Poly:
     """:func:`parse_poly` over a name table from :func:`_name_table`, which
-    a caller parsing many polynomials over one ring builds once."""
+    a caller parsing many polynomials over one ring builds once, along with
+    the monomial keys of :func:`_read_flat`: the flat reader when it reads
+    the text, the parser otherwise."""
+    flat = _read_flat(text, nvars, index_of, {} if keys is None else keys)
+    if flat is not None:
+        return flat
+    return _descend(text, nvars, index_of)
+
+
+def _descend(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
+    """The recursive-descent parse of ``text``, starting at the narrowest
+    width and widening as a term needs; the source of every
+    :class:`FormatError`."""
     tokens = _tokenize(text)
     width = _MIN_WIDTH
     try:

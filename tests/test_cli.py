@@ -284,6 +284,48 @@ def test_check_solution_of_a_huge_power_exits_2(runner, tmp_path, values):
         "integer of 4772 digits is longer than the interpreter converts"]
 
 
+def huge_exponent_listing(exponent):
+    return ("# linearity system\n# case: 3\n# geometric: x1 x2 x3\n# symbols: a\n"
+            "# equations: 1\nP1 (2,1) x1 :: a^%d - 1 = 0\n" % exponent)
+
+
+HUGE_EXPONENT_CHECKS = [
+    # (exponent, value of a, exit code, stdout): the power table holds a's
+    # powers at the one exponent that occurs, so +-1 answers at once, and
+    # any other value is refused before a power past MAX_POWER_BITS is built
+    (99999999999999999999, "1", 0, ["all 1 equations satisfied"]),
+    (99999999999999999999, "-1", 1, ["1 of 1 equations violated", "  P1 (2,1) x1 :: -2"]),
+    (1000000, "-1", 0, ["all 1 equations satisfied"]),
+    (99999999999999999999, "3", 2, [
+        "a power to the exponent 99999999999999999999 of a value of 2 bits may "
+        "have more than 131072 bits"]),
+    (1000000, "3", 2, [
+        "a power to the exponent 1000000 of a value of 2 bits may have more than "
+        "131072 bits"]),
+    (1000000, "1/3", 2, [
+        "a power to the exponent 1000000 of a value of 2 bits may have more than "
+        "131072 bits"]),
+    (1000000, "2+sqrt(3)", 2, [
+        "a power to the exponent 1000000 of a value of 3 bits may have more than "
+        "131072 bits"]),
+]
+
+
+@pytest.mark.parametrize("exponent, value, code, output", HUGE_EXPONENT_CHECKS)
+def test_check_solution_of_a_huge_exponent_ends_at_once(runner, tmp_path, exponent,
+                                                        value, code, output):
+    listing = tmp_path / "listing.txt"
+    listing.write_text(huge_exponent_listing(exponent))
+    assignment = tmp_path / "assignment.txt"
+    assignment.write_text("a = %s\n" % value)
+    start = time.monotonic()
+    result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
+    assert time.monotonic() - start < 1
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+    assert result.output.splitlines() == output
+
+
 HUGE_EXPONENT_SIGMAS = {
     # sigma file -> the stdout recorded before exponents were packed into
     # one int per monomial; each exponent is past 2**16 and the last past

@@ -17,7 +17,7 @@ import tuple_kernel as ref
 from linnij.exactfield import Scalar
 from linnij.polyring import (
     DivisibilityFailure, Poly, _fields, _pack, _power_table, _unpack, _value_at,
-    _width_for, dot, exact_divide, grlex_key, top_exponents)
+    _width_for, dot, exact_divide, exponent_sets, grlex_key)
 from linnij.textio import _name_table, _parse_poly, _tokenize, default_names, format_poly
 
 BOUNDARIES = (2**8, 2**16, 2**32, 2**64)
@@ -150,7 +150,7 @@ def test_group_by_gradient_and_readers_match_the_tuple_kernel_seeded():
         assert a.involves(idx) == any(e[i] for e in t for i in idx)
         k = rng.randint(0, 3)
         assert a.is_homogeneous_in(k, idx) == all(sum(e[i] for i in idx) == k for e in t)
-        assert top_exponents(nvars, [a]) == ref.top_exponents(nvars, [t])
+        assert exponent_sets(nvars, [a]) == ref.exponent_sets(nvars, [t])
         offset = rng.randint(0, 2)
         embedded = a.embed(nvars + offset + 1, offset)
         assert embedded.terms == {(0,) * offset + e + (0,): c for e, c in t.items()}
@@ -174,7 +174,7 @@ def test_substitute_and_value_at_match_the_tuple_kernel_seeded():
                   for i in rng.sample(range(nvars), rng.randint(1, nvars))}
         assert typed(a.substitute(values).terms) == typed(ref.substitute(t, nvars, values))
         point = [random_value(rng) for _ in range(nvars)]
-        table = _power_table(point, top_exponents(nvars, [a]))
+        table = _power_table(point, exponent_sets(nvars, [a]))
         got, expected = _value_at(a, table), ref.value_at(t, table)
         assert (type(got), got) == (type(expected), expected)
 

@@ -9,7 +9,7 @@ from linnij.errors import DimensionMismatchError
 from linnij.exactfield import Scalar, scalar_sqrt
 from linnij.nijenhuis import (
     StructureConstants, change_coordinates, lsa_to_operator, random_structure_constants)
-from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, top_exponents
+from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, exponent_sets
 from linnij.polymatrix import seeded_points
 from linnij.reconstruct import (
     check_solution, derive_alphas, generate_linearity_system, normalize_sigma1,
@@ -127,8 +127,9 @@ def test_substitute_and_evaluate_agree():
 
 
 def test_ring_accessors():
-    assert top_exponents(3, [p("x1^2*x3 - x1"), p("x1*x3^4"), p("0")]) == [2, 0, 4]
-    assert top_exponents(3, []) == [0, 0, 0]
+    assert exponent_sets(3, [p("x1^2*x3 - x1"), p("x1*x3^4"), p("0")]) == [
+        {1, 2}, set(), {1, 4}]
+    assert exponent_sets(3, []) == [set(), set(), set()]
     assert p("2*x1 - 1/3*x3").linear_coefficients() == [
         Scalar(2), Scalar(0), Scalar(Fraction(-1, 3))]
     assert p("0").linear_coefficients() == [Scalar(0)] * 3

@@ -19,7 +19,7 @@ from linnij.errors import (
 )
 from linnij.catalog import (
     generalized_L1, generalized_L2, generalized_blocks, load_catalog)
-from linnij.exactfield import ONE, ZERO, Scalar, scalar_sqrt
+from linnij.exactfield import ONE, Scalar, scalar_sqrt
 from linnij.nijenhuis import direct_sum, operator_is_linear
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
@@ -783,7 +783,7 @@ def test_normalize_sigma2_radical_failures():
 
 def reference_quadratic_matrix(s2):
     n = s2.nvars
-    a = [[ZERO] * n for _ in range(n)]
+    a = [[Scalar(0)] * n for _ in range(n)]
     half = Scalar(Fraction(1, 2))
     for exps, coeff in s2.sorted_terms():
         coeff = Scalar._coerce(coeff)  # the reference computes on Scalars
@@ -824,7 +824,7 @@ def reference_finish(s2, tag, alpha, signs, rows):
     canonical = reference_canonical_poly(n, tag, alpha, signs)
     if s2.substitute_linear(change) != canonical:
         raise LinnijError("internal: change does not reach the %s normal form" % tag)
-    if change[0] != [ONE if j == 0 else ZERO for j in range(n)]:
+    if change[0] != [ONE if j == 0 else Scalar(0) for j in range(n)]:
         raise LinnijError("internal: change moves the first coordinate")
     return Sigma2NormalForm(tag, canonical, change, alpha, signs)
 
@@ -843,7 +843,7 @@ def reference_sqrt_row(a, pivot, n):
 
 def reference_eliminate(a, pivot, n):
     app = a[pivot][pivot]
-    out = [[ZERO] * n for _ in range(n)]
+    out = [[Scalar(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == pivot or j == pivot:
@@ -862,10 +862,10 @@ def reference_normalize_sigma2(s2):
     if not (s2.is_zero() or s2.is_homogeneous(2)):
         raise DimensionMismatchError("expected a homogeneous quadratic")
     a = reference_quadratic_matrix(s2)
-    e1 = [ONE if j == 0 else ZERO for j in range(n)]
+    e1 = [ONE if j == 0 else Scalar(0) for j in range(n)]
 
     def unit(j):
-        return [ONE if m == j else ZERO for m in range(n)]
+        return [ONE if m == j else Scalar(0) for m in range(n)]
 
     if n == 2:
         if not a[1][1].is_zero():
@@ -892,7 +892,7 @@ def reference_normalize_sigma2(s2):
             return reference_finish(
                 s2, FULL, alpha, (sign_p, sign_o), [e1, row_p, row_o])
         if not rem[0][other].is_zero():
-            linear = [ZERO] * n
+            linear = [Scalar(0)] * n
             linear[0] = rem[0][0]
             linear[other] = 2 * rem[0][other]
             return reference_finish(
@@ -903,9 +903,9 @@ def reference_normalize_sigma2(s2):
 
     if not a[1][2].is_zero():
         split = [
-            [ONE, ZERO, ZERO],
-            [ZERO, ONE, ONE],
-            [ZERO, ONE, Scalar(-1)],
+            [ONE, Scalar(0), Scalar(0)],
+            [Scalar(0), ONE, ONE],
+            [Scalar(0), ONE, Scalar(-1)],
         ]
         inner = reference_normalize_sigma2(s2.substitute_linear(split))
         change = scalar_mat_mul(split, inner.change)

@@ -13,10 +13,13 @@ from linnij.textio import (
     MAX_NESTING,
     MAX_RADICAND,
     _check_constant_power,
+    _descend,
     _int_literal,
     _int_power,
     _name_table,
     _Parser,
+    _parse_poly,
+    _read_flat,
     _tokenize,
     default_names,
     format_poly,
@@ -502,6 +505,120 @@ def test_flat_factor_loop_matches_the_reference_on_expressions_and_errors():
     for text in ("sqrt", "sqrt*x1", "x1*sqrt", "sqrt(2)*x1", "x1*sqrt(2)^2"):
         expected = outcome(reference_parse, text, ["sqrt", "x1"])
         assert outcome(parse_poly, text, ["sqrt", "x1"]) == expected
+
+
+# the eight listings of the benchmark (tag "2" lists the same system as 2.1)
+LISTING_CASES = ("1.1", "1.2", "1.3", "2.1", "2.2", "3", "4.1", "4.2")
+# "２" is a digit to the regex \d and to int(), though not to [0-9]
+MUTATION_CHARS = list("+-*/^() 0123456789abcdefghijklmnopqrstuvwxyz_") + ["２"]
+
+
+def listing_bodies():
+    """(names, bodies) of each listing: the polynomial text of every
+    equation line."""
+    for tag in LISTING_CASES:
+        system = generate_linearity_system(param_sigmas(tag))
+        yield list(system.names), [
+            line.partition(" :: ")[2].rpartition(" = 0")[0]
+            for line in system.to_text().splitlines() if not line.startswith("#")]
+
+
+def shape(p):
+    """Everything that makes two parses the same: the ring, the width, the
+    terms in their order and the type of each coefficient."""
+    return p.nvars, p.width, [(key, type(c), c) for key, c in p.packed.items()]
+
+
+def reader_agrees(text, names, keys):
+    """Check that the flat reader returns the parser's polynomial or None,
+    and that the public entry gives the parser's polynomial or error
+    message; True when the reader read the text."""
+    index_of = _name_table(names)
+    flat = _read_flat(text, len(names), index_of, keys)
+    try:
+        expected = shape(_descend(text, len(names), index_of))
+    except FormatError as exc:
+        expected = str(exc)
+    if flat is not None:
+        assert shape(flat) == expected, text
+    try:
+        got = shape(_parse_poly(text, len(names), index_of, keys))
+    except FormatError as exc:
+        got = str(exc)
+    assert got == expected, text
+    return flat is not None
+
+
+FLAT_EDGES = [
+    # flat sums that no printer writes: repeats that add or cancel, zero
+    # and leading-zero literals, exponent 0 and a variable repeated
+    "x1 - x1", "x1 + 2*x1 - 3*x1 + x2", "-x2 + x1 + x2", "0", "-0", "0*x1 + x2",
+    "007*x1^007 + 0", "x1^0 + 1", "x1*x1 - x1^2", "x1^2*x1 - x2*x1^3",
+    "x1^200*x2^55 + x1^255",
+]
+
+
+def test_flat_reader_matches_the_parser_on_int_polynomials_seeded():
+    names = default_names(2)
+    for text in FLAT_EDGES:
+        assert reader_agrees(text, names, {}), text
+    # format_poly output with int coefficients over 1-33 variables, with a
+    # term of degree 255 (the widest that fits the narrowest width) or 256
+    rng = random.Random(28)
+    read = {255: 0, 256: 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 33)
+        names = default_names(nvars)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.randint(0, 3) if rng.random() < 0.3 else 0
+                         for _ in range(nvars))
+            terms[exps] = rng.choice([-1, 1]) * rng.choice([1, 2, 7, 10**30])
+        top = rng.choice([255, 256])
+        split = rng.randint(0, top)
+        wide = [0] * nvars
+        wide[rng.randrange(nvars)] += split
+        wide[rng.randrange(nvars)] += top - split
+        terms[tuple(wide)] = rng.choice([-3, 1])
+        text = format_poly(Poly(nvars, terms), names)
+        if reader_agrees(text, names, {}):
+            read[top] += 1
+    # a degree past the narrowest width is left to the parser, which widens
+    assert read[256] == 0 and read[255] > 100
+
+
+def test_flat_reader_reads_every_listing_body():
+    count = 0
+    for names, bodies in listing_bodies():
+        keys = {}
+        for text in bodies:
+            assert reader_agrees(text, names, keys), text
+            count += 1
+    assert count == 720
+
+
+def test_flat_reader_matches_the_parser_on_mutated_listing_bodies_seeded():
+    # one character replaced, inserted or deleted; the keys of a listing
+    # are shared across its mutations, as parse_system shares them
+    rng = random.Random(2028)
+    read = total = 0
+    for names, bodies in listing_bodies():
+        keys = {}
+        for text in bodies:
+            for _ in range(4):
+                i = rng.randrange(len(text) + 1)
+                c = rng.choice(MUTATION_CHARS)
+                edit = rng.randrange(3)
+                if edit == 0:
+                    mutated = text[:i] + c + text[i + 1:]
+                elif edit == 1:
+                    mutated = text[:i] + c + text[i:]
+                else:
+                    mutated = text[:i] + text[i + 1:]
+                read += reader_agrees(mutated, names, keys)
+                total += 1
+    # both paths are exercised
+    assert 0 < read < total
 
 
 LISTING_NAMES = ["x1", "a", "b_11", "b_32", "c", "alpha63"]

@@ -88,16 +88,16 @@ def group_by(terms, indices):
     return groups
 
 
-def top_exponents(nvars, term_dicts):
+def exponent_sets(nvars, term_dicts):
     exps = set()
     for terms in term_dicts:
         exps.update(terms)
-    return [max(column) for column in zip((0,) * nvars, *exps)]
+    return [set(column) - {0} for column in zip((0,) * nvars, *exps)]
 
 
 def substitute(terms, nvars, values):
-    top = top_exponents(nvars, (terms,))
-    powers = [(i, powers_of(value, top[i])) for i, value in values.items()]
+    exps = exponent_sets(nvars, (terms,))
+    powers = [(i, powers_of(value, exps[i])) for i, value in values.items()]
     images = []
     for exps, coeff in terms.items():
         new_exps = list(exps)
@@ -143,8 +143,8 @@ def value_at(terms, table):
         kind = type(coeff)
         if kind is Scalar and coeff.rad != rad:
             if rad:
-                top = [len(row) - 1 if row else 0 for row in rows]
-                return value_at(terms, (_narrow_rows(values, top), 1, None, values))
+                exps = [row or () for row in rows]
+                return value_at(terms, (_narrow_rows(values, exps), 1, None, values))
             rad = coeff.rad
         a, b, k = 1, 0, 0
         for row, e in compress(zip(rows, exps), exps):
