@@ -859,7 +859,7 @@ def _narrow_rows(values: Sequence, exponents: Sequence) -> list:
 
 def _value_at(p: Poly, table: tuple) -> Coefficient:
     """The value of ``p`` at the point of ``table`` (:func:`_power_table`),
-    whose rows reach at least the highest exponent of each variable in
+    whose rows hold an entry at every exponent each variable takes in
     ``p``, in its narrow type.
 
     Each term walks only its nonzero exponents (``_fields``).  Over narrow

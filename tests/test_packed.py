@@ -165,8 +165,8 @@ def random_value(rng):
 
 
 def test_substitute_and_value_at_match_the_tuple_kernel_seeded():
-    # powers of a value are built up to the top exponent, so degrees stay
-    # near the first boundary, 2**8
+    # degrees stay near the first boundary, 2**8, where the powers of the
+    # values stay cheap to build
     for rng, nvars, (ta, tb, _) in operands(79, 60, top=257):
         a = Poly(nvars, ta) * Poly(nvars, tb) if rng.random() < 0.3 else Poly(nvars, ta)
         t = dict(a.terms)
