@@ -694,7 +694,8 @@ def _size(value: Coefficient) -> int:
     """An int M such that no integer part of ``value**k`` is larger than
     ``M**k``: |v| for an int, the larger of numerator and denominator for
     a Fraction, and for ``(a + b*sqrt(d))/m`` over the least common
-    denominator m the larger of ``|a| + |b|*d`` and ``m``."""
+    denominator m the larger of ``|a| + |b|*d`` and ``m``.  Powers of
+    values here and the parser's powers of constants are bounded by it."""
     kind = type(value)
     if kind is int:
         return abs(value)

@@ -58,14 +58,13 @@ can exhaust the interpreter's stack.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import FormatError
 from .polyring import (
     _MIN_WIDTH, Coefficient, Poly, _add_products, _add_terms, _fields, _reciprocal,
-    _repack, _units)
+    _repack, _size, _units)
 from .exactfield import Scalar, _narrow, parts
 
 MAX_RADICAND = 10**12
@@ -234,20 +233,18 @@ def _check_constant_power(base: Poly, exponent: int):
     :data:`MAX_POWER_DIGITS` digits, decided before the power is built.
 
     Write the constant as (a + b*sqrt(d))/m with integers a, b and m > 0.
-    Every integer of its power is at most M**exponent, M = max(|a| + |b|*d, m),
-    and M**exponent must fit.  For a rational base, a/m in lowest terms, that
-    is exact: the power is a**exponent / m**exponent.  With an irrational
-    part it is a bound, and the message says so.
+    Every integer of its power is at most M**exponent, M = max(|a| + |b|*d, m)
+    (:func:`~linnij.polyring._size`), and M**exponent must fit.  For a
+    rational base, a/m in lowest terms, that is exact: the power is
+    a**exponent / m**exponent.  With an irrational part it is a bound, and
+    the message says so.
     """
     c = base.constant_value()
-    rat, irr, rad = parts(c)
-    m = math.lcm(rat.denominator, irr.denominator)
-    a = rat.numerator * (m // rat.denominator)
-    b = irr.numerator * (m // irr.denominator)
-    if _bounded_power(max(abs(a) + abs(b) * rad, m), exponent) is None:
+    if _bounded_power(_size(c), exponent) is None:
         raise FormatError("power (%s)^%d %s more than %d digits"
                           % (format_scalar(c), exponent,
-                             "may have" if b else "has", MAX_POWER_DIGITS))
+                             "may have" if type(c) is Scalar else "has",
+                             MAX_POWER_DIGITS))
 
 
 class _Parser:
