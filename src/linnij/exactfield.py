@@ -18,21 +18,22 @@ or ``Fraction`` parts and an ``int`` radicand (anything else, a float or a
 string included, is a ``TypeError``), converts the parts to ``Fraction``
 and checks the radicand.  Arithmetic results are built
 from parts that are already valid, through the private ``Scalar._new``, which
-only restores the canonical form; two rational operands cost one
-``Fraction`` operation.
+only restores the canonical form; each operation has one formula.
 
 A rational scalar equals the ``int`` or ``Fraction`` of the same value and
 hashes as it does.  Outside this module every exact value is narrow: an
 ``int`` when it is integral, a ``Fraction`` when it is rational, and a
 ``Scalar`` only when its irrational part is nonzero.  :func:`_narrow` puts a
-value in that form, and :func:`parts` reads the ``(rat, irr, rad)`` of any
-exact value, so no caller needs a ``Scalar`` to read them.
+value in that form, :func:`parts` reads the ``(rat, irr, rad)`` of any
+exact value and :func:`_integer_form` its ``(a + b*sqrt(d))/m`` in ints:
+only this module reads a ``Scalar``'s parts or calls ``Scalar._new``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import NotRepresentableError, RadicandMismatchError
 
@@ -43,11 +44,13 @@ _new_object = object.__new__
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Write a positive integer as f**2 * m with m square-free; return (f, m).
-    Trial division by 2, then by odd d only."""
+    Trial division by 2, then by odd d only, while d**3 is at most the part
+    not yet factored: what is left then has no prime factor below d, so it
+    is 1, a prime p, p*q or p**2, and only p**2 is a perfect square."""
     if n <= 0:
         raise ValueError("positive integer required")
     f, m, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d:
             d += 2 - (d == 2)
         elif n % (d * d):
@@ -56,6 +59,9 @@ def square_free_split(n: int) -> tuple[int, int]:
         else:
             n //= d * d
             f *= d
+    root = math.isqrt(n)
+    if root > 1 and root * root == n:
+        return f * root, m
     return f, m * n
 
 
@@ -72,6 +78,7 @@ def power(base, exponent: int, one):
     return result
 
 
+@total_ordering
 class Scalar:
     """An exact value ``rat + irr*sqrt(rad)``."""
 
@@ -152,24 +159,18 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self.rad or other.rad):
-            return Scalar._new(self.rat + other.rat, _FRACTION_ZERO, 0)
         rad = self._common_rad(other)
         return Scalar._new(self.rat + other.rat, self.irr + other.irr, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.rad:
-            return Scalar._new(-self.rat, _FRACTION_ZERO, 0)
         return Scalar._new(-self.rat, -self.irr, self.rad)
 
     def __sub__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self.rad or other.rad):
-            return Scalar._new(self.rat - other.rat, _FRACTION_ZERO, 0)
         rad = self._common_rad(other)
         return Scalar._new(self.rat - other.rat, self.irr - other.irr, rad)
 
@@ -183,8 +184,6 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self.rad or other.rad):
-            return Scalar._new(self.rat * other.rat, _FRACTION_ZERO, 0)
         rad = self._common_rad(other)
         rat = self.rat * other.rat + rad * self.irr * other.irr
         irr = self.rat * other.irr + self.irr * other.rat
@@ -195,10 +194,8 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if not self.irr:
-            return Scalar._new(1 / self.rat, _FRACTION_ZERO, 0)
-        # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is nonzero
-        # because sqrt(d) is irrational for square-free d > 1.
+        # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is a^2 when
+        # b = 0, and nonzero as sqrt(d) is irrational for square-free d > 1.
         norm = self.rat * self.rat - self.rad * self.irr * self.irr
         return Scalar._new(self.rat / norm, -self.irr / norm, self.rad)
 
@@ -264,24 +261,6 @@ class Scalar:
             return NotImplemented
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
-
     # -- misc --------------------------------------------------------------
 
     def __repr__(self):
@@ -331,6 +310,39 @@ def parts(value) -> tuple:
     if isinstance(value, _RATIONAL):
         return value, 0, 0
     raise TypeError("%r is not an int, a Fraction or a Scalar" % (value,))
+
+
+def _integer_form(value) -> tuple[int, int, int, int]:
+    """``(a, b, d, m)`` of a narrow value ``(a + b*sqrt(d))/m`` in ints, m > 0
+    the least common denominator of its parts and ``b = d = 0`` when it is
+    rational."""
+    kind = type(value)
+    if kind is int:
+        return value, 0, 0, 1
+    if kind is Fraction:
+        return value.numerator, 0, 0, value.denominator
+    rat, irr = value.rat, value.irr
+    m = math.lcm(rat.denominator, irr.denominator)
+    return (rat.numerator * (m // rat.denominator),
+            irr.numerator * (m // irr.denominator), value.rad, m)
+
+
+def _from_integer_form(a, b, d: int, m: int):
+    """The narrow value ``(a + b*sqrt(d))/m`` for ``int`` or ``Fraction`` a
+    and b, an int m > 0, and d the square-free radicand, greater than 1,
+    whenever b is nonzero: the inverse of :func:`_integer_form`."""
+    if b:
+        return Scalar._new(Fraction(a, m), Fraction(b, m), d)
+    return _narrow(Fraction(a, m)) if a else 0
+
+
+def _size(value) -> int:
+    """An int M such that no integer part of ``value**k`` is larger than
+    ``M**k``: the larger of ``|a| + |b|*d`` and m (:func:`_integer_form`).
+    The ring's powers of values and the parser's powers of constants are
+    bounded by it."""
+    a, b, d, m = _integer_form(value)
+    return max(abs(a) + abs(b) * d, m)
 
 
 def scalar_sqrt(value):

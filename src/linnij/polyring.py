@@ -94,6 +94,10 @@ follows the exponents that occur and not the highest of them;
 :func:`_check_power` first: one that could reach :data:`MAX_POWER_BITS`
 bits is a :class:`~linnij.errors.FormatError`, never a hang.
 
+A value's parts are read, and the kernel's result is built, through
+:mod:`linnij.exactfield`: ``parts``, ``_integer_form`` and its inverse
+``_from_integer_form``.
+
 The packed dict is read here and by the parser and printer in
 :mod:`linnij.textio` only; other modules use :func:`exponent_sets`,
 :meth:`Poly.gradient`, :meth:`Poly.linear_terms` (and its dense form
@@ -109,7 +113,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, FormatError
-from .exactfield import Scalar, _narrow, power
+from .exactfield import (
+    Scalar, _from_integer_form, _integer_form, _narrow, _size, parts, power)
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -518,7 +523,7 @@ class Poly:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
         for coeff in self.packed.values():
             if type(coeff) is Scalar:
-                return coeff.rad
+                return parts(coeff)[2]
         return 0
 
     def __repr__(self):
@@ -682,29 +687,12 @@ MAX_POWER_BITS = 1 << 17
 def _check_power(size: int, exponent: int):
     """FormatError once ``(bits(size) - 1) * exponent`` reaches
     :data:`MAX_POWER_BITS`, where ``size ** exponent``, the bound
-    :func:`_size` gives for a power, has more bits than that; a power that
-    passes has fewer than twice as many."""
+    :func:`~linnij.exactfield._size` gives for a power, has more bits than
+    that; a power that passes has fewer than twice as many."""
     if (size.bit_length() - 1) * exponent >= MAX_POWER_BITS:
         raise FormatError("a power to the exponent %d of a value of %d bits may "
                           "have more than %d bits"
                           % (exponent, size.bit_length(), MAX_POWER_BITS))
-
-
-def _size(value: Coefficient) -> int:
-    """An int M such that no integer part of ``value**k`` is larger than
-    ``M**k``: |v| for an int, the larger of numerator and denominator for
-    a Fraction, and for ``(a + b*sqrt(d))/m`` over the least common
-    denominator m the larger of ``|a| + |b|*d`` and ``m``.  Powers of
-    values here and the parser's powers of constants are bounded by it."""
-    kind = type(value)
-    if kind is int:
-        return abs(value)
-    if kind is Fraction:
-        return max(abs(value.numerator), value.denominator)
-    rat, irr = value.rat, value.irr
-    m = lcm(rat.denominator, irr.denominator)
-    return max(abs(rat.numerator) * (m // rat.denominator)
-               + abs(irr.numerator) * (m // irr.denominator) * value.rad, m)
 
 
 def powers_of(value: Coefficient, exponents: Iterable[int]) -> dict[int, Coefficient] | None:
@@ -756,8 +744,9 @@ def _power_table(point: Sequence, exponents: Sequence) -> tuple:
     scale is a common denominator L of the rational and irrational parts
     of the values with exponents, and rad the one radicand d of the
     irrational ones among them, 0 when there is none.  rows[i] maps e to
-    ``(L*v)**e``: an int when v is rational, an ``(a, b)`` pair of ints for
-    ``a + b*sqrt(d)`` when v is irrational.
+    ``(L*v)**e``: an int when v is rational, as :func:`powers_of` builds
+    it for the int L*v, and an ``(a, b)`` pair of ints for ``a + b*sqrt(d)``
+    when v is irrational.
 
     rad is None when the rows are narrow instead: ``v**e`` in the ring's
     narrow coefficient types, as :func:`powers_of` builds them.  They are
@@ -775,13 +764,11 @@ def _power_table(point: Sequence, exponents: Sequence) -> tuple:
     rads = set()
     reach = 0
     for v, exps in zip(values, exponents):
-        if exps and type(v) is not int:
-            if type(v) is Scalar:
-                scale = lcm(scale, v.rat.denominator, v.irr.denominator)
-                rads.add(v.rad)
-            else:
-                scale = lcm(scale, v.denominator)
         if exps and v:
+            _, b, d, m = _integer_form(v)
+            scale = lcm(scale, m)
+            if b:
+                rads.add(d)
             reach += max(exps)
     if len(rads) > 1 or scale > 1 and (
             (scale.bit_length() - 1) * reach >= MAX_POWER_BITS
@@ -792,28 +779,21 @@ def _power_table(point: Sequence, exponents: Sequence) -> tuple:
         if not (v and exps):
             rows.append(None)
             continue
+        a, b, d, m = _integer_form(v)
+        a *= scale // m
+        if not b:
+            rows.append(powers_of(a, exps))
+            continue
+        b *= scale // m
         exps = sorted(exps)
+        _check_power(abs(a) + abs(b) * d, exps[-1])
         row = {}
-        at = 0
-        if type(v) is Scalar:
-            d = v.rad
-            a = v.rat.numerator * (scale // v.rat.denominator)
-            b = v.irr.numerator * (scale // v.irr.denominator)
-            _check_power(abs(a) + abs(b) * d, exps[-1])
-            x, y = 1, 0
-            for e in exps:
-                p, q = _pair_power(a, b, d, e - at)
-                x, y = x * p + d * y * q, x * q + y * p
-                row[e] = (x, y)
-                at = e
-        else:
-            a = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-            _check_power(abs(a), exps[-1])
-            x = 1
-            for e in exps:
-                x *= a ** (e - at)
-                row[e] = x
-                at = e
+        x, y, at = 1, 0, 0
+        for e in exps:
+            p, q = _pair_power(a, b, d, e - at)
+            x, y = x * p + d * y * q, x * q + y * p
+            row[e] = (x, y)
+            at = e
         rows.append(row)
     if rads:
         rad = rads.pop()
@@ -839,14 +819,13 @@ def _scaling_inflates(values: Sequence, exponents: Sequence, scale: int) -> bool
     limit = scale.bit_length() - _SCALE_SLACK
     for v, exps in zip(values, exponents):
         if exps and v:
-            kind = type(v)
-            if kind is int:
+            if type(v) is int:
                 bits = v.bit_length()
-            elif kind is Fraction:
-                bits = v.numerator.bit_length() + v.denominator.bit_length()
             else:
-                bits = (v.rat.numerator.bit_length() + v.rat.denominator.bit_length()
-                        + v.irr.numerator.bit_length() + v.irr.denominator.bit_length())
+                rat, irr, _ = parts(v)
+                bits = rat.numerator.bit_length() + rat.denominator.bit_length()
+                if irr:
+                    bits += irr.numerator.bit_length() + irr.denominator.bit_length()
             if 2 * bits < limit:
                 return True
     return False
@@ -895,12 +874,13 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
     total_a = total_b = deg = 0
     for key, coeff in p.packed.items():
         kind = type(coeff)
-        if kind is Scalar and coeff.rad != rad:
-            if rad:
+        if kind is Scalar:
+            rat, irr, d = parts(coeff)
+            if rad and d != rad:
                 exponents = [row or () for row in rows]
                 return _value_at(p, (_narrow_rows(values, exponents), 1, None, values))
-            # no value is irrational: this radicand is the only one so far
-            rad = coeff.rad
+            # the point's radicand, or the only one so far if no value is irrational
+            rad = d
         a, b = 1, 0
         for i, e in _fields(key, nvars, width):
             row = rows[i]
@@ -925,20 +905,13 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
                 total_b *= m
                 deg = k
             if kind is Scalar:
-                r, i = coeff.rat, coeff.irr
-                a, b = r * a + rad * i * b, r * b + i * a
+                a, b = rat * a + rad * irr * b, rat * b + irr * a
             else:
                 a *= coeff
                 b *= coeff
             total_a += a
             total_b += b
-    if not (total_a or total_b):
-        return 0
-    denominator = scale ** deg
-    if total_b:
-        return Scalar._new(Fraction(total_a, denominator),
-                           Fraction(total_b, denominator), rad)
-    return _narrow(Fraction(total_a, denominator))
+    return _from_integer_form(total_a, total_b, rad, scale ** deg)
 
 
 # what a dot over scalar rows multiplies; Fraction, an ABC, is checked last

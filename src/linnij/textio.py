@@ -64,8 +64,8 @@ from fractions import Fraction
 from .errors import FormatError
 from .polyring import (
     _MIN_WIDTH, Coefficient, Poly, _add_products, _add_terms, _fields, _reciprocal,
-    _repack, _size, _units)
-from .exactfield import Scalar, _narrow, parts
+    _repack, _units)
+from .exactfield import Scalar, _narrow, _size, parts
 
 MAX_RADICAND = 10**12
 MAX_POWER_DIGITS = 4300
@@ -148,15 +148,17 @@ def _format_terms(p: Poly, names: list[str], texts: dict) -> str:
         if mono is None:
             mono = memo[key] = _monomial_text(_fields(key, nvars, width), names)
         # each coefficient as the ring holds it: an int, a Fraction, or a
-        # Scalar with an irrational part, bracketed when it has both parts
+        # Scalar with an irrational part, bracketed when it has both parts;
+        # an unbracketed one has the sign of its one part, lone
         kind = type(coeff)
-        if kind is Scalar and coeff.rat:
+        rat, lone = parts(coeff)[:2] if kind is Scalar else (0, coeff)
+        if rat:
             atom = "(%s)" % format_scalar(coeff)
             if mono:
                 atom += "*" + mono
             negative = False
         else:
-            negative = (coeff.irr if kind is Scalar else coeff) < 0
+            negative = lone < 0
             mag = -coeff if negative else coeff
             # a rational magnitude prints as format_scalar would print it
             show = format_scalar if kind is Scalar else format_fraction
@@ -234,7 +236,7 @@ def _check_constant_power(base: Poly, exponent: int):
 
     Write the constant as (a + b*sqrt(d))/m with integers a, b and m > 0.
     Every integer of its power is at most M**exponent, M = max(|a| + |b|*d, m)
-    (:func:`~linnij.polyring._size`), and M**exponent must fit.  For a
+    (:func:`~linnij.exactfield._size`), and M**exponent must fit.  For a
     rational base, a/m in lowest terms, that is exact: the power is
     a**exponent / m**exponent.  With an irrational part it is a bound, and
     the message says so.

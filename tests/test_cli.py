@@ -210,6 +210,21 @@ def test_reconstruct_rejects_huge_radicand(runner, tmp_path):
     assert "exceeds the limit" in result.output
 
 
+def test_reconstruct_of_many_large_prime_radicands_ends_at_once(runner, tmp_path):
+    # 999999999989, the largest prime below the radicand limit 10^12, read
+    # 100 times: each square-free check stops at the cube root, not at the
+    # square root, of what is left to factor
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text(" + ".join(["sqrt(999999999989)*x1"] * 100) + "\nx2\n")
+    start = time.monotonic()
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert time.monotonic() - start < 1
+    assert result.exit_code == 0, result.output
+    assert result.output == ("-100*sqrt(999999999989)*x1; 1/99999999998900*sqrt(999999999989)\n"
+                             "-100*sqrt(999999999989)*x2; 0\n"
+                             "linear: no\n")
+
+
 @pytest.mark.parametrize("sigma_text", [
     "x1 + %s\nx2\n" % ("1" * 5000),
     "x1^%s\nx2\n" % ("9" * 5000),

@@ -20,7 +20,8 @@ from linnij.errors import RadicandMismatchError
 from linnij.exactfield import Scalar
 from linnij.polymatrix import jacobian, seeded_points
 from linnij.polyring import (
-    Poly, _exact, _narrow, _power_table, _value_at, exponent_sets)
+    _SCALE_SLACK, Poly, _exact, _narrow, _power_table, _scaling_inflates, _value_at,
+    exponent_sets)
 from linnij.reconstruct import derive_alphas, generate_linearity_system, param_sigmas
 from linnij.textio import parse_poly
 
@@ -141,6 +142,35 @@ def test_a_long_denominator_keeps_the_narrow_rows_seeded():
         point = [3, Fraction(1, 7**40), random_value(rng)]
         assert _power_table(point, [{1, 2, 3, 4}] * 3)[2] is None
         assert_kernel_matches_reference(polys, point)
+
+
+def reference_bits(value):
+    """The size ``_scaling_inflates`` gives a value: the bits of an int, and
+    of a Fraction's or of each Scalar part's numerator and denominator."""
+    if type(value) is int:
+        return value.bit_length()
+    if type(value) is Fraction:
+        return value.numerator.bit_length() + value.denominator.bit_length()
+    return sum(q.numerator.bit_length() + q.denominator.bit_length()
+               for q in (value.rat, value.irr))
+
+
+def test_scaling_inflates_at_the_exact_bit_measure_seeded():
+    # a denominator of 2*bits + _SCALE_SLACK bits inflates a value of that
+    # size and one bit fewer does not, so a measure off by one bit in any
+    # part, a zero rational part included, changes some point's row kind
+    rng = random.Random(29)
+    for _ in range(300):
+        big = 10 ** rng.randint(1, 30)
+        value = rng.choice([
+            rng.randint(1, big),
+            Fraction(rng.randint(-big, big) or 1, rng.randint(2, big)),
+            Scalar(Fraction(rng.randint(-big, big), rng.randint(1, big)),
+                   Fraction(rng.randint(1, big), rng.randint(1, big)), 3)])
+        bits = reference_bits(_narrow(value))
+        for extra, inflates in ((-1, False), (0, True)):
+            scale = 1 << (2 * bits + _SCALE_SLACK + extra)
+            assert _scaling_inflates([_narrow(value)], [{1}], scale) is inflates, value
 
 
 def test_two_radicands_at_one_point():

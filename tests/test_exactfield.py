@@ -161,6 +161,38 @@ def test_square_free_split():
                     Scalar(0, 1, n)
 
 
+def full_trial_division_split(n):
+    """(f, m) with n = f**2 * m by trial division up to the square root of
+    what is left, as square_free_split first did it."""
+    f, m, d = 1, 1, 2
+    while d * d <= n:
+        if n % d:
+            d += 2 - (d == 2)
+        elif n % (d * d):
+            n //= d
+            m *= d
+        else:
+            n //= d * d
+            f *= d
+    return f, m * n
+
+
+def test_square_free_split_matches_full_trial_division_seeded():
+    # what the cube-root bound leaves unfactored is 1, p, p^2 or p*q: squares
+    # and products of primes on either side of 10^4 and 10^6 end there, and
+    # primes near 10^12 are the slowest case for full trial division
+    primes = [9973, 10007, 999961, 999979, 999983, 1000003, 1000033]
+    rng = random.Random(29)
+    values = list(range(1, 600)) + [10**12, 999999999989, 999999999961]
+    values += [rng.randrange(1, 10**8) for _ in range(300)]
+    values += [rng.randrange(1, 10**12) for _ in range(30)]
+    for p, q in zip(primes, primes[1:]):
+        values += [p * p, p * q, rng.randint(2, 60) * p * p, rng.randint(2, 60) * p * q]
+    values += [p ** 3 for p in primes[:3]]
+    for n in values:
+        assert square_free_split(n) == full_trial_division_split(n), n
+
+
 def test_scalar_sqrt_round_trip_seeded():
     rng = random.Random(5)
     for _ in range(200):

@@ -18,9 +18,8 @@ ring's accessors.
 
 Every exact value outside ``exactfield`` is narrow, an ``int``, a
 ``Fraction`` or a ``Scalar`` with a nonzero irrational part, and its parts
-are read through ``exactfield.parts``: only ``exactfield``, the evaluation
-kernel in ``polyring`` and the printer in ``textio`` read ``.rat``,
-``.irr`` or ``.rad``.
+are read through ``exactfield``'s readers: only ``exactfield`` reads
+``.rat``, ``.irr`` or ``.rad``, and only it calls ``Scalar._new``.
 """
 
 import ast
@@ -125,7 +124,7 @@ def test_term_dict_read_is_reported():
     assert term_dict_reads(source, "m.py") == ["m.py:2", "m.py:3"]
 
 
-PART_READERS = ("exactfield.py", "polyring.py", "textio.py")
+PART_READERS = ("exactfield.py",)
 
 
 def part_reads(source, filename):
@@ -134,7 +133,7 @@ def part_reads(source, filename):
             if isinstance(node, ast.Attribute) and node.attr in ("rat", "irr", "rad")]
 
 
-def test_only_the_field_the_evaluation_kernel_and_the_printer_read_scalar_parts():
+def test_only_the_field_reads_scalar_parts():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name not in PART_READERS:
@@ -148,6 +147,28 @@ def test_scalar_part_read_is_reported():
               "        return v.rat, w.rad\n"
               "    return parts(v), 'v.rat', getattr(v, 'irr')\n")
     assert part_reads(source, "m.py") == ["m.py:2", "m.py:3", "m.py:3"]
+
+
+def trusted_scalar_builds(source, filename):
+    tree = ast.parse(source, filename)
+    return ["%s:%d" % (filename, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_new"
+            and isinstance(node.value, ast.Name) and node.value.id == "Scalar"]
+
+
+def test_only_the_field_builds_trusted_scalars():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in PART_READERS:
+            found += trusted_scalar_builds(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_trusted_scalar_build_is_reported():
+    source = ("def f(a, b):\n"
+              "    s = Scalar._new(a, b, 3)\n"
+              "    return Poly._new(1, 8, {}), s, 'Scalar._new'\n")
+    assert trusted_scalar_builds(source, "m.py") == ["m.py:2"]
 
 
 def test_library_import_leaves_click_out():
