@@ -1,10 +1,11 @@
 """Command line front end.
 
-Exit codes are uniform across subcommands: 0 for success (including a
-successful *diagnosis*, e.g. ``reconstruct`` reporting a non-polynomial
-operator), 1 for a failed check (verification failure, nonzero residuals,
-nonvanishing torsion), 2 for unusable input (unknown names, malformed
-files, out-of-range sizes).
+Each text report is built whole, then printed in one write, so a value too
+long to format leaves no partial report.  Exit codes are uniform across
+subcommands: 0 for success (including a successful *diagnosis*, e.g.
+``reconstruct`` reporting a non-polynomial operator), 1 for a failed check
+(verification failure, nonzero residuals, nonvanishing torsion), 2 for
+unusable input (unknown names, malformed files, out-of-range sizes).
 """
 
 from __future__ import annotations
@@ -179,15 +180,17 @@ def verify_tables(entry_id, as_json):
              "verified": len(reports), "failures": nfail},
             indent=2, ensure_ascii=False))
     else:
+        lines = []
         for report in reports:
             if report.ok:
-                click.echo("ok   %-8s (%d checks)"
-                           % (report.entry_id, len(report.checks)))
+                lines.append("ok   %-8s (%d checks)"
+                             % (report.entry_id, len(report.checks)))
             else:
-                click.echo("FAIL %-8s" % report.entry_id)
-                for name, detail in report.failures():
-                    click.echo("     %s: %s" % (name, detail or "failed"))
-        click.echo("%d entries verified, %d failures" % (len(reports), nfail))
+                lines.append("FAIL %-8s" % report.entry_id)
+                lines += ["     %s: %s" % (name, detail or "failed")
+                          for name, detail in report.failures()]
+        lines.append("%d entries verified, %d failures" % (len(reports), nfail))
+        click.echo("\n".join(lines))
     raise SystemExit(1 if nfail else 0)
 
 
@@ -227,8 +230,8 @@ def reconstruct(sigma_file, as_json):
                                    "linear": linear},
                                   indent=2, ensure_ascii=False))
         else:
-            click.echo("\n".join("; ".join(row) for row in rows))
-            click.echo("linear: %s" % ("yes" if linear else "no"))
+            click.echo("\n".join(["; ".join(row) for row in rows]
+                                  + ["linear: %s" % ("yes" if linear else "no")]))
         raise SystemExit(0)
     numerators, denominator = result.pieces
     if as_json:
@@ -241,12 +244,11 @@ def reconstruct(sigma_file, as_json):
                          for (r, c, rem) in result.failures],
         }, indent=2, ensure_ascii=False))
         raise SystemExit(0)
-    click.echo("operator is not polynomial: %d entries fail to divide "
-               "by det J = %s" % (len(result.failures),
-                                  format_poly(denominator, names)))
-    for (r, c, rem) in result.failures:
-        click.echo("  entry (%d,%d): remainder %s"
-                   % (r, c, format_poly(rem, names)))
+    lines = ["operator is not polynomial: %d entries fail to divide by det J = %s"
+             % (len(result.failures), format_poly(denominator, names))]
+    lines += ["  entry (%d,%d): remainder %s" % (r, c, format_poly(rem, names))
+              for (r, c, rem) in result.failures]
+    click.echo("\n".join(lines))
     raise SystemExit(0)
 
 
@@ -305,7 +307,6 @@ def check_solution_command(system_ref, assignment_file):
         click.echo("all %d equations satisfied" % len(system.equations))
         raise SystemExit(0)
     geo = system.geo_names()
-    # formatted in full first: a value too long to print leaves no partial report
     lines = ["%d of %d equations violated"
              % (len(result.residuals), len(system.equations))]
     lines += ["  %s (%d,%d) %s :: %s"
@@ -323,8 +324,10 @@ def check_solution_command(system_ref, assignment_file):
 
 @main.command("generalize")
 @click.argument("family", type=click.Choice(["L1", "L2", "blocks"]))
-# the work grows about threefold per two steps of n (blocks: 0.5 s at
-# n = 12, 1.3-1.7 s at n = 14 on a 2-CPU Xeon); a larger n exits 2 at once
+# blocks, the costliest family, grows four- to sixfold per two steps of n:
+# building and verifying it takes 0.017, 0.11 and 0.47 s at n = 10, 12 and
+# 14 in process, and ``generalize blocks 12`` 0.26 s as a process (2-CPU
+# Xeon, Python 3.11); a larger n exits 2 at once
 @click.argument("n", type=click.IntRange(max=12))
 @click.option("--signs", default=None, metavar="SIGNS",
               help="Block signs for the blocks family, e.g. '+,-' or '+-'.")
@@ -359,23 +362,23 @@ def generalize(family, n, signs, as_json):
             indent=2, ensure_ascii=False))
         raise SystemExit(0 if report.ok else 1)
     names = default_names(entry.dim)
-    click.echo(entry.id)
-    click.echo("operator:")
-    for row in entry.operator.entries:
-        click.echo("  " + "; ".join(format_poly(p, names) for p in row))
-    click.echo("sigmas:")
-    for k, s in enumerate(entry.sigmas, start=1):
-        click.echo("  sigma_%d = %s" % (k, format_poly(s, names)))
-    click.echo("relations:")
-    for (i, j, k, coeff) in entry.relations.relations():
-        click.echo("  e%d*e%d contains %s*e%d" % (i, j, format_scalar(coeff), k))
+    lines = [entry.id, "operator:"]
+    lines += ["  " + "; ".join(format_poly(p, names) for p in row)
+              for row in entry.operator.entries]
+    lines.append("sigmas:")
+    lines += ["  sigma_%d = %s" % (k, format_poly(s, names))
+              for k, s in enumerate(entry.sigmas, start=1)]
+    lines.append("relations:")
+    lines += ["  e%d*e%d contains %s*e%d" % (i, j, format_scalar(coeff), k)
+              for (i, j, k, coeff) in entry.relations.relations()]
     if report.ok:
-        click.echo("verification: ok (%d checks)" % len(report.checks))
-        raise SystemExit(0)
-    click.echo("verification: FAILED")
-    for name, detail in report.failures():
-        click.echo("  %s: %s" % (name, detail or "failed"))
-    raise SystemExit(1)
+        lines.append("verification: ok (%d checks)" % len(report.checks))
+    else:
+        lines.append("verification: FAILED")
+        lines += ["  %s: %s" % (name, detail or "failed")
+                  for name, detail in report.failures()]
+    click.echo("\n".join(lines))
+    raise SystemExit(0 if report.ok else 1)
 
 
 # -- torsion -------------------------------------------------------------------

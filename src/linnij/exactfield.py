@@ -27,6 +27,12 @@ hashes as it does.  Outside this module every exact value is narrow: an
 value in that form, :func:`parts` reads the ``(rat, irr, rad)`` of any
 exact value and :func:`_integer_form` its ``(a + b*sqrt(d))/m`` in ints:
 only this module reads a ``Scalar``'s parts or calls ``Scalar._new``.
+
+The scalar elimination of :mod:`linnij.polymatrix` runs on integral rows:
+:func:`_integral_row` clears a row's denominators into ints and
+:class:`_Integral` elements of Z[sqrt(d)], :func:`_content` is the gcd of
+their int parts, and :func:`_quotient` the one division back to a narrow
+value.
 """
 
 from __future__ import annotations
@@ -334,6 +340,92 @@ def _from_integer_form(a, b, d: int, m: int):
     if b:
         return Scalar._new(Fraction(a, m), Fraction(b, m), d)
     return _narrow(Fraction(a, m)) if a else 0
+
+
+class _Integral:
+    """An element ``a + b*sqrt(d)`` of Z[sqrt(d)], with int parts and b
+    nonzero, as an integral row of the scalar elimination holds it
+    (:func:`linnij.polymatrix._eliminate`).  It takes products and
+    differences with ints and with other such elements, and ``// h`` by an
+    int h that divides both parts; a result whose irrational part vanishes
+    is the int it equals (:func:`_integral`), so an element is never zero.
+    Two radicands meeting raise :class:`RadicandMismatchError`, as they do
+    in :class:`Scalar` arithmetic."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a = a
+        self.b = b
+        self.d = d
+
+    def _pair(self, other) -> tuple[int, int]:
+        """The int parts of an int or of an element of the same ring."""
+        if type(other) is int:
+            return other, 0
+        if other.d != self.d:
+            raise RadicandMismatchError(
+                "cannot mix sqrt(%d) with sqrt(%d)" % (self.d, other.d))
+        return other.a, other.b
+
+    def __mul__(self, other):
+        c, e = self._pair(other)
+        a, b, d = self.a, self.b, self.d
+        return _integral(a * c + d * b * e, a * e + b * c, d)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        c, e = self._pair(other)
+        return _integral(self.a - c, self.b - e, self.d)
+
+    def __rsub__(self, other):
+        c, e = self._pair(other)
+        return _integral(c - self.a, e - self.b, self.d)
+
+    def __floordiv__(self, h: int):
+        return _integral(self.a // h, self.b // h, self.d)
+
+
+def _integral(a: int, b: int, d: int):
+    """``a + b*sqrt(d)`` as an int when b is 0, else as an :class:`_Integral`."""
+    return _Integral(a, b, d) if b else a
+
+
+def _integral_row(values) -> tuple[int, list]:
+    """``(m, row)`` for narrow ``values``: m > 0 their least common
+    denominator (:func:`_integer_form`) and ``row`` each value times m, an
+    int or an :class:`_Integral`."""
+    forms = [_integer_form(v) for v in values]
+    m = math.lcm(*(form[3] for form in forms))
+    return m, [_integral(a * (m // k), b * (m // k), d) for a, b, d, k in forms]
+
+
+def _content(*values) -> int:
+    """:func:`math.gcd` of the int parts of ints and :class:`_Integral`
+    values."""
+    return math.gcd(*(x for v in values
+                      for x in ((v,) if type(v) is int else (v.a, v.b))))
+
+
+def _quotient(value, divisor):
+    """The narrow value ``value / divisor`` of an int or :class:`_Integral`
+    ``value`` and a nonzero one ``divisor``: ``value`` times the conjugate
+    of ``divisor``, over its norm."""
+    if type(divisor) is int:
+        if type(value) is int:
+            q, r = divmod(value, divisor)
+            return Fraction(value, divisor) if r else q
+        ring = value
+    else:
+        ring = divisor
+    a, b = ring._pair(value)
+    c, e = ring._pair(divisor)
+    d = ring.d
+    norm = c * c - d * e * e  # nonzero, as sqrt(d) is irrational
+    if norm < 0:
+        norm, c, e = -norm, -c, -e
+    return _from_integer_form(a * c - d * b * e, b * c - a * e, d, norm)
 
 
 def _size(value) -> int:

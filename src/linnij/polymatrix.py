@@ -5,9 +5,13 @@ elimination (Bareiss) reduces a matrix one row at a time against the pivot
 rows above it; every intermediate entry is a minor of the input, so each
 division step is exact.  It gives the polynomial determinant, each cofactor
 of the adjugate and the dependence test :meth:`PolyMatrix.dependent_rows`.
-Over the scalar field, one Gauss-Jordan elimination gives the determinant,
-the inverse and :func:`scalar_solve`, in the ring's narrow coefficient types,
-as :class:`Poly` holds them.  Characteristic coefficients use
+Over the scalar field, one Gauss-Jordan elimination on primitive integral
+rows (:func:`_eliminate`) gives the determinant, the inverse and
+:func:`scalar_solve`: each row's denominators are cleared once, every step
+keeps the rows' entries ints, or elements of Z[sqrt(d)] with int parts, and
+divides each row by the gcd of its ints, and only the last step divides,
+once per solution entry, so results come in the ring's narrow coefficient
+types, as :class:`Poly` holds them.  Characteristic coefficients use
 Berkowitz's division-free algorithm instead, in the operator's own ring;
 Bareiss stays for the determinant because Berkowitz swells more on dense
 Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
@@ -31,13 +35,15 @@ J. ACM 1980); a zero value proves nothing.
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
     Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _reciprocal,
-    _power_table, _support, _value_at, dot, exact_divide, exponent_sets)
-from .exactfield import _narrow
+    _power_table, _substitute_linear, _support, _value_at, dot, exact_divide,
+    exponent_sets)
+from .exactfield import _content, _integral_row, _narrow, _quotient
 from .record import Record
 
 
@@ -79,8 +85,11 @@ class PolyMatrix(Record):
                            for row in self.entries])
 
     def substitute_linear(self, matrix: Sequence[Sequence[Coefficient]]) -> "PolyMatrix":
-        rows = [list(r) for r in matrix]
-        return PolyMatrix([[p.substitute_linear(rows) for p in row] for row in self.entries])
+        """Every entry's :meth:`Poly.substitute_linear`, the images of the
+        variables and their powers built once for the whole matrix."""
+        images = iter(_substitute_linear([p for row in self.entries for p in row],
+                                         [list(r) for r in matrix]))
+        return PolyMatrix([[next(images) for _ in row] for row in self.entries])
 
     def at(self, points: Iterable[Sequence[Coefficient]]
            ) -> Iterator[list[list[Coefficient]]]:
@@ -302,55 +311,131 @@ def scalar_mat_mul(
     return [[_narrowed(dot(row, col, 0)) for col in cols] for row in a]
 
 
-def _gauss_jordan(a, b):
-    """Eliminate ``[a | b]`` over the scalar field; return (det a, a^-1 b),
-    the solution None when det a is 0.  Each pivot row is scaled by one
-    inverse of its pivot and cleared from every other row, or only from the
-    rows below when ``b`` has no columns, as the determinant needs no more.
-    Zero entries are skipped; only columns right of the pivot are updated.
+def _eliminate(a, b):
+    """Gauss-Jordan elimination of ``[a | b]`` on primitive integral rows:
+    ``(det a, the rows' empty tails)`` when ``b`` has no columns, ``(None,
+    a^-1 b)`` when it has some, and ``(0, None)`` when det a is 0.
 
-    Every scalar entry is narrowed on entry and every result after each
-    step.  The entries of ``b`` may be polynomials."""
+    Each row is multiplied once by the least common denominator of its
+    scalar entries, which makes them ints, or elements of Z[sqrt(d)] with
+    int parts (:func:`~linnij.exactfield._integral_row`), and divided by its
+    content, the gcd of those ints.  The step against the pivot p of
+    column c replaces a row whose entry f there is nonzero by
+    ``(p/g)*row - (f/g)*pivot_row``, g the content of p and f, and divides
+    it by its content again; a row with f = 0 is left alone.  Only the
+    columns right of the pivot change, and a row's own pivot when it lies
+    left of c.  Only the rows below the pivot are reduced when ``b`` has no
+    columns, as the determinant needs no more, and every other row
+    otherwise.  Each solution entry is then one division by its row's
+    pivot.  The determinant is the product of the pivots, times the
+    contents divided out, over the denominators and the factors p/g
+    multiplied in, with the sign of the row swaps.
+
+    A ``b`` with polynomial entries is carried beside the rows, each
+    carried row with the factor its integral row has gained, so that a
+    step costs one scaled polynomial and one difference per entry, and
+    the last division folds that factor in.  Results are narrow."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatchError("square matrix required")
-    rows = [[_exact(v) for v in left]
-            + [v if type(v) is Poly else _exact(v) for v in right]
-            for left, right in zip(a, b)]
     full = any(b)  # b has columns
-    det = 1
+    carried = None
+    if any(type(v) is Poly for right in b for v in right):
+        carried = [[v if type(v) is Poly else _exact(v) for v in right] for right in b]
+    rows = []
+    # det a = num / den * det(rows), kept for the determinant only
+    num = den = 1
+    # the rows [rows[r] | factors[r] * carried[r]] stay combinations of the
+    # rows of [a | b], so they have its solution
+    factors = []
+    integral = True  # every entry an int
+    for left, right in zip(a, b):
+        row = [*left] if carried else [*left, *right]
+        m = 1
+        if not all(type(v) is int for v in row):
+            m, row = _integral_row([_exact(v) for v in row])
+            integral = integral and all(type(v) is int for v in row)
+        rows.append(row)
+        factors.append(m)
+    content = gcd if integral else _content
+    for r, row in enumerate(rows):
+        h = _make_primitive(row, content)
+        num *= h
+        den *= factors[r]
+        factors[r] = _quotient(factors[r], h)
     for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c]), None)
-        if p is None:
+        k = next((r for r in range(c, n) if rows[r][c]), None)
+        if k is None:
             return 0, None
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det = _narrowed(det * pivot)
-        scale = _reciprocal(pivot)
-        tail = [_narrowed(v * scale) if v else v for v in rows[c][c + 1 :]]
-        rows[c][c + 1 :] = tail
+        if k != c:
+            rows[c], rows[k] = rows[k], rows[c]
+            factors[c], factors[k] = factors[k], factors[c]
+            if carried:
+                carried[c], carried[k] = carried[k], carried[c]
+            num = -num
+        p = rows[c][c]
+        tail = rows[c][c + 1 :]
         for r in range(0 if full else c + 1, n):
-            f = rows[r][c]
+            row = rows[r]
+            f = row[c]
             if r == c or not f:
                 continue
-            rows[r][c + 1 :] = [_narrowed(v - f * w) if w else v
-                                for v, w in zip(rows[r][c + 1 :], tail)]
-    return det, [row[n:] for row in rows]
+            g = content(p, f)
+            s, t = p // g, f // g
+            if s == 1:
+                row[c + 1 :] = [v - t * w if w else v
+                                for v, w in zip(row[c + 1 :], tail)]
+            else:
+                row[c + 1 :] = [s * v - t * w if w else s * v
+                                for v, w in zip(row[c + 1 :], tail)]
+                if r < c:
+                    row[r] = s * row[r]
+            row[c] = 0
+            h = _make_primitive(row, content)
+            if carried:
+                u = _narrow(_quotient(t, s) * factors[c] * _reciprocal(factors[r]))
+                carried[r] = [_narrowed(v - u * w) if w else v
+                              for v, w in zip(carried[r], carried[c])]
+                factors[r] = _narrow(factors[r] * _quotient(s, h))
+            elif not full:
+                num *= h
+                den *= s
+    if carried:
+        solution = []
+        for c, (row, right, factor) in enumerate(zip(rows, carried, factors)):
+            ratio = _narrow(factor * _quotient(1, row[c]))
+            solution.append([_narrowed(v * ratio) for v in right])
+        return None, solution
+    if full:
+        return None, [[_quotient(v, row[c]) for v in row[n:]]
+                      for c, row in enumerate(rows)]
+    for c, row in enumerate(rows):
+        num = num * row[c]
+    return _quotient(num, den), [row[n:] for row in rows]
+
+
+def _make_primitive(row, content) -> int:
+    """Divide an integral row in place by its ``content``, and return it, or
+    1 for a content of 0 or 1."""
+    h = content(*row)
+    if h < 2:
+        return 1
+    row[:] = [v // h for v in row]
+    return h
 
 
 def _narrowed(value):
-    """A result of :func:`_gauss_jordan` in its narrow type; an ``int`` or
-    a polynomial is returned as it is."""
+    """An exact value in its narrow type; an ``int`` or a polynomial is
+    returned as it is."""
     kind = type(value)
     return value if kind is int or kind is Poly else _narrow(value)
 
 
 def scalar_solve(a: Sequence[Sequence[Coefficient]], b: Sequence[Sequence]) -> list[list]:
-    """a^-1 b for a square scalar ``a``; the entries of ``b`` may be scalars
-    or polynomials.  Raises :class:`SingularMatrixError` when det a is 0."""
-    solution = _gauss_jordan(a, b)[1]
+    """a^-1 b for a square scalar ``a``, by :func:`_eliminate`; the entries
+    of ``b`` may be scalars or polynomials.  Raises
+    :class:`SingularMatrixError` when det a is 0."""
+    solution = _eliminate(a, b)[1]
     if solution is None:
         raise SingularMatrixError("matrix is singular")
     return solution
@@ -364,5 +449,5 @@ def scalar_mat_inverse(matrix: Sequence[Sequence[Coefficient]]) -> list[list[Coe
 
 
 def scalar_mat_det(matrix: Sequence[Sequence[Coefficient]]) -> Coefficient:
-    """Determinant over the exact scalar field, by :func:`_gauss_jordan`."""
-    return _gauss_jordan(matrix, [()] * len(matrix))[0]
+    """Determinant over the exact scalar field, by :func:`_eliminate`."""
+    return _eliminate(matrix, [()] * len(matrix))[0]

@@ -65,7 +65,10 @@ pairwise products of two rows with zero factors skipped, is the one
 sum-of-products routine, with ``_dot_at`` its form for two rows of one
 ring summed over given positions only: matrix products, the
 characteristic polynomial, the torsion, coordinate changes, linear forms
-and :meth:`Poly.substitute_linear` are built on them.
+and :meth:`Poly.substitute_linear` are built on them.  A linear
+substitution goes through ``_substitute_linear``, which builds the images
+of the variables, and each power of them a term asks for, once for all the
+polynomials it is given: a matrix's entries share them.
 
 :meth:`Poly.gradient` is the one derivative kernel: :meth:`Poly.partial`,
 :func:`~linnij.polymatrix.jacobian` and the torsion read it.
@@ -419,26 +422,7 @@ class Poly:
         ``matrix`` must have ``nvars`` rows; the number of columns sets the
         variable count of the result.
         """
-        if len(matrix) != self.nvars:
-            raise DimensionMismatchError(
-                "substitution matrix needs %d rows" % self.nvars
-            )
-        ncols = len(matrix[0]) if matrix else 0
-        if any(len(row) != ncols for row in matrix):
-            raise DimensionMismatchError("ragged substitution matrix")
-        ys = [Poly.variable(ncols, j) for j in range(ncols)]
-        zero = Poly.zero(ncols)
-        images = [dot(row, ys, zero) for row in matrix]
-        powers: dict[tuple[int, int], Poly] = {}
-        monomials = []
-        for key in self.packed:
-            monomial = Poly.constant(ncols, 1)
-            for i, e in _fields(key, self.nvars, self.width):
-                if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
-                monomial = monomial * powers[i, e]
-            monomials.append(monomial)
-        return dot(self.packed.values(), monomials, zero)
+        return _substitute_linear((self,), matrix)[0]
 
     def substitute(self, values: Mapping[int, Coefficient]) -> "Poly":
         """Evaluate some variables at scalar values (others stay symbolic).
@@ -588,6 +572,35 @@ def _accumulate(p: Poly, other, subtract: bool):
         terms = _repack(terms, nvars, p.width, width)
         added = _repack(added, nvars, other.width, width)
     return Poly._new(nvars, width, _add_terms(dict(terms), added.items(), subtract))
+
+
+def _substitute_linear(polys: Sequence[Poly], matrix: Sequence[Sequence[Coefficient]]
+                       ) -> list[Poly]:
+    """:meth:`Poly.substitute_linear` of each of ``polys``, a nonempty list
+    over one ring, with the images ``matrix[i] . y`` and each power of them
+    that a term asks for built once for all of them."""
+    nvars = polys[0].nvars
+    if len(matrix) != nvars:
+        raise DimensionMismatchError("substitution matrix needs %d rows" % nvars)
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise DimensionMismatchError("ragged substitution matrix")
+    ys = [Poly.variable(ncols, j) for j in range(ncols)]
+    zero = Poly.zero(ncols)
+    images = [dot(row, ys, zero) for row in matrix]
+    powers: dict[tuple[int, int], Poly] = {}
+    out = []
+    for p in polys:
+        monomials = []
+        for key in p.packed:
+            monomial = Poly.constant(ncols, 1)
+            for i, e in _fields(key, nvars, p.width):
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                monomial = monomial * powers[i, e]
+            monomials.append(monomial)
+        out.append(dot(p.packed.values(), monomials, zero))
+    return out
 
 
 def _reciprocal(value):

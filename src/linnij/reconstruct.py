@@ -99,14 +99,15 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 
 #: The point path runs for sets of at least this many sigmas, a property of
 #: the input alone.  In-process best times, symbolic -> point path, in ms
-#: (2-CPU Xeon, Python 3.11, packed exponent keys, point values and
-#: elimination in int and Fraction), at n = 3, 4, 5 and 6: blocks 0.39 ->
-#: 0.81, 2.6 -> 1.3, 23 -> 4.8 and 600 -> 5.7; L2 0.33 -> 0.46, 0.97 ->
-#: 0.76, 2.8 -> 1.2 and 6.8 -> 1.7; L1 0.29 -> 0.48, 0.62 -> 0.74, 1.6 ->
-#: 1.2 and 3.6 -> 1.6; the 23 catalog sets, all with n <= 3, 17.2 -> 18.2
-#: to 19.5 over two runs.  Below four sigmas the arithmetic at the points
-#: costs more than the adjugate it avoids.  At four the sparse L1 set still
-#: loses about 0.1 ms; every other set from four on gains.
+#: (2-CPU Xeon, Python 3.11, packed exponent keys, point values in int and
+#: Fraction, elimination on primitive integral rows), at n = 3, 4, 5 and 6:
+#: blocks 0.33 -> 0.42, 2.2 -> 0.75, 15 -> 1.3 and 470 -> 2.8; L2 0.30 ->
+#: 0.39, 0.87 -> 0.60, 2.5 -> 0.90 and 6.1 -> 1.3; L1 0.24 -> 0.41, 0.55 ->
+#: 0.61, 1.3 -> 0.94 and 3.5 -> 1.4; the 23 catalog sets, all with n <= 3,
+#: 14.3 -> 15.8 and 14.8 -> 15.1 over two runs.  Below four sigmas the
+#: arithmetic at the points costs more than the adjugate it avoids.  At
+#: four the sparse L1 set still loses about 0.06 ms; every other set from
+#: four on gains.
 POINT_PATH_MIN_SIGMAS = 4
 
 

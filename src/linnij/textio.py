@@ -43,10 +43,11 @@ Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
 
 A ``sqrt(d)`` radicand may be at most :data:`MAX_RADICAND`: checking that
-it is square-free takes trial division up to its square root, so a larger
+it is square-free takes trial division up to its cube root, so a larger
 one is rejected with :class:`~linnij.errors.FormatError` instead of
-stalling the parse.  Likewise an integer power ``c^k`` may have at most
-:data:`MAX_POWER_DIGITS` digits, the longest integer literal the
+stalling the parse.  Each radicand is checked once per parse, however
+often its ``sqrt`` occurs.  Likewise an integer power ``c^k`` may have at
+most :data:`MAX_POWER_DIGITS` digits, the longest integer literal the
 interpreter converts; a larger one is rejected from the bit length of
 ``c`` before the power is built.  The same limit bounds the power of a
 parenthesised or ``sqrt()`` constant, such as ``(1/2)^k`` or
@@ -255,9 +256,11 @@ class _Parser:
     Terms are built as they are read; see the module docstring.
     """
 
-    def __init__(self, tokens, nvars, index_of, width=_MIN_WIDTH):
+    def __init__(self, tokens, nvars, index_of, width=_MIN_WIDTH, roots=None):
         # the None sentinel ends the input; every rule that takes it raises
         self.tokens = tokens + [None]
+        # sqrt(d) by radicand, so each radicand is checked square-free once
+        self.roots = {} if roots is None else roots
         self.pos = 0
         self.nvars = nvars
         self.index_of = index_of
@@ -399,7 +402,9 @@ class _Parser:
                 if radicand > MAX_RADICAND:
                     raise FormatError("sqrt() radicand %s exceeds the limit %d"
                                       % (inner, MAX_RADICAND))
-                root = Scalar(0, 1, radicand)
+                root = self.roots.get(radicand)
+                if root is None:
+                    root = self.roots[radicand] = Scalar(0, 1, radicand)
             except ValueError as exc:
                 raise FormatError(str(exc))
             return Poly.constant(self.nvars, root)
@@ -529,10 +534,11 @@ def _descend(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
     :class:`FormatError`."""
     tokens = _tokenize(text)
     width = _MIN_WIDTH
+    roots: dict = {}
     try:
         while True:
             try:
-                return _Parser(tokens, nvars, index_of, width).parse()
+                return _Parser(tokens, nvars, index_of, width, roots).parse()
             except _Wider:
                 # the same tokens again, every term at the next width
                 width *= 2

@@ -7,13 +7,14 @@ import sys
 import time
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import linnij
 from linnij.cli import main
 from linnij.catalog import (
-    CatalogEntry, EntryReport, generalized_blocks, load_catalog)
+    CatalogEntry, EntryReport, generalized_L1, generalized_blocks, load_catalog)
 from linnij.errors import FormatError
 from linnij.exactfield import Scalar
 from linnij.reconstruct import generate_linearity_system, param_sigmas
@@ -223,6 +224,28 @@ def test_reconstruct_of_many_large_prime_radicands_ends_at_once(runner, tmp_path
     assert result.output == ("-100*sqrt(999999999989)*x1; 1/99999999998900*sqrt(999999999989)\n"
                              "-100*sqrt(999999999989)*x2; 0\n"
                              "linear: no\n")
+
+
+#: SHA-256 of the stdout of ``reconstruct`` on the sigmas of the largest
+#: L1 and blocks sets the point path meets in the CI steps, recorded before
+#: the scalar elimination ran on integral rows.
+LARGEST_FAMILY_DIGESTS = {
+    "L1 16": "e03cb8a546559b51cbd6f61523cb76f01f258d45f8b5a3e42d1a3c93ff8ad58c",
+    "blocks 10": "c65c4da16b7d8dfb864a3c6ca9ef036e8805562558bc58efbfc75207e9342622",
+}
+
+
+@pytest.mark.parametrize("label", list(LARGEST_FAMILY_DIGESTS))
+def test_reconstruct_of_the_largest_family_sets_is_unchanged(runner, tmp_path, label):
+    family, n = label.split()
+    entry = (generalized_L1 if family == "L1" else generalized_blocks)(int(n))
+    sigma_file = tmp_path / "sigmas.txt"
+    sigma_file.write_text("".join(format_poly(s) + "\n" for s in entry.sigmas))
+    result = runner.invoke(main, ["reconstruct", str(sigma_file)])
+    assert result.exit_code == 0
+    assert result.output.endswith("\nlinear: yes\n")
+    assert hashlib.sha256(result.output.encode("utf-8")).hexdigest() == \
+        LARGEST_FAMILY_DIGESTS[label]
 
 
 @pytest.mark.parametrize("sigma_text", [
@@ -653,6 +676,59 @@ def test_generalize_reports_failed_checks(runner, monkeypatch):
         "\nverification: FAILED\n"
         "  charpoly: sigma mismatch at [2]\n"
         "  covariance: failed\n")
+
+
+def one_write_cases(tmp_path):
+    """(label, args) of each text report that may run long: generalize,
+    verify-tables, and reconstruct of an operator and of a diagnosis."""
+    operator = tmp_path / "operator-sigmas.txt"
+    operator.write_text("".join(format_poly(s) + "\n"
+                                for s in generalized_blocks(5, [1, 1]).sigmas))
+    diagnosis = tmp_path / "diagnosis-sigmas.txt"
+    diagnosis.write_text("x1\nx2*x1 + x3^2\nx3*x1\n")
+    return [("generalize", ["generalize", "L1", "9"]),
+            ("verify-tables", ["verify-tables"]),
+            ("reconstruct", ["reconstruct", str(operator)]),
+            ("diagnosis", ["reconstruct", str(diagnosis)])]
+
+
+def test_each_text_report_is_one_write(runner, tmp_path, monkeypatch):
+    expected = {label: runner.invoke(main, args) for label, args in one_write_cases(tmp_path)}
+    writes = []
+    echo = click.echo
+    monkeypatch.setattr(click, "echo", lambda *a, **k: writes.append(a) or echo(*a, **k))
+    for label, args in one_write_cases(tmp_path):
+        del writes[:]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (
+            expected[label].exit_code, expected[label].output), label
+        assert result.exit_code == 0 and result.output.count("\n") >= 3, label
+        assert len(writes) == 1, (label, len(writes))
+
+
+@pytest.mark.parametrize("command", ["generalize", "diagnosis"])
+def test_a_formatting_error_leaves_no_partial_report(runner, tmp_path, monkeypatch,
+                                                    command):
+    # the last value the report formats, a relation's coefficient or a
+    # remainder, fails: only the one-line error is printed
+    args = dict(one_write_cases(tmp_path))[command]
+    name = "format_scalar" if command == "generalize" else "format_poly"
+    real = getattr(linnij.cli, name)
+    calls = []
+    monkeypatch.setattr(linnij.cli, name, lambda *a: calls.append(a) or real(*a))
+    assert runner.invoke(main, args).exit_code == 0
+    last = len(calls)
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == last:
+            raise FormatError("planted formatting failure")
+        return real(*a)
+
+    del calls[:]
+    monkeypatch.setattr(linnij.cli, name, failing)
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (2, "planted formatting failure\n")
 
 
 def test_generalize_json(runner):

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from linnij.errors import NotRepresentableError, RadicandMismatchError
-from linnij.exactfield import ONE, Scalar, scalar_sqrt, square_free_split
+from linnij.exactfield import (
+    ONE, Scalar, _content, _integral, _integral_row, _narrow, _quotient, parts,
+    scalar_sqrt, square_free_split)
 from linnij.nijenhuis import StructureConstants
 
 
@@ -109,6 +112,62 @@ def test_mixed_radicands_reject():
         Scalar(1, 1, 2) - Scalar(1, 1, 3)
     with pytest.raises(RadicandMismatchError):
         Scalar(1, 1, 2) / Scalar(1, 1, 3)
+
+
+def integral_value(x):
+    """The exact value of an int or an _Integral, as a Scalar."""
+    return Scalar(x) if type(x) is int else Scalar(x.a, x.b, x.d)
+
+
+def test_integral_arithmetic_matches_scalar_arithmetic_seeded():
+    # the integral elements of the scalar elimination against Scalar
+    # arithmetic: products, differences, exact quotients by an int, the
+    # content, and the one division, which narrows
+    rng = random.Random(3103)
+
+    def draw(d):
+        # few irrational parts, so that differences often cancel them
+        return _integral(rng.randint(-40, 40), rng.randint(-2, 2), d)
+
+    collapsed = 0
+    for _ in range(400):
+        d = rng.choice([2, 3, 5])
+        x, y = draw(d), draw(d)
+        for op in (operator.mul, operator.sub):
+            result = op(x, y)
+            assert integral_value(result) == op(integral_value(x), integral_value(y))
+            collapsed += type(result) is int and (type(x) is not int or type(y) is not int)
+        h = rng.randint(1, 9)
+        assert integral_value(x * h // h) == integral_value(x)
+        values = [draw(d) for _ in range(rng.randint(1, 4))]
+        expected = 0
+        for value in map(integral_value, values):
+            expected = math.gcd(expected, int(value.rat), int(value.irr))
+        assert _content(*values) == expected
+        if y != 0:
+            quotient = _quotient(x, y)
+            assert quotient == integral_value(x) / integral_value(y)
+            assert type(quotient) is (Scalar if parts(quotient)[1] else
+                                      int if Fraction(quotient).denominator == 1 else Fraction)
+    assert collapsed >= 20
+    with pytest.raises(RadicandMismatchError):
+        _integral(1, 1, 2) * _integral(1, 1, 3)
+    with pytest.raises(RadicandMismatchError):
+        _quotient(_integral(1, 1, 2), _integral(1, 1, 3))
+
+
+def test_integral_row_clears_the_denominators_seeded():
+    rng = random.Random(3104)
+    root3 = Scalar(0, 1, 3)
+    for _ in range(200):
+        values = [_narrow(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                          + root3 * Fraction(rng.choice([0, rng.randint(-9, 9)]),
+                                             rng.randint(1, 12)))
+                  for _ in range(rng.randint(1, 5))]
+        m, row = _integral_row(values)
+        assert m == math.lcm(*(Fraction(x).denominator for v in values
+                               for x in parts(v)[:2]))
+        assert [_quotient(x, m) for x in row] == values
 
 
 def test_radicand_constructor_contract():

@@ -9,10 +9,10 @@ from linnij.errors import (
     DependentSigmasError, DimensionMismatchError, SingularMatrixError)
 from linnij.exactfield import Scalar, parts
 from linnij.nijenhuis import torsion
-from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide
+from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, exponent_sets
 from linnij.polymatrix import (
     PolyMatrix,
-    _gauss_jordan,
+    _eliminate,
     charpoly_sigmas,
     companion_matrix,
     jacobian,
@@ -405,6 +405,43 @@ def test_substitute_linear_on_matrix():
     assert swapped[1, 0] == p3("2*x3")
 
 
+def reference_substitute_linear(p, t):
+    """x_i -> sum_j t[i][j] y_j, term by term through the public ring."""
+    ncols = len(t[0])
+    images = [sum((Poly.variable(ncols, j) * v for j, v in enumerate(row) if v),
+                  Poly.zero(ncols)) for row in t]
+    total = Poly.zero(ncols)
+    for exps, coeff in p.terms.items():
+        term = Poly.constant(ncols, coeff)
+        for image, e in zip(images, exps):
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+def test_matrix_substitution_builds_each_image_power_once(monkeypatch):
+    rng = random.Random(3101)
+    root3 = Scalar(0, 1, 3)
+    calls = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda p, e: calls.append(e) or power(p, e))
+    for trial in range(12):
+        n = rng.randint(1, 4)
+        entries = [[random_sparse_poly(rng, n) * rng.choice([1, Fraction(1, 3), root3])
+                    for _ in range(n)] for _ in range(n)]
+        ncols = rng.randint(1, 4)
+        t = [[rng.choice([0, 1, -2, Fraction(1, 2), root3]) for _ in range(ncols)]
+             for _ in range(n)]
+        del calls[:]
+        result = PolyMatrix(entries).substitute_linear(t)
+        # one power per variable and exponent that occurs in the matrix
+        assert len(calls) == sum(len(e) for e in exponent_sets(n, (p for row in entries for p in row)))
+        assert result.entries == tuple(tuple(reference_substitute_linear(p, t) for p in row)
+                                       for row in entries)
+        assert result.entries == tuple(tuple(p.substitute_linear(t) for p in row)
+                                       for row in entries)
+
+
 def test_scalar_matrix_helpers():
     a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(1)]]
     inv = scalar_mat_inverse(a)
@@ -710,10 +747,16 @@ def test_narrow_elimination_matches_the_scalar_one_seeded():
     rng = random.Random(2201)
     singular = irrational = polynomial = 0
     for a, b in elimination_inputs(rng):
-        det, solution = _gauss_jordan(a, b)
+        det, solution = _eliminate(a, b)
         expected_det, expected = reference_gauss_jordan(a, b)
-        assert det == expected_det and is_narrow(det), (a, b)
-        assert solution == expected, (a, b)
+        if expected is None:
+            assert (det, solution) == (0, None), (a, b)
+        elif any(b):
+            # a solve leaves the determinant out
+            assert det is None and solution == expected, (a, b)
+        else:
+            assert det == expected_det and is_narrow(det), (a, b)
+            assert solution == [[]] * len(a), (a, b)
         irrational += any(v.irr for row in a for v in row)
         if solution is None:
             singular += 1
@@ -724,6 +767,76 @@ def test_narrow_elimination_matches_the_scalar_one_seeded():
                 polynomial += type(v) is Poly
     assert singular >= 40 and irrational >= 40 and polynomial >= 100, (
         singular, irrational, polynomial)
+
+
+def low_rank_rows(rng, n, rank, irrational):
+    """An n x n matrix of the given rank < n, the product of an n x rank
+    and a rank x n matrix, some entries sqrt(3) multiples if ``irrational``."""
+    def entry():
+        value = Scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        return value * Scalar(0, 1, 3) if irrational and rng.random() < 0.3 else value
+    left = [[entry() for _ in range(rank)] for _ in range(n)]
+    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    return [[sum((l * r[j] for l, r in zip(row, right)), Scalar(0)) for j in range(n)]
+            for row in left]
+
+
+def test_rank_deficient_matrices_are_singular_seeded():
+    rng = random.Random(3102)
+    for n in range(1, 7):
+        for rank in range(n):
+            for irrational in (False, True):
+                a = low_rank_rows(rng, n, rank, irrational)
+                assert reference_scalar_mat_det(a) == 0
+                assert scalar_mat_det(a) == 0 and type(scalar_mat_det(a)) is int
+                assert _eliminate(a, [()] * n) == (0, None)
+                assert _eliminate(a, [[1] * 2 for _ in range(n)]) == (0, None)
+                with pytest.raises(SingularMatrixError):
+                    scalar_solve(a, [[random_sparse_poly(rng, 2)] for _ in range(n)])
+                with pytest.raises(SingularMatrixError):
+                    scalar_mat_inverse(a)
+
+
+def point_path_systems(family, n):
+    """(J(p), S(p) J(p)) of a family member's sigmas at every seeded point,
+    as the point path of reconstruct_operator forms them."""
+    sigmas = family(n).sigmas
+    j = jacobian(sigmas)
+    both = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
+    for values in both.at(seeded_points(n)):
+        sp = [row[0] for row in values]
+        jp = [row[1:] for row in values]
+        sjp = [[below - s * v for v, below in zip(jp[0], next_row)]
+               for s, next_row in zip(sp, jp[1:] + [[0] * n])]
+        yield jp, sjp
+
+
+@pytest.mark.parametrize("family", [generalized_L1, generalized_L2, generalized_blocks],
+                         ids=["L1", "L2", "blocks"])
+def test_certificate_jacobians_match_the_reference(family):
+    # the J(p) the certificates and the point path meet: the determinant at
+    # every seeded point for n <= 12 against the Scalar elimination, the
+    # solve J(p) X = S(p) J(p) by its product, and for n <= 6 against the
+    # Scalar Gauss-Jordan too
+    singular = 0
+    for n in range(3, 13):
+        for jp, sjp in point_path_systems(family, n):
+            det = scalar_mat_det(jp)
+            assert det == reference_scalar_mat_det([[Scalar(v) for v in row] for row in jp])
+            assert is_narrow(det), det
+            if not det:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    scalar_solve(jp, sjp)
+                continue
+            x = scalar_solve(jp, sjp)
+            assert scalar_mat_mul(jp, x) == sjp
+            assert all(is_narrow(v) for row in x for v in row)
+            if n <= 6:
+                expected = reference_gauss_jordan([[Scalar(v) for v in row] for row in jp],
+                                                  [[Scalar(v) for v in row] for row in sjp])[1]
+                assert x == expected
+    assert singular >= 5
 
 
 def test_scalar_readers_keep_their_types():

@@ -677,3 +677,22 @@ def test_parse_monomial():
         with pytest.raises(FormatError) as err:
             parse_monomial(text, names)
         assert str(err.value) == "not a monomial: %r" % text
+
+
+def test_a_radicand_is_split_once_per_parse(monkeypatch):
+    # the 100 sqrt(999999999989) tokens of one line build one root: the
+    # square-free check runs once, not once per token
+    import linnij.exactfield
+    splits = []
+    split = linnij.exactfield.square_free_split
+    monkeypatch.setattr(linnij.exactfield, "square_free_split",
+                        lambda n: splits.append(n) or split(n))
+    text = " + ".join(["sqrt(999999999989)*x1"] * 100)
+    p = parse_poly(text, ["x1", "x2"])
+    assert splits == [999999999989]
+    assert p == Poly(2, {(1, 0): 100 * Scalar(0, 1, 999999999989)})
+    del splits[:]
+    # once in each parse, through groups and powers alike
+    assert parse_poly("(sqrt(2)*x1 + sqrt(2))*sqrt(2)^3 - x1/sqrt(2)", ["x1"]) == \
+        parse_poly("4*x1 - 1/2*sqrt(2)*x1 + 4", ["x1"])
+    assert splits == [2, 2]
