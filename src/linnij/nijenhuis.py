@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
 from .polymatrix import (
-    PolyMatrix, jacobian, scalar_mat_det, scalar_solve, seeded_points)
+    PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse, seeded_points)
 from .exactfield import _narrow
 from .polyring import Coefficient, Poly, _exact, dot
 from .record import Record
@@ -350,14 +350,22 @@ def change_coordinates(
 ) -> PolyMatrix:
     """Conjugate an operator field by the linear change x = T y.
 
-    Returns T^{-1} L(T y) T; raises on singular T.  For a linear operator
-    this is simultaneously the basis change of the underlying algebra.
+    Returns T^{-1} L(T y) T: L(T y) is
+    :meth:`PolyMatrix.substitute_linear`, and the one polynomial matrix
+    product multiplies it by T^{-1}, from
+    :func:`~linnij.polymatrix.scalar_mat_inverse`, and by T, each held as a
+    matrix of constants.  Raises :class:`~linnij.errors.SingularMatrixError`
+    on a singular T.  For a linear operator this is simultaneously the
+    basis change of the underlying algebra.
     """
     t = [[_exact(v) for v in row] for row in change]
     substituted = operator.substitute_linear(t)
-    zero = Poly.zero(substituted.nvars)
-    left = scalar_solve(t, substituted.entries)
-    return PolyMatrix([[dot(row, col, zero) for col in zip(*t)] for row in left])
+    nvars = substituted.nvars
+
+    def constant(matrix):
+        return PolyMatrix([[Poly.constant(nvars, v) for v in row] for row in matrix])
+
+    return constant(scalar_mat_inverse(t)) @ substituted @ constant(t)
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

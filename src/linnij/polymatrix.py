@@ -7,16 +7,17 @@ division step is exact.  It gives the polynomial determinant, each cofactor
 of the adjugate and the dependence test :meth:`PolyMatrix.dependent_rows`.
 Over the scalar field, one Gauss-Jordan elimination on primitive integral
 rows (:func:`_eliminate`) gives the determinant, the inverse and
-:func:`scalar_solve`: each row's denominators are cleared once, every step
-keeps the rows' entries ints, or elements of Z[sqrt(d)] with int parts, and
-divides each row by the gcd of its ints, and only the last step divides,
-once per solution entry, so results come in the ring's narrow coefficient
-types, as :class:`Poly` holds them.  Characteristic coefficients use
-Berkowitz's division-free algorithm instead, in the operator's own ring;
-Bareiss stays for the determinant because Berkowitz swells more on dense
-Jacobians such as those of the sigmas.  A plain cofactor expansion is kept
-alongside as an independent cross-check route; callers that verify results
-should compare against it rather than trust one path.
+:func:`scalar_solve` of scalar right-hand sides: each row's denominators
+are cleared once, every step keeps the rows' entries ints, or elements of
+Z[sqrt(d)] with int parts, and divides each row by the gcd of its ints, and
+only the last step divides, once per solution entry, so results come in the
+ring's narrow coefficient types, as :class:`Poly` holds them.
+Characteristic coefficients use Berkowitz's division-free algorithm
+instead, in the operator's own ring; Bareiss stays for the determinant
+because Berkowitz swells more on dense Jacobians such as those of the
+sigmas.  A plain cofactor expansion is kept alongside as an independent
+cross-check route; callers that verify results should compare against it
+rather than trust one path.
 
 Every other sum of products here goes through :func:`linnij.polyring.dot`,
 which skips zero factors, or, for the matrix products and the products of
@@ -40,9 +41,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, LinnijError, SingularMatrixError
 from .polyring import (
-    Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _reciprocal,
-    _power_table, _substitute_linear, _support, _value_at, dot, exact_divide,
-    exponent_sets)
+    Coefficient, DivisibilityFailure, Poly, _dot_at, _exact, _power_table,
+    _substitute_linear, _support, _value_at, dot, exact_divide, exponent_sets)
 from .exactfield import _content, _integral_row, _narrow, _quotient
 from .record import Record
 
@@ -308,7 +308,7 @@ def scalar_mat_mul(
     if len(a[0]) != len(b):
         raise DimensionMismatchError("shape mismatch in scalar product")
     cols = list(zip(*b))
-    return [[_narrowed(dot(row, col, 0)) for col in cols] for row in a]
+    return [[_narrow(dot(row, col, 0)) for col in cols] for row in a]
 
 
 def _eliminate(a, b):
@@ -329,49 +329,31 @@ def _eliminate(a, b):
     otherwise.  Each solution entry is then one division by its row's
     pivot.  The determinant is the product of the pivots, times the
     contents divided out, over the denominators and the factors p/g
-    multiplied in, with the sign of the row swaps.
-
-    A ``b`` with polynomial entries is carried beside the rows, each
-    carried row with the factor its integral row has gained, so that a
-    step costs one scaled polynomial and one difference per entry, and
-    the last division folds that factor in.  Results are narrow."""
+    multiplied in, with the sign of the row swaps.  Results are narrow."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatchError("square matrix required")
     full = any(b)  # b has columns
-    carried = None
-    if any(type(v) is Poly for right in b for v in right):
-        carried = [[v if type(v) is Poly else _exact(v) for v in right] for right in b]
     rows = []
     # det a = num / den * det(rows), kept for the determinant only
     num = den = 1
-    # the rows [rows[r] | factors[r] * carried[r]] stay combinations of the
-    # rows of [a | b], so they have its solution
-    factors = []
     integral = True  # every entry an int
     for left, right in zip(a, b):
-        row = [*left] if carried else [*left, *right]
-        m = 1
+        row = [*left, *right]
         if not all(type(v) is int for v in row):
             m, row = _integral_row([_exact(v) for v in row])
+            den *= m
             integral = integral and all(type(v) is int for v in row)
         rows.append(row)
-        factors.append(m)
     content = gcd if integral else _content
-    for r, row in enumerate(rows):
-        h = _make_primitive(row, content)
-        num *= h
-        den *= factors[r]
-        factors[r] = _quotient(factors[r], h)
+    for row in rows:
+        num *= _make_primitive(row, content)
     for c in range(n):
         k = next((r for r in range(c, n) if rows[r][c]), None)
         if k is None:
             return 0, None
         if k != c:
             rows[c], rows[k] = rows[k], rows[c]
-            factors[c], factors[k] = factors[k], factors[c]
-            if carried:
-                carried[c], carried[k] = carried[k], carried[c]
             num = -num
         p = rows[c][c]
         tail = rows[c][c + 1 :]
@@ -392,20 +374,9 @@ def _eliminate(a, b):
                     row[r] = s * row[r]
             row[c] = 0
             h = _make_primitive(row, content)
-            if carried:
-                u = _narrow(_quotient(t, s) * factors[c] * _reciprocal(factors[r]))
-                carried[r] = [_narrowed(v - u * w) if w else v
-                              for v, w in zip(carried[r], carried[c])]
-                factors[r] = _narrow(factors[r] * _quotient(s, h))
-            elif not full:
+            if not full:
                 num *= h
                 den *= s
-    if carried:
-        solution = []
-        for c, (row, right, factor) in enumerate(zip(rows, carried, factors)):
-            ratio = _narrow(factor * _quotient(1, row[c]))
-            solution.append([_narrowed(v * ratio) for v in right])
-        return None, solution
     if full:
         return None, [[_quotient(v, row[c]) for v in row[n:]]
                       for c, row in enumerate(rows)]
@@ -424,17 +395,12 @@ def _make_primitive(row, content) -> int:
     return h
 
 
-def _narrowed(value):
-    """An exact value in its narrow type; an ``int`` or a polynomial is
-    returned as it is."""
-    kind = type(value)
-    return value if kind is int or kind is Poly else _narrow(value)
-
-
-def scalar_solve(a: Sequence[Sequence[Coefficient]], b: Sequence[Sequence]) -> list[list]:
-    """a^-1 b for a square scalar ``a``, by :func:`_eliminate`; the entries
-    of ``b`` may be scalars or polynomials.  Raises
-    :class:`SingularMatrixError` when det a is 0."""
+def scalar_solve(a: Sequence[Sequence[Coefficient]], b: Sequence[Sequence[Coefficient]]
+                 ) -> list[list[Coefficient]]:
+    """a^-1 b for a square scalar ``a`` and a scalar ``b``, by
+    :func:`_eliminate`.  Raises :class:`SingularMatrixError` when det a is
+    0, and TypeError for an entry that is not an int, a Fraction or a
+    Scalar."""
     solution = _eliminate(a, b)[1]
     if solution is None:
         raise SingularMatrixError("matrix is singular")

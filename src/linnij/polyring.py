@@ -58,9 +58,8 @@ result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
 :meth:`Poly.substitute`, the parser's sums) and ``_add_products`` (``*``,
 :func:`dot`, :func:`exact_divide`, the parser's bracketed terms).
 ``_reciprocal`` is the one exact inverse of a coefficient, never
-``int / int``: :func:`exact_divide`, the parser, the scalar elimination of
-:mod:`linnij.polymatrix` and the normal forms of :mod:`linnij.reconstruct`
-divide through it.  :func:`dot`, the sum of the
+``int / int``: :func:`exact_divide`, the parser and the normal forms of
+:mod:`linnij.reconstruct` divide through it.  :func:`dot`, the sum of the
 pairwise products of two rows with zero factors skipped, is the one
 sum-of-products routine, with ``_dot_at`` its form for two rows of one
 ring summed over given positions only: matrix products, the
@@ -371,10 +370,12 @@ class Poly:
         return power(self, exponent, Poly.constant(self.nvars, 1))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            # an exact scalar is a constant of any ring
+            if not isinstance(other, _EXACT):
+                return NotImplemented
+            other = _narrow(other)
+            return self.packed == ({0: other} if other else {})
         if self.nvars != other.nvars:
             return False
         if self.width == other.width:
@@ -384,7 +385,10 @@ class Poly:
                 == _repack(other.packed, other.nvars, other.width, width))
 
     def __hash__(self):
-        # by exponent tuples, as equal polynomials may differ in width
+        # a constant, every key 0, as the scalar it equals, and any other
+        # polynomial by exponent tuples, as equal ones may differ in width
+        if self.packed.keys() <= {0}:
+            return hash(self.packed.get(0, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus and substitution -----------------------------------------

@@ -8,7 +8,7 @@ from linnij.catalog import (
 from linnij.errors import (
     DependentSigmasError, DimensionMismatchError, SingularMatrixError)
 from linnij.exactfield import Scalar, parts
-from linnij.nijenhuis import torsion
+from linnij.nijenhuis import change_coordinates, torsion
 from linnij.polyring import DivisibilityFailure, Poly, dot, exact_divide, exponent_sets
 from linnij.polymatrix import (
     PolyMatrix,
@@ -655,27 +655,6 @@ def test_scalar_matrix_inverse_seeded():
     assert 10 <= singular <= 50
 
 
-def test_scalar_solve_polynomial_right_hand_side():
-    # t times the solution, by dot, gives back b
-    rng = random.Random(101)
-    solved = singular = 0
-    for n in range(1, 6):
-        for trial in range(10):
-            t, _ = random_scalar_rows(rng, n, trial % 2 == 0)
-            b = [[random_sparse_poly(rng, n) for _ in range(rng.randint(1, 3))]]
-            b += [[random_sparse_poly(rng, n) for _ in b[0]] for _ in range(n - 1)]
-            if reference_scalar_mat_det(t).is_zero():
-                with pytest.raises(SingularMatrixError):
-                    scalar_solve(t, b)
-                singular += 1
-                continue
-            x = scalar_solve(t, b)
-            zero = Poly.zero(n)
-            assert [[dot(row, col, zero) for col in zip(*x)] for row in t] == b
-            solved += 1
-    assert solved >= 15 and singular >= 10
-
-
 # -- the narrow elimination against the Scalar one it replaced -----------------
 
 
@@ -720,8 +699,8 @@ def is_narrow(value):
 
 def elimination_inputs(rng):
     """(a, b) pairs: rational and sqrt(3) matrices with planted dependent
-    rows, integer matrices of certificate size, and polynomial right-hand
-    sides; every b comes with its determinant-only form ()."""
+    rows and integer matrices of certificate size, each with a rational
+    right-hand side and with its determinant-only form ()."""
     cases = []
     for n in range(1, 7):
         for trial in range(12):
@@ -739,13 +718,11 @@ def elimination_inputs(rng):
         yield a, [()] * n
         yield a, [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
                    for _ in range(2)] for _ in range(n)]
-        if n <= 5:
-            yield a, [[random_sparse_poly(rng, n) for _ in range(2)] for _ in range(n)]
 
 
 def test_narrow_elimination_matches_the_scalar_one_seeded():
     rng = random.Random(2201)
-    singular = irrational = polynomial = 0
+    singular = irrational = 0
     for a, b in elimination_inputs(rng):
         det, solution = _eliminate(a, b)
         expected_det, expected = reference_gauss_jordan(a, b)
@@ -763,10 +740,8 @@ def test_narrow_elimination_matches_the_scalar_one_seeded():
             continue
         for row in solution:
             for v in row:
-                assert type(v) is Poly or is_narrow(v), v
-                polynomial += type(v) is Poly
-    assert singular >= 40 and irrational >= 40 and polynomial >= 100, (
-        singular, irrational, polynomial)
+                assert is_narrow(v), v
+    assert singular >= 40 and irrational >= 40, (singular, irrational)
 
 
 def low_rank_rows(rng, n, rank, irrational):
@@ -792,9 +767,87 @@ def test_rank_deficient_matrices_are_singular_seeded():
                 assert _eliminate(a, [()] * n) == (0, None)
                 assert _eliminate(a, [[1] * 2 for _ in range(n)]) == (0, None)
                 with pytest.raises(SingularMatrixError):
-                    scalar_solve(a, [[random_sparse_poly(rng, 2)] for _ in range(n)])
+                    scalar_solve(a, [[Fraction(k + 1, 2)] for k in range(n)])
                 with pytest.raises(SingularMatrixError):
                     scalar_mat_inverse(a)
+
+
+def test_scalar_solve_takes_scalars_only():
+    # a polynomial entry of b is the TypeError of any entry that is not an
+    # exact scalar, on an integer row or not, singular matrix or not
+    x1 = Poly.variable(2, 0)
+    for a in ([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[Fraction(1, 2), 2], [3, 4]]):
+        for b in ([[x1], [1]], [[1], [Poly.constant(2, 1)]]):
+            with pytest.raises(TypeError):
+                scalar_solve(a, b)
+
+
+# -- coordinate changes against the Scalar elimination ------------------------
+
+
+def random_sparse_operator(rng, n):
+    """An n x n matrix of sparse polynomials in n variables of degree at
+    most 2, about a third of its entries zero."""
+    return PolyMatrix([[random_sparse_poly(rng, n) if rng.random() < 0.65 else Poly.zero(n)
+                        for _ in range(n)] for _ in range(n)])
+
+
+def times_scalar(left, right, zero):
+    """The product of two matrices, either of them scalar, by dot."""
+    return [[dot(row, col, zero) for col in zip(*right)] for row in left]
+
+
+def test_change_coordinates_matches_the_scalar_elimination_seeded():
+    # T^-1 L(Ty) T against the Scalar Gauss-Jordan solve of T X = L(Ty),
+    # times T, for rational and sqrt(3) changes T; a singular T raises
+    rng = random.Random(3201)
+    changed = singular = irrational = nonlinear = 0
+    for n in range(1, 5):
+        for trial in range(24):
+            operator = random_sparse_operator(rng, n)
+            t, _ = random_scalar_rows(rng, n, trial % 2 == 0)
+            substituted = operator.substitute_linear(t)
+            solved = reference_gauss_jordan(t, substituted.entries)[1]
+            if solved is None:
+                with pytest.raises(SingularMatrixError):
+                    change_coordinates(operator, t)
+                singular += 1
+                continue
+            zero = Poly.zero(n)
+            result = change_coordinates(operator, t)
+            assert result == PolyMatrix(times_scalar(solved, t, zero)), (operator, t)
+            assert times_scalar(t, result.entries, zero) \
+                == times_scalar(substituted.entries, t, zero)
+            changed += 1
+            irrational += any(v.irr for row in t for v in row)
+            nonlinear += any(p.degree() > 1 for row in operator.entries for p in row)
+    assert changed >= 40 and singular >= 40 and irrational >= 10 and nonlinear >= 30, (
+        changed, singular, irrational, nonlinear)
+
+
+def test_change_coordinates_rejects_bad_shapes():
+    operator = PolyMatrix([[p3("x1"), p3("x2*x3"), p3("0")]] * 3)
+    for change in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]]):
+        with pytest.raises(DimensionMismatchError):
+            change_coordinates(operator, change)
+
+
+def test_catalog_changes_map_onto_their_targets():
+    # the nine recorded changes, four of them with sqrt(3), map each operator
+    # onto its target's, and agree with the Scalar elimination
+    catalog = {entry.id: entry for entry in load_catalog()}
+    changes = [entry for entry in catalog.values() if entry.change is not None]
+    assert [entry.id for entry in changes] == [
+        "L2", "L3", "L4", "L5+", "L5-", "L6+", "L6-", "L7", "L8"]
+    for entry in changes:
+        t = [list(row) for row in entry.change]
+        mapped = change_coordinates(entry.operator, t)
+        assert mapped == catalog[entry.target].operator, entry.id
+        scalar_t = [[v if type(v) is Scalar else Scalar(v) for v in row] for row in t]
+        solved = reference_gauss_jordan(scalar_t, entry.operator.substitute_linear(t).entries)[1]
+        assert mapped == PolyMatrix(times_scalar(solved, t, Poly.zero(3))), entry.id
+    assert sum(any(type(v) is Scalar for row in entry.change for v in row)
+               for entry in changes) == 4
 
 
 def point_path_systems(family, n):

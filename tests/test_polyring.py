@@ -323,6 +323,23 @@ def test_entry_points_narrow_their_coefficients():
     assert hash(half) == hash(Poly.monomial(3, (0, 1, 0), Fraction(1, 2)))
 
 
+def test_a_constant_equals_and_hashes_as_its_scalar():
+    # equal objects hash equal: a constant polynomial is the scalar it holds,
+    # in either order of comparison, whatever type the scalar comes in
+    root3 = Scalar(0, 1, 3)
+    assert {Poly.constant(2, 1), 1} == {1}
+    assert Poly.zero(3) == 0 and 0 == Poly.zero(3) and hash(Poly.zero(3)) == hash(0)
+    for value in (1, -3, Fraction(1, 2), Scalar(Fraction(-2, 3)), root3, 2 - root3 / 3):
+        constant = Poly.constant(2, value)
+        assert constant == value and value == constant
+        assert hash(constant) == hash(value) and len({constant, value}) == 1
+        assert constant != value + 1 and value + 1 != constant
+        assert Poly.variable(2, 0) * value != value
+    assert Poly.constant(2, Fraction(1, 2)) != Fraction(1, 3)
+    assert Poly.constant(2, root3) != Scalar(0, 1, 5) and Poly.constant(2, root3) != 3
+    assert Poly.constant(2, 1) != "1" and Poly.constant(2, 1) != 1.0
+
+
 def narrow_type(value):
     """The one type the value convention allows for ``value``, judged by its
     value alone: Scalar for a nonzero irrational part, else int when the
