@@ -22,7 +22,7 @@ from importlib import resources
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
 from .exactfield import parts
-from .polyring import Poly
+from .polyring import Poly, dot
 from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
 from .nijenhuis import (
     StructureConstants,
@@ -364,6 +364,17 @@ def generalized_blocks(n, signs=None):
     x_n]] plus a final 1x1 block x_n; even n inserts an extra 1x1 block
     2*x_{n-1}-x_n.  Block-leading rows carry x_n - x_{2j+1} in the last
     column.  ``signs`` picks each block's s_j (default all +1).
+
+    Off the diagonal blocks, only the last column has entries, above the
+    final 1x1 block, so the operator is block upper triangular and its
+    characteristic polynomial is the product of its blocks':
+
+        det(t Id - L) = (t - x_n)
+            * prod_j (t^2 - 2 x_{2j+1} t + 2 x_{2j+1} x_n - x_n^2 - s_j x_{2j+2}^2)
+            * (t - 2 x_{n-1} + x_n)    [even n only]
+
+    The sigmas are read off that product, so the charpoly check of
+    :func:`verify_entry` compares Berkowitz with an independent form.
     """
     if n < 3:
         raise DimensionMismatchError("family blocks needs n >= 3, got %d" % n)
@@ -391,10 +402,29 @@ def generalized_blocks(n, signs=None):
         rows[n - 2][n - 1] = x_n - Poly.variable(n, n - 2)
     rows[n - 1][n - 1] = x_n
     operator = PolyMatrix(tuple(tuple(row) for row in rows))
-    sigmas = tuple(charpoly_sigmas(operator))
+    # chi: the coefficients of the product so far, highest power of t first;
+    # the two linear factors go first, the faster order
+    one = Poly.constant(n, 1)
+    chi = [one, -x_n]
+    if n % 2 == 0:
+        chi = _times(chi, [one, x_n - Poly.variable(n, n - 2).scale(2)], zero)
+    for j in range(nblocks):
+        x_a, x_b = Poly.variable(n, 2 * j), Poly.variable(n, 2 * j + 1)
+        chi = _times(chi, [one, x_a.scale(-2),
+                           (x_a * x_n).scale(2) - x_n * x_n - (x_b * x_b).scale(signs[j])],
+                     zero)
+    sigmas = tuple(chi[1:])
     tag = "".join("+" if s > 0 else "-" for s in signs)
     return CatalogEntry("blocks(n=%d,%s)" % (n, tag), n, operator, sigmas,
                         operator_to_lsa(operator))
+
+
+def _times(p, q, zero):
+    """The coefficients, highest power of t first, of the product of two
+    polynomials in t given by theirs."""
+    return [dot([p[m] for m in range(len(p)) if 0 <= i - m < len(q)],
+                [q[i - m] for m in range(len(p)) if 0 <= i - m < len(q)], zero)
+            for i in range(len(p) + len(q) - 1)]
 
 
 def _unit(n, index):

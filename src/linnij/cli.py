@@ -325,8 +325,8 @@ def check_solution_command(system_ref, assignment_file):
 @main.command("generalize")
 @click.argument("family", type=click.Choice(["L1", "L2", "blocks"]))
 # blocks, the costliest family, grows four- to sixfold per two steps of n:
-# building and verifying it takes 0.017, 0.11 and 0.47 s at n = 10, 12 and
-# 14 in process, and ``generalize blocks 12`` 0.26 s as a process (2-CPU
+# building and verifying it takes 0.015, 0.092 and 0.41 s at n = 10, 12 and
+# 14 in process, and ``generalize blocks 12`` 0.22 s as a process (2-CPU
 # Xeon, Python 3.11); a larger n exits 2 at once
 @click.argument("n", type=click.IntRange(max=12))
 @click.option("--signs", default=None, metavar="SIGNS",

@@ -22,7 +22,7 @@ from .errors import DimensionMismatchError
 from .polymatrix import (
     PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse, seeded_points)
 from .exactfield import _narrow
-from .polyring import Coefficient, Poly, _exact, dot
+from .polyring import Coefficient, Poly, _exact, _torsion_rows, dot
 from .record import Record
 
 
@@ -164,11 +164,11 @@ def operator_to_lsa(operator: PolyMatrix) -> StructureConstants:
 class TorsionTensor(Record):
     """All n^3 torsion components of an operator field.
 
-    Built by :func:`torsion` from the component kernel that
-    :func:`torsion_witness` stops early.  The kernel forms only the
+    Built by :func:`torsion` from the row kernel that
+    :func:`torsion_witness` stops early.  The kernel forms only the nonzero
     components with j < k; the others are stored as their exact j<->k
     images, component (i, k, j) as the negation of (i, j, k) and (i, j, j)
-    as zero.
+    as zero, and every component the kernel leaves out as zero.
     """
 
     __slots__ = ("n", "nvars", "comp")
@@ -183,88 +183,6 @@ class TorsionTensor(Record):
         )
 
 
-def _components(operator: PolyMatrix):
-    """Yield the torsion components ``(i, j, k, Poly)`` of :func:`torsion`
-    with j < k, 0-based, in lexicographic (i, j, k) order.
-
-    The three sums are written as one :func:`~linnij.polyring.dot` over the
-    products that can be nonzero: ``L^v_j dL^i_k/dx^v`` over the nonzero
-    derivatives of entry (i, k), ``-L^v_k dL^i_j/dx^v`` over those of entry
-    (i, j), and ``L^i_s (dL^s_j/dx^k - dL^s_k/dx^j)`` over the s where both
-    factors are nonzero.  The derivatives of a column's entries and each
-    curl are formed once, when a component first reads them, so a caller
-    that stops early pays only for the components before it.
-    """
-    n = operator.rows
-    zero = Poly.zero(n)
-    # the entries with None for zero, by row and by column
-    rows = [[e or None for e in row] for row in operator.entries]
-    cols = list(zip(*rows))
-    # grad[i][k]: the nonzero (v, dL^i_k/dx^v); colgrad[k][v] =
-    # {s: dL^s_k/dx^v}; both filled one column at a time, when a component
-    # first reads it
-    grad = [[None] * n for _ in range(n)]
-    colgrad = []
-    # curl[j][k] = {s: dL^s_j/dx^k - dL^s_k/dx^j}, nonzero values only
-    curl = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = rows[i]
-        for j in range(n - 1):
-            # the pairs (v, -dL^i_j/dx^v), formed once column j is filled
-            minus = None
-            for k in range(j + 1, n):
-                while len(colgrad) <= k:
-                    m = len(colgrad)
-                    colgrad.append(_column_gradients(cols[m], m, grad))
-                if minus is None:
-                    minus = [(v, -d) for v, d in grad[i][j]]
-                c = curl[j][k]
-                if c is None:
-                    c = curl[j][k] = _curl(colgrad[j].get(k, {}),
-                                           colgrad[k].get(j, {}), zero)
-                left, right = [], []
-                col = cols[j]
-                for v, d in grad[i][k]:
-                    e = col[v]
-                    if e is not None:
-                        left.append(e)
-                        right.append(d)
-                col = cols[k]
-                for v, d in minus:
-                    e = col[v]
-                    if e is not None:
-                        left.append(e)
-                        right.append(d)
-                for s, d in c.items():
-                    e = row[s]
-                    if e is not None:
-                        left.append(e)
-                        right.append(d)
-                yield i, j, k, dot(left, right, zero) if left else zero
-
-
-def _column_gradients(col, k, grad) -> dict:
-    """Fill the derivatives of the entries of column ``k`` into ``grad`` of
-    :func:`_components`, and return them as ``{v: {s: dL^s_k/dx^v}}``."""
-    by_variable = {}
-    for s, e in enumerate(col):
-        pairs = list(e.gradient().items()) if e is not None else []
-        grad[s][k] = pairs
-        for v, d in pairs:
-            by_variable.setdefault(v, {})[s] = d
-    return by_variable
-
-
-def _curl(first: dict, second: dict, zero: Poly) -> dict:
-    """``first - second`` for two sparse ``{s: Poly}`` maps, zeros dropped."""
-    out = {}
-    for s in first.keys() | second.keys():
-        d = first.get(s, zero) - second.get(s, zero)
-        if d:
-            out[s] = d
-    return out
-
-
 def torsion(operator: PolyMatrix) -> TorsionTensor:
     """Coordinate torsion of a polynomial operator field, as three sums.
 
@@ -275,18 +193,22 @@ def torsion(operator: PolyMatrix) -> TorsionTensor:
 
     where L^i_j is the entry in row i, column j.  The formula is exactly
     antisymmetric in j and k, so only the components with j < k are
-    computed, each from the products that can be nonzero; (i, k, j) is
-    stored as the negation of (i, j, k) and (i, j, j) as zero.
-    :func:`torsion_witness` stops at the first nonzero component.  Entries
-    need not be linear.
+    computed; (i, k, j) is stored as the negation of (i, j, k) and (i, j, j)
+    as zero.  The kernel, ``polyring._torsion_rows``, works one row i at a
+    time and forms only the products of two nonzero terms: each entry
+    against the derivatives it pairs with, and each nonzero entry of row i
+    against the curls in the last sum, each formed once for all rows.
+    :func:`torsion_witness` stops after the first row with a nonzero
+    component.  Entries need not be linear.
     """
     _check_square(operator)
     n = operator.rows
     zero = Poly.zero(n)
     comp = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, p in _components(operator):
-        comp[i][j][k] = p
-        comp[i][k][j] = -p
+    for i, components in enumerate(_torsion_rows(operator.entries)):
+        for j, k, p in components:
+            comp[i][j][k] = p
+            comp[i][k][j] = -p
     return TorsionTensor(n, operator.nvars, comp)
 
 
@@ -294,12 +216,14 @@ def torsion_witness(operator: PolyMatrix) -> tuple[int, int, int, Poly] | None:
     """The first nonzero torsion component in lexicographic order, as
     1-based ``(i, j, k, polynomial)``, or None when the torsion vanishes.
 
-    By antisymmetry the first nonzero component has j < k, so only those
-    are formed, and nothing past the witness is computed.
+    By antisymmetry the first nonzero component has j < k: it is the first
+    component the kernel of :func:`torsion` finds in the first row that has
+    one, and no row past that one is computed.
     """
     _check_square(operator)
-    for i, j, k, p in _components(operator):
-        if not p.is_zero():
+    for i, components in enumerate(_torsion_rows(operator.entries)):
+        if components:
+            j, k, p = components[0]
             return (i + 1, j + 1, k + 1, p)
     return None
 

@@ -24,9 +24,9 @@ which skips zero factors, or, for the matrix products and the products of
 the Berkowitz loop, through its positional form
 :func:`linnij.polyring._dot_at`, which runs over the nonzero positions of
 one vector only: a column of the right factor in a product, a row of the
-operator in the Berkowitz loop.  Those positions are listed once per
-vector (``_support``), so a sparse matrix pays for its nonzero entries,
-and no pair of factors is copied into a list first.
+operator or the Toeplitz column in the Berkowitz loop.  Those positions
+are listed once per vector (``_support``), so a sparse matrix pays for its
+nonzero entries, and no pair of factors is copied into a list first.
 
 Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
 a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
@@ -36,6 +36,7 @@ J. ACM 1980); a zero value proves nothing.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -269,9 +270,13 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
     whose entries are 1, -a, -R C, -R M C, -R M^2 C, ...  with a, R, C the
     new diagonal entry, row and column and M the trailing block.  Only ring
     multiplications happen, in the operator's own ring, O(n^4) of them at
-    most: each row's nonzero entries are listed once, and each product
-    R M^p C forms only the products of two nonzero factors.  The t^n
-    coefficient is checked to be exactly one.
+    most and only products of two nonzero factors: each row's nonzero
+    entries are listed once, and each product R M^p C runs over them.  Once
+    M^p C is zero, every higher power is zero too, so the loop stops there
+    and the Toeplitz entries past it are zero; the Toeplitz product runs
+    over the nonzero entries alone.  A nilpotent or triangular trailing
+    block thus costs fewer powers than n.  The t^n coefficient is checked
+    to be exactly one.
     """
     operator._require_square()
     n = operator.rows
@@ -289,11 +294,19 @@ def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:
         for power in range(n - 1 - k):
             if power:
                 vec[k + 1 :] = [_dot_at(vec, *rows[i], nvars) for i in range(k + 1, n)]
+            if not any(vec):
+                # M^p C = 0, and with it every higher power
+                break
             toeplitz.append(-_dot_at(vec, *rows[k], nvars))
-        coeffs = [
-            dot(toeplitz[i::-1], coeffs[: i + 1], zero)
-            for i in range(len(coeffs) + 1)
-        ]
+        # entry i of the product is the sum of toeplitz[m] * coeffs[i - m]
+        # over the nonzero toeplitz[m] with m <= i; every entry past the
+        # last one formed is zero
+        support = _support(toeplitz)
+        size = len(coeffs)
+        flipped = [zero] + coeffs[::-1]  # flipped[size - i + m] = coeffs[i - m]
+        coeffs = [_dot_at(toeplitz, flipped[size - i :], support[: bisect_right(support, i)],
+                          nvars)
+                  for i in range(size + 1)]
     if coeffs[0] != one:
         raise LinnijError("internal: characteristic polynomial is not monic")
     return coeffs[1:]

@@ -63,14 +63,19 @@ result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
 pairwise products of two rows with zero factors skipped, is the one
 sum-of-products routine, with ``_dot_at`` its form for two rows of one
 ring summed over given positions only: matrix products, the
-characteristic polynomial, the torsion, coordinate changes, linear forms
-and :meth:`Poly.substitute_linear` are built on them.  A linear
+characteristic polynomial, coordinate changes, linear forms and
+:meth:`Poly.substitute_linear` are built on them.  A linear
 substitution goes through ``_substitute_linear``, which builds the images
 of the variables, and each power of them a term asks for, once for all the
 polynomials it is given: a matrix's entries share them.
 
-:meth:`Poly.gradient` is the one derivative kernel: :meth:`Poly.partial`,
-:func:`~linnij.polymatrix.jacobian` and the torsion read it.
+``_derivative_terms`` is the one derivative kernel, behind
+:meth:`Poly.gradient` (and so :meth:`Poly.partial` and
+:func:`~linnij.polymatrix.jacobian`) and the torsion.  The torsion kernel
+``_torsion_rows`` adds the products of nonzero terms straight into the
+components they belong to, one operator row at a time, so it pays for the
+operator's terms and not for its n^3 index slots.  ``_linear_form`` builds
+a linear form from its coefficients on the variables' keys.
 
 ``_value_at`` is the one evaluation kernel, behind :meth:`Poly.evaluate`,
 :meth:`~linnij.polymatrix.PolyMatrix.at` and the solution check.  It runs
@@ -103,7 +108,8 @@ A value's parts are read, and the kernel's result is built, through
 The packed dict is read here and by the parser and printer in
 :mod:`linnij.textio` only; other modules use :func:`exponent_sets`,
 :meth:`Poly.gradient`, :meth:`Poly.linear_terms` (and its dense form
-:meth:`Poly.linear_coefficients`) and :meth:`Poly.involves`.
+:meth:`Poly.linear_coefficients`), :meth:`Poly.involves`,
+``_torsion_rows`` and ``_linear_form``.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, FormatError
 from .exactfield import (
@@ -404,16 +410,7 @@ class Poly:
             for i in wanted:
                 if not 0 <= i < nvars:
                     raise DimensionMismatchError("variable index %d out of range" % i)
-        units = _units(nvars, width)
-        acc: dict[int, dict[int, Coefficient]] = {}
-        for key, coeff in self.packed.items():
-            for i, e in _fields(key, nvars, width):
-                if wanted is not None and i not in wanted:
-                    continue
-                # lowering one exponent maps distinct monomials to distinct
-                # ones, and coeff * e is nonzero for e >= 1
-                c = coeff if e == 1 else _narrow(coeff * e)
-                acc.setdefault(i, {})[key - units[i]] = c
+        acc = _derivative_terms(self.packed, nvars, width, wanted)
         return {i: Poly._new(nvars, width, acc[i]) for i in sorted(acc)}
 
     def partial(self, index: int) -> "Poly":
@@ -539,6 +536,15 @@ def _units(nvars: int, width: int) -> tuple[int, ...]:
     return tuple(_unit(nvars, width, i) for i in range(nvars))
 
 
+def _linear_form(coeffs: Sequence[Coefficient]) -> Poly:
+    """sum_k coeffs[k] * x_k over ``len(coeffs)`` variables, from narrow
+    coefficients, zeros skipped: each term's key is its variable's unit
+    key."""
+    nvars = len(coeffs)
+    return Poly._new(nvars, _MIN_WIDTH,
+                     {unit: c for unit, c in zip(_units(nvars, _MIN_WIDTH), coeffs) if c})
+
+
 @lru_cache(maxsize=256)
 def _field_mask(nvars: int, width: int, indices: tuple[int, ...]) -> int:
     """The bits of the fields of ``indices`` in a key.  A caller testing
@@ -549,6 +555,25 @@ def _field_mask(nvars: int, width: int, indices: tuple[int, ...]) -> int:
     for i in indices:
         mask |= field << width * (nvars - 1 - i)
     return mask
+
+
+def _derivative_terms(packed: dict[int, Coefficient], nvars: int, width: int,
+                      wanted: frozenset[int] | None = None) -> dict[int, dict]:
+    """The term dicts of the nonzero partial derivatives of ``packed`` as
+    ``{index: terms}``, from one pass over its terms: by every variable, or
+    only by those in ``wanted``.  The derivative kernel of
+    :meth:`Poly.gradient` and :func:`_torsion_rows`."""
+    units = _units(nvars, width)
+    acc: dict[int, dict[int, Coefficient]] = {}
+    for key, coeff in packed.items():
+        for i, e in _fields(key, nvars, width):
+            if wanted is not None and i not in wanted:
+                continue
+            # lowering one exponent maps distinct monomials to distinct
+            # ones, and coeff * e is nonzero for e >= 1
+            c = coeff if e == 1 else _narrow(coeff * e)
+            acc.setdefault(i, {})[key - units[i]] = c
+    return acc
 
 
 def _repack(packed: dict[int, Coefficient], nvars: int, width: int,
@@ -1021,6 +1046,73 @@ def _poly_in(factor, zero: Poly) -> Poly:
         zero._check_compatible(factor)
         return factor
     return Poly.constant(zero.nvars, factor)
+
+
+def _torsion_rows(entries: Sequence[Sequence[Poly]]) -> Iterator[list[tuple[int, int, Poly]]]:
+    """The torsion of the n x n operator ``entries`` over n variables, as
+    :func:`~linnij.nijenhuis.torsion` states it, one row at a time: for
+    each row i in turn, its nonzero components ``(j, k, Poly)`` with j < k,
+    0-based, in lexicographic order.
+
+    Each product is one of two nonzero term dicts, added into the
+    component it belongs to, so the work follows the operator's nonzero
+    terms and not its n^3 index slots.  Every sum is held at one width,
+    the one that holds twice the largest entry degree and so every
+    product.  Each entry's derivatives are formed once, from its terms
+    (:func:`_derivative_terms`).  The entry L^v_j times a derivative
+    dL^i_k/dx^v adds into component (i, j, k) when j < k, and is subtracted
+    from (i, k, j) when j > k; at j = k the two sums cancel.  Each curl
+    dL^s_k/dx^j - dL^s_j/dx^k with j < k is summed once, for all rows, from
+    the derivatives, and held negated, so row i adds L^i_s times it for
+    each of its nonzero entries L^i_s.  A caller that stops after a row
+    pays for the derivatives, the curls and the rows up to it.
+    """
+    n = len(entries)
+    nonzero = [[(c, p) for c, p in enumerate(row) if p.packed] for row in entries]
+    degree = max((max(p.packed) >> p.width * n for row in nonzero for _, p in row), default=0)
+    width = _width_for(2 * degree)
+    # each row's nonzero entries, as (column, terms, negated terms)
+    rows = []
+    for row in nonzero:
+        found = []
+        for c, p in row:
+            terms = _repack(p.packed, n, p.width, width)
+            found.append((c, terms, {key: -coeff for key, coeff in terms.items()}))
+        rows.append(found)
+    # derivatives[i]: (k, v, terms of dL^i_k/dx^v), nonzero ones only
+    derivatives = []
+    # curls[(s*n + j)*n + k]: terms of dL^s_j/dx^k - dL^s_k/dx^j, the curl
+    # negated
+    curls: dict[int, dict[int, Coefficient]] = {}
+    for s, row in enumerate(rows):
+        found = []
+        for c, terms, _ in row:
+            for v, d in _derivative_terms(terms, n, width).items():
+                found.append((c, v, d))
+                if v < c:
+                    _add_terms(curls.setdefault((s * n + v) * n + c, {}), d.items(), True)
+                elif v > c:
+                    _add_terms(curls.setdefault((s * n + c) * n + v, {}), d.items())
+        derivatives.append(found)
+    curl_rows: dict[int, list] = {}
+    for at, terms in curls.items():
+        if terms:
+            s, at = divmod(at, n * n)
+            curl_rows.setdefault(s, []).append((at, terms))
+    for i in range(n):
+        acc: dict[int, dict[int, Coefficient]] = {}
+        for k, v, d in derivatives[i]:
+            for j, terms, minus in rows[v]:
+                if j < k:
+                    at = j * n + k
+                    _add_products(acc[at] if at in acc else acc.setdefault(at, {}), terms, d)
+                elif j > k:
+                    at = k * n + j
+                    _add_products(acc[at] if at in acc else acc.setdefault(at, {}), minus, d)
+        for s, terms, _ in rows[i]:
+            for at, curl in curl_rows.get(s, ()):
+                _add_products(acc[at] if at in acc else acc.setdefault(at, {}), terms, curl)
+        yield [(*divmod(at, n), Poly._new(n, width, acc[at])) for at in sorted(acc) if acc[at]]
 
 
 class DivisibilityFailure(Record):

@@ -60,8 +60,8 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    Coefficient, DivisibilityFailure, Poly, _exact, _power_table, _reciprocal,
-    _value_at, dot, exact_divide, exponent_sets, grlex_key)
+    Coefficient, DivisibilityFailure, Poly, _exact, _linear_form, _power_table,
+    _reciprocal, _value_at, dot, exact_divide, exponent_sets, grlex_key)
 from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
@@ -98,16 +98,15 @@ def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
 
 
 #: The point path runs for sets of at least this many sigmas, a property of
-#: the input alone.  In-process best times, symbolic -> point path, in ms
-#: (2-CPU Xeon, Python 3.11, packed exponent keys, point values in int and
-#: Fraction, elimination on primitive integral rows), at n = 3, 4, 5 and 6:
-#: blocks 0.33 -> 0.42, 2.2 -> 0.75, 15 -> 1.3 and 470 -> 2.8; L2 0.30 ->
-#: 0.39, 0.87 -> 0.60, 2.5 -> 0.90 and 6.1 -> 1.3; L1 0.24 -> 0.41, 0.55 ->
-#: 0.61, 1.3 -> 0.94 and 3.5 -> 1.4; the 23 catalog sets, all with n <= 3,
-#: 14.3 -> 15.8 and 14.8 -> 15.1 over two runs.  Below four sigmas the
-#: arithmetic at the points costs more than the adjugate it avoids.  At
-#: four the sparse L1 set still loses about 0.06 ms; every other set from
-#: four on gains.
+#: the input alone.  In-process best times of three runs, symbolic -> point
+#: path, in ms (2-CPU Xeon, Python 3.11, packed exponent keys, point values
+#: in int and Fraction, elimination on primitive integral rows, candidate
+#: entries built on the variables' keys), at n = 3, 4, 5 and 6: blocks
+#: 0.34 -> 0.35, 2.2 -> 0.67, 14 -> 1.2 and 445 -> 2.6; L2 0.29 -> 0.33,
+#: 0.86 -> 0.52, 2.4 -> 0.76 and 5.9 -> 1.1; L1 0.23 -> 0.35, 0.55 -> 0.52,
+#: 1.3 -> 0.82 and 3.2 -> 1.1; the 23 catalog sets, all with n <= 3, 13.9
+#: -> 13.2.  Below four sigmas the point path loses on L1 and L2 and ties
+#: on blocks; from four on every set gains.
 POINT_PATH_MIN_SIGMAS = 4
 
 
@@ -158,12 +157,10 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
         return None
     at_base = found[0]
     # slopes[k]: the entries of A_k, row by row
-    slopes = [[v - w if v or w else v for v, w in zip(at_point, at_base)]
+    slopes = [[_narrow(v - w) if v or w else v for v, w in zip(at_point, at_base)]
               for at_point in found[1:]]
-    units = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
     candidate = PolyMatrix([
-        [Poly(n, {u: slope[r * n + c] for u, slope in zip(units, slopes)})
-         for c in range(n)]
+        [_linear_form([slope[r * n + c] for slope in slopes]) for c in range(n)]
         for r in range(n)])
     if j @ candidate != companion_matrix(sigmas) @ j:
         return None

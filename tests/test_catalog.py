@@ -305,6 +305,17 @@ def test_generalized_families_are_flat_with_exact_sigmas():
         assert charpoly_sigmas(entry.operator) == list(entry.sigmas)
 
 
+def test_blocks_sigmas_from_the_factorization_match_berkowitz():
+    # the closed form is the product over the blocks; Berkowitz reads the
+    # operator alone, for every sign pattern
+    for n in range(3, 13):
+        nblocks = (n - 1) // 2
+        for pattern in range(2 ** nblocks):
+            signs = [-1 if pattern >> j & 1 else 1 for j in range(nblocks)]
+            entry = generalized_blocks(n, signs)
+            assert list(entry.sigmas) == charpoly_sigmas(entry.operator), (n, signs)
+
+
 def test_generalized_family_argument_errors():
     with pytest.raises(DimensionMismatchError):
         generalized_L1(1)

@@ -123,9 +123,32 @@ def sparse_operator(rng, n, linear):
     return PolyMatrix(rows)
 
 
+def high_degree_operator(rng, n):
+    """An n x n operator over n variables whose nonzero entries have one or
+    two terms, most of degree 128..255: the entries fit 8-bit exponent
+    fields, but their products with each other's derivatives do not."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = {}
+            if rng.random() < 0.6:
+                for _ in range(rng.randint(1, 2)):
+                    left = rng.randint(128, 255) if rng.random() < 0.8 else rng.randint(0, 2)
+                    exps = []
+                    for _ in range(n - 1):
+                        exps.append(rng.randint(0, left))
+                        left -= exps[-1]
+                    terms[tuple(exps + [left])] = random_coefficient(rng)
+            row.append(Poly(n, terms))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
 def seeded_torsion_inputs(rng):
     """Dense and sparse small operators, then at n = 5..9 sparse ones, the
-    diagonal diag(x1..xn) and the torsion-free L1 and L2 members."""
+    diagonal diag(x1..xn) and the torsion-free L1 and L2 members, then
+    operators with entries of degree 128..255 at n = 1..3."""
     for count in range(2000):
         n = count % 4 + 1
         if count % 5 == 0:
@@ -145,6 +168,8 @@ def seeded_torsion_inputs(rng):
                            for j in range(n)] for i in range(n)])
         yield generalized_L1(n).operator
         yield generalized_L2(n).operator
+    for count in range(60):
+        yield high_degree_operator(rng, count % 3 + 1)
 
 
 def test_torsion_and_witness_match_the_three_sums_seeded():

@@ -191,6 +191,37 @@ def dense_charpoly(operator):
     return coeffs[1:]
 
 
+def test_charpoly_matches_the_dense_code_where_powers_vanish():
+    # strictly triangular and nilpotent operators: M^p C vanishes before
+    # the last power, and the sigmas are those of the full loop
+    rng = random.Random(33)
+    for n in range(1, 9):
+        for _ in range(6):
+            upper = [[random_sparse_poly(rng, n) if j > i and rng.random() < 0.6
+                      else Poly.zero(n) for j in range(n)] for i in range(n)]
+            lower = [list(row) for row in zip(*upper)]
+            for rows in (upper, lower):
+                m = PolyMatrix(rows)
+                assert charpoly_sigmas(m) == dense_charpoly(m) == [Poly.zero(n)] * n
+            if n <= 5:
+                # a nilpotent operator conjugated out of triangular form
+                linear = [[Poly.variable(n, rng.randrange(n)).scale(rng.randint(-2, 2))
+                           if j > i else Poly.zero(n) for j in range(n)] for i in range(n)]
+                t = [[rng.randint(-2, 2) + (i == j) * 3 for j in range(n)]
+                     for i in range(n)]
+                if scalar_mat_det(t):
+                    m = change_coordinates(PolyMatrix(linear), t)
+                    assert charpoly_sigmas(m) == dense_charpoly(m) == [Poly.zero(n)] * n
+            # triangular with a diagonal: sigmas from the diagonal alone
+            diagonal = [random_sparse_poly(rng, n) for _ in range(n)]
+            m = PolyMatrix([[diagonal[i] if i == j else upper[i][j] for j in range(n)]
+                            for i in range(n)])
+            assert charpoly_sigmas(m) == dense_charpoly(m)
+            assert charpoly_sigmas(m) == charpoly_sigmas(PolyMatrix(
+                [[diagonal[i] if i == j else Poly.zero(n) for j in range(n)]
+                 for i in range(n)]))
+
+
 def sparse_matrix(rng, rows, cols, nvars, density, linear=False):
     """About ``density`` of the entries nonzero, of degree at most 2 or
     linear, some with sqrt(3) coefficients."""
