@@ -21,8 +21,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
-from .exactfield import parts
-from .polyring import Poly, dot
+from .exactfield import _narrow, parts
+from .polyring import Poly, _linear_form, dot
 from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
 from .nijenhuis import (
     StructureConstants,
@@ -307,11 +307,11 @@ def generalized_L1(n):
     zero = Poly.zero(n)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
-        rows[i][0] = Poly.monomial(n, _unit(n, i), Fraction(i - n, n))
+        rows[i][0] = _linear_form(n, [(i, _narrow(Fraction(i - n, n)))])
     for i in range(n - 1):
-        rows[i][i + 1] = rows[i][i + 1] + Poly.variable(n, n - 1)
+        rows[i][i + 1] = Poly.variable(n, n - 1)
     for i in range(n - 2):
-        rows[i][n - 1] = rows[i][n - 1] + Poly.monomial(n, _unit(n, i + 1), i + 1)
+        rows[i][n - 1] = _linear_form(n, [(i + 1, i + 1)])
     operator = PolyMatrix(tuple(tuple(row) for row in rows))
     sigmas = []
     for i in range(1, n):
@@ -425,9 +425,3 @@ def _times(p, q, zero):
     return [dot([p[m] for m in range(len(p)) if 0 <= i - m < len(q)],
                 [q[i - m] for m in range(len(p)) if 0 <= i - m < len(q)], zero)
             for i in range(len(p) + len(q) - 1)]
-
-
-def _unit(n, index):
-    exps = [0] * n
-    exps[index] = 1
-    return tuple(exps)

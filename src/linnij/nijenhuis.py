@@ -22,7 +22,7 @@ from .errors import DimensionMismatchError
 from .polymatrix import (
     PolyMatrix, jacobian, scalar_mat_det, scalar_mat_inverse, seeded_points)
 from .exactfield import _narrow
-from .polyring import Coefficient, Poly, _exact, _torsion_rows, dot
+from .polyring import Coefficient, Poly, _exact, _linear_form, _torsion_rows, dot
 from .record import Record
 
 
@@ -109,19 +109,17 @@ def lsa_to_operator(sc: StructureConstants) -> PolyMatrix:
     """Right-multiplication operator field of an algebra.
 
     Entry (k, i) is sum_j a[i][j][k] x_j; every entry is linear homogeneous.
-    Each entry is one :func:`~linnij.polyring.dot` over the nonzero
-    a[i][j][k]; an entry without any is zero.
+    Each entry with a nonzero a[i][j][k] is one linear form built from
+    those alone, and every other entry is one shared zero, so the work
+    follows the nonzero constants and the n^2 entries, never the n^3 slots.
     """
     n = sc.n
-    xs = [Poly.variable(n, j) for j in range(n)]
     zero = Poly.zero(n)
-    cells = {}  # (k, i) -> ([a[i][j][k]], [x_j]), 0-based
+    cells = {}  # (k, i) -> [(j, a[i][j][k])], 0-based
     for i, j, k, v in sc.entries:
-        coeffs, variables = cells.setdefault((k - 1, i - 1), ([], []))
-        coeffs.append(v)
-        variables.append(xs[j - 1])
+        cells.setdefault((k - 1, i - 1), []).append((j - 1, v))
     return PolyMatrix([
-        [dot(*cells[k, i], zero) if (k, i) in cells else zero for i in range(n)]
+        [_linear_form(n, cells[k, i]) if (k, i) in cells else zero for i in range(n)]
         for k in range(n)
     ])
 

@@ -55,16 +55,20 @@ private ``Poly._new``, and are not checked again.
 
 Two private kernels add terms into a coefficient dict, narrowing every
 result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
-:meth:`Poly.substitute`, the parser's sums) and ``_add_products`` (``*``,
-:func:`dot`, :func:`exact_divide`, the parser's bracketed terms).
-``_reciprocal`` is the one exact inverse of a coefficient, never
-``int / int``: :func:`exact_divide`, the parser and the normal forms of
-:mod:`linnij.reconstruct` divide through it.  :func:`dot`, the sum of the
-pairwise products of two rows with zero factors skipped, is the one
-sum-of-products routine, with ``_dot_at`` its form for two rows of one
-ring summed over given positions only: matrix products, the
-characteristic polynomial, coordinate changes, linear forms and
-:meth:`Poly.substitute_linear` are built on them.  A linear
+:meth:`Poly.substitute`, the parser's sums) and ``_add_products``
+(``_dot_at``, :func:`exact_divide`, ``_torsion_rows``, the parser's
+bracketed terms).  ``_reciprocal`` is the one exact inverse of a
+coefficient, never ``int / int``: :func:`exact_divide`, the parser and the
+normal forms of :mod:`linnij.reconstruct` divide through it.
+
+``_dot_at``, the sum of the products of two rows of one ring over given
+positions, zero factors skipped, is the one sum-of-products loop and the
+one caller of ``_widened``: ``*``, :func:`dot` (which checks and converts
+each factor first, and sums rows of scalars as scalars), matrix products,
+the characteristic polynomial and coordinate changes run on it.
+``_linear_form`` is the one builder of linear forms with scalar
+coefficients, from ``(index, coefficient)`` pairs straight on the
+variables' keys, so it pays for the nonzero coefficients only.  A linear
 substitution goes through ``_substitute_linear``, which builds the images
 of the variables, and each power of them a term asks for, once for all the
 polynomials it is given: a matrix's entries share them.
@@ -74,8 +78,7 @@ polynomials it is given: a matrix's entries share them.
 :func:`~linnij.polymatrix.jacobian`) and the torsion.  The torsion kernel
 ``_torsion_rows`` adds the products of nonzero terms straight into the
 components they belong to, one operator row at a time, so it pays for the
-operator's terms and not for its n^3 index slots.  ``_linear_form`` builds
-a linear form from its coefficients on the variables' keys.
+operator's terms and not for its n^3 index slots.
 
 ``_value_at`` is the one evaluation kernel, behind :meth:`Poly.evaluate`,
 :meth:`~linnij.polymatrix.PolyMatrix.at` and the solution check.  It runs
@@ -383,7 +386,9 @@ class Poly:
             other = _narrow(other)
             return self.packed == ({0: other} if other else {})
         if self.nvars != other.nvars:
-            return False
+            # constants of two rings are equal when their values are, as
+            # each equals its scalar; no other polynomials of two rings are
+            return self.packed.keys() <= {0} and self.packed == other.packed
         if self.width == other.width:
             return self.packed == other.packed
         width = max(self.width, other.width)
@@ -536,13 +541,12 @@ def _units(nvars: int, width: int) -> tuple[int, ...]:
     return tuple(_unit(nvars, width, i) for i in range(nvars))
 
 
-def _linear_form(coeffs: Sequence[Coefficient]) -> Poly:
-    """sum_k coeffs[k] * x_k over ``len(coeffs)`` variables, from narrow
-    coefficients, zeros skipped: each term's key is its variable's unit
-    key."""
-    nvars = len(coeffs)
-    return Poly._new(nvars, _MIN_WIDTH,
-                     {unit: c for unit, c in zip(_units(nvars, _MIN_WIDTH), coeffs) if c})
+def _linear_form(nvars: int, coeffs: Iterable[tuple[int, Coefficient]]) -> Poly:
+    """sum c * x_k over the pairs ``(k, c)`` of ``coeffs`` in ``nvars``
+    variables, no index repeated and every c narrow, zeros skipped: each
+    term's key is its variable's unit key, so a form costs its pairs."""
+    units = _units(nvars, _MIN_WIDTH)
+    return Poly._new(nvars, _MIN_WIDTH, {units[k]: c for k, c in coeffs if c})
 
 
 @lru_cache(maxsize=256)
@@ -614,9 +618,8 @@ def _substitute_linear(polys: Sequence[Poly], matrix: Sequence[Sequence[Coeffici
     ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
         raise DimensionMismatchError("ragged substitution matrix")
-    ys = [Poly.variable(ncols, j) for j in range(ncols)]
     zero = Poly.zero(ncols)
-    images = [dot(row, ys, zero) for row in matrix]
+    images = [_linear_form(ncols, enumerate(map(_exact, row))) for row in matrix]
     powers: dict[tuple[int, int], Poly] = {}
     out = []
     for p in polys:
@@ -680,8 +683,9 @@ def _add_products(acc: dict, left: dict, right: dict) -> dict:
     dicts with nonzero narrow coefficients, so no product vanishes in a
     field) into the term dict ``acc``, and return it; a sum that cancels is
     dropped.  All three dicts are packed at one width that holds the
-    products' degrees, so a monomial product is the sum of two keys.  Products and sums are narrowed: two fractions can multiply or
-    add to an integer, and two irrational scalars to a rational."""
+    products' degrees, so a monomial product is the sum of two keys.
+    Products and sums are narrowed: two fractions can multiply or add to an
+    integer, and two irrational scalars to a rational."""
     for k1, c1 in left.items():
         for k2, c2 in right.items():
             key = k1 + k2
@@ -964,12 +968,17 @@ def dot(left, right, zero):
     """Sum of the pairwise products of two rows, skipping zero factors.
 
     The rows may hold :class:`Poly` values, exact scalars or a mix of
-    both; ``zero`` is the sum when every product is skipped.  Every
-    factor's type is checked before a zero one is skipped, so a float
-    factor, zero or not, raises ``TypeError``.  When ``zero`` is a
-    :class:`Poly`, every factor is read as a polynomial of its ring, so a
-    zero factor is the zero polynomial.
+    both, and must have one length, else
+    :class:`~linnij.errors.DimensionMismatchError`; ``zero`` is the sum
+    when every product is skipped.  Every factor's type is checked before a
+    zero one is skipped, so a float factor, zero or not, raises
+    ``TypeError``.  When ``zero`` is a :class:`Poly`, every factor is read
+    as a polynomial of its ring, a zero factor as the zero polynomial, and
+    the rows are summed by :func:`_dot_at`.
     """
+    if len(left) != len(right):
+        raise DimensionMismatchError("dot of rows of lengths %d and %d"
+                                     % (len(left), len(right)))
     if not isinstance(zero, Poly):
         total = zero
         for p, q in zip(left, right):
@@ -979,22 +988,9 @@ def dot(left, right, zero):
             if p and q:
                 total = total + p * q
         return total
-    nvars = zero.nvars
-    terms: dict[int, Coefficient] = {}
-    width, top = _MIN_WIDTH, 1 << _MIN_WIDTH * (nvars + 1)
-    for p, q in zip(left, right):
-        # the usual factor, a Poly of the ring, is taken without a call;
-        # _poly_in checks and converts any other
-        if type(p) is not Poly or p.nvars != nvars:
-            p = _poly_in(p, zero)
-        if type(q) is not Poly or q.nvars != nvars:
-            q = _poly_in(q, zero)
-        a, b = p.packed, q.packed
-        if a and b:
-            if p.width != width or q.width != width or max(a) + max(b) >= top:
-                terms, width, top, a, b = _widened(terms, width, p, q)
-            _add_products(terms, a, b)
-    return Poly._new(nvars, width, terms)
+    left = [_poly_in(p, zero) for p in left]
+    right = [_poly_in(q, zero) for q in right]
+    return _dot_at(left, right, range(len(left)), zero.nvars)
 
 
 def _support(row: Sequence[Poly]) -> list[int]:
@@ -1004,16 +1000,17 @@ def _support(row: Sequence[Poly]) -> list[int]:
 
 def _dot_at(left: Sequence[Poly], right: Sequence[Poly], indices: Iterable[int],
             nvars: int) -> Poly:
-    """:func:`dot` of two rows of polynomials over the same ``nvars``
-    variables, summed over the positions in ``indices`` only: a caller
-    that knows where one row is zero passes its :func:`_support` and pays
-    for its nonzero entries alone.
+    """The ring's one sum-of-products loop: the sum of the products of two
+    rows of polynomials over the same ``nvars`` variables, over the
+    positions in ``indices`` only, zero factors skipped.  :func:`dot` passes
+    every position; a caller that knows where one row is zero passes its
+    :func:`_support` and pays for its nonzero entries alone.
 
-    Like :func:`dot` it sums in one term dict of one width, starting from
-    the narrowest; two factors of that width whose leading keys sum below
-    ``top``, ``2**width`` in the degree field, are multiplied as they are,
-    as the sum's degree field is then the product's degree and it fits.
-    Any other pair goes through :func:`_widened`."""
+    It sums in one term dict of one width, starting from the narrowest;
+    two factors of that width whose leading keys sum below ``top``,
+    ``2**width`` in the degree field, are multiplied as they are, as the
+    sum's degree field is then the product's degree and it fits.  Any other
+    pair goes through :func:`_widened`."""
     terms: dict[int, Coefficient] = {}
     width, top = _MIN_WIDTH, 1 << _MIN_WIDTH * (nvars + 1)
     for i in indices:
@@ -1027,10 +1024,10 @@ def _dot_at(left: Sequence[Poly], right: Sequence[Poly], indices: Iterable[int],
 
 
 def _widened(terms: dict[int, Coefficient], width: int, p: Poly, q: Poly) -> tuple:
-    """A sum of products of :func:`dot` and :func:`_dot_at`, whose dict has
-    ``width``, brought to the width the product of the nonzero ``p`` and
-    ``q`` needs as well: the widest of the three widths, widened until it
-    holds the sum of their degrees.  Returns ``(terms, width, top, packed
+    """A sum of products of :func:`_dot_at`, whose dict has ``width``,
+    brought to the width the product of the nonzero ``p`` and ``q`` needs
+    as well: the widest of the three widths, widened until it holds the sum
+    of their degrees.  Returns ``(terms, width, top, packed
     of p, packed of q)``, all at that width."""
     nvars = p.nvars
     degree = (max(p.packed) >> p.width * nvars) + (max(q.packed) >> q.width * nvars)

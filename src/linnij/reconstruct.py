@@ -160,7 +160,7 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     slopes = [[_narrow(v - w) if v or w else v for v, w in zip(at_point, at_base)]
               for at_point in found[1:]]
     candidate = PolyMatrix([
-        [_linear_form([slope[r * n + c] for slope in slopes]) for c in range(n)]
+        [_linear_form(n, enumerate(slope[r * n + c] for slope in slopes)) for c in range(n)]
         for r in range(n)])
     if j @ candidate != companion_matrix(sigmas) @ j:
         return None

@@ -20,6 +20,10 @@ Every exact value outside ``exactfield`` is narrow, an ``int``, a
 ``Fraction`` or a ``Scalar`` with a nonzero irrational part, and its parts
 are read through ``exactfield``'s readers: only ``exactfield`` reads
 ``.rat``, ``.irr`` or ``.rad``, and only it calls ``Scalar._new``.
+
+The ring has one sum-of-products loop, ``polyring._dot_at``: ``dot`` only
+checks and converts its factors before it, and it is the one caller of
+``_widened``.
 """
 
 import ast
@@ -180,3 +184,51 @@ def test_library_import_leaves_click_out():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def callers(source, filename, name):
+    """``filename:function`` of each function, methods as
+    ``Class.method``, that calls ``name`` by its bare name."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == name):
+                found.add("%s:%s" % (filename, ".".join(scope)))
+            visit(child, inner)
+
+    visit(ast.parse(source, filename), ())
+    return sorted(found)
+
+
+def package_callers(name):
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += callers(path.read_text(encoding="utf-8"), path.name, name)
+    return found
+
+
+def test_the_ring_has_one_sum_of_products_loop():
+    # dot and * run on _dot_at, the one loop that sums products of two rows
+    # and widens its sum; the other product kernels add into dicts of their
+    # own: a quotient's remainder, torsion components and parsed terms
+    assert package_callers("_add_products") == [
+        "polyring.py:_dot_at", "polyring.py:_torsion_rows",
+        "polyring.py:exact_divide", "textio.py:_Parser.sum_expr"]
+    assert package_callers("_widened") == ["polyring.py:_dot_at"]
+
+
+def test_caller_is_reported():
+    source = ("class P:\n"
+              "    def f(self):\n"
+              "        return g(1) + h(2)\n"
+              "def k():\n"
+              "    def inner():\n"
+              "        return g\n"
+              "    return [g(x) for x in inner()]\n"
+              "g(0)\n")
+    assert callers(source, "m.py", "g") == ["m.py:", "m.py:P.f", "m.py:k"]

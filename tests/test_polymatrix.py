@@ -185,7 +185,8 @@ def dense_charpoly(operator):
             if power:
                 vec = [dot(a[i][k + 1:], vec, zero) for i in range(k + 1, n)]
             toeplitz.append(-dot(row, vec, zero))
-        coeffs = [dot(toeplitz[i::-1], coeffs[:i + 1], zero)
+        # coefficient i sums toeplitz[i - m] * coeffs[m] over the m < len(coeffs)
+        coeffs = [dot(toeplitz[i::-1][:len(coeffs)], coeffs[:i + 1], zero)
                   for i in range(len(coeffs) + 1)]
     assert coeffs[0] == one
     return coeffs[1:]

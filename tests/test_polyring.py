@@ -340,6 +340,24 @@ def test_a_constant_equals_and_hashes_as_its_scalar():
     assert Poly.constant(2, 1) != "1" and Poly.constant(2, 1) != 1.0
 
 
+def test_constants_of_two_rings_compare_as_their_values():
+    # each constant equals its scalar, so == stays transitive through it,
+    # and a set holds one of them in whatever order they are added
+    a, b = Poly.constant(2, 1), Poly.constant(3, 1)
+    assert a == 1 == b and a == b and b == a and hash(a) == hash(b)
+    assert len({1, a, b}) == len({a, b, 1}) == len({a, b}) == 1
+    assert Poly.zero(2) == Poly.zero(5) and hash(Poly.zero(2)) == hash(Poly.zero(5))
+    root3 = Scalar(0, 1, 3)
+    assert Poly.constant(1, root3) == Poly.constant(4, root3)
+    assert Poly.constant(2, 2) != Poly.constant(3, 1)
+    assert Poly.constant(2, root3) != Poly.constant(3, 2 * root3)
+    assert Poly.constant(2, 1) != Poly.zero(3)
+    # no other polynomials of two rings are equal, however their terms read
+    assert Poly.variable(2, 0) != Poly.variable(3, 0)
+    assert Poly.variable(2, 0) + 1 != Poly.variable(3, 0) + 1
+    assert Poly.constant(2, 1) != Poly.variable(3, 0) + 1
+
+
 def narrow_type(value):
     """The one type the value convention allows for ``value``, judged by its
     value alone: Scalar for a nonzero irrational part, else int when the
@@ -497,6 +515,18 @@ def test_embed_offsets_variables():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         p("x1") + Poly.variable(2, 0)
+
+
+def test_dot_rejects_rows_of_different_lengths():
+    # zip would drop the longer row's tail: x1 * x1, and 1 * 3
+    x1 = Poly.variable(3, 0)
+    for left, right, zero in (([x1, x1], [x1], Poly.zero(3)),
+                              ([x1], [x1, 2], Poly.zero(3)),
+                              ([1, 2], [3], 0), ([Scalar(1)], [], Scalar(0)),
+                              ([], [Poly.zero(3)], Poly.zero(3))):
+        with pytest.raises(DimensionMismatchError):
+            dot(left, right, zero)
+    assert dot([], [], Poly.zero(3)) == 0 and dot([], [], 0) == 0
 
 
 def test_radicand_of_poly():
