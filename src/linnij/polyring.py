@@ -493,20 +493,24 @@ class Poly:
         idx = tuple(indices)
         nvars, width = self.nvars, self.width
         mask = (1 << width) - 1
+        top = width * nvars
         shifts = [width * (nvars - 1 - i) for i in idx]
+        # a repeated index is one field, which leaves the degree once
+        distinct = len(set(idx)) == len(idx)
         grouped = _field_mask(nvars, width, idx)
-        # each distinct restriction: its tuple and what leaves the key
-        restrictions: dict[int, tuple[Exponents, int]] = {}
+        # each distinct restriction: the terms of its group and what leaves
+        # their keys, its fields and their degree
+        restrictions: dict[int, tuple[dict[int, Coefficient], int]] = {}
         groups: dict[Exponents, dict[int, Coefficient]] = {}
         for key, coeff in self.packed.items():
             part = key & grouped
             seen = restrictions.get(part)
             if seen is None:
-                degree = sum(e for _, e in _fields(part, nvars, width))
-                seen = restrictions[part] = (
-                    tuple(part >> s & mask for s in shifts),
-                    part + (degree << width * nvars))
-            groups.setdefault(seen[0], {})[key - seen[1]] = coeff
+                exps = tuple([part >> s & mask for s in shifts])
+                degree = sum(exps) if distinct else sum(dict(zip(idx, exps)).values())
+                seen = restrictions[part] = (groups.setdefault(exps, {}),
+                                             part + (degree << top))
+            seen[0][key - seen[1]] = coeff
         return {k: Poly._new(nvars, width, v) for k, v in groups.items()}
 
     def radicand(self) -> int:
@@ -618,19 +622,22 @@ def _substitute_linear(polys: Sequence[Poly], matrix: Sequence[Sequence[Coeffici
     ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
         raise DimensionMismatchError("ragged substitution matrix")
-    zero = Poly.zero(ncols)
+    zero, one = Poly.zero(ncols), Poly.constant(ncols, 1)
     images = [_linear_form(ncols, enumerate(map(_exact, row))) for row in matrix]
     powers: dict[tuple[int, int], Poly] = {}
     out = []
     for p in polys:
         monomials = []
         for key in p.packed:
-            monomial = Poly.constant(ncols, 1)
+            # each monomial starts from its first power, and 1 is a
+            # monomial with none
+            monomial = None
             for i, e in _fields(key, nvars, p.width):
-                if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
-                monomial = monomial * powers[i, e]
-            monomials.append(monomial)
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = images[i] ** e
+                monomial = power if monomial is None else monomial * power
+            monomials.append(one if monomial is None else monomial)
         out.append(dot(p.packed.values(), monomials, zero))
     return out
 

@@ -34,11 +34,20 @@ appended after the parameters by generate_linearity_system only, so every
 polynomial of a LinearitySystem lives over its ``names``; asking "which
 choices of coefficients make entry (r, c) linear" then becomes exact
 coefficient extraction over the geometric monomials.
+
+A system's listing (:meth:`LinearitySystem.to_text`) is read back by
+:func:`parse_system`.  Its four headers come first, once each; a body as
+``to_text`` writes it is then read in one pass, with one match, one
+``str.split`` and the flat reader's term loop over every sum, and any
+other body line by line, by the reader that gives every listing error and
+its line number.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import takewhile
 from typing import Mapping, Sequence
 
@@ -60,13 +69,14 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    Coefficient, DivisibilityFailure, Poly, _exact, _linear_form, _power_table,
-    _reciprocal, _value_at, dot, exact_divide, exponent_sets, grlex_key)
+    _MIN_WIDTH, Coefficient, DivisibilityFailure, Poly, _exact, _field_mask,
+    _linear_form, _power_table, _reciprocal, _value_at, dot, exact_divide,
+    exponent_sets, grlex_key)
 from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
-    _format_terms, _int_literal, _name_table, _parse_poly, format_monomial, format_poly,
-    parse_monomial, parse_poly, parse_scalar)
+    _FLAT_SUM, _format_terms, _int_literal, _name_table, _parse_monomial, _parse_poly,
+    _read_terms, format_monomial, format_poly, parse_poly, parse_scalar)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -412,75 +422,78 @@ def _validate_step1_shape(ps: ParamSigmaSet):
             )
 
 
+# the four headers of a listing, each once, with a value, before the first
+# equation line
+_HEADERS = ("case:", "geometric:", "symbols:", "equations:")
+
+
+def _header(line: str) -> tuple[str, str] | None:
+    """The field and value of a stripped ``# case:``, ``# geometric:``,
+    ``# symbols:`` or ``# equations:`` line, or None for any other
+    comment."""
+    body = line[1:].strip()
+    for field in _HEADERS:
+        if body.startswith(field):
+            return field, body[len(field):].strip()
+    return None
+
+
 def parse_system(text: str) -> LinearitySystem:
     """Parse a listing produced by :meth:`LinearitySystem.to_text`.
 
-    The ``# equations:`` header is required and must match the number of
-    equation lines, so a truncated or padded listing is rejected.  Each
-    equation line names entry (row, col) of rows 2..n as P((row - 2) * n + col)
-    and ends in ``= 0``.  An error in a line names its 1-based number.
+    The four headers ``# case:``, ``# geometric:``, ``# symbols:`` and
+    ``# equations:`` each appear once, with a value, before the first
+    equation line; other comment lines are skipped wherever they stand.
+    The equation count must match the number of equation lines, so a
+    truncated or padded listing is rejected.  Each equation line names
+    entry (row, col) of rows 2..n as P((row - 2) * n + col) and ends in
+    ``= 0``.
+
+    A body as ``to_text`` writes it, every line from the first equation on
+    an equation line with a flat canonical sum, is read in one pass.  Any
+    other body goes to the line reader, which is the only source of errors
+    in the body (see :class:`_BodyReader`); an error names its 1-based line
+    number.
     """
-    case = None
+    lines = text.splitlines(keepends=True)
+    headers: dict[str, str] = {}
     count = None
-    geo_names: list[str] = []
-    symbol_names: list[str] = []
-    equations = []
-    names: list[str] = []
-    monomials: dict[str, tuple[int, ...]] = {}  # header monomial -> exponents
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+    start = 0  # the offset of the first equation line
+    first = len(lines)
+    for k, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            first = k
+            break
+        start += len(raw)
+        field = _header(line) if line else None
+        if field is None:
             continue
+        name, value = field
         try:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("case:"):
-                    case = body[len("case:") :].strip()
-                elif body.startswith("geometric:"):
-                    geo_names = body[len("geometric:") :].split()
-                elif body.startswith("symbols:"):
-                    symbol_names = body[len("symbols:") :].split()
-                elif body.startswith("equations:"):
-                    count = _listing_int(body[len("equations:") :].strip(),
-                                         "equation count")
-                continue
-            if not names:
-                if not geo_names or not symbol_names:
-                    raise FormatError("equation listed before its variable header")
-                names = geo_names + symbol_names
-                index_of = _name_table(names)
-                keys: dict[str, int] = {}
-                n = len(geo_names)
-                geo = tuple(range(n))
-            head, _, rhs = line.partition("::")
-            if not rhs:
-                raise FormatError("missing '::' in equation line %r" % line)
-            fields = head.split()
-            if len(fields) != 3:
-                raise FormatError("malformed equation header %r" % head)
-            entry, pos, mono_text = fields
-            cells = pos[1:-1].split(",")
-            if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
-                raise FormatError("malformed position %r" % pos)
-            row, col = (_listing_int(cell, "position") for cell in cells)
-            if not (2 <= row <= n and 1 <= col <= n
-                    and entry == "P%d" % ((row - 2) * n + col)):
-                raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
-                                  "2 <= row <= n, 1 <= col <= n, n = %d"
-                                  % (entry, pos, n))
-            monomial = monomials.get(mono_text)
-            if monomial is None:
-                monomial = monomials[mono_text] = parse_monomial(mono_text, geo_names)
-            poly_text, equals, zero = rhs.rpartition("=")
-            if not equals or zero.strip() != "0":
-                raise FormatError("equation does not end in '= 0'")
-            poly = _parse_poly(poly_text.strip(), len(names), index_of, keys)
-            if poly.involves(geo):
-                raise FormatError("equation names a geometric variable: %r" % line)
-            equations.append(Equation(entry, row, col, monomial, poly))
+            if name in headers:
+                raise FormatError("second '# %s' header" % name)
+            if not value:
+                raise FormatError("'# %s' header has no value" % name)
+            if name == "equations:":
+                count = _listing_int(value, "equation count")
         except FormatError as exc:
-            raise FormatError("line %d: %s" % (lineno, exc))
-    if case is None or not names:
+            raise FormatError("line %d: %s" % (k + 1, exc))
+        headers[name] = value
+    geo_names = headers.get("geometric:", "").split()
+    names = geo_names + headers.get("symbols:", "").split()
+    equations = []
+    if first < len(lines):
+        try:
+            if "geometric:" not in headers or "symbols:" not in headers:
+                raise FormatError("equation listed before its variable header")
+            reader = _BodyReader(geo_names, names)
+        except FormatError as exc:
+            raise FormatError("line %d: %s" % (first + 1, exc))
+        equations = reader.read(text[start:])
+        if equations is None:
+            equations = reader.read_lines(lines, first)
+    if "case:" not in headers or first == len(lines):
         raise FormatError("system listing is missing its header")
     if count is None:
         raise FormatError("system listing is missing its '# equations:' header")
@@ -489,7 +502,152 @@ def parse_system(text: str) -> LinearitySystem:
             "system listing declares %d equations but lists %d"
             % (count, len(equations))
         )
-    return LinearitySystem(case, tuple(names), len(geo_names), equations, None)
+    return LinearitySystem(headers["case:"], tuple(names), len(geo_names), equations, None)
+
+
+# an equation line as to_text writes it: "P<k> (<row>,<col>) <monomial> ::
+# <flat canonical sum> = 0"; every character of it but " " and "\n" is one
+# that str.split() keeps, so the body splits into its fields
+_BODY_LINE = r"P[0-9]+ \([0-9]+,[0-9]+\) [A-Za-z0-9_^*]+ :: %s = 0\n"
+
+
+@lru_cache(maxsize=1)
+def _body_pattern() -> re.Pattern:
+    """The pattern of a body of such lines, compiled on first use: it takes
+    about as long to compile as a listing takes to read.
+
+    Each line is matched in a lookahead and then taken by a backreference
+    to it, so the engine drops a line's backtracking state once the line
+    has matched.  Repeated plainly, the lines keep their state to the end
+    of the body, about 60 bytes per character of it."""
+    return re.compile(r"(?:(?=(%s))\1)+" % (_BODY_LINE % _FLAT_SUM.pattern))
+
+
+class _BodyReader:
+    """The equation lines of one listing, read in one pass when the body
+    is as :meth:`LinearitySystem.to_text` writes it (:meth:`read`), and
+    line by line otherwise (:meth:`read_lines`), the only source of errors
+    in a body.  What either reads once per listing, the key of each
+    monomial text of a sum and the exponents of each head monomial, the
+    other finds kept."""
+
+    __slots__ = ("ngeo", "nvars", "index_of", "geo_index", "keys", "heads")
+
+    def __init__(self, geo_names: list[str], names: list[str]):
+        self.ngeo = len(geo_names)
+        self.nvars = len(names)
+        self.index_of = _name_table(names)
+        self.geo_index = _name_table(geo_names)
+        self.keys: dict[str, int] = {}
+        self.heads: dict[str, tuple[int, ...]] = {}
+
+    def head(self, text: str) -> tuple[int, ...]:
+        """The exponents of a head monomial such as ``x1^2*x3``."""
+        exps = self.heads.get(text)
+        if exps is None:
+            exps = self.heads[text] = _parse_monomial(text, self.ngeo, self.geo_index)
+        return exps
+
+    def read(self, body: str) -> list[Equation] | None:
+        """The equations of a body that :func:`_body_pattern` matches, or
+        None when :meth:`read_lines` must read it.
+
+        One match checks every line, one ``str.split`` tokenizes the body,
+        and the flat reader's term loop
+        (:func:`~linnij.textio._read_terms`) reads every sum.  Each distinct
+        entry and position, and each distinct head monomial, is checked
+        once, and the sums are checked once together for a geometric
+        variable.  Whatever the line reader would read otherwise or reject
+        (a term past the flat reader, a bad position or head, a geometric
+        variable) gives None, so that reader reports it."""
+        if _body_pattern().fullmatch(body) is None:
+            return None
+        tokens = body.split()
+        n, nvars, index_of, keys, heads = (
+            self.ngeo, self.nvars, self.index_of, self.keys, self.heads)
+        places: dict[str, tuple[int, int]] = {}
+        equations = []
+        i = 0
+        while i < len(tokens):
+            # a line's tokens: entry, position, head, "::", the sum's, "=", "0"
+            entry, pos, head = tokens[i], tokens[i + 1], tokens[i + 2]
+            place = places.get(entry + pos)
+            monomial = heads.get(head)
+            if place is None or monomial is None:
+                try:
+                    if place is None:
+                        place = places[entry + pos] = _position(entry, pos, n)
+                    if monomial is None:
+                        monomial = self.head(head)
+                except FormatError:
+                    return None
+            read = _read_terms(tokens, i + 4, nvars, index_of, keys)
+            if read is None:
+                return None
+            terms, i = read
+            equations.append(Equation(entry, place[0], place[1], monomial,
+                                      Poly._new(nvars, _MIN_WIDTH, terms)))
+            i += 2
+        # every monomial text of every sum, and each of its factors, is a
+        # key of keys
+        geo = _field_mask(nvars, _MIN_WIDTH, tuple(range(n)))
+        if any(key & geo for key in keys.values()):
+            return None
+        return equations
+
+    def read_lines(self, lines: list[str], first: int) -> list[Equation]:
+        """The equations of ``lines`` from ``lines[first]``, the first
+        equation line, on; FormatError naming the line of the first
+        fault."""
+        n, nvars, index_of, keys = self.ngeo, self.nvars, self.index_of, self.keys
+        geo = tuple(range(n))
+        equations = []
+        for lineno in range(first + 1, len(lines) + 1):
+            line = lines[lineno - 1].strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    field = _header(line)
+                    if field is not None:
+                        raise FormatError("'# %s' header after the first equation"
+                                          % field[0])
+                    continue
+                head, _, rhs = line.partition("::")
+                if not rhs:
+                    raise FormatError("missing '::' in equation line %r" % line)
+                fields = head.split()
+                if len(fields) != 3:
+                    raise FormatError("malformed equation header %r" % head)
+                entry, pos, mono_text = fields
+                row, col = _position(entry, pos, n)
+                monomial = self.head(mono_text)
+                poly_text, equals, zero = rhs.rpartition("=")
+                if not equals or zero.strip() != "0":
+                    raise FormatError("equation does not end in '= 0'")
+                poly = _parse_poly(poly_text.strip(), nvars, index_of, keys)
+                if poly.involves(geo):
+                    raise FormatError("equation names a geometric variable: %r" % line)
+                equations.append(Equation(entry, row, col, monomial, poly))
+            except FormatError as exc:
+                raise FormatError("line %d: %s" % (lineno, exc))
+        return equations
+
+
+def _position(entry: str, pos: str, n: int) -> tuple[int, int]:
+    """The (row, col) of an equation line's entry and position, such as
+    ``P4`` and ``(3,1)`` at n = 3; FormatError unless the entry is
+    P((row - 2) * n + col) with 2 <= row <= n and 1 <= col <= n."""
+    cells = pos[1:-1].split(",")
+    if not (pos.startswith("(") and pos.endswith(")") and len(cells) == 2):
+        raise FormatError("malformed position %r" % pos)
+    row, col = (_listing_int(cell, "position") for cell in cells)
+    if not (2 <= row <= n and 1 <= col <= n
+            and entry == "P%d" % ((row - 2) * n + col)):
+        raise FormatError("%s %s is not P((row-2)*n+col) (row,col) with "
+                          "2 <= row <= n, 1 <= col <= n, n = %d"
+                          % (entry, pos, n))
+    return row, col
 
 
 def _listing_int(digits: str, field: str) -> int:

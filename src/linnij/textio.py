@@ -27,11 +27,14 @@ Most text the package reads back is a flat canonical sum, as
 :func:`format_poly` writes it for ``int`` coefficients: an optional ``-``,
 then terms ``int``, ``int*monomial`` or ``monomial`` joined by `` + `` and
 `` - ``, with no ``/``, bracket or ``sqrt``.  The flat reader takes such a
-text with one full match of that grammar and one ``findall`` of its terms,
-and reads each distinct monomial text to its key once, through a dict
-that belongs to the name table: :func:`~linnij.reconstruct.parse_system`
-keeps one per listing, where a few hundred monomial texts recur across
-90 equations.  It builds the very polynomial the parser would, at the
+text with one full match of that grammar and one ``str.split`` at its
+spaces, and its term loop (:func:`_read_terms`) reads the tokens; the
+one-pass reader of :func:`~linnij.reconstruct.parse_system` runs the same
+loop over the tokens of a whole listing body, so the package has one
+term reader.  The loop reads each distinct monomial text to its key once,
+through a dict that belongs to the name table: ``parse_system`` keeps one
+per listing, where a few hundred monomial texts recur across 90
+equations.  It builds the very polynomial the parser would, at the
 narrowest width.  Any other text, and any term it cannot read the
 parser's way (a name not in the table, a degree past the narrowest width,
 a literal longer than ``int()`` reads), goes to the parser, which is the
@@ -433,12 +436,9 @@ def _name_table(names) -> dict[str, int]:
 # optional "-", then terms "int", "int*monomial" or "monomial" joined by
 # " + " and " - "; a monomial is names, each with an optional "^int",
 # joined by "*"
-_MONOMIAL = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?(?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?)*"
-_FLAT_TERM = r"(?:[0-9]+(?:\*%s)?|%s)" % (_MONOMIAL, _MONOMIAL)
+_FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?"
+_FLAT_TERM = r"(?:[0-9]+|%s)(?:\*%s)*" % (_FACTOR, _FACTOR)
 _FLAT_SUM = re.compile(r"-?%s(?: [-+] %s)*" % (_FLAT_TERM, _FLAT_TERM))
-# one term of a text that _FLAT_SUM matched, as (leading "-", separator's
-# sign, digits, monomial): a monomial runs to the next space
-_FLAT_TERMS = re.compile(r"(?:^(-?)| ([-+]) )([0-9]*)\*?([^ ]*)")
 
 
 def _monomial_key(text: str, nvars: int, index_of: dict[str, int],
@@ -483,8 +483,41 @@ def _read_flat(text: str, nvars: int, index_of: dict[str, int],
     the same dict each time."""
     if _FLAT_SUM.fullmatch(text) is None:
         return None
+    tokens = text.split(" ")
+    tokens.append("")
+    read = _read_terms(tokens, 0, nvars, index_of, keys)
+    if read is None:
+        return None
+    return Poly._new(nvars, _MIN_WIDTH, read[0])
+
+
+def _read_terms(tokens: list[str], i: int, nvars: int, index_of: dict[str, int],
+                keys: dict[str, int]) -> tuple[dict[int, int], int] | None:
+    """The term loop of the flat reader: the terms, keyed at
+    :data:`_MIN_WIDTH`, of the flat canonical sum whose first term is
+    ``tokens[i]``, with the index of the first token after the sum; or
+    None when a term is one the parser would read otherwise.
+
+    The tokens are a text that :data:`_FLAT_SUM` matched, split at its
+    spaces: a term with an optional leading ``-``, then a sign and a term
+    any number of times.  The sum ends at the first token after a term
+    that is neither ``+`` nor ``-``, so a caller either puts a token after
+    the text or splits a longer text in which the sum is followed by one,
+    such as the ``=`` of a listing line."""
     acc: dict[int, int] = {}
-    for lead, sign, digits, mono in _FLAT_TERMS.findall(text):
+    token = tokens[i]
+    negative = token[0] == "-"
+    if negative:
+        token = token[1:]
+    while True:
+        if token[0].isdigit():
+            digits, _, mono = token.partition("*")
+            try:
+                coeff = int(digits)
+            except ValueError:
+                return None
+        else:
+            coeff, mono = 1, token
         if mono:
             key = keys.get(mono)
             if key is None:
@@ -493,27 +526,27 @@ def _read_flat(text: str, nvars: int, index_of: dict[str, int],
                     return None
         else:
             key = 0
-        if digits:
-            try:
-                coeff = int(digits)
-            except ValueError:
-                return None
-            if not coeff:
-                continue
+        if coeff:
+            if negative:
+                coeff = -coeff
+            # the parser's sum: a repeated monomial adds, and a sum that
+            # cancels is dropped
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = coeff
+            elif cur + coeff:
+                acc[key] = cur + coeff
+            else:
+                del acc[key]
+        sign = tokens[i + 1]
+        if sign == "-":
+            negative = True
+        elif sign != "+":
+            return acc, i + 1
         else:
-            coeff = 1
-        if lead or sign == "-":
-            coeff = -coeff
-        # the parser's sum: a repeated monomial adds, and a sum that
-        # cancels is dropped
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = coeff
-        elif cur + coeff:
-            acc[key] = cur + coeff
-        else:
-            del acc[key]
-    return Poly._new(nvars, _MIN_WIDTH, acc)
+            negative = False
+        i += 2
+        token = tokens[i]
 
 
 def _parse_poly(text: str, nvars: int, index_of: dict[str, int],
@@ -554,7 +587,14 @@ def parse_poly(text: str, names: list[str]) -> Poly:
 def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:
     """The exponent tuple of a monomial with coefficient one, such as
     ``x1^2*x3``; anything else raises :class:`FormatError`."""
-    terms = parse_poly(text, names).sorted_terms()
+    return _parse_monomial(text, len(names), _name_table(names))
+
+
+def _parse_monomial(text: str, nvars: int, index_of: dict[str, int],
+                    keys: dict[str, int] | None = None) -> tuple[int, ...]:
+    """:func:`parse_monomial` over a name table and monomial keys, as
+    :func:`_parse_poly` takes them."""
+    terms = _parse_poly(text, nvars, index_of, keys).sorted_terms()
     if len(terms) != 1 or terms[0][1] != 1:
         raise FormatError("not a monomial: %r" % text)
     return terms[0][0]

@@ -536,6 +536,26 @@ def test_check_solution_reports_residuals(runner, tmp_path):
     assert " :: " in result.output
 
 
+def test_check_solution_refuses_a_header_after_the_equations(runner, tmp_path):
+    # read where it stood, a trailing "# geometric: x1" made x2 a symbol
+    # that the assignment could set, and the listing was satisfied
+    listing = tmp_path / "system.txt"
+    assert runner.invoke(main, ["gen-system", "3", "--out", str(listing)]).exit_code == 0
+    canonical = listing.read_text()
+    system = generate_linearity_system(param_sigmas("3"))
+    assignment = tmp_path / "solution.txt"
+    assignment.write_text("".join("%s = 0\n" % name for name in system.names[3:])
+                          + "x2 = 5\n")
+    result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
+    assert result.exit_code == 2
+    assert result.output == "cannot assign a geometric variable 'x2'\n"
+    listing.write_text(canonical + "# geometric: x1\n")
+    result = runner.invoke(main, ["check-solution", str(listing), str(assignment)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "line 99: '# geometric:' header after the first equation\n"
+
+
 def test_check_solution_truncates_long_reports(runner, tmp_path):
     name, params, alphas, perturb, _ = CASE11_SOLUTIONS[7]
     assert name == "s8"

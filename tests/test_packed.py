@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import pytest
 
+import reference_copies
 import tuple_kernel as ref
+from linnij.catalog import load_catalog
 from linnij.exactfield import Scalar
 from linnij.polyring import (
-    DivisibilityFailure, Poly, _fields, _pack, _power_table, _unpack, _value_at,
-    _width_for, dot, exact_divide, exponent_sets, grlex_key)
+    DivisibilityFailure, Poly, _fields, _pack, _power_table, _substitute_linear,
+    _unpack, _value_at, _width_for, dot, exact_divide, exponent_sets, grlex_key)
 from linnij.textio import _name_table, _parse_poly, _tokenize, default_names, format_poly
 
 BOUNDARIES = (2**8, 2**16, 2**32, 2**64)
@@ -116,6 +118,49 @@ def test_products_sums_and_dots_match_the_tuple_kernel_seeded():
         expected = ref.add_products(ref.add_products({}, ta, tb), tc, ta)
         got = dot([a, c, Poly.zero(nvars)], [b, a, c], Poly.zero(nvars))
         assert typed(got.terms) == typed(expected)
+
+
+def shape(p):
+    """Everything that makes two results the same: the ring, the width,
+    the terms in their order and the type of each coefficient."""
+    return p.nvars, p.width, [(key, type(c), c) for key, c in p.packed.items()]
+
+
+def test_group_by_matches_its_fields_copy_seeded():
+    # the restriction's degree as the sum of its exponents against the
+    # degree from _fields, with indices repeated and widths from 8 to 128
+    for rng, nvars, (ta, tb, _) in operands(75, 200):
+        a = Poly(nvars, ta) + Poly(nvars, tb)
+        idx = [rng.randrange(nvars) for _ in range(rng.randint(0, min(nvars, 5)))]
+        got = a.group_by(idx)
+        expected = reference_copies.group_by(a, idx)
+        assert list(got) == list(expected)
+        assert [shape(v) for v in got.values()] == [shape(v) for v in expected.values()]
+
+
+def test_substitute_linear_matches_its_copy_seeded():
+    # each monomial from its first power against each from the constant 1,
+    # over int, Fraction and sqrt(3) changes and the catalog's changes
+    rng = random.Random(3103)
+    root3 = Scalar(0, 1, 3)
+    cases = []
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        polys = [Poly(nvars, random_terms(rng, nvars, top=4)) for _ in range(rng.randint(1, 4))]
+        polys.append(Poly.constant(nvars, random_coeff(rng)))
+        ncols = rng.randint(1, 4)
+        matrix = [[rng.choice([0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), root3,
+                               Scalar(Fraction(1, 3), Fraction(-1, 2), 3)])
+                   for _ in range(ncols)] for _ in range(nvars)]
+        cases.append((polys, matrix))
+    for entry in load_catalog():
+        if entry.change is not None:
+            cases.append(([p for row in entry.operator.entries for p in row], entry.change))
+    assert len(cases) == 159
+    for polys, matrix in cases:
+        got = _substitute_linear(polys, matrix)
+        expected = reference_copies.substitute_linear(polys, matrix)
+        assert [shape(p) for p in got] == [shape(p) for p in expected]
 
 
 def test_exact_divide_matches_the_tuple_kernel_seeded():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from linnij.reconstruct import (
 )
 from linnij.textio import default_names, format_poly, parse_poly
 
+import reference_copies
 from known_solutions import (
     ALPHA_NAMES,
     CASE11_SOLUTIONS,
@@ -501,6 +503,209 @@ def test_parse_system_errors_name_their_line():
     assert error(" = 0", " = 0 = 0", at=len(lines) - 1) == (
         "line %d: unexpected character '=' in %r"
         % (len(lines), lines[-1].partition(":: ")[2].strip()))
+
+
+def all_listings():
+    """The ten listings: the eight cases and both two-dimensional systems."""
+    sets = [param_sigmas(tag) for tag in CASE_TAGS if tag != "2"]
+    sets += [param_sigmas_2d(1), param_sigmas_2d(-1)]
+    return [generate_linearity_system(ps).to_text() for ps in sets]
+
+
+def test_headers_appear_once_with_a_value_before_the_first_equation():
+    text = generate_linearity_system(param_sigmas("3")).to_text()
+    nlines = text.count("\n")
+    faults = [
+        # (edited listing, the error, what the line reader read before)
+        (text + "# geometric: x1\n",
+         "line %d: '# geometric:' header after the first equation" % (nlines + 1),
+         lambda old: old.ngeo == 1),
+        (text + "# case: 4.2\n",
+         "line %d: '# case:' header after the first equation" % (nlines + 1),
+         lambda old: old.case == "4.2"),
+        (text.replace("# equations: 90\n", "# equations: 90\n# equations: 89\n"),
+         "line 6: second '# equations:' header",
+         lambda old: "declares 89 equations but lists 90" in old),
+        (text.replace("# case: 3\n", "# case:\n"),
+         "line 2: '# case:' header has no value",
+         lambda old: old.case == ""),
+    ]
+    for edited, message, before in faults:
+        with pytest.raises(FormatError) as info:
+            parse_system(edited)
+        assert str(info.value) == message
+        try:
+            old = reference_copies.parse_system(edited)
+        except FormatError as exc:
+            old = str(exc)
+        assert before(old)
+    # a header after the first equation is refused wherever it stands, in
+    # either reader; other comments are skipped there
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("P"))
+    for at in (first + 1, len(lines)):
+        edited = "".join(lines[:at] + ["# symbols: a\n"] + lines[at:])
+        with pytest.raises(FormatError, match="^line %d: '# symbols:' header after "
+                                              "the first equation$" % (at + 1)):
+            parse_system(edited)
+        edited = "".join(lines[:at] + ["# a comment\n"] + lines[at:])
+        assert parse_system(edited).equations == parse_system(text).equations
+
+
+def test_the_one_pass_reader_reads_every_listing(monkeypatch):
+    calls = []
+    read_lines = linnij.reconstruct._BodyReader.read_lines
+    monkeypatch.setattr(linnij.reconstruct._BodyReader, "read_lines",
+                        lambda self, *args: calls.append(1) or read_lines(self, *args))
+    for text in all_listings():
+        assert listing_outcome(parse_system, text) == listing_outcome(
+            reference_copies.parse_system, text)
+    assert calls == []
+    # a body that is not as to_text writes it goes to the line reader
+    text = all_listings()[0]
+    for edited in (text.replace("\n", "\r\n"), text.replace(" :: ", "  :: "),
+                   text.replace(" = 0\n", " =0\n"), text[:-1]):
+        assert listing_outcome(parse_system, edited) == listing_outcome(
+            reference_copies.parse_system, edited)
+    assert len(calls) == 4
+
+
+def shape(p):
+    return p.nvars, p.width, [(key, type(c), c) for key, c in p.packed.items()]
+
+
+def listing_outcome(parse, text):
+    """The parsed system, each polynomial in the order and types of its
+    terms, or the error message."""
+    try:
+        system = parse(text)
+    except FormatError as exc:
+        return str(exc)
+    return (system.case, system.names, system.ngeo, system.sigmas,
+            [(eq.entry, eq.row, eq.col, eq.monomial, shape(eq.poly))
+             for eq in system.equations])
+
+
+HEADER_RULE = re.compile(r"line \d+: (second '# [a-z]+:' header|'# [a-z]+:' header "
+                         r"(has no value|after the first equation))$")
+
+
+def mutate_listing(rng, text, kind):
+    """One edit of a listing; ``kind`` names it."""
+    lines = text.splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if line.startswith("P")]
+    at = rng.choice(body)
+    line = lines[at]
+    head, _, sum_text = line[:-len(" = 0\n")].partition(" :: ")
+    symbols = lines[3].split()[2:]
+
+    def put(new_line):
+        return "".join(lines[:at] + [new_line] + lines[at + 1:])
+
+    def replace_in_sum(old, new):
+        return put("%s :: %s = 0\n" % (head, re.sub(old, new, sum_text, count=1)))
+
+    if kind == "doubled space":
+        spaces = [i for i, c in enumerate(line) if c == " "]
+        i = rng.choice(spaces)
+        return put(line[:i] + " " + line[i:])
+    if kind == "trailing space":
+        return put(line[:-1] + rng.choice([" ", "\t"]) + "\n")
+    if kind == "=0":
+        return put(line.replace(" = 0\n", rng.choice(["=0\n", " =0\n", "= 0\n"])))
+    if kind == "CRLF":
+        return text.replace("\n", "\r\n")
+    if kind == "bracketed sum":
+        return put("%s :: (%s) = 0\n" % (head, sum_text))
+    if kind == "wrong P":
+        entry, rest = head.split(" ", 1)
+        return put("P%d %s :: %s = 0\n" % (int(entry[1:]) + rng.choice([-1, 1, 4]),
+                                           rest, sum_text))
+    if kind == "geometric variable":
+        geo = rng.choice(lines[2].split()[2:])
+        return put("%s :: %s %s = 0\n" % (head, sum_text, rng.choice(
+            ["+ %s" % geo, "- 2*%s*%s" % (geo, symbols[0]), "+ %s - %s" % (geo, geo)])))
+    if kind == "missing = 0":
+        return put("%s :: %s\n" % (head, sum_text))
+    if kind == "truncated":
+        if rng.random() < 0.5:
+            return "".join(lines[:rng.choice(body)])
+        return text[:rng.randrange(len(text))]
+    if kind == "padded":
+        return "".join(lines[:at + 1] + [rng.choice([line, "\n", "# note\n"])]
+                       + lines[at + 1:])
+    if kind == "non-ASCII digit":
+        digits = [i for i, c in enumerate(text) if c.isdigit()]
+        i = rng.choice(digits)
+        return text[:i] + rng.choice(["٣", "３", "³"]) + text[i + 1:]
+    if kind == "degree past 255":
+        return put("%s :: %s + %s^%d = 0\n" % (head, sum_text, rng.choice(symbols),
+                                              rng.choice([255, 256, 300])))
+    if kind == "5000-digit literal":
+        return put("%s :: %s - %s*%s = 0\n" % (head, sum_text, "7" * 5000,
+                                              rng.choice(symbols)))
+    if kind == "unknown name":
+        name = rng.choice(symbols)
+        return replace_in_sum(r"\b%s\b" % name, "zz_%s" % name) if re.search(
+            r"\b%s\b" % name, sum_text) else put("%s :: %s + q = 0\n" % (head, sum_text))
+    if kind == "symbol named sqrt":
+        name = rng.choice(symbols)
+        return re.sub(r"\b%s\b" % name, "sqrt", text)
+    if kind == "one character":
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("+-*/^() 0123456789abcx_P,:#=\n\r٣")
+        edit = rng.randrange(3)
+        if edit == 0:
+            return text[:i] + c + text[i + 1:]
+        if edit == 1:
+            return text[:i] + c + text[i:]
+        return text[:i] + text[i + 1:]
+    assert kind == "header", kind
+    header = rng.choice(lines[1:5])
+    choice = rng.randrange(3)
+    if choice == 0:
+        return "".join(lines[:at + 1] + [header] + lines[at + 1:])
+    if choice == 1:
+        return text.replace(header, header + header, 1)
+    return text.replace(header, header.split(":")[0] + ":\n", 1)
+
+
+LISTING_MUTATIONS = [
+    "doubled space", "trailing space", "=0", "CRLF", "bracketed sum", "wrong P",
+    "geometric variable", "missing = 0", "truncated", "padded", "non-ASCII digit",
+    "degree past 255", "5000-digit literal", "unknown name", "symbol named sqrt",
+    "one character", "header",
+]
+
+
+def test_parse_system_matches_the_line_reader_on_mutated_listings_seeded(monkeypatch):
+    # the same system or the same message and line number as the line
+    # reader of before, except where the header rule refuses a listing
+    reads = {"one pass": 0, "line reader": 0}
+    read = linnij.reconstruct._BodyReader.read
+
+    def counted(self, body):
+        equations = read(self, body)
+        reads["one pass" if equations is not None else "line reader"] += 1
+        return equations
+
+    monkeypatch.setattr(linnij.reconstruct._BodyReader, "read", counted)
+    rng = random.Random(3502)
+    outcomes = {"equal": 0, "errors": 0, "header rule": 0}
+    for text in all_listings():
+        for kind in LISTING_MUTATIONS:
+            for _ in range(6 if kind == "one character" else 2):
+                mutated = mutate_listing(rng, text, kind)
+                got = listing_outcome(parse_system, mutated)
+                expected = listing_outcome(reference_copies.parse_system, mutated)
+                if isinstance(got, str) and HEADER_RULE.match(got):
+                    outcomes["header rule"] += 1
+                    continue
+                assert kind != "header", mutated
+                assert got == expected, (kind, mutated)
+                outcomes["errors" if isinstance(got, str) else "equal"] += 1
+    assert all(count >= 20 for count in outcomes.values()), outcomes
+    assert all(count >= 20 for count in reads.values()), reads
 
 
 # -- solution checking -----------------------------------------------------------
