@@ -37,17 +37,15 @@ coefficient extraction over the geometric monomials.
 
 A system's listing (:meth:`LinearitySystem.to_text`) is read back by
 :func:`parse_system`.  Its four headers come first, once each; a body as
-``to_text`` writes it is then read in one pass, with one match, one
-``str.split`` and the flat reader's term loop over every sum, and any
-other body line by line, by the reader that gives every listing error and
-its line number.
+``to_text`` writes it is then read by a fast path, a few string methods
+and the flat reader per line, each distinct entry, position and head
+monomial checked once, and any other body by the line reader, which
+gives every listing error and its line number.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import takewhile
 from typing import Mapping, Sequence
 
@@ -75,8 +73,8 @@ from .polyring import (
 from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
-    _FLAT_SUM, _format_terms, _int_literal, _name_table, _parse_monomial, _parse_poly,
-    _read_terms, format_monomial, format_poly, parse_poly, parse_scalar)
+    _format_terms, _int_literal, _name_table, _parse_monomial, _parse_poly,
+    _read_flat, format_monomial, format_poly, parse_poly, parse_scalar)
 
 
 # -- sigma -> operator --------------------------------------------------------
@@ -450,22 +448,20 @@ def parse_system(text: str) -> LinearitySystem:
     ``= 0``.
 
     A body as ``to_text`` writes it, every line from the first equation on
-    an equation line with a flat canonical sum, is read in one pass.  Any
-    other body goes to the line reader, which is the only source of errors
-    in the body (see :class:`_BodyReader`); an error names its 1-based line
-    number.
+    an equation line with a flat canonical sum, is read by a fast path.
+    Any other body goes to the line reader, which is the only source of
+    errors in the body (see :class:`_BodyReader`); an error names its
+    1-based line number.
     """
     lines = text.splitlines(keepends=True)
     headers: dict[str, str] = {}
     count = None
-    start = 0  # the offset of the first equation line
-    first = len(lines)
+    first = len(lines)  # the index of the first equation line
     for k, raw in enumerate(lines):
         line = raw.strip()
         if line and not line.startswith("#"):
             first = k
             break
-        start += len(raw)
         field = _header(line) if line else None
         if field is None:
             continue
@@ -490,7 +486,7 @@ def parse_system(text: str) -> LinearitySystem:
             reader = _BodyReader(geo_names, names)
         except FormatError as exc:
             raise FormatError("line %d: %s" % (first + 1, exc))
-        equations = reader.read(text[start:])
+        equations = reader.read(lines, first)
         if equations is None:
             equations = reader.read_lines(lines, first)
     if "case:" not in headers or first == len(lines):
@@ -505,31 +501,12 @@ def parse_system(text: str) -> LinearitySystem:
     return LinearitySystem(headers["case:"], tuple(names), len(geo_names), equations, None)
 
 
-# an equation line as to_text writes it: "P<k> (<row>,<col>) <monomial> ::
-# <flat canonical sum> = 0"; every character of it but " " and "\n" is one
-# that str.split() keeps, so the body splits into its fields
-_BODY_LINE = r"P[0-9]+ \([0-9]+,[0-9]+\) [A-Za-z0-9_^*]+ :: %s = 0\n"
-
-
-@lru_cache(maxsize=1)
-def _body_pattern() -> re.Pattern:
-    """The pattern of a body of such lines, compiled on first use: it takes
-    about as long to compile as a listing takes to read.
-
-    Each line is matched in a lookahead and then taken by a backreference
-    to it, so the engine drops a line's backtracking state once the line
-    has matched.  Repeated plainly, the lines keep their state to the end
-    of the body, about 60 bytes per character of it."""
-    return re.compile(r"(?:(?=(%s))\1)+" % (_BODY_LINE % _FLAT_SUM.pattern))
-
-
 class _BodyReader:
-    """The equation lines of one listing, read in one pass when the body
-    is as :meth:`LinearitySystem.to_text` writes it (:meth:`read`), and
-    line by line otherwise (:meth:`read_lines`), the only source of errors
-    in a body.  What either reads once per listing, the key of each
-    monomial text of a sum and the exponents of each head monomial, the
-    other finds kept."""
+    """The equation lines of one listing, read by :meth:`read` when every
+    line is as :meth:`LinearitySystem.to_text` writes it, and by
+    :meth:`read_lines` otherwise, the only source of errors in a body.
+    What either reads once per listing, the key of each monomial text of a
+    sum and the exponents of each head monomial, the other finds kept."""
 
     __slots__ = ("ngeo", "nvars", "index_of", "geo_index", "keys", "heads")
 
@@ -548,46 +525,50 @@ class _BodyReader:
             exps = self.heads[text] = _parse_monomial(text, self.ngeo, self.geo_index)
         return exps
 
-    def read(self, body: str) -> list[Equation] | None:
-        """The equations of a body that :func:`_body_pattern` matches, or
-        None when :meth:`read_lines` must read it.
+    def read(self, lines: list[str], first: int) -> list[Equation] | None:
+        """The equations of ``lines`` from ``lines[first]`` on, each line
+        ``<entry> <position> <monomial> :: <sum> = 0`` and a ``\\n``, as
+        ``to_text`` writes it, with a flat canonical sum that the flat
+        reader (:func:`~linnij.textio._read_flat`) reads; or None when
+        :meth:`read_lines` must read them.
 
-        One match checks every line, one ``str.split`` tokenizes the body,
-        and the flat reader's term loop
-        (:func:`~linnij.textio._read_terms`) reads every sum.  Each distinct
+        Each line costs a ``find``, an ``endswith``, the split of its head
+        and the flat reader's match, split and term loop; each distinct
         entry and position, and each distinct head monomial, is checked
         once, and the sums are checked once together for a geometric
-        variable.  Whatever the line reader would read otherwise or reject
-        (a term past the flat reader, a bad position or head, a geometric
-        variable) gives None, so that reader reports it."""
-        if _body_pattern().fullmatch(body) is None:
-            return None
-        tokens = body.split()
+        variable.  What the line reader would read otherwise or reject (a
+        comment, another line end, a term past the flat reader, a bad
+        position or head, a geometric variable) gives None, so that reader
+        reports it.  The flat reader's pattern is the only one used: a
+        pattern of a whole line takes longer to compile than a listing
+        takes to read this way."""
         n, nvars, index_of, keys, heads = (
             self.ngeo, self.nvars, self.index_of, self.keys, self.heads)
-        places: dict[str, tuple[int, int]] = {}
+        places: dict[tuple[str, str], tuple[int, int]] = {}
         equations = []
-        i = 0
-        while i < len(tokens):
-            # a line's tokens: entry, position, head, "::", the sum's, "=", "0"
-            entry, pos, head = tokens[i], tokens[i + 1], tokens[i + 2]
-            place = places.get(entry + pos)
+        for k in range(first, len(lines)):
+            line = lines[k]
+            i = line.find(" :: ")
+            if i < 0 or not line.endswith(" = 0\n"):
+                return None
+            fields = line[:i].split()
+            if len(fields) != 3:
+                return None
+            entry, pos, head = fields
+            place = places.get((entry, pos))
             monomial = heads.get(head)
             if place is None or monomial is None:
                 try:
                     if place is None:
-                        place = places[entry + pos] = _position(entry, pos, n)
+                        place = places[entry, pos] = _position(entry, pos, n)
                     if monomial is None:
                         monomial = self.head(head)
                 except FormatError:
                     return None
-            read = _read_terms(tokens, i + 4, nvars, index_of, keys)
-            if read is None:
+            poly = _read_flat(line[i + 4:-5], nvars, index_of, keys)
+            if poly is None:
                 return None
-            terms, i = read
-            equations.append(Equation(entry, place[0], place[1], monomial,
-                                      Poly._new(nvars, _MIN_WIDTH, terms)))
-            i += 2
+            equations.append(Equation(entry, place[0], place[1], monomial, poly))
         # every monomial text of every sum, and each of its factors, is a
         # key of keys
         geo = _field_mask(nvars, _MIN_WIDTH, tuple(range(n)))

@@ -27,14 +27,13 @@ Most text the package reads back is a flat canonical sum, as
 :func:`format_poly` writes it for ``int`` coefficients: an optional ``-``,
 then terms ``int``, ``int*monomial`` or ``monomial`` joined by `` + `` and
 `` - ``, with no ``/``, bracket or ``sqrt``.  The flat reader takes such a
-text with one full match of that grammar and one ``str.split`` at its
-spaces, and its term loop (:func:`_read_terms`) reads the tokens; the
-one-pass reader of :func:`~linnij.reconstruct.parse_system` runs the same
-loop over the tokens of a whole listing body, so the package has one
-term reader.  The loop reads each distinct monomial text to its key once,
-through a dict that belongs to the name table: ``parse_system`` keeps one
-per listing, where a few hundred monomial texts recur across 90
-equations.  It builds the very polynomial the parser would, at the
+text with one full match of that grammar, one ``str.split`` at its
+spaces and one loop over the terms; the fast path of
+:func:`~linnij.reconstruct.parse_system` reads every sum of a listing
+with it, so the package has one term reader.  The loop reads each
+distinct monomial text to its key once, through a dict that belongs to
+the name table: ``parse_system`` keeps one per listing, where a few
+hundred monomial texts recur across 90 equations.  It builds the very polynomial the parser would, at the
 narrowest width.  Any other text, and any term it cannot read the
 parser's way (a name not in the table, a degree past the narrowest width,
 a literal longer than ``int()`` reads), goes to the parser, which is the
@@ -483,39 +482,26 @@ def _read_flat(text: str, nvars: int, index_of: dict[str, int],
     the same dict each time."""
     if _FLAT_SUM.fullmatch(text) is None:
         return None
+    # split at its spaces: the terms stand at the even indices, each after
+    # its sign but the first, which may start with "-"
     tokens = text.split(" ")
-    tokens.append("")
-    read = _read_terms(tokens, 0, nvars, index_of, keys)
-    if read is None:
-        return None
-    return Poly._new(nvars, _MIN_WIDTH, read[0])
-
-
-def _read_terms(tokens: list[str], i: int, nvars: int, index_of: dict[str, int],
-                keys: dict[str, int]) -> tuple[dict[int, int], int] | None:
-    """The term loop of the flat reader: the terms, keyed at
-    :data:`_MIN_WIDTH`, of the flat canonical sum whose first term is
-    ``tokens[i]``, with the index of the first token after the sum; or
-    None when a term is one the parser would read otherwise.
-
-    The tokens are a text that :data:`_FLAT_SUM` matched, split at its
-    spaces: a term with an optional leading ``-``, then a sign and a term
-    any number of times.  The sum ends at the first token after a term
-    that is neither ``+`` nor ``-``, so a caller either puts a token after
-    the text or splits a longer text in which the sum is followed by one,
-    such as the ``=`` of a listing line."""
     acc: dict[int, int] = {}
-    token = tokens[i]
-    negative = token[0] == "-"
-    if negative:
-        token = token[1:]
-    while True:
+    for i in range(0, len(tokens), 2):
+        token = tokens[i]
+        if i:
+            negative = tokens[i - 1] == "-"
+        else:
+            negative = token[0] == "-"
+            if negative:
+                token = token[1:]
         if token[0].isdigit():
             digits, _, mono = token.partition("*")
             try:
                 coeff = int(digits)
             except ValueError:
                 return None
+            if not coeff:
+                continue
         else:
             coeff, mono = 1, token
         if mono:
@@ -526,27 +512,18 @@ def _read_terms(tokens: list[str], i: int, nvars: int, index_of: dict[str, int],
                     return None
         else:
             key = 0
-        if coeff:
-            if negative:
-                coeff = -coeff
-            # the parser's sum: a repeated monomial adds, and a sum that
-            # cancels is dropped
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = coeff
-            elif cur + coeff:
-                acc[key] = cur + coeff
-            else:
-                del acc[key]
-        sign = tokens[i + 1]
-        if sign == "-":
-            negative = True
-        elif sign != "+":
-            return acc, i + 1
+        if negative:
+            coeff = -coeff
+        # the parser's sum: a repeated monomial adds, and a sum that
+        # cancels is dropped
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = coeff
+        elif cur + coeff:
+            acc[key] = cur + coeff
         else:
-            negative = False
-        i += 2
-        token = tokens[i]
+            del acc[key]
+    return Poly._new(nvars, _MIN_WIDTH, acc)
 
 
 def _parse_poly(text: str, nvars: int, index_of: dict[str, int],
@@ -590,11 +567,9 @@ def parse_monomial(text: str, names: list[str]) -> tuple[int, ...]:
     return _parse_monomial(text, len(names), _name_table(names))
 
 
-def _parse_monomial(text: str, nvars: int, index_of: dict[str, int],
-                    keys: dict[str, int] | None = None) -> tuple[int, ...]:
-    """:func:`parse_monomial` over a name table and monomial keys, as
-    :func:`_parse_poly` takes them."""
-    terms = _parse_poly(text, nvars, index_of, keys).sorted_terms()
+def _parse_monomial(text: str, nvars: int, index_of: dict[str, int]) -> tuple[int, ...]:
+    """:func:`parse_monomial` over a name table from :func:`_name_table`."""
+    terms = _parse_poly(text, nvars, index_of).sorted_terms()
     if len(terms) != 1 or terms[0][1] != 1:
         raise FormatError("not a monomial: %r" % text)
     return terms[0][0]

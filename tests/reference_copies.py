@@ -1,4 +1,4 @@
-"""Readers and kernels as they were before listings were read in one pass,
+"""Readers and kernels as they were before listings were read by a fast path,
 for tests only.
 
 ``parse_system`` is the line reader that read every listing line by line,

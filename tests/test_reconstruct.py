@@ -552,7 +552,7 @@ def test_headers_appear_once_with_a_value_before_the_first_equation():
         assert parse_system(edited).equations == parse_system(text).equations
 
 
-def test_the_one_pass_reader_reads_every_listing(monkeypatch):
+def test_the_fast_path_reads_every_listing(monkeypatch):
     calls = []
     read_lines = linnij.reconstruct._BodyReader.read_lines
     monkeypatch.setattr(linnij.reconstruct._BodyReader, "read_lines",
@@ -561,13 +561,21 @@ def test_the_one_pass_reader_reads_every_listing(monkeypatch):
         assert listing_outcome(parse_system, text) == listing_outcome(
             reference_copies.parse_system, text)
     assert calls == []
-    # a body that is not as to_text writes it goes to the line reader
+    # a head is split as the line reader splits it
     text = all_listings()[0]
-    for edited in (text.replace("\n", "\r\n"), text.replace(" :: ", "  :: "),
-                   text.replace(" = 0\n", " =0\n"), text[:-1]):
+    edited = text.replace(" :: ", "  :: ")
+    assert listing_outcome(parse_system, edited) == listing_outcome(parse_system, text)
+    assert calls == []
+    # a body that is not as to_text writes it goes to the line reader, and
+    # so does a head that splits into other fields, even where theirs join
+    # into a known entry and position
+    at = text.rindex("P4 (3,1) ")
+    moved = text[:at] + "P4( 3,1) " + text[at + len("P4 (3,1) "):]
+    for edited in (text.replace("\n", "\r\n"), text.replace(" + ", "  + "),
+                   text.replace(" = 0\n", " =0\n"), text[:-1], moved):
         assert listing_outcome(parse_system, edited) == listing_outcome(
             reference_copies.parse_system, edited)
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 def shape(p):
@@ -609,6 +617,15 @@ def mutate_listing(rng, text, kind):
         spaces = [i for i, c in enumerate(line) if c == " "]
         i = rng.choice(spaces)
         return put(line[:i] + " " + line[i:])
+    if kind == "head whitespace":
+        # a space of the head taken out or not, and a whitespace character,
+        # a line break to splitlines or not, put in
+        if rng.random() < 0.5:
+            i = rng.choice([i for i, c in enumerate(head) if c == " "])
+            head = head[:i] + head[i + 1:]
+        i = rng.randrange(len(head) + 1)
+        c = rng.choice([" ", "\t", "\xa0", "\x0b", "\x1c", "\u2028"])
+        return put("%s%s%s :: %s = 0\n" % (head[:i], c, head[i:], sum_text))
     if kind == "trailing space":
         return put(line[:-1] + rng.choice([" ", "\t"]) + "\n")
     if kind == "=0":
@@ -671,7 +688,7 @@ def mutate_listing(rng, text, kind):
 
 
 LISTING_MUTATIONS = [
-    "doubled space", "trailing space", "=0", "CRLF", "bracketed sum", "wrong P",
+    "doubled space", "head whitespace", "trailing space", "=0", "CRLF", "bracketed sum", "wrong P",
     "geometric variable", "missing = 0", "truncated", "padded", "non-ASCII digit",
     "degree past 255", "5000-digit literal", "unknown name", "symbol named sqrt",
     "one character", "header",
@@ -681,12 +698,12 @@ LISTING_MUTATIONS = [
 def test_parse_system_matches_the_line_reader_on_mutated_listings_seeded(monkeypatch):
     # the same system or the same message and line number as the line
     # reader of before, except where the header rule refuses a listing
-    reads = {"one pass": 0, "line reader": 0}
+    reads = {"fast path": 0, "line reader": 0}
     read = linnij.reconstruct._BodyReader.read
 
-    def counted(self, body):
-        equations = read(self, body)
-        reads["one pass" if equations is not None else "line reader"] += 1
+    def counted(self, *args):
+        equations = read(self, *args)
+        reads["fast path" if equations is not None else "line reader"] += 1
         return equations
 
     monkeypatch.setattr(linnij.reconstruct._BodyReader, "read", counted)
@@ -694,7 +711,7 @@ def test_parse_system_matches_the_line_reader_on_mutated_listings_seeded(monkeyp
     outcomes = {"equal": 0, "errors": 0, "header rule": 0}
     for text in all_listings():
         for kind in LISTING_MUTATIONS:
-            for _ in range(6 if kind == "one character" else 2):
+            for _ in range(6 if kind in ("one character", "head whitespace") else 2):
                 mutated = mutate_listing(rng, text, kind)
                 got = listing_outcome(parse_system, mutated)
                 expected = listing_outcome(reference_copies.parse_system, mutated)
