@@ -556,8 +556,9 @@ def _linear_form(nvars: int, coeffs: Iterable[tuple[int, Coefficient]]) -> Poly:
 @lru_cache(maxsize=256)
 def _field_mask(nvars: int, width: int, indices: tuple[int, ...]) -> int:
     """The bits of the fields of ``indices`` in a key.  A caller testing
-    many polynomials against one set of indices, such as a listing's
-    geometric variables, gets the mask back from the cache."""
+    many polynomials against one set of indices, as
+    ``LinearitySystem.alpha_free_equations`` tests each equation for the
+    alpha unknowns, gets the mask back from the cache."""
     field = (1 << width) - 1
     mask = 0
     for i in indices:

@@ -36,11 +36,11 @@ choices of coefficients make entry (r, c) linear" then becomes exact
 coefficient extraction over the geometric monomials.
 
 A system's listing (:meth:`LinearitySystem.to_text`) is read back by
-:func:`parse_system`.  Its four headers come first, once each; a body as
-``to_text`` writes it is then read by a fast path, a few string methods
-and the flat reader per line, each distinct entry, position and head
-monomial checked once, and any other body by the line reader, which
-gives every listing error and its line number.
+:func:`parse_system`.  Its four headers come first, once each; the body
+is then read by one loop over its lines, which checks each distinct
+entry, position and head monomial once, reads each sum with the flat
+reader over the symbols alone or else with the parser, and gives every
+listing error with its line number.
 """
 
 from __future__ import annotations
@@ -67,13 +67,12 @@ from .polymatrix import (
     seeded_points,
 )
 from .polyring import (
-    _MIN_WIDTH, Coefficient, DivisibilityFailure, Poly, _exact, _field_mask,
-    _linear_form, _power_table, _reciprocal, _value_at, dot, exact_divide,
-    exponent_sets, grlex_key)
+    Coefficient, DivisibilityFailure, Poly, _exact, _linear_form, _power_table,
+    _reciprocal, _value_at, dot, exact_divide, exponent_sets, grlex_key)
 from .exactfield import _narrow, scalar_sqrt
 from .record import Record
 from .textio import (
-    _format_terms, _int_literal, _name_table, _parse_monomial, _parse_poly,
+    _descend, _format_terms, _int_literal, _name_table, _parse_monomial,
     _read_flat, format_monomial, format_poly, parse_poly, parse_scalar)
 
 
@@ -447,11 +446,9 @@ def parse_system(text: str) -> LinearitySystem:
     entry (row, col) of rows 2..n as P((row - 2) * n + col) and ends in
     ``= 0``.
 
-    A body as ``to_text`` writes it, every line from the first equation on
-    an equation line with a flat canonical sum, is read by a fast path.
-    Any other body goes to the line reader, which is the only source of
-    errors in the body (see :class:`_BodyReader`); an error names its
-    1-based line number.
+    Every line from the first equation on is read by :func:`_read_body`,
+    the only source of errors in the body; an error names its 1-based line
+    number.
     """
     lines = text.splitlines(keepends=True)
     headers: dict[str, str] = {}
@@ -483,12 +480,10 @@ def parse_system(text: str) -> LinearitySystem:
         try:
             if "geometric:" not in headers or "symbols:" not in headers:
                 raise FormatError("equation listed before its variable header")
-            reader = _BodyReader(geo_names, names)
+            index_of = _name_table(names)
         except FormatError as exc:
             raise FormatError("line %d: %s" % (first + 1, exc))
-        equations = reader.read(lines, first)
-        if equations is None:
-            equations = reader.read_lines(lines, first)
+        equations = _read_body(lines, first, len(geo_names), len(names), index_of)
     if "case:" not in headers or first == len(lines):
         raise FormatError("system listing is missing its header")
     if count is None:
@@ -501,118 +496,63 @@ def parse_system(text: str) -> LinearitySystem:
     return LinearitySystem(headers["case:"], tuple(names), len(geo_names), equations, None)
 
 
-class _BodyReader:
-    """The equation lines of one listing, read by :meth:`read` when every
-    line is as :meth:`LinearitySystem.to_text` writes it, and by
-    :meth:`read_lines` otherwise, the only source of errors in a body.
-    What either reads once per listing, the key of each monomial text of a
-    sum and the exponents of each head monomial, the other finds kept."""
+def _read_body(lines: list[str], first: int, ngeo: int, nvars: int,
+               index_of: dict[str, int]) -> list[Equation]:
+    """The equations of ``lines`` from ``lines[first]``, the first equation
+    line, on, over the name table ``index_of`` of ``nvars`` names, the
+    first ``ngeo`` geometric; FormatError naming the line of the first
+    fault.
 
-    __slots__ = ("ngeo", "nvars", "index_of", "geo_index", "keys", "heads")
-
-    def __init__(self, geo_names: list[str], names: list[str]):
-        self.ngeo = len(geo_names)
-        self.nvars = len(names)
-        self.index_of = _name_table(names)
-        self.geo_index = _name_table(geo_names)
-        self.keys: dict[str, int] = {}
-        self.heads: dict[str, tuple[int, ...]] = {}
-
-    def head(self, text: str) -> tuple[int, ...]:
-        """The exponents of a head monomial such as ``x1^2*x3``."""
-        exps = self.heads.get(text)
-        if exps is None:
-            exps = self.heads[text] = _parse_monomial(text, self.ngeo, self.geo_index)
-        return exps
-
-    def read(self, lines: list[str], first: int) -> list[Equation] | None:
-        """The equations of ``lines`` from ``lines[first]`` on, each line
-        ``<entry> <position> <monomial> :: <sum> = 0`` and a ``\\n``, as
-        ``to_text`` writes it, with a flat canonical sum that the flat
-        reader (:func:`~linnij.textio._read_flat`) reads; or None when
-        :meth:`read_lines` must read them.
-
-        Each line costs a ``find``, an ``endswith``, the split of its head
-        and the flat reader's match, split and term loop; each distinct
-        entry and position, and each distinct head monomial, is checked
-        once, and the sums are checked once together for a geometric
-        variable.  What the line reader would read otherwise or reject (a
-        comment, another line end, a term past the flat reader, a bad
-        position or head, a geometric variable) gives None, so that reader
-        reports it.  The flat reader's pattern is the only one used: a
-        pattern of a whole line takes longer to compile than a listing
-        takes to read this way."""
-        n, nvars, index_of, keys, heads = (
-            self.ngeo, self.nvars, self.index_of, self.keys, self.heads)
-        places: dict[tuple[str, str], tuple[int, int]] = {}
-        equations = []
-        for k in range(first, len(lines)):
-            line = lines[k]
-            i = line.find(" :: ")
-            if i < 0 or not line.endswith(" = 0\n"):
-                return None
-            fields = line[:i].split()
-            if len(fields) != 3:
-                return None
-            entry, pos, head = fields
-            place = places.get((entry, pos))
-            monomial = heads.get(head)
-            if place is None or monomial is None:
-                try:
-                    if place is None:
-                        place = places[entry, pos] = _position(entry, pos, n)
-                    if monomial is None:
-                        monomial = self.head(head)
-                except FormatError:
-                    return None
-            poly = _read_flat(line[i + 4:-5], nvars, index_of, keys)
-            if poly is None:
-                return None
-            equations.append(Equation(entry, place[0], place[1], monomial, poly))
-        # every monomial text of every sum, and each of its factors, is a
-        # key of keys
-        geo = _field_mask(nvars, _MIN_WIDTH, tuple(range(n)))
-        if any(key & geo for key in keys.values()):
-            return None
-        return equations
-
-    def read_lines(self, lines: list[str], first: int) -> list[Equation]:
-        """The equations of ``lines`` from ``lines[first]``, the first
-        equation line, on; FormatError naming the line of the first
-        fault."""
-        n, nvars, index_of, keys = self.ngeo, self.nvars, self.index_of, self.keys
-        geo = tuple(range(n))
-        equations = []
-        for lineno in range(first + 1, len(lines) + 1):
-            line = lines[lineno - 1].strip()
-            if not line:
+    Each distinct entry and position, and each distinct head monomial, is
+    checked once per listing.  Each sum goes to the flat reader
+    (:func:`~linnij.textio._read_flat`) over the symbols alone, so a sum it
+    reads names no geometric variable; any other sum goes to the parser
+    over every name, and only then is it checked for a geometric
+    variable."""
+    geo_index = {name: i for name, i in index_of.items() if i < ngeo}
+    symbol_index = {name: i for name, i in index_of.items() if i >= ngeo}
+    geo = tuple(range(ngeo))
+    keys: dict[str, int] = {}
+    places: dict[tuple[str, str], tuple[int, int]] = {}
+    heads: dict[str, tuple[int, ...]] = {}
+    equations = []
+    for lineno in range(first + 1, len(lines) + 1):
+        line = lines[lineno - 1].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                field = _header(line)
+                if field is not None:
+                    raise FormatError("'# %s' header after the first equation"
+                                      % field[0])
                 continue
-            try:
-                if line.startswith("#"):
-                    field = _header(line)
-                    if field is not None:
-                        raise FormatError("'# %s' header after the first equation"
-                                          % field[0])
-                    continue
-                head, _, rhs = line.partition("::")
-                if not rhs:
-                    raise FormatError("missing '::' in equation line %r" % line)
-                fields = head.split()
-                if len(fields) != 3:
-                    raise FormatError("malformed equation header %r" % head)
-                entry, pos, mono_text = fields
-                row, col = _position(entry, pos, n)
-                monomial = self.head(mono_text)
-                poly_text, equals, zero = rhs.rpartition("=")
-                if not equals or zero.strip() != "0":
-                    raise FormatError("equation does not end in '= 0'")
-                poly = _parse_poly(poly_text.strip(), nvars, index_of, keys)
+            head, _, rhs = line.partition("::")
+            if not rhs:
+                raise FormatError("missing '::' in equation line %r" % line)
+            fields = head.split()
+            if len(fields) != 3:
+                raise FormatError("malformed equation header %r" % head)
+            entry, pos, mono_text = fields
+            place = places.get((entry, pos))
+            if place is None:
+                place = places[entry, pos] = _position(entry, pos, ngeo)
+            monomial = heads.get(mono_text)
+            if monomial is None:
+                monomial = heads[mono_text] = _parse_monomial(mono_text, ngeo, geo_index)
+            poly_text, equals, zero = rhs.rpartition("=")
+            if not equals or zero.strip() != "0":
+                raise FormatError("equation does not end in '= 0'")
+            poly_text = poly_text.strip()
+            poly = _read_flat(poly_text, nvars, symbol_index, keys)
+            if poly is None:
+                poly = _descend(poly_text, nvars, index_of)
                 if poly.involves(geo):
                     raise FormatError("equation names a geometric variable: %r" % line)
-                equations.append(Equation(entry, row, col, monomial, poly))
-            except FormatError as exc:
-                raise FormatError("line %d: %s" % (lineno, exc))
-        return equations
+            equations.append(Equation(entry, place[0], place[1], monomial, poly))
+        except FormatError as exc:
+            raise FormatError("line %d: %s" % (lineno, exc))
+    return equations
 
 
 def _position(entry: str, pos: str, n: int) -> tuple[int, int]:

@@ -28,18 +28,19 @@ Most text the package reads back is a flat canonical sum, as
 then terms ``int``, ``int*monomial`` or ``monomial`` joined by `` + `` and
 `` - ``, with no ``/``, bracket or ``sqrt``.  The flat reader takes such a
 text with one full match of that grammar, one ``str.split`` at its
-spaces and one loop over the terms; the fast path of
-:func:`~linnij.reconstruct.parse_system` reads every sum of a listing
-with it, so the package has one term reader.  The loop reads each
-distinct monomial text to its key once, through a dict that belongs to
-the name table: ``parse_system`` keeps one per listing, where a few
-hundred monomial texts recur across 90 equations.  It builds the very polynomial the parser would, at the
-narrowest width.  Any other text, and any term it cannot read the
-parser's way (a name not in the table, a degree past the narrowest width,
-a literal longer than ``int()`` reads), goes to the parser, which is the
-only source of :class:`~linnij.errors.FormatError`.  The text alone
-decides which path reads it.  The printer likewise takes a dict of
-monomial texts by key, which a listing shares across its equations.
+spaces and one loop over the terms; :func:`~linnij.reconstruct.parse_system`
+tries it on every sum of a listing, over a table of the symbols alone,
+so the package has one term reader.  The loop reads each distinct
+monomial text to its key once, through a dict that belongs to the name
+table: ``parse_system`` keeps one per listing, where a few hundred
+monomial texts recur across 90 equations.  It builds the very polynomial
+the parser would, at the narrowest width.  Any other text, and any term
+it cannot read the parser's way (a name not in the table, a degree past
+the narrowest width, a literal longer than ``int()`` reads), goes to the
+parser, which is the only source of :class:`~linnij.errors.FormatError`.
+The text and the name table alone decide which path reads it.  The
+printer likewise takes a dict of monomial texts by key, which a listing
+shares across its equations.
 
 Variables are positional; display names live only here.  The default name
 for variable ``i`` (0-based) is ``x{i+1}``.
@@ -526,13 +527,11 @@ def _read_flat(text: str, nvars: int, index_of: dict[str, int],
     return Poly._new(nvars, _MIN_WIDTH, acc)
 
 
-def _parse_poly(text: str, nvars: int, index_of: dict[str, int],
-                keys: dict[str, int] | None = None) -> Poly:
+def _parse_poly(text: str, nvars: int, index_of: dict[str, int]) -> Poly:
     """:func:`parse_poly` over a name table from :func:`_name_table`, which
-    a caller parsing many polynomials over one ring builds once, along with
-    the monomial keys of :func:`_read_flat`: the flat reader when it reads
-    the text, the parser otherwise."""
-    flat = _read_flat(text, nvars, index_of, {} if keys is None else keys)
+    a caller parsing many polynomials over one ring builds once: the flat
+    reader when it reads the text, the parser otherwise."""
+    flat = _read_flat(text, nvars, index_of, {})
     if flat is not None:
         return flat
     return _descend(text, nvars, index_of)

@@ -542,7 +542,7 @@ def reader_agrees(text, names, keys):
     if flat is not None:
         assert shape(flat) == expected, text
     try:
-        got = shape(_parse_poly(text, len(names), index_of, keys))
+        got = shape(_parse_poly(text, len(names), index_of))
     except FormatError as exc:
         got = str(exc)
     assert got == expected, text
