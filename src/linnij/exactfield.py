@@ -1,11 +1,12 @@
 """Exact scalars in a real quadratic extension of the rationals.
 
-A scalar is stored as ``rat + irr*sqrt(rad)`` where ``rat`` and ``irr`` are
-:class:`fractions.Fraction` values and ``rad`` is a square-free integer
-radicand.  Plain rationals carry ``rad == 0`` (and ``irr == 0``); this is
-kept canonical, so componentwise equality of ``(rat, irr, rad)`` is equality
-of values — {1, sqrt(rad)} is a basis of the extension whenever rad is
-square-free and greater than 1.
+A scalar is stored as ``(a + b*sqrt(d))/m`` in four ints: ``m > 0``,
+``gcd(a, b, m) = 1``, and ``d`` the square-free radicand, greater than 1,
+exactly when ``b`` is nonzero; a rational carries ``b = d = 0``.  The form
+is unique, as {1, sqrt(d)} is a basis of the extension whenever d is
+square-free and greater than 1, so equality of the four ints is equality
+of values.  ``rad`` is d, and ``rat`` and ``irr`` read the parts ``a/m``
+and ``b/m`` as :class:`fractions.Fraction` values.
 
 At most one irrational radicand may take part in a computation.  Combining
 values tagged with two different nonzero radicands raises
@@ -15,18 +16,24 @@ everything.  No floating point is used anywhere.
 Validation happens once, in the public constructor ``Scalar(rat, irr, rad)``
 that parsers, the catalog loader and user code go through: it takes ``int``
 or ``Fraction`` parts and an ``int`` radicand (anything else, a float or a
-string included, is a ``TypeError``), converts the parts to ``Fraction``
-and checks the radicand.  Arithmetic results are built
-from parts that are already valid, through the private ``Scalar._new``, which
-only restores the canonical form; each operation has one formula.
+string included, is a ``TypeError``) and checks the radicand; the private
+``Scalar._new`` then brings the parts over their least common denominator.
+Every scalar, the constructor's and each arithmetic result, is built by
+the one normaliser :func:`_scalar`, which divides out ``gcd(a, b, m)``
+with one :func:`math.gcd` and drops the radicand of a vanished irrational
+part.  Each operation has one formula on ints, and reads an ``int`` or
+``Fraction`` operand through its numerator and denominator; a sum of two
+values over the same m adds the numerators alone.
 
 A rational scalar equals the ``int`` or ``Fraction`` of the same value and
 hashes as it does.  Outside this module every exact value is narrow: an
 ``int`` when it is integral, a ``Fraction`` when it is rational, and a
 ``Scalar`` only when its irrational part is nonzero.  :func:`_narrow` puts a
 value in that form, :func:`parts` reads the ``(rat, irr, rad)`` of any
-exact value and :func:`_integer_form` its ``(a + b*sqrt(d))/m`` in ints:
-only this module reads a ``Scalar``'s parts or calls ``Scalar._new``.
+exact value, :func:`_integer_form` its ``(a, b, d, m)``, for a ``Scalar`` a
+plain read of its fields, and :func:`_from_integer_form` builds the narrow
+value of such a form: only this module reads a ``Scalar``'s fields or
+parts or builds a ``Scalar`` unchecked.
 
 The scalar elimination of :mod:`linnij.polymatrix` runs on integral rows:
 :func:`_integral_row` clears a row's denominators into ints and
@@ -43,9 +50,9 @@ from functools import total_ordering
 
 from .errors import NotRepresentableError, RadicandMismatchError
 
-_FRACTION_ZERO = Fraction(0)
 _RATIONAL = (int, Fraction)
 _new_object = object.__new__
+_gcd = math.gcd
 
 
 def square_free_split(n: int) -> tuple[int, int]:
@@ -84,138 +91,172 @@ def power(base, exponent: int, one):
     return result
 
 
+def _common_rad(d: int, f: int) -> int:
+    """The radicand of a result of operands with radicands ``d != f``: the
+    nonzero one, and RadicandMismatchError when both are nonzero."""
+    if not d:
+        return f
+    if not f:
+        return d
+    raise RadicandMismatchError("cannot mix sqrt(%d) with sqrt(%d)" % (d, f))
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """The sign of ``a + b*sqrt(d)``: -1, 0 or +1."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
+        return sb
+    # opposite signs: a^2 = d*b^2 is impossible, as sqrt(d) is irrational
+    return -sb if a * a > d * b * b else sb
+
+
+def _divide(a: int, b: int, d: int, m: int, c: int, e: int, f: int, n: int) -> "Scalar":
+    """``(a + b*sqrt(d))/m`` over ``(c + e*sqrt(f))/n``, times the
+    conjugate ``c - e*sqrt(d)`` over the norm ``c^2 - d*e^2``, which is
+    nonzero for a nonzero divisor, as sqrt(d) is irrational."""
+    if d != f:
+        d = _common_rad(d, f)
+    if not (c or e):
+        raise ZeroDivisionError("scalar division by zero")
+    norm = (c * c - d * e * e) * m
+    if norm < 0:
+        norm, n = -norm, -n
+    return _scalar(n * (a * c - d * b * e), n * (b * c - a * e), d, norm)
+
+
 @total_ordering
 class Scalar:
-    """An exact value ``rat + irr*sqrt(rad)``."""
+    """An exact value ``(a + b*sqrt(rad))/m``, read as ``rat + irr*sqrt(rad)``."""
 
-    __slots__ = ("rat", "irr", "rad")
+    __slots__ = ("_a", "_b", "rad", "_m")
 
-    def __init__(self, rat=0, irr=0, rad=0):
+    def __new__(cls, rat=0, irr=0, rad=0):
         if not (isinstance(rat, _RATIONAL) and isinstance(irr, _RATIONAL)
                 and isinstance(rad, int)):
             raise TypeError("Scalar(%r, %r, %r): parts must be int or Fraction "
                             "and the radicand an int" % (rat, irr, rad))
-        rat = Fraction(rat)
-        irr = Fraction(irr)
         if rad < 0:
             raise ValueError("radicand must be nonnegative")
         if rad == 1:
             rat += irr
-            irr = Fraction(0)
-            rad = 0
-        if irr == 0:
+            irr = 0
+        if not irr:
             rad = 0
         elif rad == 0:
             raise ValueError("irrational part requires a nonzero radicand")
         elif square_free_split(rad)[0] != 1:
             raise ValueError("radicand %d is not square-free" % rad)
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", irr)
-        object.__setattr__(self, "rad", rad)
+        return Scalar._new(rat, irr, rad)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     @staticmethod
-    def _new(rat: Fraction, irr: Fraction, rad: int) -> "Scalar":
-        """Trusted constructor for results of arithmetic on valid scalars.
+    def _new(rat, irr, rad: int) -> "Scalar":
+        """Trusted constructor from parts that are already valid: ``rat`` and
+        ``irr`` int or Fraction, and ``rad`` 0 or a square-free radicand
+        greater than 1; it brings the parts over their least common
+        denominator and hands them to :func:`_scalar`."""
+        p, q = rat.denominator, irr.denominator
+        m = math.lcm(p, q)
+        return _scalar(rat.numerator * (m // p), irr.numerator * (m // q), rad, m)
 
-        ``rat`` and ``irr`` must be ``Fraction`` and ``rad`` 0 or a
-        square-free radicand greater than 1; nothing is converted or checked
-        beyond dropping the radicand of a vanished irrational part.
-        """
-        out = _new_object(Scalar)
-        _set_rat(out, rat)
-        if irr:
-            _set_irr(out, irr)
-            _set_rad(out, rad)
-        else:
-            _set_irr(out, _FRACTION_ZERO)
-            _set_rad(out, 0)
-        return out
+    @property
+    def rat(self) -> Fraction:
+        """The rational part ``a/m``."""
+        return Fraction(self._a, self._m)
 
-    # -- helpers ---------------------------------------------------------
+    @property
+    def irr(self) -> Fraction:
+        """The coefficient ``b/m`` of ``sqrt(rad)``."""
+        return Fraction(self._b, self._m)
 
     @staticmethod
     def _coerce(value) -> "Scalar":
-        if isinstance(value, Scalar):
+        """``value`` as a Scalar, NotImplemented when it is not exact."""
+        if type(value) is Scalar:
             return value
         if isinstance(value, _RATIONAL):
-            rat = value if type(value) is Fraction else Fraction(value)
-            return Scalar._new(rat, _FRACTION_ZERO, 0)
+            return _scalar(value.numerator, 0, 0, value.denominator)
         return NotImplemented  # type: ignore[return-value]
 
-    def _common_rad(self, other: "Scalar") -> int:
-        if self.rad == other.rad:
-            return self.rad
-        if self.rad == 0:
-            return other.rad
-        if other.rad == 0:
-            return self.rad
-        raise RadicandMismatchError(
-            "cannot mix sqrt(%d) with sqrt(%d)" % (self.rad, other.rad)
-        )
-
     def is_zero(self) -> bool:
-        return not (self.rat or self.irr)
+        return not (self._a or self._b)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is Scalar:
+            c, e, f, n = other._a, other._b, other.rad, other._m
+        elif isinstance(other, _RATIONAL):
+            c, e, f, n = other.numerator, 0, 0, other.denominator
+        else:
             return NotImplemented
-        rad = self._common_rad(other)
-        return Scalar._new(self.rat + other.rat, self.irr + other.irr, rad)
+        a, b, d, m = self._a, self._b, self.rad, self._m
+        if d != f:
+            d = _common_rad(d, f)
+        if m == n:
+            return _scalar(a + c, b + e, d, m)
+        return _scalar(a * n + c * m, b * n + e * m, d, m * n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._new(-self.rat, -self.irr, self.rad)
+        return _scalar(-self._a, -self._b, self.rad, self._m)
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is Scalar:
+            c, e, f, n = other._a, other._b, other.rad, other._m
+        elif isinstance(other, _RATIONAL):
+            c, e, f, n = other.numerator, 0, 0, other.denominator
+        else:
             return NotImplemented
-        rad = self._common_rad(other)
-        return Scalar._new(self.rat - other.rat, self.irr - other.irr, rad)
+        a, b, d, m = self._a, self._b, self.rad, self._m
+        if d != f:
+            d = _common_rad(d, f)
+        if m == n:
+            return _scalar(a - c, b - e, d, m)
+        return _scalar(a * n - c * m, b * n - e * m, d, m * n)
 
     def __rsub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return other - self
+        c, n = other.numerator, other.denominator
+        m = self._m
+        return _scalar(c * m - self._a * n, -self._b * n, self.rad, m * n)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is Scalar:
+            c, e, f, n = other._a, other._b, other.rad, other._m
+        elif isinstance(other, _RATIONAL):
+            c, n = other.numerator, other.denominator
+            return _scalar(self._a * c, self._b * c, self.rad, self._m * n)
+        else:
             return NotImplemented
-        rad = self._common_rad(other)
-        rat = self.rat * other.rat + rad * self.irr * other.irr
-        irr = self.rat * other.irr + self.irr * other.rat
-        return Scalar._new(rat, irr, rad)
+        a, b, d = self._a, self._b, self.rad
+        if d != f:
+            d = _common_rad(d, f)
+        return _scalar(a * c + d * b * e, a * e + b * c, d, self._m * n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is a^2 when
-        # b = 0, and nonzero as sqrt(d) is irrational for square-free d > 1.
-        norm = self.rat * self.rat - self.rad * self.irr * self.irr
-        return Scalar._new(self.rat / norm, -self.irr / norm, self.rad)
+        # 1/((a + b*sqrt(d))/m) = m*(a - b*sqrt(d))/(a^2 - d*b^2)
+        return _divide(1, 0, 0, 1, self._a, self._b, self.rad, self._m)
 
     def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        form = _integer_form(other)
+        if form is None:
             return NotImplemented
-        return self * other.inverse()
+        return _divide(self._a, self._b, self.rad, self._m, *form)
 
     def __rtruediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        form = _integer_form(other)
+        if form is None:
             return NotImplemented
-        return other * self.inverse()
+        return _divide(*form, self._a, self._b, self.rad, self._m)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -227,58 +268,71 @@ class Scalar:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (
-            self.rat == other.rat
-            and self.irr == other.irr
-            and self.rad == other.rad
-        )
+        if type(other) is Scalar:
+            return (self._a == other._a and self._b == other._b
+                    and self._m == other._m and self.rad == other.rad)
+        if isinstance(other, _RATIONAL):
+            return (not self._b and self._a == other.numerator
+                    and self._m == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # a rational scalar hashes as the int or Fraction it equals
-        if not self.irr:
+        if not self._b:
             return hash(self.rat)
         return hash((self.rat, self.irr, self.rad))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def sign(self) -> int:
         """Sign of the real value: -1, 0 or +1."""
-        if self.irr == 0:
-            return (self.rat > 0) - (self.rat < 0)
-        if self.rat == 0:
-            return 1 if self.irr > 0 else -1
-        sr = 1 if self.rat > 0 else -1
-        si = 1 if self.irr > 0 else -1
-        if sr == si:
-            return sr
-        # opposite signs: compare rat^2 against rad*irr^2
-        return sr if self.rat * self.rat > self.rad * self.irr * self.irr else si
+        return _sign(self._a, self._b, self.rad)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __lt__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        form = _integer_form(other)
+        if form is None:
             return NotImplemented
-        return (self - other).sign() < 0
+        c, e, f, n = form
+        d, m = self.rad, self._m
+        if d != f:
+            d = _common_rad(d, f)
+        return _sign(self._a * n - c * m, self._b * n - e * m, d) < 0
 
     # -- misc --------------------------------------------------------------
 
     def __repr__(self):
-        if self.irr == 0:
+        if not self._b:
             return "Scalar(%s)" % self.rat
         return "Scalar(%s, %s, rad=%d)" % (self.rat, self.irr, self.rad)
 
 
-# Slot setters that bypass the immutability guard, for ``Scalar._new``.
-_set_rat = Scalar.rat.__set__
-_set_irr = Scalar.irr.__set__
+def _scalar(a: int, b: int, d: int, m: int) -> Scalar:
+    """The one normaliser: the scalar ``(a + b*sqrt(d))/m`` of ints a, b and
+    m > 0, with d the square-free radicand, greater than 1, whenever b is
+    nonzero.  It divides out ``gcd(a, b, m)`` and drops the radicand of a
+    vanished irrational part; nothing else is checked."""
+    g = _gcd(a, b, m)
+    if g != 1:
+        a //= g
+        b //= g
+        m //= g
+    out = _new_object(Scalar)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_rad(out, d if b else 0)
+    _set_m(out, m)
+    return out
+
+
+# Slot setters that bypass the immutability guard, for ``_scalar``.
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
 _set_rad = Scalar.rad.__set__
+_set_m = Scalar._m.__set__
 
 ONE = Scalar(1)
 
@@ -301,9 +355,10 @@ def _narrow(value):
     rational value (an ``int`` is its own numerator over 1), or the
     ``Scalar`` itself when its irrational part is nonzero."""
     if type(value) is Scalar:
-        if value.irr:
+        if value._b:
             return value
-        value = value.rat
+        a, m = value._a, value._m
+        return a if m == 1 else Fraction(a, m)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -318,28 +373,31 @@ def parts(value) -> tuple:
     raise TypeError("%r is not an int, a Fraction or a Scalar" % (value,))
 
 
-def _integer_form(value) -> tuple[int, int, int, int]:
-    """``(a, b, d, m)`` of a narrow value ``(a + b*sqrt(d))/m`` in ints, m > 0
+def _integer_form(value) -> tuple[int, int, int, int] | None:
+    """``(a, b, d, m)`` of an exact value ``(a + b*sqrt(d))/m`` in ints, m > 0
     the least common denominator of its parts and ``b = d = 0`` when it is
-    rational."""
-    kind = type(value)
-    if kind is int:
-        return value, 0, 0, 1
-    if kind is Fraction:
+    rational: a ``Scalar``'s fields, and the numerator and denominator of
+    an ``int`` or a ``Fraction``.  None for anything else."""
+    if type(value) is Scalar:
+        return value._a, value._b, value.rad, value._m
+    if isinstance(value, _RATIONAL):
         return value.numerator, 0, 0, value.denominator
-    rat, irr = value.rat, value.irr
-    m = math.lcm(rat.denominator, irr.denominator)
-    return (rat.numerator * (m // rat.denominator),
-            irr.numerator * (m // irr.denominator), value.rad, m)
+    return None
 
 
 def _from_integer_form(a, b, d: int, m: int):
     """The narrow value ``(a + b*sqrt(d))/m`` for ``int`` or ``Fraction`` a
     and b, an int m > 0, and d the square-free radicand, greater than 1,
-    whenever b is nonzero: the inverse of :func:`_integer_form`."""
+    whenever b is nonzero: the inverse of :func:`_integer_form`.  Fraction
+    parts are first brought over their common denominator."""
+    if type(a) is Fraction or type(b) is Fraction:
+        k = math.lcm(a.denominator, b.denominator)
+        a = a.numerator * (k // a.denominator)
+        b = b.numerator * (k // b.denominator)
+        m *= k
     if b:
-        return Scalar._new(Fraction(a, m), Fraction(b, m), d)
-    return _narrow(Fraction(a, m)) if a else 0
+        return _scalar(a, b, d, m)
+    return Fraction(a, m) if a % m else a // m
 
 
 class _Integral:

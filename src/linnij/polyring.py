@@ -105,8 +105,10 @@ follows the exponents that occur and not the highest of them;
 bits is a :class:`~linnij.errors.FormatError`, never a hang.
 
 A value's parts are read, and the kernel's result is built, through
-:mod:`linnij.exactfield`: ``parts``, ``_integer_form`` and its inverse
-``_from_integer_form``.
+:mod:`linnij.exactfield`: ``parts`` reads a value's ``Fraction`` parts,
+``_integer_form`` its ``(a, b, d, m)``, for a ``Scalar`` the four ints it
+holds, and its inverse ``_from_integer_form`` normalises the kernel's sum
+once.
 
 The packed dict is read here and by the parser and printer in
 :mod:`linnij.textio` only; other modules use :func:`exponent_sets`,

@@ -5,13 +5,21 @@ for tests only.
 over the flat reader of that time (one full match and one ``findall`` per
 sum); ``group_by`` is :meth:`Poly.group_by` with its ``_fields`` degree;
 ``substitute_linear`` is ``polyring._substitute_linear`` with every
-monomial started from the constant 1.  Each is kept verbatim in
-substance, so the faster code can be checked against it.
+monomial started from the constant 1.  ``Scalar`` is ``exactfield.Scalar``
+as it was when it held ``rat + irr*sqrt(rad)`` as two ``Fraction`` parts,
+with the readers that went with it (``_narrow``, ``parts``,
+``_integer_form``, ``_from_integer_form``) and the ``scalar_sqrt`` that
+ran on them.  Each is kept verbatim in substance, so the faster code can
+be checked against it.
 """
 
+import math
 import re
+from fractions import Fraction
+from functools import total_ordering
 
-from linnij.errors import FormatError
+from linnij.errors import FormatError, NotRepresentableError, RadicandMismatchError
+from linnij.exactfield import power, rational_sqrt, square_free_split
 from linnij.polyring import (
     _MIN_WIDTH, Poly, _exact, _field_mask, _fields, _linear_form, dot)
 from linnij.reconstruct import Equation, LinearitySystem
@@ -188,3 +196,292 @@ def substitute_linear(polys, matrix):
             monomials.append(monomial)
         out.append(dot(p.packed.values(), monomials, zero))
     return out
+
+
+_FRACTION_ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
+_new_object = object.__new__
+
+
+@total_ordering
+class Scalar:
+    """An exact value ``rat + irr*sqrt(rad)``."""
+
+    __slots__ = ("rat", "irr", "rad")
+
+    def __init__(self, rat=0, irr=0, rad=0):
+        if not (isinstance(rat, _RATIONAL) and isinstance(irr, _RATIONAL)
+                and isinstance(rad, int)):
+            raise TypeError("Scalar(%r, %r, %r): parts must be int or Fraction "
+                            "and the radicand an int" % (rat, irr, rad))
+        rat = Fraction(rat)
+        irr = Fraction(irr)
+        if rad < 0:
+            raise ValueError("radicand must be nonnegative")
+        if rad == 1:
+            rat += irr
+            irr = Fraction(0)
+            rad = 0
+        if irr == 0:
+            rad = 0
+        elif rad == 0:
+            raise ValueError("irrational part requires a nonzero radicand")
+        elif square_free_split(rad)[0] != 1:
+            raise ValueError("radicand %d is not square-free" % rad)
+        object.__setattr__(self, "rat", rat)
+        object.__setattr__(self, "irr", irr)
+        object.__setattr__(self, "rad", rad)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    @staticmethod
+    def _new(rat: Fraction, irr: Fraction, rad: int) -> "Scalar":
+        """Trusted constructor for results of arithmetic on valid scalars.
+
+        ``rat`` and ``irr`` must be ``Fraction`` and ``rad`` 0 or a
+        square-free radicand greater than 1; nothing is converted or checked
+        beyond dropping the radicand of a vanished irrational part.
+        """
+        out = _new_object(Scalar)
+        _set_rat(out, rat)
+        if irr:
+            _set_irr(out, irr)
+            _set_rad(out, rad)
+        else:
+            _set_irr(out, _FRACTION_ZERO)
+            _set_rad(out, 0)
+        return out
+
+    # -- helpers ---------------------------------------------------------
+
+    @staticmethod
+    def _coerce(value) -> "Scalar":
+        if isinstance(value, Scalar):
+            return value
+        if isinstance(value, _RATIONAL):
+            rat = value if type(value) is Fraction else Fraction(value)
+            return Scalar._new(rat, _FRACTION_ZERO, 0)
+        return NotImplemented  # type: ignore[return-value]
+
+    def _common_rad(self, other: "Scalar") -> int:
+        if self.rad == other.rad:
+            return self.rad
+        if self.rad == 0:
+            return other.rad
+        if other.rad == 0:
+            return self.rad
+        raise RadicandMismatchError(
+            "cannot mix sqrt(%d) with sqrt(%d)" % (self.rad, other.rad)
+        )
+
+    def is_zero(self) -> bool:
+        return not (self.rat or self.irr)
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        rad = self._common_rad(other)
+        return Scalar._new(self.rat + other.rat, self.irr + other.irr, rad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Scalar._new(-self.rat, -self.irr, self.rad)
+
+    def __sub__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        rad = self._common_rad(other)
+        return Scalar._new(self.rat - other.rat, self.irr - other.irr, rad)
+
+    def __rsub__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        rad = self._common_rad(other)
+        rat = self.rat * other.rat + rad * self.irr * other.irr
+        irr = self.rat * other.irr + self.irr * other.rat
+        return Scalar._new(rat, irr, rad)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Scalar":
+        if self.is_zero():
+            raise ZeroDivisionError("scalar division by zero")
+        # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is a^2 when
+        # b = 0, and nonzero as sqrt(d) is irrational for square-free d > 1.
+        norm = self.rat * self.rat - self.rad * self.irr * self.irr
+        return Scalar._new(self.rat / norm, -self.irr / norm, self.rad)
+
+    def __truediv__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return power(self.inverse(), -exponent, ONE)
+        return power(self, exponent, ONE)
+
+    # -- comparison ------------------------------------------------------
+
+    def __eq__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (
+            self.rat == other.rat
+            and self.irr == other.irr
+            and self.rad == other.rad
+        )
+
+    def __hash__(self):
+        # a rational scalar hashes as the int or Fraction it equals
+        if not self.irr:
+            return hash(self.rat)
+        return hash((self.rat, self.irr, self.rad))
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def sign(self) -> int:
+        """Sign of the real value: -1, 0 or +1."""
+        if self.irr == 0:
+            return (self.rat > 0) - (self.rat < 0)
+        if self.rat == 0:
+            return 1 if self.irr > 0 else -1
+        sr = 1 if self.rat > 0 else -1
+        si = 1 if self.irr > 0 else -1
+        if sr == si:
+            return sr
+        # opposite signs: compare rat^2 against rad*irr^2
+        return sr if self.rat * self.rat > self.rad * self.irr * self.irr else si
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __lt__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self - other).sign() < 0
+
+    # -- misc --------------------------------------------------------------
+
+    def __repr__(self):
+        if self.irr == 0:
+            return "Scalar(%s)" % self.rat
+        return "Scalar(%s, %s, rad=%d)" % (self.rat, self.irr, self.rad)
+
+
+# Slot setters that bypass the immutability guard, for ``Scalar._new``.
+_set_rat = Scalar.rat.__set__
+_set_irr = Scalar.irr.__set__
+_set_rad = Scalar.rad.__set__
+
+ONE = Scalar(1)
+
+
+def _narrow(value):
+    """An exact value in its narrowest type: the ``int`` or ``Fraction`` of a
+    rational value (an ``int`` is its own numerator over 1), or the
+    ``Scalar`` itself when its irrational part is nonzero."""
+    if type(value) is Scalar:
+        if value.irr:
+            return value
+        value = value.rat
+    return value.numerator if value.denominator == 1 else value
+
+
+def parts(value) -> tuple:
+    """``(rat, irr, rad)`` of an exact value: a ``Scalar``'s own parts, and
+    ``(value, 0, 0)`` for an ``int`` or a ``Fraction``.  TypeError for
+    anything else."""
+    if type(value) is Scalar:
+        return value.rat, value.irr, value.rad
+    if isinstance(value, _RATIONAL):
+        return value, 0, 0
+    raise TypeError("%r is not an int, a Fraction or a Scalar" % (value,))
+
+
+def _integer_form(value) -> tuple[int, int, int, int]:
+    """``(a, b, d, m)`` of a narrow value ``(a + b*sqrt(d))/m`` in ints, m > 0
+    the least common denominator of its parts and ``b = d = 0`` when it is
+    rational."""
+    kind = type(value)
+    if kind is int:
+        return value, 0, 0, 1
+    if kind is Fraction:
+        return value.numerator, 0, 0, value.denominator
+    rat, irr = value.rat, value.irr
+    m = math.lcm(rat.denominator, irr.denominator)
+    return (rat.numerator * (m // rat.denominator),
+            irr.numerator * (m // irr.denominator), value.rad, m)
+
+
+def _from_integer_form(a, b, d: int, m: int):
+    """The narrow value ``(a + b*sqrt(d))/m`` for ``int`` or ``Fraction`` a
+    and b, an int m > 0, and d the square-free radicand, greater than 1,
+    whenever b is nonzero: the inverse of :func:`_integer_form`."""
+    if b:
+        return Scalar._new(Fraction(a, m), Fraction(b, m), d)
+    return _narrow(Fraction(a, m)) if a else 0
+
+
+def scalar_sqrt(value):
+    """Exact nonnegative square root of a nonnegative exact value, narrow.
+
+    Raises :class:`NotRepresentableError` if no square root exists within
+    a single quadratic extension (use of a second radicand is never
+    attempted when the input already carries one).
+    """
+    rat, irr, rad = parts(value)
+    if value < 0:
+        raise NotRepresentableError("square root of a negative value")
+    if not irr:
+        r = rational_sqrt(Fraction(rat))
+        if r is not None:
+            return _narrow(r)
+        # sqrt(num/den) = sqrt(num*den)/den = (f/den)*sqrt(m)
+        f, m = square_free_split(rat.numerator * rat.denominator)
+        return Scalar(0, Fraction(f, rat.denominator), m)
+    # (u + v*sqrt(d))^2 = value requires u^2 = (rat +- r)/2 with
+    # r = sqrt(rat^2 - d*irr^2) rational.
+    norm = rat * rat - rad * irr * irr
+    if norm >= 0:
+        r = rational_sqrt(norm)
+        if r is not None:
+            for branch in (r, -r):
+                usq = (rat + branch) / 2
+                if usq <= 0:
+                    continue
+                u = rational_sqrt(usq)
+                if u is None or u == 0:
+                    continue
+                v = irr / (2 * u)
+                cand = Scalar(u, v, rad)
+                if cand * cand == value:
+                    return cand if cand.sign() > 0 else -cand
+    raise NotRepresentableError(
+        "no exact square root in Q(sqrt(%d))" % rad
+    )

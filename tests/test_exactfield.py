@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import reference_copies
+from linnij import textio
 from linnij.errors import NotRepresentableError, RadicandMismatchError
 from linnij.exactfield import (
-    ONE, Scalar, _content, _integral, _integral_row, _narrow, _quotient, parts,
-    scalar_sqrt, square_free_split)
+    ONE, Scalar, _content, _from_integer_form, _integer_form, _integral,
+    _integral_row, _narrow, _quotient, parts, scalar_sqrt, square_free_split)
 from linnij.nijenhuis import StructureConstants
 
 
@@ -313,3 +315,120 @@ def test_rational_scalars_hash_as_the_rationals_they_equal():
         assert hash(Scalar(value)) == hash(value)
     assert {Scalar(2): "two"}[2] == "two"
     assert {Fraction(1, 2): "half"}[Scalar(Fraction(1, 2))] == "half"
+
+
+RADICANDS = (2, 3, 5, 6, 7)
+
+
+def _draw_part(rng, big):
+    """An int or Fraction part, some with 100-digit numerator and denominator."""
+    if big:
+        top = rng.randrange(10**99, 10**100) * rng.choice((-1, 1))
+        return top if rng.random() < 0.3 else Fraction(top, rng.randrange(10**99, 10**100))
+    top = rng.randint(-30, 30)
+    return top if rng.random() < 0.3 else Fraction(top, rng.randint(1, 12))
+
+
+def _draw(rng, rad):
+    """``(rat, irr, rad)`` of a zero, a rational or an irrational over ``rad``."""
+    kind = rng.random()
+    big = rng.random() < 0.15
+    if kind < 0.08:
+        return 0, 0, rng.choice((0, rad))
+    if kind < 0.3:
+        return _draw_part(rng, big), 0, 0
+    return _draw_part(rng, big), _draw_part(rng, big), rad
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, RadicandMismatchError, NotRepresentableError) as exc:
+        return type(exc)
+
+
+def _agrees(new, old):
+    """``new``, computed by ``Scalar``, is ``old``, computed by the reference:
+    the same error class, the same narrow type and value, or a Scalar with
+    the reference's parts and integer form."""
+    if type(old) is reference_copies.Scalar:
+        return (type(new) is Scalar
+                and (new.rat, new.irr, new.rad) == (old.rat, old.irr, old.rad)
+                and _integer_form(new) == reference_copies._integer_form(old))
+    return type(new) is type(old) and new == old
+
+
+def test_scalar_matches_the_fraction_reference_seeded(monkeypatch):
+    # the four-int Scalar against the two-Fraction one it replaced, on every
+    # operation and reader, over rationals, radicands 2, 3, 5, 6 and 7,
+    # zero, sums that cancel the irrational part and 100-digit parts
+    ref = reference_copies
+    rng = random.Random(3701)
+    seen = dict.fromkeys(("rational", "zero", "big", "cancelled", "mismatch",
+                          "zero division") + RADICANDS, 0)
+    binary = (operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+
+    def formatted(value, reader):
+        with monkeypatch.context() as patch:
+            patch.setattr(textio, "parts", reader)
+            return textio.format_scalar(value)
+
+    for _ in range(2000):
+        rad = rng.choice(RADICANDS)
+        x_parts = _draw(rng, rad)
+        y_parts = _draw(rng, rad if rng.random() < 0.9 else rng.choice(RADICANDS))
+        if x_parts[1] and rng.random() < 0.2:
+            y_parts = (y_parts[0], -x_parts[1], rad)  # x + y is rational
+        nx, ox = Scalar(*x_parts), ref.Scalar(*x_parts)
+        ny, oy = Scalar(*y_parts), ref.Scalar(*y_parts)
+        seen[nx.rad] = seen.get(nx.rad, 0) + 1
+        seen["zero"] += not nx
+        seen["rational"] += bool(nx) and not nx.rad
+        seen["big"] += max(abs(nx.rat.numerator), abs(nx.irr.numerator)) > 10**90
+        seen["cancelled"] += bool(nx.rad and ny.rad == nx.rad and not (nx + ny).rad)
+        # a rational y also meets x as the int or Fraction it is
+        operands = [(ny, oy)]
+        if not ny.rad:
+            operands.append((_narrow(ny),) * 2)
+        for new, old in operands:
+            for op in binary:
+                for got, want in ((_outcome(op, nx, new), _outcome(op, ox, old)),
+                                  (_outcome(op, new, nx), _outcome(op, old, ox))):
+                    assert _agrees(got, want), (op, x_parts, y_parts)
+                    seen["mismatch"] += want is RadicandMismatchError
+                    seen["zero division"] += want is ZeroDivisionError
+        for fn in (operator.neg, operator.abs, bool, repr, hash, Scalar.sign,
+                   Scalar.inverse, Scalar.is_zero):
+            old_fn = getattr(ref.Scalar, fn.__name__, fn)
+            assert _agrees(_outcome(fn, nx), _outcome(old_fn, ox)), (fn, x_parts)
+        for k in (-3, -1, 0, 1, 2, 4):
+            assert _agrees(_outcome(pow, nx, k), _outcome(pow, ox, k)), (k, x_parts)
+        assert _agrees(_narrow(nx), ref._narrow(ox))
+        assert parts(nx) == ref.parts(ox)
+        assert [type(p) for p in parts(nx)] == [type(p) for p in ref.parts(ox)]
+        assert _integer_form(_narrow(nx)) == ref._integer_form(ref._narrow(ox))
+        assert _agrees(_from_integer_form(*_integer_form(nx)),
+                       ref._from_integer_form(*ref._integer_form(ox)))
+        k = rng.randint(1, 6)
+        assert _agrees(_from_integer_form(nx.rat, nx.irr, nx.rad, k),
+                       ref._from_integer_form(ox.rat, ox.irr, ox.rad, k))
+        for value, old in ((nx, ox), (_narrow(nx), ref._narrow(ox))):
+            assert textio.format_scalar(value) == formatted(old, ref.parts)
+        assert _agrees(_outcome(scalar_sqrt, nx * nx), _outcome(ref.scalar_sqrt, ox * ox))
+        if max(abs(nx.rat.numerator), nx.rat.denominator) < 10**6:
+            # a rational square root that does not exist factors the value
+            assert _agrees(_outcome(scalar_sqrt, nx), _outcome(ref.scalar_sqrt, ox))
+        if not nx.rad:
+            # a rational scalar equals and hashes as its int or Fraction
+            value = _narrow(nx)
+            assert nx == value and value == nx and hash(nx) == hash(value)
+            assert type(value) is (int if nx.rat.denominator == 1 else Fraction)
+    assert min(seen.values()) >= 20, seen
+    with pytest.raises(ZeroDivisionError):
+        Scalar(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Scalar(1, 1, 3) / Fraction(0)
+    with pytest.raises(RadicandMismatchError):
+        Scalar(1, 1, 6) < Scalar(1, 1, 7)

@@ -19,7 +19,9 @@ ring's accessors.
 Every exact value outside ``exactfield`` is narrow, an ``int``, a
 ``Fraction`` or a ``Scalar`` with a nonzero irrational part, and its parts
 are read through ``exactfield``'s readers: only ``exactfield`` reads
-``.rat``, ``.irr`` or ``.rad``, and only it calls ``Scalar._new``.
+``.rat``, ``.irr`` or ``.rad``, or the int fields ``._a``, ``._b`` and
+``._m`` of a ``Scalar``'s ``(a + b*sqrt(rad))/m``, names that no other
+class of the package uses, and only it calls ``Scalar._new``.
 
 The ring has one sum-of-products loop, ``polyring._dot_at``: ``dot`` only
 checks and converts its factors before it, and it is the one caller of
@@ -129,12 +131,13 @@ def test_term_dict_read_is_reported():
 
 
 PART_READERS = ("exactfield.py",)
+SCALAR_PARTS = ("rat", "irr", "rad", "_a", "_b", "_m")
 
 
 def part_reads(source, filename):
     tree = ast.parse(source, filename)
     return ["%s:%d" % (filename, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("rat", "irr", "rad")]
+            if isinstance(node, ast.Attribute) and node.attr in SCALAR_PARTS]
 
 
 def test_only_the_field_reads_scalar_parts():
@@ -147,10 +150,10 @@ def test_only_the_field_reads_scalar_parts():
 
 def test_scalar_part_read_is_reported():
     source = ("def f(v, w):\n"
-              "    if v.irr:\n"
+              "    if v.irr or w._m:\n"
               "        return v.rat, w.rad\n"
-              "    return parts(v), 'v.rat', getattr(v, 'irr')\n")
-    assert part_reads(source, "m.py") == ["m.py:2", "m.py:3", "m.py:3"]
+              "    return parts(v), 'v.rat', getattr(v, 'irr'), v.a\n")
+    assert part_reads(source, "m.py") == ["m.py:2", "m.py:2", "m.py:3", "m.py:3"]
 
 
 def trusted_scalar_builds(source, filename):
