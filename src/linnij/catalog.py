@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
-from .exactfield import _narrow, parts
+from .exactfield import _integer_form, _narrow
 from .polyring import Poly, _linear_form, dot
-from .polymatrix import PolyMatrix, charpoly_sigmas, companion_matrix, jacobian
+from .polymatrix import PolyMatrix, charpoly_sigmas, covariance_defects, jacobian
 from .nijenhuis import (
     StructureConstants,
     _nondegenerate_jacobian,
@@ -141,11 +143,11 @@ def _data_radicand(operator, sigmas, relations, change):
     for s in sigmas:
         rad = _merge_rad(rad, s.radicand())
     for (_, _, _, coeff) in relations.relations():
-        rad = _merge_rad(rad, parts(coeff)[2])
+        rad = _merge_rad(rad, _integer_form(coeff)[2])
     if change is not None:
         for row in change:
             for value in row:
-                rad = _merge_rad(rad, parts(value)[2])
+                rad = _merge_rad(rad, _integer_form(value)[2])
     return rad
 
 
@@ -202,6 +204,15 @@ def load_catalog(path=None):
 # -- verification --------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _packaged_targets():
+    """The packaged catalog's entries by id, parsed once per process: the
+    targets of :func:`verify_entry`'s change check when none are given.
+    Entries are immutable and the mapping read-only, so every caller can
+    share them."""
+    return MappingProxyType({e.id: e for e in load_catalog()})
+
+
 class EntryReport(Record):
     """Outcome of verifying one entry: (name, ok, detail) per check."""
 
@@ -229,7 +240,8 @@ def verify_entry(entry, targets=None):
     The checks, in order: torsion, charpoly, relations, nondegenerate,
     covariance and, where a change is recorded, change.  Failures are data
     (the report), not exceptions.  ``targets`` maps entry ids to entries and
-    is consulted for the change check (default: the packaged catalog).
+    is consulted for the change check (default: the packaged catalog,
+    parsed once per process).
     """
     checks = []
 
@@ -256,15 +268,13 @@ def verify_entry(entry, targets=None):
     checks.append(("nondegenerate", nondeg,
                    None if nondeg else "sigma Jacobian determinant vanishes"))
 
-    lhs = jac @ entry.operator
-    rhs = companion_matrix(list(entry.sigmas)) @ jac
-    spots = _differing_positions(lhs, rhs)
+    spots = covariance_defects(jac, entry.operator, entry.sigmas)
     checks.append(("covariance", not spots,
                    None if not spots else "J*L != S*J at %s" % spots))
 
     if entry.change is not None:
         if targets is None:
-            targets = {e.id: e for e in load_catalog()}
+            targets = _packaged_targets()
         target = targets.get(entry.target)
         if target is None:
             checks.append(("change", False, "missing target entry %r" % entry.target))

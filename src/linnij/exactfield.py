@@ -18,12 +18,13 @@ that parsers, the catalog loader and user code go through: it takes ``int``
 or ``Fraction`` parts and an ``int`` radicand (anything else, a float or a
 string included, is a ``TypeError``) and checks the radicand; the private
 ``Scalar._new`` then brings the parts over their least common denominator.
-Every scalar, the constructor's and each arithmetic result, is built by
-the one normaliser :func:`_scalar`, which divides out ``gcd(a, b, m)``
-with one :func:`math.gcd` and drops the radicand of a vanished irrational
-part.  Each operation has one formula on ints, and reads an ``int`` or
-``Fraction`` operand through its numerator and denominator; a sum of two
-values over the same m adds the numerators alone.
+Every scalar, the constructor's, each arithmetic result and each copy or
+unpickled one, is built by the one normaliser :func:`_scalar`, which
+divides out ``gcd(a, b, m)`` with one :func:`math.gcd` and drops the
+radicand of a vanished irrational part.  Each operation has one formula
+on ints, and reads an ``int`` or ``Fraction`` operand through its
+numerator and denominator; a sum of two values over the same m adds the
+numerators alone.
 
 A rational scalar equals the ``int`` or ``Fraction`` of the same value and
 hashes as it does.  Outside this module every exact value is narrow: an
@@ -152,6 +153,10 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a scalar from its four ints
+        return _scalar, (self._a, self._b, self.rad, self._m)
 
     @staticmethod
     def _new(rat, irr, rad: int) -> "Scalar":

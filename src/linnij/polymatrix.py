@@ -28,6 +28,14 @@ operator or the Toeplitz column in the Berkowitz loop.  Those positions
 are listed once per vector (``_support``), so a sparse matrix pays for its
 nonzero entries, and no pair of factors is copied into a list first.
 
+The companion matrix S of the sigmas is never formed by the package:
+:func:`_companion_rows` builds the rows of S M as M_{i+1} - sigma_i M_0,
+for polynomial rows (S J of the symbolic reconstruction) and scalar rows
+(S(p) J(p) of the point path) alike, and :func:`covariance_defects`
+checks J L = S J one entry at a time, each entry one :func:`_dot_at` sum
+compared with an entry of J.  :func:`companion_matrix` stays as the
+public form of S and the tests' independent cross-check.
+
 Certificates by evaluation use :meth:`PolyMatrix.at` and :func:`seeded_points`:
 a nonzero exact value at a point proves a polynomial nonzero (Schwartz,
 J. ACM 1980); a zero value proves nothing.
@@ -259,6 +267,54 @@ def companion_matrix(sigmas: Sequence[Poly]) -> PolyMatrix:
             row[i + 1] = one
         rows.append(row)
     return PolyMatrix(rows)
+
+
+def _companion_rows(sigmas: Sequence, rows: Sequence[Sequence], zero) -> list[list]:
+    """The rows of S M, for S the :func:`companion_matrix` of ``sigmas`` and
+    M the matrix of ``rows``, without forming S: row i is
+    M_{i+1} - sigma_i M_0, with M_n a row of ``zero``.  Only the entries
+    where M_0 is nonzero are touched, and it runs alike on rows of
+    polynomials and on rows of scalars."""
+    first = rows[0]
+    below = [*rows[1:], [zero] * len(first)]
+    return [[b - s * v if v else b for v, b in zip(first, row)]
+            for s, row in zip(sigmas, below)]
+
+
+def covariance_defects(jac: PolyMatrix, operator: PolyMatrix, sigmas: Sequence[Poly]
+                       ) -> list[tuple[int, int]]:
+    """The 1-based positions (row, column), in row order, where J L != S J,
+    for J = ``jac``, L = ``operator`` and S the companion matrix of
+    ``sigmas``.
+
+    Entry (i, k) of S J is J_{i+1,k} - sigma_i J_0k (:func:`_companion_rows`,
+    J_n = 0), so the identity there reads
+    sum_j J_ij L_jk + sigma_i J_0k == J_{i+1,k}: one :func:`_dot_at` of row
+    i of J, sigma_i appended, against column k of L, J_0k appended, over
+    the column's nonzero positions and the appended one when J_0k is
+    nonzero.  Neither S, S J nor J L is formed."""
+    n, m = jac.rows, jac.cols
+    nvars = jac.nvars
+    if (len(sigmas) != n or operator.rows != m or operator.cols != m
+            or operator.nvars != nvars or any(s.nvars != nvars for s in sigmas)):
+        raise DimensionMismatchError("shape or ring mismatch in J*L = S*J")
+    rows = jac.entries
+    first = rows[0]
+    cols = []
+    for k, col in enumerate(zip(*operator.entries)):
+        support = _support(col)
+        if first[k]:
+            col += (first[k],)
+            support.append(m)
+        cols.append((col, support))
+    zero = Poly.zero(nvars)
+    below = [*rows[1:], [zero] * m]
+    spots = []
+    for i, (s, row, target) in enumerate(zip(sigmas, rows, below)):
+        left = (*row, s)
+        spots += [(i + 1, k + 1) for k, (col, support) in enumerate(cols)
+                  if _dot_at(left, col, support, nvars) != target[k]]
+    return spots
 
 
 def charpoly_sigmas(operator: PolyMatrix) -> list[Poly]:

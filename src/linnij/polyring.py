@@ -51,7 +51,8 @@ included), every coefficient must be an ``int``, a ``Fraction`` or a
 narrowed, and zero coefficients are dropped.  The same holds for
 ``Poly.constant``, ``Poly.monomial`` and ``Poly.scale``.  Results of ring
 operations are built from terms the ring produced itself, through the
-private ``Poly._new``, and are not checked again.
+private ``Poly._new``, and are not checked again; ``copy`` and ``pickle``
+rebuild a polynomial through it too.
 
 Two private kernels add terms into a coefficient dict, narrowing every
 result and dropping every sum that cancels: ``_add_terms`` (``+``, ``-``,
@@ -105,10 +106,10 @@ follows the exponents that occur and not the highest of them;
 bits is a :class:`~linnij.errors.FormatError`, never a hang.
 
 A value's parts are read, and the kernel's result is built, through
-:mod:`linnij.exactfield`: ``parts`` reads a value's ``Fraction`` parts,
-``_integer_form`` its ``(a, b, d, m)``, for a ``Scalar`` the four ints it
-holds, and its inverse ``_from_integer_form`` normalises the kernel's sum
-once.
+:mod:`linnij.exactfield`: ``_integer_form`` reads a value's
+``(a, b, d, m)``, for a ``Scalar`` the four ints it holds, so reading a
+radicand or a ``Scalar`` coefficient builds no ``Fraction``, and its
+inverse ``_from_integer_form`` normalises the kernel's sum once.
 
 The packed dict is read here and by the parser and printer in
 :mod:`linnij.textio` only; other modules use :func:`exponent_sets`,
@@ -121,13 +122,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, FormatError
 from .exactfield import (
-    Scalar, _from_integer_form, _integer_form, _narrow, _size, parts, power)
+    Scalar, _from_integer_form, _integer_form, _narrow, _size, power)
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -215,6 +216,10 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a polynomial from its packed terms
+        return Poly._new, (self.nvars, self.width, self.packed)
 
     @staticmethod
     def _new(nvars: int, width: int, packed: dict[int, Coefficient]) -> "Poly":
@@ -519,7 +524,7 @@ class Poly:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
         for coeff in self.packed.values():
             if type(coeff) is Scalar:
-                return parts(coeff)[2]
+                return _integer_form(coeff)[2]
         return 0
 
     def __repr__(self):
@@ -878,10 +883,13 @@ def _scaling_inflates(values: Sequence, exponents: Sequence, scale: int) -> bool
             if type(v) is int:
                 bits = v.bit_length()
             else:
-                rat, irr, _ = parts(v)
-                bits = rat.numerator.bit_length() + rat.denominator.bit_length()
-                if irr:
-                    bits += irr.numerator.bit_length() + irr.denominator.bit_length()
+                # the numerators and denominators of a/m and b/m in lowest terms
+                a, b, _, m = _integer_form(v)
+                g = gcd(a, m)
+                bits = (a // g).bit_length() + (m // g).bit_length()
+                if b:
+                    g = gcd(b, m)
+                    bits += (b // g).bit_length() + (m // g).bit_length()
             if 2 * bits < limit:
                 return True
     return False
@@ -931,7 +939,7 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
     for key, coeff in p.packed.items():
         kind = type(coeff)
         if kind is Scalar:
-            rat, irr, d = parts(coeff)
+            ca, cb, d, cm = _integer_form(coeff)
             if rad and d != rad:
                 exponents = [row or () for row in rows]
                 return _value_at(p, (_narrow_rows(values, exponents), 1, None, values))
@@ -961,7 +969,10 @@ def _value_at(p: Poly, table: tuple) -> Coefficient:
                 total_b *= m
                 deg = k
             if kind is Scalar:
-                a, b = rat * a + rad * irr * b, rat * b + irr * a
+                # (ca + cb*sqrt(d))/cm times a + b*sqrt(d)
+                a, b = ca * a + rad * cb * b, ca * b + cb * a
+                if cm != 1:
+                    a, b = Fraction(a, cm), Fraction(b, cm)
             else:
                 a *= coeff
                 b *= coeff

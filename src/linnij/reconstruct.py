@@ -1,13 +1,17 @@
 """Reconstruction of operators from sigma sets and the linearity systems.
 
-Given sigmas (sigma_1, ..., sigma_n), form the Jacobian J and the companion
-matrix S; the operator with these characteristic coefficients satisfies
-J L = S J, and when det J is not zero it is the unique solution
-L = adj(J) S J / det(J).  Two paths find it.
+Given sigmas (sigma_1, ..., sigma_n), form the Jacobian J; with S their
+companion matrix, the operator with these characteristic coefficients
+satisfies J L = S J, and when det J is not zero it is the unique solution
+L = adj(J) S J / det(J).  Neither path forms S: row i of S J is
+J_{i+1} - sigma_i J_0 (:func:`~linnij.polymatrix._companion_rows`), and
+:func:`~linnij.polymatrix.covariance_defects` checks J L = S J entry by
+entry.  Two paths find L.
 
-The symbolic path stays in the polynomial ring: the candidate is carried as
-a matrix of numerators adj(J) S J over the shared denominator det(J), and an
-operator exists iff the denominator divides every numerator exactly.  It
+The symbolic path stays in the polynomial ring: the candidate is carried
+as a matrix of numerators adj(J) (S J) over the shared denominator
+det(J), and an operator exists iff the denominator divides every
+numerator exactly.  It
 also names the entries that fail to divide, and serves the linearity
 systems below.
 
@@ -15,17 +19,18 @@ The point path serves sets of at least four sigmas, where the adjugate of
 n^2 cofactor determinants makes the symbolic path slow.  It evaluates,
 solves and certifies: at integer points p it solves
 J(p) L(p) = S(p) J(p) exactly, reads the linear operator
-L = sum_k x_k A_k off a base point p and the n points p + e_k, each one
-higher in one coordinate, and keeps that candidate only when J L == S J
-holds as a polynomial identity.  The identity is the proof: an invertible
-J(p) shows that det J is not zero (Schwartz, J. ACM 1980), so the
-candidate is the unique solution; the base points, drawn from
+L = sum_k x_k A_k off a base point p and the n - 1 points p + e_k for
+k < n, each one higher in one coordinate, the last slope from L(p)
+itself, as a linear L is homogeneous, and keeps that candidate only when
+J L == S J holds as a polynomial identity.  The identity is the proof:
+an invertible J(p) shows that det J is not zero (Schwartz, J. ACM 1980),
+so the candidate is the unique solution; the base points, drawn from
 :func:`~linnij.polymatrix.seeded_points` as for the nondegeneracy
 certificate, only decide how fast it is found.  Every other outcome
-(sigmas that no linear operator has, no base point at which all n + 1
-points give an invertible J(p), the identity failing, mixed radicands) runs
-the symbolic path, which gives the same answer or diagnosis as it does
-alone.  The point path never forms det J.
+(sigmas that no linear operator has, no base point with p_n nonzero at
+which all n points give an invertible J(p), the identity failing, mixed
+radicands) runs the symbolic path, which gives the same answer or
+diagnosis as it does alone.  The point path never forms det J.
 
 For the classification runs the sigmas carry symbolic coefficients.  Those
 parameters are ordinary variables of the same sparse-polynomial ring,
@@ -59,7 +64,8 @@ from .errors import (
 )
 from .polymatrix import (
     PolyMatrix,
-    companion_matrix,
+    _companion_rows,
+    covariance_defects,
     jacobian,
     scalar_mat_inverse,
     scalar_mat_mul,
@@ -94,26 +100,28 @@ class ReconstructionResult(Record):
 
 def reconstruction_pieces(sigmas: Sequence[Poly]) -> tuple[PolyMatrix, Poly]:
     """Numerator matrix adj(J) S J and denominator det(J), with J taken
-    by the first len(sigmas) ring variables.  A zero det(J) raises
+    by the first len(sigmas) ring variables and S J built by its rows
+    (:func:`~linnij.polymatrix._companion_rows`).  A zero det(J) raises
     :class:`DependentSigmasError` naming J's dependent rows, 1-based."""
     j = jacobian(sigmas, wrt=range(len(sigmas)))
     q = j.determinant()
     if q.is_zero():
         raise DependentSigmasError([i + 1 for i in j.dependent_rows()])
-    s = companion_matrix(list(sigmas))
-    return j.adjugate() @ s @ j, q
+    sj = PolyMatrix(_companion_rows(sigmas, j.entries, Poly.zero(j.nvars)))
+    return j.adjugate() @ sj, q
 
 
 #: The point path runs for sets of at least this many sigmas, a property of
-#: the input alone.  In-process best times of three runs, symbolic -> point
-#: path, in ms (2-CPU Xeon, Python 3.11, packed exponent keys, point values
-#: in int and Fraction, elimination on primitive integral rows, candidate
-#: entries built on the variables' keys), at n = 3, 4, 5 and 6: blocks
-#: 0.34 -> 0.35, 2.2 -> 0.67, 14 -> 1.2 and 445 -> 2.6; L2 0.29 -> 0.33,
-#: 0.86 -> 0.52, 2.4 -> 0.76 and 5.9 -> 1.1; L1 0.23 -> 0.35, 0.55 -> 0.52,
-#: 1.3 -> 0.82 and 3.2 -> 1.1; the 23 catalog sets, all with n <= 3, 13.9
-#: -> 13.2.  Below four sigmas the point path loses on L1 and L2 and ties
-#: on blocks; from four on every set gains.
+#: the input alone.  In-process best times, symbolic -> point path, in ms
+#: (2-CPU Xeon, Python 3.11, packed exponent keys, point values in int and
+#: Fraction, elimination on primitive integral rows, the operator read off
+#: n points, S J built by rows and J L = S J checked entry by entry), at
+#: n = 3, 4, 5 and 6: blocks 0.34 -> 0.32, 2.4 -> 0.62, 15 -> 1.2 and
+#: 554 -> 2.3; L2 0.31 -> 0.30, 0.90 -> 0.47, 2.5 -> 0.72 and 6.3 -> 0.97;
+#: L1 0.25 -> 0.31, 0.59 -> 0.48, 1.4 -> 0.79 and 3.4 -> 1.1; the 23
+#: catalog sets, all with n <= 3, 10.9 either way.  Below four sigmas the
+#: point path loses on L1 and ties on L2 and blocks; from four on every
+#: set gains.
 POINT_PATH_MIN_SIGMAS = 4
 
 
@@ -122,14 +130,20 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     values at integer points and kept when the identity holds; None when no
     candidate turns up or the identity fails.
 
-    L(p) solves J(p) L(p) = S(p) J(p).  The base point p is the first
-    :func:`~linnij.polymatrix.seeded_points` point at which J is invertible
-    at p and at every p + e_k, the point one higher in coordinate k; then
-    A_k = L(p + e_k) - L(p).  The n + 1 points are evaluated by one
-    :meth:`~linnij.polymatrix.PolyMatrix.at` call, which stops at the first
-    singular J.  A linear L has sigma_i homogeneous of degree i, so other
-    sigmas return None at once.  The values at the points, and with them
-    S(p) J(p), L(p) and the slopes, are in the ring's narrow types.
+    L(p) solves J(p) L(p) = S(p) J(p), with S(p) J(p) built by its rows
+    (:func:`~linnij.polymatrix._companion_rows`).  The base point p is the
+    first :func:`~linnij.polymatrix.seeded_points` point with p_n nonzero
+    at which J is invertible at p and at every p + e_k for k < n, the
+    point one higher in coordinate k; then A_k = L(p + e_k) - L(p), and,
+    as a linear L is homogeneous of degree 1,
+    A_n = (L(p) - sum_{k<n} p_k A_k) / p_n.  The n points are evaluated
+    by one :meth:`~linnij.polymatrix.PolyMatrix.at` call, which stops at
+    the first singular J.  A linear L has sigma_i homogeneous of degree i,
+    so other sigmas return None at once.  The values at the points, and
+    with them S(p) J(p), L(p) and the slopes, are in the ring's narrow
+    types.  The candidate is kept only when
+    :func:`~linnij.polymatrix.covariance_defects` finds no position where
+    J L and S J differ.
     """
     n = len(sigmas)
     if not all(s.is_homogeneous(i) for i, s in enumerate(sigmas, start=1)):
@@ -137,28 +151,25 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     j = jacobian(sigmas)
     # row i: sigma_i, then its gradient; one evaluation gives S(p) and J(p)
     sigmas_and_j = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
-    zeros = [0] * n
 
     def solved(values):
         """The entries of L(p), row by row, from the values of
         ``sigmas_and_j`` at p, or None if J(p) is singular."""
-        sp = [row[0] for row in values]
         jp = [row[1:] for row in values]
-        # S(p) J(p) by the companion structure: row i is
-        # J_{i+1}(p) - sigma_i(p) J_0(p), with J_n = 0
-        sjp = [[below - s * v if v else below for v, below in zip(jp[0], next_row)]
-               for s, next_row in zip(sp, jp[1:] + [zeros])]
+        sjp = _companion_rows([row[0] for row in values], jp, 0)
         try:
             return [v for row in scalar_solve(jp, sjp) for v in row]
         except SingularMatrixError:
             return None
 
     for base in seeded_points(n):
+        if not base[-1]:
+            continue
         points = [base] + [base[:k] + [base[k] + 1] + base[k + 1 :]
-                           for k in range(n)]
+                           for k in range(n - 1)]
         found = list(takewhile(lambda v: v is not None,
                                map(solved, sigmas_and_j.at(points))))
-        if len(found) == n + 1:
+        if len(found) == n:
             break
     else:
         return None
@@ -166,10 +177,19 @@ def _operator_by_points(sigmas: Sequence[Poly]) -> PolyMatrix | None:
     # slopes[k]: the entries of A_k, row by row
     slopes = [[_narrow(v - w) if v or w else v for v, w in zip(at_point, at_base)]
               for at_point in found[1:]]
+    # A_n: what sum_{k<n} p_k A_k leaves of L(p), over p_n
+    last = []
+    inverse = _reciprocal(base[-1])
+    for e, v in enumerate(at_base):
+        for p, slope in zip(base, slopes):
+            if p and slope[e]:
+                v = v - p * slope[e]
+        last.append(_narrow(v * inverse) if v else v)
+    slopes.append(last)
     candidate = PolyMatrix([
         [_linear_form(n, enumerate(slope[r * n + c] for slope in slopes)) for c in range(n)]
         for r in range(n)])
-    if j @ candidate != companion_matrix(sigmas) @ j:
+    if covariance_defects(j, candidate, sigmas):
         return None
     return candidate
 

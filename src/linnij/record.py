@@ -6,6 +6,11 @@ order, in ``__slots__``; that tuple is the only place the fields are named.
 and records compare and hash by their field values.  Subclasses add methods
 and properties but no fields beyond their own ``__slots__``, and derive
 directly from ``Record``.
+
+``copy``, ``deepcopy`` and ``pickle`` rebuild a record by :func:`_restore`,
+which fills a new one through ``Record.__init__`` from the field values of
+one that was already built, so a subclass's own checks are not run again
+and the immutability guard is never passed.
 """
 
 _set_field = object.__setattr__
@@ -30,6 +35,9 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -40,3 +48,12 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+
+def _restore(cls, values: tuple) -> Record:
+    """The record of class ``cls`` with the field ``values``, in
+    ``__slots__`` order, filled by ``Record.__init__`` without the
+    subclass's constructor."""
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record

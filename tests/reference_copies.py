@@ -9,8 +9,12 @@ monomial started from the constant 1.  ``Scalar`` is ``exactfield.Scalar``
 as it was when it held ``rat + irr*sqrt(rad)`` as two ``Fraction`` parts,
 with the readers that went with it (``_narrow``, ``parts``,
 ``_integer_form``, ``_from_integer_form``) and the ``scalar_sqrt`` that
-ran on them.  Each is kept verbatim in substance, so the faster code can
-be checked against it.
+ran on them.  ``covariance_positions``, ``reconstruction_pieces`` and
+``operator_by_points`` are the covariance check of ``verify_entry``, the
+symbolic pieces and the point path as they were when each multiplied by
+the companion matrix S, the point path reading its operator off n + 1
+points.  Each is kept verbatim in substance, so the faster code can be
+checked against it.
 """
 
 import math
@@ -18,8 +22,15 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-from linnij.errors import FormatError, NotRepresentableError, RadicandMismatchError
+from itertools import takewhile
+
+from linnij.errors import (
+    DependentSigmasError, FormatError, NotRepresentableError, RadicandMismatchError,
+    SingularMatrixError)
+from linnij import exactfield
 from linnij.exactfield import power, rational_sqrt, square_free_split
+from linnij.polymatrix import (
+    PolyMatrix, companion_matrix, jacobian, scalar_solve, seeded_points)
 from linnij.polyring import (
     _MIN_WIDTH, Poly, _exact, _field_mask, _fields, _linear_form, dot)
 from linnij.reconstruct import Equation, LinearitySystem
@@ -196,6 +207,61 @@ def substitute_linear(polys, matrix):
             monomials.append(monomial)
         out.append(dot(p.packed.values(), monomials, zero))
     return out
+
+
+def covariance_positions(jac, operator, sigmas):
+    lhs = jac @ operator
+    rhs = companion_matrix(list(sigmas)) @ jac
+    return [(r + 1, c + 1) for r in range(lhs.rows) for c in range(lhs.cols)
+            if lhs[r, c] != rhs[r, c]]
+
+
+def reconstruction_pieces(sigmas):
+    j = jacobian(sigmas, wrt=range(len(sigmas)))
+    q = j.determinant()
+    if q.is_zero():
+        raise DependentSigmasError([i + 1 for i in j.dependent_rows()])
+    s = companion_matrix(list(sigmas))
+    return j.adjugate() @ s @ j, q
+
+
+def operator_by_points(sigmas):
+    n = len(sigmas)
+    if not all(s.is_homogeneous(i) for i, s in enumerate(sigmas, start=1)):
+        return None
+    j = jacobian(sigmas)
+    sigmas_and_j = PolyMatrix([(s,) + row for s, row in zip(sigmas, j.entries)])
+    zeros = [0] * n
+
+    def solved(values):
+        sp = [row[0] for row in values]
+        jp = [row[1:] for row in values]
+        sjp = [[below - s * v if v else below for v, below in zip(jp[0], next_row)]
+               for s, next_row in zip(sp, jp[1:] + [zeros])]
+        try:
+            return [v for row in scalar_solve(jp, sjp) for v in row]
+        except SingularMatrixError:
+            return None
+
+    for base in seeded_points(n):
+        points = [base] + [base[:k] + [base[k] + 1] + base[k + 1 :]
+                           for k in range(n)]
+        found = list(takewhile(lambda v: v is not None,
+                               map(solved, sigmas_and_j.at(points))))
+        if len(found) == n + 1:
+            break
+    else:
+        return None
+    at_base = found[0]
+    slopes = [[exactfield._narrow(v - w) if v or w else v
+               for v, w in zip(at_point, at_base)]
+              for at_point in found[1:]]
+    candidate = PolyMatrix([
+        [_linear_form(n, enumerate(slope[r * n + c] for slope in slopes)) for c in range(n)]
+        for r in range(n)])
+    if j @ candidate != companion_matrix(sigmas) @ j:
+        return None
+    return candidate
 
 
 _FRACTION_ZERO = Fraction(0)

@@ -15,8 +15,11 @@ from linnij.catalog import (
     verify_entry,
 )
 from linnij.errors import DimensionMismatchError, FormatError
-from linnij.polymatrix import charpoly_sigmas
+from linnij.polymatrix import PolyMatrix, charpoly_sigmas, jacobian
 from linnij.nijenhuis import torsion
+from linnij.textio import default_names, parse_poly
+
+import reference_copies
 
 
 EXPECTED_IDS = [
@@ -110,6 +113,48 @@ def test_change_check_loads_its_own_targets():
     report = verify_entry(by_id["L3"])
     assert ("change", True, None) in report.checks
     assert report.ok
+
+
+def test_change_check_parses_the_packaged_targets_once(monkeypatch):
+    import linnij.catalog
+
+    entries = load_catalog()
+    loads = []
+
+    def counted(path=None):
+        loads.append(path)
+        return load_catalog(path)
+
+    linnij.catalog._packaged_targets.cache_clear()
+    monkeypatch.setattr(linnij.catalog, "load_catalog", counted)
+    try:
+        reports = [verify_entry(entry) for entry in entries]
+        assert sum(entry.change is not None for entry in entries) == 9
+        assert all(report.ok for report in reports)
+        assert loads == [None]
+    finally:
+        linnij.catalog._packaged_targets.cache_clear()
+
+
+def test_covariance_check_reports_where_the_identity_fails():
+    # the positions are those where the products J L and S J, S the
+    # companion matrix, differ
+    by_id = {e.id: e for e in load_catalog()}
+    entry = by_id["L3"]
+    names = default_names(3)
+    rows = [list(row) for row in entry.operator.entries]
+    rows[0][1] = rows[0][1] + parse_poly("x3", names)
+    sigmas = list(entry.sigmas)
+    sigmas[1] = sigmas[1] + parse_poly("x1*x2", names)
+    for operator, sigmas, spots in (
+            (PolyMatrix(rows), list(entry.sigmas), [(1, 2), (2, 2), (3, 2)]),
+            (entry.operator, sigmas, [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])):
+        tampered = CatalogEntry(entry.id, entry.dim, operator, sigmas,
+                                entry.relations, entry.change, entry.target)
+        report = verify_entry(tampered, targets=by_id)
+        assert reference_copies.covariance_positions(
+            jacobian(sigmas), operator, sigmas) == spots
+        assert ("covariance", False, "J*L != S*J at %s" % spots) in report.checks
 
 
 def test_change_check_reports_its_failures():

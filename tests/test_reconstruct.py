@@ -24,7 +24,8 @@ from linnij.exactfield import ONE, Scalar, scalar_sqrt
 from linnij.nijenhuis import direct_sum, operator_is_linear
 from linnij.polyring import DivisibilityFailure, Poly, exact_divide
 from linnij.polymatrix import (
-    PolyMatrix, charpoly_sigmas, scalar_mat_inverse, scalar_mat_mul)
+    PolyMatrix, charpoly_sigmas, covariance_defects, jacobian, scalar_mat_inverse,
+    scalar_mat_mul)
 from linnij.reconstruct import (
     CASE_TAGS,
     DEGENERATE,
@@ -186,6 +187,103 @@ def test_point_path_reconstructs_a_sqrt3_direct_sum():
     assert result.pieces is None  # the point path found it
     assert result.failures == []
     assert result.linear_part == operator
+
+
+def covariance_inputs():
+    """(name, operator, sigmas) triples: the catalog, L1 and L2 for
+    n = 3..9, blocks for n = 3..7 with every sign pattern, a sqrt(3) direct
+    sum, a non-linear sigma_1 and sigma sets that no operator has."""
+    catalog = load_catalog()
+    by_id = {e.id: e for e in catalog}
+    members = list(catalog)
+    members += [build(n) for n in range(3, 10) for build in (generalized_L1, generalized_L2)]
+    for n in range(3, 8):
+        count = (n - 1) // 2
+        members += [generalized_blocks(n, [-1 if pattern >> j & 1 else 1 for j in range(count)])
+                    for pattern in range(2 ** count)]
+    for entry in members:
+        yield entry.id, entry.operator, list(entry.sigmas)
+    summed = direct_sum(by_id["L7"].operator, by_id["b4+"].operator)
+    yield "L7+b4+", summed, charpoly_sigmas(summed)
+    for n in (3, 4):
+        names = default_names(n)
+        # diag(x1^2 + x2, x2, ..., x_n): sigma_1 is not linear
+        x = [Poly.variable(n, i) for i in range(n)]
+        diagonal = [x[0] * x[0] + x[1]] + x[1:]
+        operator = PolyMatrix([[diagonal[r] if r == c else Poly.zero(n) for c in range(n)]
+                               for r in range(n)])
+        yield "diag-%d" % n, operator, charpoly_sigmas(operator)
+        yield "sigma1-%d" % n, operator, [parse_poly("x1^2 - x2", names)] + [
+            parse_poly("%s^%d" % (names[i], i + 1), names) for i in range(1, n)]
+
+
+def _random_linear(rng, n):
+    return sum((Poly.variable(n, i).scale(rng.choice([0, 0, 1, -1, 2]))
+                for i in range(n)), Poly.zero(n))
+
+
+def pieces_outcome(build, sigmas):
+    try:
+        return build(sigmas)
+    except DependentSigmasError as err:
+        return "dependent", err.indices
+
+
+def test_covariance_pieces_and_point_path_match_the_companion_products_seeded():
+    # S J built by rows and J L = S J checked entry by entry give what the
+    # products with the companion matrix S gave, and the point path off n
+    # points keeps the candidate the n + 1 points gave
+    rng = random.Random(38)
+    perturbed = 0
+    for name, operator, sigmas in covariance_inputs():
+        n = len(sigmas)
+        jac = jacobian(sigmas)
+        spots = covariance_defects(jac, operator, sigmas)
+        assert spots == reference_copies.covariance_positions(jac, operator, sigmas), name
+        if n <= 5:
+            assert (pieces_outcome(reconstruction_pieces, sigmas)
+                    == pieces_outcome(reference_copies.reconstruction_pieces, sigmas)), name
+        assert (linnij.reconstruct._operator_by_points(sigmas)
+                == reference_copies.operator_by_points(sigmas)), name
+        if spots:
+            continue
+        # J L = S J holds, so a change d of L at (r, c) shows exactly where
+        # J_ir is nonzero, in column c, and a change d of sigma_i, J kept,
+        # exactly where J_0k is nonzero, in row i
+        r, c, i = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        delta = _random_linear(rng, n) or Poly.variable(n, 0)
+        changed = [list(row) for row in operator.entries]
+        changed[r][c] = changed[r][c] + delta
+        changed = PolyMatrix(changed)
+        expected = [(k + 1, c + 1) for k in range(n) if jac[k, r]]
+        assert covariance_defects(jac, changed, sigmas) == expected, name
+        assert reference_copies.covariance_positions(jac, changed, sigmas) == expected, name
+        shifted = list(sigmas)
+        shifted[i] = shifted[i] + delta * Poly.variable(n, n - 1) ** i  # of degree i + 1
+        expected = [(i + 1, k + 1) for k in range(n) if jac[0, k]]
+        assert covariance_defects(jac, operator, shifted) == expected, name
+        assert reference_copies.covariance_positions(jac, operator, shifted) == expected, name
+        if n <= 5:
+            assert (linnij.reconstruct._operator_by_points(shifted)
+                    == reference_copies.operator_by_points(shifted)), name
+        perturbed += 1
+    assert perturbed >= 55
+    # sparse random linear operators, whose identity mostly fails at some
+    # positions; their symbolic pieces take seconds from n = 5 on
+    failing = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        operator = PolyMatrix([[_random_linear(rng, n) if rng.random() < 0.4 else Poly.zero(n)
+                                for _ in range(n)] for _ in range(n)])
+        sigmas = charpoly_sigmas(operator)
+        jac = jacobian(sigmas)
+        spots = covariance_defects(jac, operator, sigmas)
+        assert spots == reference_copies.covariance_positions(jac, operator, sigmas)
+        if n <= 4:
+            assert (linnij.reconstruct._operator_by_points(sigmas)
+                    == reference_copies.operator_by_points(sigmas))
+        failing += 0 < len(spots) < n * n
+    assert failing >= 10
 
 
 def diagonal_sigmas():

@@ -1,6 +1,9 @@
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -74,6 +77,31 @@ def test_every_record_is_immutable():
             delattr(record, field)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def test_copy_deepcopy_and_pickle_rebuild_equal_immutable_values():
+    catalog = load_catalog()
+    targets = {e.id: e for e in catalog}
+    wide = parse_poly("x1^300*x2 - 2/3*x2", NAMES2)
+    values = [Scalar(Fraction(3, 4)), Scalar(Fraction(-2, 7), Fraction(5, 3), 3),
+              parse_poly("x1^2 - 1/2*x2", NAMES2), wide,
+              parse_poly("sqrt(3)*x1*x2 + 1", NAMES2)]
+    values += catalog
+    values += [verify_entry(entry, targets) for entry in catalog]
+    values += one_of_each_record().values()
+    assert wide.width > Poly.variable(2, 0).width
+    for value in values:
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(value)
+            assert twin == value
+            field = type(value).__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(twin, field, None)
+            with pytest.raises(AttributeError):
+                twin.extra = None
 
 
 def test_wrong_value_count_is_a_type_error():
