@@ -23,7 +23,7 @@ from importlib import resources
 from types import MappingProxyType
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
-from .exactfield import _integer_form, _narrow
+from .exactfield import _narrow, _radicand
 from .polyring import Poly, _linear_form, dot
 from .polymatrix import PolyMatrix, charpoly_sigmas, covariance_defects, jacobian
 from .nijenhuis import (
@@ -143,11 +143,11 @@ def _data_radicand(operator, sigmas, relations, change):
     for s in sigmas:
         rad = _merge_rad(rad, s.radicand())
     for (_, _, _, coeff) in relations.relations():
-        rad = _merge_rad(rad, _integer_form(coeff)[2])
+        rad = _merge_rad(rad, _radicand(coeff))
     if change is not None:
         for row in change:
             for value in row:
-                rad = _merge_rad(rad, _integer_form(value)[2])
+                rad = _merge_rad(rad, _radicand(value))
     return rad
 
 

@@ -32,9 +32,10 @@ hashes as it does.  Outside this module every exact value is narrow: an
 ``Scalar`` only when its irrational part is nonzero.  :func:`_narrow` puts a
 value in that form, :func:`parts` reads the ``(rat, irr, rad)`` of any
 exact value, :func:`_integer_form` its ``(a, b, d, m)``, for a ``Scalar`` a
-plain read of its fields, and :func:`_from_integer_form` builds the narrow
-value of such a form: only this module reads a ``Scalar``'s fields or
-parts or builds a ``Scalar`` unchecked.
+plain read of its fields, :func:`_radicand` its d through that form, and
+:func:`_from_integer_form` builds the narrow value of such a form: only
+this module reads a ``Scalar``'s fields or parts or builds a ``Scalar``
+unchecked.
 
 The scalar elimination of :mod:`linnij.polymatrix` runs on integral rows:
 :func:`_integral_row` clears a row's denominators into ints and
@@ -388,6 +389,16 @@ def _integer_form(value) -> tuple[int, int, int, int] | None:
     if isinstance(value, _RATIONAL):
         return value.numerator, 0, 0, value.denominator
     return None
+
+
+def _radicand(value) -> int:
+    """The radicand d of an exact value, 0 when it is rational, read
+    through :func:`_integer_form`.  TypeError for anything else, as
+    :func:`parts` gives."""
+    form = _integer_form(value)
+    if form is None:
+        raise TypeError("%r is not an int, a Fraction or a Scalar" % (value,))
+    return form[2]
 
 
 def _from_integer_form(a, b, d: int, m: int):

@@ -128,7 +128,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, FormatError
 from .exactfield import (
-    Scalar, _from_integer_form, _integer_form, _narrow, _size, power)
+    Scalar, _from_integer_form, _integer_form, _narrow, _radicand, _size, power)
 from .record import Record
 
 MINUS_INFINITY = float("-inf")
@@ -524,7 +524,7 @@ class Poly:
         """The common nonzero radicand of the coefficients (0 if all rational)."""
         for coeff in self.packed.values():
             if type(coeff) is Scalar:
-                return _integer_form(coeff)[2]
+                return _radicand(coeff)
         return 0
 
     def __repr__(self):

@@ -157,6 +157,15 @@ def test_covariance_check_reports_where_the_identity_fails():
         assert ("covariance", False, "J*L != S*J at %s" % spots) in report.checks
 
 
+def test_entry_with_an_inexact_change_value_is_a_type_error():
+    entry = {e.id: e for e in load_catalog()}["L2"]
+    change = [list(row) for row in entry.change]
+    change[0][0] = 1.0
+    with pytest.raises(TypeError, match="1.0 is not an int, a Fraction or a Scalar"):
+        CatalogEntry(entry.id, entry.dim, entry.operator, entry.sigmas,
+                     entry.relations, tuple(map(tuple, change)), entry.target)
+
+
 def test_change_check_reports_its_failures():
     by_id = {e.id: e for e in load_catalog()}
     entry = by_id["L2"]
