@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import linnij.catalog
 from linnij.catalog import (
     FORMAT_TAG,
     CatalogEntry,
@@ -116,8 +117,6 @@ def test_change_check_loads_its_own_targets():
 
 
 def test_change_check_parses_the_packaged_targets_once(monkeypatch):
-    import linnij.catalog
-
     entries = load_catalog()
     loads = []
 
